@@ -133,12 +133,12 @@ fn bench_trainer_overlap(c: &mut Criterion) {
             || Box::new(TopKCompressor::new()),
         );
         let report = trainer.run(0.01);
-        let acc = report.overlap().expect("compressed run");
+        let acc = report.schedule().expect("compressed run");
         println!(
             "trainer_overlap/overlap={overlap}: simulated total {:.6}s, \
              overhead speed-up {:.3}x ({} buckets)",
             report.total_time(),
-            acc.speedup(),
+            acc.speedup_vs_serial(),
             acc.buckets()
         );
     }

@@ -2,6 +2,7 @@
 
 use crate::device::{ComputeDevice, ComputeSkew, DeviceProfile};
 use crate::network::{HierarchicalTopology, NetworkModel, NodeProfile};
+use crate::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 use sidco_core::compressor::CompressorKind;
 
 /// A synchronous-SGD cluster: `workers` workers joined by one interconnect,
@@ -429,6 +430,20 @@ impl ClusterConfig {
             }
             None => 1.0,
         }
+    }
+
+    /// Modelled forward + backward compute seconds of one synchronous
+    /// iteration over a `parameters`-element model at `batch_per_worker`
+    /// examples per worker, gated by the slowest node's
+    /// [`slowest_compute_factor`](Self::slowest_compute_factor). The single
+    /// owner of this expression: the trainer's clock, its arrival-aware
+    /// bucket auto-tuner and the fleet simulator all price compute here, so a
+    /// single-job fleet collapses bit-for-bit onto the trainer.
+    pub fn iteration_compute_time(&self, batch_per_worker: usize, parameters: usize) -> f64 {
+        COMPUTE_COST_PER_EXAMPLE_ELEMENT
+            * batch_per_worker as f64
+            * parameters as f64
+            * self.slowest_compute_factor()
     }
 
     /// Modelled compression latency of worker `worker` for a `dim`-element

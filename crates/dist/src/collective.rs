@@ -1,12 +1,13 @@
 //! The async collective scheduler: multi-stream, priority-aware scheduling of
 //! bucketed compression ↔ communication pipelines.
 //!
-//! [`overlap`](crate::overlap) models the classic two-stage pipeline: one
+//! DDP-style bucketing overlaps compression of bucket `i + 1` with
+//! communication of bucket `i`: the classic two-stage pipeline of one
 //! compression stream feeding one FIFO communication stream. Real frameworks
 //! go further — NCCL exposes multiple communication streams, and
 //! ByteScheduler-style schedulers let small, gradient-critical buckets preempt
-//! large transfers already on the wire. This module generalises the overlap
-//! model into an explicit schedule over three kinds of resources:
+//! large transfers already on the wire. This module generalises the pipeline
+//! into an explicit schedule over three kinds of resources:
 //!
 //! * **one compression processor** — buckets are compressed serially,
 //!   first-come-first-served in *gradient arrival* order: a bucket may not
@@ -33,8 +34,9 @@
 //!
 //! The model is work-conserving on the link, so every schedule respects the
 //! bandwidth lower bound `makespan ≥ Σ transferᵢ`, and a single-stream FIFO
-//! schedule reproduces [`overlap::pipelined_overhead`](crate::overlap::pipelined_overhead)
-//! exactly. With a stream per bucket, priority scheduling is provably optimal
+//! schedule reproduces the two-stage pipeline recurrence
+//! `Wᵢ = max(Wᵢ₋₁, Cᵢ) + commᵢ` up to float rounding (the recurrence
+//! survives only as a test oracle). With a stream per bucket, priority scheduling is provably optimal
 //! for the critical (highest-priority) bucket: it completes at its path lower
 //! bound `ready + α + β`, which no schedule — FIFO included — can beat. These
 //! invariants (and more) are proven over randomised configurations in
@@ -362,8 +364,9 @@ impl CollectiveScheduler {
         Self { streams, policy }
     }
 
-    /// The single-stream FIFO scheduler — equivalent to
-    /// [`overlap::pipelined_overhead`](crate::overlap::pipelined_overhead).
+    /// The single-stream FIFO scheduler — the classic two-stage
+    /// compression↔communication pipeline, and the baseline every
+    /// [`best_schedule`](Self::best_schedule) starts from.
     pub fn single_stream_fifo() -> Self {
         Self::new(1, PriorityPolicy::Fifo)
     }
@@ -927,7 +930,6 @@ impl ScheduleAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlap::pipelined_overhead;
 
     fn costs(raw: &[(f64, f64, f64)]) -> Vec<BucketCost> {
         raw.iter()
@@ -948,10 +950,11 @@ mod tests {
             (2.0, 0.25, 0.5),
             (0.1, 0.25, 1.0),
         ]);
-        let comp: Vec<f64> = buckets.iter().map(|b| b.compression).collect();
-        let comm: Vec<f64> = buckets.iter().map(|b| b.communication()).collect();
         let timeline = CollectiveScheduler::single_stream_fifo().schedule(&buckets);
-        let reference = pipelined_overhead(&comp, &comm);
+        // The recurrence by hand, C_i = C_{i-1} + comp_i and
+        // W_i = max(W_{i-1}, C_i) + comm_i:
+        // C = 1, 1.5, 3.5, 3.6; W = 3.25, 6.5, 7.25, 8.5.
+        let reference = 8.5;
         assert!(
             (timeline.makespan() - reference).abs() < 1e-12,
             "DES {} vs recurrence {reference}",

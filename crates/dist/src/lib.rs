@@ -20,12 +20,12 @@
 //! * [`simulate`] — the Table-1 benchmark simulator
 //!   ([`simulate_benchmark`](simulate::simulate_benchmark)): real compression
 //!   on a measured gradient, analytic costs at full scale;
-//! * [`overlap`] — the DDP-style bucketed pipeline model that overlaps
-//!   compression of bucket `i + 1` with communication of bucket `i`;
 //! * [`collective`] — the async collective scheduler
-//!   ([`CollectiveScheduler`](collective::CollectiveScheduler)): multi-stream
-//!   schedules over gradient-arrival release times, priority preemption of
-//!   large transfers (ByteScheduler-style), anomaly-repaired fixed
+//!   ([`CollectiveScheduler`](collective::CollectiveScheduler)) that prices
+//!   every bucketed iteration: DDP-style compression↔communication
+//!   pipelining, multi-stream schedules over gradient-arrival release
+//!   times, priority preemption of large transfers (ByteScheduler-style),
+//!   anomaly-repaired fixed
 //!   schedules, per-stream/per-bucket timelines and the analytic lower
 //!   bounds its property tests pin down;
 //! * [`trainer`] — a real data-parallel trainer
@@ -35,7 +35,8 @@
 //! * [`adaptive`] — the delay-aware ratio controller
 //!   ([`RatioController`](adaptive::RatioController)) that derives δ from a
 //!   communication-time budget;
-//! * [`metrics`] — training reports and the time-to-quality speed-up metric;
+//! * [`metrics`] — training reports (schedule and dispatch accounting) and
+//!   the time-to-quality speed-up metric;
 //! * [`schedule`] / [`optimizer`] — learning-rate schedules, the bucket
 //!   sizing policy (layer-aligned, α–β-auto-tuned), and the Table-1 local
 //!   optimizers;
@@ -55,7 +56,6 @@ pub mod device;
 pub mod metrics;
 pub mod network;
 pub mod optimizer;
-pub mod overlap;
 pub mod schedule;
 pub mod simulate;
 pub mod tenancy;
@@ -63,10 +63,9 @@ pub mod trainer;
 
 pub use collective::{BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleTimeline};
 pub use device::ComputeSkew;
-pub use metrics::{RescaleRecord, TrainingReport};
+pub use metrics::{DispatchReport, RescaleRecord, TrainingReport};
 pub use network::{HierarchicalTopology, NetworkModel, NodeProfile};
 pub use optimizer::Optimizer;
-pub use overlap::DispatchReport;
 pub use schedule::{BucketPolicy, LrSchedule};
 pub use tenancy::{FleetReport, FleetScheduler, JobOutcome, JobSpec, SharePolicy, TenancyConfig};
 pub use trainer::ClusterEvent;

@@ -1,9 +1,9 @@
 //! Training-run reports and the time-to-quality speed-up metric.
 
 use crate::collective::ScheduleAccounting;
-use crate::overlap::{DispatchReport, OverlapAccounting};
 use crate::trainer::ClusterEvent;
 use sidco_core::metrics::{EstimationQualitySummary, EstimationQualityTracker};
+use sidco_runtime::PoolStats;
 
 /// What one [`ClusterEvent`] did to the fleet, recorded when it fired.
 ///
@@ -47,6 +47,35 @@ pub struct TrainingSample {
     pub lr: f64,
 }
 
+/// How the trainer *executed* its per-bucket compressions, as opposed to how
+/// the cost model charged them: which runtime ran the jobs, how wide it was,
+/// and what the work-stealing pool observed while doing it. Attached to
+/// [`TrainingReport`] by pool-backed compressed runs so the modeled schedule
+/// ([`crate::collective`]) can be checked against real concurrent execution.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DispatchReport {
+    /// Executor the per-bucket jobs ran on (`"scoped"` or `"pool"`).
+    pub runtime: &'static str,
+    /// Worker threads the executor exposes (1 for the sequential fallback).
+    pub parallelism: usize,
+    /// Number of fan-out rounds dispatched (one per training iteration).
+    pub jobs: u64,
+    /// Independent compression tasks per round (`workers × buckets`).
+    pub tasks_per_job: usize,
+    /// Bucket order the jobs were released in — the gradient-arrival order
+    /// from [`release_order`](crate::collective::release_order), matching the
+    /// modeled compression stream.
+    pub dispatch_order: Vec<usize>,
+    /// Bucket order in which the last iteration's buckets actually finished
+    /// all their per-worker compressions (steal-order dependent; every bucket
+    /// appears exactly once).
+    pub completion_order: Vec<usize>,
+    /// Pool counters accumulated over the run (dispatches, steals, parks),
+    /// diffed against the pre-run snapshot when the executor is the shared
+    /// process-wide pool. `None` on the scoped/sequential runtimes.
+    pub pool: Option<PoolStats>,
+}
+
 /// Everything a training run produced: the loss/time trajectory, the final
 /// full-dataset metrics and the compression-estimation quality series.
 #[derive(Debug, Clone)]
@@ -55,7 +84,6 @@ pub struct TrainingReport {
     quality: EstimationQualityTracker,
     final_evaluation: f64,
     final_accuracy: Option<f64>,
-    overlap: Option<OverlapAccounting>,
     schedule: Option<ScheduleAccounting>,
     dispatch: Option<DispatchReport>,
     rescales: Vec<RescaleRecord>,
@@ -75,19 +103,11 @@ impl TrainingReport {
             quality,
             final_evaluation,
             final_accuracy,
-            overlap: None,
             schedule: None,
             dispatch: None,
             rescales: Vec::new(),
             trace: None,
         }
-    }
-
-    /// Attaches the bucketed-pipeline accounting of a compressed run.
-    #[must_use]
-    pub fn with_overlap(mut self, overlap: OverlapAccounting) -> Self {
-        self.overlap = Some(overlap);
-        self
     }
 
     /// Attaches the collective scheduler's three-way accounting (serial vs
@@ -136,12 +156,6 @@ impl TrainingReport {
     /// order (empty for a run with no [`ClusterEvent`]s).
     pub fn rescales(&self) -> &[RescaleRecord] {
         &self.rescales
-    }
-
-    /// The compression↔communication overlap accounting, when the run was
-    /// compressed (`None` for the dense baseline).
-    pub fn overlap(&self) -> Option<&OverlapAccounting> {
-        self.overlap.as_ref()
     }
 
     /// The executor-side dispatch accounting, when the run was compressed

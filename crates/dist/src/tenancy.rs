@@ -47,7 +47,6 @@ use crate::collective::{
 };
 use crate::metrics::{jain_fairness_index, percentile};
 use crate::schedule::pack_layers;
-use crate::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 use sidco_core::compressor::CompressorKind;
 use sidco_core::layerwise::LayerLayout;
 use sidco_models::BenchmarkId;
@@ -673,14 +672,12 @@ impl FleetScheduler {
             bench.parameters.div_ceil(spec.buckets),
         );
         let scheduler = CollectiveScheduler::new(spec.streams, spec.policy);
-        // Same constant *and* same slowest-node gating as the trainer's
-        // clock, so a single-job fleet on any cluster — skewed or not —
-        // still collapses bit-for-bit onto the trainer (the factor is
-        // exactly 1.0 on a homogeneous fleet).
-        let compute = COMPUTE_COST_PER_EXAMPLE_ELEMENT
-            * bench.per_worker_batch as f64
-            * bench.parameters as f64
-            * self.cluster.slowest_compute_factor();
+        // The trainer's own compute expression, so a single-job fleet on any
+        // cluster — skewed or not — still collapses bit-for-bit onto the
+        // trainer.
+        let compute = self
+            .cluster
+            .iteration_compute_time(bench.per_worker_batch, bench.parameters);
         let (dedicated_makespan, dedicated_wire) = self.price_with(
             &layout,
             &scheduler,
@@ -932,6 +929,7 @@ impl FleetScheduler {
 mod tests {
     use super::*;
     use crate::network::HierarchicalTopology;
+    use crate::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 
     const DELTA: f64 = 0.01;
 

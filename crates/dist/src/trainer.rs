@@ -10,12 +10,18 @@
 //! DDP-style buckets: near-uniform ([`TrainerConfig::buckets`]), along the
 //! model's real layer boundaries or auto-tuned against the α–β network model
 //! ([`TrainerConfig::bucket_policy`]), or fully explicit
-//! ([`TrainerConfig::bucket_layout`]). With [`TrainerConfig::overlap`]
-//! enabled the cost model schedules the buckets through the
-//! [`collective`](crate::collective) scheduler — single-stream FIFO by
-//! default, multi-stream and/or priority-preemptive via
-//! [`TrainerConfig::streams`] and [`TrainerConfig::priority`] — and charges
-//! the schedule's makespan. With [`TrainerConfig::arrival_aware`] the
+//! ([`TrainerConfig::bucket_layout`]).
+//!
+//! Every compressed iteration is priced on one path through the
+//! [`collective`](crate::collective) scheduler. A single-stream FIFO schedule
+//! of the per-bucket costs is the pipelined reference. With
+//! [`TrainerConfig::overlap`] enabled, the stream-budget search
+//! ([`CollectiveScheduler::best_schedule`]) starts from that schedule —
+//! multi-stream and/or priority-preemptive via [`TrainerConfig::streams`] and
+//! [`TrainerConfig::priority`] — and the iteration is charged the chosen
+//! schedule's makespan; that same timeline is traced and reported. With
+//! overlap off the iteration is charged the serial sum of its compression
+//! and communication costs. With [`TrainerConfig::arrival_aware`] the
 //! schedule additionally respects gradient-availability release times — each
 //! bucket is released as the backward pass produces its layers
 //! (output-side first), so compression and communication interleave with the
@@ -29,9 +35,8 @@ use crate::cluster::ClusterConfig;
 use crate::collective::{
     release_order, BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleAccounting,
 };
-use crate::metrics::{RescaleRecord, TrainingReport, TrainingSample};
+use crate::metrics::{DispatchReport, RescaleRecord, TrainingReport, TrainingSample};
 use crate::optimizer::Optimizer;
-use crate::overlap::{pipelined_overhead, DispatchReport, OverlapAccounting};
 use crate::schedule::{
     auto_bucket_layout, auto_bucket_layout_with_arrivals, bucket_ready_times, BucketPolicy,
     LrSchedule,
@@ -49,9 +54,10 @@ use std::sync::{Arc, Mutex};
 
 /// Seconds of simulated compute per example·parameter (forward + backward).
 ///
-/// Public so the multi-tenant fleet simulator ([`crate::tenancy`]) prices a
-/// job's compute phase with the *same* constant the trainer charges — the
-/// single-job fleet must collapse bit-for-bit onto the trainer's clock.
+/// Priced through [`ClusterConfig::iteration_compute_time`], the one
+/// expression the trainer and the multi-tenant fleet simulator
+/// ([`crate::tenancy`]) share — the single-job fleet must collapse
+/// bit-for-bit onto the trainer's clock.
 pub const COMPUTE_COST_PER_EXAMPLE_ELEMENT: f64 = 2.0e-9;
 
 /// A cluster-membership change applied at an iteration boundary.
@@ -137,13 +143,15 @@ pub struct TrainerConfig {
     /// time — and no effect at all with a single bucket.
     pub overlap: bool,
     /// Number of communication streams the overlapped cost model schedules
-    /// buckets onto (1 reproduces the classic single-FIFO pipeline). Only
-    /// consulted when [`overlap`](Self::overlap) is on.
+    /// buckets onto (1 reproduces the classic single-FIFO pipeline). Charging
+    /// reads it only when [`overlap`](Self::overlap) is on; the
+    /// [`BucketPolicy::AutoTuned`] layout search reads it either way.
     pub streams: usize,
     /// Order in which buckets contend for streams and the wire; non-FIFO
     /// policies let small buckets preempt large transfers
-    /// (ByteScheduler-style). Only consulted when [`overlap`](Self::overlap)
-    /// is on.
+    /// (ByteScheduler-style). Charging reads it only when
+    /// [`overlap`](Self::overlap) is on; the [`BucketPolicy::AutoTuned`]
+    /// layout search reads it either way.
     pub priority: PriorityPolicy,
     /// Model gradient-availability **arrival times**: the scheduled cost
     /// model releases each bucket only once the backward pass (charged as
@@ -158,7 +166,8 @@ pub struct TrainerConfig {
     /// default), every bucket is ready at schedule start and charging is
     /// bit-identical to the arrival-oblivious model. Like
     /// [`overlap`](Self::overlap) this only moves simulated time, never the
-    /// numerics, and is only consulted when `overlap` is on.
+    /// numerics. Charging reads it only when `overlap` is on; the
+    /// [`BucketPolicy::AutoTuned`] layout search reads it either way.
     pub arrival_aware: bool,
     /// Cluster-membership changes applied at iteration boundaries, fired in
     /// ascending step order (configuration order within a step). Empty (the
@@ -367,11 +376,8 @@ impl ModelTrainer {
         cluster: &ClusterConfig,
         compressed: bool,
     ) -> (f64, f64, Vec<f64>, Vec<usize>) {
-        let dim = self.model.num_parameters();
-        let compute_time = COMPUTE_COST_PER_EXAMPLE_ELEMENT
-            * self.config.batch_per_worker as f64
-            * dim as f64
-            * cluster.slowest_compute_factor();
+        let compute_time = cluster
+            .iteration_compute_time(self.config.batch_per_worker, self.model.num_parameters());
         let backward_time = if compressed && self.config.overlap && self.config.arrival_aware {
             BACKWARD_COMPUTE_FRACTION * compute_time
         } else {
@@ -690,59 +696,27 @@ impl ModelTrainer {
                     .iter()
                     .map(|c| c.compression + c.communication())
                     .sum();
-                let arrival_aware = backward_time > 0.0;
-                let last_iteration = iteration + 1 == self.config.iterations;
-                let closed_form_pipelined = || {
-                    let bucket_communication: Vec<f64> =
-                        costs.iter().map(BucketCost::communication).collect();
-                    pipelined_overhead(&bucket_compression, &bucket_communication)
-                };
-                let (pipelined, charged) = if arrival_aware {
-                    // The single-stream FIFO reference on the *same* release
-                    // times, net of the backward pass it overlaps with; the
-                    // budget search reuses it as its baseline candidate
-                    // rather than simulating the pipeline twice.
-                    let fifo = CollectiveScheduler::single_stream_fifo().schedule(&costs);
-                    let pipelined = fifo.makespan() - backward_time;
+                // Schedule t=0 is the start of the backward pass the releases
+                // are measured from (the end of compute when arrival-oblivious,
+                // where `backward_time` is zero). A makespan includes that
+                // backward pass (bucket 0 releases exactly at its end, so the
+                // makespan is never smaller); every overhead is the excess.
+                let fifo = CollectiveScheduler::single_stream_fifo().schedule(&costs);
+                let pipelined = fifo.makespan() - backward_time;
+                let charged = if self.config.overlap {
+                    // The budget search starts from the FIFO reference and
+                    // only replaces it with a strictly shorter schedule, so
+                    // the charge never exceeds `pipelined`. The charged
+                    // timeline is the one traced and stored.
                     let timeline = scheduler.best_schedule_from(&costs, fifo);
-                    // An arrival-aware makespan includes the backward pass it
-                    // overlaps with (bucket 0 releases exactly at its end, so
-                    // the makespan is never smaller); charge the excess.
                     let charged = timeline.makespan() - backward_time;
-                    // Schedule t=0 is the start of the backward pass the
-                    // releases are measured from.
                     timeline.record_trace(&sink, clock.now() + compute_time - backward_time);
-                    if last_iteration {
+                    if iteration + 1 == self.config.iterations {
                         schedule_accounting.set_timeline(timeline);
                     }
-                    (pipelined, charged)
-                } else if !self.config.overlap {
-                    (closed_form_pipelined(), serial)
-                } else if self.config.streams == 1 && self.config.priority == PriorityPolicy::Fifo {
-                    // The classic single-FIFO pipeline, charged through the
-                    // closed-form recurrence (bit-identical to PR 2 runs).
-                    let pipelined = closed_form_pipelined();
-                    if sink.enabled() {
-                        // The charged overhead comes from the closed form;
-                        // the equivalent simulated timeline is built purely
-                        // as a trace view (schedule t=0 is end-of-compute).
-                        scheduler
-                            .best_schedule(&costs)
-                            .record_trace(&sink, clock.now() + compute_time);
-                    }
-                    if last_iteration {
-                        schedule_accounting.set_timeline(scheduler.best_schedule(&costs));
-                    }
-                    (pipelined, pipelined)
+                    charged
                 } else {
-                    let timeline = scheduler.best_schedule(&costs);
-                    let makespan = timeline.makespan();
-                    // Arrival-oblivious schedules start when compute ends.
-                    timeline.record_trace(&sink, clock.now() + compute_time);
-                    if last_iteration {
-                        schedule_accounting.set_timeline(timeline);
-                    }
-                    (closed_form_pipelined(), makespan)
+                    serial
                 };
                 schedule_accounting.record(serial, pipelined, charged);
                 charged
@@ -782,14 +756,6 @@ impl ModelTrainer {
         let report = TrainingReport::new(samples, quality, final_evaluation, final_accuracy)
             .with_rescales(rescales);
         let report = if compressed {
-            // The two-way overlap accounting is a view of the scheduler's
-            // three-way accounting — derived once here so there is a single
-            // source of truth for the charged totals.
-            let mut overlap_accounting = OverlapAccounting::new(buckets);
-            overlap_accounting.record(
-                schedule_accounting.serial_overhead(),
-                schedule_accounting.charged_overhead(),
-            );
             // Executor-side accounting: pool counters are diffed against the
             // pre-run snapshot so concurrent users of the shared runtime
             // (e.g. engine chunks) before this run are not attributed to it.
@@ -825,7 +791,6 @@ impl ModelTrainer {
                 pool,
             };
             report
-                .with_overlap(overlap_accounting)
                 .with_schedule(schedule_accounting)
                 .with_dispatch(dispatch)
         } else {
@@ -967,13 +932,12 @@ fn resolve_layout(
             // Arrival awareness is part of the configuration (not of the
             // charging), so an arrival-aware trainer tunes at the release
             // times each candidate would induce — keyed on `arrival_aware`
-            // alone, never on `overlap`.
+            // alone, never on `overlap` — over the same skew-gated backward
+            // duration the run charges.
             let scheduler = CollectiveScheduler::new(config.streams, config.priority);
             if config.arrival_aware {
                 let backward_seconds = BACKWARD_COMPUTE_FRACTION
-                    * COMPUTE_COST_PER_EXAMPLE_ELEMENT
-                    * config.batch_per_worker as f64
-                    * dim as f64;
+                    * cluster.iteration_compute_time(config.batch_per_worker, dim);
                 auto_bucket_layout_with_arrivals(
                     &layers,
                     &model.layer_backward_costs(),
@@ -1020,7 +984,7 @@ mod tests {
         assert_eq!(report.samples().len(), 120);
         assert!(report.final_evaluation() < report.samples()[0].loss * 0.2);
         assert!(report.total_time() > 0.0);
-        assert!(report.overlap().is_none());
+        assert!(report.schedule().is_none());
         // Times are strictly increasing.
         for pair in report.samples().windows(2) {
             assert!(pair[1].time > pair[0].time);
@@ -1043,10 +1007,11 @@ mod tests {
             q.mean_normalized_ratio
         );
         assert_eq!(q.samples, 150 * 4);
-        // Single-bucket runs cannot overlap anything.
-        let overlap = report.overlap().expect("compressed run has accounting");
-        assert_eq!(overlap.buckets(), 1);
-        assert_eq!(overlap.saved(), 0.0);
+        // A serial single-bucket run charges exactly its serial overhead.
+        let acc = report.schedule().expect("compressed run has accounting");
+        assert_eq!(acc.buckets(), 1);
+        assert_eq!(acc.charged_overhead(), acc.serial_overhead());
+        assert_eq!(acc.speedup_vs_serial(), 1.0);
     }
 
     #[test]
@@ -1094,15 +1059,16 @@ mod tests {
             overlapped.total_time(),
             serial.total_time()
         );
-        let acc = overlapped.overlap().expect("accounting present");
+        let acc = overlapped.schedule().expect("accounting present");
         assert_eq!(acc.buckets(), 4);
-        assert!(acc.saved() > 0.0);
-        assert!(acc.speedup() > 1.0);
+        let saved = acc.serial_overhead() - acc.charged_overhead();
+        assert!(saved > 0.0);
+        assert!(acc.speedup_vs_serial() > 1.0);
         // The serial run's accounting charges the full serial overhead.
-        let serial_acc = serial.overlap().expect("accounting present");
+        let serial_acc = serial.schedule().expect("accounting present");
         assert_eq!(serial_acc.charged_overhead(), serial_acc.serial_overhead());
         assert!(
-            (serial.total_time() - overlapped.total_time() - acc.saved()).abs()
+            (serial.total_time() - overlapped.total_time() - saved).abs()
                 < 1e-9 * serial.total_time().max(1.0)
         );
     }
@@ -1127,8 +1093,8 @@ mod tests {
         let serial = run(false);
         let scheduled = run(true);
         assert_eq!(
-            serial.overlap().unwrap().buckets(),
-            scheduled.overlap().unwrap().buckets()
+            serial.schedule().unwrap().buckets(),
+            scheduled.schedule().unwrap().buckets()
         );
         let losses = |r: &TrainingReport| r.samples().iter().map(|s| s.loss).collect::<Vec<_>>();
         assert_eq!(losses(&serial), losses(&scheduled));
@@ -1175,7 +1141,7 @@ mod tests {
         // backward pass it overlaps with).
         let acc = aware.schedule().expect("compressed run has accounting");
         assert!(acc.charged_overhead() >= 0.0);
-        assert!(acc.charged_overhead() <= acc.pipelined_overhead() + 1e-12);
+        assert!(acc.charged_overhead() <= acc.pipelined_overhead());
         assert!(acc.pipelined_overhead() <= acc.serial_overhead() + 1e-12);
         // Overlapping compression/communication with the backward pass can
         // only help relative to starting the same schedule after it.
@@ -1217,7 +1183,7 @@ mod tests {
             Box::new(TopKCompressor::new())
         });
         let report = trainer.run(0.2);
-        assert_eq!(report.overlap().unwrap().buckets(), 3);
+        assert_eq!(report.schedule().unwrap().buckets(), 3);
         assert!(report.final_evaluation().is_finite());
     }
 
@@ -1449,5 +1415,84 @@ mod tests {
             assert_eq!(a.loss, b.loss);
             assert_eq!(a.time, b.time);
         }
+    }
+
+    #[test]
+    fn charged_overhead_is_the_stored_timeline() {
+        // One path: the iteration is charged the makespan of exactly the
+        // timeline that is stored (and traced), bit for bit — for the plain
+        // single-FIFO pipeline as much as for a multi-stream budget. (On
+        // these costs the two-stage recurrence rounds differently from the
+        // schedule, so a closed-form charge would not match.)
+        for (streams, priority) in [
+            (1, PriorityPolicy::Fifo),
+            (4, PriorityPolicy::SmallestFirst),
+        ] {
+            let cfg = TrainerConfig {
+                buckets: 3,
+                overlap: true,
+                streams,
+                priority,
+                ..config(1)
+            };
+            let report = ModelTrainer::new(model(), ClusterConfig::small_test(), cfg, || {
+                Box::new(TopKCompressor::new())
+            })
+            .run(0.05);
+            let acc = report.schedule().expect("compressed run has accounting");
+            let timeline = acc
+                .last_timeline()
+                .expect("overlapped run stores its timeline");
+            assert_eq!(
+                acc.charged_overhead().to_bits(),
+                timeline.makespan().to_bits(),
+                "{streams} streams, {priority}"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_tuner_scores_layouts_at_the_skewed_backward_time() {
+        use sidco_models::dataset::ClassificationDataset;
+        use sidco_models::mlp::Mlp;
+        // On the 2x-straggler testbed the run charges twice the unskewed
+        // backward pass; this model and batch are chosen so the two
+        // durations tune to different layouts.
+        let mlp = Mlp::new(
+            ClassificationDataset::gaussian_blobs(64, 128, 10, 3.0, 11),
+            128,
+        );
+        let cluster = ClusterConfig::paper_straggler();
+        let cfg = TrainerConfig {
+            batch_per_worker: 512,
+            bucket_policy: BucketPolicy::AutoTuned,
+            arrival_aware: true,
+            streams: 4,
+            priority: PriorityPolicy::NearestOutputFirst,
+            ..config(1)
+        };
+        let tuned_at = |backward_seconds: f64| {
+            auto_bucket_layout_with_arrivals(
+                &mlp.layer_sizes(),
+                &mlp.layer_backward_costs(),
+                backward_seconds,
+                &cluster,
+                CompressorKind::TopK,
+                AUTO_TUNE_DELTA,
+                &CollectiveScheduler::new(cfg.streams, cfg.priority),
+            )
+        };
+        let charged_backward = BACKWARD_COMPUTE_FRACTION
+            * cluster.iteration_compute_time(cfg.batch_per_worker, mlp.num_parameters());
+        let skewed = tuned_at(charged_backward);
+        assert_ne!(
+            skewed,
+            tuned_at(charged_backward / cluster.slowest_compute_factor()),
+            "the skew must matter for this test to pin anything"
+        );
+        let trainer = ModelTrainer::new(Arc::new(mlp), cluster, cfg, || {
+            Box::new(TopKCompressor::new())
+        });
+        assert_eq!(trainer.layout, skewed);
     }
 }

@@ -15,11 +15,11 @@
 //! 4. **Bandwidth bound** — every valid schedule's makespan is at least the
 //!    bandwidth lower bound `Σ transferᵢ` (and at most fully serial);
 //!
-//! plus monotonicity (more streams never increase the makespan), the exact
-//! equivalence of the single-stream FIFO schedule with
-//! `overlap::pipelined_overhead`, and bit-identical convergence of
-//! overlapped/multi-stream trainer runs against serial runs for every
-//! evaluated compressor.
+//! plus monotonicity (more streams never increase the makespan), the
+//! equivalence (up to float rounding) of the single-stream FIFO schedule with
+//! the two-stage pipeline recurrence in the `oracle` module, and
+//! bit-identical convergence of overlapped/multi-stream trainer runs against
+//! serial runs for every evaluated compressor.
 //!
 //! The arrival-aware/NIC extensions add four more pinned properties:
 //!
@@ -49,6 +49,9 @@
 //! 12. **Join/Leave no-op collapse** — a Join immediately undone by a Leave
 //!     is bit-identical to a run with no events at all.
 
+mod oracle;
+
+use oracle::pipelined_overhead;
 use proptest::prelude::*;
 use sidco::prelude::*;
 use sidco_dist::collective::{
@@ -56,7 +59,6 @@ use sidco_dist::collective::{
     CollectiveScheduler, PriorityPolicy, ScheduleTimeline,
 };
 use sidco_dist::network::HierarchicalTopology;
-use sidco_dist::overlap::pipelined_overhead;
 use sidco_dist::schedule::auto_bucket_layout;
 use sidco_dist::simulate::build_compressor;
 use sidco_dist::{BucketPolicy, NetworkModel};
@@ -830,7 +832,7 @@ fn overlap_and_streams_converge_bit_identically_for_every_compressor() {
         // The schedule accounting agrees with the charged clock.
         let acc = scheduled.schedule().expect("compressed run has accounting");
         assert_eq!(acc.streams(), 4);
-        assert!(acc.charged_overhead() <= acc.pipelined_overhead() + 1e-12);
+        assert!(acc.charged_overhead() <= acc.pipelined_overhead());
         assert!(acc.pipelined_overhead() <= acc.serial_overhead() + 1e-12);
         assert!(acc.last_timeline().is_some());
     }
