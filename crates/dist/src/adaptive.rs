@@ -7,7 +7,7 @@
 //! δ, the controller derives δ from the network model and a time budget.
 
 use crate::cluster::ClusterConfig;
-use crate::network::NetworkModel;
+use crate::network::{HierarchicalTopology, NetworkModel};
 use crate::SPARSE_WIRE_BYTES;
 
 /// Configuration of the ratio controller.
@@ -44,8 +44,9 @@ impl RatioController {
     /// # Panics
     ///
     /// Panics if the configuration bounds are not `0 < min_ratio <= max_ratio
-    /// <= 1`, the budget is not positive, or the feedback gain is outside
-    /// `[0, 1]`.
+    /// <= 1`, the budget is not positive, the feedback gain is outside
+    /// `[0, 1]`, `workers` is zero, or `network` is rejected by
+    /// [`NodeProfile::new`](crate::network::NodeProfile::new).
     pub fn new(
         config: RatioControllerConfig,
         network: NetworkModel,
@@ -54,11 +55,8 @@ impl RatioController {
     ) -> Self {
         Self::for_cluster(
             config,
-            ClusterConfig {
-                workers,
-                network,
-                ..ClusterConfig::default()
-            },
+            ClusterConfig::default()
+                .with_topology(HierarchicalTopology::one_worker_per_node(workers, network)),
             elements,
         )
     }

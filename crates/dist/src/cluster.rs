@@ -5,14 +5,15 @@ use crate::network::{HierarchicalTopology, NetworkModel, NodeProfile};
 use crate::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 use sidco_core::compressor::CompressorKind;
 
-/// A synchronous-SGD cluster: `workers` workers joined by one interconnect,
-/// compressing on one kind of device — homogeneous by default, with optional
-/// per-node heterogeneity.
+/// A synchronous-SGD cluster: `workers` workers joined by one
+/// [`HierarchicalTopology`], compressing on one kind of device — homogeneous
+/// by default, with optional per-node heterogeneity.
 ///
-/// The default interconnect is flat (every worker one hop from every other on
-/// [`network`](Self::network)); setting [`topology`](Self::topology) replaces
-/// it with a two-tier intra-/inter-node hierarchy whose collectives run
-/// hierarchically. [`engine_workers`](Self::engine_workers) tells the cost
+/// The topology is the only interconnect description: a flat cluster (every
+/// worker one hop from every other) is
+/// [`HierarchicalTopology::one_worker_per_node`], a two-tier cluster has
+/// several workers per node, and every node carries its own NIC
+/// [`NodeProfile`]. [`engine_workers`](Self::engine_workers) tells the cost
 /// model how many compression-engine threads each worker runs, so simulated
 /// compression latencies match a multi-threaded
 /// [`CompressionEngine`](sidco_core::engine::CompressionEngine) deployment.
@@ -23,18 +24,17 @@ use sidco_core::compressor::CompressorKind;
 /// compute speeds ([`compute_skew`](Self::compute_skew)). Synchronous SGD is
 /// gated by its slowest participant, so every heterogeneous charge takes the
 /// slowest node's time; leaving all three knobs at their defaults collapses
-/// bit-for-bit to the homogeneous model.
+/// bit-for-bit to the homogeneous model. A Join repeats the last node's NIC
+/// profile and adds a default device and skew entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    /// Number of data-parallel workers.
+    /// Number of data-parallel workers (always the topology's worker count).
     pub workers: usize,
-    /// Interconnect between the workers (used when `topology` is `None`).
-    pub network: NetworkModel,
     /// Device on which gradient compression runs.
     pub compression_device: ComputeDevice,
-    /// Two-tier interconnect; when set, its worker count must equal
-    /// [`workers`](Self::workers) and collectives are charged hierarchically.
-    pub topology: Option<HierarchicalTopology>,
+    /// The interconnect; its worker count must equal
+    /// [`workers`](Self::workers).
+    pub topology: HierarchicalTopology,
     /// Compression-engine worker threads per worker (≥ 1); scales the
     /// parallelisable part of the modelled compression time.
     pub engine_workers: usize,
@@ -48,31 +48,28 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Small 4-worker cluster for fast tests.
-    pub fn small_test() -> Self {
+    /// A flat cluster of `workers` single-GPU machines on `nic`, compressing
+    /// on the GPU.
+    fn flat(workers: usize, nic: NetworkModel) -> Self {
         Self {
-            workers: 4,
-            network: NetworkModel::ethernet_25g(),
+            workers,
             compression_device: ComputeDevice::Gpu,
-            topology: None,
+            topology: HierarchicalTopology::one_worker_per_node(workers, nic),
             engine_workers: 1,
             node_devices: None,
             compute_skew: None,
         }
     }
 
+    /// Small 4-worker cluster for fast tests.
+    pub fn small_test() -> Self {
+        Self::flat(4, NetworkModel::ethernet_25g())
+    }
+
     /// The paper's main testbed: a dedicated 8-node GPU cluster on 25 Gbps
     /// Ethernet, compressing on the GPU.
     pub fn paper_dedicated() -> Self {
-        Self {
-            workers: 8,
-            network: NetworkModel::ethernet_25g(),
-            compression_device: ComputeDevice::Gpu,
-            topology: None,
-            engine_workers: 1,
-            node_devices: None,
-            compute_skew: None,
-        }
+        Self::flat(8, NetworkModel::ethernet_25g())
     }
 
     /// The Figure 12 variant of the dedicated cluster: compression offloaded
@@ -87,35 +84,19 @@ impl ClusterConfig {
     /// The Figure 13 testbed: one shared node with 8 GPUs on a 100 Gbps
     /// InfiniBand-class interconnect.
     pub fn paper_shared_multi_gpu() -> Self {
-        Self {
-            workers: 8,
-            network: NetworkModel::infiniband_100g(),
-            compression_device: ComputeDevice::Gpu,
-            topology: None,
-            engine_workers: 1,
-            node_devices: None,
-            compute_skew: None,
-        }
+        Self::flat(8, NetworkModel::infiniband_100g())
     }
 
     /// A two-tier variant of the dedicated testbed: 2 machines × 4 GPUs with
     /// a 100 Gbps intra-node fabric over the 25 Gbps datacentre network, so
     /// hierarchical collectives have both tiers to exploit.
     pub fn paper_two_tier() -> Self {
-        Self {
-            workers: 8,
-            network: NetworkModel::ethernet_25g(),
-            compression_device: ComputeDevice::Gpu,
-            topology: Some(HierarchicalTopology::new(
-                2,
-                4,
-                NetworkModel::infiniband_100g(),
-                NetworkModel::ethernet_25g(),
-            )),
-            engine_workers: 1,
-            node_devices: None,
-            compute_skew: None,
-        }
+        Self::paper_dedicated().with_topology(HierarchicalTopology::new(
+            2,
+            4,
+            NetworkModel::infiniband_100g(),
+            NetworkModel::ethernet_25g(),
+        ))
     }
 
     /// A rail-optimised variant of [`paper_two_tier`](Self::paper_two_tier):
@@ -124,18 +105,9 @@ impl ClusterConfig {
     /// complement in parallel instead of one bottleneck link — hierarchical
     /// all-gathers scale the way rail-optimised fabrics do.
     pub fn paper_rail_optimized() -> Self {
-        Self {
-            topology: Some(
-                HierarchicalTopology::new(
-                    2,
-                    4,
-                    NetworkModel::infiniband_100g(),
-                    NetworkModel::ethernet_25g(),
-                )
-                .with_nics_per_node(4),
-            ),
-            ..Self::paper_two_tier()
-        }
+        let two_tier = Self::paper_two_tier();
+        let railed = two_tier.topology.clone().with_nics_per_node(4);
+        two_tier.with_topology(railed)
     }
 
     /// A mixed-fabric heterogeneous fleet over the Table-1 parts: 4 machines
@@ -167,7 +139,7 @@ impl ClusterConfig {
         base.with_compute_skew(ComputeSkew::straggler(nodes, 1, 2.0))
     }
 
-    /// Sets the two-tier topology (its worker count becomes the cluster's).
+    /// Sets the topology (its worker count becomes the cluster's).
     ///
     /// # Panics
     ///
@@ -179,41 +151,36 @@ impl ClusterConfig {
         if let Some(devices) = &self.node_devices {
             assert_eq!(
                 devices.len(),
-                topology.nodes,
+                topology.nodes(),
                 "per-node device vector spans {} nodes but the new topology has {}",
                 devices.len(),
-                topology.nodes
+                topology.nodes()
             );
         }
         if let Some(skew) = &self.compute_skew {
             assert_eq!(
                 skew.nodes(),
-                topology.nodes,
+                topology.nodes(),
                 "skew describes {} nodes but the new topology has {}",
                 skew.nodes(),
-                topology.nodes
+                topology.nodes()
             );
         }
         self.workers = topology.workers();
-        self.topology = Some(topology);
+        self.topology = topology;
         self
     }
 
     /// The cluster after one machine joined with default (healthy,
-    /// cluster-device) characteristics: the topology is re-derived with one
-    /// more node and every per-node vector gains a default entry. On a flat
-    /// cluster a machine is one worker. This is how the trainer rescales on a
+    /// cluster-device) characteristics: the topology gains a node cabled like
+    /// the last one and every per-node vector gains a default entry. This is
+    /// how the trainer rescales on a
     /// [`ClusterEvent::Join`](crate::trainer::ClusterEvent).
     #[must_use]
     pub fn after_join(&self) -> Self {
         let mut grown = self.clone();
-        if let Some(topology) = &self.topology {
-            let new_topology = topology.with_joined_node();
-            grown.workers = new_topology.workers();
-            grown.topology = Some(new_topology);
-        } else {
-            grown.workers += 1;
-        }
+        grown.topology = self.topology.with_joined_node();
+        grown.workers = grown.topology.workers();
         if let Some(devices) = &mut grown.node_devices {
             devices.push(self.compression_device);
         }
@@ -230,16 +197,8 @@ impl ClusterConfig {
     #[must_use]
     pub fn after_leave(&self) -> Option<Self> {
         let mut shrunk = self.clone();
-        if let Some(topology) = &self.topology {
-            let new_topology = topology.without_last_node()?;
-            shrunk.workers = new_topology.workers();
-            shrunk.topology = Some(new_topology);
-        } else {
-            if self.workers <= 1 {
-                return None;
-            }
-            shrunk.workers -= 1;
-        }
+        shrunk.topology = self.topology.without_last_node()?;
+        shrunk.workers = shrunk.topology.workers();
         if let Some(devices) = &mut shrunk.node_devices {
             devices.pop();
         }
@@ -318,22 +277,15 @@ impl ClusterConfig {
         self
     }
 
-    /// Number of machines: the topology's node count, or one node per worker
-    /// on a flat cluster (the dedicated testbeds are one GPU per machine).
-    /// The unit all per-node heterogeneity vectors are indexed by.
+    /// Number of machines (a flat cluster has one per worker). The unit all
+    /// per-node heterogeneity vectors are indexed by.
     pub fn nodes(&self) -> usize {
-        match &self.topology {
-            Some(topology) => topology.nodes,
-            None => self.workers,
-        }
+        self.topology.nodes()
     }
 
     /// Workers hosted on one machine (1 on a flat cluster).
     pub fn workers_per_node(&self) -> usize {
-        match &self.topology {
-            Some(topology) => topology.workers_per_node,
-            None => 1,
-        }
+        self.topology.workers_per_node
     }
 
     /// The machine hosting worker `worker` (workers are laid out node-major:
@@ -494,57 +446,43 @@ impl ClusterConfig {
     ///
     /// # Panics
     ///
-    /// Panics if a topology is set whose worker count differs from
+    /// Panics if the topology's worker count differs from
     /// [`workers`](Self::workers).
-    fn topology_checked(&self) -> Option<&HierarchicalTopology> {
-        if let Some(topology) = &self.topology {
-            assert_eq!(
-                topology.workers(),
-                self.workers,
-                "topology spans {} workers but the cluster declares {}",
-                topology.workers(),
-                self.workers
-            );
-        }
-        self.topology.as_ref()
+    fn topology_checked(&self) -> &HierarchicalTopology {
+        assert_eq!(
+            self.topology.workers(),
+            self.workers,
+            "topology spans {} workers but the cluster declares {}",
+            self.topology.workers(),
+            self.workers
+        );
+        &self.topology
     }
 
     /// Sparse all-gather cost of a `bytes`-byte per-worker payload on this
-    /// cluster's interconnect (hierarchical when a topology is set).
+    /// cluster's interconnect.
     pub fn allgather_sparse(&self, bytes: usize) -> f64 {
-        match self.topology_checked() {
-            Some(topology) => topology.allgather_sparse(bytes),
-            None => self.network.allgather_sparse(bytes, self.workers),
-        }
+        self.topology_checked().allgather_sparse(bytes)
     }
 
     /// The sparse all-gather cost split into `(overlappable, link-serialised)`
     /// parts for the collective scheduler. Sums to
     /// [`allgather_sparse`](Self::allgather_sparse).
     pub fn allgather_sparse_parts(&self, bytes: usize) -> (f64, f64) {
-        match self.topology_checked() {
-            Some(topology) => topology.allgather_sparse_parts(bytes),
-            None => self.network.allgather_sparse_parts(bytes, self.workers),
-        }
+        self.topology_checked().allgather_sparse_parts(bytes)
     }
 
     /// Dense all-reduce cost of a `bytes`-byte buffer on this cluster's
-    /// interconnect (hierarchical when a topology is set).
+    /// interconnect.
     pub fn allreduce_dense(&self, bytes: usize) -> f64 {
-        match self.topology_checked() {
-            Some(topology) => topology.allreduce_dense(bytes),
-            None => self.network.allreduce_dense(bytes, self.workers),
-        }
+        self.topology_checked().allreduce_dense(bytes)
     }
 
     /// Largest per-worker sparse payload (bytes) whose all-gather on this
     /// cluster's interconnect finishes within `budget` seconds — the inverse
     /// of [`allgather_sparse`](Self::allgather_sparse).
     pub fn allgather_budget_bytes(&self, budget: f64) -> f64 {
-        match self.topology_checked() {
-            Some(topology) => topology.allgather_budget_bytes(budget),
-            None => self.network.allgather_budget_bytes(budget, self.workers),
-        }
+        self.topology_checked().allgather_budget_bytes(budget)
     }
 }
 
@@ -563,8 +501,10 @@ mod tests {
         let dedicated = ClusterConfig::paper_dedicated();
         assert_eq!(dedicated.workers, 8);
         assert_eq!(dedicated.compression_device, ComputeDevice::Gpu);
-        assert_eq!(dedicated.network, NetworkModel::ethernet_25g());
-        assert_eq!(dedicated.topology, None);
+        assert_eq!(
+            dedicated.topology,
+            HierarchicalTopology::one_worker_per_node(8, NetworkModel::ethernet_25g())
+        );
         assert_eq!(dedicated.engine_workers, 1);
 
         let cpu = ClusterConfig::paper_cpu_compression();
@@ -572,7 +512,10 @@ mod tests {
         assert_eq!(cpu.workers, dedicated.workers);
 
         let shared = ClusterConfig::paper_shared_multi_gpu();
-        assert_eq!(shared.network, NetworkModel::infiniband_100g());
+        assert_eq!(
+            shared.topology,
+            HierarchicalTopology::one_worker_per_node(8, NetworkModel::infiniband_100g())
+        );
 
         assert!(ClusterConfig::small_test().workers < dedicated.workers);
         assert_eq!(ClusterConfig::default(), dedicated);
@@ -597,11 +540,7 @@ mod tests {
         let flat = ClusterConfig::paper_dedicated();
         let two_tier = ClusterConfig::paper_two_tier();
         assert_eq!(two_tier.workers, flat.workers);
-        let topology = two_tier
-            .topology
-            .clone()
-            .expect("two-tier preset has a topology");
-        assert_eq!(topology.workers(), two_tier.workers);
+        assert_eq!(two_tier.topology.workers(), two_tier.workers);
         let bytes = 1 << 22;
         assert!(two_tier.allgather_sparse(bytes) < flat.allgather_sparse(bytes));
         assert!(two_tier.allreduce_dense(bytes) < flat.allreduce_dense(bytes));
@@ -614,8 +553,7 @@ mod tests {
         let two_tier = ClusterConfig::paper_two_tier();
         let railed = ClusterConfig::paper_rail_optimized();
         assert_eq!(railed.workers, two_tier.workers);
-        let topology = railed.topology.clone().expect("rail preset has a topology");
-        assert_eq!(topology.nics_per_node, 4);
+        assert!(railed.topology.node_profiles().iter().all(|p| p.nics == 4));
         let bytes = 1 << 22;
         assert!(
             railed.allgather_sparse(bytes) < two_tier.allgather_sparse(bytes),
@@ -636,15 +574,16 @@ mod tests {
             .with_engine_workers(4);
         assert_eq!(cluster.workers, 6);
         assert_eq!(cluster.engine_workers, 4);
-        // Flat dispatch still works when no topology is set.
+        // A flat cluster charges the flat collectives exactly.
         let flat = ClusterConfig::small_test();
+        let nic = NetworkModel::ethernet_25g();
         assert_eq!(
             flat.allgather_sparse(1 << 20),
-            flat.network.allgather_sparse(1 << 20, flat.workers)
+            nic.allgather_sparse(1 << 20, flat.workers)
         );
         assert_eq!(
             flat.allreduce_dense(1 << 20),
-            flat.network.allreduce_dense(1 << 20, flat.workers)
+            nic.allreduce_dense(1 << 20, flat.workers)
         );
     }
 
@@ -738,8 +677,7 @@ mod tests {
         let mixed = ClusterConfig::paper_mixed_fleet();
         assert_eq!(mixed.workers, 8);
         assert_eq!(mixed.nodes(), 4);
-        let topology = mixed.topology.clone().expect("mixed fleet is two-tier");
-        let drains = topology.node_drain_times(1 << 20);
+        let drains = mixed.topology.node_drain_times(1 << 20);
         let slowest = drains.iter().copied().fold(0.0, f64::max);
         assert_eq!(drains[0], slowest, "the 10G node gates the exchange");
         // And it charges strictly more than the uniform 25G two-tier fleet.
@@ -772,20 +710,51 @@ mod tests {
         assert_eq!(grown.node_devices.as_ref().unwrap().len(), 5);
         assert_eq!(grown.compute_skew.as_ref().unwrap().nodes(), 5);
         assert_eq!(grown.node_compute_factor(4), 1.0);
-        let topology = grown.topology.as_ref().unwrap();
-        assert_eq!(topology.node_profiles.as_ref().unwrap().len(), 5);
-        // The new node joins on the homogeneous default NIC.
-        assert_eq!(
-            topology.node_profiles.as_ref().unwrap()[4].nic,
-            NetworkModel::ethernet_25g()
-        );
+        let profiles = grown.topology.node_profiles();
+        assert_eq!(profiles.len(), 5);
+        // The new node is cabled like the last one (a 25G NIC).
+        assert_eq!(profiles[4], profiles[3]);
+        assert_eq!(profiles[4].nic, NetworkModel::ethernet_25g());
         let shrunk = grown.after_leave().expect("five nodes can lose one");
         assert_eq!(shrunk, het, "join immediately undone by leave is a no-op");
 
         // A fleet cannot shrink below one machine.
-        let mut lone = ClusterConfig::small_test();
-        lone.workers = 1;
+        let lone = ClusterConfig::small_test().with_topology(
+            HierarchicalTopology::one_worker_per_node(1, NetworkModel::ethernet_25g()),
+        );
         assert_eq!(lone.after_leave(), None);
+    }
+
+    #[test]
+    fn flat_and_railed_joins_repeat_the_last_node() {
+        // A flat join is one more single-worker node on the same NIC.
+        let grown = ClusterConfig::small_test().after_join();
+        let five = HierarchicalTopology::one_worker_per_node(5, NetworkModel::ethernet_25g());
+        assert_eq!(grown.topology, five);
+        for bytes in [1usize, 1 << 10, 1 << 22] {
+            assert_eq!(grown.allgather_sparse(bytes), five.allgather_sparse(bytes));
+            assert_eq!(
+                grown.allgather_sparse_parts(bytes),
+                five.allgather_sparse_parts(bytes)
+            );
+            assert_eq!(grown.allreduce_dense(bytes), five.allreduce_dense(bytes));
+        }
+        assert_eq!(
+            grown.allgather_budget_bytes(0.002),
+            five.allgather_budget_bytes(0.002)
+        );
+
+        // A rail-optimised join brings the last node's four rails along.
+        let railed = ClusterConfig::paper_rail_optimized();
+        let grown_railed = railed.after_join();
+        assert_eq!(grown_railed.workers, 12);
+        assert_eq!(grown_railed.topology.node_profiles()[2].nics, 4);
+
+        // Join then Leave is the original cluster.
+        for cluster in [ClusterConfig::small_test(), railed] {
+            let round_trip = cluster.after_join().after_leave();
+            assert_eq!(round_trip, Some(cluster));
+        }
     }
 
     #[test]
@@ -793,12 +762,12 @@ mod tests {
     fn mismatched_topology_panics_on_dispatch() {
         let inconsistent = ClusterConfig {
             workers: 8,
-            topology: Some(HierarchicalTopology::new(
+            topology: HierarchicalTopology::new(
                 2,
                 2,
                 NetworkModel::infiniband_100g(),
                 NetworkModel::ethernet_25g(),
-            )),
+            ),
             ..ClusterConfig::paper_dedicated()
         };
         inconsistent.allgather_sparse(1 << 20);

@@ -1344,23 +1344,19 @@ mod tests {
             assert_eq!(s.transfer, h.transfer);
         }
 
-        // Mixed NICs: stripping the per-node profiles (leaving the uniform
-        // 25G inter link node 0 would advertise) must *shrink* the drain —
-        // i.e. the profiled charge is gated by the slow 10G node, not by
-        // node 0's view of the network.
+        // Mixed NICs: the same 4×2 fleet on a uniform 25G vector must
+        // *shrink* the drain — i.e. the profiled charge is gated by the slow
+        // 10G node, not by a uniform 25G view of the network.
         let mixed_cluster = ClusterConfig::paper_mixed_fleet();
-        let uniform_topology = mixed_cluster
-            .topology
-            .clone()
-            // INVARIANT: the mixed-fleet preset always carries a topology.
-            .expect("mixed fleet preset has a topology");
         let uniform_cluster =
             mixed_cluster
                 .clone()
-                .with_topology(crate::network::HierarchicalTopology {
-                    node_profiles: None,
-                    ..uniform_topology
-                });
+                .with_topology(crate::network::HierarchicalTopology::new(
+                    4,
+                    2,
+                    crate::network::NetworkModel::infiniband_100g(),
+                    crate::network::NetworkModel::ethernet_25g(),
+                ));
         let mixed = modeled_bucket_costs(&mixed_cluster, kind, 0.01, 2, &layout);
         let uniform = modeled_bucket_costs(&uniform_cluster, kind, 0.01, 2, &layout);
         for (m, u) in mixed.iter().zip(&uniform) {

@@ -10,8 +10,8 @@
 //!   ([`NetworkModel`]): dense ring all-reduce for the baseline, sparse ring
 //!   all-gather for compressed gradients, and two-tier hierarchical
 //!   collectives ([`HierarchicalTopology`](network::HierarchicalTopology)):
-//!   intra-node reduce-scatter feeding an inter-node exchange charged across
-//!   per-node NIC rails rather than one bottleneck link;
+//!   intra-node reduce-scatter feeding an inter-node exchange charged at the
+//!   slowest node's [`NodeProfile`](network::NodeProfile) (NIC model × rails);
 //! * [`device`] — calibrated GPU/CPU compression-latency models
 //!   ([`DeviceProfile`](device::DeviceProfile)) behind Figures 1 and 14–17,
 //!   engine-aware so a multi-threaded

@@ -100,10 +100,25 @@ impl NetworkModel {
     }
 }
 
+/// Asserts `link` is a usable fabric: positive finite bandwidth and finite,
+/// non-negative latency. A NaN or infinite term would otherwise poison (or,
+/// through a `max` fold, silently vanish from) every charge priced on it.
+fn assert_usable_link(link: &NetworkModel, role: &str) {
+    assert!(
+        link.bandwidth_gbps.is_finite() && link.bandwidth_gbps > 0.0,
+        "{role} bandwidth must be positive and finite, got {}",
+        link.bandwidth_gbps
+    );
+    assert!(
+        link.latency.is_finite() && link.latency >= 0.0,
+        "{role} latency must be finite and non-negative, got {}",
+        link.latency
+    );
+}
+
 /// One machine's egress into the inter-node fabric: the NIC model it was
-/// actually cabled with and how many rails of it the node drives. The unit of
-/// heterogeneity for mixed 10G/25G/100G fleets — see
-/// [`HierarchicalTopology::with_node_profiles`].
+/// actually cabled with and how many rails of it the node drives. The unit
+/// [`HierarchicalTopology`] describes its machines in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeProfile {
     /// The NIC this node reaches the inter-node fabric through (per rail).
@@ -117,22 +132,16 @@ impl NodeProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `nics` is zero or the NIC bandwidth is not a positive finite
-    /// number.
+    /// Panics if `nics` is zero, the NIC bandwidth is not a positive finite
+    /// number, or its latency is not a finite non-negative number.
     pub fn new(nic: NetworkModel, nics: u32) -> Self {
         assert!(nics >= 1, "a node needs at least one NIC");
-        assert!(
-            nic.bandwidth_gbps.is_finite() && nic.bandwidth_gbps > 0.0,
-            "node NIC bandwidth must be positive and finite, got {}",
-            nic.bandwidth_gbps
-        );
+        assert_usable_link(&nic, "node NIC");
         Self { nic, nics }
     }
 
     /// The node's egress as one logical link: the rails stripe the bandwidth
-    /// term while per-hop latency is rail-independent — the same effective
-    /// model [`HierarchicalTopology::with_nics_per_node`] charges, so a
-    /// homogeneous profile vector collapses bit-for-bit to the uniform charge.
+    /// term while per-hop latency is rail-independent.
     pub fn effective_nic(&self) -> NetworkModel {
         NetworkModel {
             bandwidth_gbps: self.nic.bandwidth_gbps * self.nics as f64,
@@ -141,86 +150,49 @@ impl NodeProfile {
     }
 }
 
-/// A two-tier cluster interconnect: `nodes` machines of `workers_per_node`
-/// workers each, with a fast intra-node fabric (NVLink/PCIe-class) and a
-/// slower inter-node fabric (the datacentre network) reached through
-/// [`nics_per_node`](Self::nics_per_node) NIC rails per machine.
+/// A two-tier cluster interconnect: machines of `workers_per_node` workers
+/// each, with a fast intra-node fabric (NVLink/PCIe-class) and one
+/// [`NodeProfile`] per machine for its egress into the inter-node fabric
+/// (the datacentre network).
 ///
 /// Hierarchical collectives run in phases — an intra-node stage, an
 /// inter-node stage over per-node aggregates, and an intra-node distribution
 /// stage — so the slow inter-node fabric carries `(nodes-1)` hops instead of
-/// `(workers-1)`. With a single node (`nodes == 1`) every formula collapses
-/// to the flat intra-node collective, and with one worker per node it
-/// collapses to the flat inter-node collective; both identities are proven in
-/// `tests/scheduler_properties.rs`.
+/// `(workers-1)`. With a single node every formula collapses to the flat
+/// intra-node collective, and with one worker per node to the flat
+/// inter-node collective — which is how a flat cluster is described
+/// ([`one_worker_per_node`](Self::one_worker_per_node)); both identities are
+/// proven in `tests/scheduler_properties.rs`.
 ///
-/// **Per-node NICs.** The inter-node stage is *not* a single shared
-/// bottleneck link: every node drives its own NIC(s), all nodes transmit in
-/// parallel, and the stage completes when the slowest NIC drains its
-/// `(nodes-1)` per-node-aggregate messages. With homogeneous nodes each NIC
-/// rail carries `(nodes-1)·aggregate / nics_per_node` bytes, so the stage
-/// time at one NIC rail is *exactly* the old single-bottleneck charge (the
-/// models coincide bit-for-bit at `nics_per_node == 1`), and extra rails
-/// stripe the egress — the rail-optimised fabrics real hierarchical
-/// all-gathers scale on. Makespans are monotonically non-increasing in the
-/// NIC count, a property `tests/scheduler_properties.rs` pins down.
-///
-/// **Heterogeneous rails.** Real clusters lose rails: a flapping link, a
-/// failed NIC, a straggler machine cabled below spec. Per-node rail counts
-/// ([`with_node_nics`](Self::with_node_nics)) model that: since every ring
-/// phase is gated by its slowest participant, the inter-node stage charges
-/// the **slowest node's NIC complement** — `min` over the per-node counts. A
-/// homogeneous vector `[k; nodes]` therefore collapses **bit-for-bit** to
-/// `nics_per_node == k`, and a single degraded node drags the whole exchange
-/// down to its rail count, which is exactly the straggler behaviour the
-/// ROADMAP item asked for.
-///
-/// **Per-node NIC profiles.** Mixed fleets go further than lost rails: nodes
-/// are cabled with *different NICs* (10G/25G/100G in one job). Per-node
-/// [`NodeProfile`] vectors ([`with_node_profiles`](Self::with_node_profiles))
-/// model that by replacing the slowest-complement (`min`-rail) charge with
-/// genuine **per-node drain times**: every node drains its `(nodes-1)`
-/// aggregate messages through its *own* effective NIC, and the inter-node
-/// stage completes when the slowest node finishes — the slowest-node critical
-/// path, monotone in any single node's slowdown. A homogeneous profile vector
-/// (every node on [`inter`](Self::inter) with `k` rails) computes identical
-/// per-node drains whose maximum is **bit-for-bit** the
-/// [`with_nics_per_node`](Self::with_nics_per_node)`(k)` charge; both
-/// identities are pinned in `tests/scheduler_properties.rs`.
+/// **One profile per node.** The profile vector is the only description of
+/// the machines: [`nodes`](Self::nodes) is its length, and a homogeneous
+/// cluster is a uniform vector ([`new`](Self::new) writes
+/// `[NodeProfile::new(inter, 1); nodes]`,
+/// [`with_nics_per_node`](Self::with_nics_per_node) restripes every entry).
+/// Every node drains its `(nodes-1)` aggregate messages through its own
+/// effective NIC in parallel, and the ring phase completes when the slowest
+/// node finishes — monotone in any single node's slowdown, non-increasing in
+/// any node's rail count. A Join repeats the last node's profile; a Leave
+/// drops the last node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalTopology {
-    /// Number of machines.
-    pub nodes: usize,
     /// Workers (GPUs) per machine.
     pub workers_per_node: usize,
     /// Fabric joining the workers of one machine.
     pub intra: NetworkModel,
-    /// Fabric joining the machines (per NIC rail).
-    pub inter: NetworkModel,
-    /// NIC rails per machine striping the inter-node traffic (≥ 1; 1
-    /// reproduces the classic single-bottleneck charge exactly). Ignored when
-    /// [`node_nics`](Self::node_nics) is set.
-    pub nics_per_node: usize,
-    /// Optional per-node rail counts (one entry per machine, each ≥ 1). When
-    /// set, the inter-node phase charges the slowest node's complement
-    /// (`min`); `None` means every node has
-    /// [`nics_per_node`](Self::nics_per_node) rails.
-    pub node_nics: Option<Vec<u32>>,
-    /// Optional per-node NIC profiles (one entry per machine). When set, the
-    /// inter-node phase is charged at the slowest node's **drain time**
-    /// (each node drains its aggregates through its own effective NIC) and
-    /// [`inter`](Self::inter)/[`node_nics`](Self::node_nics) are ignored for
-    /// that stage; `None` means every node shares [`inter`](Self::inter).
-    pub node_profiles: Option<Vec<NodeProfile>>,
+    /// One egress profile per machine (never empty).
+    profiles: Vec<NodeProfile>,
 }
 
 impl HierarchicalTopology {
-    /// A two-tier topology with one NIC rail per node (the classic
-    /// single-bottleneck inter-node charge).
+    /// A two-tier topology of `nodes` identical machines, each driving one
+    /// NIC rail of `inter`.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` or `workers_per_node` is zero.
+    /// Panics if `nodes` or `workers_per_node` is zero, or either fabric has
+    /// a non-positive or non-finite bandwidth or a negative or non-finite
+    /// latency.
     pub fn new(
         nodes: usize,
         workers_per_node: usize,
@@ -229,217 +201,134 @@ impl HierarchicalTopology {
     ) -> Self {
         assert!(nodes >= 1, "a topology needs at least one node");
         assert!(workers_per_node >= 1, "a node needs at least one worker");
+        assert_usable_link(&intra, "intra-node fabric");
         Self {
-            nodes,
             workers_per_node,
             intra,
-            inter,
-            nics_per_node: 1,
-            node_nics: None,
-            node_profiles: None,
+            profiles: vec![NodeProfile::new(inter, 1); nodes],
         }
     }
 
-    /// Sets the number of NIC rails per node (homogeneous; clears any
-    /// per-node rail or profile vector).
+    /// Sets every node's NIC rail count to `nics_per_node`, keeping each
+    /// node's NIC model.
     ///
     /// # Panics
     ///
-    /// Panics if `nics_per_node` is zero.
+    /// Panics if `nics_per_node` is zero or does not fit a `u32`.
     #[must_use]
     pub fn with_nics_per_node(mut self, nics_per_node: usize) -> Self {
         assert!(nics_per_node >= 1, "a node needs at least one NIC");
-        self.nics_per_node = nics_per_node;
-        self.node_nics = None;
-        self.node_profiles = None;
+        let nics = u32::try_from(nics_per_node)
+            .unwrap_or_else(|_| panic!("{nics_per_node} NIC rails do not fit a u32"));
+        for profile in &mut self.profiles {
+            profile.nics = nics;
+        }
         self
     }
 
-    /// Sets heterogeneous per-node rail counts (entry `i` is node `i`'s NIC
-    /// complement). The inter-node phase is gated by its slowest
-    /// participant, so the charge uses the minimum entry; a homogeneous
-    /// vector `[k; nodes]` is bit-for-bit
-    /// [`with_nics_per_node`](Self::with_nics_per_node)`(k)`.
+    /// Replaces the per-node NIC profiles (entry `i` is node `i`'s egress into
+    /// the inter-node fabric) — how mixed 10G/25G/100G fleets are described.
     ///
     /// # Panics
     ///
     /// Panics if the vector length differs from [`nodes`](Self::nodes) or any
-    /// entry is zero.
-    #[must_use]
-    pub fn with_node_nics(mut self, node_nics: Vec<u32>) -> Self {
-        assert_eq!(
-            node_nics.len(),
-            self.nodes,
-            "need one rail count per node ({} nodes, got {})",
-            self.nodes,
-            node_nics.len()
-        );
-        assert!(
-            node_nics.iter().all(|&n| n >= 1),
-            "every node needs at least one NIC"
-        );
-        self.node_nics = Some(node_nics);
-        self.node_profiles = None;
-        self
-    }
-
-    /// Sets heterogeneous per-node NIC profiles (entry `i` is node `i`'s
-    /// egress into the inter-node fabric). The inter-node phase is charged at
-    /// the slowest node's **drain time** — `max` over the per-node drains
-    /// rather than the `min`-rail complement — which is monotone in any
-    /// single node's slowdown. A homogeneous vector
-    /// `[NodeProfile::new(inter, k); nodes]` is bit-for-bit
-    /// [`with_nics_per_node`](Self::with_nics_per_node)`(k)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector length differs from [`nodes`](Self::nodes)
-    /// (entries are validated by [`NodeProfile::new`]).
+    /// entry has zero rails (entries built with [`NodeProfile::new`] are
+    /// validated there).
     #[must_use]
     pub fn with_node_profiles(mut self, node_profiles: Vec<NodeProfile>) -> Self {
         assert_eq!(
             node_profiles.len(),
-            self.nodes,
+            self.nodes(),
             "need one NIC profile per node ({} nodes, got {})",
-            self.nodes,
+            self.nodes(),
             node_profiles.len()
         );
         assert!(
             node_profiles.iter().all(|p| p.nics >= 1),
             "every node needs at least one NIC"
         );
-        self.node_profiles = Some(node_profiles);
-        self.node_nics = None;
+        self.profiles = node_profiles;
         self
     }
 
-    /// The NIC complement the inter-node phase is charged at: the slowest
-    /// node's rail count when heterogeneous, the homogeneous count otherwise.
-    pub fn bottleneck_nics(&self) -> usize {
-        match &self.node_nics {
-            Some(per_node) => per_node
-                .iter()
-                .min()
-                .copied()
-                // INVARIANT: with_node_nics rejects empty NIC vectors at
-                // construction, so a minimum always exists.
-                .expect("with_node_nics rejects empty vectors")
-                as usize,
-            None => self.nics_per_node,
-        }
+    /// Number of machines.
+    pub fn nodes(&self) -> usize {
+        self.profiles.len()
     }
 
-    /// The inter-node fabric as seen through the slowest node's NIC
-    /// complement ([`bottleneck_nics`](Self::bottleneck_nics)): the rails
-    /// stripe the bandwidth term while per-hop latency is rail-independent.
-    /// At one rail this *is* [`inter`](Self::inter), so every charge below
-    /// collapses bit-identically to the single-bottleneck model.
-    fn inter_effective(&self) -> NetworkModel {
-        NetworkModel {
-            bandwidth_gbps: self.inter.bandwidth_gbps * self.bottleneck_nics() as f64,
-            latency: self.inter.latency,
-        }
+    /// The per-node NIC profiles, one per machine.
+    pub fn node_profiles(&self) -> &[NodeProfile] {
+        &self.profiles
     }
 
-    /// Node `node`'s effective egress into the inter-node fabric: its
-    /// [`NodeProfile`] when per-node profiles are set, its
-    /// [`node_nics`](Self::node_nics) rail count striping
-    /// [`inter`](Self::inter) when only rails are heterogeneous, and the
-    /// uniform [bottleneck](Self::bottleneck_nics) model otherwise.
+    /// Node `node`'s effective egress into the inter-node fabric.
     ///
     /// # Panics
     ///
     /// Panics if `node >= nodes`.
     pub fn node_inter_nic(&self, node: usize) -> NetworkModel {
-        assert!(node < self.nodes, "node {node} outside 0..{}", self.nodes);
-        if let Some(profiles) = &self.node_profiles {
-            return profiles[node].effective_nic();
-        }
-        if let Some(rails) = &self.node_nics {
-            return NetworkModel {
-                bandwidth_gbps: self.inter.bandwidth_gbps * rails[node] as f64,
-                latency: self.inter.latency,
-            };
-        }
-        self.inter_effective()
+        assert!(
+            node < self.nodes(),
+            "node {node} outside 0..{}",
+            self.nodes()
+        );
+        self.profiles[node].effective_nic()
     }
 
     /// Per-node drain times of the inter-node exchange for a per-worker
     /// sparse payload of `bytes` bytes: entry `i` is how long node `i` takes
     /// to drain its `(nodes-1)` per-node-aggregate messages through its own
     /// effective NIC ([`node_inter_nic`](Self::node_inter_nic)). All zeros
-    /// for a single node (there is no inter-node stage). Under per-node
-    /// profiles the hierarchical charge gates on the maximum entry — the
-    /// slowest-node critical path.
+    /// for a single node (there is no inter-node stage). The hierarchical
+    /// charge gates on the maximum entry — the slowest-node critical path.
     pub fn node_drain_times(&self, bytes: usize) -> Vec<f64> {
-        if self.nodes <= 1 || bytes == 0 {
-            return vec![0.0; self.nodes];
+        let nodes = self.nodes();
+        if nodes <= 1 || bytes == 0 {
+            return vec![0.0; nodes];
         }
         let aggregate = bytes.saturating_mul(self.workers_per_node);
-        (0..self.nodes)
-            .map(|node| {
-                self.node_inter_nic(node)
-                    .allgather_sparse(aggregate, self.nodes)
-            })
+        self.profiles
+            .iter()
+            .map(|p| p.effective_nic().allgather_sparse(aggregate, nodes))
             .collect()
     }
 
-    /// The inter-node exchange of per-node aggregates of `aggregate` bytes
-    /// under per-node profiles, as the `(latency, transfer)` pair of the
-    /// slowest node (the node whose total drain is largest — the critical
-    /// path that gates the ring phase). With a homogeneous profile vector
-    /// every node computes the identical pair, so the maximum is bit-for-bit
-    /// the uniform [`inter_effective`](Self::inter_effective) charge.
-    fn slowest_profile_parts(
-        profiles: &[NodeProfile],
-        aggregate: usize,
-        nodes: usize,
-    ) -> (f64, f64) {
-        profiles
+    /// The inter-node exchange of per-node aggregates of `aggregate` bytes,
+    /// as the `(latency, transfer)` pair of the slowest node (the node whose
+    /// total drain is largest — the critical path that gates the ring phase).
+    fn slowest_node_parts(&self, aggregate: usize) -> (f64, f64) {
+        let nodes = self.nodes();
+        self.profiles
             .iter()
             .map(|p| p.effective_nic().allgather_sparse_parts(aggregate, nodes))
             .max_by(|a, b| (a.0 + a.1).total_cmp(&(b.0 + b.1)))
-            // INVARIANT: with_node_profiles demands one profile per node and
-            // new() demands nodes ≥ 1, so the iterator is never empty.
-            .expect("with_node_profiles rejects empty vectors")
+            // INVARIANT: new() demands nodes ≥ 1, with_node_profiles keeps the
+            // length and without_last_node never drops the last profile.
+            .expect("a topology always has at least one node")
     }
 
-    /// The topology after one machine joined: node count up by one, every
-    /// per-node vector extended with a default entry (the homogeneous rail
-    /// count, the shared [`inter`](Self::inter) NIC) — how the trainer
-    /// re-derives the fabric on a [`ClusterEvent::Join`](crate::trainer::ClusterEvent).
+    /// The topology after one machine joined, cabled like the last machine
+    /// (its profile is repeated) — how the trainer re-derives the fabric on a
+    /// [`ClusterEvent::Join`](crate::trainer::ClusterEvent).
     #[must_use]
     pub fn with_joined_node(&self) -> Self {
         let mut grown = self.clone();
-        grown.nodes += 1;
-        if let Some(rails) = &mut grown.node_nics {
-            // INVARIANT: with_nics_per_node rejects zero, so the homogeneous
-            // count always fits the ≥ 1 per-node contract; rail counts are
-            // small (`u32` NIC complements), so the cast cannot wrap.
-            rails.push(self.nics_per_node as u32);
-        }
-        if let Some(profiles) = &mut grown.node_profiles {
-            profiles.push(NodeProfile::new(self.inter, self.nics_per_node as u32));
-        }
+        // INVARIANT: a topology always has at least one node (see
+        // slowest_node_parts), so a last profile exists.
+        let last = *self.profiles.last().expect("a topology is never empty");
+        grown.profiles.push(last);
         grown
     }
 
     /// The topology after the last machine left (`None` once a single node
-    /// remains — the fabric cannot shrink to nothing). Per-node vectors drop
-    /// their last entry.
+    /// remains — the fabric cannot shrink to nothing).
     #[must_use]
     pub fn without_last_node(&self) -> Option<Self> {
-        if self.nodes <= 1 {
+        if self.nodes() <= 1 {
             return None;
         }
         let mut shrunk = self.clone();
-        shrunk.nodes -= 1;
-        if let Some(rails) = &mut shrunk.node_nics {
-            rails.pop();
-        }
-        if let Some(profiles) = &mut shrunk.node_profiles {
-            profiles.pop();
-        }
+        shrunk.profiles.pop();
         Some(shrunk)
     }
 
@@ -450,14 +339,15 @@ impl HierarchicalTopology {
     }
 
     /// One worker per machine: hierarchical collectives degenerate to flat
-    /// collectives over the inter-node fabric.
+    /// collectives over the inter-node fabric, charging bit-for-bit what the
+    /// flat [`NetworkModel`] collectives charge across `nodes` workers.
     pub fn one_worker_per_node(nodes: usize, inter: NetworkModel) -> Self {
         Self::new(nodes, 1, inter, inter)
     }
 
     /// Total worker count.
     pub fn workers(&self) -> usize {
-        self.nodes * self.workers_per_node
+        self.nodes() * self.workers_per_node
     }
 
     /// Hierarchical ring all-reduce of a dense `bytes`-byte buffer:
@@ -482,17 +372,15 @@ impl HierarchicalTopology {
         // INVARIANT: g ≥ 1 and bytes is a usize, so the quotient is finite,
         // non-negative, and no larger than `bytes` — the cast cannot saturate.
         let shard = (bytes as f64 / g).ceil() as usize;
-        let inter_phase = match &self.node_profiles {
-            // Per-node drains: the ring is gated by its slowest participant,
-            // so the phase completes when the slowest node's NIC finishes.
-            // Identical profiles compute identical drains, so the maximum is
-            // bit-for-bit the uniform charge.
-            Some(profiles) => profiles
-                .iter()
-                .map(|p| p.effective_nic().allreduce_dense(shard, self.nodes))
-                .fold(0.0, f64::max),
-            None => self.inter_effective().allreduce_dense(shard, self.nodes),
-        };
+        let nodes = self.nodes();
+        // The ring is gated by its slowest participant, so the phase
+        // completes when the slowest node's NIC finishes. Every profile is
+        // validated finite, so the fold cannot meet (and swallow) a NaN.
+        let inter_phase = self
+            .profiles
+            .iter()
+            .map(|p| p.effective_nic().allreduce_dense(shard, nodes))
+            .fold(0.0, f64::max);
         intra_phases + inter_phase
     }
 
@@ -509,59 +397,42 @@ impl HierarchicalTopology {
     /// all-gather finishes within `budget` seconds — the inverse of
     /// [`allgather_sparse`](HierarchicalTopology::allgather_sparse), mirroring
     /// [`NetworkModel::allgather_budget_bytes`] (zero when the latency floor
-    /// alone exceeds the budget, infinite for a single worker).
+    /// alone exceeds the budget, infinite for a single worker). The charge is
+    /// the maximum over per-node drains, so the budget binds at the node
+    /// affording the least — the minimum over per-node inversions.
     pub fn allgather_budget_bytes(&self, budget: f64) -> f64 {
         if self.workers() <= 1 {
             return f64::INFINITY;
         }
-        if self.nodes == 1 {
+        let nodes = self.nodes();
+        if nodes == 1 {
             return self
                 .intra
                 .allgather_budget_bytes(budget, self.workers_per_node);
         }
         if self.workers_per_node == 1 {
-            return match &self.node_profiles {
-                // The charge is the max over per-node drains, so the budget
-                // binds at the node affording the least — min over per-node
-                // inversions. Identical profiles invert identically.
-                Some(profiles) => profiles
-                    .iter()
-                    .map(|p| p.effective_nic().allgather_budget_bytes(budget, self.nodes))
-                    .fold(f64::INFINITY, f64::min),
-                None => self
-                    .inter_effective()
-                    .allgather_budget_bytes(budget, self.nodes),
-            };
-        }
-        // allgather_sparse is affine in the payload: time = floor + slope·bytes
-        // with the three stage formulas' constants collected below.
-        let g = self.workers_per_node as f64;
-        let n = self.nodes as f64;
-        if let Some(profiles) = &self.node_profiles {
-            // Per node the charge is still affine (the shared intra stages
-            // plus that node's drain), so the payload the budget affords is
-            // the minimum over per-node inversions — the slowest node binds.
-            // Each per-node expression mirrors the uniform one below exactly,
-            // so a homogeneous vector inverts bit-for-bit.
-            return profiles
+            return self
+                .profiles
                 .iter()
-                .map(|p| {
-                    let floor = (g - 1.0) * self.intra.latency
-                        + (n - 1.0) * p.nic.latency
-                        + self.intra.latency;
-                    let slope = (g - 1.0) / self.intra.bytes_per_second()
-                        + (n - 1.0) * g / p.effective_nic().bytes_per_second()
-                        + (n - 1.0) * g / self.intra.bytes_per_second();
-                    ((budget - floor) / slope).max(0.0)
-                })
+                .map(|p| p.effective_nic().allgather_budget_bytes(budget, nodes))
                 .fold(f64::INFINITY, f64::min);
         }
-        let floor =
-            (g - 1.0) * self.intra.latency + (n - 1.0) * self.inter.latency + self.intra.latency;
-        let slope = (g - 1.0) / self.intra.bytes_per_second()
-            + (n - 1.0) * g / self.inter_effective().bytes_per_second()
-            + (n - 1.0) * g / self.intra.bytes_per_second();
-        ((budget - floor) / slope).max(0.0)
+        // Per node allgather_sparse is affine in the payload: time = floor +
+        // slope·bytes with the three stage formulas' constants collected
+        // below (the shared intra stages plus that node's drain).
+        let g = self.workers_per_node as f64;
+        let n = nodes as f64;
+        self.profiles
+            .iter()
+            .map(|p| {
+                let floor =
+                    (g - 1.0) * self.intra.latency + (n - 1.0) * p.nic.latency + self.intra.latency;
+                let slope = (g - 1.0) / self.intra.bytes_per_second()
+                    + (n - 1.0) * g / p.effective_nic().bytes_per_second()
+                    + (n - 1.0) * g / self.intra.bytes_per_second();
+                ((budget - floor) / slope).max(0.0)
+            })
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// The hierarchical sparse all-gather split for the collective scheduler:
@@ -573,33 +444,21 @@ impl HierarchicalTopology {
         if bytes == 0 || self.workers() <= 1 {
             return (0.0, 0.0);
         }
-        // Degenerate tiers collapse to the flat collective, whose own fabric
-        // is then the bottleneck link.
-        if self.nodes == 1 {
-            return self
-                .intra
-                .allgather_sparse_parts(bytes, self.workers_per_node);
-        }
-        if self.workers_per_node == 1 {
-            return match &self.node_profiles {
-                Some(profiles) => Self::slowest_profile_parts(profiles, bytes, self.nodes),
-                None => self
-                    .inter_effective()
-                    .allgather_sparse_parts(bytes, self.nodes),
-            };
-        }
         let g = self.workers_per_node;
-        let n = self.nodes;
-        // Stage 1: every node gathers its workers' payloads.
+        let n = self.nodes();
+        // A single node collapses to the flat collective, whose own fabric is
+        // then the bottleneck link.
+        if n == 1 {
+            return self.intra.allgather_sparse_parts(bytes, g);
+        }
+        // Stage 1: every node gathers its workers' payloads (zero at g == 1,
+        // so one worker per node is exactly the flat inter-node collective).
         let intra_gather = self.intra.allgather_sparse(bytes, g);
-        // Stage 2: nodes exchange their g-payload aggregates — under
-        // per-node profiles the stage is gated by the slowest node's drain.
-        let (inter_latency, inter_transfer) = match &self.node_profiles {
-            Some(profiles) => Self::slowest_profile_parts(profiles, bytes * g, n),
-            None => self.inter_effective().allgather_sparse_parts(bytes * g, n),
-        };
+        // Stage 2: nodes exchange their g-payload aggregates, gated by the
+        // slowest node's drain.
+        let (inter_latency, inter_transfer) = self.slowest_node_parts(bytes * g);
         // Stage 3: each node fans the (n-1) remote aggregates out internally.
-        let intra_fanout = if g > 1 && n > 1 {
+        let intra_fanout = if g > 1 {
             (n - 1) as f64 * (g * bytes) as f64 / self.intra.bytes_per_second() + self.intra.latency
         } else {
             0.0
@@ -719,32 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn one_nic_rail_is_bit_identical_to_the_single_bottleneck_model() {
-        let base = HierarchicalTopology::new(
-            3,
-            4,
-            NetworkModel::infiniband_100g(),
-            NetworkModel::ethernet_25g(),
-        );
-        let one_rail = base.clone().with_nics_per_node(1);
-        for bytes in [1usize, 1 << 10, 1 << 22] {
-            assert_eq!(
-                base.allgather_sparse(bytes),
-                one_rail.allgather_sparse(bytes)
-            );
-            assert_eq!(
-                base.allgather_sparse_parts(bytes),
-                one_rail.allgather_sparse_parts(bytes)
-            );
-            assert_eq!(base.allreduce_dense(bytes), one_rail.allreduce_dense(bytes));
-        }
-        assert_eq!(
-            base.allgather_budget_bytes(0.002),
-            one_rail.allgather_budget_bytes(0.002)
-        );
-    }
-
-    #[test]
     fn more_nic_rails_never_slow_the_inter_node_stage() {
         let base = HierarchicalTopology::new(
             4,
@@ -781,127 +614,105 @@ mod tests {
         );
     }
 
-    #[test]
-    fn homogeneous_node_nics_collapse_bit_for_bit() {
-        let base = HierarchicalTopology::new(
-            3,
-            4,
-            NetworkModel::infiniband_100g(),
-            NetworkModel::ethernet_25g(),
-        );
-        for k in [1u32, 2, 4, 7] {
-            let homogeneous = base.clone().with_nics_per_node(k as usize);
-            let vectored = base.clone().with_node_nics(vec![k; 3]);
-            assert_eq!(vectored.bottleneck_nics(), k as usize);
-            for bytes in [1usize, 1 << 10, 1 << 22] {
-                assert_eq!(
-                    vectored.allgather_sparse(bytes),
-                    homogeneous.allgather_sparse(bytes)
-                );
-                assert_eq!(
-                    vectored.allgather_sparse_parts(bytes),
-                    homogeneous.allgather_sparse_parts(bytes)
-                );
-                assert_eq!(
-                    vectored.allreduce_dense(bytes),
-                    homogeneous.allreduce_dense(bytes)
-                );
-            }
-            assert_eq!(
-                vectored.allgather_budget_bytes(0.002),
-                homogeneous.allgather_budget_bytes(0.002)
-            );
+    /// The single link a homogeneous cluster's inter-node stage runs over:
+    /// `inter` striped by `rails` NIC rails. Composed with the flat
+    /// collectives stage by stage it is the closed-form reference charge.
+    fn striped(inter: NetworkModel, rails: u32) -> NetworkModel {
+        NetworkModel {
+            bandwidth_gbps: inter.bandwidth_gbps * f64::from(rails),
+            latency: inter.latency,
         }
     }
 
     #[test]
     fn heterogeneous_rails_charge_the_slowest_node() {
-        let base = HierarchicalTopology::new(
-            4,
-            4,
-            NetworkModel::infiniband_100g(),
-            NetworkModel::ethernet_25g(),
-        );
+        let intra = NetworkModel::infiniband_100g();
+        let inter = NetworkModel::ethernet_25g();
+        let base = HierarchicalTopology::new(4, 4, intra, inter);
+        let rails = |r: [u32; 4]| {
+            base.clone()
+                .with_node_profiles(r.iter().map(|&k| NodeProfile::new(inter, k)).collect())
+        };
         // Three rail-optimised nodes and one straggler with a single NIC: the
         // exchange is gated by the straggler, exactly as if every node had one.
-        let straggler = base.clone().with_node_nics(vec![4, 4, 1, 4]);
+        let straggler = rails([4, 4, 1, 4]);
         let uniform_slow = base.clone().with_nics_per_node(1);
         let uniform_fast = base.clone().with_nics_per_node(4);
-        assert_eq!(straggler.bottleneck_nics(), 1);
         let bytes = 1 << 22;
         assert_eq!(
             straggler.allgather_sparse(bytes),
             uniform_slow.allgather_sparse(bytes)
+        );
+        assert_eq!(
+            straggler.allreduce_dense(bytes),
+            uniform_slow.allreduce_dense(bytes)
+        );
+        assert_eq!(
+            straggler.allgather_budget_bytes(0.002),
+            uniform_slow.allgather_budget_bytes(0.002)
         );
         assert!(
             straggler.allgather_sparse(bytes) > uniform_fast.allgather_sparse(bytes),
             "one failed rail must drag the whole exchange"
         );
         // Repairing the straggler recovers the rail-optimised charge.
-        let repaired = base.clone().with_node_nics(vec![4, 4, 4, 4]);
         assert_eq!(
-            repaired.allgather_sparse(bytes),
+            rails([4, 4, 4, 4]).allgather_sparse(bytes),
             uniform_fast.allgather_sparse(bytes)
         );
-        // Raising the minimum complement is monotone; extra rails on
-        // non-bottleneck nodes change nothing.
+        // Extra rails on non-bottleneck nodes change nothing.
         assert_eq!(
-            base.clone()
-                .with_node_nics(vec![4, 8, 1, 16])
-                .allgather_sparse(bytes),
+            rails([4, 8, 1, 16]).allgather_sparse(bytes),
             straggler.allgather_sparse(bytes)
         );
     }
 
     #[test]
     fn homogeneous_node_profiles_collapse_bit_for_bit() {
-        let base = HierarchicalTopology::new(
-            3,
-            4,
-            NetworkModel::infiniband_100g(),
-            NetworkModel::ethernet_25g(),
-        );
+        let intra = NetworkModel::infiniband_100g();
+        let inter = NetworkModel::ethernet_25g();
+        let (nodes, g) = (3usize, 4usize);
         for k in [1u32, 2, 4, 7] {
-            let homogeneous = base.clone().with_nics_per_node(k as usize);
-            let profiled = base.clone().with_node_profiles(vec![
-                NodeProfile::new(
-                    NetworkModel::ethernet_25g(),
-                    k
-                );
-                3
-            ]);
+            let uniform = HierarchicalTopology::new(nodes, g, intra, inter)
+                .with_node_profiles(vec![NodeProfile::new(inter, k); nodes]);
+            assert_eq!(
+                uniform,
+                HierarchicalTopology::new(nodes, g, intra, inter).with_nics_per_node(k as usize)
+            );
+            let link = striped(inter, k);
             for bytes in [1usize, 1 << 10, 1 << 22] {
+                let (link_latency, link_transfer) = link.allgather_sparse_parts(bytes * g, nodes);
+                let fanout = (nodes - 1) as f64 * (g * bytes) as f64 / intra.bytes_per_second()
+                    + intra.latency;
                 assert_eq!(
-                    profiled.allgather_sparse(bytes),
-                    homogeneous.allgather_sparse(bytes)
+                    uniform.allgather_sparse_parts(bytes),
+                    (
+                        intra.allgather_sparse(bytes, g) + link_latency + fanout,
+                        link_transfer
+                    )
                 );
+                let shard = bytes.div_ceil(g);
                 assert_eq!(
-                    profiled.allgather_sparse_parts(bytes),
-                    homogeneous.allgather_sparse_parts(bytes)
-                );
-                assert_eq!(
-                    profiled.allreduce_dense(bytes),
-                    homogeneous.allreduce_dense(bytes)
+                    uniform.allreduce_dense(bytes),
+                    intra.allreduce_dense(bytes, g) + link.allreduce_dense(shard, nodes)
                 );
             }
+            // The flat tier is the flat collective over the striped link.
+            let flat =
+                HierarchicalTopology::one_worker_per_node(4, inter).with_nics_per_node(k as usize);
             assert_eq!(
-                profiled.allgather_budget_bytes(0.002),
-                homogeneous.allgather_budget_bytes(0.002)
+                flat.allgather_sparse_parts(1 << 20),
+                link.allgather_sparse_parts(1 << 20, 4)
+            );
+            assert_eq!(
+                flat.allreduce_dense(1 << 20),
+                link.allreduce_dense(1 << 20, 4)
+            );
+            assert_eq!(
+                flat.allgather_budget_bytes(0.002),
+                link.allgather_budget_bytes(0.002, 4)
             );
         }
-        // The flat-inter degenerate tier collapses through the same path.
-        let flat = HierarchicalTopology::one_worker_per_node(4, NetworkModel::ethernet_25g());
-        let flat_profiled =
-            flat.clone()
-                .with_node_profiles(vec![NodeProfile::new(NetworkModel::ethernet_25g(), 1); 4]);
-        assert_eq!(
-            flat_profiled.allgather_sparse_parts(1 << 20),
-            flat.allgather_sparse_parts(1 << 20)
-        );
-        assert_eq!(
-            flat_profiled.allgather_budget_bytes(0.002),
-            flat.allgather_budget_bytes(0.002)
-        );
     }
 
     #[test]
@@ -976,27 +787,69 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one rail count per node")]
-    fn node_nics_length_must_match_nodes() {
-        let _ = HierarchicalTopology::new(
-            3,
-            2,
-            NetworkModel::ethernet_25g(),
-            NetworkModel::ethernet_25g(),
-        )
-        .with_node_nics(vec![1, 2]);
+    #[should_panic(expected = "node NIC latency must be finite and non-negative")]
+    fn node_profiles_reject_nan_latency() {
+        let _ = NodeProfile::new(
+            NetworkModel {
+                latency: f64::NAN,
+                ..NetworkModel::ethernet_25g()
+            },
+            1,
+        );
     }
 
     #[test]
-    #[should_panic(expected = "every node needs at least one NIC")]
-    fn node_nics_entries_must_be_positive() {
+    #[should_panic(expected = "node NIC latency must be finite and non-negative")]
+    fn node_profiles_reject_negative_latency() {
+        let _ = NodeProfile::new(
+            NetworkModel {
+                latency: -1e-6,
+                ..NetworkModel::ethernet_25g()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "node NIC latency must be finite and non-negative")]
+    fn topology_rejects_infinite_inter_latency() {
         let _ = HierarchicalTopology::new(
             2,
             2,
+            NetworkModel::infiniband_100g(),
+            NetworkModel {
+                latency: f64::INFINITY,
+                ..NetworkModel::ethernet_25g()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "intra-node fabric latency must be finite and non-negative")]
+    fn topology_rejects_nan_intra_latency() {
+        let _ = HierarchicalTopology::new(
+            2,
+            2,
+            NetworkModel {
+                latency: f64::NAN,
+                ..NetworkModel::infiniband_100g()
+            },
             NetworkModel::ethernet_25g(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "intra-node fabric bandwidth must be positive and finite")]
+    fn topology_rejects_zero_intra_bandwidth() {
+        let _ = HierarchicalTopology::new(
+            2,
+            2,
+            NetworkModel {
+                bandwidth_gbps: 0.0,
+                ..NetworkModel::infiniband_100g()
+            },
             NetworkModel::ethernet_25g(),
-        )
-        .with_node_nics(vec![2, 0]);
+        );
     }
 
     #[test]

@@ -928,7 +928,7 @@ impl FleetScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::HierarchicalTopology;
+    use crate::network::{HierarchicalTopology, NetworkModel};
     use crate::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 
     const DELTA: f64 = 0.01;
@@ -1169,18 +1169,14 @@ mod tests {
         }
         // A mixed-NIC fleet is gated by its slowest (10G) node's drain.
         let mixed = solo(ClusterConfig::paper_mixed_fleet());
-        let uniform = solo(
-            ClusterConfig::paper_mixed_fleet().with_topology(
-                ClusterConfig::paper_mixed_fleet()
-                    .topology
-                    .map(|t| HierarchicalTopology {
-                        node_profiles: None,
-                        ..t
-                    })
-                    // INVARIANT: paper_mixed_fleet always carries a topology.
-                    .expect("mixed fleet preset has a topology"),
+        let uniform = solo(ClusterConfig::paper_mixed_fleet().with_topology(
+            HierarchicalTopology::new(
+                4,
+                2,
+                NetworkModel::infiniband_100g(),
+                NetworkModel::ethernet_25g(),
             ),
-        );
+        ));
         assert!(
             mixed.jobs[0].dedicated_iteration > uniform.jobs[0].dedicated_iteration,
             "the 10G node must gate the mixed fleet's drain"

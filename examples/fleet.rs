@@ -201,7 +201,6 @@ fn main() {
     // shrinks.
     let het =
         ClusterConfig::paper_mixed_fleet().with_compute_skew(ComputeSkew::straggler(4, 2, 2.0));
-    let topology = het.topology.clone().expect("mixed fleet is two-tier");
     let payload = 1 << 20; // 1 MiB of sparse gradient leaving each node
     println!();
     println!(
@@ -209,7 +208,7 @@ fn main() {
         het.nodes(),
         het.workers_per_node(),
     );
-    for (node, drain) in topology.node_drain_times(payload).iter().enumerate() {
+    for (node, drain) in het.topology.node_drain_times(payload).iter().enumerate() {
         println!(
             "  node {node}: drain {:>10.6}s  compute x{:.1}",
             drain,

@@ -1,14 +1,17 @@
-//! Closed-form overhead oracles for the bucketed compression↔communication
-//! pipeline, shared by the integration suites that check the collective
-//! scheduler against them (`mod oracle;` in each suite).
+//! Closed-form oracles shared by the integration suites (`mod oracle;` in
+//! each suite).
 //!
-//! The trainer charges every iteration through `CollectiveScheduler`; these
-//! recurrences are the independent reference its single-stream FIFO schedule
-//! must reproduce (up to float rounding) and the source of the modeled
-//! goldens in `overlap_golden.rs`.
+//! The trainer charges every iteration through `CollectiveScheduler`; the
+//! pipeline recurrences are the independent reference its single-stream FIFO
+//! schedule must reproduce (up to float rounding) and the source of the
+//! modeled goldens in `overlap_golden.rs`. `StripedTopology` is the
+//! single-bottleneck hierarchical charge a uniform per-node NIC profile
+//! vector must reproduce bit-for-bit.
 
 // Each suite that includes this module uses only some of the oracles.
 #![allow(dead_code)]
+
+use sidco_dist::NetworkModel;
 
 /// Total compression + communication overhead when the two phases are fully
 /// serialised (compress every bucket, then communicate every bucket).
@@ -48,4 +51,94 @@ pub fn pipelined_overhead(compression: &[f64], communication: &[f64]) -> f64 {
         wire_done = wire_done.max(compress_done) + comm;
     }
     wire_done
+}
+
+/// The single-bottleneck hierarchical charge of a homogeneous two-tier
+/// cluster: `nodes` machines of `workers_per_node` workers whose inter-node
+/// stage runs over one logical link, `inter` striped by `rails` NIC rails.
+/// Assembled from the flat `NetworkModel` collectives stage by stage, it is
+/// the closed form a uniform per-node profile vector must charge bit-for-bit.
+pub struct StripedTopology {
+    pub nodes: usize,
+    pub workers_per_node: usize,
+    pub intra: NetworkModel,
+    pub inter: NetworkModel,
+    pub rails: u32,
+}
+
+impl StripedTopology {
+    /// `inter` striped by the rails: bandwidth scales, latency does not.
+    fn link(&self) -> NetworkModel {
+        NetworkModel {
+            bandwidth_gbps: self.inter.bandwidth_gbps * f64::from(self.rails),
+            latency: self.inter.latency,
+        }
+    }
+
+    fn workers(&self) -> usize {
+        self.nodes * self.workers_per_node
+    }
+
+    /// Intra gather + inter exchange of `g`-payload aggregates + intra
+    /// fan-out, as `(overlappable, link-serialised)` parts.
+    pub fn allgather_sparse_parts(&self, bytes: usize) -> (f64, f64) {
+        let (n, g) = (self.nodes, self.workers_per_node);
+        if bytes == 0 || self.workers() <= 1 {
+            return (0.0, 0.0);
+        }
+        if n == 1 {
+            return self.intra.allgather_sparse_parts(bytes, g);
+        }
+        if g == 1 {
+            return self.link().allgather_sparse_parts(bytes, n);
+        }
+        let (latency, transfer) = self.link().allgather_sparse_parts(bytes * g, n);
+        let fanout = (n - 1) as f64 * (g * bytes) as f64 / self.intra.bytes_per_second()
+            + self.intra.latency;
+        (
+            self.intra.allgather_sparse(bytes, g) + latency + fanout,
+            transfer,
+        )
+    }
+
+    pub fn allgather_sparse(&self, bytes: usize) -> f64 {
+        let (latency, transfer) = self.allgather_sparse_parts(bytes);
+        latency + transfer
+    }
+
+    /// Intra ring all-reduce + inter all-reduce of the `1/g` shard.
+    pub fn allreduce_dense(&self, bytes: usize) -> f64 {
+        let (n, g) = (self.nodes, self.workers_per_node);
+        if bytes == 0 || self.workers() <= 1 {
+            return 0.0;
+        }
+        let intra = if g > 1 {
+            self.intra.allreduce_dense(bytes, g)
+        } else {
+            0.0
+        };
+        let shard = (bytes as f64 / g as f64).ceil() as usize;
+        intra + self.link().allreduce_dense(shard, n)
+    }
+
+    /// Inverse of `allgather_sparse`: the charge is affine in the payload.
+    pub fn allgather_budget_bytes(&self, budget: f64) -> f64 {
+        let (n, g) = (self.nodes, self.workers_per_node);
+        if self.workers() <= 1 {
+            return f64::INFINITY;
+        }
+        if n == 1 {
+            return self.intra.allgather_budget_bytes(budget, g);
+        }
+        if g == 1 {
+            return self.link().allgather_budget_bytes(budget, n);
+        }
+        let (g, n) = (g as f64, n as f64);
+        let floor =
+            (g - 1.0) * self.intra.latency + (n - 1.0) * self.inter.latency + self.intra.latency;
+        let slope = (g - 1.0) / self.intra.bytes_per_second()
+            + (n - 1.0) * g / self.link().bytes_per_second()
+            + (n - 1.0) * g / self.intra.bytes_per_second();
+        ((budget - floor) / slope).max(0.0)
+    }
 }

@@ -11,7 +11,8 @@
 //!    completion time of the critical-path (highest-priority) bucket relative
 //!    to FIFO;
 //! 3. **Hierarchy collapse** — hierarchical collectives equal flat
-//!    collectives when `node_count == 1` (and when `workers_per_node == 1`);
+//!    collectives when `node_count == 1`, and bit-for-bit when
+//!    `workers_per_node == 1` (the representation of a flat cluster);
 //! 4. **Bandwidth bound** — every valid schedule's makespan is at least the
 //!    bandwidth lower bound `Σ transferᵢ` (and at most fully serial);
 //!
@@ -31,7 +32,7 @@
 //!    compression, the recurrence equivalence of invariant 6 above);
 //! 7. **NIC monotonicity** — the hierarchical all-gather is monotonically
 //!    non-increasing in the per-node NIC count and collapses bit-identically
-//!    to the single-bottleneck model at one rail;
+//!    to the single-bottleneck oracle at one rail;
 //! 8. **Anomaly repair** — `repaired_schedule` never exceeds the
 //!    single-stream FIFO pipeline makespan at any stream count, arrivals
 //!    included (the slot-limited Graham anomaly is repaired, not merely
@@ -39,9 +40,10 @@
 //!
 //! The heterogeneous/elastic cluster extensions add four more:
 //!
-//! 9. **Homogeneous-profile collapse** — per-node NIC profiles that all equal
-//!    the scalar rail configuration charge bit-for-bit what the scalar path
-//!    charges, for every collective and the budget inversion;
+//! 9. **Homogeneous-profile collapse** — a uniform per-node NIC profile
+//!    vector charges bit-for-bit the closed-form single-bottleneck oracle
+//!    (`oracle::StripedTopology`), for every collective and the budget
+//!    inversion;
 //! 10. **Per-node slowdown monotonicity** — slowing any single node (compute
 //!     skew or NIC bandwidth) never makes any modelled charge cheaper;
 //! 11. **EF-mass conservation** — the signed error-feedback mass survives
@@ -51,7 +53,7 @@
 
 mod oracle;
 
-use oracle::pipelined_overhead;
+use oracle::{pipelined_overhead, StripedTopology};
 use proptest::prelude::*;
 use sidco::prelude::*;
 use sidco_dist::collective::{
@@ -411,12 +413,22 @@ proptest! {
         prop_assert!((latency - flat_latency).abs() <= tol(flat_gather));
         prop_assert!((transfer - flat_transfer).abs() <= tol(flat_gather));
 
-        // workers_per_node == 1: everything runs on the inter fabric.
+        // workers_per_node == 1: everything runs on the inter fabric, and
+        // exactly — this is how every flat cluster is represented.
         let spread = HierarchicalTopology::new(workers, 1, intra, inter);
         let flat_gather = inter.allgather_sparse(bytes, workers);
-        prop_assert!((spread.allgather_sparse(bytes) - flat_gather).abs() <= tol(flat_gather));
-        let flat_reduce = inter.allreduce_dense(bytes, workers);
-        prop_assert!((spread.allreduce_dense(bytes) - flat_reduce).abs() <= tol(flat_reduce));
+        prop_assert_eq!(spread.allgather_sparse(bytes), flat_gather);
+        prop_assert_eq!(spread.allreduce_dense(bytes), inter.allreduce_dense(bytes, workers));
+        prop_assert_eq!(
+            spread.allgather_sparse_parts(bytes),
+            inter.allgather_sparse_parts(bytes, workers)
+        );
+        for budget in [1e-3, flat_gather] {
+            prop_assert_eq!(
+                spread.allgather_budget_bytes(budget),
+                inter.allgather_budget_bytes(budget, workers)
+            );
+        }
 
         // The parts decomposition always sums to the lumped cost.
         let two_tier = HierarchicalTopology::new(workers.max(2), 4, intra, inter);
@@ -547,7 +559,7 @@ proptest! {
     /// Property 7: the hierarchical all-gather (and its budget inverse) is
     /// monotonically non-increasing in the per-node NIC count, the parts
     /// keep summing, and one rail is bit-identical to the single-bottleneck
-    /// model.
+    /// oracle.
     #[test]
     fn nic_rails_are_monotone_and_collapse_at_one(
         nodes in 2usize..6,
@@ -559,10 +571,11 @@ proptest! {
         let inter = NetworkModel { bandwidth_gbps: fabrics.1 .0, latency: fabrics.1 .1 };
         let base = HierarchicalTopology::new(nodes, workers_per_node, intra, inter);
         // Bit-identical collapse at one rail.
-        let one = base.clone().with_nics_per_node(1);
+        let one = StripedTopology { nodes, workers_per_node, intra, inter, rails: 1 };
         prop_assert_eq!(base.allgather_sparse(bytes), one.allgather_sparse(bytes));
         prop_assert_eq!(base.allgather_sparse_parts(bytes), one.allgather_sparse_parts(bytes));
         prop_assert_eq!(base.allreduce_dense(bytes), one.allreduce_dense(bytes));
+        prop_assert_eq!(base.allgather_budget_bytes(1e-3), one.allgather_budget_bytes(1e-3));
         let mut previous = f64::INFINITY;
         for nics in 1usize..=8 {
             let railed = base.clone().with_nics_per_node(nics);
@@ -583,10 +596,10 @@ proptest! {
     }
 
     /// Property 8: heterogeneous per-node NIC complements charge the slowest
-    /// node — any rail vector is bit-identical to the homogeneous model at
-    /// its minimum entry (so a homogeneous vector collapses bit-for-bit to
-    /// `with_nics_per_node`), and degrading one node below the complement is
-    /// never free while upgrading a non-bottleneck node is.
+    /// node — a profile vector of one NIC model at any rail counts is
+    /// bit-identical to the single-bottleneck oracle at its minimum entry,
+    /// and degrading one node below the complement is never free while
+    /// upgrading a non-bottleneck node is.
     #[test]
     fn heterogeneous_node_nics_charge_the_slowest_node(
         nodes in 2usize..6,
@@ -598,14 +611,19 @@ proptest! {
         let intra = NetworkModel { bandwidth_gbps: fabrics.0 .0, latency: fabrics.0 .1 };
         let inter = NetworkModel { bandwidth_gbps: fabrics.1 .0, latency: fabrics.1 .1 };
         let base = HierarchicalTopology::new(nodes, workers_per_node, intra, inter);
+        let railed = |rails: &[u32]| {
+            base.clone().with_node_profiles(
+                rails.iter().map(|&r| NodeProfile::new(inter, r)).collect(),
+            )
+        };
+        let oracle = |rails: u32| StripedTopology { nodes, workers_per_node, intra, inter, rails };
         // A deterministic pseudo-random rail vector in 1..=8 per node.
         let rails: Vec<u32> = (0..nodes)
             .map(|i| 1 + (rail_seed.wrapping_mul(2654435761).wrapping_add(i as u32 * 40503) >> 7) % 8)
             .collect();
-        let min_rails = *rails.iter().min().unwrap() as usize;
-        let vectored = base.clone().with_node_nics(rails.clone());
-        let uniform = base.clone().with_nics_per_node(min_rails);
-        prop_assert_eq!(vectored.bottleneck_nics(), min_rails);
+        let min_rails = *rails.iter().min().unwrap();
+        let vectored = railed(&rails);
+        let uniform = oracle(min_rails);
         prop_assert_eq!(vectored.allgather_sparse(bytes), uniform.allgather_sparse(bytes));
         prop_assert_eq!(
             vectored.allgather_sparse_parts(bytes),
@@ -619,24 +637,21 @@ proptest! {
         // Degrading node 0 to a single rail gates the exchange at one rail.
         let mut degraded_rails = rails.clone();
         degraded_rails[0] = 1;
-        let degraded = base.clone().with_node_nics(degraded_rails);
+        let degraded = railed(&degraded_rails);
         prop_assert!(
             degraded.allgather_sparse(bytes) >= vectored.allgather_sparse(bytes) - tol(1.0)
         );
-        prop_assert_eq!(
-            degraded.allgather_sparse(bytes),
-            base.clone().with_nics_per_node(1).allgather_sparse(bytes)
-        );
+        prop_assert_eq!(degraded.allgather_sparse(bytes), oracle(1).allgather_sparse(bytes));
         // Upgrading any single node beyond the minimum never changes the
         // charge: the slowest complement still gates the phase.
-        let bottleneck = rails.iter().position(|&r| r as usize == min_rails).unwrap();
+        let bottleneck = rails.iter().position(|&r| r == min_rails).unwrap();
         let mut upgraded_rails = rails.clone();
         for (i, rail) in upgraded_rails.iter_mut().enumerate() {
             if i != bottleneck {
                 *rail += 8;
             }
         }
-        let upgraded = base.with_node_nics(upgraded_rails);
+        let upgraded = railed(&upgraded_rails);
         prop_assert_eq!(
             upgraded.allgather_sparse(bytes),
             vectored.allgather_sparse(bytes)
@@ -953,8 +968,8 @@ proptest! {
     #![proptest_config(ProptestConfig::default())]
 
     /// Property 9: a homogeneous per-node profile vector collapses
-    /// bit-for-bit onto the scalar rail configuration — every collective,
-    /// the split drain parts, and the budget inversion.
+    /// bit-for-bit onto the closed-form single-bottleneck oracle — every
+    /// collective, the split drain parts, and the budget inversion.
     #[test]
     fn homogeneous_node_profiles_collapse_bit_for_bit(
         nodes in 1usize..6,
@@ -963,17 +978,17 @@ proptest! {
         kilobytes in 1usize..4096,
         budget_ms in 1u32..200,
     ) {
-        let base = HierarchicalTopology::new(
+        let (intra, inter) = (NetworkModel::infiniband_100g(), NetworkModel::ethernet_25g());
+        let base = HierarchicalTopology::new(nodes, per_node, intra, inter);
+        let scalar = StripedTopology {
             nodes,
-            per_node,
-            NetworkModel::infiniband_100g(),
-            NetworkModel::ethernet_25g(),
-        );
-        let scalar = base.clone().with_nics_per_node(nics as usize);
-        let profiled = base.with_node_profiles(vec![
-            NodeProfile::new(NetworkModel::ethernet_25g(), nics);
-            nodes
-        ]);
+            workers_per_node: per_node,
+            intra,
+            inter,
+            rails: nics,
+        };
+        let profiled = base.clone().with_node_profiles(vec![NodeProfile::new(inter, nics); nodes]);
+        prop_assert_eq!(&profiled, &base.with_nics_per_node(nics as usize));
         let bytes = kilobytes * 1024;
         prop_assert_eq!(scalar.allgather_sparse(bytes), profiled.allgather_sparse(bytes));
         prop_assert_eq!(scalar.allreduce_dense(bytes), profiled.allreduce_dense(bytes));
