@@ -41,7 +41,7 @@
 
 use sidco_runtime::Runtime;
 pub use sidco_runtime::{PoolStats, RuntimeKind, RUNTIME_ENV_VAR};
-use sidco_stats::moments::{AbsMoments, SignedMoments};
+use sidco_stats::moments::{AbsMoments, MomentNeeds, SignedMoments};
 use sidco_stats::pot::StageMoments;
 use sidco_tensor::encoding::{
     delta_varint_encode, delta_varint_encode_on, encode_worker_budget, raw_encode_on,
@@ -253,17 +253,17 @@ impl CompressionEngine {
         self.runtime().stats()
     }
 
-    /// Absolute-value moments of `grad` (parallel fitting statistics).
+    /// Every absolute-value moment of `grad` (parallel fitting statistics).
+    /// The multi-stage estimator asks the [`StageMoments`] impl for only the
+    /// fields its update reads.
     pub fn abs_moments(&self, grad: &[f32]) -> AbsMoments {
-        let _stage = sidco_trace::global_sink().real_span("engine/abs_moments");
-        abs_moments_on(grad, self.chunk_size, self.runtime())
+        self.full_moments(grad, MomentNeeds::ALL)
     }
 
-    /// Shifted peaks-over-threshold moments of the exceedance set
+    /// Every shifted peaks-over-threshold moment of the exceedance set
     /// (`|g| >= threshold`).
     pub fn pot_moments(&self, grad: &[f32], threshold: f64) -> AbsMoments {
-        let _stage = sidco_trace::global_sink().real_span("engine/pot_moments");
-        exceedance_moments_on(grad, threshold, self.chunk_size, self.runtime())
+        self.exceedance_moments(grad, threshold, MomentNeeds::ALL)
     }
 
     /// Signed-value moments of `grad` (the Gaussian-fit input).
@@ -346,12 +346,14 @@ impl Default for CompressionEngine {
 }
 
 impl StageMoments for CompressionEngine {
-    fn full_moments(&self, grad: &[f32]) -> AbsMoments {
-        self.abs_moments(grad)
+    fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+        let _stage = sidco_trace::global_sink().real_span("engine/abs_moments");
+        abs_moments_on(grad, needs, self.chunk_size, self.runtime())
     }
 
-    fn exceedance_moments(&self, grad: &[f32], threshold: f64) -> AbsMoments {
-        self.pot_moments(grad, threshold)
+    fn exceedance_moments(&self, grad: &[f32], threshold: f64, needs: MomentNeeds) -> AbsMoments {
+        let _stage = sidco_trace::global_sink().real_span("engine/pot_moments");
+        exceedance_moments_on(grad, threshold, needs, self.chunk_size, self.runtime())
     }
 }
 

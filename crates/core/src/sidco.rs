@@ -112,6 +112,14 @@ impl Default for SidcoConfig {
 
 /// The SIDCo compressor.
 ///
+/// # Out-of-range ratios
+///
+/// [`compress`](Compressor::compress) and
+/// [`estimate_threshold`](SidcoCompressor::estimate_threshold) read δ the
+/// same way. A δ ≥ 1 selects every element at threshold 0. A δ ≤ 0 selects
+/// nothing and has no threshold, and a NaN δ behaves like δ ≤ 0. A positive
+/// δ too small to invert is raised to `f64::MIN_POSITIVE`.
+///
 /// # Example
 ///
 /// ```
@@ -183,17 +191,27 @@ impl SidcoCompressor {
     /// Runs only the threshold-estimation part (no selection) — used by the
     /// micro-benchmarks that want to time estimation separately from the scan.
     ///
-    /// Returns `None` if the gradient is empty or all-zero.
+    /// Returns `None` if the gradient is empty or all-zero, or if δ selects
+    /// nothing (δ ≤ 0 or NaN). A δ ≥ 1 returns one stage at threshold 0, the
+    /// threshold [`compress`](Compressor::compress) applies to it.
     pub fn estimate_threshold(&self, grad: &[f32], delta: f64) -> Option<MultiStageEstimate> {
-        multi_stage_threshold_with(
-            grad,
-            self.config.sid,
-            delta.clamp(f64::MIN_POSITIVE, 1.0 - f64::EPSILON),
-            self.config.first_stage_ratio,
-            self.stages,
-            &self.engine,
-        )
-        .ok()
+        match TargetRatio::of(delta) {
+            TargetRatio::Nothing => None,
+            TargetRatio::Everything => (!grad.is_empty()).then(|| MultiStageEstimate {
+                thresholds: vec![0.0],
+                schedule: vec![1.0],
+                survivors: vec![grad.len()],
+            }),
+            TargetRatio::Estimate(delta) => multi_stage_threshold_with(
+                grad,
+                self.config.sid,
+                delta,
+                self.config.first_stage_ratio,
+                self.stages,
+                &self.engine,
+            )
+            .ok(),
+        }
     }
 
     /// The `Adapt_Stages` routine of Algorithm 1: adjusts `M` based on the average
@@ -224,17 +242,45 @@ impl Default for SidcoCompressor {
     }
 }
 
+/// How a requested ratio δ is served (see the [`SidcoCompressor`] docs).
+enum TargetRatio {
+    /// δ ≤ 0 or NaN: select nothing.
+    Nothing,
+    /// δ ≥ 1: select everything at threshold 0.
+    Everything,
+    /// 0 < δ < 1: estimate the threshold for this ratio.
+    Estimate(f64),
+}
+
+impl TargetRatio {
+    fn of(delta: f64) -> Self {
+        if delta >= 1.0 {
+            Self::Everything
+        } else if delta > 0.0 {
+            // A subnormal δ would make ln(1/δ) infinite.
+            Self::Estimate(delta.max(f64::MIN_POSITIVE))
+        } else {
+            Self::Nothing
+        }
+    }
+}
+
 impl Compressor for SidcoCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
         self.iteration += 1;
         if grad.is_empty() {
             return CompressionResult::from_sparse(SparseGradient::empty(0));
         }
-        let delta = delta.clamp(f64::MIN_POSITIVE, 1.0);
-        if delta >= 1.0 {
-            let sparse = self.engine.select_above(grad, 0.0);
-            return CompressionResult::with_threshold(sparse, 0.0);
-        }
+        let delta = match TargetRatio::of(delta) {
+            TargetRatio::Nothing => {
+                return CompressionResult::from_sparse(SparseGradient::empty(grad.len()));
+            }
+            TargetRatio::Everything => {
+                let sparse = self.engine.select_above(grad, 0.0);
+                return CompressionResult::with_threshold(sparse, 0.0);
+            }
+            TargetRatio::Estimate(delta) => delta,
+        };
 
         let estimate = match multi_stage_threshold_with(
             grad,
@@ -463,6 +509,76 @@ mod tests {
         // delta = 1 keeps everything.
         let grad = [0.5f32, -0.2, 0.1];
         assert_eq!(c.compress(&grad, 1.0).sparse.nnz(), 3);
+    }
+
+    /// One outlier over a flat bulk: the threshold a tiny positive δ
+    /// estimates still selects the outlier, so "selects nothing" is a
+    /// policy, not an accident of a huge threshold.
+    fn outlier_gradient() -> Vec<f32> {
+        let mut grad = vec![1e-6f32; 4096];
+        grad[17] = -1.0;
+        grad
+    }
+
+    const SID_CONFIGS: [fn() -> SidcoConfig; 3] = [
+        SidcoConfig::exponential,
+        SidcoConfig::gamma_pareto,
+        SidcoConfig::generalized_pareto,
+    ];
+
+    fn assert_selects_nothing(delta: f64) {
+        let grad = outlier_gradient();
+        for config in SID_CONFIGS {
+            let mut c = SidcoCompressor::new(config());
+            assert!(c.estimate_threshold(&grad, delta).is_none(), "δ = {delta}");
+            let result = c.compress(&grad, delta);
+            assert_eq!(result.sparse.nnz(), 0, "δ = {delta}");
+            assert_eq!(result.sparse.dense_len(), grad.len());
+            assert_eq!(result.threshold, None, "δ = {delta}");
+        }
+    }
+
+    #[test]
+    fn nan_delta_selects_nothing() {
+        assert_selects_nothing(f64::NAN);
+    }
+
+    #[test]
+    fn non_positive_deltas_select_nothing() {
+        for delta in [0.0, -0.0, -1.0, f64::NEG_INFINITY] {
+            assert_selects_nothing(delta);
+        }
+    }
+
+    #[test]
+    fn deltas_of_one_or_more_keep_everything_at_threshold_zero() {
+        let grad = outlier_gradient();
+        for config in SID_CONFIGS {
+            for delta in [1.0, 2.0, f64::INFINITY] {
+                let mut c = SidcoCompressor::new(config());
+                let estimate = c.estimate_threshold(&grad, delta).unwrap();
+                let result = c.compress(&grad, delta);
+                assert_eq!(estimate.final_threshold(), 0.0, "δ = {delta}");
+                assert_eq!(result.threshold, Some(0.0), "δ = {delta}");
+                assert_eq!(result.sparse.nnz(), grad.len(), "δ = {delta}");
+            }
+        }
+    }
+
+    #[test]
+    fn subnormal_delta_is_raised_to_the_smallest_normal() {
+        let grad = outlier_gradient();
+        for config in SID_CONFIGS {
+            let mut c = SidcoCompressor::new(config());
+            let tiny = c.estimate_threshold(&grad, 1e-320).unwrap();
+            let normal = c.estimate_threshold(&grad, f64::MIN_POSITIVE).unwrap();
+            assert!(tiny.final_threshold().is_finite());
+            assert_eq!(tiny, normal);
+            assert_eq!(
+                c.compress(&grad, 1e-320).threshold,
+                Some(tiny.final_threshold())
+            );
+        }
     }
 
     #[test]

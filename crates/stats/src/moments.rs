@@ -92,19 +92,91 @@ impl RunningMoments {
     }
 }
 
+/// Which optional [`AbsMoments`] fields a moment pass accumulates.
+///
+/// `count` and `mean` are always computed: every SID estimator and the
+/// multi-stage loop's degenerate-input check read them. A pass that is not
+/// asked for a field skips its accumulator entirely (the kernels are generic
+/// over the needs, so an unrequested accumulator compiles away), and reports
+/// the field as `f64::NAN` — `positive_count`, which belongs to
+/// [`mean_ln`](Self::mean_ln), as 0 — so a reader that touches a field it did
+/// not request sees a poisoned value rather than a plausible zero.
+/// [`stage_needs`](crate::pot::stage_needs) derives the needs of one
+/// multi-stage estimation step.
+///
+/// # Example
+///
+/// ```
+/// use sidco_stats::moments::{AbsMoments, MomentNeeds};
+///
+/// let grad = [1.0f32, -2.0, 0.0, 3.0];
+/// let lean = AbsMoments::compute_with(&grad, MomentNeeds::MEAN);
+/// let full = AbsMoments::compute(&grad);
+/// assert_eq!(lean.mean.to_bits(), full.mean.to_bits());
+/// assert!(lean.variance.is_nan() && lean.mean_ln.is_nan() && lean.max.is_nan());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MomentNeeds {
+    /// Accumulate `Σx²` for [`AbsMoments::variance`].
+    pub variance: bool,
+    /// Accumulate `Σ ln x` over the strictly positive values for
+    /// [`AbsMoments::mean_ln`] and [`AbsMoments::positive_count`] (the only
+    /// accumulator that calls `ln` per element).
+    pub mean_ln: bool,
+    /// Track [`AbsMoments::max`].
+    pub max: bool,
+}
+
+impl MomentNeeds {
+    /// `count` and `mean` only.
+    pub const MEAN: Self = Self {
+        variance: false,
+        mean_ln: false,
+        max: false,
+    };
+
+    /// Every field of [`AbsMoments`].
+    pub const ALL: Self = Self {
+        variance: true,
+        mean_ln: true,
+        max: true,
+    };
+
+    /// These needs plus [`AbsMoments::variance`].
+    #[must_use]
+    pub const fn with_variance(self) -> Self {
+        Self {
+            variance: true,
+            ..self
+        }
+    }
+
+    /// These needs plus [`AbsMoments::mean_ln`] and
+    /// [`AbsMoments::positive_count`].
+    #[must_use]
+    pub const fn with_mean_ln(self) -> Self {
+        Self {
+            mean_ln: true,
+            ..self
+        }
+    }
+}
+
 /// One-pass statistics of the absolute values of a gradient buffer.
 ///
 /// Everything the three SID estimators need (Corollary 1.1, 1.2, 1.3) is derived
 /// from these fields, so a single scan of the gradient suffices per stage.
+/// Fields a pass was not asked for (see [`MomentNeeds`]) hold `f64::NAN`, and
+/// `positive_count` holds 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbsMoments {
-    /// Number of elements scanned (including zeros).
+    /// Number of finite elements scanned (including zeros).
     pub count: usize,
     /// Number of strictly positive absolute values (used by the log-moment).
     pub positive_count: usize,
-    /// Mean of `|g|` over all elements.
+    /// Mean of `|g|` over all finite elements.
     pub mean: f64,
-    /// Population variance of `|g|` over all elements.
+    /// Population variance of `|g|` over all finite elements.
     pub variance: f64,
     /// Mean of `ln |g|` over the strictly positive elements.
     pub mean_ln: f64,
@@ -113,58 +185,18 @@ pub struct AbsMoments {
 }
 
 impl AbsMoments {
-    /// Computes the absolute-value moments of `grad` in one pass.
+    /// Computes every absolute-value moment of `grad` in one pass.
     ///
-    /// Zero and non-finite elements contribute to `mean`/`variance` (as zeros for the
-    /// non-finite case they are skipped entirely) but not to `mean_ln`.
+    /// Non-finite elements are skipped: they count towards no field. Zeros
+    /// count towards `count`, `mean` and `variance` but not towards `mean_ln`.
     pub fn compute(grad: &[f32]) -> Self {
-        let mut sum = 0.0f64;
-        let mut sum_sq = 0.0f64;
-        let mut sum_ln = 0.0f64;
-        let mut positive = 0usize;
-        let mut max = 0.0f64;
-        let mut count = 0usize;
-        for &g in grad {
-            let a = g.abs() as f64;
-            if !a.is_finite() {
-                continue;
-            }
-            count += 1;
-            sum += a;
-            sum_sq += a * a;
-            if a > 0.0 {
-                sum_ln += a.ln();
-                positive += 1;
-            }
-            if a > max {
-                max = a;
-            }
-        }
-        if count == 0 {
-            return Self {
-                count: 0,
-                positive_count: 0,
-                mean: 0.0,
-                variance: 0.0,
-                mean_ln: 0.0,
-                max: 0.0,
-            };
-        }
-        let n = count as f64;
-        let mean = sum / n;
-        let variance = (sum_sq / n - mean * mean).max(0.0);
-        Self {
-            count,
-            positive_count: positive,
-            mean,
-            variance,
-            mean_ln: if positive > 0 {
-                sum_ln / positive as f64
-            } else {
-                0.0
-            },
-            max,
-        }
+        Self::compute_with(grad, MomentNeeds::ALL)
+    }
+
+    /// [`compute`](Self::compute) restricted to the fields in `needs`; every
+    /// requested field is bit-identical to the all-fields result.
+    pub fn compute_with(grad: &[f32], needs: MomentNeeds) -> Self {
+        moments_of(Full(grad), needs)
     }
 
     /// Computes absolute-value moments of the elements of `grad` that meet or
@@ -183,55 +215,200 @@ impl AbsMoments {
     /// does) to guard the fit, even though the selection would transmit an
     /// `inf` element.
     pub fn compute_exceedances(grad: &[f32], threshold: f64) -> Self {
-        let t = threshold as f32;
-        let shift = t as f64;
-        let mut sum = 0.0f64;
-        let mut sum_sq = 0.0f64;
-        let mut sum_ln = 0.0f64;
-        let mut positive = 0usize;
-        let mut max = 0.0f64;
-        let mut count = 0usize;
-        for &g in grad {
-            let a = g.abs();
-            if !a.is_finite() || a < t {
-                continue;
-            }
-            let x = a as f64 - shift;
-            count += 1;
-            sum += x;
-            sum_sq += x * x;
-            if x > 0.0 {
-                sum_ln += x.ln();
-                positive += 1;
-            }
-            if x > max {
-                max = x;
-            }
-        }
-        if count == 0 {
-            return Self {
-                count: 0,
-                positive_count: 0,
-                mean: 0.0,
-                variance: 0.0,
-                mean_ln: 0.0,
-                max: 0.0,
-            };
-        }
-        let n = count as f64;
-        let mean = sum / n;
-        let variance = (sum_sq / n - mean * mean).max(0.0);
+        Self::compute_exceedances_with(grad, threshold, MomentNeeds::ALL)
+    }
+
+    /// [`compute_exceedances`](Self::compute_exceedances) restricted to the
+    /// fields in `needs`; every requested field is bit-identical to the
+    /// all-fields result.
+    pub fn compute_exceedances_with(grad: &[f32], threshold: f64, needs: MomentNeeds) -> Self {
+        moments_of(Exceedances { grad, threshold }, needs)
+    }
+
+    /// Moments of an empty input (every requested field zero).
+    pub fn empty(needs: MomentNeeds) -> Self {
         Self {
-            count,
-            positive_count: positive,
+            count: 0,
+            positive_count: 0,
+            mean: 0.0,
+            variance: 0.0,
+            mean_ln: 0.0,
+            max: 0.0,
+        }
+        .restricted_to(needs)
+    }
+
+    /// Replaces every field `needs` does not request with its unrequested
+    /// value (`f64::NAN`, or 0 for `positive_count`).
+    #[must_use]
+    pub fn restricted_to(self, needs: MomentNeeds) -> Self {
+        let field = |requested: bool, value: f64| if requested { value } else { f64::NAN };
+        Self {
+            positive_count: if needs.mean_ln {
+                self.positive_count
+            } else {
+                0
+            },
+            variance: field(needs.variance, self.variance),
+            mean_ln: field(needs.mean_ln, self.mean_ln),
+            max: field(needs.max, self.max),
+            ..self
+        }
+    }
+}
+
+/// The running sums behind one [`AbsMoments`], accumulating only the fields
+/// the const parameters ask for: an unrequested accumulator is dead code.
+#[derive(Default)]
+struct Accumulator<const VARIANCE: bool, const MEAN_LN: bool, const MAX: bool> {
+    count: usize,
+    sum: f64,
+    sum_sq: f64,
+    sum_ln: f64,
+    positive: usize,
+    max: f64,
+}
+
+impl<const VARIANCE: bool, const MEAN_LN: bool, const MAX: bool>
+    Accumulator<VARIANCE, MEAN_LN, MAX>
+{
+    #[inline(always)]
+    fn push(&mut self, x: f64) {
+        self.count += 1;
+        self.sum += x;
+        if VARIANCE {
+            self.sum_sq += x * x;
+        }
+        if MEAN_LN && x > 0.0 {
+            self.sum_ln += x.ln();
+            self.positive += 1;
+        }
+        if MAX && x > self.max {
+            self.max = x;
+        }
+    }
+
+    fn finish(self) -> AbsMoments {
+        let needs = MomentNeeds {
+            variance: VARIANCE,
+            mean_ln: MEAN_LN,
+            max: MAX,
+        };
+        if self.count == 0 {
+            return AbsMoments::empty(needs);
+        }
+        let n = self.count as f64;
+        let mean = self.sum / n;
+        AbsMoments {
+            count: self.count,
+            positive_count: self.positive,
             mean,
-            variance,
-            mean_ln: if positive > 0 {
-                sum_ln / positive as f64
+            variance: (self.sum_sq / n - mean * mean).max(0.0),
+            mean_ln: if self.positive > 0 {
+                self.sum_ln / self.positive as f64
             } else {
                 0.0
             },
-            max,
+            max: self.max,
+        }
+        .restricted_to(needs)
+    }
+}
+
+/// One moment pass: feeds the values it scans, in index order, to an
+/// accumulator of any needs.
+trait Pass {
+    fn feed<const VARIANCE: bool, const MEAN_LN: bool, const MAX: bool>(
+        &self,
+        acc: &mut Accumulator<VARIANCE, MEAN_LN, MAX>,
+    );
+}
+
+/// Runs `pass` with the accumulator instantiation that computes exactly
+/// `needs`.
+fn moments_of(pass: impl Pass, needs: MomentNeeds) -> AbsMoments {
+    fn run<const VARIANCE: bool, const MEAN_LN: bool, const MAX: bool>(
+        pass: impl Pass,
+    ) -> AbsMoments {
+        let mut acc = Accumulator::<VARIANCE, MEAN_LN, MAX>::default();
+        pass.feed(&mut acc);
+        acc.finish()
+    }
+    match (needs.variance, needs.mean_ln, needs.max) {
+        (false, false, false) => run::<false, false, false>(pass),
+        (true, false, false) => run::<true, false, false>(pass),
+        (false, true, false) => run::<false, true, false>(pass),
+        (true, true, false) => run::<true, true, false>(pass),
+        (false, false, true) => run::<false, false, true>(pass),
+        (true, false, true) => run::<true, false, true>(pass),
+        (false, true, true) => run::<false, true, true>(pass),
+        (true, true, true) => run::<true, true, true>(pass),
+    }
+}
+
+/// The full pass: every finite `|g|`. Nearly every element is finite, so
+/// the skip branch is predicted and costs nothing.
+struct Full<'a>(&'a [f32]);
+
+impl Pass for Full<'_> {
+    fn feed<const VARIANCE: bool, const MEAN_LN: bool, const MAX: bool>(
+        &self,
+        acc: &mut Accumulator<VARIANCE, MEAN_LN, MAX>,
+    ) {
+        for &g in self.0 {
+            let a = g.abs();
+            if a.is_finite() {
+                acc.push(a as f64);
+            }
+        }
+    }
+}
+
+/// Elements per compaction block of the exceedance pass: the kept
+/// magnitudes of one block are gathered into a stack buffer of this many
+/// `f32`s (4 KiB).
+const EXCEEDANCE_BLOCK: usize = 1 << 10;
+
+/// The exceedance pass: `|g| - t` for every finite `|g| >= t`, with `t` the
+/// `f32`-rounded threshold.
+struct Exceedances<'a> {
+    grad: &'a [f32],
+    threshold: f64,
+}
+
+impl Pass for Exceedances<'_> {
+    /// A refit keeps about one element in four, so a filter branch would
+    /// mispredict constantly. Instead each [`EXCEEDANCE_BLOCK`] is compacted
+    /// without branches — every magnitude is written at the cursor, and the
+    /// cursor advances only if the element is kept — and the kept magnitudes
+    /// are then pushed in index order: the same values in the same order as
+    /// a filter-and-push loop, so every field keeps its bits.
+    ///
+    /// The keep test runs on the bits. For non-negative `f32`s the bit
+    /// patterns order like the values and every NaN or infinity sits at or
+    /// above `INFINITY.to_bits()`, so "finite and `!(|g| < t)`" is the single
+    /// unsigned range test `lo <= bits(|g|) < bits(INFINITY)`, with `lo` the
+    /// bits of a positive `t` and 0 for a `t` that is `<= 0` or NaN (which
+    /// every finite `|g|` passes).
+    fn feed<const VARIANCE: bool, const MEAN_LN: bool, const MAX: bool>(
+        &self,
+        acc: &mut Accumulator<VARIANCE, MEAN_LN, MAX>,
+    ) {
+        let t = self.threshold as f32;
+        let shift = t as f64;
+        let lo = if t > 0.0 { t.to_bits() } else { 0 };
+        let width = f32::INFINITY.to_bits() - lo;
+        let mut kept = [0.0f32; EXCEEDANCE_BLOCK];
+        for block in self.grad.chunks(EXCEEDANCE_BLOCK) {
+            let mut len = 0;
+            for &g in block {
+                let bits = g.abs().to_bits();
+                kept[len] = f32::from_bits(bits);
+                len += usize::from(bits.wrapping_sub(lo) < width);
+            }
+            for &a in &kept[..len] {
+                acc.push(a as f64 - shift);
+            }
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::error::StatsError;
 use crate::fit::SidKind;
-use crate::moments::AbsMoments;
+use crate::moments::{AbsMoments, MomentNeeds};
 use crate::special::ln_gamma;
 
 /// Per-stage compression-ratio schedule for an `M`-stage estimator.
@@ -152,6 +152,21 @@ pub fn stage_threshold(
     }
 }
 
+/// The [`AbsMoments`] fields [`stage_threshold`] reads for `kind` at
+/// `stage_index`, so the stage's moment pass can skip the rest.
+///
+/// Every update reads the mean. The exponential update reads nothing else;
+/// the GP refit also reads the variance; only the gamma fit of SIDCo-GP's
+/// first stage reads the log-moment, which is the one accumulator that takes
+/// a per-element `ln`.
+pub fn stage_needs(kind: SidKind, stage_index: usize) -> MomentNeeds {
+    match (kind, stage_index) {
+        (SidKind::Exponential, _) => MomentNeeds::MEAN,
+        (SidKind::Gamma, 0) => MomentNeeds::MEAN.with_mean_ln(),
+        (SidKind::Gamma, _) | (SidKind::GeneralizedPareto, _) => MomentNeeds::MEAN.with_variance(),
+    }
+}
+
 /// Result of running the full multi-stage estimation pipeline on a gradient.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiStageEstimate {
@@ -176,13 +191,17 @@ impl MultiStageEstimate {
 /// the reduction backend is pluggable: [`SequentialMoments`] is the reference
 /// single-threaded backend, and the `CompressionEngine` in `sidco-core`
 /// implements this trait with chunked multi-threaded reductions.
+///
+/// The estimator passes the [`stage_needs`] of each step; a backend must make
+/// every requested field bit-identical to the all-fields computation and may
+/// leave the rest unrequested (see [`MomentNeeds`]).
 pub trait StageMoments {
     /// Moments of the full absolute gradient (stage 0's fit input).
-    fn full_moments(&self, grad: &[f32]) -> AbsMoments;
+    fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments;
 
     /// Shifted moments of the exceedances `|g| - threshold` for
     /// `|g| >= threshold` (the PoT refit input of stages 1..M).
-    fn exceedance_moments(&self, grad: &[f32], threshold: f64) -> AbsMoments;
+    fn exceedance_moments(&self, grad: &[f32], threshold: f64, needs: MomentNeeds) -> AbsMoments;
 }
 
 /// The reference single-threaded [`StageMoments`] backend.
@@ -190,12 +209,12 @@ pub trait StageMoments {
 pub struct SequentialMoments;
 
 impl StageMoments for SequentialMoments {
-    fn full_moments(&self, grad: &[f32]) -> AbsMoments {
-        AbsMoments::compute(grad)
+    fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+        AbsMoments::compute_with(grad, needs)
     }
 
-    fn exceedance_moments(&self, grad: &[f32], threshold: f64) -> AbsMoments {
-        AbsMoments::compute_exceedances(grad, threshold)
+    fn exceedance_moments(&self, grad: &[f32], threshold: f64, needs: MomentNeeds) -> AbsMoments {
+        AbsMoments::compute_exceedances_with(grad, threshold, needs)
     }
 }
 
@@ -238,10 +257,11 @@ pub fn multi_stage_threshold_with<P: StageMoments + ?Sized>(
     let mut survivors = Vec::with_capacity(schedule.len());
     let mut prev_threshold = 0.0f64;
     for (m, &stage_delta) in schedule.iter().enumerate() {
+        let needs = stage_needs(kind, m);
         let moments = if m == 0 {
-            backend.full_moments(grad)
+            backend.full_moments(grad, needs)
         } else {
-            backend.exceedance_moments(grad, prev_threshold)
+            backend.exceedance_moments(grad, prev_threshold, needs)
         };
         if moments.count == 0 || !(moments.mean > 0.0) {
             if m == 0 {
@@ -418,25 +438,43 @@ mod tests {
 
     #[test]
     fn custom_stage_moments_backend_matches_sequential() {
-        struct Counting(std::cell::Cell<usize>);
+        /// Answers every call with the all-fields moments and records the
+        /// needs each call asked for.
+        struct Counting(std::cell::RefCell<Vec<MomentNeeds>>);
         impl StageMoments for Counting {
-            fn full_moments(&self, grad: &[f32]) -> AbsMoments {
-                self.0.set(self.0.get() + 1);
+            fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+                self.0.borrow_mut().push(needs);
                 AbsMoments::compute(grad)
             }
-            fn exceedance_moments(&self, grad: &[f32], threshold: f64) -> AbsMoments {
-                self.0.set(self.0.get() + 1);
+            fn exceedance_moments(
+                &self,
+                grad: &[f32],
+                threshold: f64,
+                needs: MomentNeeds,
+            ) -> AbsMoments {
+                self.0.borrow_mut().push(needs);
                 AbsMoments::compute_exceedances(grad, threshold)
             }
         }
         let grad = laplace_gradient(0.01, 50_000, 57);
-        let backend = Counting(std::cell::Cell::new(0));
-        let with =
-            multi_stage_threshold_with(&grad, SidKind::Exponential, 0.001, 0.25, 3, &backend)
-                .unwrap();
-        let seq = multi_stage_threshold(&grad, SidKind::Exponential, 0.001, 0.25, 3).unwrap();
-        assert_eq!(with, seq);
-        assert_eq!(backend.0.get(), 3, "one moments call per stage");
+        let mean = MomentNeeds::MEAN;
+        let mean_var = MomentNeeds::MEAN.with_variance();
+        let mean_ln = MomentNeeds::MEAN.with_mean_ln();
+        for (kind, expected) in [
+            (SidKind::Exponential, [mean, mean, mean]),
+            (SidKind::GeneralizedPareto, [mean_var, mean_var, mean_var]),
+            (SidKind::Gamma, [mean_ln, mean_var, mean_var]),
+        ] {
+            let backend = Counting(std::cell::RefCell::new(Vec::new()));
+            let with = multi_stage_threshold_with(&grad, kind, 0.001, 0.25, 3, &backend).unwrap();
+            let seq = multi_stage_threshold(&grad, kind, 0.001, 0.25, 3).unwrap();
+            assert_eq!(with, seq, "{kind}");
+            assert_eq!(
+                backend.0.borrow().as_slice(),
+                expected,
+                "{kind}: one moments call per stage, asking only for what the update reads"
+            );
+        }
     }
 
     #[test]

@@ -19,15 +19,18 @@
 //! runtimes, thread counts, and steal orders**. The engine in `sidco-core`
 //! builds on this to guarantee that compressors produce the same
 //! `SparseGradient` at 1, 2 or 64 threads, on the pool or on scoped threads.
-//! (Across *machines* the guarantee holds up to platform `libm` rounding: the
-//! moment passes call `ln`, whose last bit may differ between libc
-//! implementations, which can move a fitted threshold by one ulp.)
+//! (Across *machines* the guarantee holds up to platform `libm` rounding in
+//! the passes that still take a per-element `ln` — SIDCo-GP's first stage,
+//! `fit_sid`, and the all-fields absolute moments — whose last bit may
+//! differ between libc implementations, which can move a fitted threshold by
+//! one ulp. The mean- and variance-only passes of SIDCo-E, SIDCo-P and
+//! SIDCo-GP's later stages use only IEEE-exact arithmetic.)
 
 use crate::sparse::SparseGradient;
 use crate::threshold::cap_largest;
 use crate::topk::{top_k, TopKAlgorithm};
 use sidco_runtime::{Runtime, ScopedFallback};
-use sidco_stats::moments::{AbsMoments, SignedMoments};
+use sidco_stats::moments::{AbsMoments, MomentNeeds, SignedMoments};
 use std::sync::Mutex;
 
 /// Default number of elements per chunk (64Ki). Small enough to expose
@@ -116,15 +119,27 @@ pub fn abs_moments_parallel(grad: &[f32], threads: usize) -> AbsMoments {
 
 /// [`abs_moments_parallel`] with an explicit chunk size.
 pub fn abs_moments_chunked(grad: &[f32], chunk_size: usize, threads: usize) -> AbsMoments {
-    abs_moments_on(grad, chunk_size, &ScopedFallback::new(threads.max(1)))
+    abs_moments_on(
+        grad,
+        MomentNeeds::ALL,
+        chunk_size,
+        &ScopedFallback::new(threads.max(1)),
+    )
 }
 
-/// [`abs_moments_chunked`] on an explicit [`Runtime`].
-pub fn abs_moments_on(grad: &[f32], chunk_size: usize, runtime: &dyn Runtime) -> AbsMoments {
+/// [`abs_moments_chunked`] on an explicit [`Runtime`], restricted to the
+/// fields in `needs` (each requested field bit-identical to the all-fields
+/// result).
+pub fn abs_moments_on(
+    grad: &[f32],
+    needs: MomentNeeds,
+    chunk_size: usize,
+    runtime: &dyn Runtime,
+) -> AbsMoments {
     let parts = map_chunks_on(grad, chunk_size, runtime, |_, chunk| {
-        AbsMoments::compute(chunk)
+        AbsMoments::compute_with(chunk, needs)
     });
-    merge_abs_moments(&parts)
+    merge_abs_moments(&parts, needs)
 }
 
 /// Computes the shifted exceedance moments (`|g| - threshold` for
@@ -139,22 +154,26 @@ pub fn exceedance_moments_chunked(
     exceedance_moments_on(
         grad,
         threshold,
+        MomentNeeds::ALL,
         chunk_size,
         &ScopedFallback::new(threads.max(1)),
     )
 }
 
-/// [`exceedance_moments_chunked`] on an explicit [`Runtime`].
+/// [`exceedance_moments_chunked`] on an explicit [`Runtime`], restricted to
+/// the fields in `needs` (each requested field bit-identical to the
+/// all-fields result).
 pub fn exceedance_moments_on(
     grad: &[f32],
     threshold: f64,
+    needs: MomentNeeds,
     chunk_size: usize,
     runtime: &dyn Runtime,
 ) -> AbsMoments {
     let parts = map_chunks_on(grad, chunk_size, runtime, |_, chunk| {
-        AbsMoments::compute_exceedances(chunk, threshold)
+        AbsMoments::compute_exceedances_with(chunk, threshold, needs)
     });
-    merge_abs_moments(&parts)
+    merge_abs_moments(&parts, needs)
 }
 
 /// Computes [`SignedMoments`] in fixed-size chunks using up to `threads` worker
@@ -347,25 +366,21 @@ fn concat_sparse_parts(parts: Vec<(Vec<u32>, Vec<f32>)>, dense_len: usize) -> Sp
     SparseGradient::new(indices, values, dense_len)
 }
 
-/// Merges per-chunk absolute moments into the moments of the concatenated data.
+/// Merges per-chunk absolute moments, each computed with `needs`, into the
+/// moments of the concatenated data.
 ///
 /// A single part is returned as-is (bit-exact with the sequential computation);
 /// multiple parts are combined in slice order so the result is deterministic for
-/// a fixed chunk decomposition.
-fn merge_abs_moments(parts: &[AbsMoments]) -> AbsMoments {
+/// a fixed chunk decomposition. Each requested field is combined from the same
+/// part fields in the same order whatever else was requested, so it has the
+/// bits of the all-fields merge; the rest are left unrequested.
+fn merge_abs_moments(parts: &[AbsMoments], needs: MomentNeeds) -> AbsMoments {
     if parts.len() == 1 {
         return parts[0];
     }
     let total: usize = parts.iter().map(|p| p.count).sum();
     if total == 0 {
-        return AbsMoments {
-            count: 0,
-            positive_count: 0,
-            mean: 0.0,
-            variance: 0.0,
-            mean_ln: 0.0,
-            max: 0.0,
-        };
+        return AbsMoments::empty(needs);
     }
     let positive: usize = parts.iter().map(|p| p.positive_count).sum();
     let n = total as f64;
@@ -395,6 +410,7 @@ fn merge_abs_moments(parts: &[AbsMoments]) -> AbsMoments {
         mean_ln,
         max,
     }
+    .restricted_to(needs)
 }
 
 /// Merges per-chunk signed moments into the moments of the concatenated data.
@@ -507,7 +523,7 @@ mod tests {
     #[test]
     fn merge_handles_empty_parts() {
         let empty = AbsMoments::compute(&[]);
-        let merged = merge_abs_moments(&[empty, empty]);
+        let merged = merge_abs_moments(&[empty, empty], MomentNeeds::ALL);
         assert_eq!(merged.count, 0);
         assert_eq!(merged.mean, 0.0);
         let merged = merge_signed_moments(&[SignedMoments::compute(&[]); 2]);
@@ -539,16 +555,16 @@ mod tests {
         let pool = WorkStealing::with_topology(4, NumaTopology::synthetic(2, 2));
         for chunk in [97usize, 1 << 12] {
             assert_eq!(
-                abs_moments_on(&grad, chunk, &pool),
-                abs_moments_on(&grad, chunk, &scoped)
+                abs_moments_on(&grad, MomentNeeds::ALL, chunk, &pool),
+                abs_moments_on(&grad, MomentNeeds::ALL, chunk, &scoped)
             );
             assert_eq!(
                 signed_moments_on(&grad, chunk, &pool),
                 signed_moments_on(&grad, chunk, &scoped)
             );
             assert_eq!(
-                exceedance_moments_on(&grad, 0.4, chunk, &pool),
-                exceedance_moments_on(&grad, 0.4, chunk, &scoped)
+                exceedance_moments_on(&grad, 0.4, MomentNeeds::ALL, chunk, &pool),
+                exceedance_moments_on(&grad, 0.4, MomentNeeds::ALL, chunk, &scoped)
             );
             assert_eq!(
                 count_above_threshold_on(&grad, 0.4, chunk, &pool),
