@@ -1,15 +1,16 @@
-//! Criterion micro-benchmarks of the persistent work-stealing runtime vs the
-//! per-call scoped fallback — the numbers recorded in `BENCH_engine.json`.
+//! Criterion micro-benchmarks of the persistent work-stealing runtime against
+//! the inline one-thread floor — the numbers recorded in `BENCH_engine.json`.
+//! Every sweep runs `runtime=inline,threads=1`, `runtime=pool,threads=2` and
+//! `runtime=pool,threads=4`.
 //!
 //! Two regimes bracket the design space:
 //!
 //! * **many-small-layers** — 256 layers of 64Ki elements, the layer-wise /
-//!   per-layer-bucket regime where every `compress` call is short and the
-//!   scoped runtime's per-call thread spawn+join storm dominates. This is the
-//!   workload the pool exists for.
+//!   per-layer-bucket regime where every `compress` call is short and
+//!   per-call dispatch cost dominates. This is the workload the pool exists
+//!   for.
 //! * **single-large** — one 16Mi-element gradient, the ImageNet regime where
-//!   a call is long enough to amortise any dispatch cost and the two runtimes
-//!   should converge.
+//!   a call is long enough to amortise any dispatch cost.
 //!
 //! The pool's lifecycle counters (spawns, steals, parks, per-socket
 //! placement) are printed after the sweep; on a multi-socket host the
@@ -52,14 +53,13 @@ fn large_gradient() -> Vec<f32> {
     generator.gradient(0).into_vec()
 }
 
-fn configurations() -> Vec<(RuntimeKind, usize)> {
-    vec![
-        (RuntimeKind::Scoped, 1),
-        (RuntimeKind::Scoped, 2),
-        (RuntimeKind::Scoped, 4),
-        (RuntimeKind::Pool, 2),
-        (RuntimeKind::Pool, 4),
-    ]
+/// The swept thread budgets: the inline runtime, then the pool at 2 and 4.
+const THREADS: [usize; 3] = [1, 2, 4];
+
+/// The row label of an engine: `runtime=<name>,threads=<n>`.
+fn label(threads: usize) -> String {
+    let runtime = CompressionEngine::new(threads).shared_runtime().name();
+    format!("runtime={runtime},threads={threads}")
 }
 
 fn bench_many_small_layers(c: &mut Criterion) {
@@ -72,20 +72,15 @@ fn bench_many_small_layers(c: &mut Criterion) {
     group.throughput(Throughput::Elements((LAYERS * LAYER_DIM) as u64));
     group.sample_size(3);
 
-    for (runtime, threads) in configurations() {
+    for threads in THREADS {
         // A 64Ki layer is exactly one default chunk, which would dispatch
         // inline; 16Ki chunks make every layer span 4 chunks so each of the
         // ~5 chunked passes per compress call really exercises the runtime
         // (the chunk size is identical across configurations, so outputs —
         // and the work done — stay bit-identical).
-        let engine = CompressionEngine::new(threads)
-            .with_runtime(runtime)
-            .with_chunk_size(1 << 14);
+        let engine = CompressionEngine::new(threads).with_chunk_size(1 << 14);
         group.bench_with_input(
-            BenchmarkId::new(
-                "sidco-e",
-                format!("runtime={},threads={threads}", runtime.as_str()),
-            ),
+            BenchmarkId::new("sidco-e", label(threads)),
             &engine,
             |b, &engine| {
                 let mut compressor =
@@ -111,13 +106,10 @@ fn bench_single_large(c: &mut Criterion) {
     group.throughput(Throughput::Elements(LARGE_DIM as u64));
     group.sample_size(3);
 
-    for (runtime, threads) in configurations() {
-        let engine = CompressionEngine::new(threads).with_runtime(runtime);
+    for threads in THREADS {
+        let engine = CompressionEngine::new(threads);
         group.bench_with_input(
-            BenchmarkId::new(
-                "sidco-e",
-                format!("runtime={},threads={threads}", runtime.as_str()),
-            ),
+            BenchmarkId::new("sidco-e", label(threads)),
             &engine,
             |b, &engine| {
                 let mut compressor =
@@ -129,8 +121,8 @@ fn bench_single_large(c: &mut Criterion) {
     }
     group.finish();
 
-    // Parallel delta-varint stitching on the selected survivors (the ROADMAP
-    // item the encoder satellite closed): serial vs sharded.
+    // Parallel delta-varint stitching on the selected survivors: the serial
+    // encoder vs the engine's entry, which shards only above its crossover.
     let engine = CompressionEngine::new(4);
     let threshold = engine.abs_moments(&grad).mean * 2.0;
     let sparse = engine.select_above(&grad, threshold);
@@ -142,16 +134,9 @@ fn bench_single_large(c: &mut Criterion) {
     });
     for threads in [2usize, 4] {
         group.bench_with_input(
-            BenchmarkId::new("sharded", format!("threads={threads}")),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    sidco_tensor::encoding::delta_varint_encode_parallel(
-                        std::hint::black_box(&sparse),
-                        threads,
-                    )
-                })
-            },
+            BenchmarkId::new("engine", format!("threads={threads}")),
+            &CompressionEngine::new(threads),
+            |b, engine| b.iter(|| engine.encode_varint(std::hint::black_box(&sparse))),
         );
     }
     group.finish();
@@ -177,20 +162,16 @@ fn bench_trainer_overlap(c: &mut Criterion) {
     // recording overhead of an active sidco-trace session, and the untraced
     // rows double as the disabled-mode parity check against the pre-trace
     // baseline (tracing off must cost one relaxed atomic load per probe).
-    let traced_rows = [(RuntimeKind::Scoped, 1usize), (RuntimeKind::Pool, 4)];
-    let rows = configurations()
+    let rows = THREADS
         .into_iter()
-        .map(|(runtime, threads)| (runtime, threads, false))
-        .chain(traced_rows.iter().map(|&(r, t)| (r, t, true)));
-    for (runtime, threads, trace) in rows {
+        .map(|threads| (threads, false))
+        .chain([(1, true), (4, true)]);
+    for (threads, trace) in rows {
         let suffix = if trace { ",traced" } else { "" };
         group.bench_with_input(
-            BenchmarkId::new(
-                "topk",
-                format!("runtime={},threads={threads}{suffix}", runtime.as_str()),
-            ),
-            &(runtime, threads),
-            |b, &(runtime, threads)| {
+            BenchmarkId::new("topk", format!("{}{suffix}", label(threads))),
+            &threads,
+            |b, &threads| {
                 let config = TrainerConfig {
                     iterations: 4,
                     batch_per_worker: 16,
@@ -205,7 +186,7 @@ fn bench_trainer_overlap(c: &mut Criterion) {
                     config,
                     || Box::new(TopKCompressor::new()),
                 )
-                .with_runtime(runtime, threads);
+                .with_runtime(RuntimeKind::Pool, threads);
                 // Warm up: parameter init caches, lazy pool spawn.
                 trainer.run(DELTA);
                 b.iter(|| std::hint::black_box(trainer.run(DELTA)));
@@ -217,7 +198,7 @@ fn bench_trainer_overlap(c: &mut Criterion) {
 
 fn report_pool_stats(_c: &mut Criterion) {
     for threads in [2usize, 4] {
-        let engine = CompressionEngine::new(threads).with_runtime(RuntimeKind::Pool);
+        let engine = CompressionEngine::new(threads);
         if let Some(stats) = engine.pool_stats() {
             assert_eq!(
                 stats.parks - stats.unparks,

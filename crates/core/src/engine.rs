@@ -15,45 +15,41 @@
 //! sequential unless the `SIDCO_THREADS` environment variable requests more
 //! workers.
 //!
-//! # Runtimes
+//! # Runtime
 //!
-//! The engine itself holds no threads — it dispatches to a process-wide
-//! [`Runtime`](sidco_runtime::Runtime): by default the **persistent
-//! NUMA-aware work-stealing pool** ([`RuntimeKind::Pool`]), which spawns its
-//! OS workers once (on the first parallel call) and reuses them for every
-//! subsequent `compress`, or the legacy per-call scoped-thread executor
-//! ([`RuntimeKind::Scoped`]). Select with
-//! [`with_runtime`](CompressionEngine::with_runtime) or the `SIDCO_RUNTIME`
-//! environment variable (`scoped`/`pool`); engines with the same
-//! `(runtime, threads)` share one executor. Pool behaviour is observable via
-//! [`pool_stats`](CompressionEngine::pool_stats).
+//! The engine itself holds no threads — it dispatches to the process-wide
+//! [`Runtime`] that [`sidco_runtime::handle`] returns for its thread budget:
+//! the **persistent NUMA-aware work-stealing pool**, which spawns its OS
+//! workers once (on the first parallel call) and reuses them for every
+//! subsequent `compress`, or the inline runtime for a one-thread engine.
+//! Engines with the same thread count share one executor. Pool behaviour is
+//! observable via [`pool_stats`](CompressionEngine::pool_stats).
 //!
 //! # Determinism
 //!
 //! The chunk decomposition is fixed by [`chunk_size`](CompressionEngine::chunk_size)
-//! alone — never by the thread count, the runtime kind, or steal order — and
-//! per-chunk partials are merged in chunk order, so **every compressor
-//! produces bit-identical [`SparseGradient`]s regardless of the configured
-//! thread count or runtime** (see `sidco_tensor::parallel` for the underlying
-//! contract). Changing the chunk size *may* change low-order floating-point
-//! bits of fitted thresholds, which is why it defaults to a single fixed
-//! constant everywhere.
+//! alone — never by the thread count or steal order — and per-chunk partials
+//! are merged in chunk order, so **every compressor produces bit-identical
+//! [`SparseGradient`]s regardless of the configured thread count** (see
+//! `sidco_tensor::parallel` for the underlying contract). Changing the chunk
+//! size *may* change low-order floating-point bits of fitted thresholds,
+//! which is why it defaults to a single fixed constant everywhere.
 
 use sidco_runtime::Runtime;
-pub use sidco_runtime::{PoolStats, RuntimeKind, RUNTIME_ENV_VAR};
+pub use sidco_runtime::{PoolStats, RuntimeKind};
 use sidco_stats::moments::{AbsMoments, MomentNeeds, SignedMoments};
 use sidco_stats::pot::StageMoments;
 use sidco_tensor::encoding::{
-    delta_varint_encode, delta_varint_encode_on, encode_worker_budget, raw_encode_on,
-    EncodedGradient,
+    delta_varint_encode, delta_varint_encode_on, raw_encode_on, EncodedGradient,
 };
 use sidco_tensor::parallel::{
     abs_moments_on, count_above_threshold_on, exceedance_moments_on, select_above_threshold_on,
-    signed_moments_on, top_k_on, top_k_on_with, DEFAULT_CHUNK_SIZE,
+    signed_moments_on, top_k_on_with, DEFAULT_CHUNK_SIZE,
 };
 use sidco_tensor::threshold::cap_largest;
 use sidco_tensor::topk::TopKAlgorithm;
 use sidco_tensor::SparseGradient;
+use std::sync::Mutex;
 
 /// Environment variable consulted by [`CompressionEngine::from_env`] (and thus
 /// by every compressor constructed without an explicit engine). Set it to the
@@ -66,14 +62,39 @@ pub const THREADS_ENV_VAR: &str = "SIDCO_THREADS";
 /// elements the [`DEFAULT_CHUNK_SIZE`] is tuned for).
 const ENCODE_PAIRS_PER_CHUNK: usize = 1 << 15;
 
-/// The process-wide cache behind [`CompressionEngine::from_env`]: like
-/// `RuntimeKind::from_env`, the `SIDCO_THREADS` read is once-per-process *by
-/// design* (the executors it sizes are process-wide), and the cache is
-/// explicit so the memoisation itself is visible and resettable in tests.
-static ENV_THREADS: sidco_runtime::EnvCache<usize> = sidco_runtime::EnvCache::new();
+/// Minimum index/value pairs **per engaged worker** before sharding the
+/// varint encoder pays off. Below this the shard bookkeeping (per-shard
+/// allocations, dispatch, and the concatenating copy) costs more than the
+/// encoding it parallelises: the committed `runtime_pool` bench measured the
+/// sharded encoder 2–3× *slower* than serial on 2.3M pairs whenever the
+/// engaged workers outnumbered the hardware threads, and the serial encoder
+/// already moves >100M pairs/s — so a worker needs a six-figure pair count
+/// to amortise its share of the overhead.
+const MIN_ENCODE_PAIRS_PER_WORKER: usize = 1 << 17;
+
+/// How many workers are worth engaging to shard-encode `nnz` pairs on a host
+/// with `host_threads` hardware threads: never more than the hardware can run
+/// concurrently (oversubscribed shards only add contention), and never so
+/// many that a worker's share drops below
+/// [`MIN_ENCODE_PAIRS_PER_WORKER`]. Returns 1 — the serial crossover
+/// fallback — for small payloads and single-core hosts.
+fn encode_worker_budget(host_threads: usize, requested: usize, nnz: usize) -> usize {
+    requested
+        .min(host_threads)
+        .min(nnz / MIN_ENCODE_PAIRS_PER_WORKER)
+        .max(1)
+}
+
+/// The process-wide memo behind [`CompressionEngine::from_env`]: the
+/// `SIDCO_THREADS` read is once-per-process *by design* (the executors it
+/// sizes are process-wide), and tests clear it to re-read the environment.
+static ENV_THREADS: Mutex<Option<usize>> = Mutex::new(None);
 
 fn env_threads() -> usize {
-    ENV_THREADS.get_or_init(|| parse_env_threads(std::env::var(THREADS_ENV_VAR).ok().as_deref()))
+    *ENV_THREADS
+        .lock()
+        .expect("SIDCO_THREADS cache poisoned")
+        .get_or_insert_with(|| parse_env_threads(std::env::var(THREADS_ENV_VAR).ok().as_deref()))
 }
 
 /// Parses a `SIDCO_THREADS` value; `None`, non-numeric, and zero values all
@@ -84,19 +105,6 @@ fn parse_env_threads(value: Option<&str>) -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&t| t >= 1)
         .unwrap_or(1)
-}
-
-/// Clears the cached `SIDCO_THREADS` and `SIDCO_RUNTIME` reads so the next
-/// [`CompressionEngine::from_env`] re-consults the environment.
-///
-/// Test-only: production code relies on the once-per-process read (tests
-/// that need a specific configuration inject it via
-/// [`CompressionEngine::new`] / [`CompressionEngine::with_runtime`] instead
-/// of mutating the environment).
-#[doc(hidden)]
-pub fn reset_env_caches_for_tests() {
-    ENV_THREADS.reset();
-    RuntimeKind::reset_env_cache_for_tests();
 }
 
 /// A sharded, runtime-backed front end for the compression pipeline.
@@ -128,18 +136,16 @@ pub fn reset_env_caches_for_tests() {
 pub struct CompressionEngine {
     threads: usize,
     chunk_size: usize,
-    runtime: RuntimeKind,
     /// The resolved process-wide executor, cached at construction so the hot
     /// primitives never touch the runtime registry (and its lock).
     executor: &'static dyn Runtime,
 }
 
-// Identity is the configuration triple; the cached executor is derived state
-// (one shared instance per `(runtime, threads)`), so it never disagrees.
+// Identity is the configuration pair; the cached executor is derived state
+// (one shared instance per thread count), so it never disagrees.
 impl PartialEq for CompressionEngine {
     fn eq(&self, other: &Self) -> bool {
-        (self.threads, self.chunk_size, self.runtime)
-            == (other.threads, other.chunk_size, other.runtime)
+        (self.threads, self.chunk_size) == (other.threads, other.chunk_size)
     }
 }
 
@@ -147,26 +153,23 @@ impl Eq for CompressionEngine {}
 
 impl std::hash::Hash for CompressionEngine {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (self.threads, self.chunk_size, self.runtime).hash(state);
+        (self.threads, self.chunk_size).hash(state);
     }
 }
 
 impl CompressionEngine {
-    /// An engine running on up to `threads` worker threads, dispatching to the
-    /// runtime selected by the `SIDCO_RUNTIME` environment variable (the
-    /// persistent work-stealing pool unless `scoped` is requested).
+    /// An engine running on up to `threads` worker threads: the shared
+    /// work-stealing pool of that size, or the inline runtime at one thread.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "an engine needs at least one thread");
-        let runtime = RuntimeKind::from_env();
         Self {
             threads,
             chunk_size: DEFAULT_CHUNK_SIZE,
-            runtime,
-            executor: sidco_runtime::handle(runtime, threads),
+            executor: sidco_runtime::handle(RuntimeKind::Pool, threads),
         }
     }
 
@@ -177,14 +180,11 @@ impl CompressionEngine {
     }
 
     /// The engine configured by the `SIDCO_THREADS` environment variable
-    /// (sequential when unset, unparsable, or zero) on the runtime configured
-    /// by `SIDCO_RUNTIME`. Both variables are read **once per process**
-    /// through explicit [`sidco_runtime::EnvCache`]s: mutating the
-    /// environment after the first read changes nothing (the shared
-    /// executors are already sized), so tests needing a specific
-    /// configuration inject it via [`CompressionEngine::new`] /
-    /// [`CompressionEngine::with_runtime`] instead. The test-only
-    /// [`reset_env_caches_for_tests`] clears both caches.
+    /// (sequential when unset, unparsable, or zero). The variable is read
+    /// **once per process**: mutating the environment after the first read
+    /// changes nothing (the shared executors are already sized), so tests
+    /// needing a specific configuration inject it via
+    /// [`CompressionEngine::new`] instead.
     pub fn from_env() -> Self {
         Self::new(env_threads())
     }
@@ -202,13 +202,12 @@ impl CompressionEngine {
         self
     }
 
-    /// Selects the executor this engine dispatches to. The engine stays a
-    /// plain value — executors are process-wide and shared by every engine
-    /// with the same `(runtime, threads)` configuration.
+    /// Returns the engine unchanged: the pool is the only executor family,
+    /// so [`RuntimeKind`] selects nothing. Kept for callers that name the
+    /// runtime explicitly.
     #[must_use]
-    pub fn with_runtime(mut self, runtime: RuntimeKind) -> Self {
-        self.runtime = runtime;
-        self.executor = sidco_runtime::handle(runtime, self.threads);
+    pub fn with_runtime(self, runtime: RuntimeKind) -> Self {
+        let RuntimeKind::Pool = runtime;
         self
     }
 
@@ -222,17 +221,6 @@ impl CompressionEngine {
         self.chunk_size
     }
 
-    /// Which runtime this engine dispatches to.
-    pub fn runtime_kind(&self) -> RuntimeKind {
-        self.runtime
-    }
-
-    /// The shared executor this engine dispatches to (resolved once at
-    /// construction).
-    fn runtime(&self) -> &'static dyn Runtime {
-        self.executor
-    }
-
     /// The process-wide executor behind this engine, for callers that
     /// dispatch their *own* jobs onto the same threads the engine uses (the
     /// trainer fans per-worker bucket compressions out this way, so trainer
@@ -242,15 +230,12 @@ impl CompressionEngine {
     }
 
     /// Counters of the shared work-stealing pool behind this engine (`None`
-    /// for scoped or single-threaded engines, which keep no state). The
-    /// pool's `threads_spawned` equals [`threads`](Self::threads) after the
-    /// first parallel call and never grows — repeated `compress` calls reuse
-    /// the same OS workers.
+    /// for single-threaded engines, which dispatch inline and keep no state).
+    /// The pool's `threads_spawned` equals [`threads`](Self::threads) after
+    /// the first parallel call and never grows — repeated `compress` calls
+    /// reuse the same OS workers.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        if self.threads <= 1 {
-            return None;
-        }
-        self.runtime().stats()
+        self.executor.stats()
     }
 
     /// Every absolute-value moment of `grad` (parallel fitting statistics).
@@ -269,20 +254,20 @@ impl CompressionEngine {
     /// Signed-value moments of `grad` (the Gaussian-fit input).
     pub fn signed_moments(&self, grad: &[f32]) -> SignedMoments {
         let _stage = sidco_trace::global_sink().real_span("engine/signed_moments");
-        signed_moments_on(grad, self.chunk_size, self.runtime())
+        signed_moments_on(grad, self.chunk_size, self.executor)
     }
 
     /// Counts elements with `|g| >= threshold`.
     pub fn count_above(&self, grad: &[f32], threshold: f64) -> usize {
         let _stage = sidco_trace::global_sink().real_span("engine/count_above");
-        count_above_threshold_on(grad, threshold, self.chunk_size, self.runtime())
+        count_above_threshold_on(grad, threshold, self.chunk_size, self.executor)
     }
 
     /// The `C_η` selection operator: all elements with `|g| >= threshold`, with
     /// per-chunk buffers merged in index order (never re-sorted).
     pub fn select_above(&self, grad: &[f32], threshold: f64) -> SparseGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/select_above");
-        select_above_threshold_on(grad, threshold, self.chunk_size, self.runtime())
+        select_above_threshold_on(grad, threshold, self.chunk_size, self.executor)
     }
 
     /// Capped `C_η`: at most `max_elements` survivors, largest magnitudes first,
@@ -297,16 +282,16 @@ impl CompressionEngine {
     }
 
     /// Exact Top-k via chunked partial selection (each shard nominates its own
-    /// top candidates; one final selection picks the global winners).
+    /// top candidates with quickselect; one final selection picks the global
+    /// winners).
     pub fn top_k(&self, grad: &[f32], k: usize) -> SparseGradient {
-        let _stage = sidco_trace::global_sink().real_span("engine/top_k");
-        top_k_on(grad, k, self.chunk_size, self.runtime())
+        self.top_k_with(grad, k, TopKAlgorithm::QuickSelect)
     }
 
     /// [`top_k`](Self::top_k) with an explicit per-chunk selection algorithm.
     pub fn top_k_with(&self, grad: &[f32], k: usize, algorithm: TopKAlgorithm) -> SparseGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/top_k");
-        top_k_on_with(grad, k, self.chunk_size, self.runtime(), algorithm)
+        top_k_on_with(grad, k, self.chunk_size, self.executor, algorithm)
     }
 
     /// Encodes a sparse gradient into the raw wire format, sharding the pair
@@ -314,27 +299,28 @@ impl CompressionEngine {
     /// runtime. Byte-identical to [`sidco_tensor::encoding::raw_encode`].
     pub fn encode(&self, sparse: &SparseGradient) -> EncodedGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/encode");
-        raw_encode_on(sparse, self.chunk_size, self.runtime())
+        raw_encode_on(sparse, self.chunk_size, self.executor)
     }
 
     /// Encodes a sparse gradient into the delta-varint wire format, sharding
     /// the sorted index stream with per-chunk boundary-gap stitching — when
-    /// the payload clears the sharding crossover
-    /// ([`sidco_tensor::encoding::encode_worker_budget`]: at least one
-    /// hardware thread *and*
-    /// [`MIN_ENCODE_PAIRS_PER_WORKER`](sidco_tensor::encoding::MIN_ENCODE_PAIRS_PER_WORKER)
-    /// pairs per engaged worker). Below it the serial encoder runs inline:
-    /// the committed bench showed sharding losing 2–3× to serial there, and
-    /// both paths are byte-identical anyway.
+    /// the payload clears the sharding crossover (at least one hardware
+    /// thread *and* 128Ki pairs per engaged worker). Below it the serial
+    /// encoder runs inline: the committed bench showed sharding losing 2–3×
+    /// to serial there, and both paths are byte-identical anyway. Above it
+    /// there is one shard per engaged worker (never below the 32Ki-pair
+    /// grain): equal-cost shards need no finer split, and fewer shards mean
+    /// fewer allocations on the assembly path.
     /// Byte-identical to [`sidco_tensor::encoding::delta_varint_encode`].
     pub fn encode_varint(&self, sparse: &SparseGradient) -> EncodedGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/encode_varint");
-        let workers = encode_worker_budget(self.executor.parallelism(), sparse.nnz());
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = encode_worker_budget(host, self.executor.parallelism(), sparse.nnz());
         if workers <= 1 {
             return delta_varint_encode(sparse);
         }
         let pairs_per_chunk = sparse.nnz().div_ceil(workers).max(ENCODE_PAIRS_PER_CHUNK);
-        delta_varint_encode_on(sparse, pairs_per_chunk, self.runtime())
+        delta_varint_encode_on(sparse, pairs_per_chunk, self.executor)
     }
 }
 
@@ -348,12 +334,12 @@ impl Default for CompressionEngine {
 impl StageMoments for CompressionEngine {
     fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
         let _stage = sidco_trace::global_sink().real_span("engine/abs_moments");
-        abs_moments_on(grad, needs, self.chunk_size, self.runtime())
+        abs_moments_on(grad, needs, self.chunk_size, self.executor)
     }
 
     fn exceedance_moments(&self, grad: &[f32], threshold: f64, needs: MomentNeeds) -> AbsMoments {
         let _stage = sidco_trace::global_sink().real_span("engine/pot_moments");
-        exceedance_moments_on(grad, threshold, needs, self.chunk_size, self.runtime())
+        exceedance_moments_on(grad, threshold, needs, self.chunk_size, self.executor)
     }
 }
 
@@ -379,13 +365,18 @@ mod tests {
         // The default engine follows the environment (sequential in tests
         // unless the CI job sets SIDCO_THREADS).
         let _ = CompressionEngine::default();
-        // Runtime selection is part of the engine value.
-        let scoped = engine.with_runtime(RuntimeKind::Scoped);
-        assert_eq!(scoped.runtime_kind(), RuntimeKind::Scoped);
-        assert_eq!(scoped.threads(), 4);
+        // The runtime kind selects nothing: the engine and its executor are
+        // unchanged.
+        let named = engine.with_runtime(RuntimeKind::Pool);
+        assert_eq!(named, engine);
+        assert!(std::ptr::addr_eq(
+            named.shared_runtime(),
+            engine.shared_runtime()
+        ));
+        assert_eq!(engine.shared_runtime().name(), "pool");
         assert_eq!(
-            engine.with_runtime(RuntimeKind::Pool).runtime_kind(),
-            RuntimeKind::Pool
+            CompressionEngine::sequential().shared_runtime().name(),
+            "inline"
         );
     }
 
@@ -406,47 +397,22 @@ mod tests {
         // tests inject configurations via constructors instead.
         let first = env_threads();
         assert_eq!(env_threads(), first);
-        reset_env_caches_for_tests();
+        *ENV_THREADS.lock().unwrap() = None;
         assert_eq!(env_threads(), first);
         assert_eq!(CompressionEngine::from_env().threads(), first);
     }
 
     #[test]
-    fn primitives_are_bit_identical_across_runtimes() {
-        let grad = random_gradient(150_000, 19);
-        let base = CompressionEngine::new(3).with_chunk_size(1 << 12);
-        let scoped = base.with_runtime(RuntimeKind::Scoped);
-        let pool = base.with_runtime(RuntimeKind::Pool);
-        assert_eq!(scoped.abs_moments(&grad), pool.abs_moments(&grad));
-        assert_eq!(scoped.pot_moments(&grad, 0.5), pool.pot_moments(&grad, 0.5));
-        assert_eq!(scoped.signed_moments(&grad), pool.signed_moments(&grad));
-        assert_eq!(
-            scoped.select_above(&grad, 0.3),
-            pool.select_above(&grad, 0.3)
-        );
-        assert_eq!(scoped.top_k(&grad, 999), pool.top_k(&grad, 999));
-        let sparse = scoped.select_above(&grad, 0.5);
-        assert_eq!(
-            scoped.encode(&sparse).payload(),
-            pool.encode(&sparse).payload()
-        );
-        assert_eq!(
-            scoped.encode_varint(&sparse).payload(),
-            pool.encode_varint(&sparse).payload()
-        );
-    }
-
-    #[test]
-    fn pool_engine_reports_stats_and_scoped_does_not() {
-        let pool = CompressionEngine::new(2).with_runtime(RuntimeKind::Pool);
+    fn pool_engine_reports_stats_and_inline_does_not() {
+        let pool = CompressionEngine::new(2);
         let grad = random_gradient(300_000, 23);
         let _ = pool.abs_moments(&grad);
         let stats = pool.pool_stats().expect("pool engines keep stats");
         assert_eq!(stats.threads_spawned, 2);
         assert!(stats.chunks_executed > 0);
-        let scoped = CompressionEngine::new(2).with_runtime(RuntimeKind::Scoped);
-        assert!(scoped.pool_stats().is_none());
-        assert!(CompressionEngine::sequential().pool_stats().is_none());
+        let inline = CompressionEngine::sequential();
+        let _ = inline.abs_moments(&grad);
+        assert!(inline.pool_stats().is_none());
     }
 
     #[test]
@@ -463,6 +429,47 @@ mod tests {
             engine.encode_varint(&sparse).payload(),
             delta_varint_encode(&sparse).payload()
         );
+    }
+
+    #[test]
+    fn encode_worker_budget_respects_the_crossover() {
+        const MIN: usize = MIN_ENCODE_PAIRS_PER_WORKER;
+        // Small payloads always fall back to serial, at any thread count.
+        assert_eq!(encode_worker_budget(8, 4, 0), 1);
+        assert_eq!(encode_worker_budget(8, 4, MIN - 1), 1);
+        // The budget grows one worker per MIN pairs...
+        assert_eq!(encode_worker_budget(8, 4, MIN), 1);
+        assert_eq!(encode_worker_budget(8, 4, 2 * MIN), 2);
+        assert_eq!(encode_worker_budget(8, 4, 3 * MIN), 3);
+        // ...capped by the request and by the hardware.
+        assert_eq!(encode_worker_budget(8, 4, 100 * MIN), 4);
+        assert_eq!(encode_worker_budget(2, 4, 100 * MIN), 2);
+        assert_eq!(encode_worker_budget(1, 4, 100 * MIN), 1);
+        // A serial request never shards, whatever the payload.
+        assert_eq!(encode_worker_budget(8, 1, 100 * MIN), 1);
+    }
+
+    #[test]
+    fn encode_varint_is_byte_identical_on_both_sides_of_the_crossover() {
+        // Below the crossover (serial fallback) and above it (sharded on
+        // hosts with the cores; still byte-identical by the stitching
+        // property), the engine's varint entry must agree with the serial
+        // encoder bit-for-bit.
+        use sidco_tensor::encoding::delta_varint_encode;
+        for (d, threshold) in [(10_000usize, 0.95), (4_000_000, 0.85)] {
+            let grad = random_gradient(d, 33);
+            let sparse = select_above_threshold(&grad, threshold);
+            let reference = delta_varint_encode(&sparse);
+            for threads in [1usize, 2, 4] {
+                assert_eq!(
+                    CompressionEngine::new(threads)
+                        .encode_varint(&sparse)
+                        .payload(),
+                    reference.payload(),
+                    "d={d} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -494,6 +501,19 @@ mod tests {
             assert_eq!(
                 engine.select_above_capped(&grad, 0.1, 500),
                 reference.select_above_capped(&grad, 0.1, 500)
+            );
+            assert_eq!(
+                engine.count_above(&grad, 0.3),
+                reference.count_above(&grad, 0.3)
+            );
+            let sparse = reference.select_above(&grad, 0.5);
+            assert_eq!(
+                engine.encode(&sparse).payload(),
+                reference.encode(&sparse).payload()
+            );
+            assert_eq!(
+                engine.encode_varint(&sparse).payload(),
+                reference.encode_varint(&sparse).payload()
             );
         }
     }

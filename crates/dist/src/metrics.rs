@@ -54,7 +54,8 @@ pub struct TrainingSample {
 /// ([`crate::collective`]) can be checked against real concurrent execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchReport {
-    /// Executor the per-bucket jobs ran on (`"scoped"` or `"pool"`).
+    /// Executor the per-bucket jobs ran on: `"pool"`, or `"inline"` for a
+    /// one-thread budget (jobs run on the trainer's thread).
     pub runtime: &'static str,
     /// Worker threads the executor exposes (1 for the sequential fallback).
     pub parallelism: usize,
@@ -72,7 +73,8 @@ pub struct DispatchReport {
     pub completion_order: Vec<usize>,
     /// Pool counters accumulated over the run (dispatches, steals, parks),
     /// diffed against the pre-run snapshot when the executor is the shared
-    /// process-wide pool. `None` on the scoped/sequential runtimes.
+    /// process-wide pool. `None` on the inline runtime, which keeps no
+    /// counters.
     pub pool: Option<PoolStats>,
 }
 

@@ -340,11 +340,13 @@ impl ModelTrainer {
         }
     }
 
-    /// Dispatches the per-(worker, bucket) compression jobs on the given
-    /// runtime instead of the engine's process-wide default. The executor
-    /// changes *only* where the jobs run — convergence is bit-identical
-    /// across runtimes and thread counts, because every compressor cell sees
-    /// the same call sequence and the merge is serial in a fixed order.
+    /// Dispatches the per-(worker, bucket) compression jobs on the shared
+    /// runtime for `threads` workers ([`sidco_runtime::handle`]: the pool, or
+    /// inline at one thread) instead of the engine's process-wide default.
+    /// `kind` selects nothing — the pool is the only executor family. The
+    /// executor changes *only* where the jobs run — convergence is
+    /// bit-identical across thread counts, because every compressor cell
+    /// sees the same call sequence and the merge is serial in a fixed order.
     #[must_use]
     pub fn with_runtime(mut self, kind: RuntimeKind, threads: usize) -> Self {
         self.executor = sidco_runtime::handle(kind, threads);
@@ -1283,7 +1285,7 @@ mod tests {
             .with_runtime(kind, threads)
             .run(0.1)
         };
-        let serial = run(RuntimeKind::Scoped, 1);
+        let serial = run(RuntimeKind::Pool, 1);
         let pooled = run(RuntimeKind::Pool, 3);
         // Real concurrent execution, identical numerics.
         let losses = |r: &TrainingReport| r.samples().iter().map(|s| s.loss).collect::<Vec<_>>();
@@ -1312,7 +1314,7 @@ mod tests {
         assert!(pool.chunks_executed >= 30 * 12);
 
         let dispatch = serial.dispatch().expect("dispatch report");
-        assert_eq!(dispatch.runtime, "scoped");
+        assert_eq!(dispatch.runtime, "inline");
         assert_eq!(dispatch.parallelism, 1);
         assert!(dispatch.pool.is_none());
     }

@@ -8,15 +8,14 @@
 //! * [`Runtime`] — the executor abstraction: run `n` index-addressed chunk
 //!   tasks, each exactly once. Callers own the chunk decomposition and the
 //!   output slots, so *any* correct `Runtime` yields bit-identical results.
-//! * [`ScopedFallback`] — the old behaviour: spawn scoped threads per call,
-//!   contiguous chunk blocks per worker. Zero state, zero reuse.
-//! * [`WorkStealing`] — a persistent pool: lazy one-time spawn, per-worker
-//!   Chase–Lev deques, per-socket injectors placed by a [`NumaTopology`]
-//!   model, parked idle workers, and observable [`PoolStats`].
+//! * [`WorkStealing`] — the one multi-threaded executor: a persistent pool
+//!   with lazy one-time spawn, per-worker Chase–Lev deques, per-socket
+//!   injectors placed by a [`NumaTopology`] model, parked idle workers, and
+//!   observable [`PoolStats`].
 //!
-//! The engine (and anything else) picks between them with
-//! [`RuntimeKind::from_env`] (`SIDCO_RUNTIME=scoped|pool`) and obtains
-//! process-wide shared instances from [`handle`].
+//! Callers obtain process-wide shared instances from [`handle`]: a pool per
+//! worker budget, and a stateless inline runtime (named `"inline"`, no
+//! counters) for a budget of one thread.
 //!
 //! # Determinism contract
 //!
@@ -44,11 +43,6 @@ pub use stats::PoolStats;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// Environment variable selecting the engine's runtime
-/// ([`RuntimeKind::from_env`]): `scoped` for per-call scoped threads, `pool`
-/// for the persistent work-stealing pool (the default).
-pub const RUNTIME_ENV_VAR: &str = "SIDCO_RUNTIME";
-
 /// An executor for index-addressed chunk tasks.
 ///
 /// Implementations must run `body(i)` exactly once for every `i in 0..tasks`
@@ -58,7 +52,7 @@ pub const RUNTIME_ENV_VAR: &str = "SIDCO_RUNTIME";
 /// ranges and write results into per-index slots, which is what makes every
 /// implementation produce identical bits.
 pub trait Runtime: std::fmt::Debug + Send + Sync {
-    /// A short stable identifier (`"scoped"`, `"pool"`).
+    /// A short stable identifier (`"inline"`, `"pool"`).
     fn name(&self) -> &'static str;
 
     /// The configured worker budget (1 means sequential).
@@ -67,8 +61,8 @@ pub trait Runtime: std::fmt::Debug + Send + Sync {
     /// Runs `body(0..tasks)`, each index exactly once, blocking to completion.
     fn run_indexed(&self, tasks: usize, body: &(dyn Fn(usize) + Sync));
 
-    /// Pool counters, for runtimes that keep them (`None` for stateless
-    /// runtimes such as [`ScopedFallback`]).
+    /// Pool counters, for runtimes that keep them (`None` for the stateless
+    /// inline runtime).
     fn stats(&self) -> Option<PoolStats> {
         None
     }
@@ -82,9 +76,9 @@ pub trait Runtime: std::fmt::Debug + Send + Sync {
 }
 
 /// Runs `body(0..tasks)` inline, continuing past panics so every index
-/// executes exactly once; the first panic is re-raised after the loop. Both
-/// runtimes use this for their sequential fast paths so the [`Runtime`]
-/// contract holds there too.
+/// executes exactly once; the first panic is re-raised after the loop. The
+/// inline runtime and the pool's sequential fast path both use this, so the
+/// [`Runtime`] contract holds there too.
 pub(crate) fn run_sequential_to_completion(tasks: usize, body: &(dyn Fn(usize) + Sync)) {
     let mut first_panic = None;
     for index in 0..tasks {
@@ -98,201 +92,57 @@ pub(crate) fn run_sequential_to_completion(tasks: usize, body: &(dyn Fn(usize) +
     }
 }
 
-/// The pre-pool behaviour, kept as the fallback and the differential-testing
-/// baseline: every call spawns up to `threads` scoped OS threads, each
-/// processing a contiguous block of chunk indices, and joins them before
-/// returning. No state persists between calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ScopedFallback {
-    threads: usize,
-}
+/// The runtime [`handle`] returns for a one-thread budget: every index runs
+/// on the calling thread, with no state, no counters and no trace tracks.
+#[derive(Debug)]
+struct Inline;
 
-impl ScopedFallback {
-    /// A scoped runtime spawning up to `threads` workers per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads >= 1, "a runtime needs at least one thread");
-        Self { threads }
-    }
-}
-
-impl Runtime for ScopedFallback {
+impl Runtime for Inline {
     fn name(&self) -> &'static str {
-        "scoped"
+        "inline"
     }
 
     fn parallelism(&self) -> usize {
-        self.threads
+        1
     }
 
     fn run_indexed(&self, tasks: usize, body: &(dyn Fn(usize) + Sync)) {
-        if tasks == 0 {
-            return;
-        }
-        if self.threads <= 1 || tasks == 1 {
-            run_sequential_to_completion(tasks, body);
-            return;
-        }
-        let workers = self.threads.min(tasks);
-        let per_worker = tasks.div_ceil(workers);
-        // Per-index catch_unwind upholds the trait contract a plain panic
-        // would break: every index still runs exactly once even when an
-        // earlier index of the same worker's block panicked, and the first
-        // panic is re-raised only after every body completed.
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>> = Mutex::new(None);
-        crossbeam::thread::scope(|s| {
-            for w in 0..workers {
-                let first = w * per_worker;
-                let last = ((w + 1) * per_worker).min(tasks);
-                let first_panic = &first_panic;
-                s.spawn(move |_| {
-                    for index in first..last {
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(index)));
-                        if let Err(payload) = outcome {
-                            let mut slot = first_panic.lock().expect("panic slot poisoned");
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("scoped runtime worker died outside a task body");
-        let payload = first_panic.lock().expect("panic slot poisoned").take();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
-        }
+        run_sequential_to_completion(tasks, body);
     }
 }
 
-/// Which [`Runtime`] implementation the engine dispatches to. `Copy` so
-/// configuration structs (the engine is two words, copied by value
-/// everywhere) can carry it; the actual executors live in the process-wide
-/// registry behind [`handle`].
+/// The executor family [`handle`] draws from. The persistent pool is the only
+/// one, so the value selects nothing; it stays in the signatures of
+/// [`handle`] and of the engine and trainer `with_runtime` builders that
+/// existing callers name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RuntimeKind {
-    /// Per-call scoped threads ([`ScopedFallback`]).
-    Scoped,
     /// The persistent work-stealing pool ([`WorkStealing`]).
     #[default]
     Pool,
 }
 
-/// An explicit once-per-process cache of an environment-derived
-/// configuration value.
+/// Returns the process-wide shared runtime for a budget of `threads` workers.
+/// `threads == 1` returns the stateless inline runtime: there is nothing for
+/// a pool to do. Larger budgets return a [`WorkStealing`] pool, created on
+/// first request and kept for the process, so every caller asking for the
+/// same budget shares one pool — and its workers are spawned exactly once,
+/// on its first parallel job. `kind` selects nothing (see [`RuntimeKind`]).
 ///
-/// `from_env`-style lookups are *deliberately* cached for the life of the
-/// process: the executors they select are process-wide, so a mid-run
-/// environment change silently forking the configuration would be worse than
-/// ignoring it. This type makes that memoisation explicit (instead of a
-/// `OnceLock` buried in a function body) and gives tests a
-/// [`reset`](EnvCache::reset) escape hatch so cache semantics themselves are
-/// testable without mutating the process environment.
-#[derive(Debug, Default)]
-pub struct EnvCache<T> {
-    slot: Mutex<Option<T>>,
-}
-
-impl<T: Copy> EnvCache<T> {
-    /// An empty cache; the first [`get_or_init`](EnvCache::get_or_init)
-    /// fills it.
-    pub const fn new() -> Self {
-        Self {
-            slot: Mutex::new(None),
-        }
-    }
-
-    /// Returns the cached value, computing and storing it on first use.
-    pub fn get_or_init(&self, init: impl FnOnce() -> T) -> T {
-        *self
-            .slot
-            .lock()
-            .expect("env cache poisoned")
-            .get_or_insert_with(init)
-    }
-
-    /// Clears the cache so the next read re-runs its initialiser.
-    ///
-    /// Test-only: production code relies on the once-per-process read.
-    #[doc(hidden)]
-    pub fn reset(&self) {
-        *self.slot.lock().expect("env cache poisoned") = None;
-    }
-}
-
-/// The process-wide cache behind [`RuntimeKind::from_env`].
-static ENV_RUNTIME_KIND: EnvCache<RuntimeKind> = EnvCache::new();
-
-impl RuntimeKind {
-    /// The runtime selected by the `SIDCO_RUNTIME` environment variable:
-    /// `scoped` or `pool` (case-insensitive). Unset or unrecognised values
-    /// fall back to [`RuntimeKind::Pool`]. Read **once per process** (through
-    /// an explicit [`EnvCache`]) — later environment changes are ignored, so
-    /// the process-wide executors can never disagree with the configuration
-    /// that spawned them. Tests that need a different runtime pass one
-    /// explicitly (constructor injection) instead of mutating the
-    /// environment.
-    pub fn from_env() -> Self {
-        ENV_RUNTIME_KIND.get_or_init(|| Self::parse(std::env::var(RUNTIME_ENV_VAR).ok().as_deref()))
-    }
-
-    /// Parses a `SIDCO_RUNTIME` value: `scoped` or `pool`
-    /// (case-insensitive); `None` and unrecognised values select the default
-    /// [`RuntimeKind::Pool`]. Pure — the cache-free core of
-    /// [`from_env`](RuntimeKind::from_env).
-    pub fn parse(value: Option<&str>) -> Self {
-        match value
-            .unwrap_or_default()
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "scoped" => RuntimeKind::Scoped,
-            _ => RuntimeKind::Pool,
-        }
-    }
-
-    /// Clears the `SIDCO_RUNTIME` cache so the next
-    /// [`from_env`](RuntimeKind::from_env) re-reads the environment.
-    #[doc(hidden)]
-    pub fn reset_env_cache_for_tests() {
-        ENV_RUNTIME_KIND.reset();
-    }
-
-    /// The short name `handle(kind, …).name()` will report.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RuntimeKind::Scoped => "scoped",
-            RuntimeKind::Pool => "pool",
-        }
-    }
-}
-
-/// Returns the process-wide shared runtime of the given kind and worker
-/// budget. Instances are created on first request and live for the process
-/// (so every engine configured with the same `(kind, threads)` shares one
-/// pool — and the pool's workers are spawned exactly once, on its first
-/// parallel job). `threads == 1` always returns the sequential scoped
-/// runtime: there is nothing for a pool to do.
+/// # Panics
+///
+/// Panics if `threads` is zero.
 pub fn handle(kind: RuntimeKind, threads: usize) -> &'static dyn Runtime {
+    let RuntimeKind::Pool = kind;
     assert!(threads >= 1, "a runtime needs at least one thread");
-    static SEQUENTIAL: ScopedFallback = ScopedFallback { threads: 1 };
     if threads == 1 {
-        return &SEQUENTIAL;
+        return &Inline;
     }
-    type Registry = Mutex<HashMap<(RuntimeKind, usize), &'static dyn Runtime>>;
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    static REGISTRY: OnceLock<Mutex<HashMap<usize, &'static WorkStealing>>> = OnceLock::new();
     let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = registry.lock().expect("runtime registry poisoned");
-    *map.entry((kind, threads)).or_insert_with(|| match kind {
-        RuntimeKind::Scoped => Box::leak(Box::new(ScopedFallback::new(threads))),
-        RuntimeKind::Pool => Box::leak(Box::new(WorkStealing::new(threads))),
-    })
+    *map.entry(threads)
+        .or_insert_with(|| Box::leak(Box::new(WorkStealing::new(threads))))
 }
 
 #[cfg(test)]
@@ -301,87 +151,52 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn scoped_runs_every_index_exactly_once() {
-        for threads in [1usize, 2, 3, 8] {
-            let runtime = ScopedFallback::new(threads);
-            assert_eq!(runtime.parallelism(), threads);
-            for n in [0usize, 1, 2, 7, 100] {
-                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                runtime.run_indexed(n, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-            }
+    fn inline_runs_every_index_exactly_once() {
+        let runtime = handle(RuntimeKind::Pool, 1);
+        assert_eq!(runtime.name(), "inline");
+        assert_eq!(runtime.parallelism(), 1);
+        assert!(runtime.stats().is_none());
+        for n in [0usize, 1, 2, 7, 100] {
+            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            runtime.run_indexed(n, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
-        assert_eq!(ScopedFallback::new(2).name(), "scoped");
-        assert!(Runtime::stats(&ScopedFallback::new(2)).is_none());
     }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
-    fn scoped_rejects_zero_threads() {
-        ScopedFallback::new(0);
+    fn handle_rejects_zero_threads() {
+        handle(RuntimeKind::Pool, 0);
     }
 
     #[test]
-    fn scoped_panics_propagate_after_every_index_ran() {
+    fn inline_panics_propagate_after_every_index_ran() {
         // The contract the pool also honours: a panicking body must not
-        // prevent the other indices of its worker's block from executing.
-        for threads in [1usize, 3] {
-            let runtime = ScopedFallback::new(threads);
-            let hits: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                runtime.run_indexed(40, &|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    assert!(i != 3, "index 3 exploded");
-                });
-            }));
-            assert!(result.is_err(), "the panic must reach the caller");
-            for (i, hit) in hits.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::Relaxed), 1, "index {i} at {threads}");
-            }
+        // prevent the later indices from executing.
+        let hits: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle(RuntimeKind::Pool, 1).run_indexed(40, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                assert!(i != 3, "index 3 exploded");
+            });
+        }));
+        assert!(result.is_err(), "the panic must reach the caller");
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::Relaxed), 1, "index {i}");
         }
     }
 
     #[test]
-    fn kind_names_and_default() {
-        assert_eq!(RuntimeKind::Scoped.as_str(), "scoped");
-        assert_eq!(RuntimeKind::Pool.as_str(), "pool");
-        assert_eq!(RuntimeKind::default(), RuntimeKind::Pool);
-    }
-
-    #[test]
-    fn kind_parsing_covers_every_spelling() {
-        assert_eq!(RuntimeKind::parse(None), RuntimeKind::Pool);
-        assert_eq!(RuntimeKind::parse(Some("")), RuntimeKind::Pool);
-        assert_eq!(RuntimeKind::parse(Some("pool")), RuntimeKind::Pool);
-        assert_eq!(RuntimeKind::parse(Some("scoped")), RuntimeKind::Scoped);
-        assert_eq!(RuntimeKind::parse(Some(" SCOPED ")), RuntimeKind::Scoped);
-        assert_eq!(RuntimeKind::parse(Some("threads")), RuntimeKind::Pool);
-    }
-
-    #[test]
-    fn env_cache_memoises_until_reset() {
-        let cache: EnvCache<u32> = EnvCache::new();
-        assert_eq!(cache.get_or_init(|| 7), 7);
-        // The second initialiser must not run: the first read is sticky.
-        assert_eq!(cache.get_or_init(|| unreachable!("cache hit expected")), 7);
-        cache.reset();
-        assert_eq!(cache.get_or_init(|| 9), 9);
-    }
-
-    #[test]
     fn handle_registry_shares_instances() {
+        assert_eq!(RuntimeKind::default(), RuntimeKind::Pool);
         let a = handle(RuntimeKind::Pool, 2) as *const dyn Runtime;
         let b = handle(RuntimeKind::Pool, 2) as *const dyn Runtime;
-        assert!(std::ptr::addr_eq(a, b), "same (kind, threads) must share");
-        let scoped = handle(RuntimeKind::Scoped, 2);
-        assert_eq!(scoped.name(), "scoped");
-        assert_eq!(scoped.parallelism(), 2);
-        // threads == 1 short-circuits to the sequential scoped runtime.
-        let seq = handle(RuntimeKind::Pool, 1);
-        assert_eq!(seq.name(), "scoped");
-        assert_eq!(seq.parallelism(), 1);
+        assert!(std::ptr::addr_eq(a, b), "same threads must share");
+        let pool = handle(RuntimeKind::Pool, 3);
+        assert_eq!(pool.name(), "pool");
+        assert_eq!(pool.parallelism(), 3);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   construct the pool and trigger the spawn on the root simulated thread
 //!   before any concurrency starts, so the once-cell race is out of scope
 //!   (and `OnceLock` has no loom analogue).
-//! * `EnvCache` in `lib.rs` — process-environment memoisation, test-only
-//!   mutation, nothing the pool's schedules touch.
+//! * The [`handle`](crate::handle) registry in `lib.rs` — a process-wide map
+//!   from worker budget to a leaked pool, locked once per lookup and never
+//!   touched by the pool's schedules.
 
 #[cfg(not(sidco_loom))]
 pub(crate) use std::sync::atomic;

@@ -19,8 +19,8 @@
 //!   Figure 7 of the paper.
 //! * [`parallel`] — chunked multi-threaded primitives (moments, counts,
 //!   selection, partial Top-k, encoding) executed on a `sidco_runtime`
-//!   [`Runtime`](sidco_runtime::Runtime) (persistent work-stealing pool or
-//!   per-call scoped threads) for the large ImageNet-scale vectors,
+//!   [`Runtime`](sidco_runtime::Runtime) (the persistent work-stealing pool,
+//!   or inline at one thread) for the large ImageNet-scale vectors,
 //!   bit-identical across runtimes and thread counts by construction.
 //!
 //! # Example

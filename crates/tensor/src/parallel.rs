@@ -2,11 +2,12 @@
 //!
 //! The ImageNet-scale benchmarks in the paper compress vectors with up to 144M
 //! elements; a single pass is memory-bandwidth bound, so these helpers split the
-//! buffer into contiguous chunks and execute them on a
-//! [`Runtime`](sidco_runtime::Runtime) — either per-call scoped threads
-//! ([`ScopedFallback`](sidco_runtime::ScopedFallback), the `threads`-taking
-//! wrappers below) or the persistent NUMA-aware work-stealing pool
-//! ([`WorkStealing`](sidco_runtime::WorkStealing)) via the `*_on` variants.
+//! buffer into contiguous chunks and execute them on an explicit [`Runtime`]
+//! — in production the persistent NUMA-aware work-stealing pool
+//! ([`WorkStealing`](sidco_runtime::WorkStealing)) or, at one thread, the
+//! inline runtime, both obtained from [`sidco_runtime::handle`]. Each
+//! primitive has exactly one form, `*_on`, taking the runtime as its last
+//! argument (before any algorithm choice).
 //!
 //! # Determinism contract
 //!
@@ -18,7 +19,7 @@
 //! executes, so every reduction and selection below is **bit-identical across
 //! runtimes, thread counts, and steal orders**. The engine in `sidco-core`
 //! builds on this to guarantee that compressors produce the same
-//! `SparseGradient` at 1, 2 or 64 threads, on the pool or on scoped threads.
+//! `SparseGradient` at 1, 2 or 64 threads, whatever runtime runs the chunks.
 //! (Across *machines* the guarantee holds up to platform `libm` rounding in
 //! the passes that still take a per-element `ln` — SIDCo-GP's first stage,
 //! `fit_sid`, and the all-fields absolute moments — whose last bit may
@@ -29,7 +30,7 @@
 use crate::sparse::SparseGradient;
 use crate::threshold::cap_largest;
 use crate::topk::{top_k, TopKAlgorithm};
-use sidco_runtime::{Runtime, ScopedFallback};
+use sidco_runtime::Runtime;
 use sidco_stats::moments::{AbsMoments, MomentNeeds, SignedMoments};
 use std::sync::Mutex;
 
@@ -37,25 +38,6 @@ use std::sync::Mutex;
 /// parallelism on megabyte-scale gradients, large enough that the per-chunk
 /// bookkeeping is negligible.
 pub const DEFAULT_CHUNK_SIZE: usize = 1 << 16;
-
-/// Applies `f` to every fixed-size chunk of `data`, using up to `threads`
-/// per-call scoped workers, and returns the per-chunk results **in chunk
-/// order**. Equivalent to [`map_chunks_on`] with a
-/// [`ScopedFallback`](sidco_runtime::ScopedFallback) runtime. A `threads`
-/// value of 0 is treated as 1 (sequential), matching the pre-runtime
-/// behaviour of this function.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn map_chunks<T, R, F>(data: &[T], chunk_size: usize, threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    map_chunks_on(data, chunk_size, &ScopedFallback::new(threads.max(1)), f)
-}
 
 /// Applies `f` to every fixed-size chunk of `data` on an explicit
 /// [`Runtime`], and returns the per-chunk results **in chunk order**.
@@ -108,28 +90,12 @@ where
         .collect()
 }
 
-/// Computes [`AbsMoments`] of a gradient using up to `threads` worker threads
-/// over [`DEFAULT_CHUNK_SIZE`]-element chunks.
+/// Computes [`AbsMoments`] of a gradient over `chunk_size`-element chunks on
+/// `runtime`, restricted to the fields in `needs` (each requested field
+/// bit-identical to the all-fields result).
 ///
-/// Bit-identical across thread counts (see the module docs); within
-/// floating-point reassociation error of [`AbsMoments::compute`].
-pub fn abs_moments_parallel(grad: &[f32], threads: usize) -> AbsMoments {
-    abs_moments_chunked(grad, DEFAULT_CHUNK_SIZE, threads)
-}
-
-/// [`abs_moments_parallel`] with an explicit chunk size.
-pub fn abs_moments_chunked(grad: &[f32], chunk_size: usize, threads: usize) -> AbsMoments {
-    abs_moments_on(
-        grad,
-        MomentNeeds::ALL,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`abs_moments_chunked`] on an explicit [`Runtime`], restricted to the
-/// fields in `needs` (each requested field bit-identical to the all-fields
-/// result).
+/// Bit-identical across runtimes and thread counts (see the module docs);
+/// within floating-point reassociation error of [`AbsMoments::compute`].
 pub fn abs_moments_on(
     grad: &[f32],
     needs: MomentNeeds,
@@ -143,26 +109,9 @@ pub fn abs_moments_on(
 }
 
 /// Computes the shifted exceedance moments (`|g| - threshold` for
-/// `|g| >= threshold`, the peaks-over-threshold input of Lemma 2) in fixed-size
-/// chunks using up to `threads` worker threads.
-pub fn exceedance_moments_chunked(
-    grad: &[f32],
-    threshold: f64,
-    chunk_size: usize,
-    threads: usize,
-) -> AbsMoments {
-    exceedance_moments_on(
-        grad,
-        threshold,
-        MomentNeeds::ALL,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`exceedance_moments_chunked`] on an explicit [`Runtime`], restricted to
-/// the fields in `needs` (each requested field bit-identical to the
-/// all-fields result).
+/// `|g| >= threshold`, the peaks-over-threshold input of Lemma 2) over
+/// `chunk_size`-element chunks on `runtime`, restricted to the fields in
+/// `needs` (each requested field bit-identical to the all-fields result).
 pub fn exceedance_moments_on(
     grad: &[f32],
     threshold: f64,
@@ -176,13 +125,8 @@ pub fn exceedance_moments_on(
     merge_abs_moments(&parts, needs)
 }
 
-/// Computes [`SignedMoments`] in fixed-size chunks using up to `threads` worker
-/// threads (the Gaussian-fit input of the GaussianKSGD baseline).
-pub fn signed_moments_chunked(grad: &[f32], chunk_size: usize, threads: usize) -> SignedMoments {
-    signed_moments_on(grad, chunk_size, &ScopedFallback::new(threads.max(1)))
-}
-
-/// [`signed_moments_chunked`] on an explicit [`Runtime`].
+/// Computes [`SignedMoments`] over `chunk_size`-element chunks on `runtime`
+/// (the Gaussian-fit input of the GaussianKSGD baseline).
 pub fn signed_moments_on(grad: &[f32], chunk_size: usize, runtime: &dyn Runtime) -> SignedMoments {
     let parts = map_chunks_on(grad, chunk_size, runtime, |_, chunk| {
         SignedMoments::compute(chunk)
@@ -190,29 +134,9 @@ pub fn signed_moments_on(grad: &[f32], chunk_size: usize, runtime: &dyn Runtime)
     merge_signed_moments(&parts)
 }
 
-/// Counts elements with `|g| >= threshold` using up to `threads` worker threads
-/// over [`DEFAULT_CHUNK_SIZE`]-element chunks. Exact (integer sum), so always
-/// equal to [`crate::threshold::count_above_threshold`].
-pub fn count_above_threshold_parallel(grad: &[f32], threshold: f64, threads: usize) -> usize {
-    count_above_threshold_chunked(grad, threshold, DEFAULT_CHUNK_SIZE, threads)
-}
-
-/// [`count_above_threshold_parallel`] with an explicit chunk size.
-pub fn count_above_threshold_chunked(
-    grad: &[f32],
-    threshold: f64,
-    chunk_size: usize,
-    threads: usize,
-) -> usize {
-    count_above_threshold_on(
-        grad,
-        threshold,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`count_above_threshold_chunked`] on an explicit [`Runtime`].
+/// Counts elements with `|g| >= threshold` over `chunk_size`-element chunks
+/// on `runtime`. Exact (integer sum), so always equal to
+/// [`crate::threshold::count_above_threshold`].
 pub fn count_above_threshold_on(
     grad: &[f32],
     threshold: f64,
@@ -231,22 +155,7 @@ pub fn count_above_threshold_on(
 /// chunk order — no re-sorting is needed because chunk order *is* index order.
 ///
 /// Bit-identical to [`crate::threshold::select_above_threshold`] for every
-/// `threads` and `chunk_size` value (the per-element comparison is unchanged).
-pub fn select_above_threshold_chunked(
-    grad: &[f32],
-    threshold: f64,
-    chunk_size: usize,
-    threads: usize,
-) -> SparseGradient {
-    select_above_threshold_on(
-        grad,
-        threshold,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-    )
-}
-
-/// [`select_above_threshold_chunked`] on an explicit [`Runtime`].
+/// runtime and `chunk_size` value (the per-element comparison is unchanged).
 pub fn select_above_threshold_on(
     grad: &[f32],
     threshold: f64,
@@ -270,8 +179,8 @@ pub fn select_above_threshold_on(
 }
 
 /// Parallel exact Top-k via chunked partial selection: each chunk selects its
-/// own top `min(k, chunk_len)` candidates, then one exact selection over the
-/// (much smaller) candidate set picks the global top `k`.
+/// own top `min(k, chunk_len)` candidates with `algorithm`, then one exact
+/// selection over the (much smaller) candidate set picks the global top `k`.
 ///
 /// The effective chunk size is raised to at least `2k` so every chunk discards
 /// at least half of its elements — a smaller chunk would nominate itself
@@ -279,42 +188,8 @@ pub fn select_above_threshold_on(
 ///
 /// Ties at the selection boundary are broken deterministically by ascending
 /// index, and the returned indices are sorted ascending, so the result depends
-/// only on `(grad, k, chunk_size)` — never on `threads`. Uses quickselect
-/// within each chunk; [`top_k_chunked_with`] exposes the per-chunk algorithm.
-pub fn top_k_chunked(grad: &[f32], k: usize, chunk_size: usize, threads: usize) -> SparseGradient {
-    top_k_chunked_with(grad, k, chunk_size, threads, TopKAlgorithm::QuickSelect)
-}
-
-/// [`top_k_chunked`] with an explicit per-chunk selection algorithm (the
-/// algorithm can change which tied-magnitude candidates each chunk nominates,
-/// but never the result's dependence on the thread count).
-pub fn top_k_chunked_with(
-    grad: &[f32],
-    k: usize,
-    chunk_size: usize,
-    threads: usize,
-    algorithm: TopKAlgorithm,
-) -> SparseGradient {
-    top_k_on_with(
-        grad,
-        k,
-        chunk_size,
-        &ScopedFallback::new(threads.max(1)),
-        algorithm,
-    )
-}
-
-/// [`top_k_chunked`] on an explicit [`Runtime`] (quickselect per chunk).
-pub fn top_k_on(
-    grad: &[f32],
-    k: usize,
-    chunk_size: usize,
-    runtime: &dyn Runtime,
-) -> SparseGradient {
-    top_k_on_with(grad, k, chunk_size, runtime, TopKAlgorithm::QuickSelect)
-}
-
-/// [`top_k_chunked_with`] on an explicit [`Runtime`].
+/// only on `(grad, k, chunk_size, algorithm)` — never on the runtime. (The
+/// algorithm can change which tied-magnitude candidates each chunk nominates.)
 pub fn top_k_on_with(
     grad: &[f32],
     k: usize,
@@ -333,7 +208,7 @@ pub fn top_k_on_with(
     // Keep every chunk at least 2k elements so the partial stage always
     // discards at least half of each chunk; a smaller chunk would nominate
     // itself wholesale. The effective size is a pure function of
-    // (k, chunk_size) — never of `threads` — so determinism per
+    // (k, chunk_size) — never of the runtime — so determinism per
     // configuration holds.
     let chunk_size = chunk_size.max(2 * k);
     let parts: Vec<(Vec<u32>, Vec<f32>)> = map_chunks_on(grad, chunk_size, runtime, |c, chunk| {
@@ -458,10 +333,29 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use sidco_runtime::{handle, RuntimeKind};
 
     fn random_gradient(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = SmallRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    /// The shared runtime for a `threads` budget (inline at one thread).
+    fn on(threads: usize) -> &'static dyn Runtime {
+        handle(RuntimeKind::Pool, threads)
+    }
+
+    fn abs_moments(grad: &[f32], threads: usize) -> AbsMoments {
+        abs_moments_on(grad, MomentNeeds::ALL, DEFAULT_CHUNK_SIZE, on(threads))
+    }
+
+    fn top_k_quickselect(
+        grad: &[f32],
+        k: usize,
+        chunk_size: usize,
+        threads: usize,
+    ) -> SparseGradient {
+        top_k_on_with(grad, k, chunk_size, on(threads), TopKAlgorithm::QuickSelect)
     }
 
     #[test]
@@ -469,7 +363,7 @@ mod tests {
         let grad = random_gradient(300_000, 61);
         let seq = AbsMoments::compute(&grad);
         for threads in [1, 2, 4, 8] {
-            let par = abs_moments_parallel(&grad, threads);
+            let par = abs_moments(&grad, threads);
             assert_eq!(par.count, seq.count);
             assert_eq!(par.positive_count, seq.positive_count);
             assert!((par.mean - seq.mean).abs() < 1e-9);
@@ -484,16 +378,16 @@ mod tests {
         // The satellite guarantee: chunking depends only on the chunk size, so
         // every thread count produces the exact same bits.
         let grad = random_gradient(500_000, 71);
-        let reference = abs_moments_parallel(&grad, 1);
+        let reference = abs_moments(&grad, 1);
         for threads in [2, 3, 4, 7, 16] {
-            assert_eq!(abs_moments_parallel(&grad, threads), reference);
+            assert_eq!(abs_moments(&grad, threads), reference);
         }
-        let signed_ref = signed_moments_chunked(&grad, 1 << 12, 1);
-        let exceed_ref = exceedance_moments_chunked(&grad, 0.5, 1 << 12, 1);
+        let signed_ref = signed_moments_on(&grad, 1 << 12, on(1));
+        let exceed_ref = exceedance_moments_on(&grad, 0.5, MomentNeeds::ALL, 1 << 12, on(1));
         for threads in [2, 5, 9] {
-            assert_eq!(signed_moments_chunked(&grad, 1 << 12, threads), signed_ref);
+            assert_eq!(signed_moments_on(&grad, 1 << 12, on(threads)), signed_ref);
             assert_eq!(
-                exceedance_moments_chunked(&grad, 0.5, 1 << 12, threads),
+                exceedance_moments_on(&grad, 0.5, MomentNeeds::ALL, 1 << 12, on(threads)),
                 exceed_ref
             );
         }
@@ -504,18 +398,21 @@ mod tests {
         let grad = random_gradient(300_000, 62);
         let seq = crate::threshold::count_above_threshold(&grad, 0.5);
         for threads in [1, 3, 7] {
-            assert_eq!(count_above_threshold_parallel(&grad, 0.5, threads), seq);
+            assert_eq!(
+                count_above_threshold_on(&grad, 0.5, DEFAULT_CHUNK_SIZE, on(threads)),
+                seq
+            );
         }
     }
 
     #[test]
     fn small_inputs_fall_back_to_sequential() {
         let grad = random_gradient(100, 63);
-        let par = abs_moments_parallel(&grad, 8);
+        let par = abs_moments(&grad, 8);
         let seq = AbsMoments::compute(&grad);
         assert_eq!(par, seq);
         assert_eq!(
-            count_above_threshold_parallel(&grad, 0.2, 8),
+            count_above_threshold_on(&grad, 0.2, DEFAULT_CHUNK_SIZE, on(8)),
             crate::threshold::count_above_threshold(&grad, 0.2)
         );
     }
@@ -535,53 +432,14 @@ mod tests {
     fn map_chunks_preserves_chunk_order() {
         let data: Vec<f32> = (0..1000).map(|i| i as f32).collect();
         for threads in [1, 2, 3, 8] {
-            let firsts = map_chunks(&data, 64, threads, |c, chunk| (c, chunk[0]));
+            let firsts = map_chunks_on(&data, 64, on(threads), |c, chunk| (c, chunk[0]));
             assert_eq!(firsts.len(), 1000usize.div_ceil(64));
             for (c, &(idx, first)) in firsts.iter().enumerate() {
                 assert_eq!(idx, c);
                 assert_eq!(first, (c * 64) as f32);
             }
         }
-        assert!(map_chunks(&[] as &[f32], 64, 4, |_, _| 0).is_empty());
-    }
-
-    #[test]
-    fn pool_and_scoped_runtimes_produce_identical_bits() {
-        use sidco_runtime::{NumaTopology, WorkStealing};
-        let grad = random_gradient(100_000, 77);
-        let scoped = ScopedFallback::new(1);
-        // A multi-socket synthetic topology forces cross-socket placement and
-        // stealing even on single-socket hosts.
-        let pool = WorkStealing::with_topology(4, NumaTopology::synthetic(2, 2));
-        for chunk in [97usize, 1 << 12] {
-            assert_eq!(
-                abs_moments_on(&grad, MomentNeeds::ALL, chunk, &pool),
-                abs_moments_on(&grad, MomentNeeds::ALL, chunk, &scoped)
-            );
-            assert_eq!(
-                signed_moments_on(&grad, chunk, &pool),
-                signed_moments_on(&grad, chunk, &scoped)
-            );
-            assert_eq!(
-                exceedance_moments_on(&grad, 0.4, MomentNeeds::ALL, chunk, &pool),
-                exceedance_moments_on(&grad, 0.4, MomentNeeds::ALL, chunk, &scoped)
-            );
-            assert_eq!(
-                count_above_threshold_on(&grad, 0.4, chunk, &pool),
-                count_above_threshold_on(&grad, 0.4, chunk, &scoped)
-            );
-            assert_eq!(
-                select_above_threshold_on(&grad, 0.4, chunk, &pool),
-                select_above_threshold_on(&grad, 0.4, chunk, &scoped)
-            );
-            assert_eq!(
-                top_k_on(&grad, 1_717, chunk, &pool),
-                top_k_on(&grad, 1_717, chunk, &scoped)
-            );
-        }
-        let stats = pool.stats();
-        assert!(stats.chunks_executed > 0);
-        assert_eq!(stats.threads_spawned, 4);
+        assert!(map_chunks_on(&[] as &[f32], 64, on(4), |_, _| 0).is_empty());
     }
 
     #[test]
@@ -590,7 +448,7 @@ mod tests {
         let seq = crate::threshold::select_above_threshold(&grad, 0.4);
         for threads in [1, 2, 7] {
             for chunk in [97, 1 << 12, 1 << 20] {
-                let par = select_above_threshold_chunked(&grad, 0.4, chunk, threads);
+                let par = select_above_threshold_on(&grad, 0.4, chunk, on(threads));
                 assert_eq!(par, seq);
             }
         }
@@ -603,9 +461,9 @@ mod tests {
             let exact = top_k(&grad, k, TopKAlgorithm::FullSort);
             let mut exact_mags: Vec<f32> = exact.values().iter().map(|v| v.abs()).collect();
             exact_mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let reference = top_k_chunked(&grad, k, 1 << 10, 1);
+            let reference = top_k_quickselect(&grad, k, 1 << 10, 1);
             for threads in [2, 4, 7] {
-                assert_eq!(top_k_chunked(&grad, k, 1 << 10, threads), reference);
+                assert_eq!(top_k_quickselect(&grad, k, 1 << 10, threads), reference);
             }
             assert_eq!(reference.nnz(), k);
             let mut mags: Vec<f32> = reference.values().iter().map(|v| v.abs()).collect();
@@ -617,7 +475,7 @@ mod tests {
     #[test]
     fn chunked_topk_breaks_ties_by_index() {
         let grad = [1.0f32; 64];
-        let s = top_k_chunked(&grad, 10, 8, 4);
+        let s = top_k_quickselect(&grad, 10, 8, 4);
         assert_eq!(s.nnz(), 10);
         let expected: Vec<u32> = (0..10).collect();
         assert_eq!(s.indices(), expected.as_slice());
@@ -626,9 +484,9 @@ mod tests {
     #[test]
     fn chunked_topk_edge_cases() {
         let grad = [1.0f32, -2.0, 3.0];
-        assert_eq!(top_k_chunked(&grad, 0, 2, 4).nnz(), 0);
-        assert_eq!(top_k_chunked(&grad, 3, 2, 4).nnz(), 3);
-        assert_eq!(top_k_chunked(&grad, 10, 2, 4).nnz(), 3);
-        assert_eq!(top_k_chunked(&[], 5, 2, 4).nnz(), 0);
+        assert_eq!(top_k_quickselect(&grad, 0, 2, 4).nnz(), 0);
+        assert_eq!(top_k_quickselect(&grad, 3, 2, 4).nnz(), 3);
+        assert_eq!(top_k_quickselect(&grad, 10, 2, 4).nnz(), 3);
+        assert_eq!(top_k_quickselect(&[], 5, 2, 4).nnz(), 0);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`stats`] — sparsity-inducing distributions, estimators, special functions;
 //! * [`runtime`] — the execution substrate: a persistent NUMA-aware
-//!   work-stealing pool (and the scoped fallback) under the compression engine;
+//!   work-stealing pool (inline at one thread) under the compression engine;
 //! * [`tensor`] — dense/sparse gradients, Top-k selection, threshold scans;
 //! * [`core`] — the SIDCo compressor and every baseline (Top-k, DGC, RedSync,
 //!   GaussianKSGD, Random-k) plus error feedback;

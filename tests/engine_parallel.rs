@@ -2,9 +2,12 @@
 //! runtime substrate beneath it:
 //!
 //! * every compressor must produce **bit-identical** `SparseGradient`s at
-//!   `threads = 1, 2, 7` (property-based, multi-chunk decompositions);
-//! * every compressor must be bit-identical between the `ScopedFallback` and
-//!   `WorkStealing` runtimes at every tested worker count;
+//!   `threads = 1, 2, 7` — the inline runtime against the pool
+//!   (property-based, multi-chunk decompositions);
+//! * every parallel primitive (`*_on`, including both sharded encoders) must
+//!   be bit-identical on the inline runtime, the scoped-thread reference
+//!   executor (`oracle::ScopedOracle`) and a multi-socket `WorkStealing` pool;
+//! * the reference executor itself honours the `Runtime` contract;
 //! * the pool must spawn its OS workers exactly once per engine lifetime —
 //!   repeated `compress` calls reuse them (asserted via pool stats);
 //! * the parallel delta-varint encoder must be byte-identical to the serial
@@ -12,19 +15,30 @@
 //! * overlapped (bucketed, pipelined) trainer runs must converge identically
 //!   to serial runs and only differ in simulated time.
 //!
-//! Env-cache audit: `SIDCO_THREADS`/`SIDCO_RUNTIME` are read once per process
-//! (explicit `EnvCache`s behind `CompressionEngine::from_env` /
-//! `RuntimeKind::from_env`), so a test mutating them after first touch would
-//! silently test the wrong configuration. No test in this binary mutates the
-//! environment — every test that cares about a thread count or runtime
-//! injects it through `CompressionEngine::new(..)` / `.with_runtime(..)`
-//! (constructor injection), which keeps the suite order-independent; the CI
-//! matrix sets both variables before the process starts.
+//! Env-cache audit: `SIDCO_THREADS` is read once per process (behind
+//! `CompressionEngine::from_env`), so a test mutating it after first touch
+//! would silently test the wrong configuration. No test in this binary
+//! mutates the environment — every test that cares about a thread count
+//! injects it through `CompressionEngine::new(..)` (constructor injection),
+//! which keeps the suite order-independent; the CI matrix sets the variable
+//! before the process starts.
 
+mod oracle;
+
+use oracle::ScopedOracle;
 use proptest::prelude::*;
 use sidco::core::engine::{CompressionEngine, RuntimeKind};
 use sidco::prelude::*;
-use std::sync::Arc;
+use sidco::runtime::{handle, NumaTopology, WorkStealing};
+use sidco::stats::moments::MomentNeeds;
+use sidco::tensor::encoding::{delta_varint_encode, delta_varint_encode_on, raw_encode_on};
+use sidco::tensor::parallel::{
+    abs_moments_on, count_above_threshold_on, exceedance_moments_on, map_chunks_on,
+    select_above_threshold_on, signed_moments_on, top_k_on_with,
+};
+use sidco::tensor::topk::TopKAlgorithm;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Strategy: a gradient long enough to span several 64-element chunks, with
 /// mixed magnitudes (including exact zeros and near-ties).
@@ -57,20 +71,7 @@ fn engine_compressors(engine: CompressionEngine) -> Vec<Box<dyn Compressor>> {
 /// Compresses `grad` with every compressor at the given thread count (chunk
 /// size pinned small so even short test gradients span many chunks).
 fn compress_all(threads: usize, grad: &[f32], delta: f64) -> Vec<(String, SparseGradient)> {
-    compress_all_on(
-        CompressionEngine::new(threads).with_chunk_size(64),
-        grad,
-        delta,
-    )
-}
-
-/// Compresses `grad` with every compressor sharing one explicit engine.
-fn compress_all_on(
-    engine: CompressionEngine,
-    grad: &[f32],
-    delta: f64,
-) -> Vec<(String, SparseGradient)> {
-    engine_compressors(engine)
+    engine_compressors(CompressionEngine::new(threads).with_chunk_size(64))
         .into_iter()
         .map(|mut c| {
             let result = c.compress(grad, delta);
@@ -87,6 +88,9 @@ proptest! {
         grad in gradient_strategy(),
         delta in 0.005f64..0.5,
     ) {
+        // All 8 engine-routed compressors, the inline runtime (1 thread)
+        // against the pool (2 and 7): the runtime decides only where chunks
+        // execute, never what they contain.
         let reference = compress_all(1, &grad, delta);
         for threads in [2usize, 7] {
             let other = compress_all(threads, &grad, delta);
@@ -100,40 +104,58 @@ proptest! {
     }
 
     #[test]
-    fn every_compressor_is_bit_identical_across_runtimes(
-        grad in gradient_strategy(),
-        delta in 0.005f64..0.5,
-    ) {
-        // All 8 engine-routed compressors, engine-on-pool vs engine-on-scoped,
-        // at every tested worker count: the runtime decides only where chunks
-        // execute, never what they contain.
-        for threads in [2usize, 7] {
-            let base = CompressionEngine::new(threads).with_chunk_size(64);
-            let scoped = compress_all_on(base.with_runtime(RuntimeKind::Scoped), &grad, delta);
-            let pool = compress_all_on(base.with_runtime(RuntimeKind::Pool), &grad, delta);
-            for ((name, a), (_, b)) in scoped.iter().zip(&pool) {
-                prop_assert!(
-                    a == b,
-                    "{name} differs between scoped and pool at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parallel_delta_varint_is_byte_identical_at_every_worker_count(
         grad in gradient_strategy(),
         threshold in 0.0f64..0.4,
     ) {
-        use sidco::tensor::encoding::{delta_varint_encode, delta_varint_encode_chunked};
         let sparse = sidco::tensor::threshold::select_above_threshold(&grad, threshold);
         let reference = delta_varint_encode(&sparse);
         for workers in [1usize, 2, 7] {
             // 17-pair shards split the gap stream mid-run on these inputs.
-            let parallel = delta_varint_encode_chunked(&sparse, 17, workers);
+            let parallel =
+                delta_varint_encode_on(&sparse, 17, handle(RuntimeKind::Pool, workers));
             prop_assert!(
                 parallel.payload() == reference.payload(),
                 "varint stream differs at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn every_primitive_is_bit_identical_on_every_runtime(
+        grad in gradient_strategy(),
+        chunk in prop_oneof![Just(7usize), Just(64), Just(97)],
+        threshold in 0.0f64..0.6,
+        k in 0usize..800,
+    ) {
+        let runtimes = reference_runtimes();
+        let run = |runtime: &dyn Runtime| {
+            let sparse = select_above_threshold_on(&grad, threshold, chunk, runtime);
+            (
+                // `{:?}` prints every f64 as its shortest round-trip form, so
+                // equal strings mean equal bits (and -0.0 stays distinct).
+                format!(
+                    "{:?}",
+                    (
+                        map_chunks_on(&grad, chunk, runtime, |c, part| (c, part.len())),
+                        abs_moments_on(&grad, MomentNeeds::ALL, chunk, runtime),
+                        exceedance_moments_on(&grad, threshold, MomentNeeds::ALL, chunk, runtime),
+                        signed_moments_on(&grad, chunk, runtime),
+                        count_above_threshold_on(&grad, threshold, chunk, runtime),
+                    )
+                ),
+                top_k_on_with(&grad, k, chunk, runtime, TopKAlgorithm::QuickSelect),
+                top_k_on_with(&grad, k, chunk, runtime, TopKAlgorithm::FullSort),
+                raw_encode_on(&sparse, 17, runtime).payload().to_vec(),
+                delta_varint_encode_on(&sparse, 17, runtime).payload().to_vec(),
+                sparse,
+            )
+        };
+        let reference = run(runtimes[0]);
+        for runtime in &runtimes[1..] {
+            prop_assert!(
+                run(*runtime) == reference,
+                "{runtime:?} differs from the inline runtime"
             );
         }
     }
@@ -154,17 +176,64 @@ proptest! {
     }
 }
 
+/// The runtimes every primitive must agree on: the inline runtime first (the
+/// reference), the scoped-thread oracle at 2 and 7 threads, and a 4-worker
+/// pool on a synthetic two-socket topology, which forces cross-socket
+/// placement and stealing even on single-socket hosts.
+fn reference_runtimes() -> [&'static dyn Runtime; 4] {
+    static ORACLE_2: ScopedOracle = ScopedOracle { threads: 2 };
+    static ORACLE_7: ScopedOracle = ScopedOracle { threads: 7 };
+    static POOL: OnceLock<WorkStealing> = OnceLock::new();
+    let pool = POOL.get_or_init(|| WorkStealing::with_topology(4, NumaTopology::synthetic(2, 2)));
+    [handle(RuntimeKind::Pool, 1), &ORACLE_2, &ORACLE_7, pool]
+}
+
+#[test]
+fn scoped_oracle_runs_every_index_exactly_once() {
+    for threads in [1usize, 2, 3, 8] {
+        let runtime = ScopedOracle { threads };
+        assert_eq!(runtime.parallelism(), threads);
+        for n in [0usize, 1, 2, 7, 100] {
+            let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            runtime.run_indexed(n, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
+    }
+    assert!(ScopedOracle { threads: 2 }.stats().is_none());
+}
+
+#[test]
+fn scoped_oracle_panics_propagate_after_every_index_ran() {
+    // The contract every runtime honours: a panicking body must not prevent
+    // the other indices of its worker's block from executing.
+    for threads in [1usize, 3] {
+        let runtime = ScopedOracle { threads };
+        let hits: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            runtime.run_indexed(40, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+                assert!(i != 3, "index 3 exploded");
+            });
+        }));
+        assert!(result.is_err(), "the panic must reach the caller");
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::Relaxed), 1, "index {i} at {threads}");
+        }
+    }
+}
+
 /// The pool-lifecycle acceptance test: the engine's pool spawns its OS
 /// workers exactly once (lazily, on the first parallel call) and every later
-/// `compress` call reuses them — the per-call spawn overhead the scoped
-/// runtime pays is gone.
+/// `compress` call reuses them — no per-call thread spawn.
 #[test]
 fn repeated_compress_calls_never_spawn_new_os_threads() {
     // The 5-thread pool may be shared with other tests in this binary, but
     // the assertions below are robust to that: `threads_spawned` is exactly
     // the worker count no matter who triggered the lazy spawn, and the
     // job/chunk counters only ever grow.
-    let engine = CompressionEngine::new(5).with_runtime(RuntimeKind::Pool);
+    let engine = CompressionEngine::new(5);
     let grad: Vec<f32> = (1..=400_000)
         .map(|j| if j % 2 == 0 { 1.0 } else { -1.0 } * (j as f32).powf(-0.6))
         .collect();
@@ -214,6 +283,7 @@ fn repeated_compress_calls_never_spawn_new_os_threads() {
     // A second engine value with the same configuration shares the pool
     // (engines are plain values; executors are process-wide).
     let alias = CompressionEngine::new(5).with_runtime(RuntimeKind::Pool);
+    assert_eq!(alias, engine);
     assert_eq!(alias.pool_stats().expect("shared pool").threads_spawned, 5);
 }
 
@@ -285,10 +355,9 @@ fn overlapped_trainer_converges_identically_to_serial() {
 }
 
 /// Cross-validation of the engine-aware device cost model
-/// (`DeviceProfile::compression_time_with_workers` and the runtime dispatch
-/// extension `compression_time_with_runtime`) against the *measured*
-/// multi-thread behaviour of the real `CompressionEngine` on this host — run
-/// against **both** runtimes, the persistent pool and the scoped fallback.
+/// (`DeviceProfile::compression_time_with_workers`, through
+/// `engine_speedup`) against the *measured* multi-thread behaviour of the
+/// real `CompressionEngine` on the pool on this host.
 ///
 /// Wall-clock assertions are kept deliberately loose (CI machines vary, and
 /// single-core hosts measure no speed-up at all): the test checks the
@@ -311,9 +380,9 @@ fn modeled_engine_speedup_bounds_the_measured_speedup() {
     let cpu = DeviceProfile::cpu();
     let kind = CompressorKind::Sidco(sidco::stats::fit::SidKind::Exponential);
 
-    let measure = |threads: usize, runtime: RuntimeKind| -> f64 {
+    let measure = |threads: usize| -> f64 {
         let mut compressor = SidcoCompressor::new(SidcoConfig::exponential())
-            .with_engine(CompressionEngine::new(threads).with_runtime(runtime));
+            .with_engine(CompressionEngine::new(threads));
         compressor.compress(&grad, DELTA); // warm up (allocation, stages, pool spawn)
         let mut best = f64::INFINITY;
         for _ in 0..3 {
@@ -324,34 +393,25 @@ fn modeled_engine_speedup_bounds_the_measured_speedup() {
         best
     };
 
-    for runtime in [RuntimeKind::Pool, RuntimeKind::Scoped] {
-        let serial = measure(1, runtime);
-        for threads in [2usize, 4] {
-            let measured_speedup = serial / measure(threads, runtime);
-            let modeled_speedup = cpu.engine_speedup(kind, DIM, DELTA, 2, threads);
-            // The model shards per-element work perfectly, so it is an upper
-            // envelope for the measured ratio (3× slack for timer noise, cache
-            // effects and loaded CI runners).
-            assert!(
-                measured_speedup <= modeled_speedup * 3.0,
-                "[{:?}] measured {measured_speedup:.2}x exceeds even thrice the \
-                 modeled ideal {modeled_speedup:.2}x at {threads} threads",
-                runtime
-            );
-            // And no configuration should make compression dramatically slower.
-            assert!(
-                measured_speedup > 0.2,
-                "[{runtime:?}] {threads} threads slowed compression {measured_speedup:.2}x"
-            );
-            // The model itself predicts a real speed-up for this linear-pass
-            // scheme, bounded by the thread count.
-            assert!(modeled_speedup > 1.0 && modeled_speedup <= threads as f64);
-            // The dispatch-aware model orders the runtimes: the persistent
-            // pool's per-call cost is strictly below the scoped spawn storm.
-            assert!(
-                cpu.compression_time_with_runtime(kind, DIM, DELTA, 2, threads, true)
-                    < cpu.compression_time_with_runtime(kind, DIM, DELTA, 2, threads, false)
-            );
-        }
+    let serial = measure(1);
+    for threads in [2usize, 4] {
+        let measured_speedup = serial / measure(threads);
+        let modeled_speedup = cpu.engine_speedup(kind, DIM, DELTA, 2, threads);
+        // The model shards per-element work perfectly, so it is an upper
+        // envelope for the measured ratio (3× slack for timer noise, cache
+        // effects and loaded CI runners).
+        assert!(
+            measured_speedup <= modeled_speedup * 3.0,
+            "measured {measured_speedup:.2}x exceeds even thrice the modeled \
+             ideal {modeled_speedup:.2}x at {threads} threads"
+        );
+        // And no configuration should make compression dramatically slower.
+        assert!(
+            measured_speedup > 0.2,
+            "{threads} threads slowed compression {measured_speedup:.2}x"
+        );
+        // The model itself predicts a real speed-up for this linear-pass
+        // scheme, bounded by the thread count.
+        assert!(modeled_speedup > 1.0 && modeled_speedup <= threads as f64);
     }
 }

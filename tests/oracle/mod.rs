@@ -6,12 +6,18 @@
 //! schedule must reproduce (up to float rounding) and the source of the
 //! modeled goldens in `overlap_golden.rs`. `StripedTopology` is the
 //! single-bottleneck hierarchical charge a uniform per-node NIC profile
-//! vector must reproduce bit-for-bit.
+//! vector must reproduce bit-for-bit. `ScopedOracle` is the per-call scoped
+//! executor every production runtime must match bit-for-bit at the
+//! parallel-primitive layer.
 
 // Each suite that includes this module uses only some of the oracles.
 #![allow(dead_code)]
 
 use sidco_dist::NetworkModel;
+use sidco_runtime::Runtime;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// Total compression + communication overhead when the two phases are fully
 /// serialised (compress every bucket, then communicate every bucket).
@@ -140,5 +146,50 @@ impl StripedTopology {
             + (n - 1.0) * g / self.link().bytes_per_second()
             + (n - 1.0) * g / self.intra.bytes_per_second();
         ((budget - floor) / slope).max(0.0)
+    }
+}
+
+/// The per-call scoped executor the persistent pool replaced, kept as the
+/// independent reference for the `Runtime` contract: every call spawns
+/// `threads` scoped OS threads (fewer when there are fewer indices), each
+/// running a contiguous block of indices, and joins them before returning.
+/// Each index runs under its own `catch_unwind`, so a panic never skips the
+/// rest of its block; the first panic is re-raised after every index ran.
+#[derive(Debug)]
+pub struct ScopedOracle {
+    pub threads: usize,
+}
+
+impl Runtime for ScopedOracle {
+    fn name(&self) -> &'static str {
+        "scoped-oracle"
+    }
+
+    fn parallelism(&self) -> usize {
+        self.threads
+    }
+
+    fn run_indexed(&self, tasks: usize, body: &(dyn Fn(usize) + Sync)) {
+        let workers = self.threads.min(tasks).max(1);
+        let per_worker = tasks.div_ceil(workers);
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                let first_panic = &first_panic;
+                s.spawn(move || {
+                    for index in w * per_worker..((w + 1) * per_worker).min(tasks) {
+                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(index))) {
+                            first_panic
+                                .lock()
+                                .expect("panic slot poisoned")
+                                .get_or_insert(payload);
+                        }
+                    }
+                });
+            }
+        });
+        if let Some(payload) = first_panic.into_inner().expect("panic slot poisoned") {
+            resume_unwind(payload);
+        }
     }
 }

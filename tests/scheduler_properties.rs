@@ -854,8 +854,9 @@ fn overlap_and_streams_converge_bit_identically_for_every_compressor() {
 }
 
 /// The pool-backed trainer's core contract: dispatching the per-(worker,
-/// bucket) compression jobs on *any* runtime at *any* width converges
-/// bit-identically to the sequential trainer, for every evaluated compressor
+/// bucket) compression jobs on the pool at any width (2 and 7 here) converges
+/// bit-identically to the inline one-thread trainer, for every evaluated
+/// compressor
 /// — the executor changes only where the jobs run, never what they compute,
 /// because each compressor cell sees the same call sequence and the merge is
 /// serial in a fixed order.
@@ -866,7 +867,7 @@ fn pool_dispatched_training_is_bit_identical_to_serial_for_every_compressor() {
         12,
     ));
     for kind in sidco::core::compressor::CompressorKind::EVALUATED {
-        let run = |runtime: RuntimeKind, threads: usize| {
+        let run = |threads: usize| {
             let config = TrainerConfig {
                 iterations: 4,
                 batch_per_worker: 8,
@@ -881,39 +882,37 @@ fn pool_dispatched_training_is_bit_identical_to_serial_for_every_compressor() {
                 config,
                 || build_compressor(kind, 23).expect("evaluated kinds build"),
             )
-            .with_runtime(runtime, threads)
+            .with_runtime(RuntimeKind::Pool, threads)
             .run(0.05)
         };
-        let baseline = run(RuntimeKind::Scoped, 1);
+        let baseline = run(1);
         let losses =
             |r: &sidco_dist::TrainingReport| r.samples().iter().map(|s| s.loss).collect::<Vec<_>>();
-        for runtime in [RuntimeKind::Scoped, RuntimeKind::Pool] {
-            for threads in [2usize, 7] {
-                let parallel = run(runtime, threads);
-                assert_eq!(
-                    losses(&baseline),
-                    losses(&parallel),
-                    "{kind:?} on {runtime:?}×{threads} diverged"
-                );
-                assert_eq!(
-                    baseline.final_evaluation(),
-                    parallel.final_evaluation(),
-                    "{kind:?} on {runtime:?}×{threads} final evaluation diverged"
-                );
-                assert_eq!(
-                    baseline.estimation_quality().mean_normalized_ratio,
-                    parallel.estimation_quality().mean_normalized_ratio,
-                    "{kind:?} on {runtime:?}×{threads} quality series diverged"
-                );
-                // Simulated time is charged by the cost model, not measured,
-                // so it is identical too.
-                assert_eq!(baseline.total_time(), parallel.total_time());
-                let dispatch = parallel
-                    .dispatch()
-                    .expect("compressed run reports dispatch");
-                assert_eq!(dispatch.parallelism, threads);
-                assert_eq!(dispatch.jobs, 4);
-            }
+        for threads in [2usize, 7] {
+            let parallel = run(threads);
+            assert_eq!(
+                losses(&baseline),
+                losses(&parallel),
+                "{kind:?} at {threads} threads diverged"
+            );
+            assert_eq!(
+                baseline.final_evaluation(),
+                parallel.final_evaluation(),
+                "{kind:?} at {threads} threads final evaluation diverged"
+            );
+            assert_eq!(
+                baseline.estimation_quality().mean_normalized_ratio,
+                parallel.estimation_quality().mean_normalized_ratio,
+                "{kind:?} at {threads} threads quality series diverged"
+            );
+            // Simulated time is charged by the cost model, not measured,
+            // so it is identical too.
+            assert_eq!(baseline.total_time(), parallel.total_time());
+            let dispatch = parallel
+                .dispatch()
+                .expect("compressed run reports dispatch");
+            assert_eq!(dispatch.parallelism, threads);
+            assert_eq!(dispatch.jobs, 4);
         }
     }
 }

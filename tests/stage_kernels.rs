@@ -4,8 +4,9 @@
 //! [`MomentNeeds`]) must return every requested field with the exact bits of
 //! the all-fields pass, after the same chunk merge, and must report every
 //! unrequested field as NaN (`positive_count` as 0). The suite drives the
-//! passes through `CompressionEngine`'s [`StageMoments`] impl at 1, 2 and 7
-//! threads on both runtimes, over hostile gradients: NaN, ±Inf, subnormals,
+//! passes through `CompressionEngine`'s [`StageMoments`] impl at 1 thread
+//! (inline) and at 2 and 7 threads (the pool), over hostile gradients: NaN,
+//! ±Inf, subnormals,
 //! signed zeros, all-zero buffers, and exact ties at an `f64` threshold that
 //! `f32` cannot represent. Lengths cover the empty buffer, one element, both
 //! sides of the 1Ki compaction block, and lengths that are not multiples of
@@ -14,7 +15,7 @@
 //! passes to the thresholds built on the all-fields passes.
 
 use proptest::prelude::*;
-use sidco::core::engine::{CompressionEngine, RuntimeKind};
+use sidco::core::engine::CompressionEngine;
 use sidco::stats::fit::SidKind;
 use sidco::stats::moments::{AbsMoments, MomentNeeds};
 use sidco::stats::pot::{multi_stage_threshold_with, StageMoments};
@@ -81,20 +82,13 @@ fn gradient() -> impl Strategy<Value = Vec<f32>> {
     })
 }
 
-/// Every engine the suite compares: 1, 2 and 7 threads on both runtimes,
+/// Every engine the suite compares: 1 (inline), 2 and 7 threads (the pool),
 /// with a chunk size that leaves a ragged last chunk on most lengths.
 fn engines(chunk_size: usize) -> Vec<CompressionEngine> {
-    let mut engines = Vec::new();
-    for runtime in [RuntimeKind::Scoped, RuntimeKind::Pool] {
-        for threads in [1usize, 2, 7] {
-            engines.push(
-                CompressionEngine::new(threads)
-                    .with_runtime(runtime)
-                    .with_chunk_size(chunk_size),
-            );
-        }
-    }
-    engines
+    [1usize, 2, 7]
+        .into_iter()
+        .map(|threads| CompressionEngine::new(threads).with_chunk_size(chunk_size))
+        .collect()
 }
 
 /// `Err` naming the first field where `lean` breaks the needs contract
@@ -276,8 +270,9 @@ proptest! {
         stages in 1usize..5,
     ) {
         for engine in [
-            CompressionEngine::new(2).with_runtime(RuntimeKind::Pool).with_chunk_size(1000),
-            CompressionEngine::new(7).with_runtime(RuntimeKind::Scoped).with_chunk_size(97),
+            CompressionEngine::new(1).with_chunk_size(97),
+            CompressionEngine::new(2).with_chunk_size(1000),
+            CompressionEngine::new(7).with_chunk_size(97),
         ] {
             for kind in SidKind::ALL {
                 let lean = multi_stage_threshold_with(&grad, kind, delta, 0.25, stages, &engine);
