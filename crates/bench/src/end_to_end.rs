@@ -5,7 +5,6 @@ use crate::report::{fmt, Table};
 use crate::Scale;
 use sidco_core::compressor::CompressorKind;
 use sidco_dist::cluster::ClusterConfig;
-use sidco_dist::device::ComputeDevice;
 use sidco_dist::simulate::{
     normalized_speedup, normalized_throughput, simulate_benchmark, SimulationConfig,
 };
@@ -272,16 +271,6 @@ pub fn fig18(scale: Scale) -> String {
     out
 }
 
-/// Figure 12's compression device comparison lives on the CPU profile; this helper
-/// exposes the device enum for the binary's `--device` flag.
-pub fn device_from_flag(flag: &str) -> Option<ComputeDevice> {
-    match flag {
-        "gpu" => Some(ComputeDevice::Gpu),
-        "cpu" => Some(ComputeDevice::Cpu),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,12 +304,5 @@ mod tests {
     fn fig13_uses_shared_cluster() {
         let out = fig13(Scale::Quick);
         assert!(out.contains("shared 8-GPU node"));
-    }
-
-    #[test]
-    fn device_flag_parsing() {
-        assert_eq!(device_from_flag("gpu"), Some(ComputeDevice::Gpu));
-        assert_eq!(device_from_flag("cpu"), Some(ComputeDevice::Cpu));
-        assert_eq!(device_from_flag("tpu"), None);
     }
 }

@@ -1,50 +1,43 @@
 //! Cluster topologies used by the simulator and the trainer.
 
-use crate::device::{ComputeDevice, ComputeSkew, DeviceProfile};
+use crate::device::{ComputeDevice, DeviceProfile};
 use crate::network::{HierarchicalTopology, NetworkModel, NodeProfile};
 use crate::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 use sidco_core::compressor::CompressorKind;
+use sidco_models::benchmarks::BenchmarkSpec;
 
-/// A synchronous-SGD cluster: `workers` workers joined by one
-/// [`HierarchicalTopology`], compressing on one kind of device — homogeneous
-/// by default, with optional per-node heterogeneity.
+/// A synchronous-SGD cluster: `workers` workers on the machines of one
+/// [`HierarchicalTopology`].
 ///
-/// The topology is the only interconnect description: a flat cluster (every
-/// worker one hop from every other) is
+/// The topology is the only description of the machines: every node carries
+/// one [`NodeProfile`] — its NIC and rail count, the device it compresses on
+/// and its compute-slowdown factor — and every per-node charge reads it. A
+/// flat cluster (every worker one hop from every other) is
 /// [`HierarchicalTopology::one_worker_per_node`], a two-tier cluster has
-/// several workers per node, and every node carries its own NIC
-/// [`NodeProfile`]. [`engine_workers`](Self::engine_workers) tells the cost
-/// model how many compression-engine threads each worker runs, so simulated
-/// compression latencies match a multi-threaded
+/// several workers per node. [`engine_workers`](Self::engine_workers) tells
+/// the cost model how many compression-engine threads each worker runs, so
+/// simulated compression latencies match a multi-threaded
 /// [`CompressionEngine`](sidco_core::engine::CompressionEngine) deployment.
 ///
-/// **Heterogeneity.** Real fleets are not uniform: nodes carry different NICs
-/// ([`HierarchicalTopology::with_node_profiles`]), different compression
-/// devices ([`node_devices`](Self::node_devices)) and different effective
-/// compute speeds ([`compute_skew`](Self::compute_skew)). Synchronous SGD is
-/// gated by its slowest participant, so every heterogeneous charge takes the
-/// slowest node's time; leaving all three knobs at their defaults collapses
-/// bit-for-bit to the homogeneous model. A Join repeats the last node's NIC
-/// profile and adds a default device and skew entry.
+/// **Heterogeneity.** Real fleets are not uniform: nodes carry different NICs,
+/// different compression devices and different effective compute speeds
+/// ([`HierarchicalTopology::with_node_profiles`],
+/// [`with_device`](Self::with_device),
+/// [`with_straggler`](Self::with_straggler)). Synchronous SGD is gated by its
+/// slowest participant, so every heterogeneous charge takes the slowest
+/// node's time; uniform healthy profiles collapse bit-for-bit to the
+/// homogeneous model. A Join repeats the last node's profile at full health
+/// ([`HierarchicalTopology::with_joined_node`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of data-parallel workers (always the topology's worker count).
     pub workers: usize,
-    /// Device on which gradient compression runs.
-    pub compression_device: ComputeDevice,
-    /// The interconnect; its worker count must equal
+    /// The machines and their interconnect; its worker count must equal
     /// [`workers`](Self::workers).
     pub topology: HierarchicalTopology,
     /// Compression-engine worker threads per worker (≥ 1); scales the
     /// parallelisable part of the modelled compression time.
     pub engine_workers: usize,
-    /// Optional per-node compression devices (one entry per node, see
-    /// [`nodes`](Self::nodes)); `None` means every node compresses on
-    /// [`compression_device`](Self::compression_device).
-    pub node_devices: Option<Vec<ComputeDevice>>,
-    /// Optional per-node compute-slowdown factors (straggler injection, one
-    /// entry per node); `None` means every node is healthy (factor `1.0`).
-    pub compute_skew: Option<ComputeSkew>,
 }
 
 impl ClusterConfig {
@@ -53,11 +46,8 @@ impl ClusterConfig {
     fn flat(workers: usize, nic: NetworkModel) -> Self {
         Self {
             workers,
-            compression_device: ComputeDevice::Gpu,
             topology: HierarchicalTopology::one_worker_per_node(workers, nic),
             engine_workers: 1,
-            node_devices: None,
-            compute_skew: None,
         }
     }
 
@@ -75,10 +65,7 @@ impl ClusterConfig {
     /// The Figure 12 variant of the dedicated cluster: compression offloaded
     /// to the host CPU.
     pub fn paper_cpu_compression() -> Self {
-        Self {
-            compression_device: ComputeDevice::Cpu,
-            ..Self::paper_dedicated()
-        }
+        Self::paper_dedicated().with_device(ComputeDevice::Cpu)
     }
 
     /// The Figure 13 testbed: one shared node with 8 GPUs on a 100 Gbps
@@ -134,84 +121,74 @@ impl ClusterConfig {
     /// compute skew on node 1): compression and backward passes on that node
     /// take twice as long, and every synchronous phase gates on it.
     pub fn paper_straggler() -> Self {
-        let base = Self::paper_two_tier();
-        let nodes = base.nodes();
-        base.with_compute_skew(ComputeSkew::straggler(nodes, 1, 2.0))
+        Self::paper_two_tier().with_straggler(1, 2.0)
     }
 
-    /// Sets the topology (its worker count becomes the cluster's).
+    /// Sets the topology (its worker count becomes the cluster's, and its
+    /// node profiles the cluster's machines).
     ///
-    /// # Panics
-    ///
-    /// Panics if a per-node device or skew vector is set whose length
-    /// disagrees with the new topology's node count (rebuild those vectors
-    /// for the new fleet first).
+    /// The topology's profiles replace every node's device and compute
+    /// factor along with its NIC, so call [`with_device`](Self::with_device)
+    /// and [`with_straggler`](Self::with_straggler) after this, not before:
+    /// `paper_cpu_compression().with_topology(..)` compresses on the new
+    /// profiles' devices (GPU by default), and `paper_straggler()
+    /// .with_topology(..)` loses its straggler.
     #[must_use]
     pub fn with_topology(mut self, topology: HierarchicalTopology) -> Self {
-        if let Some(devices) = &self.node_devices {
-            assert_eq!(
-                devices.len(),
-                topology.nodes(),
-                "per-node device vector spans {} nodes but the new topology has {}",
-                devices.len(),
-                topology.nodes()
-            );
-        }
-        if let Some(skew) = &self.compute_skew {
-            assert_eq!(
-                skew.nodes(),
-                topology.nodes(),
-                "skew describes {} nodes but the new topology has {}",
-                skew.nodes(),
-                topology.nodes()
-            );
-        }
         self.workers = topology.workers();
         self.topology = topology;
         self
     }
 
-    /// The cluster after one machine joined with default (healthy,
-    /// cluster-device) characteristics: the topology gains a node cabled like
-    /// the last one and every per-node vector gains a default entry. This is
-    /// how the trainer rescales on a
-    /// [`ClusterEvent::Join`](crate::trainer::ClusterEvent).
+    /// Every node compresses on `device` (the Figure 12 CPU-offload variant
+    /// is the dedicated testbed on [`ComputeDevice::Cpu`]).
     #[must_use]
-    pub fn after_join(&self) -> Self {
-        let mut grown = self.clone();
-        grown.topology = self.topology.with_joined_node();
-        grown.workers = grown.topology.workers();
-        if let Some(devices) = &mut grown.node_devices {
-            devices.push(self.compression_device);
-        }
-        if let Some(skew) = &grown.compute_skew {
-            grown.compute_skew = Some(skew.with_joined());
-        }
-        grown
+    pub fn with_device(self, device: ComputeDevice) -> Self {
+        let profiles = self
+            .topology
+            .node_profiles()
+            .iter()
+            .map(|profile| profile.with_device(device))
+            .collect();
+        let topology = self.topology.clone().with_node_profiles(profiles);
+        self.with_topology(topology)
     }
 
-    /// The cluster after the last machine left: the topology is re-derived
-    /// with one fewer node and every per-node vector drops its last entry.
-    /// `None` once a single machine remains — a fleet cannot shrink to
-    /// nothing.
+    /// Node `node` computes `factor` times slower than a healthy node (its
+    /// backward pass and compression stretch; its NIC is untouched).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node >= nodes` or `factor` is rejected by
+    /// [`NodeProfile::with_compute_factor`].
+    #[must_use]
+    pub fn with_straggler(self, node: usize, factor: f64) -> Self {
+        assert!(
+            node < self.nodes(),
+            "straggler node {node} outside 0..{}",
+            self.nodes()
+        );
+        let mut profiles = self.topology.node_profiles().to_vec();
+        profiles[node] = profiles[node].with_compute_factor(factor);
+        let topology = self.topology.clone().with_node_profiles(profiles);
+        self.with_topology(topology)
+    }
+
+    /// The cluster after one machine joined: the topology gains a healthy
+    /// node cabled and equipped like the last one
+    /// ([`HierarchicalTopology::with_joined_node`]). This is how the trainer
+    /// rescales on a [`ClusterEvent::Join`](crate::trainer::ClusterEvent).
+    #[must_use]
+    pub fn after_join(&self) -> Self {
+        self.clone().with_topology(self.topology.with_joined_node())
+    }
+
+    /// The cluster after the last machine left. `None` once a single machine
+    /// remains — a fleet cannot shrink to nothing.
     #[must_use]
     pub fn after_leave(&self) -> Option<Self> {
-        let mut shrunk = self.clone();
-        shrunk.topology = self.topology.without_last_node()?;
-        shrunk.workers = shrunk.topology.workers();
-        if let Some(devices) = &mut shrunk.node_devices {
-            devices.pop();
-        }
-        if let Some(skew) = &shrunk.compute_skew {
-            shrunk.compute_skew = skew.without_last();
-            // INVARIANT: the skew tracks the node count (builders assert it),
-            // and we only get here with ≥ 2 nodes, so without_last succeeds.
-            assert!(
-                shrunk.compute_skew.is_some(),
-                "skew/node-count invariant violated on leave"
-            );
-        }
-        Some(shrunk)
+        let topology = self.topology.without_last_node()?;
+        Some(self.clone().with_topology(topology))
     }
 
     /// Sets the modelled compression-engine worker count.
@@ -241,44 +218,8 @@ impl ClusterConfig {
         self.clone().with_engine_workers(granted)
     }
 
-    /// Sets per-node compression devices (one entry per [`node`](Self::nodes)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector length differs from [`nodes`](Self::nodes).
-    #[must_use]
-    pub fn with_node_devices(mut self, node_devices: Vec<ComputeDevice>) -> Self {
-        assert_eq!(
-            node_devices.len(),
-            self.nodes(),
-            "need one compression device per node ({} nodes, got {})",
-            self.nodes(),
-            node_devices.len()
-        );
-        self.node_devices = Some(node_devices);
-        self
-    }
-
-    /// Sets the per-node compute-slowdown factors (straggler injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the skew's node count differs from [`nodes`](Self::nodes).
-    #[must_use]
-    pub fn with_compute_skew(mut self, skew: ComputeSkew) -> Self {
-        assert_eq!(
-            skew.nodes(),
-            self.nodes(),
-            "skew describes {} nodes but the cluster has {}",
-            skew.nodes(),
-            self.nodes()
-        );
-        self.compute_skew = Some(skew);
-        self
-    }
-
-    /// Number of machines (a flat cluster has one per worker). The unit all
-    /// per-node heterogeneity vectors are indexed by.
+    /// Number of machines (a flat cluster has one per worker), each described
+    /// by one [`NodeProfile`].
     pub fn nodes(&self) -> usize {
         self.topology.nodes()
     }
@@ -303,85 +244,16 @@ impl ClusterConfig {
         worker / self.workers_per_node()
     }
 
-    /// The device profile compression runs on.
-    pub fn device_profile(&self) -> DeviceProfile {
-        DeviceProfile::for_device(self.compression_device)
-    }
-
-    /// The device profile node `node` compresses on: its
-    /// [`node_devices`](Self::node_devices) entry when per-node devices are
-    /// set, the cluster-wide device otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or a per-node device vector of the
-    /// wrong length was hand-built (the builders reject both).
-    pub fn node_device_profile(&self, node: usize) -> DeviceProfile {
-        assert!(
-            node < self.nodes(),
-            "node {node} outside 0..{}",
-            self.nodes()
-        );
-        match &self.node_devices {
-            Some(devices) => {
-                assert_eq!(
-                    devices.len(),
-                    self.nodes(),
-                    "per-node device vector spans {} nodes but the cluster has {}",
-                    devices.len(),
-                    self.nodes()
-                );
-                DeviceProfile::for_device(devices[node])
-            }
-            None => self.device_profile(),
-        }
-    }
-
-    /// Node `node`'s compute-slowdown factor (`1.0` when no skew is set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or a hand-built skew disagrees with
-    /// the node count.
-    pub fn node_compute_factor(&self, node: usize) -> f64 {
-        assert!(
-            node < self.nodes(),
-            "node {node} outside 0..{}",
-            self.nodes()
-        );
-        match &self.compute_skew {
-            Some(skew) => {
-                assert_eq!(
-                    skew.nodes(),
-                    self.nodes(),
-                    "skew describes {} nodes but the cluster has {}",
-                    skew.nodes(),
-                    self.nodes()
-                );
-                skew.factor(node)
-            }
-            None => 1.0,
-        }
-    }
-
     /// The slowest node's compute-slowdown factor — what every synchronous
-    /// compute phase (forward/backward pass) is gated by. Exactly `1.0` on an
-    /// unskewed cluster, so multiplying a charge by it is bit-for-bit the
+    /// compute phase (forward/backward pass) is gated by. Exactly `1.0` on a
+    /// healthy cluster, so multiplying a charge by it is bit-for-bit the
     /// homogeneous charge.
     pub fn slowest_compute_factor(&self) -> f64 {
-        match &self.compute_skew {
-            Some(skew) => {
-                assert_eq!(
-                    skew.nodes(),
-                    self.nodes(),
-                    "skew describes {} nodes but the cluster has {}",
-                    skew.nodes(),
-                    self.nodes()
-                );
-                skew.max_factor()
-            }
-            None => 1.0,
-        }
+        self.topology
+            .node_profiles()
+            .iter()
+            .map(NodeProfile::compute_factor)
+            .fold(1.0, f64::max)
     }
 
     /// Modelled forward + backward compute seconds of one synchronous
@@ -398,12 +270,29 @@ impl ClusterConfig {
             * self.slowest_compute_factor()
     }
 
+    /// Modelled compute seconds of one synchronous Table-1 iteration of
+    /// `spec`, calibrated so the dense baseline reproduces Table 1's
+    /// communication-overhead column `o` on this cluster's interconnect:
+    /// `dense_comm · (1 − o)/o`, gated by the slowest node's
+    /// [`slowest_compute_factor`](Self::slowest_compute_factor). A single
+    /// worker never communicates, so it gets a nominal 1 ms. The Table-1
+    /// simulator prices compute here; the trainer and the fleet price real
+    /// models with [`iteration_compute_time`](Self::iteration_compute_time).
+    pub fn table1_compute_time(&self, spec: &BenchmarkSpec) -> f64 {
+        if self.workers > 1 {
+            let dense_comm = self.allreduce_dense(spec.gradient_bytes());
+            let overhead = spec.communication_overhead.clamp(0.01, 0.99);
+            dense_comm * (1.0 - overhead) / overhead * self.slowest_compute_factor()
+        } else {
+            1e-3 * self.slowest_compute_factor()
+        }
+    }
+
     /// Modelled compression latency of worker `worker` for a `dim`-element
-    /// gradient: its node's device profile at this cluster's engine width,
-    /// stretched by its node's compute-slowdown factor. On a homogeneous
-    /// cluster this is bit-for-bit the cluster-wide
-    /// [`DeviceProfile::compression_time_with_workers`] charge (the factor is
-    /// exactly `1.0` and the profile the shared one).
+    /// gradient: its node's device at this cluster's engine width, stretched
+    /// by its node's compute-slowdown factor. On a homogeneous cluster this
+    /// is bit-for-bit the shared [`DeviceProfile::compression_time_with_workers`]
+    /// charge (the factor is exactly `1.0`).
     pub fn worker_compression_time(
         &self,
         worker: usize,
@@ -412,17 +301,16 @@ impl ClusterConfig {
         delta: f64,
         stages: usize,
     ) -> f64 {
-        let node = self.node_of_worker(worker);
-        self.node_device_profile(node)
-            .compression_time_with_workers(kind, dim, delta, stages, self.engine_workers)
-            * self.node_compute_factor(node)
+        let profile = &self.topology.node_profiles()[self.node_of_worker(worker)];
+        self.device_compression_time(profile.device(), kind, dim, delta, stages)
+            * profile.compute_factor()
     }
 
     /// Modelled cluster-wide compression latency of a `dim`-element gradient:
     /// synchronous SGD waits for every worker's compressed payload, so the
     /// charge is the **slowest node's** skewed compression time. Collapses
-    /// bit-for-bit to the homogeneous charge when no per-node device or skew
-    /// is set (every node computes the identical time × `1.0`).
+    /// bit-for-bit to the homogeneous charge when every node shares one
+    /// device at factor `1.0`.
     pub fn modeled_compression_time(
         &self,
         kind: CompressorKind,
@@ -430,13 +318,32 @@ impl ClusterConfig {
         delta: f64,
         stages: usize,
     ) -> f64 {
-        (0..self.nodes())
-            .map(|node| {
-                self.node_device_profile(node)
-                    .compression_time_with_workers(kind, dim, delta, stages, self.engine_workers)
-                    * self.node_compute_factor(node)
+        self.topology
+            .node_profiles()
+            .iter()
+            .map(|profile| {
+                self.device_compression_time(profile.device(), kind, dim, delta, stages)
+                    * profile.compute_factor()
             })
             .fold(0.0, f64::max)
+    }
+
+    /// Compression latency on `device` at this cluster's engine width.
+    fn device_compression_time(
+        &self,
+        device: ComputeDevice,
+        kind: CompressorKind,
+        dim: usize,
+        delta: f64,
+        stages: usize,
+    ) -> f64 {
+        DeviceProfile::for_device(device).compression_time_with_workers(
+            kind,
+            dim,
+            delta,
+            stages,
+            self.engine_workers,
+        )
     }
 
     /// The topology, checked for consistency with the declared worker count
@@ -498,9 +405,16 @@ mod tests {
 
     #[test]
     fn presets_match_paper_testbeds() {
+        let devices = |c: &ClusterConfig| -> Vec<ComputeDevice> {
+            c.topology
+                .node_profiles()
+                .iter()
+                .map(NodeProfile::device)
+                .collect()
+        };
         let dedicated = ClusterConfig::paper_dedicated();
         assert_eq!(dedicated.workers, 8);
-        assert_eq!(dedicated.compression_device, ComputeDevice::Gpu);
+        assert_eq!(devices(&dedicated), vec![ComputeDevice::Gpu; 8]);
         assert_eq!(
             dedicated.topology,
             HierarchicalTopology::one_worker_per_node(8, NetworkModel::ethernet_25g())
@@ -508,7 +422,7 @@ mod tests {
         assert_eq!(dedicated.engine_workers, 1);
 
         let cpu = ClusterConfig::paper_cpu_compression();
-        assert_eq!(cpu.compression_device, ComputeDevice::Cpu);
+        assert_eq!(devices(&cpu), vec![ComputeDevice::Cpu; 8]);
         assert_eq!(cpu.workers, dedicated.workers);
 
         let shared = ClusterConfig::paper_shared_multi_gpu();
@@ -519,20 +433,6 @@ mod tests {
 
         assert!(ClusterConfig::small_test().workers < dedicated.workers);
         assert_eq!(ClusterConfig::default(), dedicated);
-    }
-
-    #[test]
-    fn device_profile_follows_compression_device() {
-        assert_eq!(
-            ClusterConfig::paper_cpu_compression()
-                .device_profile()
-                .device,
-            ComputeDevice::Cpu
-        );
-        assert_eq!(
-            ClusterConfig::paper_dedicated().device_profile().device,
-            ComputeDevice::Gpu
-        );
     }
 
     #[test]
@@ -612,22 +512,26 @@ mod tests {
     #[test]
     fn homogeneous_heterogeneity_knobs_collapse_bit_for_bit() {
         use sidco_core::compressor::CompressorKind;
+        // Every node explicitly on the GPU at factor 1.0 charges exactly the
+        // shared device profile.
         let base = ClusterConfig::paper_two_tier().with_engine_workers(2);
+        let healthy = NodeProfile::new(NetworkModel::ethernet_25g(), 1)
+            .with_device(ComputeDevice::Gpu)
+            .with_compute_factor(1.0);
         let knobbed = base
             .clone()
-            .with_node_devices(vec![ComputeDevice::Gpu; 2])
-            .with_compute_skew(ComputeSkew::uniform(2));
+            .with_topology(base.topology.clone().with_node_profiles(vec![healthy; 2]));
+        assert_eq!(knobbed, base);
         let kind = CompressorKind::TopK;
+        let shared = DeviceProfile::gpu().compression_time_with_workers(kind, 1 << 20, 0.01, 1, 2);
         assert_eq!(
             knobbed.modeled_compression_time(kind, 1 << 20, 0.01, 1),
-            base.device_profile()
-                .compression_time_with_workers(kind, 1 << 20, 0.01, 1, 2)
+            shared
         );
         for worker in 0..8 {
             assert_eq!(
                 knobbed.worker_compression_time(worker, kind, 1 << 20, 0.01, 1),
-                base.device_profile()
-                    .compression_time_with_workers(kind, 1 << 20, 0.01, 1, 2)
+                shared
             );
         }
         assert_eq!(knobbed.slowest_compute_factor(), 1.0);
@@ -659,8 +563,14 @@ mod tests {
         use sidco_core::compressor::CompressorKind;
         // Node 1 compresses on the CPU: cluster-wide latency gates on
         // whichever device is slower for the given compressor.
-        let mixed = ClusterConfig::paper_two_tier()
-            .with_node_devices(vec![ComputeDevice::Gpu, ComputeDevice::Cpu]);
+        let two_tier = ClusterConfig::paper_two_tier();
+        let nic = NodeProfile::new(NetworkModel::ethernet_25g(), 1);
+        let mixed = two_tier.clone().with_topology(
+            two_tier
+                .topology
+                .clone()
+                .with_node_profiles(vec![nic, nic.with_device(ComputeDevice::Cpu)]),
+        );
         let kind = CompressorKind::TopK;
         let gpu = DeviceProfile::gpu().compression_time(kind, 1 << 20, 0.01, 1);
         let cpu = DeviceProfile::cpu().compression_time(kind, 1 << 20, 0.01, 1);
@@ -668,8 +578,14 @@ mod tests {
             mixed.modeled_compression_time(kind, 1 << 20, 0.01, 1),
             gpu.max(cpu)
         );
-        assert_eq!(mixed.node_device_profile(0).device, ComputeDevice::Gpu);
-        assert_eq!(mixed.node_device_profile(1).device, ComputeDevice::Cpu);
+        assert_eq!(
+            mixed.worker_compression_time(0, kind, 1 << 20, 0.01, 1),
+            gpu
+        );
+        assert_eq!(
+            mixed.worker_compression_time(4, kind, 1 << 20, 0.01, 1),
+            cpu
+        );
     }
 
     #[test]
@@ -688,33 +604,34 @@ mod tests {
     }
 
     #[test]
-    fn join_and_leave_rescale_topology_and_per_node_vectors() {
+    fn join_and_leave_rescale_topology_and_node_profiles() {
         // Flat cluster: one machine is one worker.
         let flat = ClusterConfig::small_test();
         let grown = flat.after_join();
         assert_eq!(grown.workers, 5);
         assert_eq!(grown.after_leave().expect("can shrink back"), flat);
 
-        // Two-tier with every per-node knob set: all vectors stay aligned.
-        let het = ClusterConfig::paper_mixed_fleet()
-            .with_node_devices(vec![
-                ComputeDevice::Gpu,
-                ComputeDevice::Cpu,
-                ComputeDevice::Gpu,
-                ComputeDevice::Gpu,
-            ])
-            .with_compute_skew(ComputeSkew::straggler(4, 1, 1.5));
+        // Mixed NICs, a CPU node and a straggler: every per-node property
+        // lives in one profile, so the join appends exactly one.
+        let mixed = ClusterConfig::paper_mixed_fleet();
+        let mut profiles = mixed.topology.node_profiles().to_vec();
+        profiles[1] = profiles[1].with_device(ComputeDevice::Cpu);
+        let het = mixed
+            .clone()
+            .with_topology(mixed.topology.clone().with_node_profiles(profiles))
+            .with_straggler(3, 1.5);
         let grown = het.after_join();
         assert_eq!(grown.nodes(), 5);
         assert_eq!(grown.workers, 10);
-        assert_eq!(grown.node_devices.as_ref().unwrap().len(), 5);
-        assert_eq!(grown.compute_skew.as_ref().unwrap().nodes(), 5);
-        assert_eq!(grown.node_compute_factor(4), 1.0);
         let profiles = grown.topology.node_profiles();
         assert_eq!(profiles.len(), 5);
-        // The new node is cabled like the last one (a 25G NIC).
-        assert_eq!(profiles[4], profiles[3]);
+        // The new node is cabled and equipped like the last one (a 25G NIC
+        // on the GPU) but healthy.
+        assert_eq!(profiles[4], profiles[3].with_compute_factor(1.0));
         assert_eq!(profiles[4].nic, NetworkModel::ethernet_25g());
+        assert_eq!(profiles[4].device(), ComputeDevice::Gpu);
+        assert_eq!(profiles[4].compute_factor(), 1.0);
+        assert_eq!(grown.slowest_compute_factor(), 1.5);
         let shrunk = grown.after_leave().expect("five nodes can lose one");
         assert_eq!(shrunk, het, "join immediately undone by leave is a no-op");
 
@@ -755,6 +672,12 @@ mod tests {
             let round_trip = cluster.after_join().after_leave();
             assert_eq!(round_trip, Some(cluster));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn rejects_out_of_range_straggler() {
+        let _ = ClusterConfig::paper_two_tier().with_straggler(2, 2.0);
     }
 
     #[test]

@@ -213,143 +213,6 @@ impl DeviceProfile {
     }
 }
 
-/// Deterministic per-node multiplicative compute-slowdown factors — the
-/// straggler-injection knob of the heterogeneous cluster model.
-///
-/// Entry `i` stretches node `i`'s compute charges (backward pass and gradient
-/// compression) by a factor ≥ 1: `1.0` is a healthy node, `2.0` a node running
-/// at half speed (thermal throttling, a noisy neighbour, a degraded
-/// accelerator). The slowest node gates every synchronous phase, so charges
-/// take the **maximum** skewed time across nodes; an all-ones vector
-/// multiplies every charge by exactly `1.0` and therefore collapses
-/// **bit-for-bit** to the unskewed model (IEEE multiplication by one is
-/// exact) — the collapse `tests/scheduler_properties.rs` pins down.
-///
-/// Randomised fleets come from [`seeded`](Self::seeded), which draws from the
-/// vendored deterministic `rand` generator — same seed, same fleet, no
-/// wall-clock anywhere.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComputeSkew {
-    factors: Vec<f64>,
-}
-
-impl ComputeSkew {
-    /// Per-node factors as given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factors` is empty or any entry is below `1.0` or not finite
-    /// (a sub-one "slowdown" would be a speed-up and break the monotonicity
-    /// the model guarantees).
-    pub fn from_factors(factors: Vec<f64>) -> Self {
-        assert!(!factors.is_empty(), "a skew needs at least one node");
-        assert!(
-            factors.iter().all(|f| f.is_finite() && *f >= 1.0),
-            "slowdown factors must be finite and at least 1.0, got {factors:?}"
-        );
-        Self { factors }
-    }
-
-    /// A healthy fleet: every node at factor `1.0` (collapses bit-for-bit to
-    /// the unskewed model).
-    pub fn uniform(nodes: usize) -> Self {
-        Self::from_factors(vec![1.0; nodes])
-    }
-
-    /// One straggler: node `node` at `factor`, everyone else healthy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node >= nodes` or `factor` is below `1.0` / not finite.
-    pub fn straggler(nodes: usize, node: usize, factor: f64) -> Self {
-        assert!(node < nodes, "straggler node {node} outside 0..{nodes}");
-        let mut factors = vec![1.0; nodes];
-        factors[node] = factor;
-        Self::from_factors(factors)
-    }
-
-    /// A deterministic randomised fleet: node `i`'s factor is drawn uniformly
-    /// from `[1.0, 1.0 + max_excess)` by the vendored generator seeded with
-    /// `seed` — reproducible across runs and platforms, no wall-clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero or `max_excess` is negative or not finite.
-    pub fn seeded(nodes: usize, seed: u64, max_excess: f64) -> Self {
-        use rand::{Rng, SeedableRng};
-        assert!(
-            max_excess.is_finite() && max_excess >= 0.0,
-            "max_excess must be finite and non-negative, got {max_excess}"
-        );
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        let factors = (0..nodes)
-            .map(|_| {
-                if max_excess == 0.0 {
-                    1.0
-                } else {
-                    1.0 + rng.gen_range(0.0..max_excess)
-                }
-            })
-            .collect();
-        Self::from_factors(factors)
-    }
-
-    /// Node `node`'s slowdown factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn factor(&self, node: usize) -> f64 {
-        assert!(
-            node < self.factors.len(),
-            "node {node} outside 0..{}",
-            self.factors.len()
-        );
-        self.factors[node]
-    }
-
-    /// All per-node factors, node-indexed.
-    pub fn factors(&self) -> &[f64] {
-        &self.factors
-    }
-
-    /// Number of nodes the skew describes.
-    pub fn nodes(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// The slowest node's factor — what a synchronous phase is gated by.
-    pub fn max_factor(&self) -> f64 {
-        self.factors.iter().copied().fold(1.0, f64::max)
-    }
-
-    /// `true` when every node is healthy (factor exactly `1.0`), in which
-    /// case all charges collapse bit-for-bit to the unskewed model.
-    pub fn is_uniform(&self) -> bool {
-        self.factors.iter().all(|&f| f == 1.0)
-    }
-
-    /// The skew after the last node left the fleet (`None` once only one node
-    /// remains — the fleet cannot shrink to nothing).
-    #[must_use]
-    pub fn without_last(&self) -> Option<Self> {
-        if self.factors.len() <= 1 {
-            return None;
-        }
-        let mut factors = self.factors.clone();
-        factors.pop();
-        Some(Self { factors })
-    }
-
-    /// The skew after a healthy node joined the fleet.
-    #[must_use]
-    pub fn with_joined(&self) -> Self {
-        let mut factors = self.factors.clone();
-        factors.push(1.0);
-        Self { factors }
-    }
-}
-
 /// Number of elements a selection stage at ratio `ratio` keeps out of `dim`,
 /// at least one. Guarded in the `projected_payload_bytes` style: a NaN or
 /// negative ratio panics instead of the bare `as` cast silently saturating it
@@ -512,52 +375,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn rejects_zero_engine_workers() {
         DeviceProfile::cpu().compression_time_with_workers(CompressorKind::TopK, 1, 0.1, 1, 0);
-    }
-
-    #[test]
-    fn compute_skew_constructors_and_accessors() {
-        let healthy = ComputeSkew::uniform(4);
-        assert!(healthy.is_uniform());
-        assert_eq!(healthy.max_factor(), 1.0);
-        assert_eq!(healthy.nodes(), 4);
-
-        let straggler = ComputeSkew::straggler(4, 2, 2.0);
-        assert!(!straggler.is_uniform());
-        assert_eq!(straggler.factor(2), 2.0);
-        assert_eq!(straggler.factor(0), 1.0);
-        assert_eq!(straggler.max_factor(), 2.0);
-        assert_eq!(straggler.factors(), &[1.0, 1.0, 2.0, 1.0]);
-
-        // Elastic membership: join appends a healthy node, leave pops.
-        let grown = straggler.with_joined();
-        assert_eq!(grown.nodes(), 5);
-        assert_eq!(grown.factor(4), 1.0);
-        let shrunk = grown.without_last().unwrap();
-        assert_eq!(shrunk, straggler);
-        assert_eq!(ComputeSkew::uniform(1).without_last(), None);
-    }
-
-    #[test]
-    fn seeded_skew_is_deterministic_and_bounded() {
-        let a = ComputeSkew::seeded(8, 42, 0.5);
-        let b = ComputeSkew::seeded(8, 42, 0.5);
-        assert_eq!(a, b, "same seed must give the same fleet");
-        let c = ComputeSkew::seeded(8, 43, 0.5);
-        assert_ne!(a, c, "different seeds should differ");
-        assert!(a.factors().iter().all(|&f| (1.0..1.5).contains(&f)));
-        // Zero excess degenerates to the healthy fleet.
-        assert!(ComputeSkew::seeded(8, 42, 0.0).is_uniform());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1.0")]
-    fn skew_rejects_speedup_factors() {
-        ComputeSkew::from_factors(vec![1.0, 0.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn skew_rejects_out_of_range_straggler() {
-        ComputeSkew::straggler(2, 2, 2.0);
     }
 }

@@ -4,7 +4,8 @@
 //! workloads in `sidco-models`:
 //!
 //! * [`cluster`] — cluster topologies ([`ClusterConfig`](cluster::ClusterConfig)):
-//!   worker count, interconnect, compression device, including the paper's
+//!   worker count and one [`NodeProfile`](network::NodeProfile) per machine
+//!   (NIC, compression device, compute slowdown), including the paper's
 //!   three testbeds;
 //! * [`network`] — the α–β cost model of the collectives
 //!   ([`NetworkModel`]): dense ring all-reduce for the baseline, sparse ring
@@ -62,7 +63,6 @@ pub mod tenancy;
 pub mod trainer;
 
 pub use collective::{BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleTimeline};
-pub use device::ComputeSkew;
 pub use metrics::{DispatchReport, RescaleRecord, TrainingReport};
 pub use network::{HierarchicalTopology, NetworkModel, NodeProfile};
 pub use optimizer::Optimizer;

@@ -8,6 +8,8 @@
 //! the *ratio* between communication and computation, which the benchmark
 //! specs pin down empirically.
 
+use crate::device::ComputeDevice;
+
 /// Latency–bandwidth model of the cluster interconnect.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
@@ -116,19 +118,31 @@ fn assert_usable_link(link: &NetworkModel, role: &str) {
     );
 }
 
-/// One machine's egress into the inter-node fabric: the NIC model it was
-/// actually cabled with and how many rails of it the node drives. The unit
-/// [`HierarchicalTopology`] describes its machines in.
+/// One machine, whole: the NIC it was cabled with and how many rails of it
+/// the node drives, the device it compresses on, and how much slower than a
+/// healthy node it computes. The unit [`HierarchicalTopology`] describes its
+/// machines in, and the only per-node description of a cluster.
+///
+/// The compute factor stretches the node's compute charges (backward pass
+/// and gradient compression): `1.0` is a healthy node, `2.0` a node running at
+/// half speed (thermal throttling, a noisy neighbour, a degraded
+/// accelerator). Synchronous phases gate on the slowest node, so a
+/// homogeneous fleet multiplies every charge by exactly `1.0` and collapses
+/// bit-for-bit to the unskewed model (IEEE multiplication by one is exact).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeProfile {
     /// The NIC this node reaches the inter-node fabric through (per rail).
     pub nic: NetworkModel,
     /// NIC rails striping this node's egress (≥ 1).
     pub nics: u32,
+    /// Where this node runs gradient compression.
+    device: ComputeDevice,
+    /// Multiplicative compute slowdown (finite, ≥ 1).
+    compute_factor: f64,
 }
 
 impl NodeProfile {
-    /// A profile of `nics` rails of `nic`.
+    /// A healthy GPU node driving `nics` rails of `nic`.
     ///
     /// # Panics
     ///
@@ -137,7 +151,48 @@ impl NodeProfile {
     pub fn new(nic: NetworkModel, nics: u32) -> Self {
         assert!(nics >= 1, "a node needs at least one NIC");
         assert_usable_link(&nic, "node NIC");
-        Self { nic, nics }
+        Self {
+            nic,
+            nics,
+            device: ComputeDevice::Gpu,
+            compute_factor: 1.0,
+        }
+    }
+
+    /// The same node compressing on `device`.
+    #[must_use]
+    pub fn with_device(self, device: ComputeDevice) -> Self {
+        Self { device, ..self }
+    }
+
+    /// The same node computing `compute_factor` times slower than a healthy
+    /// one (straggler injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compute_factor` is below `1.0` or not finite (a sub-one
+    /// "slowdown" would be a speed-up and break the monotonicity the model
+    /// guarantees).
+    #[must_use]
+    pub fn with_compute_factor(self, compute_factor: f64) -> Self {
+        assert!(
+            compute_factor.is_finite() && compute_factor >= 1.0,
+            "slowdown factors must be finite and at least 1.0, got {compute_factor}"
+        );
+        Self {
+            compute_factor,
+            ..self
+        }
+    }
+
+    /// The device this node compresses on.
+    pub fn device(&self) -> ComputeDevice {
+        self.device
+    }
+
+    /// This node's compute-slowdown factor (`1.0` when healthy).
+    pub fn compute_factor(&self) -> f64 {
+        self.compute_factor
     }
 
     /// The node's egress as one logical link: the rails stripe the bandwidth
@@ -150,10 +205,10 @@ impl NodeProfile {
     }
 }
 
-/// A two-tier cluster interconnect: machines of `workers_per_node` workers
-/// each, with a fast intra-node fabric (NVLink/PCIe-class) and one
-/// [`NodeProfile`] per machine for its egress into the inter-node fabric
-/// (the datacentre network).
+/// A two-tier cluster of machines of `workers_per_node` workers each, with a
+/// fast intra-node fabric (NVLink/PCIe-class) and one [`NodeProfile`] per
+/// machine: its egress into the inter-node fabric (the datacentre network),
+/// its compression device and its compute-slowdown factor.
 ///
 /// Hierarchical collectives run in phases — an intra-node stage, an
 /// inter-node stage over per-node aggregates, and an intra-node distribution
@@ -167,20 +222,20 @@ impl NodeProfile {
 /// **One profile per node.** The profile vector is the only description of
 /// the machines: [`nodes`](Self::nodes) is its length, and a homogeneous
 /// cluster is a uniform vector ([`new`](Self::new) writes
-/// `[NodeProfile::new(inter, 1); nodes]`,
+/// `[NodeProfile::new(inter, 1); nodes]` — healthy GPU nodes,
 /// [`with_nics_per_node`](Self::with_nics_per_node) restripes every entry).
 /// Every node drains its `(nodes-1)` aggregate messages through its own
 /// effective NIC in parallel, and the ring phase completes when the slowest
 /// node finishes — monotone in any single node's slowdown, non-increasing in
-/// any node's rail count. A Join repeats the last node's profile; a Leave
-/// drops the last node.
+/// any node's rail count. A Join repeats the last node's profile at a
+/// healthy compute factor; a Leave drops the last node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalTopology {
     /// Workers (GPUs) per machine.
     pub workers_per_node: usize,
     /// Fabric joining the workers of one machine.
     pub intra: NetworkModel,
-    /// One egress profile per machine (never empty).
+    /// One profile per machine (never empty).
     profiles: Vec<NodeProfile>,
 }
 
@@ -226,8 +281,8 @@ impl HierarchicalTopology {
         self
     }
 
-    /// Replaces the per-node NIC profiles (entry `i` is node `i`'s egress into
-    /// the inter-node fabric) — how mixed 10G/25G/100G fleets are described.
+    /// Replaces the per-node profiles (entry `i` describes node `i`) — how
+    /// mixed 10G/25G/100G, mixed-device and straggler fleets are described.
     ///
     /// # Panics
     ///
@@ -239,7 +294,7 @@ impl HierarchicalTopology {
         assert_eq!(
             node_profiles.len(),
             self.nodes(),
-            "need one NIC profile per node ({} nodes, got {})",
+            "need one profile per node ({} nodes, got {})",
             self.nodes(),
             node_profiles.len()
         );
@@ -256,7 +311,7 @@ impl HierarchicalTopology {
         self.profiles.len()
     }
 
-    /// The per-node NIC profiles, one per machine.
+    /// The per-node profiles, one per machine.
     pub fn node_profiles(&self) -> &[NodeProfile] {
         &self.profiles
     }
@@ -307,8 +362,9 @@ impl HierarchicalTopology {
             .expect("a topology always has at least one node")
     }
 
-    /// The topology after one machine joined, cabled like the last machine
-    /// (its profile is repeated) — how the trainer re-derives the fabric on a
+    /// The topology after one machine joined, cabled and equipped like the
+    /// last machine (its NIC, rails and device are repeated) but healthy
+    /// (compute factor `1.0`) — how the trainer re-derives the fleet on a
     /// [`ClusterEvent::Join`](crate::trainer::ClusterEvent).
     #[must_use]
     pub fn with_joined_node(&self) -> Self {
@@ -316,7 +372,10 @@ impl HierarchicalTopology {
         // INVARIANT: a topology always has at least one node (see
         // slowest_node_parts), so a last profile exists.
         let last = *self.profiles.last().expect("a topology is never empty");
-        grown.profiles.push(last);
+        grown.profiles.push(NodeProfile {
+            compute_factor: 1.0,
+            ..last
+        });
         grown
     }
 
@@ -769,7 +828,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one NIC profile per node")]
+    #[should_panic(expected = "one profile per node")]
     fn node_profiles_length_must_match_nodes() {
         let _ = HierarchicalTopology::new(
             3,
@@ -808,6 +867,43 @@ mod tests {
             },
             1,
         );
+    }
+
+    #[test]
+    fn node_profile_defaults_and_accessors() {
+        let nic = NetworkModel::ethernet_25g();
+        let healthy = NodeProfile::new(nic, 2);
+        assert_eq!(healthy.device(), ComputeDevice::Gpu);
+        assert_eq!(healthy.compute_factor(), 1.0);
+
+        let straggler = healthy
+            .with_device(ComputeDevice::Cpu)
+            .with_compute_factor(2.5);
+        assert_eq!(straggler.device(), ComputeDevice::Cpu);
+        assert_eq!(straggler.compute_factor(), 2.5);
+        // The compute half never touches the NIC half.
+        assert_eq!((straggler.nic, straggler.nics), (nic, 2));
+        assert_eq!(straggler.effective_nic(), healthy.effective_nic());
+        assert_eq!(healthy.with_compute_factor(1.0), healthy);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1.0")]
+    fn node_profiles_reject_sub_one_compute_factor() {
+        let _ = NodeProfile::new(NetworkModel::ethernet_25g(), 1).with_compute_factor(0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1.0")]
+    fn node_profiles_reject_nan_compute_factor() {
+        let _ = NodeProfile::new(NetworkModel::ethernet_25g(), 1).with_compute_factor(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1.0")]
+    fn node_profiles_reject_infinite_compute_factor() {
+        let _ =
+            NodeProfile::new(NetworkModel::ethernet_25g(), 1).with_compute_factor(f64::INFINITY);
     }
 
     #[test]

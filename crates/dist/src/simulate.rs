@@ -223,20 +223,8 @@ pub fn simulate_benchmark(
     let spec = config.benchmark.spec();
     let cluster = &config.cluster;
 
-    // Split the benchmark's measured iteration into compute and dense
-    // communication so the simulated baseline reproduces Table 1's
-    // communication-overhead column on this cluster's network (hierarchical
-    // when the cluster has a two-tier topology). The synchronous compute
-    // phase is gated by the slowest node, so straggler skew stretches it
-    // (×1.0 exactly on a healthy fleet).
     let dense_comm = cluster.allreduce_dense(spec.gradient_bytes());
-    let overhead = spec.communication_overhead.clamp(0.01, 0.99);
-    let compute = if cluster.workers > 1 {
-        dense_comm * (1.0 - overhead) / overhead * cluster.slowest_compute_factor()
-    } else {
-        // A single worker never communicates; give it a nominal compute time.
-        1e-3 * cluster.slowest_compute_factor()
-    };
+    let compute = cluster.table1_compute_time(&spec);
 
     let mut generator = SyntheticGradientGenerator::new(
         config.measured_dim,
@@ -459,11 +447,9 @@ mod tests {
         assert_eq!(slow_t.compression, 2.0 * base_t.compression);
         // ...while the wire charge is untouched (the NICs are healthy).
         assert_eq!(slow_t.communication, base_t.communication);
-        // An all-ones skew collapses bit-for-bit to the unskewed run.
-        let uniform = quick(BenchmarkId::Vgg16Cifar10).with_cluster(
-            ClusterConfig::paper_two_tier()
-                .with_compute_skew(crate::device::ComputeSkew::uniform(2)),
-        );
+        // A factor-1.0 straggler collapses bit-for-bit to the unskewed run.
+        let uniform = quick(BenchmarkId::Vgg16Cifar10)
+            .with_cluster(ClusterConfig::paper_two_tier().with_straggler(1, 1.0));
         let collapsed = simulate_benchmark(&uniform, kind, 0.01);
         assert_eq!(collapsed.timing, base.timing);
     }

@@ -361,7 +361,8 @@ impl ModelTrainer {
     }
 
     /// The cluster-derived charging context: modelled compute time per
-    /// iteration (gated on the slowest node's [`ComputeSkew`] factor —
+    /// iteration (gated on the slowest node's
+    /// [`compute_factor`](crate::network::NodeProfile::compute_factor) —
     /// exactly `1.0` unskewed, so homogeneous fleets collapse bit-for-bit
     /// onto the old charge), the backward share that releases buckets, the
     /// per-bucket release times, and the dispatch order. With arrival-aware
@@ -371,8 +372,6 @@ impl ModelTrainer {
     /// is the makespan beyond it. A zero backward duration
     /// (arrival-oblivious charging) keeps every release at zero.
     /// Re-derived whenever a [`ClusterEvent`] rescales the fleet.
-    ///
-    /// [`ComputeSkew`]: crate::device::ComputeSkew
     fn charging_context(
         &self,
         cluster: &ClusterConfig,
@@ -1403,16 +1402,13 @@ mod tests {
             .run(0.1)
         };
         let healthy = run(ClusterConfig::small_test());
-        let skewed = run(ClusterConfig::small_test()
-            .with_compute_skew(crate::device::ComputeSkew::straggler(4, 2, 2.0)));
+        let skewed = run(ClusterConfig::small_test().with_straggler(2, 2.0));
         for (a, b) in healthy.samples().iter().zip(skewed.samples()) {
             assert_eq!(a.loss, b.loss, "skew must never touch the numerics");
             assert!(b.time > a.time, "a 2x straggler must stretch the clock");
         }
-        // And a uniform (all-1.0) skew collapses bit-for-bit.
-        let uniform =
-            run(ClusterConfig::small_test()
-                .with_compute_skew(crate::device::ComputeSkew::uniform(4)));
+        // And a factor-1.0 straggler collapses bit-for-bit.
+        let uniform = run(ClusterConfig::small_test().with_straggler(2, 1.0));
         for (a, b) in healthy.samples().iter().zip(uniform.samples()) {
             assert_eq!(a.loss, b.loss);
             assert_eq!(a.time, b.time);

@@ -199,8 +199,7 @@ fn main() {
     // times show how the asymmetric NICs gate the inter-node exchange, and
     // the rescale report shows the error-feedback migration when the fleet
     // shrinks.
-    let het =
-        ClusterConfig::paper_mixed_fleet().with_compute_skew(ComputeSkew::straggler(4, 2, 2.0));
+    let het = ClusterConfig::paper_mixed_fleet().with_straggler(2, 2.0);
     let payload = 1 << 20; // 1 MiB of sparse gradient leaving each node
     println!();
     println!(
@@ -208,11 +207,12 @@ fn main() {
         het.nodes(),
         het.workers_per_node(),
     );
-    for (node, drain) in het.topology.node_drain_times(payload).iter().enumerate() {
+    let drains = het.topology.node_drain_times(payload);
+    for (node, (drain, profile)) in drains.iter().zip(het.topology.node_profiles()).enumerate() {
         println!(
             "  node {node}: drain {:>10.6}s  compute x{:.1}",
             drain,
-            het.node_compute_factor(node),
+            profile.compute_factor(),
         );
     }
 

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use sidco_dist::simulate::{simulate_benchmark, SimulationConfig};
     pub use sidco_dist::trainer::{ModelTrainer, TrainerConfig};
     pub use sidco_dist::{
-        BucketPolicy, ClusterEvent, CollectiveScheduler, ComputeSkew, DispatchReport, FleetReport,
+        BucketPolicy, ClusterEvent, CollectiveScheduler, DispatchReport, FleetReport,
         FleetScheduler, HierarchicalTopology, JobSpec, LrSchedule, NetworkModel, NodeProfile,
         Optimizer, PriorityPolicy, RescaleRecord, SharePolicy, TenancyConfig,
     };

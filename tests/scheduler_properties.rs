@@ -38,18 +38,25 @@
 //!    included (the slot-limited Graham anomaly is repaired, not merely
 //!    documented).
 //!
-//! The heterogeneous/elastic cluster extensions add four more:
+//! The heterogeneous/elastic cluster extensions add six more:
 //!
 //! 9. **Homogeneous-profile collapse** — a uniform per-node NIC profile
 //!    vector charges bit-for-bit the closed-form single-bottleneck oracle
 //!    (`oracle::StripedTopology`), for every collective and the budget
 //!    inversion;
 //! 10. **Per-node slowdown monotonicity** — slowing any single node (compute
-//!     skew or NIC bandwidth) never makes any modelled charge cheaper;
+//!     slowdown factor or NIC bandwidth) never makes any modelled charge
+//!     cheaper;
 //! 11. **EF-mass conservation** — the signed error-feedback mass survives
 //!     every Join/Leave sequence (departing residuals fold into survivors);
 //! 12. **Join/Leave no-op collapse** — a Join immediately undone by a Leave
-//!     is bit-identical to a run with no events at all.
+//!     is bit-identical to a run with no events at all;
+//! 13. **Node-profile round trip** — on any per-node (NIC, rails, device,
+//!     slowdown) fleet, a Join appends a healthy copy of the last machine and
+//!     a Leave restores the original cluster exactly;
+//! 14. **Slowest-worker compression** — on any mixed-device, mixed-slowdown
+//!     fleet the cluster-wide compression charge is bit-for-bit the slowest
+//!     worker's own charge.
 
 mod oracle;
 
@@ -60,6 +67,7 @@ use sidco_dist::collective::{
     bandwidth_lower_bound, makespan_lower_bound, modeled_bucket_costs, BucketCost,
     CollectiveScheduler, PriorityPolicy, ScheduleTimeline,
 };
+use sidco_dist::device::ComputeDevice;
 use sidco_dist::network::HierarchicalTopology;
 use sidco_dist::schedule::auto_bucket_layout;
 use sidco_dist::simulate::build_compressor;
@@ -755,12 +763,11 @@ fn arrival_aware_schedules_interleave_with_the_backward_pass_on_table1() {
             let spec = benchmark.spec();
             let layers = spec.representative_layer_sizes();
             let per_tensor = sidco::core::layerwise::LayerLayout::new(layers.clone());
-            // The same compute split the trainer and the Table-1 simulator
-            // charge: dense-communication overhead ratio → compute time,
-            // two thirds of which is the backward pass.
-            let dense_comm = cluster.allreduce_dense(spec.gradient_bytes());
-            let overhead = spec.communication_overhead.clamp(0.01, 0.99);
-            let backward = BACKWARD_COMPUTE_FRACTION * dense_comm * (1.0 - overhead) / overhead;
+            // The Table-1 simulator's compute calibration (dense-communication
+            // overhead ratio → compute time), two thirds of which is the
+            // backward pass. The trainer prices real models with
+            // `iteration_compute_time` instead.
+            let backward = BACKWARD_COMPUTE_FRACTION * cluster.table1_compute_time(&spec);
             let ready = bucket_ready_times(
                 &layers,
                 &spec.representative_backward_costs(),
@@ -1015,13 +1022,15 @@ proptest! {
             sidco::stats::fit::SidKind::Exponential,
         );
         let layout = sidco::core::layerwise::LayerLayout::uniform(1_000_000, 4);
-        let skewed = |factors: Vec<f64>| {
-            ClusterConfig::paper_two_tier().with_compute_skew(ComputeSkew::from_factors(factors))
-        };
-        let before = modeled_bucket_costs(&skewed(factors.clone()), kind, 0.01, 2, &layout);
-        let mut bumped = factors;
-        bumped[node] += bump;
-        let after = modeled_bucket_costs(&skewed(bumped), kind, 0.01, 2, &layout);
+        let skewed = factors
+            .iter()
+            .enumerate()
+            .fold(ClusterConfig::paper_two_tier(), |cluster, (n, &factor)| {
+                cluster.with_straggler(n, factor)
+            });
+        let bumped = skewed.clone().with_straggler(node, factors[node] + bump);
+        let before = modeled_bucket_costs(&skewed, kind, 0.01, 2, &layout);
+        let after = modeled_bucket_costs(&bumped, kind, 0.01, 2, &layout);
         let overhead = |costs: &[BucketCost]| {
             let comp: Vec<f64> = costs.iter().map(|c| c.compression).collect();
             let comm: Vec<f64> = costs.iter().map(BucketCost::communication).collect();
@@ -1112,4 +1121,61 @@ proptest! {
         }
         prop_assert_eq!(baseline.final_evaluation(), elastic.final_evaluation());
     }
+
+    /// Property 13: with one `NodeProfile` per machine, elastic membership is
+    /// a pure edit of the profile vector — for any per-node (NIC, rails,
+    /// device, slowdown) fleet on 1–5 nodes, a Join appends a healthy copy of
+    /// the last machine and a Leave undoes it exactly.
+    #[test]
+    fn join_then_leave_round_trips_any_node_profile_vector(
+        nodes in 1usize..=5,
+        workers_per_node in 1usize..=3,
+        machines in prop::collection::vec(machine_strategy(), 5),
+    ) {
+        let cluster = profiled_cluster(workers_per_node, &machines[..nodes]);
+        let profiles = cluster.topology.node_profiles().to_vec();
+        let grown = cluster.after_join();
+        prop_assert_eq!(grown.workers, (nodes + 1) * workers_per_node);
+        prop_assert_eq!(&grown.topology.node_profiles()[..nodes], &profiles[..]);
+        let (last, joiner) = (profiles[nodes - 1], grown.topology.node_profiles()[nodes]);
+        prop_assert_eq!((joiner.nic, joiner.nics), (last.nic, last.nics));
+        prop_assert_eq!(joiner.device(), last.device());
+        prop_assert_eq!(joiner.compute_factor(), 1.0);
+        prop_assert_eq!(grown.after_leave(), Some(cluster));
+    }
+}
+
+/// One generated machine: (NIC index, rails, device index, slowdown factor).
+type Machine = (usize, u32, usize, f64);
+
+fn machine_strategy() -> impl Strategy<Value = Machine> {
+    (0usize..3, 1u32..=4, 0usize..2, 1.0f64..4.0)
+}
+
+/// A two-tier cluster of `workers_per_node`-GPU machines, one per entry of
+/// `machines`, each with its own NIC, rails, device and slowdown.
+fn profiled_cluster(workers_per_node: usize, machines: &[Machine]) -> ClusterConfig {
+    let nics = [
+        NetworkModel::ethernet_10g(),
+        NetworkModel::ethernet_25g(),
+        NetworkModel::infiniband_100g(),
+    ];
+    let devices = [ComputeDevice::Gpu, ComputeDevice::Cpu];
+    let profiles = machines
+        .iter()
+        .map(|&(nic, rails, device, factor)| {
+            NodeProfile::new(nics[nic], rails)
+                .with_device(devices[device])
+                .with_compute_factor(factor)
+        })
+        .collect();
+    ClusterConfig::default().with_topology(
+        HierarchicalTopology::new(
+            machines.len(),
+            workers_per_node,
+            NetworkModel::infiniband_100g(),
+            NetworkModel::ethernet_25g(),
+        )
+        .with_node_profiles(profiles),
+    )
 }
