@@ -44,12 +44,12 @@ use sidco_tensor::encoding::{
 };
 use sidco_tensor::parallel::{
     abs_moments_on, count_above_threshold_on, exceedance_moments_on, select_above_threshold_on,
-    signed_moments_on, top_k_on_with, DEFAULT_CHUNK_SIZE,
+    signed_moments_on, top_k_on_with, SurvivorLists, DEFAULT_CHUNK_SIZE,
 };
 use sidco_tensor::threshold::cap_largest;
 use sidco_tensor::topk::TopKAlgorithm;
 use sidco_tensor::SparseGradient;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Environment variable consulted by [`CompressionEngine::from_env`] (and thus
 /// by every compressor constructed without an explicit engine). Set it to the
@@ -83,6 +83,13 @@ fn encode_worker_budget(host_threads: usize, requested: usize, nnz: usize) -> us
         .min(host_threads)
         .min(nnz / MIN_ENCODE_PAIRS_PER_WORKER)
         .max(1)
+}
+
+/// The host's hardware thread count, read once per process (the query is a
+/// system call, and `encode_varint` runs once per compressed layer).
+fn host_threads() -> usize {
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The process-wide memo behind [`CompressionEngine::from_env`]: the
@@ -239,16 +246,29 @@ impl CompressionEngine {
     }
 
     /// Every absolute-value moment of `grad` (parallel fitting statistics).
-    /// The multi-stage estimator asks the [`StageMoments`] impl for only the
-    /// fields its update reads.
+    /// The multi-stage estimate of [`SidcoCompressor`](crate::SidcoCompressor)
+    /// asks for only the fields its update reads.
     pub fn abs_moments(&self, grad: &[f32]) -> AbsMoments {
-        self.full_moments(grad, MomentNeeds::ALL)
+        self.moments(grad, MomentNeeds::ALL)
     }
 
     /// Every shifted peaks-over-threshold moment of the exceedance set
-    /// (`|g| >= threshold`).
+    /// (`|g| >= threshold`), from a scan of the whole gradient.
     pub fn pot_moments(&self, grad: &[f32], threshold: f64) -> AbsMoments {
-        self.exceedance_moments(grad, threshold, MomentNeeds::ALL)
+        let _stage = sidco_trace::global_sink().real_span("engine/pot_moments");
+        exceedance_moments_on(
+            grad,
+            threshold,
+            MomentNeeds::ALL,
+            self.chunk_size,
+            self.executor,
+        )
+    }
+
+    /// The absolute-value moments of `grad` that `needs` asks for.
+    fn moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+        let _stage = sidco_trace::global_sink().real_span("engine/abs_moments");
+        abs_moments_on(grad, needs, self.chunk_size, self.executor)
     }
 
     /// Signed-value moments of `grad` (the Gaussian-fit input).
@@ -314,8 +334,8 @@ impl CompressionEngine {
     /// Byte-identical to [`sidco_tensor::encoding::delta_varint_encode`].
     pub fn encode_varint(&self, sparse: &SparseGradient) -> EncodedGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/encode_varint");
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = encode_worker_budget(host, self.executor.parallelism(), sparse.nnz());
+        let workers =
+            encode_worker_budget(host_threads(), self.executor.parallelism(), sparse.nnz());
         if workers <= 1 {
             return delta_varint_encode(sparse);
         }
@@ -331,15 +351,57 @@ impl Default for CompressionEngine {
     }
 }
 
-impl StageMoments for CompressionEngine {
-    fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
-        let _stage = sidco_trace::global_sink().real_span("engine/abs_moments");
-        abs_moments_on(grad, needs, self.chunk_size, self.executor)
+/// The multi-stage estimate's [`StageMoments`] backend on an engine: the
+/// mean pass and the first exceedance pass scan the gradient, the first
+/// exceedance pass also keeps its survivors in `lists`, and every later
+/// stage narrows those lists instead of scanning again. The final `C_η`
+/// ([`select`](Self::select)) filters the last lists, or scans the gradient
+/// when the estimate had one stage.
+///
+/// Every stage keeps the bits of a scan of the whole gradient on the same
+/// engine (see [`SurvivorLists`]), so thresholds and selections are the
+/// rescanning estimate's.
+pub(crate) struct SurvivorStages<'a> {
+    engine: &'a CompressionEngine,
+    lists: &'a mut SurvivorLists,
+}
+
+impl<'a> SurvivorStages<'a> {
+    pub(crate) fn new(engine: &'a CompressionEngine, lists: &'a mut SurvivorLists) -> Self {
+        Self { engine, lists }
     }
 
-    fn exceedance_moments(&self, grad: &[f32], threshold: f64, needs: MomentNeeds) -> AbsMoments {
+    /// All elements with `|g| >= threshold`; `threshold` is at least the
+    /// last stage threshold the estimate asked for.
+    pub(crate) fn select(&self, grad: &[f32], threshold: f64) -> SparseGradient {
+        if !self.lists.is_filled() {
+            return self.engine.select_above(grad, threshold);
+        }
+        let _stage = sidco_trace::global_sink().real_span("engine/select_above");
+        self.lists.select_on(threshold, self.engine.executor)
+    }
+}
+
+impl StageMoments for SurvivorStages<'_> {
+    fn full_moments(&mut self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+        self.lists.clear();
+        self.engine.moments(grad, needs)
+    }
+
+    fn exceedance_moments(
+        &mut self,
+        grad: &[f32],
+        threshold: f64,
+        needs: MomentNeeds,
+    ) -> AbsMoments {
         let _stage = sidco_trace::global_sink().real_span("engine/pot_moments");
-        exceedance_moments_on(grad, threshold, needs, self.chunk_size, self.executor)
+        let engine = self.engine;
+        if self.lists.is_filled() {
+            self.lists.narrow_on(threshold, needs, engine.executor)
+        } else {
+            self.lists
+                .fill_on(grad, threshold, needs, engine.chunk_size, engine.executor)
+        }
     }
 }
 

@@ -12,10 +12,13 @@
 //!    target (the `Adapt_Stages` function).
 
 use crate::compressor::{CompressionResult, Compressor, CompressorKind};
-use crate::engine::CompressionEngine;
+use crate::engine::{CompressionEngine, SurvivorStages};
+use sidco_stats::error::StatsError;
 use sidco_stats::fit::SidKind;
 use sidco_stats::pot::{multi_stage_threshold_with, MultiStageEstimate};
+use sidco_tensor::parallel::SurvivorLists;
 use sidco_tensor::SparseGradient;
+use std::cell::Cell;
 
 /// Configuration of the SIDCo compressor.
 ///
@@ -112,6 +115,20 @@ impl Default for SidcoConfig {
 
 /// The SIDCo compressor.
 ///
+/// # Passes over the gradient
+///
+/// An `M`-stage compress reads the whole gradient twice: the mean pass of
+/// the first fit, and the first exceedance pass, which also keeps its
+/// survivors (`|g| >= η₁`, about `δ₁` of the elements) as per-chunk
+/// `(index, value)` lists. Stages 3..M narrow those lists and the final
+/// `C_η` filters them, which is exact because every later threshold is at
+/// least `η₁`. The thresholds, survivor counts and selection keep the bits
+/// of an estimate that rescans the gradient for every stage. The lists
+/// cost 8 bytes per stage-1 survivor and are reused across calls, in one
+/// buffer per thread that every compressor on the thread shares. A
+/// one-stage estimate (`M = 1`, or `δ ≥ δ₁`) keeps no lists and selects
+/// from the gradient.
+///
 /// # Out-of-range ratios
 ///
 /// [`compress`](Compressor::compress) and
@@ -202,16 +219,29 @@ impl SidcoCompressor {
                 schedule: vec![1.0],
                 survivors: vec![grad.len()],
             }),
-            TargetRatio::Estimate(delta) => multi_stage_threshold_with(
-                grad,
-                self.config.sid,
-                delta,
-                self.config.first_stage_ratio,
-                self.stages,
-                &self.engine,
-            )
-            .ok(),
+            TargetRatio::Estimate(delta) => with_survivors(|lists| {
+                self.estimate(&mut SurvivorStages::new(&self.engine, lists), grad, delta)
+                    .ok()
+            }),
         }
+    }
+
+    /// The current `M`-stage estimate of `grad` at `0 < delta < 1` on
+    /// `backend`.
+    fn estimate(
+        &self,
+        backend: &mut SurvivorStages<'_>,
+        grad: &[f32],
+        delta: f64,
+    ) -> Result<MultiStageEstimate, StatsError> {
+        multi_stage_threshold_with(
+            grad,
+            self.config.sid,
+            delta,
+            self.config.first_stage_ratio,
+            self.stages,
+            backend,
+        )
     }
 
     /// The `Adapt_Stages` routine of Algorithm 1: adjusts `M` based on the average
@@ -240,6 +270,22 @@ impl Default for SidcoCompressor {
     fn default() -> Self {
         Self::new(SidcoConfig::default())
     }
+}
+
+thread_local! {
+    /// The survivor lists of every SIDCo estimate on this thread. Sharing
+    /// them across compressors bounds their memory by threads, not by the
+    /// compressors a trainer keeps (one per worker and bucket).
+    static SURVIVORS: Cell<SurvivorLists> = Cell::new(SurvivorLists::new());
+}
+
+/// Runs `f` on this thread's survivor lists. A nested estimate on the same
+/// thread gets empty lists of its own.
+fn with_survivors<R>(f: impl FnOnce(&mut SurvivorLists) -> R) -> R {
+    let mut lists = SURVIVORS.take();
+    let result = f(&mut lists);
+    SURVIVORS.set(lists);
+    result
 }
 
 /// How a requested ratio δ is served (see the [`SidcoCompressor`] docs).
@@ -282,26 +328,21 @@ impl Compressor for SidcoCompressor {
             TargetRatio::Estimate(delta) => delta,
         };
 
-        let estimate = match multi_stage_threshold_with(
-            grad,
-            self.config.sid,
-            delta,
-            self.config.first_stage_ratio,
-            self.stages,
-            &self.engine,
-        ) {
-            Ok(est) => est,
-            Err(_) => {
-                // All-zero gradient: nothing worth sending.
-                return CompressionResult {
-                    sparse: SparseGradient::empty(grad.len()),
-                    threshold: Some(0.0),
-                    stages_used: Some(self.stages),
-                };
-            }
+        let outcome = with_survivors(|lists| {
+            let mut stages = SurvivorStages::new(&self.engine, lists);
+            let estimate = self.estimate(&mut stages, grad, delta)?;
+            let sparse = stages.select(grad, estimate.final_threshold());
+            Ok::<_, StatsError>((estimate, sparse))
+        });
+        let Ok((estimate, sparse)) = outcome else {
+            // All-zero gradient: nothing worth sending.
+            return CompressionResult {
+                sparse: SparseGradient::empty(grad.len()),
+                threshold: Some(0.0),
+                stages_used: Some(self.stages),
+            };
         };
         let threshold = estimate.final_threshold();
-        let sparse = self.engine.select_above(grad, threshold);
 
         // Record the achieved ratio and periodically adapt the stage count.
         let achieved = sparse.achieved_ratio();
@@ -351,6 +392,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use sidco_stats::distribution::Continuous;
+    use sidco_stats::moments::MomentNeeds;
     use sidco_stats::{DoubleGeneralizedPareto, Laplace};
 
     fn laplace_gradient(scale: f64, n: usize, seed: u64) -> Vec<f32> {
@@ -579,6 +621,37 @@ mod tests {
                 Some(tiny.final_threshold())
             );
         }
+    }
+
+    #[test]
+    fn a_nested_estimate_leaves_the_outer_survivor_lists_alone() {
+        // A pool thread waiting on its own chunks may run another compress
+        // job; that estimate must neither see nor disturb the lists the
+        // outer estimate holds.
+        let grad = laplace_gradient(0.01, 50_000, 605);
+        let other = laplace_gradient(0.02, 30_000, 606);
+        let config = SidcoConfig {
+            initial_stages: 3,
+            ..SidcoConfig::exponential()
+        };
+        let expected = SidcoCompressor::new(config).compress(&grad, 0.001);
+        let engine = CompressionEngine::sequential();
+        let nested = with_survivors(|outer| {
+            outer.fill_on(
+                &other,
+                0.01,
+                MomentNeeds::MEAN,
+                1000,
+                engine.shared_runtime(),
+            );
+            let before = outer.survivors();
+            let nested = SidcoCompressor::new(config).compress(&grad, 0.001);
+            assert!(outer.is_filled());
+            assert_eq!(outer.survivors(), before);
+            nested
+        });
+        assert_eq!(nested.sparse, expected.sparse);
+        assert_eq!(nested.threshold, expected.threshold);
     }
 
     #[test]

@@ -22,7 +22,8 @@ use crate::special::ln_gamma;
 ///
 /// For `M = 1` the single stage carries the full target ratio. If `δ ≥ δ₁` the first
 /// stage alone would overshoot, so the schedule collapses to a single stage with
-/// ratio `δ`.
+/// ratio `δ`; so does a `δ` so close under `δ₁` that a later stage ratio rounds
+/// to 1.
 ///
 /// # Panics
 ///
@@ -65,6 +66,11 @@ pub fn stage_schedule(delta: f64, delta1: f64, stages: usize) -> Vec<f64> {
     // least one entry.
     let last = schedule.last_mut().expect("non-empty schedule");
     *last *= delta / product;
+    // A few ulps under δ₁ the later ratios round to 1: no later stage would
+    // refit anything, so collapse as for δ ≥ δ₁.
+    if schedule[1..].iter().any(|&d| d >= 1.0) {
+        return vec![delta];
+    }
     schedule
 }
 
@@ -189,31 +195,52 @@ impl MultiStageEstimate {
 
 /// Supplies the per-stage moment computations of the multi-stage estimator, so
 /// the reduction backend is pluggable: [`SequentialMoments`] is the reference
-/// single-threaded backend, and the `CompressionEngine` in `sidco-core`
-/// implements this trait with chunked multi-threaded reductions.
+/// single-threaded backend, and the compressor in `sidco-core` plugs in a
+/// chunked multi-threaded backend that compacts the gradient after its first
+/// exceedance pass.
 ///
 /// The estimator passes the [`stage_needs`] of each step; a backend must make
 /// every requested field bit-identical to the all-fields computation and may
 /// leave the rest unrequested (see [`MomentNeeds`]).
+///
+/// One estimate calls [`full_moments`](Self::full_moments) once, then
+/// [`exceedance_moments`](Self::exceedance_moments) once per later stage on
+/// the same gradient, with thresholds that are never NaN and never decrease.
+/// Everything a later stage reads is therefore a subset of what the earlier
+/// ones read, so a backend may narrow state between the calls (the methods
+/// take `&mut self`) as long as each answer keeps the bits of a scan of the
+/// whole gradient.
 pub trait StageMoments {
-    /// Moments of the full absolute gradient (stage 0's fit input).
-    fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments;
+    /// Moments of the full absolute gradient (stage 0's fit input); starts a
+    /// new estimate.
+    fn full_moments(&mut self, grad: &[f32], needs: MomentNeeds) -> AbsMoments;
 
     /// Shifted moments of the exceedances `|g| - threshold` for
     /// `|g| >= threshold` (the PoT refit input of stages 1..M).
-    fn exceedance_moments(&self, grad: &[f32], threshold: f64, needs: MomentNeeds) -> AbsMoments;
+    fn exceedance_moments(
+        &mut self,
+        grad: &[f32],
+        threshold: f64,
+        needs: MomentNeeds,
+    ) -> AbsMoments;
 }
 
-/// The reference single-threaded [`StageMoments`] backend.
+/// The reference single-threaded [`StageMoments`] backend: every stage scans
+/// the whole gradient.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SequentialMoments;
 
 impl StageMoments for SequentialMoments {
-    fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+    fn full_moments(&mut self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
         AbsMoments::compute_with(grad, needs)
     }
 
-    fn exceedance_moments(&self, grad: &[f32], threshold: f64, needs: MomentNeeds) -> AbsMoments {
+    fn exceedance_moments(
+        &mut self,
+        grad: &[f32],
+        threshold: f64,
+        needs: MomentNeeds,
+    ) -> AbsMoments {
         AbsMoments::compute_exceedances_with(grad, threshold, needs)
     }
 }
@@ -236,7 +263,7 @@ pub fn multi_stage_threshold(
     delta1: f64,
     stages: usize,
 ) -> Result<MultiStageEstimate, StatsError> {
-    multi_stage_threshold_with(grad, kind, delta, delta1, stages, &SequentialMoments)
+    multi_stage_threshold_with(grad, kind, delta, delta1, stages, &mut SequentialMoments)
 }
 
 /// [`multi_stage_threshold`] with an explicit [`StageMoments`] backend.
@@ -250,7 +277,7 @@ pub fn multi_stage_threshold_with<P: StageMoments + ?Sized>(
     delta: f64,
     delta1: f64,
     stages: usize,
-    backend: &P,
+    backend: &mut P,
 ) -> Result<MultiStageEstimate, StatsError> {
     let schedule = stage_schedule(delta, delta1, stages);
     let mut thresholds = Vec::with_capacity(schedule.len());
@@ -331,6 +358,21 @@ mod tests {
     fn schedule_collapses_when_target_exceeds_delta1() {
         let sched = stage_schedule(0.5, 0.25, 3);
         assert_eq!(sched, vec![0.5]);
+    }
+
+    #[test]
+    fn schedule_collapses_when_later_ratios_round_to_one() {
+        // One ulp under δ₁: two stages still fit inside (0, 1), more would
+        // round a later ratio to 1.
+        let just_under = f64::from_bits(0.25f64.to_bits() - 1);
+        assert_eq!(stage_schedule(just_under, 0.25, 2).len(), 2);
+        for stages in 3..6 {
+            assert_eq!(stage_schedule(just_under, 0.25, stages), vec![just_under]);
+        }
+        for stages in 1..6 {
+            let sched = stage_schedule(just_under, 0.25, stages);
+            assert!(sched.iter().all(|&d| d > 0.0 && d < 1.0), "{sched:?}");
+        }
     }
 
     #[test]
@@ -440,19 +482,19 @@ mod tests {
     fn custom_stage_moments_backend_matches_sequential() {
         /// Answers every call with the all-fields moments and records the
         /// needs each call asked for.
-        struct Counting(std::cell::RefCell<Vec<MomentNeeds>>);
+        struct Counting(Vec<MomentNeeds>);
         impl StageMoments for Counting {
-            fn full_moments(&self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
-                self.0.borrow_mut().push(needs);
+            fn full_moments(&mut self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+                self.0.push(needs);
                 AbsMoments::compute(grad)
             }
             fn exceedance_moments(
-                &self,
+                &mut self,
                 grad: &[f32],
                 threshold: f64,
                 needs: MomentNeeds,
             ) -> AbsMoments {
-                self.0.borrow_mut().push(needs);
+                self.0.push(needs);
                 AbsMoments::compute_exceedances(grad, threshold)
             }
         }
@@ -465,12 +507,13 @@ mod tests {
             (SidKind::GeneralizedPareto, [mean_var, mean_var, mean_var]),
             (SidKind::Gamma, [mean_ln, mean_var, mean_var]),
         ] {
-            let backend = Counting(std::cell::RefCell::new(Vec::new()));
-            let with = multi_stage_threshold_with(&grad, kind, 0.001, 0.25, 3, &backend).unwrap();
+            let mut backend = Counting(Vec::new());
+            let with =
+                multi_stage_threshold_with(&grad, kind, 0.001, 0.25, 3, &mut backend).unwrap();
             let seq = multi_stage_threshold(&grad, kind, 0.001, 0.25, 3).unwrap();
             assert_eq!(with, seq, "{kind}");
             assert_eq!(
-                backend.0.borrow().as_slice(),
+                backend.0.as_slice(),
                 expected,
                 "{kind}: one moments call per stage, asking only for what the update reads"
             );

@@ -28,7 +28,7 @@
 //! SIDCo-GP's later stages use only IEEE-exact arithmetic.)
 
 use crate::sparse::SparseGradient;
-use crate::threshold::cap_largest;
+use crate::threshold::{cap_largest, extend_kept, retain_kept, KeepAbove};
 use crate::topk::{top_k, TopKAlgorithm};
 use sidco_runtime::Runtime;
 use sidco_stats::moments::{AbsMoments, MomentNeeds, SignedMoments};
@@ -155,27 +155,227 @@ pub fn count_above_threshold_on(
 /// chunk order — no re-sorting is needed because chunk order *is* index order.
 ///
 /// Bit-identical to [`crate::threshold::select_above_threshold`] for every
-/// runtime and `chunk_size` value (the per-element comparison is unchanged).
+/// runtime and `chunk_size` value (both run the same selection kernel).
 pub fn select_above_threshold_on(
     grad: &[f32],
     threshold: f64,
     chunk_size: usize,
     runtime: &dyn Runtime,
 ) -> SparseGradient {
-    let t = threshold as f32;
-    let parts: Vec<(Vec<u32>, Vec<f32>)> = map_chunks_on(grad, chunk_size, runtime, |c, chunk| {
+    let keep = KeepAbove::new(threshold);
+    let parts = map_chunks_on(grad, chunk_size, runtime, |c, chunk| {
         let offset = (c * chunk_size) as u32;
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (i, &g) in chunk.iter().enumerate() {
-            if g.abs() >= t {
-                indices.push(offset + i as u32);
-                values.push(g);
-            }
-        }
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        extend_kept(
+            chunk,
+            |i| offset + i as u32,
+            keep,
+            &mut indices,
+            &mut values,
+        );
         (indices, values)
     });
     concat_sparse_parts(parts, grad.len())
+}
+
+/// The survivors of one gradient's first exceedance stage, kept per chunk so
+/// every later stage of the multi-stage estimate, and the final `C_η`, reads
+/// them instead of the whole gradient again.
+///
+/// [`fill_on`](Self::fill_on) scans the gradient in `chunk_size` chunks and
+/// keeps, for chunk `c`, the `(index, value)` pairs with `|g| >= t` — the
+/// selection contract, so `±Inf` stay and NaN never enters — in index
+/// order, in the chunk's own list. [`narrow_on`](Self::narrow_on) keeps the
+/// pairs over a higher threshold in place, and [`select_on`](Self::select_on)
+/// collects the pairs over the final one.
+///
+/// Each pass returns the shifted exceedance moments of its threshold,
+/// computed per chunk by [`AbsMoments::compute_exceedances_with`] over the
+/// chunk's survivor values and merged in chunk order. Those are the elements
+/// a scan of the dense chunk would push, in the same order, so every moment
+/// keeps the bits of [`exceedance_moments_on`] over the whole gradient with
+/// the same chunk size, and the selection equals
+/// [`select_above_threshold_on`].
+///
+/// The lists are reused across fills. Each reserves its chunk's length once
+/// and is never grown past it, and only the pages survivors are written to
+/// become resident: 8 bytes per stage-1 survivor.
+#[derive(Default)]
+pub struct SurvivorLists {
+    /// One list per chunk of the last fill. The locks only hand each chunk
+    /// job its own list; no two jobs share one.
+    chunks: Vec<Mutex<ChunkList>>,
+    chunk_size: usize,
+    dense_len: usize,
+    /// The threshold the lists were last filled or narrowed to.
+    threshold: f64,
+    filled: bool,
+}
+
+/// One chunk's survivors, in index order.
+#[derive(Default)]
+struct ChunkList {
+    indices: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl std::fmt::Debug for SurvivorLists {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SurvivorLists")
+            .field("filled", &self.filled)
+            .field("survivors", &self.survivors())
+            .field("chunks", &self.chunks.len())
+            .finish()
+    }
+}
+
+impl SurvivorLists {
+    /// Empty lists; they are allocated by the first fill.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether the lists hold the survivors of a fill (until
+    /// [`clear`](Self::clear)).
+    pub fn is_filled(&self) -> bool {
+        self.filled
+    }
+
+    /// Total number of survivors across the chunks (0 unless filled).
+    pub fn survivors(&self) -> usize {
+        if !self.filled {
+            return 0;
+        }
+        self.chunks
+            .iter()
+            .map(|list| list.lock().expect("survivor list poisoned").values.len())
+            .sum()
+    }
+
+    /// Forgets the survivors, keeping the lists' memory for the next fill.
+    pub fn clear(&mut self) {
+        self.filled = false;
+    }
+
+    /// Keeps the pairs of `grad` with `|g| >= threshold`, chunk by chunk, and
+    /// returns the shifted exceedance moments over `threshold` restricted to
+    /// `needs` — the bits of [`exceedance_moments_on`] with the same
+    /// arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is NaN (it would keep no survivor while the fit
+    /// reads every finite element), if `chunk_size == 0`, or if `grad` has
+    /// more than `u32::MAX` elements.
+    pub fn fill_on(
+        &mut self,
+        grad: &[f32],
+        threshold: f64,
+        needs: MomentNeeds,
+        chunk_size: usize,
+        runtime: &dyn Runtime,
+    ) -> AbsMoments {
+        assert!(!threshold.is_nan(), "survivor threshold must not be NaN");
+        assert!(chunk_size > 0, "chunk_size must be positive");
+        assert!(
+            u32::try_from(grad.len()).is_ok(),
+            "survivor indices are u32; the gradient has {} elements",
+            grad.len()
+        );
+        self.chunks
+            .resize_with(grad.len().div_ceil(chunk_size), Mutex::default);
+        self.chunk_size = chunk_size;
+        self.dense_len = grad.len();
+        self.threshold = threshold;
+        self.filled = true;
+        let keep = KeepAbove::new(threshold);
+        let parts = map_chunks_on(&self.chunks, 1, runtime, |c, slot| {
+            let list = &mut *slot[0].lock().expect("survivor list poisoned");
+            let start = c * chunk_size;
+            let chunk = &grad[start..(start + chunk_size).min(grad.len())];
+            let offset = start as u32;
+            list.indices.clear();
+            list.values.clear();
+            list.indices.reserve_exact(chunk.len());
+            list.values.reserve_exact(chunk.len());
+            extend_kept(
+                chunk,
+                |i| offset + i as u32,
+                keep,
+                &mut list.indices,
+                &mut list.values,
+            );
+            AbsMoments::compute_exceedances_with(&list.values, threshold, needs)
+        });
+        merge_abs_moments(&parts, needs)
+    }
+
+    /// Narrows the lists, in place, to the pairs with `|g| >= threshold`, and
+    /// returns the shifted exceedance moments over `threshold` restricted to
+    /// `needs` — the bits of [`exceedance_moments_on`] over the filled
+    /// gradient with the fill's chunk size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists are not filled, or if `threshold` is NaN or below
+    /// the threshold they were filled or last narrowed to (the lists no
+    /// longer hold what a lower threshold would keep).
+    pub fn narrow_on(
+        &mut self,
+        threshold: f64,
+        needs: MomentNeeds,
+        runtime: &dyn Runtime,
+    ) -> AbsMoments {
+        self.check_threshold(threshold);
+        self.threshold = threshold;
+        let keep = KeepAbove::new(threshold);
+        let parts = map_chunks_on(&self.chunks, 1, runtime, |_, slot| {
+            let list = &mut *slot[0].lock().expect("survivor list poisoned");
+            let len = retain_kept(&mut list.indices, &mut list.values, keep);
+            list.indices.truncate(len);
+            list.values.truncate(len);
+            AbsMoments::compute_exceedances_with(&list.values, threshold, needs)
+        });
+        merge_abs_moments(&parts, needs)
+    }
+
+    /// The `C_η` operator over the lists: every listed pair with
+    /// `|g| >= threshold`, in index order — equal to
+    /// [`select_above_threshold_on`] over the filled gradient whenever
+    /// `threshold` is at least the threshold the lists were narrowed to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists are not filled, or if `threshold` is NaN or below
+    /// the threshold they were filled or last narrowed to.
+    pub fn select_on(&self, threshold: f64, runtime: &dyn Runtime) -> SparseGradient {
+        self.check_threshold(threshold);
+        let keep = KeepAbove::new(threshold);
+        let parts = map_chunks_on(&self.chunks, 1, runtime, |_, slot| {
+            let list = slot[0].lock().expect("survivor list poisoned");
+            let (mut indices, mut values) = (Vec::new(), Vec::new());
+            extend_kept(
+                &list.values,
+                |i| list.indices[i],
+                keep,
+                &mut indices,
+                &mut values,
+            );
+            (indices, values)
+        });
+        concat_sparse_parts(parts, self.dense_len)
+    }
+
+    /// Panics unless the lists are filled and `threshold` is not below the
+    /// threshold they were filled or narrowed to.
+    fn check_threshold(&self, threshold: f64) {
+        assert!(self.filled, "survivor lists are not filled");
+        assert!(
+            threshold >= self.threshold,
+            "survivor thresholds must not decrease: {threshold} after {}",
+            self.threshold
+        );
+    }
 }
 
 /// Parallel exact Top-k via chunked partial selection: each chunk selects its
@@ -446,12 +646,57 @@ mod tests {
     fn parallel_select_is_bit_identical_to_sequential() {
         let grad = random_gradient(200_000, 64);
         let seq = crate::threshold::select_above_threshold(&grad, 0.4);
+        let mut lists = SurvivorLists::new();
         for threads in [1, 2, 7] {
             for chunk in [97, 1 << 12, 1 << 20] {
                 let par = select_above_threshold_on(&grad, 0.4, chunk, on(threads));
                 assert_eq!(par, seq);
+                // List inputs: survivors of a lower threshold, filled and
+                // then narrowed, select the same pairs.
+                lists.fill_on(&grad, 0.1, MomentNeeds::MEAN, chunk, on(threads));
+                assert_eq!(lists.select_on(0.4, on(threads)), seq);
+                lists.narrow_on(0.3, MomentNeeds::MEAN, on(threads));
+                assert_eq!(lists.select_on(0.4, on(threads)), seq);
+                assert_eq!(
+                    lists.survivors(),
+                    count_above_threshold_on(&grad, 0.3, chunk, on(1))
+                );
             }
         }
+    }
+
+    #[test]
+    fn survivor_lists_match_the_rescanning_passes() {
+        let grad = random_gradient(300_000, 66);
+        let mut lists = SurvivorLists::new();
+        assert!(!lists.is_filled());
+        for threads in [1, 2, 7] {
+            for chunk in [1000, DEFAULT_CHUNK_SIZE] {
+                let needs = MomentNeeds::ALL;
+                let filled = lists.fill_on(&grad, 0.2, needs, chunk, on(threads));
+                let scanned = exceedance_moments_on(&grad, 0.2, needs, chunk, on(1));
+                assert_eq!(filled, scanned);
+                for t in [0.2, 0.5, 0.9, 2.0] {
+                    let narrowed = lists.narrow_on(t, needs, on(threads));
+                    assert_eq!(
+                        narrowed,
+                        exceedance_moments_on(&grad, t, needs, chunk, on(1))
+                    );
+                }
+                assert_eq!(lists.survivors(), 0);
+                lists.clear();
+                assert!(!lists.is_filled());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not decrease")]
+    fn survivor_lists_reject_a_lower_threshold() {
+        let grad = random_gradient(1000, 67);
+        let mut lists = SurvivorLists::new();
+        lists.fill_on(&grad, 0.5, MomentNeeds::MEAN, 97, on(1));
+        lists.narrow_on(0.4, MomentNeeds::MEAN, on(1));
     }
 
     #[test]

@@ -28,16 +28,141 @@ pub fn count_above_threshold(grad: &[f32], threshold: f64) -> usize {
 /// Selects all elements with `|g| >= threshold` into a sparse gradient
 /// (the `C_η` operator of the paper).
 pub fn select_above_threshold(grad: &[f32], threshold: f64) -> SparseGradient {
-    let t = threshold as f32;
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for (i, &g) in grad.iter().enumerate() {
-        if g.abs() >= t {
-            indices.push(i as u32);
-            values.push(g);
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    let keep = KeepAbove::new(threshold);
+    extend_kept(grad, |i| i as u32, keep, &mut indices, &mut values);
+    SparseGradient::new(indices, values, grad.len())
+}
+
+/// The selection test `|g| >= threshold as f32`, run on the bits of `|g|`.
+///
+/// For non-negative `f32`s the bit patterns order like the values, `+Inf`
+/// sits at `INFINITY.to_bits()` and every NaN above it. So the test is the
+/// single unsigned range test `bits(|g|) - lo < width` (wrapping), keeping
+/// `lo <= bits(|g|) <= bits(INFINITY)`: `lo` is the bits of a positive `t`
+/// and 0 for a `t <= 0` (which every non-NaN `|g|` passes). A NaN `t` keeps
+/// nothing (`width` 0), like the float comparison. `±Inf` elements are kept
+/// by every non-NaN threshold up to `+Inf`; NaN elements never are.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeepAbove {
+    lo: u32,
+    width: u32,
+}
+
+impl KeepAbove {
+    /// The test for `|g| >= threshold as f32`.
+    pub(crate) fn new(threshold: f64) -> Self {
+        let t = threshold as f32;
+        if t.is_nan() {
+            return Self { lo: 0, width: 0 };
+        }
+        let lo = if t > 0.0 { t.to_bits() } else { 0 };
+        Self {
+            lo,
+            width: f32::INFINITY.to_bits() + 1 - lo,
         }
     }
-    SparseGradient::new(indices, values, grad.len())
+
+    #[inline(always)]
+    fn keeps(self, g: f32) -> bool {
+        g.abs().to_bits().wrapping_sub(self.lo) < self.width
+    }
+}
+
+/// Elements per any-test probe of [`keep_pairs`]: a probe with no kept
+/// element is skipped without writing, so a sparse (≤ 0.1 %) selection pays
+/// about one vectorised compare per element.
+const PROBE: usize = 64;
+
+/// Pairs per block when [`extend_kept`] and [`retain_kept`] keep pairs on
+/// the stack (8 KiB).
+const KEEP_BLOCK: usize = 1 << 10;
+
+/// The selection kernel: writes `(index(i), values[i])` for every
+/// `values[i]` that `keep` keeps, in order, to the front of `out_indices`
+/// and `out_values`, and returns how many it wrote.
+///
+/// Branch-free inside a probe: every pair is written at the cursor and the
+/// cursor advances only if the element is kept, so a 25 % selection does
+/// not mispredict on every fourth element. A probe of [`PROBE`] elements
+/// with nothing kept (a vectorisable any-test) is skipped.
+///
+/// # Panics
+///
+/// Panics if either output is shorter than `values`.
+#[inline]
+fn keep_pairs(
+    values: &[f32],
+    index: impl Fn(usize) -> u32,
+    keep: KeepAbove,
+    out_indices: &mut [u32],
+    out_values: &mut [f32],
+) -> usize {
+    let out_indices = &mut out_indices[..values.len()];
+    let out_values = &mut out_values[..values.len()];
+    let mut len = 0;
+    for (p, probe) in values.chunks(PROBE).enumerate() {
+        if !probe.iter().fold(false, |any, &v| any | keep.keeps(v)) {
+            continue;
+        }
+        let base = p * PROBE;
+        for (i, &v) in probe.iter().enumerate() {
+            // The cursor never passes the element being read, so it is in
+            // range of outputs at least as long as `values`.
+            out_indices[len] = index(base + i);
+            out_values[len] = v;
+            len += usize::from(keep.keeps(v));
+        }
+    }
+    len
+}
+
+/// Appends the pairs of `values` that `keep` keeps, in order, to `indices`
+/// and `kept_values`: [`keep_pairs`] block by block through a stack buffer.
+pub(crate) fn extend_kept(
+    values: &[f32],
+    index: impl Fn(usize) -> u32,
+    keep: KeepAbove,
+    indices: &mut Vec<u32>,
+    kept_values: &mut Vec<f32>,
+) {
+    let mut block_indices = [0u32; KEEP_BLOCK];
+    let mut block_values = [0.0f32; KEEP_BLOCK];
+    for (b, block) in values.chunks(KEEP_BLOCK).enumerate() {
+        let base = b * KEEP_BLOCK;
+        let len = keep_pairs(
+            block,
+            |i| index(base + i),
+            keep,
+            &mut block_indices,
+            &mut block_values,
+        );
+        indices.extend_from_slice(&block_indices[..len]);
+        kept_values.extend_from_slice(&block_values[..len]);
+    }
+}
+
+/// Keeps, in place, the pairs whose value `keep` keeps, and returns how
+/// many: each block is compacted on the stack by [`keep_pairs`] and written
+/// back at the cursor, which never passes the block it read.
+pub(crate) fn retain_kept(indices: &mut [u32], values: &mut [f32], keep: KeepAbove) -> usize {
+    let mut block_indices = [0u32; KEEP_BLOCK];
+    let mut block_values = [0.0f32; KEEP_BLOCK];
+    let mut len = 0;
+    for start in (0..values.len()).step_by(KEEP_BLOCK) {
+        let end = (start + KEEP_BLOCK).min(values.len());
+        let kept = keep_pairs(
+            &values[start..end],
+            |i| indices[start + i],
+            keep,
+            &mut block_indices,
+            &mut block_values,
+        );
+        indices[len..len + kept].copy_from_slice(&block_indices[..kept]);
+        values[len..len + kept].copy_from_slice(&block_values[..kept]);
+        len += kept;
+    }
+    len
 }
 
 /// Selects elements with `|g| >= threshold` but never more than `max_elements`,
@@ -197,6 +322,43 @@ mod tests {
         assert_eq!(select_above_threshold(&irrational, eta).nnz(), 3);
         assert_eq!(exceedance_magnitudes(&irrational, eta).len(), 3);
         assert_eq!(refit.count, 3);
+    }
+
+    #[test]
+    fn select_keeps_infinities_and_drops_nan() {
+        let grad = [
+            f32::NAN,
+            f32::INFINITY,
+            0.5,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+        ];
+        let indices = |t: f64| select_above_threshold(&grad, t).indices().to_vec();
+        assert_eq!(indices(0.25), [1, 2, 3]);
+        assert_eq!(indices(f64::INFINITY), [1, 3]);
+        assert_eq!(indices(1e300), [1, 3]);
+        assert_eq!(indices(0.0), [1, 2, 3, 4, 5]);
+        assert_eq!(indices(-1.0), [1, 2, 3, 4, 5]);
+        assert_eq!(indices(1e-40), [1, 2, 3, 5]);
+        assert!(indices(f64::NAN).is_empty());
+        for t in [0.25, f64::INFINITY, 0.0, -1.0, 1e-40, f64::NAN] {
+            assert_eq!(count_above_threshold(&grad, t), indices(t).len(), "{t}");
+        }
+    }
+
+    #[test]
+    fn sparse_selections_span_probes_and_blocks() {
+        // One survivor every 997 elements: most probes are skipped, and the
+        // kept pairs cross block boundaries.
+        let grad: Vec<f32> = (0..10_000)
+            .map(|i| if i % 997 == 3 { -2.0 } else { 0.5 })
+            .collect();
+        let s = select_above_threshold(&grad, 1.0);
+        let expected: Vec<u32> = (0..10_000).filter(|i| i % 997 == 3).collect();
+        assert_eq!(s.indices(), expected.as_slice());
+        assert!(s.values().iter().all(|&v| v == -2.0));
+        assert_eq!(select_above_threshold(&grad, 0.5).nnz(), grad.len());
     }
 
     #[test]

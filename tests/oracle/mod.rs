@@ -8,13 +8,20 @@
 //! single-bottleneck hierarchical charge a uniform per-node NIC profile
 //! vector must reproduce bit-for-bit. `ScopedOracle` is the per-call scoped
 //! executor every production runtime must match bit-for-bit at the
-//! parallel-primitive layer.
+//! parallel-primitive layer. `Rescan` is the multi-stage backend that reads
+//! the whole gradient for every stage, which the compressor's
+//! survivor-compacted estimate must match bit-for-bit, and `filter_select`
+//! the filter loop every selection kernel must reproduce.
 
 // Each suite that includes this module uses only some of the oracles.
 #![allow(dead_code)]
 
+use sidco_core::engine::CompressionEngine;
 use sidco_dist::NetworkModel;
 use sidco_runtime::Runtime;
+use sidco_stats::moments::{AbsMoments, MomentNeeds};
+use sidco_stats::pot::StageMoments;
+use sidco_tensor::parallel::{abs_moments_on, exceedance_moments_on};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -192,4 +199,45 @@ impl Runtime for ScopedOracle {
             resume_unwind(payload);
         }
     }
+}
+
+/// The rescanning multi-stage backend: every stage reads the whole gradient
+/// again, on the engine's chunks and executor. It is what the compressor's
+/// estimate did before it kept the stage-1 survivors, and what the
+/// survivor-compacted estimate must reproduce bit-for-bit: thresholds,
+/// survivor counts and, through `CompressionEngine::select_above` at the
+/// final threshold, the selection.
+#[derive(Debug, Clone, Copy)]
+pub struct Rescan(pub CompressionEngine);
+
+impl StageMoments for Rescan {
+    fn full_moments(&mut self, grad: &[f32], needs: MomentNeeds) -> AbsMoments {
+        abs_moments_on(grad, needs, self.0.chunk_size(), self.0.shared_runtime())
+    }
+
+    fn exceedance_moments(
+        &mut self,
+        grad: &[f32],
+        threshold: f64,
+        needs: MomentNeeds,
+    ) -> AbsMoments {
+        exceedance_moments_on(
+            grad,
+            threshold,
+            needs,
+            self.0.chunk_size(),
+            self.0.shared_runtime(),
+        )
+    }
+}
+
+/// The `C_η` filter loop: the `(index, value)` pairs with
+/// `|g| >= threshold as f32`, in index order.
+pub fn filter_select(grad: &[f32], threshold: f64) -> Vec<(u32, f32)> {
+    let t = threshold as f32;
+    (0u32..)
+        .zip(grad)
+        .filter(|&(_, g)| g.abs() >= t)
+        .map(|(i, &g)| (i, g))
+        .collect()
 }
