@@ -97,13 +97,21 @@ impl ErrorFeedback {
 
     /// Like [`update`](Self::update) but takes the transmitted sparse gradient
     /// directly — used by the bucketed trainer, which assembles one combined
-    /// sparse gradient out of several per-bucket compression results.
+    /// sparse gradient out of several per-bucket compression results. The
+    /// residual overwrites the existing memory without allocating.
     ///
     /// # Panics
     ///
     /// Panics if the dimensions do not match.
     pub fn update_sparse(&mut self, corrected: &GradientVector, transmitted: &SparseGradient) {
-        self.memory = transmitted.residual(corrected);
+        assert_eq!(
+            corrected.len(),
+            self.memory.len(),
+            "corrected gradient dimension {} does not match error-feedback memory {}",
+            corrected.len(),
+            self.memory.len()
+        );
+        transmitted.residual_into(corrected, &mut self.memory);
     }
 
     /// Convenience wrapper running correction → compression → memory update.
@@ -176,6 +184,27 @@ mod tests {
         for (a, b) in reconstructed.as_slice().iter().zip(corrected.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn in_place_update_keeps_the_residual_bits() {
+        let corrected = GradientVector::from_vec(vec![0.5, -0.0, f32::NAN, -2.0, 1e-30]);
+        let transmitted = SparseGradient::new(vec![0, 3], vec![0.5, -2.0], 5);
+        let mut ec = ErrorFeedback::new(5);
+        ec.fold_in(&GradientVector::from_vec(vec![9.0; 5]));
+        ec.update_sparse(&corrected, &transmitted);
+        // The old memory is gone; unsent entries keep their exact bits
+        // (signed zero and NaN included), sent ones are +0.
+        let expected = [0.0, -0.0, f32::NAN, 0.0, 1e-30];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ec.memory().as_slice()), bits(&expected));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn update_rejects_a_mismatched_gradient() {
+        let mut ec = ErrorFeedback::new(3);
+        ec.update_sparse(&GradientVector::zeros(4), &SparseGradient::empty(4));
     }
 
     #[test]

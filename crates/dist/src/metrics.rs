@@ -47,21 +47,27 @@ pub struct TrainingSample {
     pub lr: f64,
 }
 
-/// How the trainer *executed* its per-bucket compressions, as opposed to how
-/// the cost model charged them: which runtime ran the jobs, how wide it was,
-/// and what the work-stealing pool observed while doing it. Attached to
-/// [`TrainingReport`] by pool-backed compressed runs so the modeled schedule
-/// ([`crate::collective`]) can be checked against real concurrent execution.
+/// How the trainer *executed* its work, as opposed to how the cost model
+/// charged it: which runtime ran the jobs, how wide it was, and what the
+/// work-stealing pool observed while doing it. Every executed phase of a run
+/// is a fan-out on the same executor — per iteration one forward/backward
+/// round (one task per worker) and one compression round (one task per
+/// (worker, bucket) cell), then one final round of two tasks (evaluate and
+/// accuracy). Attached to [`TrainingReport`] by compressed runs so the
+/// modeled schedule ([`crate::collective`]) can be checked against real
+/// concurrent execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchReport {
-    /// Executor the per-bucket jobs ran on: `"pool"`, or `"inline"` for a
+    /// Executor every round ran on: `"pool"`, or `"inline"` for a
     /// one-thread budget (jobs run on the trainer's thread).
     pub runtime: &'static str,
     /// Worker threads the executor exposes (1 for the sequential fallback).
     pub parallelism: usize,
-    /// Number of fan-out rounds dispatched (one per training iteration).
+    /// Number of compression rounds dispatched (one per training iteration).
     pub jobs: u64,
-    /// Independent compression tasks per round (`workers × buckets`).
+    /// Independent compression tasks per compression round
+    /// (`workers × buckets` of the final fleet); the forward/backward and
+    /// evaluation tasks are not counted here.
     pub tasks_per_job: usize,
     /// Bucket order the jobs were released in — the gradient-arrival order
     /// from [`release_order`](crate::collective::release_order), matching the
@@ -73,7 +79,10 @@ pub struct DispatchReport {
     pub completion_order: Vec<usize>,
     /// Pool counters accumulated over the run (dispatches, steals, parks),
     /// diffed against the pre-run snapshot when the executor is the shared
-    /// process-wide pool. `None` on the inline runtime, which keeps no
+    /// process-wide pool. They count every round of the run — the
+    /// forward/backward and final-evaluation rounds as well as the
+    /// compression rounds (and any engine chunks the compressors dispatch on
+    /// the same pool). `None` on the inline runtime, which keeps no
     /// counters.
     pub pool: Option<PoolStats>,
 }

@@ -30,6 +30,17 @@
 //! policy and arrival awareness only decide *when* costs are charged, so
 //! overlapped, multi-stream, arrival-aware and serial runs of the same
 //! bucketing converge bit-identically and differ purely in simulated time.
+//!
+//! Every iteration executes as fan-outs on one executor (the shared pool, or
+//! inline at one thread): phase 1 runs each worker's mini-batch sampling,
+//! forward/backward pass, clipping and error-feedback read as one job over
+//! a gradient buffer that worker keeps across iterations; phase 2 runs each
+//! (worker, bucket) compression as one job; phase 3 merges serially. The
+//! final full-dataset evaluate and accuracy run as two more jobs. Every job
+//! owns its worker's (or cell's) state, and everything crossing workers —
+//! the loss sum, the dense or sparse aggregation, the quality series — is
+//! reduced after the join in worker order, so a run is bit-identical at any
+//! thread count and steal order.
 
 use crate::cluster::ClusterConfig;
 use crate::collective::{
@@ -236,14 +247,28 @@ fn resolve_charged_kind(config: &TrainerConfig, probe: Option<&dyn Compressor>) 
         ))
 }
 
-/// The single gradient-clipping site shared by the dense and the compressed
-/// paths: both clip the raw per-worker gradient to `clip_norm` *before* error
-/// feedback reads it, so compressed-vs-dense trajectories differ only in what
-/// compression itself drops (a regression test pins this).
-fn clip_gradient(grad: GradientVector, clip_norm: Option<f64>) -> GradientVector {
-    match clip_norm {
-        Some(max_norm) => grad.clipped_by_norm(max_norm),
-        None => grad,
+/// One worker's phase-1 state, persistent across iterations and resized with
+/// the fleet on every [`ClusterEvent`] exactly as its error-feedback memory
+/// is: the mini-batch RNG, a reused index buffer, the gradient buffer the
+/// forward/backward pass overwrites every iteration (then clipped and
+/// error-corrected in place), and the loss of the latest mini-batch.
+struct WorkerState {
+    rng: SmallRng,
+    batch: Vec<usize>,
+    grad: GradientVector,
+    loss: f64,
+}
+
+impl WorkerState {
+    /// Fresh state for worker `index` — the same seed derivation whether the
+    /// worker exists at step 0 or joins mid-run.
+    fn new(seed: u64, index: usize, dim: usize) -> Self {
+        Self {
+            rng: SmallRng::seed_from_u64(seed ^ (0x9E37 + index as u64)),
+            batch: Vec::new(),
+            grad: GradientVector::zeros(dim),
+            loss: 0.0,
+        }
     }
 }
 
@@ -270,9 +295,11 @@ pub struct ModelTrainer {
     /// Scheme the cost model charges compression at, resolved once at
     /// construction (explicit config override, else the factory's probe).
     charged_kind: CompressorKind,
-    /// Executor the per-(worker, bucket) compression jobs are dispatched on —
-    /// by default the same process-wide runtime the [`CompressionEngine`]
-    /// uses, so trainer jobs and engine chunks share one pool.
+    /// Executor every phase of an iteration is dispatched on — the
+    /// per-worker forward/backward jobs, the per-(worker, bucket)
+    /// compression jobs and the final evaluate/accuracy jobs. By default it
+    /// is the same process-wide runtime the [`CompressionEngine`] uses, so
+    /// trainer jobs and engine chunks share one pool.
     executor: &'static dyn Runtime,
 }
 
@@ -340,13 +367,15 @@ impl ModelTrainer {
         }
     }
 
-    /// Dispatches the per-(worker, bucket) compression jobs on the shared
-    /// runtime for `threads` workers ([`sidco_runtime::handle`]: the pool, or
-    /// inline at one thread) instead of the engine's process-wide default.
-    /// `kind` selects nothing — the pool is the only executor family. The
-    /// executor changes *only* where the jobs run — convergence is
-    /// bit-identical across thread counts, because every compressor cell
-    /// sees the same call sequence and the merge is serial in a fixed order.
+    /// Dispatches the trainer's jobs — per-worker forward/backward,
+    /// per-(worker, bucket) compression and the final evaluation — on the
+    /// shared runtime for `threads` workers ([`sidco_runtime::handle`]: the
+    /// pool, or inline at one thread, which runs the same jobs in index
+    /// order) instead of the engine's process-wide default. `kind` selects
+    /// nothing — the pool is the only executor family. The executor changes
+    /// *only* where the jobs run — convergence is bit-identical across thread
+    /// counts, because every job owns its worker's (or cell's) state and
+    /// everything that crosses workers is reduced serially in a fixed order.
     #[must_use]
     pub fn with_runtime(mut self, kind: RuntimeKind, threads: usize) -> Self {
         self.executor = sidco_runtime::handle(kind, threads);
@@ -442,9 +471,14 @@ impl ModelTrainer {
         let optimizer = Optimizer::from_hyperparameters(self.config.momentum, self.config.nesterov);
         let mut feedback: Vec<ErrorFeedback> =
             (0..workers).map(|_| ErrorFeedback::new(dim)).collect();
-        let mut batch_rngs: Vec<SmallRng> = (0..workers)
-            .map(|w| SmallRng::seed_from_u64(self.config.seed ^ (0x9E37 + w as u64)))
+        let mut worker_states: Vec<Mutex<WorkerState>> = (0..workers)
+            .map(|w| Mutex::new(WorkerState::new(self.config.seed, w, dim)))
             .collect();
+        // Phase-1 inputs that never change during the run.
+        let model = self.model.as_ref();
+        let batch_per_worker = self.config.batch_per_worker;
+        let clip_norm = self.config.clip_norm;
+        let error_corrected = compressed && self.config.error_feedback;
         for worker in &mut self.compressors {
             for cell in worker {
                 // INVARIANT: the cells are only ever locked from inside this
@@ -497,9 +531,11 @@ impl ModelTrainer {
                             cluster = cluster.after_join();
                             for w in workers..cluster.workers {
                                 feedback.push(ErrorFeedback::new(dim));
-                                batch_rngs.push(SmallRng::seed_from_u64(
-                                    self.config.seed ^ (0x9E37 + w as u64),
-                                ));
+                                worker_states.push(Mutex::new(WorkerState::new(
+                                    self.config.seed,
+                                    w,
+                                    dim,
+                                )));
                                 if compressed {
                                     // The matrix was sized for the timeline's
                                     // peak at construction; resetting gives
@@ -536,7 +572,7 @@ impl ModelTrainer {
                                     feedback[slot % survivors].fold_in(residual.memory());
                                 }
                             }
-                            batch_rngs.truncate(survivors);
+                            worker_states.truncate(survivors);
                             workers = survivors;
                         }
                     }
@@ -562,36 +598,58 @@ impl ModelTrainer {
             let mut bucket_payloads = vec![0usize; buckets];
             let mut bucket_compression = vec![0.0f64; buckets];
 
-            // Phase 1 (serial, worker order): mini-batch sampling, the
-            // forward/backward pass, clipping, and the error-feedback read.
-            // RNG and error-feedback state advance in exactly the serial
-            // trainer's order, independent of the dispatch below.
-            let mut corrected: Vec<GradientVector> = Vec::with_capacity(workers);
-            for worker in 0..workers {
-                // Each worker samples its mini-batch from its shard of the
+            // Phase 1 (parallel): each worker's mini-batch sampling,
+            // forward/backward pass, clipping and error-feedback read is one
+            // independent job on the executor. A job touches only its own
+            // `WorkerState` (RNG, index and gradient buffers) and reads only
+            // its own error-feedback memory, so any steal order computes the
+            // same per-worker bits. Clipping happens before error feedback
+            // reads the gradient on both the dense and the compressed path,
+            // so their trajectories differ only in what compression drops.
+            let shared_params = params.as_slice();
+            self.executor.run_indexed(workers, &|worker| {
+                // INVARIANT: each state is locked by exactly one job per
+                // iteration (`run_indexed` runs every index exactly once), so
+                // the lock is uncontended and can only be poisoned by this
+                // very job.
+                let mut guard = worker_states[worker].lock().expect("worker state poisoned");
+                let state = &mut *guard;
+                // The worker samples its mini-batch from its shard of the
                 // dataset (round-robin assignment, with replacement).
-                let rng = &mut batch_rngs[worker];
-                let batch: Vec<usize> = (0..self.config.batch_per_worker)
-                    .map(|_| {
-                        let shard_size =
-                            num_examples / workers + usize::from(worker < num_examples % workers);
-                        let within = rng.gen_range(0..shard_size.max(1));
-                        (within * workers + worker).min(num_examples - 1)
-                    })
-                    .collect();
-                let (loss, grad) = self.model.loss_and_gradient(params.as_slice(), &batch);
-                loss_sum += loss;
-                let grad = clip_gradient(grad, self.config.clip_norm);
-
+                let shard_size =
+                    num_examples / workers + usize::from(worker < num_examples % workers);
+                state.batch.clear();
+                for _ in 0..batch_per_worker {
+                    let within = state.rng.gen_range(0..shard_size.max(1));
+                    state
+                        .batch
+                        .push((within * workers + worker).min(num_examples - 1));
+                }
+                state.loss = model.loss_and_gradient_into(
+                    shared_params,
+                    &state.batch,
+                    state.grad.as_mut_slice(),
+                );
+                if let Some(max_norm) = clip_norm {
+                    state.grad.clip_to_norm(max_norm);
+                }
+                if error_corrected {
+                    // The bits of `ErrorFeedback::corrected`, in place.
+                    state.grad.add_assign(feedback[worker].memory());
+                }
+            });
+            // Everything that crosses workers is reduced after the join, in
+            // worker order — the serial trainer's order of f64/f32 additions.
+            let mut corrected: Vec<&GradientVector> = Vec::with_capacity(workers);
+            for state in &mut worker_states {
+                // INVARIANT: `run_indexed` returned, so no job holds a lock.
+                let state = state.get_mut().expect("worker state poisoned");
+                loss_sum += state.loss;
                 if compressed {
-                    corrected.push(if self.config.error_feedback {
-                        feedback[worker].corrected(&grad)
-                    } else {
-                        grad
-                    });
+                    corrected.push(&state.grad);
                 } else {
                     quality.record(delta);
-                    aggregated.add_assign(&grad);
+                    aggregated.add_assign(&state.grad);
                 }
             }
 
@@ -631,7 +689,9 @@ impl ModelTrainer {
                 // Phase 3 (serial, worker-major order): merge exactly as the
                 // serial trainer did — quality, error feedback and the
                 // aggregation all see the same sequence of f32 additions, so
-                // convergence is bit-identical to serial execution.
+                // convergence is bit-identical to serial execution. The
+                // error-feedback update overwrites each worker's memory in
+                // place.
                 for worker in 0..workers {
                     let mut indices: Vec<u32> = Vec::new();
                     let mut values: Vec<f32> = Vec::new();
@@ -665,7 +725,7 @@ impl ModelTrainer {
                     let combined = SparseGradient::new(indices, values, dim);
                     quality.record(combined.achieved_ratio());
                     if self.config.error_feedback {
-                        feedback[worker].update_sparse(&corrected[worker], &combined);
+                        feedback[worker].update_sparse(corrected[worker], &combined);
                     }
                     combined.add_into(&mut aggregated);
                 }
@@ -752,8 +812,22 @@ impl ModelTrainer {
             });
         }
 
-        let final_evaluation = self.model.evaluate(params.as_slice());
-        let final_accuracy = self.model.accuracy(params.as_slice());
+        // The final full-dataset metrics are pure functions of the trained
+        // parameters, so they run as two independent jobs.
+        let evaluation = Mutex::new(f64::NAN);
+        let accuracy = Mutex::new(None);
+        self.executor.run_indexed(2, &|job| {
+            // INVARIANT: each slot has exactly one writer, this job.
+            if job == 0 {
+                *evaluation.lock().expect("evaluation slot poisoned") =
+                    model.evaluate(params.as_slice());
+            } else {
+                *accuracy.lock().expect("accuracy slot poisoned") =
+                    model.accuracy(params.as_slice());
+            }
+        });
+        let final_evaluation = evaluation.into_inner().expect("evaluation slot poisoned");
+        let final_accuracy = accuracy.into_inner().expect("accuracy slot poisoned");
         let report = TrainingReport::new(samples, quality, final_evaluation, final_accuracy)
             .with_rescales(rescales);
         let report = if compressed {
@@ -1305,12 +1379,15 @@ mod tests {
         completed.sort_unstable();
         assert_eq!(completed, vec![0, 1, 2]);
         let pool = dispatch.pool.as_ref().expect("pool runtime keeps counters");
+        // Per iteration one forward/backward fan-out (4 workers) and one
+        // compression fan-out (4 × 3 cells), then the final evaluate and
+        // accuracy as one fan-out of 2.
         assert!(
-            pool.jobs >= 30,
-            "one fan-out per iteration, got {}",
+            pool.jobs > 2 * 30,
+            "two fan-outs per iteration plus the final one, got {}",
             pool.jobs
         );
-        assert!(pool.chunks_executed >= 30 * 12);
+        assert!(pool.chunks_executed >= 30 * (4 + 12) + 2);
 
         let dispatch = serial.dispatch().expect("dispatch report");
         assert_eq!(dispatch.runtime, "inline");

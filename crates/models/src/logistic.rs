@@ -46,32 +46,45 @@ impl SoftmaxClassifier {
         self.data.classes()
     }
 
-    /// Class logits for one example.
-    fn logits(&self, params: &[f32], example: usize) -> Vec<f64> {
+    /// Writes the class logits of one example into `logits` (`classes` long).
+    fn logits_into(&self, params: &[f32], example: usize, logits: &mut [f64]) {
         let dim = self.dim();
-        let classes = self.classes();
         let x = self.data.features(example);
-        let bias_offset = classes * dim;
-        (0..classes)
-            .map(|c| {
-                let w = &params[c * dim..(c + 1) * dim];
-                let dot: f64 = w.iter().zip(x).map(|(&wj, &xj)| (wj * xj) as f64).sum();
-                dot + params[bias_offset + c] as f64
-            })
-            .collect()
+        let bias_offset = self.classes() * dim;
+        for (c, logit) in logits.iter_mut().enumerate() {
+            let w = &params[c * dim..(c + 1) * dim];
+            let dot: f64 = w.iter().zip(x).map(|(&wj, &xj)| (wj * xj) as f64).sum();
+            *logit = dot + params[bias_offset + c] as f64;
+        }
     }
 
-    /// Softmax probabilities from logits (numerically stabilised).
-    fn softmax(logits: &[f64]) -> Vec<f64> {
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = logits.iter().map(|&z| (z - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        exps.iter().map(|&e| e / sum).collect()
+    /// Turns logits into softmax probabilities in place (numerically
+    /// stabilised).
+    fn softmax_in_place(values: &mut [f64]) {
+        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        for v in values.iter_mut() {
+            *v = (*v - max).exp();
+        }
+        let sum: f64 = values.iter().sum();
+        for v in values.iter_mut() {
+            *v /= sum;
+        }
+    }
+
+    /// Softmax probabilities of one example, written into `probs`.
+    fn probs_into(&self, params: &[f32], example: usize, probs: &mut [f64]) {
+        self.logits_into(params, example, probs);
+        Self::softmax_in_place(probs);
     }
 
     /// Predicted class of one example.
     pub fn predict(&self, params: &[f32], example: usize) -> usize {
-        let logits = self.logits(params, example);
+        self.predict_with(params, example, &mut vec![0.0; self.classes()])
+    }
+
+    /// [`predict`](Self::predict) over a caller-owned logit buffer.
+    fn predict_with(&self, params: &[f32], example: usize, logits: &mut [f64]) -> usize {
+        self.logits_into(params, example, logits);
         logits
             .iter()
             .enumerate()
@@ -105,21 +118,23 @@ impl DifferentiableModel for SoftmaxClassifier {
         )
     }
 
-    fn loss_and_gradient(&self, params: &[f32], examples: &[usize]) -> (f64, GradientVector) {
+    fn loss_and_gradient_into(&self, params: &[f32], examples: &[usize], grad: &mut [f32]) -> f64 {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
+        assert_eq!(grad.len(), params.len(), "gradient dimension mismatch");
         assert!(!examples.is_empty(), "mini-batch must not be empty");
         let dim = self.dim();
         let classes = self.classes();
         let bias_offset = classes * dim;
         let m = examples.len() as f64;
-        let mut grad = vec![0.0f32; params.len()];
+        grad.fill(0.0);
+        let mut probs = vec![0.0f64; classes];
         let mut loss = 0.0f64;
         for &i in examples {
-            let probs = Self::softmax(&self.logits(params, i));
+            self.probs_into(params, i, &mut probs);
             let label = self.data.label(i);
             loss -= probs[label].max(1e-12).ln();
             let x = self.data.features(i);
@@ -133,20 +148,32 @@ impl DifferentiableModel for SoftmaxClassifier {
                 grad[bias_offset + c] += errf;
             }
         }
-        (loss / m, GradientVector::from_vec(grad))
+        loss / m
     }
 
     fn evaluate(&self, params: &[f32]) -> f64 {
-        let all: Vec<usize> = (0..self.data.len()).collect();
-        self.loss_and_gradient(params, &all).0
+        assert_eq!(
+            params.len(),
+            self.num_parameters(),
+            "parameter dimension mismatch"
+        );
+        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
+        let mut probs = vec![0.0f64; self.classes()];
+        let mut loss = 0.0f64;
+        for i in 0..self.data.len() {
+            self.probs_into(params, i, &mut probs);
+            loss -= probs[self.data.label(i)].max(1e-12).ln();
+        }
+        loss / self.data.len() as f64
     }
 
     fn accuracy(&self, params: &[f32]) -> Option<f64> {
         if self.data.is_empty() {
             return Some(0.0);
         }
+        let mut logits = vec![0.0f64; self.classes()];
         let correct = (0..self.data.len())
-            .filter(|&i| self.predict(params, i) == self.data.label(i))
+            .filter(|&i| self.predict_with(params, i, &mut logits) == self.data.label(i))
             .count();
         Some(correct as f64 / self.data.len() as f64)
     }

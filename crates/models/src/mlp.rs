@@ -66,18 +66,18 @@ impl Mlp {
         self.w2_offset() + self.classes() * self.hidden
     }
 
-    /// Forward pass for one example: returns (hidden activations, class probabilities).
-    fn forward(&self, params: &[f32], example: usize) -> (Vec<f64>, Vec<f64>) {
+    /// Forward pass for one example: writes the hidden activations into `h`
+    /// (`hidden` long) and the class probabilities into `probs` (`classes`
+    /// long), so a caller looping over examples reuses one pair of buffers.
+    fn forward_into(&self, params: &[f32], example: usize, h: &mut [f64], probs: &mut [f64]) {
         let dim = self.dim();
         let hidden = self.hidden;
-        let classes = self.classes();
         let x = self.data.features(example);
         let w1 = &params[self.w1_offset()..self.b1_offset()];
         let b1 = &params[self.b1_offset()..self.w2_offset()];
         let w2 = &params[self.w2_offset()..self.b2_offset()];
         let b2 = &params[self.b2_offset()..];
 
-        let mut h = vec![0.0f64; hidden];
         for (j, hj) in h.iter_mut().enumerate() {
             let row = &w1[j * dim..(j + 1) * dim];
             let pre: f64 = row
@@ -88,26 +88,42 @@ impl Mlp {
                 + b1[j] as f64;
             *hj = pre.tanh();
         }
-        let mut logits = vec![0.0f64; classes];
-        for (c, logit) in logits.iter_mut().enumerate() {
+        // `probs` holds the logits, then their shifted exponentials, then
+        // the normalised probabilities.
+        for (c, logit) in probs.iter_mut().enumerate() {
             let row = &w2[c * hidden..(c + 1) * hidden];
             *logit = row
                 .iter()
-                .zip(&h)
+                .zip(&*h)
                 .map(|(&w, &hj)| w as f64 * hj)
                 .sum::<f64>()
                 + b2[c] as f64;
         }
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = logits.iter().map(|&z| (z - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        let probs = exps.iter().map(|&e| e / sum).collect();
-        (h, probs)
+        let max = probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        for p in probs.iter_mut() {
+            *p = (*p - max).exp();
+        }
+        let sum: f64 = probs.iter().sum();
+        for p in probs.iter_mut() {
+            *p /= sum;
+        }
     }
 
     /// Predicted class of one example.
     pub fn predict(&self, params: &[f32], example: usize) -> usize {
-        let (_, probs) = self.forward(params, example);
+        let (mut h, mut probs) = (vec![0.0; self.hidden], vec![0.0; self.classes()]);
+        self.predict_with(params, example, &mut h, &mut probs)
+    }
+
+    /// [`predict`](Self::predict) over caller-owned forward buffers.
+    fn predict_with(
+        &self,
+        params: &[f32],
+        example: usize,
+        h: &mut [f64],
+        probs: &mut [f64],
+    ) -> usize {
+        self.forward_into(params, example, h, probs);
         probs
             .iter()
             .enumerate()
@@ -157,33 +173,37 @@ impl DifferentiableModel for Mlp {
         GradientVector::from_vec(params)
     }
 
-    fn loss_and_gradient(&self, params: &[f32], examples: &[usize]) -> (f64, GradientVector) {
+    fn loss_and_gradient_into(&self, params: &[f32], examples: &[usize], grad: &mut [f32]) -> f64 {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
+        assert_eq!(grad.len(), params.len(), "gradient dimension mismatch");
         assert!(!examples.is_empty(), "mini-batch must not be empty");
         let dim = self.dim();
         let hidden = self.hidden;
         let classes = self.classes();
         let m = examples.len() as f64;
-        let w1 = &params[self.w1_offset()..self.b1_offset()];
         let w2 = &params[self.w2_offset()..self.b2_offset()];
-        let _ = w1;
 
-        let mut grad = vec![0.0f32; params.len()];
+        grad.fill(0.0);
+        let (mut h, mut probs, mut dlogits) = (
+            vec![0.0f64; hidden],
+            vec![0.0f64; classes],
+            vec![0.0f64; classes],
+        );
         let mut loss = 0.0f64;
         for &i in examples {
-            let (h, probs) = self.forward(params, i);
+            self.forward_into(params, i, &mut h, &mut probs);
             let label = self.data.label(i);
             loss -= probs[label].max(1e-12).ln();
             let x = self.data.features(i);
 
             // dL/dlogit_c = p_c - 1{c = label}
-            let dlogits: Vec<f64> = (0..classes)
-                .map(|c| (probs[c] - if c == label { 1.0 } else { 0.0 }) / m)
-                .collect();
+            for (c, d) in dlogits.iter_mut().enumerate() {
+                *d = (probs[c] - if c == label { 1.0 } else { 0.0 }) / m;
+            }
 
             // Output layer gradients.
             for c in 0..classes {
@@ -209,20 +229,32 @@ impl DifferentiableModel for Mlp {
                 grad[self.b1_offset() + j] += dpre as f32;
             }
         }
-        (loss / m, GradientVector::from_vec(grad))
+        loss / m
     }
 
     fn evaluate(&self, params: &[f32]) -> f64 {
-        let all: Vec<usize> = (0..self.data.len()).collect();
-        self.loss_and_gradient(params, &all).0
+        assert_eq!(
+            params.len(),
+            self.num_parameters(),
+            "parameter dimension mismatch"
+        );
+        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
+        let (mut h, mut probs) = (vec![0.0f64; self.hidden], vec![0.0f64; self.classes()]);
+        let mut loss = 0.0f64;
+        for i in 0..self.data.len() {
+            self.forward_into(params, i, &mut h, &mut probs);
+            loss -= probs[self.data.label(i)].max(1e-12).ln();
+        }
+        loss / self.data.len() as f64
     }
 
     fn accuracy(&self, params: &[f32]) -> Option<f64> {
         if self.data.is_empty() {
             return Some(0.0);
         }
+        let (mut h, mut probs) = (vec![0.0f64; self.hidden], vec![0.0f64; self.classes()]);
         let correct = (0..self.data.len())
-            .filter(|&i| self.predict(params, i) == self.data.label(i))
+            .filter(|&i| self.predict_with(params, i, &mut h, &mut probs) == self.data.label(i))
             .count();
         Some(correct as f64 / self.data.len() as f64)
     }

@@ -8,6 +8,13 @@ use sidco_tensor::GradientVector;
 /// current flat parameter vector and a mini-batch of example indices, produce the
 /// mini-batch loss and the flat gradient. Implementations own their (synthetic)
 /// dataset, so a worker only needs its shard of example indices.
+///
+/// The required gradient method is
+/// [`loss_and_gradient_into`](Self::loss_and_gradient_into), which writes into
+/// a caller-owned buffer so a trainer can keep one gradient buffer per worker
+/// across iterations; [`loss_and_gradient`](Self::loss_and_gradient) is the
+/// allocating convenience form over it. Every method takes `&self`, and the
+/// trait is `Sync`, so several workers may compute gradients concurrently.
 pub trait DifferentiableModel: Send + Sync {
     /// Total number of trainable parameters (the gradient dimension `d`).
     fn num_parameters(&self) -> usize;
@@ -40,17 +47,41 @@ pub trait DifferentiableModel: Send + Sync {
     /// Deterministic parameter initialisation.
     fn initial_parameters(&self, seed: u64) -> GradientVector;
 
-    /// Mini-batch loss and gradient at `params` over the given example indices.
+    /// Mini-batch loss at `params` over the given example indices; the
+    /// mini-batch gradient *overwrites* `grad` (whatever it held before is
+    /// ignored, NaN included).
     ///
     /// # Panics
     ///
-    /// Implementations panic if `params.len() != num_parameters()` or an example
+    /// Implementations panic if `params.len() != num_parameters()`,
+    /// `grad.len() != num_parameters()`, `examples` is empty or an example
     /// index is out of range.
-    fn loss_and_gradient(&self, params: &[f32], examples: &[usize]) -> (f64, GradientVector);
+    fn loss_and_gradient_into(&self, params: &[f32], examples: &[usize], grad: &mut [f32]) -> f64;
+
+    /// Mini-batch loss and a freshly allocated gradient at `params` over the
+    /// given example indices — [`loss_and_gradient_into`](Self::loss_and_gradient_into)
+    /// on a new buffer, with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`loss_and_gradient_into`](Self::loss_and_gradient_into).
+    fn loss_and_gradient(&self, params: &[f32], examples: &[usize]) -> (f64, GradientVector) {
+        let mut grad = GradientVector::zeros(self.num_parameters());
+        let loss = self.loss_and_gradient_into(params, examples, grad.as_mut_slice());
+        (loss, grad)
+    }
 
     /// Evaluation metric over the full dataset (by convention: the mean loss, so
     /// "lower is better" uniformly across workloads). Used for the
-    /// loss-vs-time/iteration curves of Figures 4 and 10.
+    /// loss-vs-time/iteration curves of Figures 4 and 10. The bundled models
+    /// compute it forward-only, summing the per-example losses in the order
+    /// [`loss_and_gradient`](Self::loss_and_gradient) over every example
+    /// would, so the result has exactly the bits of that call's loss.
+    ///
+    /// # Panics
+    ///
+    /// The bundled models panic if `params.len() != num_parameters()` or
+    /// the dataset is empty.
     fn evaluate(&self, params: &[f32]) -> f64;
 
     /// Optional accuracy-style metric in `[0, 1]` ("higher is better"), for the
@@ -79,8 +110,14 @@ mod tests {
         fn initial_parameters(&self, _seed: u64) -> GradientVector {
             GradientVector::zeros(1)
         }
-        fn loss_and_gradient(&self, params: &[f32], _examples: &[usize]) -> (f64, GradientVector) {
-            (params[0] as f64, GradientVector::from_vec(vec![1.0]))
+        fn loss_and_gradient_into(
+            &self,
+            params: &[f32],
+            _examples: &[usize],
+            grad: &mut [f32],
+        ) -> f64 {
+            grad[0] = 1.0;
+            params[0] as f64
         }
         fn evaluate(&self, params: &[f32]) -> f64 {
             params[0] as f64
@@ -99,6 +136,6 @@ mod tests {
         assert_eq!(model.name(), "constant");
         let (loss, grad) = model.loss_and_gradient(&[2.0], &[0]);
         assert_eq!(loss, 2.0);
-        assert_eq!(grad.len(), 1);
+        assert_eq!(grad.as_slice(), &[1.0]);
     }
 }

@@ -51,6 +51,17 @@ impl LinearRegression {
             .sum::<f64>()
             .sqrt()
     }
+
+    /// Prediction error `xᵢ·w - yᵢ` of one example.
+    fn residual(&self, params: &[f32], example: usize) -> f64 {
+        self.data
+            .features(example)
+            .iter()
+            .zip(params)
+            .map(|(&xj, &wj)| (xj * wj) as f64)
+            .sum::<f64>()
+            - self.data.target(example) as f64
+    }
 }
 
 impl DifferentiableModel for LinearRegression {
@@ -71,36 +82,42 @@ impl DifferentiableModel for LinearRegression {
         )
     }
 
-    fn loss_and_gradient(&self, params: &[f32], examples: &[usize]) -> (f64, GradientVector) {
+    fn loss_and_gradient_into(&self, params: &[f32], examples: &[usize], grad: &mut [f32]) -> f64 {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
+        assert_eq!(grad.len(), params.len(), "gradient dimension mismatch");
         assert!(!examples.is_empty(), "mini-batch must not be empty");
         let m = examples.len() as f64;
-        let mut grad = vec![0.0f32; params.len()];
+        grad.fill(0.0);
         let mut loss = 0.0f64;
         for &i in examples {
             let x = self.data.features(i);
-            let residual: f64 = x
-                .iter()
-                .zip(params)
-                .map(|(&xj, &wj)| (xj * wj) as f64)
-                .sum::<f64>()
-                - self.data.target(i) as f64;
+            let residual = self.residual(params, i);
             loss += 0.5 * residual * residual;
             let scale = (residual / m) as f32;
             for (gj, &xj) in grad.iter_mut().zip(x) {
                 *gj += scale * xj;
             }
         }
-        (loss / m, GradientVector::from_vec(grad))
+        loss / m
     }
 
     fn evaluate(&self, params: &[f32]) -> f64 {
-        let all: Vec<usize> = (0..self.data.len()).collect();
-        self.loss_and_gradient(params, &all).0
+        assert_eq!(
+            params.len(),
+            self.num_parameters(),
+            "parameter dimension mismatch"
+        );
+        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
+        let mut loss = 0.0f64;
+        for i in 0..self.data.len() {
+            let residual = self.residual(params, i);
+            loss += 0.5 * residual * residual;
+        }
+        loss / self.data.len() as f64
     }
 
     fn name(&self) -> &'static str {

@@ -68,9 +68,11 @@ impl ElmanRnn {
         self.wo_offset() + self.hidden
     }
 
-    /// Runs the forward pass for one sequence, returning the per-step hidden states
-    /// (including the initial zero state at index 0) and the prediction.
-    fn forward(&self, params: &[f32], sequence: usize) -> (Vec<Vec<f64>>, f64) {
+    /// Runs the forward pass for one sequence and returns the prediction.
+    /// `states` (`(seq_len + 1) × hidden` long) receives the per-step hidden
+    /// states row by row, row 0 being the initial zero state, so a caller
+    /// looping over sequences reuses one buffer.
+    fn forward_into(&self, params: &[f32], sequence: usize, states: &mut [f64]) -> f64 {
         let hidden = self.hidden;
         let input = self.input_dim();
         let w_ih = &params[self.wih_offset()..self.whh_offset()];
@@ -79,13 +81,12 @@ impl ElmanRnn {
         let w_o = &params[self.wo_offset()..self.bo_offset()];
         let b_o = params[self.bo_offset()] as f64;
 
-        let mut states: Vec<Vec<f64>> = Vec::with_capacity(self.data.seq_len() + 1);
-        states.push(vec![0.0; hidden]);
+        states[..hidden].fill(0.0);
         for t in 0..self.data.seq_len() {
             let x = self.data.step(sequence, t);
-            let prev = &states[t];
-            let mut next = vec![0.0f64; hidden];
-            for (j, nj) in next.iter_mut().enumerate() {
+            let (done, rest) = states.split_at_mut((t + 1) * hidden);
+            let prev = &done[t * hidden..];
+            for (j, nj) in rest[..hidden].iter_mut().enumerate() {
                 let mut pre = b_h[j] as f64;
                 let row_ih = &w_ih[j * input..(j + 1) * input];
                 for (&w, &xi) in row_ih.iter().zip(x) {
@@ -97,22 +98,24 @@ impl ElmanRnn {
                 }
                 *nj = pre.tanh();
             }
-            states.push(next);
         }
-        // INVARIANT: states starts seeded with the initial hidden state.
-        let last = states.last().expect("at least the initial state");
-        let prediction = w_o
-            .iter()
+        let last = &states[self.data.seq_len() * hidden..];
+        w_o.iter()
             .zip(last)
             .map(|(&w, &h)| w as f64 * h)
             .sum::<f64>()
-            + b_o;
-        (states, prediction)
+            + b_o
+    }
+
+    /// Length of the hidden-state buffer [`forward_into`](Self::forward_into)
+    /// fills.
+    fn states_len(&self) -> usize {
+        (self.data.seq_len() + 1) * self.hidden
     }
 
     /// Prediction for one sequence.
     pub fn predict(&self, params: &[f32], sequence: usize) -> f64 {
-        self.forward(params, sequence).1
+        self.forward_into(params, sequence, &mut vec![0.0; self.states_len()])
     }
 }
 
@@ -145,12 +148,13 @@ impl DifferentiableModel for ElmanRnn {
         )
     }
 
-    fn loss_and_gradient(&self, params: &[f32], examples: &[usize]) -> (f64, GradientVector) {
+    fn loss_and_gradient_into(&self, params: &[f32], examples: &[usize], grad: &mut [f32]) -> f64 {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
+        assert_eq!(grad.len(), params.len(), "gradient dimension mismatch");
         assert!(!examples.is_empty(), "mini-batch must not be empty");
         let hidden = self.hidden;
         let input = self.input_dim();
@@ -159,34 +163,40 @@ impl DifferentiableModel for ElmanRnn {
         let w_hh = &params[self.whh_offset()..self.bh_offset()];
         let w_o = &params[self.wo_offset()..self.bo_offset()];
 
-        let mut grad = vec![0.0f32; params.len()];
+        grad.fill(0.0);
+        let mut states = vec![0.0f64; self.states_len()];
+        let (mut dh, mut dpre, mut dh_prev) = (
+            vec![0.0f64; hidden],
+            vec![0.0f64; hidden],
+            vec![0.0f64; hidden],
+        );
         let mut loss = 0.0f64;
         for &i in examples {
-            let (states, prediction) = self.forward(params, i);
+            let prediction = self.forward_into(params, i, &mut states);
             let target = self.data.target(i) as f64;
             let err = prediction - target;
             loss += 0.5 * err * err;
             let derr = err / m;
 
             // Output layer.
-            let last = &states[seq_len];
+            let last = &states[seq_len * hidden..];
             for j in 0..hidden {
                 grad[self.wo_offset() + j] += (derr * last[j]) as f32;
             }
             grad[self.bo_offset()] += derr as f32;
 
             // Backpropagation through time: dL/dh_T = derr * w_o.
-            let mut dh: Vec<f64> = w_o.iter().map(|&w| derr * w as f64).collect();
+            for (d, &w) in dh.iter_mut().zip(w_o) {
+                *d = derr * w as f64;
+            }
             for t in (0..seq_len).rev() {
-                let h_t = &states[t + 1];
-                let h_prev = &states[t];
+                let h_t = &states[(t + 1) * hidden..(t + 2) * hidden];
+                let h_prev = &states[t * hidden..(t + 1) * hidden];
                 let x = self.data.step(i, t);
                 // Through the tanh.
-                let dpre: Vec<f64> = dh
-                    .iter()
-                    .zip(h_t)
-                    .map(|(&d, &h)| d * (1.0 - h * h))
-                    .collect();
+                for ((p, &d), &h) in dpre.iter_mut().zip(&dh).zip(h_t) {
+                    *p = d * (1.0 - h * h);
+                }
                 for j in 0..hidden {
                     let base_ih = self.wih_offset() + j * input;
                     for (offset, &xj) in x.iter().enumerate() {
@@ -199,22 +209,33 @@ impl DifferentiableModel for ElmanRnn {
                     grad[self.bh_offset() + j] += dpre[j] as f32;
                 }
                 // Propagate to the previous hidden state: dh_prev = W_hhᵀ dpre.
-                let mut dh_prev = vec![0.0f64; hidden];
+                dh_prev.fill(0.0);
                 for (j, &d) in dpre.iter().enumerate() {
                     let row = &w_hh[j * hidden..(j + 1) * hidden];
                     for (p, dh_p) in dh_prev.iter_mut().enumerate() {
                         *dh_p += row[p] as f64 * d;
                     }
                 }
-                dh = dh_prev;
+                std::mem::swap(&mut dh, &mut dh_prev);
             }
         }
-        (loss / m, GradientVector::from_vec(grad))
+        loss / m
     }
 
     fn evaluate(&self, params: &[f32]) -> f64 {
-        let all: Vec<usize> = (0..self.data.len()).collect();
-        self.loss_and_gradient(params, &all).0
+        assert_eq!(
+            params.len(),
+            self.num_parameters(),
+            "parameter dimension mismatch"
+        );
+        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
+        let mut states = vec![0.0f64; self.states_len()];
+        let mut loss = 0.0f64;
+        for i in 0..self.data.len() {
+            let err = self.forward_into(params, i, &mut states) - self.data.target(i) as f64;
+            loss += 0.5 * err * err;
+        }
+        loss / self.data.len() as f64
     }
 
     fn name(&self) -> &'static str {

@@ -144,12 +144,19 @@ impl GradientVector {
     /// Returns a clipped copy whose L2 norm does not exceed `max_norm`
     /// (gradient clipping as used by the RNN benchmarks in Table 1).
     pub fn clipped_by_norm(&self, max_norm: f64) -> GradientVector {
-        let norm = self.l2_norm();
         let mut out = self.clone();
-        if norm > max_norm && norm > 0.0 {
-            out.scale((max_norm / norm) as f32);
-        }
+        out.clip_to_norm(max_norm);
         out
+    }
+
+    /// Clips in place so the L2 norm does not exceed `max_norm` — the
+    /// allocation-free form of [`clipped_by_norm`](Self::clipped_by_norm),
+    /// with the same bits.
+    pub fn clip_to_norm(&mut self, max_norm: f64) {
+        let norm = self.l2_norm();
+        if norm > max_norm && norm > 0.0 {
+            self.scale((max_norm / norm) as f32);
+        }
     }
 
     /// Euclidean distance to another vector.
@@ -284,6 +291,10 @@ mod tests {
         // Already inside the ball: unchanged.
         let clipped = g.clipped_by_norm(10.0);
         assert_eq!(clipped.as_slice(), g.as_slice());
+        // The in-place form keeps the copy's bits.
+        let mut in_place = g.clone();
+        in_place.clip_to_norm(1.0);
+        assert_eq!(in_place, g.clipped_by_norm(1.0));
     }
 
     #[test]

@@ -161,17 +161,34 @@ impl SparseGradient {
     ///
     /// Panics if `original` has a different length.
     pub fn residual(&self, original: &GradientVector) -> GradientVector {
+        let mut residual = GradientVector::zeros(self.dense_len);
+        self.residual_into(original, &mut residual);
+        residual
+    }
+
+    /// [`residual`](Self::residual) written into an existing buffer, which
+    /// is overwritten — the allocation-free form error feedback uses to
+    /// update its memory in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `original` or `out` has a different length.
+    pub fn residual_into(&self, original: &GradientVector, out: &mut GradientVector) {
         assert_eq!(
             original.len(),
             self.dense_len,
             "original length must match the dense length"
         );
-        let mut residual = original.clone();
-        let slice = residual.as_mut_slice();
+        assert_eq!(
+            out.len(),
+            self.dense_len,
+            "residual buffer length must match the dense length"
+        );
+        let slice = out.as_mut_slice();
+        slice.copy_from_slice(original.as_slice());
         for &i in &self.indices {
             slice[i as usize] = 0.0;
         }
-        residual
     }
 
     /// L2 norm of the retained values.
@@ -260,6 +277,10 @@ mod tests {
         assert_eq!(s.to_dense().as_slice(), &[0.5, 0.0, 0.9, 0.0]);
         let residual = s.residual(&original);
         assert_eq!(residual.as_slice(), &[0.0, -0.1, 0.0, 0.0]);
+        // The in-place form overwrites whatever its buffer held.
+        let mut reused = GradientVector::from_vec(vec![7.0; 4]);
+        s.residual_into(&original, &mut reused);
+        assert_eq!(reused, residual);
         // residual + sparse == original
         let mut recon = s.to_dense();
         recon.add_assign(&residual);

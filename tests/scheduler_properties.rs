@@ -860,68 +860,139 @@ fn overlap_and_streams_converge_bit_identically_for_every_compressor() {
     }
 }
 
-/// The pool-backed trainer's core contract: dispatching the per-(worker,
-/// bucket) compression jobs on the pool at any width (2 and 7 here) converges
-/// bit-identically to the inline one-thread trainer, for every evaluated
-/// compressor
-/// — the executor changes only where the jobs run, never what they compute,
-/// because each compressor cell sees the same call sequence and the merge is
-/// serial in a fixed order.
+/// The pool-backed trainer's core contract: dispatching the per-worker
+/// forward/backward jobs, the per-(worker, bucket) compression jobs and the
+/// final evaluate/accuracy jobs on the pool at any width (2 and 7 here)
+/// converges bit-identically to the inline one-thread trainer, for every
+/// evaluated compressor, with and without gradient clipping and error
+/// feedback, and for the uncompressed baseline — the executor changes only
+/// where the jobs run, never what they compute, because every job owns its
+/// worker's (or cell's) state and everything crossing workers is reduced
+/// serially in a fixed order.
 #[test]
 fn pool_dispatched_training_is_bit_identical_to_serial_for_every_compressor() {
     let model: Arc<dyn DifferentiableModel> = Arc::new(Mlp::new(
         ClassificationDataset::gaussian_blobs(96, 10, 3, 3.0, 11),
         12,
     ));
+    let base = TrainerConfig {
+        iterations: 4,
+        batch_per_worker: 8,
+        bucket_policy: BucketPolicy::PerLayer,
+        overlap: true,
+        ..TrainerConfig::default()
+    };
+    // (label, config) — the default error-feedback run, a clipped run whose
+    // bound actually binds, and a run without error feedback.
+    let variants = [
+        ("default", base.clone()),
+        (
+            "clipped",
+            TrainerConfig {
+                clip_norm: Some(0.5),
+                ..base.clone()
+            },
+        ),
+        (
+            "no-ef",
+            TrainerConfig {
+                error_feedback: false,
+                ..base.clone()
+            },
+        ),
+    ];
+    let losses =
+        |r: &sidco_dist::TrainingReport| r.samples().iter().map(|s| s.loss).collect::<Vec<_>>();
+    let assert_identical = |label: &str,
+                            baseline: &sidco_dist::TrainingReport,
+                            parallel: &sidco_dist::TrainingReport,
+                            threads: usize| {
+        assert_eq!(
+            losses(baseline),
+            losses(parallel),
+            "{label} at {threads} threads diverged"
+        );
+        assert_eq!(
+            baseline.final_evaluation().to_bits(),
+            parallel.final_evaluation().to_bits(),
+            "{label} at {threads} threads final evaluation diverged"
+        );
+        assert_eq!(
+            baseline.final_accuracy(),
+            parallel.final_accuracy(),
+            "{label} at {threads} threads final accuracy diverged"
+        );
+        assert!(parallel.final_accuracy().is_some());
+        assert_eq!(
+            baseline.estimation_quality().mean_normalized_ratio,
+            parallel.estimation_quality().mean_normalized_ratio,
+            "{label} at {threads} threads quality series diverged"
+        );
+        // Simulated time is charged by the cost model, not measured,
+        // so it is identical too.
+        assert_eq!(baseline.total_time(), parallel.total_time());
+    };
     for kind in sidco::core::compressor::CompressorKind::EVALUATED {
-        let run = |threads: usize| {
-            let config = TrainerConfig {
-                iterations: 4,
-                batch_per_worker: 8,
-                compressor_kind: Some(kind),
-                bucket_policy: BucketPolicy::PerLayer,
-                overlap: true,
-                ..TrainerConfig::default()
+        for (variant, config) in &variants {
+            let run = |threads: usize| {
+                ModelTrainer::new(
+                    Arc::clone(&model),
+                    ClusterConfig::small_test(),
+                    TrainerConfig {
+                        compressor_kind: Some(kind),
+                        ..config.clone()
+                    },
+                    || build_compressor(kind, 23).expect("evaluated kinds build"),
+                )
+                .with_runtime(RuntimeKind::Pool, threads)
+                .run(0.05)
             };
-            ModelTrainer::new(
-                Arc::clone(&model),
-                ClusterConfig::small_test(),
-                config,
-                || build_compressor(kind, 23).expect("evaluated kinds build"),
-            )
-            .with_runtime(RuntimeKind::Pool, threads)
-            .run(0.05)
-        };
-        let baseline = run(1);
-        let losses =
-            |r: &sidco_dist::TrainingReport| r.samples().iter().map(|s| s.loss).collect::<Vec<_>>();
-        for threads in [2usize, 7] {
-            let parallel = run(threads);
-            assert_eq!(
-                losses(&baseline),
-                losses(&parallel),
-                "{kind:?} at {threads} threads diverged"
-            );
-            assert_eq!(
-                baseline.final_evaluation(),
-                parallel.final_evaluation(),
-                "{kind:?} at {threads} threads final evaluation diverged"
-            );
-            assert_eq!(
-                baseline.estimation_quality().mean_normalized_ratio,
-                parallel.estimation_quality().mean_normalized_ratio,
-                "{kind:?} at {threads} threads quality series diverged"
-            );
-            // Simulated time is charged by the cost model, not measured,
-            // so it is identical too.
-            assert_eq!(baseline.total_time(), parallel.total_time());
-            let dispatch = parallel
-                .dispatch()
-                .expect("compressed run reports dispatch");
-            assert_eq!(dispatch.parallelism, threads);
-            assert_eq!(dispatch.jobs, 4);
+            let baseline = run(1);
+            for threads in [2usize, 7] {
+                let parallel = run(threads);
+                assert_identical(
+                    &format!("{kind:?}/{variant}"),
+                    &baseline,
+                    &parallel,
+                    threads,
+                );
+                let dispatch = parallel
+                    .dispatch()
+                    .expect("compressed run reports dispatch");
+                assert_eq!(dispatch.parallelism, threads);
+                assert_eq!(dispatch.jobs, 4);
+            }
         }
     }
+    // The dense baseline dispatches its forward/backward and final
+    // evaluation on the executor too.
+    let mut dense_baselines = Vec::new();
+    for (variant, config) in &variants {
+        let run = |threads: usize| {
+            ModelTrainer::uncompressed(
+                Arc::clone(&model),
+                ClusterConfig::small_test(),
+                config.clone(),
+            )
+            .with_runtime(RuntimeKind::Pool, threads)
+            .run(1.0)
+        };
+        let baseline = run(1);
+        for threads in [2usize, 7] {
+            let parallel = run(threads);
+            assert_identical(
+                &format!("uncompressed/{variant}"),
+                &baseline,
+                &parallel,
+                threads,
+            );
+            assert!(parallel.dispatch().is_none());
+        }
+        dense_baselines.push(losses(&baseline));
+    }
+    // The clip bound binds (the clipped trajectory differs), so the
+    // in-place clip is exercised, not skipped.
+    assert_ne!(dense_baselines[0], dense_baselines[1]);
 }
 
 /// Strategy: an elastic event timeline over the 4-machine test fleet —
@@ -950,7 +1021,9 @@ fn cluster_events_strategy(iterations: u64) -> impl Strategy<Value = Vec<Cluster
 }
 
 /// A small compressed run on the 4-worker test fleet under the given elastic
-/// event timeline (6 iterations, Top-k at δ = 0.1).
+/// event timeline (6 iterations, Top-k at δ = 0.1), dispatched on a 2-thread
+/// pool so the persistent per-worker buffers are resized under real
+/// concurrent execution.
 fn elastic_trainer_report(events: Vec<ClusterEvent>) -> sidco_dist::TrainingReport {
     let model: Arc<dyn DifferentiableModel> = Arc::new(Mlp::new(
         ClassificationDataset::gaussian_blobs(96, 10, 3, 3.0, 11),
@@ -967,6 +1040,7 @@ fn elastic_trainer_report(events: Vec<ClusterEvent>) -> sidco_dist::TrainingRepo
     ModelTrainer::new(model, ClusterConfig::small_test(), config, || {
         build_compressor(kind, 23).expect("TopK builds")
     })
+    .with_runtime(RuntimeKind::Pool, 2)
     .run(0.1)
 }
 

@@ -236,8 +236,9 @@ proptest! {
 }
 
 /// The tentpole guarantee: tracing is strictly observational. For every
-/// evaluated compressor, inline (1 thread) and on the pool (3 threads), a
-/// traced run's losses, quality
+/// evaluated compressor, inline (1 thread) and on the pool (2 and 3
+/// threads), under an elastic Join/Leave timeline that resizes the
+/// persistent per-worker buffers mid-run, a traced run's losses, quality
 /// series, final metrics and simulated clock are bit-identical to the
 /// untraced run — the only difference is the attached [`TraceReport`].
 #[test]
@@ -248,7 +249,7 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
         12,
     ));
     for kind in sidco::core::compressor::CompressorKind::EVALUATED {
-        for threads in [1usize, 3] {
+        for threads in [1usize, 2, 3] {
             let run = |trace: bool| {
                 let config = TrainerConfig {
                     iterations: 5,
@@ -259,6 +260,7 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
                     streams: 3,
                     priority: PriorityPolicy::SmallestFirst,
                     arrival_aware: true,
+                    cluster_events: vec![ClusterEvent::Join(1), ClusterEvent::Leave(3)],
                     trace,
                     ..TrainerConfig::default()
                 };
@@ -290,6 +292,8 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
                 "{kind:?} at {threads} threads clock moved under tracing"
             );
             assert_eq!(plain.final_evaluation(), traced.final_evaluation());
+            assert_eq!(plain.final_accuracy(), traced.final_accuracy());
+            assert_eq!(plain.rescales(), traced.rescales());
             assert_eq!(plain.total_time(), traced.total_time());
             assert_eq!(
                 plain.estimation_quality().mean_normalized_ratio,
