@@ -12,9 +12,8 @@
 //! * **single-large** — one 16Mi-element gradient, the ImageNet regime where
 //!   a call is long enough to amortise any dispatch cost.
 //!
-//! The pool's lifecycle counters (spawns, steals, parks, per-socket
-//! placement) are printed after the sweep; on a multi-socket host the
-//! per-socket chunk counts show the NUMA placement at work.
+//! The pool's lifecycle counters (spawns, injector takes, steals, parks) are
+//! printed after the sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sidco_core::engine::{CompressionEngine, RuntimeKind};
@@ -207,19 +206,16 @@ fn report_pool_stats(_c: &mut Criterion) {
             );
             println!(
                 "pool[threads={threads}]: spawned={} jobs={} chunks={} local_pops={} \
-                 injector_pops={} sibling_steals={} remote_steals={} parks={} unparks={} \
-                 currently_parked={} socket_chunks={:?}",
+                 injector_pops={} steals={} parks={} unparks={} currently_parked={}",
                 stats.threads_spawned,
                 stats.jobs,
                 stats.chunks_executed,
                 stats.local_pops,
                 stats.injector_pops,
-                stats.sibling_steals,
-                stats.remote_steals,
+                stats.steals(),
                 stats.parks,
                 stats.unparks,
-                stats.currently_parked,
-                stats.socket_chunks
+                stats.currently_parked
             );
         }
     }

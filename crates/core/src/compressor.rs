@@ -48,7 +48,8 @@ impl CompressionResult {
 /// into the worker's thread in the distributed simulator.
 pub trait Compressor: Send {
     /// Compresses `grad`, targeting the compression ratio `delta = k/d` with
-    /// `0 < delta <= 1`.
+    /// `0 < delta <= 1`. A `delta` that is zero, negative or NaN selects
+    /// nothing: the result is an empty gradient of `grad`'s length.
     ///
     /// The returned sparse gradient is not guaranteed to contain exactly
     /// `delta * grad.len()` elements — the whole point of the paper's "estimation
@@ -71,6 +72,31 @@ pub trait Compressor: Send {
     /// callers needing a kind for those must require one explicitly.
     fn kind(&self) -> Option<CompressorKind> {
         None
+    }
+}
+
+/// How a requested ratio δ is served (see the
+/// [`SidcoCompressor`](crate::sidco::SidcoCompressor) docs). Every evaluated
+/// compressor returns an empty selection for [`Nothing`](Self::Nothing).
+pub(crate) enum TargetRatio {
+    /// δ ≤ 0 or NaN: select nothing.
+    Nothing,
+    /// δ ≥ 1: select everything at threshold 0.
+    Everything,
+    /// 0 < δ < 1: estimate the threshold for this ratio.
+    Estimate(f64),
+}
+
+impl TargetRatio {
+    pub(crate) fn of(delta: f64) -> Self {
+        if delta >= 1.0 {
+            Self::Everything
+        } else if delta > 0.0 {
+            // A subnormal δ would make ln(1/δ) infinite.
+            Self::Estimate(delta.max(f64::MIN_POSITIVE))
+        } else {
+            Self::Nothing
+        }
     }
 }
 

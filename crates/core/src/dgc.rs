@@ -6,7 +6,7 @@
 //! selection overshoots the target — runs a second exact Top-k over the selected
 //! subset (the "hierarchical" step described in the paper's footnote 2).
 
-use crate::compressor::{CompressionResult, Compressor, CompressorKind};
+use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::engine::CompressionEngine;
 use crate::topk::target_k;
 use rand::rngs::SmallRng;
@@ -110,6 +110,9 @@ impl Default for DgcCompressor {
 
 impl Compressor for DgcCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
+        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
+            return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(grad.len()));
+        }
         if grad.is_empty() {
             return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(0));
         }

@@ -19,7 +19,7 @@
 //!
 //! The engine itself holds no threads — it dispatches to the process-wide
 //! [`Runtime`] that [`sidco_runtime::handle`] returns for its thread budget:
-//! the **persistent NUMA-aware work-stealing pool**, which spawns its OS
+//! the **persistent work-stealing pool**, which spawns its OS
 //! workers once (on the first parallel call) and reuses them for every
 //! subsequent `compress`, or the inline runtime for a one-thread engine.
 //! Engines with the same thread count share one executor. Pool behaviour is

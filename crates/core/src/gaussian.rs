@@ -8,7 +8,7 @@
 //! runs out of budget far from the target — the behaviour the paper reports as
 //! "estimation quality two orders of magnitude off" at aggressive ratios.
 
-use crate::compressor::{CompressionResult, Compressor, CompressorKind};
+use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::engine::CompressionEngine;
 use crate::topk::target_k;
 use sidco_stats::fit::gaussian_threshold_from_moments;
@@ -87,6 +87,9 @@ impl GaussianKSgdCompressor {
 
 impl Compressor for GaussianKSgdCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
+        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
+            return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(grad.len()));
+        }
         if grad.is_empty() {
             return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(0));
         }

@@ -1,7 +1,7 @@
 //! Random-k compressor — the weakest sparsification baseline mentioned by the paper
 //! (Section 1.1) as a convergence contrast to Top-k.
 
-use crate::compressor::{CompressionResult, Compressor, CompressorKind};
+use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::topk::target_k;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -46,6 +46,9 @@ impl Default for RandomKCompressor {
 
 impl Compressor for RandomKCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
+        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
+            return CompressionResult::from_sparse(SparseGradient::empty(grad.len()));
+        }
         let k = target_k(grad.len(), delta);
         let mut indices = random_indices(grad.len(), k, &mut self.rng);
         indices.sort_unstable();

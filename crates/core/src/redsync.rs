@@ -9,7 +9,7 @@
 //! the budget with a count far from `k` — the estimation-quality failure mode the
 //! paper's Figures 1c, 3c and 9 highlight.
 
-use crate::compressor::{CompressionResult, Compressor, CompressorKind};
+use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::engine::CompressionEngine;
 use crate::topk::target_k;
 
@@ -82,6 +82,9 @@ impl RedSyncCompressor {
 
 impl Compressor for RedSyncCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
+        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
+            return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(grad.len()));
+        }
         if grad.is_empty() {
             return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(0));
         }

@@ -11,7 +11,7 @@
 //!    running-average ratio stays inside the `[1 - ε_L, 1 + ε_H]` band around the
 //!    target (the `Adapt_Stages` function).
 
-use crate::compressor::{CompressionResult, Compressor, CompressorKind};
+use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::engine::{CompressionEngine, SurvivorStages};
 use sidco_stats::error::StatsError;
 use sidco_stats::fit::SidKind;
@@ -286,29 +286,6 @@ fn with_survivors<R>(f: impl FnOnce(&mut SurvivorLists) -> R) -> R {
     let result = f(&mut lists);
     SURVIVORS.set(lists);
     result
-}
-
-/// How a requested ratio δ is served (see the [`SidcoCompressor`] docs).
-enum TargetRatio {
-    /// δ ≤ 0 or NaN: select nothing.
-    Nothing,
-    /// δ ≥ 1: select everything at threshold 0.
-    Everything,
-    /// 0 < δ < 1: estimate the threshold for this ratio.
-    Estimate(f64),
-}
-
-impl TargetRatio {
-    fn of(delta: f64) -> Self {
-        if delta >= 1.0 {
-            Self::Everything
-        } else if delta > 0.0 {
-            // A subnormal δ would make ln(1/δ) infinite.
-            Self::Estimate(delta.max(f64::MIN_POSITIVE))
-        } else {
-            Self::Nothing
-        }
-    }
 }
 
 impl Compressor for SidcoCompressor {

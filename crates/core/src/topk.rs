@@ -1,6 +1,6 @@
 //! Exact Top-k compressor — the quality reference every other scheme is compared to.
 
-use crate::compressor::{CompressionResult, Compressor, CompressorKind};
+use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::engine::CompressionEngine;
 use sidco_tensor::topk::TopKAlgorithm;
 
@@ -57,6 +57,9 @@ impl TopKCompressor {
 
 impl Compressor for TopKCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
+        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
+            return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(grad.len()));
+        }
         let k = target_k(grad.len(), delta);
         let sparse = self.engine.top_k_with(grad, k, self.algorithm);
         // The exact Top-k threshold is the smallest retained magnitude

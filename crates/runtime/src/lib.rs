@@ -2,16 +2,15 @@
 //!
 //! SIDCo's estimator math made threshold selection cheap; what is left of the
 //! compression budget is *runtime* overhead — and the engine used to pay it
-//! on every call by spawning scoped threads and sharding
-//! placement-obliviously. This crate factors that substrate out:
+//! on every call by spawning scoped threads. This crate factors that
+//! substrate out:
 //!
 //! * [`Runtime`] — the executor abstraction: run `n` index-addressed chunk
 //!   tasks, each exactly once. Callers own the chunk decomposition and the
 //!   output slots, so *any* correct `Runtime` yields bit-identical results.
 //! * [`WorkStealing`] — the one multi-threaded executor: a persistent pool
-//!   with lazy one-time spawn, per-worker Chase–Lev deques, per-socket
-//!   injectors placed by a [`NumaTopology`] model, parked idle workers, and
-//!   observable [`PoolStats`].
+//!   with lazy one-time spawn, per-worker Chase–Lev deques fed by one shared
+//!   injector, parked idle workers, and observable [`PoolStats`].
 //!
 //! Callers obtain process-wide shared instances from [`handle`]: a pool per
 //! worker budget, and a stateless inline runtime (named `"inline"`, no
@@ -28,14 +27,11 @@
 
 #![warn(missing_docs)]
 
-pub mod affinity;
-pub mod numa;
 pub mod pool;
 pub mod rendezvous;
 pub mod stats;
 pub(crate) mod sync;
 
-pub use numa::{NumaNode, NumaTopology};
 pub use pool::WorkStealing;
 pub use rendezvous::BucketRendezvous;
 pub use stats::PoolStats;

@@ -1,22 +1,18 @@
-//! The persistent NUMA-aware work-stealing pool.
+//! The persistent work-stealing pool.
 //!
 //! # Architecture
 //!
-//! * **Lazy one-time spawn** — the pool is constructed empty (two words and a
-//!   topology); the first parallel job spawns its OS worker threads, and no
-//!   later call ever spawns again ([`PoolStats::threads_spawned`] pins this
-//!   down in tests).
+//! * **Lazy one-time spawn** — the pool is constructed empty; the first
+//!   parallel job spawns its OS worker threads, and no later call ever spawns
+//!   again ([`PoolStats::threads_spawned`] pins this down in tests).
 //! * **Chase–Lev deques** — each worker owns a [`crossbeam::deque::Worker`]
 //!   it pushes split-off subranges onto (owner-LIFO, thief-FIFO); every other
 //!   worker holds a [`crossbeam::deque::Stealer`] onto it.
-//! * **NUMA placement** — a job's chunk index space is partitioned into
-//!   contiguous per-socket ranges by [`NumaTopology::chunk_node`] (the
-//!   first-touch page-ownership model) and submitted to **per-socket
-//!   injectors**. Workers are pinned (logically) to sockets by
-//!   [`NumaTopology::worker_node`] and look for work in locality order: own
-//!   deque → own socket's injector → same-socket siblings → remote sockets.
-//!   Only the last hop crosses the interconnect, and it is counted
-//!   separately ([`PoolStats::remote_steals`]).
+//! * **One injector** — a job's chunk index space is submitted to a single
+//!   shared [`Injector`], pre-split into one contiguous piece per worker so
+//!   every worker can start without stealing. Workers look for work in the
+//!   order own deque → injector → the other workers' deques; a helping
+//!   caller, which has no deque, starts at the injector.
 //! * **Parked idle workers** — out-of-work workers sleep on a condvar after
 //!   re-checking every queue under the sleep lock (no lost wakeups);
 //!   submission and task splitting wake them.
@@ -26,10 +22,9 @@
 //! The pool never decides *what* the chunks are — callers fix the chunk
 //! decomposition as a function of input length alone and give every chunk its
 //! own output slot. The pool only decides *where and when* each chunk runs,
-//! so results are bit-identical across worker counts, steal orders, and
-//! socket layouts. (See `sidco_tensor::parallel` for the full argument.)
+//! so results are bit-identical across worker counts and steal orders. (See
+//! `sidco_tensor::parallel` for the full argument.)
 
-use crate::numa::NumaTopology;
 use crate::stats::{PoolStats, StatCells};
 use crate::sync::atomic::{fence, AtomicUsize, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
@@ -52,8 +47,6 @@ struct JobShared {
     /// *before* decrementing `remaining`, so the reference is never used after
     /// the borrow it was created from ends.
     body: &'static (dyn Fn(usize) + Sync),
-    /// Total chunks in the job (for placement of split-off ranges).
-    total: usize,
     /// Chunks not yet executed; the job is complete at zero.
     remaining: AtomicUsize,
     /// Completion flag + condvar the submitting caller blocks on.
@@ -65,11 +58,9 @@ struct JobShared {
 
 /// State shared by the workers, the stealers and the submitting callers.
 struct PoolShared {
-    topology: NumaTopology,
-    /// Socket each worker is pinned to (index = worker id).
-    worker_socket: Vec<usize>,
-    /// One submission queue per socket.
-    injectors: Vec<Injector<Task>>,
+    /// The submission queue every job's pieces (and every split-off range of
+    /// a helping caller) enter through.
+    injector: Injector<Task>,
     /// One stealer per worker deque.
     stealers: Vec<Stealer<Task>>,
     /// Sleep lock: guards the shutdown flag and serialises the park/wake
@@ -88,7 +79,7 @@ enum Executor<'a> {
     Caller,
 }
 
-/// The persistent NUMA-aware work-stealing runtime.
+/// The persistent work-stealing runtime.
 ///
 /// Cheap to create; worker threads are spawned lazily by the first parallel
 /// job and reused for every job thereafter. Dropping the pool asks the
@@ -96,7 +87,6 @@ enum Executor<'a> {
 /// by [`crate::handle`] are never dropped).
 pub struct WorkStealing {
     threads: usize,
-    topology: NumaTopology,
     shared: OnceLock<Arc<PoolShared>>,
 }
 
@@ -104,35 +94,21 @@ impl std::fmt::Debug for WorkStealing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkStealing")
             .field("threads", &self.threads)
-            .field("topology", &self.topology)
             .field("spawned", &self.is_spawned())
             .finish()
     }
 }
 
 impl WorkStealing {
-    /// A pool of `threads` workers on the host topology
-    /// ([`NumaTopology::detect`]).
+    /// A pool of `threads` workers, spawned on its first parallel job.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
-        Self::with_topology(threads, NumaTopology::detect())
-    }
-
-    /// A pool of `threads` workers pinned across an explicit topology
-    /// (synthetic topologies let tests exercise multi-socket placement on any
-    /// host).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_topology(threads: usize, topology: NumaTopology) -> Self {
         assert!(threads >= 1, "a pool needs at least one worker");
         Self {
             threads,
-            topology,
             shared: OnceLock::new(),
         }
     }
@@ -140,11 +116,6 @@ impl WorkStealing {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The topology workers and chunks are pinned to.
-    pub fn topology(&self) -> &NumaTopology {
-        &self.topology
     }
 
     /// Whether the worker threads have been spawned yet.
@@ -165,31 +136,22 @@ impl WorkStealing {
                 let _guard = shared.sleep.lock().expect("sleep lock poisoned");
                 shared.stats.snapshot()
             }
-            None => PoolStats {
-                socket_chunks: vec![0; self.topology.nodes()],
-                ..PoolStats::default()
-            },
+            None => PoolStats::default(),
         }
     }
 
     /// Spawns the workers exactly once and returns the shared state.
     fn shared(&self) -> &Arc<PoolShared> {
         self.shared.get_or_init(|| {
-            let sockets = self.topology.nodes();
-            let worker_socket: Vec<usize> = (0..self.threads)
-                .map(|w| self.topology.worker_node(w, self.threads))
-                .collect();
             let deques: Vec<Worker<Task>> = (0..self.threads).map(|_| Worker::new_lifo()).collect();
             let stealers = deques.iter().map(Worker::stealer).collect();
             let shared = Arc::new(PoolShared {
-                topology: self.topology.clone(),
-                worker_socket,
-                injectors: (0..sockets).map(|_| Injector::new()).collect(),
+                injector: Injector::new(),
                 stealers,
                 sleep: Mutex::new(false),
                 wake: Condvar::new(),
                 sleepers: AtomicUsize::new(0),
-                stats: StatCells::new(sockets),
+                stats: StatCells::new(),
             });
             for (id, deque) in deques.into_iter().enumerate() {
                 let shared = Arc::clone(&shared);
@@ -254,42 +216,22 @@ impl Runtime for WorkStealing {
         };
         let job = Arc::new(JobShared {
             body: body_static,
-            total: tasks,
             remaining: AtomicUsize::new(tasks),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
         });
 
-        // Submit each socket's chunk range to its injector, pre-split into one
-        // subrange per pinned worker so every worker can start without
+        // Submit the chunk range to the injector, pre-split into one
+        // contiguous piece per worker so every worker can start without
         // stealing; stealing rebalances from there.
-        for socket in 0..shared.topology.nodes() {
-            let range = shared.topology.node_range(socket, tasks);
-            if range.is_empty() {
-                continue;
-            }
-            // Relaxed: pure observation counter; readers take the sleep
-            // lock for cross-counter consistency (see `StatCells::snapshot`).
-            shared.stats.socket_chunks[socket].fetch_add(range.len() as u64, Ordering::Relaxed);
-            let pinned = shared
-                .worker_socket
-                .iter()
-                .filter(|&&s| s == socket)
-                .count()
-                .max(1);
-            let pieces = pinned.min(range.len());
-            let per = range.len().div_ceil(pieces);
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + per).min(range.end);
-                shared.injectors[socket].push(Task {
-                    job: Arc::clone(&job),
-                    start,
-                    end,
-                });
-                start = end;
-            }
+        let per = tasks.div_ceil(self.threads.min(tasks));
+        for start in (0..tasks).step_by(per) {
+            shared.injector.push(Task {
+                job: Arc::clone(&job),
+                start,
+                end: (start + per).min(tasks),
+            });
         }
         // Wake every parked worker (under the sleep lock, after the pushes,
         // so the park-side re-check cannot miss the new work).
@@ -327,25 +269,6 @@ impl Runtime for WorkStealing {
     }
 }
 
-/// Physically pins a freshly spawned worker to the CPUs of its assigned NUMA
-/// node, making the logical `worker_node` placement real. Failure (synthetic
-/// topology, unsupported platform) is recorded by omission: only successful
-/// pins bump `workers_pinned`, and the worker runs unpinned — placement is a
-/// performance measure, never a correctness one.
-#[cfg(not(sidco_loom))]
-fn pin_worker(shared: &PoolShared, id: usize) {
-    let socket = shared.worker_socket[id];
-    if crate::affinity::pin_current_thread(shared.topology.node_cpu_ids(socket)) {
-        StatCells::bump(&shared.stats.workers_pinned);
-    }
-}
-
-/// Under the loom model the "threads" are baton-serialized simulations — a
-/// real affinity syscall would pin the single OS thread running the whole
-/// model, so pinning is compiled out.
-#[cfg(sidco_loom)]
-fn pin_worker(_shared: &PoolShared, _id: usize) {}
-
 /// The recording sink for pool lifecycle events. One relaxed atomic load when
 /// tracing is disabled; events land on the calling thread's own track
 /// (workers are named `sidco-pool-{id}`, so each gets a distinct track).
@@ -371,9 +294,8 @@ fn trace_instant(name: &'static str) {
     }
 }
 
-/// The worker main loop: find a task in locality order or park.
+/// The worker main loop: find a task or park.
 fn worker_loop(shared: &Arc<PoolShared>, id: usize, deque: &Worker<Task>) {
-    pin_worker(shared, id);
     let me = Executor::Worker { id, deque };
     loop {
         match find_task(shared, &me) {
@@ -427,58 +349,35 @@ fn worker_loop(shared: &Arc<PoolShared>, id: usize, deque: &Worker<Task>) {
 
 /// Any queue non-empty?
 fn has_work(shared: &PoolShared) -> bool {
-    shared.injectors.iter().any(|i| !i.is_empty()) || shared.stealers.iter().any(|s| !s.is_empty())
+    !shared.injector.is_empty() || shared.stealers.iter().any(|s| !s.is_empty())
 }
 
-/// Looks for a task in locality order. For a worker: own deque, own socket's
-/// injector, same-socket siblings, then remote sockets (injectors and
-/// deques). A helping caller starts at the injectors of socket 0.
-///
-/// Stats attribution: only *pinned workers* count cross-socket takes as
-/// [`remote_steals`](PoolStats::remote_steals) — a helping caller has no
-/// home socket, so its takes land in `injector_pops` / `sibling_steals`
-/// whichever socket they came from, keeping the remote counter a pure
-/// measure of worker traffic across the interconnect.
+/// Looks for a task: a worker tries its own deque, then the injector, then
+/// the other workers' deques in worker order; a helping caller skips the
+/// first step.
 fn find_task(shared: &PoolShared, who: &Executor<'_>) -> Option<Task> {
-    let (id, socket) = match who {
+    let id = match who {
         Executor::Worker { id, deque } => {
             if let Some(task) = deque.pop() {
                 StatCells::bump(&shared.stats.local_pops);
                 return Some(task);
             }
-            (Some(*id), shared.worker_socket[*id])
+            Some(*id)
         }
-        Executor::Caller => (None, 0),
+        Executor::Caller => None,
     };
-    let pinned = id.is_some();
-    let sockets = shared.topology.nodes();
-    // Own socket first (injector, then siblings), then the rest in order.
-    for hop in 0..sockets {
-        let s = (socket + hop) % sockets;
-        let local = hop == 0 || !pinned;
-        if let Some(task) = shared.injectors[s].steal().success() {
-            StatCells::bump(if local {
-                &shared.stats.injector_pops
-            } else {
-                trace_instant("steal:remote");
-                &shared.stats.remote_steals
-            });
-            return Some(task);
+    if let Some(task) = shared.injector.steal().success() {
+        StatCells::bump(&shared.stats.injector_pops);
+        return Some(task);
+    }
+    for (victim, stealer) in shared.stealers.iter().enumerate() {
+        if Some(victim) == id {
+            continue;
         }
-        for (victim, stealer) in shared.stealers.iter().enumerate() {
-            if Some(victim) == id || shared.worker_socket[victim] != s {
-                continue;
-            }
-            if let Some(task) = stealer.steal().success() {
-                StatCells::bump(if local {
-                    trace_instant("steal:sibling");
-                    &shared.stats.sibling_steals
-                } else {
-                    trace_instant("steal:remote");
-                    &shared.stats.remote_steals
-                });
-                return Some(task);
-            }
+        if let Some(task) = stealer.steal().success() {
+            trace_instant("steal");
+            StatCells::bump(&shared.stats.sibling_steals);
+            return Some(task);
         }
     }
     None
@@ -527,15 +426,12 @@ fn execute(shared: &PoolShared, who: &Executor<'_>, task: Task) {
 }
 
 /// Makes a split-off task stealable: workers push onto their own deque (the
-/// Chase–Lev fast path), a helping caller routes it to the injector of the
-/// socket owning the range's pages. Wakes a sleeper if any.
+/// Chase–Lev fast path), a helping caller onto the injector. Wakes a sleeper
+/// if any.
 fn expose(shared: &PoolShared, who: &Executor<'_>, task: Task) {
     match who {
         Executor::Worker { deque, .. } => deque.push(task),
-        Executor::Caller => {
-            let socket = shared.topology.chunk_node(task.start, task.job.total);
-            shared.injectors[socket].push(task);
-        }
+        Executor::Caller => shared.injector.push(task),
     }
     // Eventcount fast path: parkers register in `sleepers` *before* their
     // locked queue re-check (see `worker_loop`), so an unlocked SeqCst read
@@ -558,7 +454,7 @@ mod tests {
 
     #[test]
     fn pool_runs_every_index_exactly_once() {
-        let pool = WorkStealing::with_topology(4, NumaTopology::synthetic(2, 2));
+        let pool = WorkStealing::new(4);
         for n in [1usize, 2, 3, 7, 64, 500] {
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             pool.run_indexed(n, &|i| {
@@ -572,7 +468,7 @@ mod tests {
 
     #[test]
     fn pool_spawns_lazily_and_exactly_once() {
-        let pool = WorkStealing::with_topology(3, NumaTopology::synthetic(1, 4));
+        let pool = WorkStealing::new(3);
         assert!(!pool.is_spawned());
         assert_eq!(pool.stats().threads_spawned, 0);
         // A single task runs inline and must not spawn anything.
@@ -586,16 +482,38 @@ mod tests {
         assert_eq!(stats.threads_spawned, 3);
         assert_eq!(stats.jobs, 5);
         assert_eq!(stats.chunks_executed, 5 * 32);
-        assert_eq!(stats.socket_chunks, vec![5 * 32]);
     }
 
     #[test]
-    fn multi_socket_submission_splits_by_ownership() {
-        let pool = WorkStealing::with_topology(4, NumaTopology::synthetic(2, 8));
-        pool.run_indexed(100, &|_| {});
-        let stats = pool.stats();
-        assert_eq!(stats.socket_chunks, vec![50, 50]);
-        assert_eq!(stats.chunks_executed, 100);
+    fn nested_jobs_on_the_same_pool_run_every_pair_exactly_once() {
+        // A pool job whose body dispatches its own job to the same pool: the
+        // trainer does this when a per-worker job compresses on a pooled
+        // engine. The inner caller helps from inside a worker, so nesting
+        // must neither deadlock nor lose or repeat a chunk.
+        const OUTER: usize = 8;
+        const INNER: usize = 64;
+        for threads in [2usize, 4] {
+            let pool = WorkStealing::new(threads);
+            let hits: Vec<AtomicU64> = (0..OUTER * INNER).map(|_| AtomicU64::new(0)).collect();
+            let before = pool.stats();
+            pool.run_indexed(OUTER, &|outer| {
+                pool.run_indexed(INNER, &|inner| {
+                    hits[outer * INNER + inner].fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            for (pair, hit) in hits.iter().enumerate() {
+                assert_eq!(
+                    hit.load(Ordering::Relaxed),
+                    1,
+                    "pair ({}, {}) at {threads} workers",
+                    pair / INNER,
+                    pair % INNER
+                );
+            }
+            let delta = pool.stats().since(&before);
+            assert_eq!(delta.chunks_executed, (OUTER + OUTER * INNER) as u64);
+            assert_eq!(delta.jobs, (1 + OUTER) as u64);
+        }
     }
 
     #[test]
@@ -615,10 +533,7 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_from_many_callers_all_complete() {
-        let pool = Arc::new(WorkStealing::with_topology(
-            3,
-            NumaTopology::synthetic(1, 4),
-        ));
+        let pool = Arc::new(WorkStealing::new(3));
         let total = Arc::new(AtomicU64::new(0));
         crossbeam::thread::scope(|s| {
             for _ in 0..4 {
@@ -656,7 +571,7 @@ mod tests {
 
     #[test]
     fn park_accounting_balances_in_every_snapshot() {
-        let pool = WorkStealing::with_topology(4, NumaTopology::synthetic(2, 2));
+        let pool = WorkStealing::new(4);
         for _ in 0..20 {
             pool.run_indexed(64, &|_| {});
             let stats = pool.stats();

@@ -1,6 +1,5 @@
 //! Observable counters of the work-stealing pool, for the bench harness and
-//! the lifecycle tests (spawn-once, steal traffic, park/unpark churn,
-//! per-socket placement).
+//! the lifecycle tests (spawn-once, steal traffic, park/unpark churn).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -15,23 +14,17 @@ pub(crate) struct StatCells {
     pub(crate) local_pops: AtomicU64,
     pub(crate) injector_pops: AtomicU64,
     pub(crate) sibling_steals: AtomicU64,
-    pub(crate) remote_steals: AtomicU64,
     pub(crate) parks: AtomicU64,
     pub(crate) unparks: AtomicU64,
-    /// Workers whose `sched_setaffinity` pin succeeded at spawn (equals the
-    /// worker count on a supported host whose topology names online CPUs;
-    /// stays 0 on unsupported platforms or synthetic topologies).
-    pub(crate) workers_pinned: AtomicU64,
     /// Gauge (not monotone): workers currently blocked in the condvar wait.
     /// Every transition happens under the pool's sleep lock, paired with the
     /// matching `parks`/`unparks` bump, so a snapshot taken under that lock
     /// satisfies `parks - unparks == currently_parked` exactly.
     pub(crate) currently_parked: AtomicU64,
-    pub(crate) socket_chunks: Vec<AtomicU64>,
 }
 
 impl StatCells {
-    pub(crate) fn new(sockets: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             threads_spawned: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
@@ -39,12 +32,9 @@ impl StatCells {
             local_pops: AtomicU64::new(0),
             injector_pops: AtomicU64::new(0),
             sibling_steals: AtomicU64::new(0),
-            remote_steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             unparks: AtomicU64::new(0),
-            workers_pinned: AtomicU64::new(0),
             currently_parked: AtomicU64::new(0),
-            socket_chunks: (0..sockets).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -66,12 +56,9 @@ impl StatCells {
             local_pops: read(&self.local_pops),
             injector_pops: read(&self.injector_pops),
             sibling_steals: read(&self.sibling_steals),
-            remote_steals: read(&self.remote_steals),
             parks: read(&self.parks),
             unparks: read(&self.unparks),
-            workers_pinned: read(&self.workers_pinned),
             currently_parked: read(&self.currently_parked),
-            socket_chunks: self.socket_chunks.iter().map(read).collect(),
         }
     }
 }
@@ -94,26 +81,16 @@ pub struct PoolStats {
     pub chunks_executed: u64,
     /// Tasks a worker popped from its own deque (cache-hot LIFO path).
     pub local_pops: u64,
-    /// Tasks taken from a socket injector by a worker of that same socket
-    /// (NUMA-local submission path).
+    /// Tasks taken from the pool's submission injector (by workers and
+    /// helping callers).
     pub injector_pops: u64,
-    /// Tasks stolen from a sibling worker on the same socket (helping
-    /// callers' deque steals are also counted here — a caller has no home
-    /// socket, so its takes are never "remote").
+    /// Tasks stolen from another worker's deque (by workers and helping
+    /// callers).
     pub sibling_steals: u64,
-    /// Tasks a *pinned worker* took across sockets (remote injectors or
-    /// remote workers' deques) — the traffic NUMA-aware placement exists to
-    /// minimise.
-    pub remote_steals: u64,
     /// Times a worker went to sleep for lack of work.
     pub parks: u64,
     /// Times a sleeping worker was woken by new work.
     pub unparks: u64,
-    /// Workers the kernel accepted a CPU-affinity mask for at spawn time
-    /// (see [`crate::affinity::pin_current_thread`]). Equals
-    /// `threads_spawned` on a supported Linux host; 0 where pinning is
-    /// unavailable — results are identical either way.
-    pub workers_pinned: u64,
     /// Workers blocked in the condvar wait at snapshot time — the gauge that
     /// balances the two monotone counters: every snapshot satisfies
     /// `parks - unparks == currently_parked` exactly, because park/unpark
@@ -121,32 +98,19 @@ pub struct PoolStats {
     /// lock. (Historical snapshots read the counters without the lock and
     /// reported an unexplained "drift" of exactly the sleeping workers.)
     pub currently_parked: u64,
-    /// Chunks *assigned* to each socket at submission time under the
-    /// first-touch placement model (indexed by socket).
-    pub socket_chunks: Vec<u64>,
 }
 
 impl PoolStats {
-    /// Total steal traffic (same-socket sibling steals plus cross-socket
-    /// steals).
+    /// Total steal traffic: tasks taken from another worker's deque.
     pub fn steals(&self) -> u64 {
-        self.sibling_steals + self.remote_steals
+        self.sibling_steals
     }
 
     /// Total task acquisitions (local pops, injector takes, and steals).
     /// Each acquisition hands over a *range* task that may cover several
     /// chunks, so this is the right denominator for traffic ratios.
     pub fn acquisitions(&self) -> u64 {
-        self.local_pops + self.injector_pops + self.sibling_steals + self.remote_steals
-    }
-
-    /// Fraction of task acquisitions that crossed a socket boundary (0 when
-    /// nothing was acquired).
-    pub fn remote_fraction(&self) -> f64 {
-        if self.acquisitions() == 0 {
-            return 0.0;
-        }
-        self.remote_steals as f64 / self.acquisitions() as f64
+        self.local_pops + self.injector_pops + self.sibling_steals
     }
 
     /// Feed this snapshot into a trace metrics sink as gauges named
@@ -157,23 +121,18 @@ impl PoolStats {
         if !sink.enabled() {
             return;
         }
-        let pairs: [(&str, u64); 10] = [
+        let pairs: [(&str, u64); 8] = [
             ("threads_spawned", self.threads_spawned),
             ("jobs", self.jobs),
             ("chunks_executed", self.chunks_executed),
             ("local_pops", self.local_pops),
             ("injector_pops", self.injector_pops),
             ("sibling_steals", self.sibling_steals),
-            ("remote_steals", self.remote_steals),
             ("parks", self.parks),
             ("unparks", self.unparks),
-            ("workers_pinned", self.workers_pinned),
         ];
         for (name, v) in pairs {
             sink.gauge_set(&format!("{prefix}.{name}"), v as f64);
-        }
-        for (socket, &chunks) in self.socket_chunks.iter().enumerate() {
-            sink.gauge_set(&format!("{prefix}.socket_chunks.{socket}"), chunks as f64);
         }
     }
 
@@ -181,11 +140,11 @@ impl PoolStats {
     /// idiom (`let before = pool.stats(); work(); pool.stats().since(&before)`)
     /// as a method, so callers measure one workload instead of the pool's
     /// lifetime. Monotone counters subtract saturating (a `baseline` from a
-    /// *different* pool yields zeros rather than wrapping); the two gauges are
-    /// carried over as-is: `currently_parked` is a point-in-time reading and
-    /// `workers_pinned` is fixed at spawn, so neither has a meaningful delta
-    /// and the `parks - unparks == currently_parked` ledger identity holds
-    /// only for full snapshots, not diffs.
+    /// *different* pool yields zeros rather than wrapping); the
+    /// `currently_parked` gauge is a point-in-time reading with no meaningful
+    /// delta, so it is carried over as-is and the
+    /// `parks - unparks == currently_parked` ledger identity holds only for
+    /// full snapshots, not diffs.
     #[must_use]
     pub fn since(&self, baseline: &PoolStats) -> PoolStats {
         PoolStats {
@@ -199,19 +158,9 @@ impl PoolStats {
             local_pops: self.local_pops.saturating_sub(baseline.local_pops),
             injector_pops: self.injector_pops.saturating_sub(baseline.injector_pops),
             sibling_steals: self.sibling_steals.saturating_sub(baseline.sibling_steals),
-            remote_steals: self.remote_steals.saturating_sub(baseline.remote_steals),
             parks: self.parks.saturating_sub(baseline.parks),
             unparks: self.unparks.saturating_sub(baseline.unparks),
-            workers_pinned: self.workers_pinned,
             currently_parked: self.currently_parked,
-            socket_chunks: self
-                .socket_chunks
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| {
-                    c.saturating_sub(baseline.socket_chunks.get(i).copied().unwrap_or(0))
-                })
-                .collect(),
         }
     }
 }
@@ -222,52 +171,44 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_cells() {
-        let cells = StatCells::new(2);
+        let cells = StatCells::new();
         StatCells::bump(&cells.jobs);
         StatCells::bump(&cells.chunks);
         StatCells::bump(&cells.chunks);
         StatCells::bump(&cells.sibling_steals);
-        StatCells::bump(&cells.remote_steals);
-        StatCells::bump(&cells.socket_chunks[1]);
+        StatCells::bump(&cells.injector_pops);
         StatCells::bump(&cells.parks);
         StatCells::bump(&cells.currently_parked);
         let stats = cells.snapshot();
         assert_eq!(stats.parks - stats.unparks, stats.currently_parked);
         assert_eq!(stats.jobs, 1);
         assert_eq!(stats.chunks_executed, 2);
-        assert_eq!(stats.steals(), 2);
-        assert_eq!(stats.socket_chunks, vec![0, 1]);
-        assert!((stats.remote_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(PoolStats::default().remote_fraction(), 0.0);
+        assert_eq!(stats.steals(), 1);
+        assert_eq!(stats.acquisitions(), 2);
     }
 
     #[test]
     fn since_diffs_monotone_counters_and_carries_gauges() {
-        let cells = StatCells::new(2);
+        let cells = StatCells::new();
         StatCells::bump(&cells.jobs);
         StatCells::bump(&cells.chunks);
-        StatCells::bump(&cells.socket_chunks[0]);
-        StatCells::bump(&cells.workers_pinned);
+        StatCells::bump(&cells.currently_parked);
         let before = cells.snapshot();
         StatCells::bump(&cells.jobs);
         StatCells::bump(&cells.chunks);
         StatCells::bump(&cells.chunks);
-        StatCells::bump(&cells.socket_chunks[1]);
         let delta = cells.snapshot().since(&before);
         assert_eq!(delta.jobs, 1);
         assert_eq!(delta.chunks_executed, 2);
-        assert_eq!(delta.socket_chunks, vec![0, 1]);
-        // Gauges carry the current reading rather than a delta.
-        assert_eq!(delta.workers_pinned, 1);
+        // The gauge carries the current reading rather than a delta.
+        assert_eq!(delta.currently_parked, 1);
         // A baseline from a larger/unrelated pool saturates instead of
-        // wrapping, including extra socket entries.
+        // wrapping.
         let foreign = PoolStats {
             jobs: 100,
-            socket_chunks: vec![50, 50, 50],
             ..PoolStats::default()
         };
         let sat = cells.snapshot().since(&foreign);
         assert_eq!(sat.jobs, 0);
-        assert_eq!(sat.socket_chunks, vec![0, 0]);
     }
 }

@@ -38,7 +38,6 @@
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
-use sidco_runtime::numa::NumaTopology;
 use sidco_runtime::pool::WorkStealing;
 use sidco_runtime::Runtime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,10 +58,10 @@ fn bounded() -> loom::Builder {
     b
 }
 
-/// A two-worker pool on a single synthetic socket — the smallest
-/// configuration that exercises parking, waking, stealing and helping.
+/// A two-worker pool — the smallest configuration that exercises parking,
+/// waking, stealing and helping.
 fn small_pool() -> WorkStealing {
-    WorkStealing::with_topology(2, NumaTopology::synthetic(1, 2))
+    WorkStealing::new(2)
 }
 
 #[test]

@@ -390,10 +390,10 @@ mod tests {
 
     #[test]
     fn parallel_delta_varint_runs_on_the_pool_runtime() {
-        use sidco_runtime::{NumaTopology, WorkStealing};
+        use sidco_runtime::WorkStealing;
         let sparse = random_sparse(500_000, 40_000, 22);
         let reference = delta_varint_encode(&sparse);
-        let pool = WorkStealing::with_topology(3, NumaTopology::synthetic(2, 2));
+        let pool = WorkStealing::new(3);
         let encoded = delta_varint_encode_on(&sparse, 1 << 10, &pool);
         assert_eq!(encoded.payload(), reference.payload());
         // The parallel stream still roundtrips through the serial decoder.

@@ -3,7 +3,7 @@
 //! The ImageNet-scale benchmarks in the paper compress vectors with up to 144M
 //! elements; a single pass is memory-bandwidth bound, so these helpers split the
 //! buffer into contiguous chunks and execute them on an explicit [`Runtime`]
-//! — in production the persistent NUMA-aware work-stealing pool
+//! — in production the persistent work-stealing pool
 //! ([`WorkStealing`](sidco_runtime::WorkStealing)) or, at one thread, the
 //! inline runtime, both obtained from [`sidco_runtime::handle`]. Each
 //! primitive has exactly one form, `*_on`, taking the runtime as its last

@@ -6,8 +6,8 @@
 //! on a single crate:
 //!
 //! * [`stats`] — sparsity-inducing distributions, estimators, special functions;
-//! * [`runtime`] — the execution substrate: a persistent NUMA-aware
-//!   work-stealing pool (inline at one thread) under the compression engine;
+//! * [`runtime`] — the execution substrate: a persistent work-stealing pool
+//!   (inline at one thread) under the compression engine;
 //! * [`tensor`] — dense/sparse gradients, Top-k selection, threshold scans;
 //! * [`core`] — the SIDCo compressor and every baseline (Top-k, DGC, RedSync,
 //!   GaussianKSGD, Random-k) plus error feedback;

@@ -32,6 +32,22 @@ fn every_scheme_produces_valid_sparse_gradients() {
 }
 
 #[test]
+fn non_positive_or_nan_ratios_select_nothing_for_every_scheme() {
+    // The δ policy every evaluated scheme shares: a ratio that is zero,
+    // negative or NaN asks for nothing, so the result is an empty gradient
+    // of the input's length — never a panic and never a forced element.
+    let grad = gradient(GradientProfile::HeavyTail, 4096, 11);
+    for kind in CompressorKind::EVALUATED {
+        for delta in [f64::NAN, 0.0, -0.5, f64::NEG_INFINITY] {
+            let mut compressor = build_compressor(kind, 0).unwrap();
+            let sparse = compressor.compress(&grad, delta).sparse;
+            assert_eq!(sparse.nnz(), 0, "{kind} δ={delta} selected something");
+            assert_eq!(sparse.dense_len(), 4096, "{kind} δ={delta}");
+        }
+    }
+}
+
+#[test]
 fn sidco_tracks_target_across_profiles_and_ratios() {
     for profile in [
         GradientProfile::LaplaceLike,
