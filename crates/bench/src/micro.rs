@@ -7,8 +7,7 @@
 //!   [`DeviceProfile`](sidco_dist::device::DeviceProfile) cost model at the
 //!   benchmark's full parameter count (reproducing the figure's y-axes), and
 //! * **measured** wall-clock CPU time of this crate's real implementations on a
-//!   scaled-down gradient (ground truth for the relative ordering; also exercised by
-//!   the Criterion benches).
+//!   scaled-down gradient (ground truth for the relative ordering).
 
 use crate::report::{fmt, Table};
 use crate::Scale;

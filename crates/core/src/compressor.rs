@@ -1,5 +1,6 @@
 //! The [`Compressor`] trait and the common result type shared by all schemes.
 
+use crate::engine::CompressionEngine;
 use sidco_stats::fit::SidKind;
 use sidco_tensor::SparseGradient;
 
@@ -77,7 +78,8 @@ pub trait Compressor: Send {
 
 /// How a requested ratio δ is served (see the
 /// [`SidcoCompressor`](crate::sidco::SidcoCompressor) docs). Every evaluated
-/// compressor returns an empty selection for [`Nothing`](Self::Nothing).
+/// compressor returns an empty selection for [`Nothing`](Self::Nothing) and
+/// keeps every element for [`Everything`](Self::Everything).
 pub(crate) enum TargetRatio {
     /// δ ≤ 0 or NaN: select nothing.
     Nothing,
@@ -96,6 +98,26 @@ impl TargetRatio {
             Self::Estimate(delta.max(f64::MIN_POSITIVE))
         } else {
             Self::Nothing
+        }
+    }
+
+    /// The result of a threshold scheme for a δ that needs no estimate: an
+    /// empty selection for `Nothing`, every element at threshold 0 (through
+    /// `engine`) for `Everything`, and `None` when δ must be estimated.
+    pub(crate) fn trivial_result(
+        delta: f64,
+        grad: &[f32],
+        engine: &CompressionEngine,
+    ) -> Option<CompressionResult> {
+        match Self::of(delta) {
+            Self::Nothing => Some(CompressionResult::from_sparse(SparseGradient::empty(
+                grad.len(),
+            ))),
+            Self::Everything => Some(CompressionResult::with_threshold(
+                engine.select_above(grad, 0.0),
+                0.0,
+            )),
+            Self::Estimate(_) => None,
         }
     }
 }

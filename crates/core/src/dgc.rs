@@ -12,7 +12,7 @@ use crate::topk::target_k;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sidco_tensor::sampling::sample_fraction;
-use sidco_tensor::topk::{kth_largest_magnitude, top_k, TopKAlgorithm};
+use sidco_tensor::topk::{kth_largest_magnitude, top_k};
 
 /// Fraction of the target `k` below which an undershoot counts as severe and
 /// triggers threshold relaxation. Drift above this floor is reported as-is —
@@ -110,8 +110,8 @@ impl Default for DgcCompressor {
 
 impl Compressor for DgcCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
-        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
-            return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(grad.len()));
+        if let Some(result) = TargetRatio::trivial_result(delta, grad, &self.engine) {
+            return result;
         }
         if grad.is_empty() {
             return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(0));
@@ -159,7 +159,7 @@ impl Compressor for DgcCompressor {
         let overshoot_cap = ((k as f64) * self.config.hierarchical_overshoot).ceil() as usize;
         let sparse = if selected.nnz() > overshoot_cap.max(k) {
             let survivor_values: Vec<f32> = selected.values().to_vec();
-            let inner = top_k(&survivor_values, k, TopKAlgorithm::QuickSelect);
+            let inner = top_k(&survivor_values, k);
             // Map the inner selection back to the original indices.
             let pairs: Vec<(u32, f32)> = inner
                 .indices()

@@ -44,10 +44,9 @@ use sidco_tensor::encoding::{
 };
 use sidco_tensor::parallel::{
     abs_moments_on, count_above_threshold_on, exceedance_moments_on, select_above_threshold_on,
-    signed_moments_on, top_k_on_with, SurvivorLists, DEFAULT_CHUNK_SIZE,
+    signed_moments_on, top_k_on, SurvivorLists, DEFAULT_CHUNK_SIZE,
 };
 use sidco_tensor::threshold::cap_largest;
-use sidco_tensor::topk::TopKAlgorithm;
 use sidco_tensor::SparseGradient;
 use std::sync::{Mutex, OnceLock};
 
@@ -65,9 +64,9 @@ const ENCODE_PAIRS_PER_CHUNK: usize = 1 << 15;
 /// Minimum index/value pairs **per engaged worker** before sharding the
 /// varint encoder pays off. Below this the shard bookkeeping (per-shard
 /// allocations, dispatch, and the concatenating copy) costs more than the
-/// encoding it parallelises: the committed `runtime_pool` bench measured the
-/// sharded encoder 2–3× *slower* than serial on 2.3M pairs whenever the
-/// engaged workers outnumbered the hardware threads, and the serial encoder
+/// encoding it parallelises: measured on 2.3M pairs, the sharded encoder ran
+/// 2–3× *slower* than serial whenever the engaged workers outnumbered the
+/// hardware threads, and the serial encoder
 /// already moves >100M pairs/s — so a worker needs a six-figure pair count
 /// to amortise its share of the overhead.
 const MIN_ENCODE_PAIRS_PER_WORKER: usize = 1 << 17;
@@ -305,13 +304,8 @@ impl CompressionEngine {
     /// top candidates with quickselect; one final selection picks the global
     /// winners).
     pub fn top_k(&self, grad: &[f32], k: usize) -> SparseGradient {
-        self.top_k_with(grad, k, TopKAlgorithm::QuickSelect)
-    }
-
-    /// [`top_k`](Self::top_k) with an explicit per-chunk selection algorithm.
-    pub fn top_k_with(&self, grad: &[f32], k: usize, algorithm: TopKAlgorithm) -> SparseGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/top_k");
-        top_k_on_with(grad, k, self.chunk_size, self.executor, algorithm)
+        top_k_on(grad, k, self.chunk_size, self.executor)
     }
 
     /// Encodes a sparse gradient into the raw wire format, sharding the pair
@@ -326,8 +320,8 @@ impl CompressionEngine {
     /// the sorted index stream with per-chunk boundary-gap stitching — when
     /// the payload clears the sharding crossover (at least one hardware
     /// thread *and* 128Ki pairs per engaged worker). Below it the serial
-    /// encoder runs inline: the committed bench showed sharding losing 2–3×
-    /// to serial there, and both paths are byte-identical anyway. Above it
+    /// encoder runs inline: sharding measured 2–3× slower than serial there,
+    /// and both paths are byte-identical anyway. Above it
     /// there is one shard per engaged worker (never below the 32Ki-pair
     /// grain): equal-cost shards need no finer split, and fewer shards mean
     /// fewer allocations on the assembly path.

@@ -46,11 +46,15 @@ impl Default for RandomKCompressor {
 
 impl Compressor for RandomKCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
-        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
-            return CompressionResult::from_sparse(SparseGradient::empty(grad.len()));
-        }
-        let k = target_k(grad.len(), delta);
-        let mut indices = random_indices(grad.len(), k, &mut self.rng);
+        let mut indices = match TargetRatio::of(delta) {
+            TargetRatio::Nothing => {
+                return CompressionResult::from_sparse(SparseGradient::empty(grad.len()));
+            }
+            TargetRatio::Everything => (0..grad.len() as u32).collect(),
+            TargetRatio::Estimate(_) => {
+                random_indices(grad.len(), target_k(grad.len(), delta), &mut self.rng)
+            }
+        };
         indices.sort_unstable();
         let values: Vec<f32> = indices.iter().map(|&i| grad[i as usize]).collect();
         CompressionResult::from_sparse(SparseGradient::new(indices, values, grad.len()))

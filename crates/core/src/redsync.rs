@@ -82,8 +82,8 @@ impl RedSyncCompressor {
 
 impl Compressor for RedSyncCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
-        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
-            return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(grad.len()));
+        if let Some(result) = TargetRatio::trivial_result(delta, grad, &self.engine) {
+            return result;
         }
         if grad.is_empty() {
             return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(0));

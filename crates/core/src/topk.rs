@@ -2,15 +2,12 @@
 
 use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::engine::CompressionEngine;
-use sidco_tensor::topk::TopKAlgorithm;
 
 /// Exact Top-k sparsifier.
 ///
 /// Selects exactly `ceil(delta * d)` elements with the largest magnitudes via
 /// the engine's chunked partial selection (each shard nominates its own top
-/// candidates; one final selection picks the global winners). The per-chunk
-/// selection algorithm is configurable so the CPU/GPU cost comparisons of the
-/// paper's micro-benchmarks can be reproduced.
+/// candidates by quickselect; one final selection picks the global winners).
 ///
 /// # Example
 ///
@@ -24,22 +21,13 @@ use sidco_tensor::topk::TopKAlgorithm;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TopKCompressor {
-    algorithm: TopKAlgorithm,
     engine: CompressionEngine,
 }
 
 impl TopKCompressor {
-    /// Creates a Top-k compressor with the default (quickselect) algorithm.
+    /// Creates a Top-k compressor on the default engine.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a Top-k compressor using a specific selection algorithm.
-    pub fn with_algorithm(algorithm: TopKAlgorithm) -> Self {
-        Self {
-            algorithm,
-            engine: CompressionEngine::from_env(),
-        }
     }
 
     /// Routes the chunked partial selection through `engine`.
@@ -48,20 +36,15 @@ impl TopKCompressor {
         self.engine = engine;
         self
     }
-
-    /// The selection algorithm in use.
-    pub fn algorithm(&self) -> TopKAlgorithm {
-        self.algorithm
-    }
 }
 
 impl Compressor for TopKCompressor {
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
-        if matches!(TargetRatio::of(delta), TargetRatio::Nothing) {
-            return CompressionResult::from_sparse(sidco_tensor::SparseGradient::empty(grad.len()));
+        if let Some(result) = TargetRatio::trivial_result(delta, grad, &self.engine) {
+            return result;
         }
         let k = target_k(grad.len(), delta);
-        let sparse = self.engine.top_k_with(grad, k, self.algorithm);
+        let sparse = self.engine.top_k(grad, k);
         // The exact Top-k threshold is the smallest retained magnitude
         // (0 for an empty selection, matching `kth_largest_magnitude`).
         let min_kept = sparse
@@ -127,18 +110,6 @@ mod tests {
             assert!(min_kept >= threshold - 1e-12);
         }
         assert_eq!(c.name(), "topk");
-    }
-
-    #[test]
-    fn all_algorithms_produce_same_ratio() {
-        let mut rng = SmallRng::seed_from_u64(202);
-        let grad: Vec<f32> = (0..5_000).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        for alg in TopKAlgorithm::ALL {
-            let mut c = TopKCompressor::with_algorithm(alg);
-            assert_eq!(c.algorithm(), alg);
-            let result = c.compress(&grad, 0.01);
-            assert_eq!(result.sparse.nnz(), 50);
-        }
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! * [`sparse`] — the wire format of a compressed gradient
 //!   ([`SparseGradient`](sparse::SparseGradient)): index/value pairs plus the original
 //!   length, with scatter/gather back into dense form.
-//! * [`topk`] — exact Top-k selection with three interchangeable algorithms
-//!   (full sort, binary heap, quickselect) so the baselines match what the paper
-//!   measured on CPU and GPU.
+//! * [`topk`] — exact Top-k selection by quickselect.
 //! * [`threshold`] — linear-time threshold scans (count, select, both) used by every
 //!   threshold-estimation compressor.
 //! * [`sampling`] — random sub-sampling used by DGC.

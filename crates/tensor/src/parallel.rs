@@ -29,7 +29,7 @@
 
 use crate::sparse::SparseGradient;
 use crate::threshold::{cap_largest, extend_kept, retain_kept, KeepAbove};
-use crate::topk::{top_k, TopKAlgorithm};
+use crate::topk::top_k;
 use sidco_runtime::Runtime;
 use sidco_stats::moments::{AbsMoments, MomentNeeds, SignedMoments};
 use std::sync::Mutex;
@@ -379,7 +379,7 @@ impl SurvivorLists {
 }
 
 /// Parallel exact Top-k via chunked partial selection: each chunk selects its
-/// own top `min(k, chunk_len)` candidates with `algorithm`, then one exact
+/// own top `min(k, chunk_len)` candidates by quickselect, then one exact
 /// selection over the (much smaller) candidate set picks the global top `k`.
 ///
 /// The effective chunk size is raised to at least `2k` so every chunk discards
@@ -388,14 +388,12 @@ impl SurvivorLists {
 ///
 /// Ties at the selection boundary are broken deterministically by ascending
 /// index, and the returned indices are sorted ascending, so the result depends
-/// only on `(grad, k, chunk_size, algorithm)` — never on the runtime. (The
-/// algorithm can change which tied-magnitude candidates each chunk nominates.)
-pub fn top_k_on_with(
+/// only on `(grad, k, chunk_size)` — never on the runtime.
+pub fn top_k_on(
     grad: &[f32],
     k: usize,
     chunk_size: usize,
     runtime: &dyn Runtime,
-    algorithm: TopKAlgorithm,
 ) -> SparseGradient {
     let k = k.min(grad.len());
     if k == 0 {
@@ -413,7 +411,7 @@ pub fn top_k_on_with(
     let chunk_size = chunk_size.max(2 * k);
     let parts: Vec<(Vec<u32>, Vec<f32>)> = map_chunks_on(grad, chunk_size, runtime, |c, chunk| {
         let offset = (c * chunk_size) as u32;
-        let local = top_k(chunk, k.min(chunk.len()), algorithm);
+        let local = top_k(chunk, k.min(chunk.len()));
         let mut pairs: Vec<(u32, f32)> = local.iter().map(|(i, v)| (offset + i, v)).collect();
         pairs.sort_by_key(|&(i, _)| i);
         pairs.into_iter().unzip()
@@ -531,6 +529,7 @@ fn merge_signed_moments(parts: &[SignedMoments]) -> SignedMoments {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::oracle::top_k_full_sort;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use sidco_runtime::{handle, RuntimeKind};
@@ -549,13 +548,8 @@ mod tests {
         abs_moments_on(grad, MomentNeeds::ALL, DEFAULT_CHUNK_SIZE, on(threads))
     }
 
-    fn top_k_quickselect(
-        grad: &[f32],
-        k: usize,
-        chunk_size: usize,
-        threads: usize,
-    ) -> SparseGradient {
-        top_k_on_with(grad, k, chunk_size, on(threads), TopKAlgorithm::QuickSelect)
+    fn top_k_chunked(grad: &[f32], k: usize, chunk_size: usize, threads: usize) -> SparseGradient {
+        top_k_on(grad, k, chunk_size, on(threads))
     }
 
     #[test]
@@ -700,38 +694,35 @@ mod tests {
     }
 
     #[test]
-    fn chunked_topk_matches_count_and_magnitudes() {
+    fn chunked_topk_matches_the_full_sort_oracle() {
         let grad = random_gradient(50_000, 65);
         for &k in &[1usize, 17, 500, 5_000] {
-            let exact = top_k(&grad, k, TopKAlgorithm::FullSort);
-            let mut exact_mags: Vec<f32> = exact.values().iter().map(|v| v.abs()).collect();
-            exact_mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let reference = top_k_quickselect(&grad, k, 1 << 10, 1);
+            let reference = top_k_chunked(&grad, k, 1 << 10, 1);
             for threads in [2, 4, 7] {
-                assert_eq!(top_k_quickselect(&grad, k, 1 << 10, threads), reference);
+                assert_eq!(top_k_chunked(&grad, k, 1 << 10, threads), reference);
             }
-            assert_eq!(reference.nnz(), k);
-            let mut mags: Vec<f32> = reference.values().iter().map(|v| v.abs()).collect();
-            mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            assert_eq!(mags, exact_mags, "k={k}");
+            assert_eq!(reference.indices(), top_k_full_sort(&grad, k), "k={k}");
         }
     }
 
     #[test]
     fn chunked_topk_breaks_ties_by_index() {
         let grad = [1.0f32; 64];
-        let s = top_k_quickselect(&grad, 10, 8, 4);
+        let s = top_k_chunked(&grad, 10, 8, 4);
         assert_eq!(s.nnz(), 10);
         let expected: Vec<u32> = (0..10).collect();
         assert_eq!(s.indices(), expected.as_slice());
+        assert_eq!(s.indices(), top_k_full_sort(&grad, 10));
     }
 
     #[test]
     fn chunked_topk_edge_cases() {
         let grad = [1.0f32, -2.0, 3.0];
-        assert_eq!(top_k_quickselect(&grad, 0, 2, 4).nnz(), 0);
-        assert_eq!(top_k_quickselect(&grad, 3, 2, 4).nnz(), 3);
-        assert_eq!(top_k_quickselect(&grad, 10, 2, 4).nnz(), 3);
-        assert_eq!(top_k_quickselect(&[], 5, 2, 4).nnz(), 0);
+        for k in [0, 1, 3, 10] {
+            let s = top_k_chunked(&grad, k, 2, 4);
+            assert_eq!(s.indices(), top_k_full_sort(&grad, k), "k={k}");
+        }
+        assert_eq!(top_k_chunked(&grad, 10, 2, 4).nnz(), 3);
+        assert_eq!(top_k_chunked(&[], 5, 2, 4).nnz(), 0);
     }
 }

@@ -1,57 +1,28 @@
-//! Exact Top-k selection.
-//!
-//! Three interchangeable algorithms are provided because the paper's cost argument
-//! hinges on how expensive exact selection is relative to a linear threshold scan:
-//!
-//! * [`TopKAlgorithm::FullSort`] — `O(d log d)`, the naive baseline;
-//! * [`TopKAlgorithm::Heap`] — `O(d log k)`, the textbook CPU implementation the
-//!   paper cites for Top-k;
-//! * [`TopKAlgorithm::QuickSelect`] — expected `O(d)` selection of the k-th largest
-//!   magnitude followed by a threshold scan, the fastest exact CPU variant and the
-//!   closest analogue of PyTorch's radix select.
+//! Exact Top-k selection: quickselect the k-th largest magnitude (expected
+//! `O(d)`, the closest CPU analogue of PyTorch's radix select), then one
+//! threshold scan.
 
 use crate::sparse::SparseGradient;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// Which exact Top-k algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TopKAlgorithm {
-    /// Sort all magnitudes descending and take the first `k`.
-    FullSort,
-    /// Maintain a min-heap of the current best `k` magnitudes.
-    Heap,
-    /// Quickselect the k-th largest magnitude, then scan. The default.
-    #[default]
-    QuickSelect,
-}
-
-impl TopKAlgorithm {
-    /// All algorithms, for benchmark sweeps.
-    pub const ALL: [TopKAlgorithm; 3] = [
-        TopKAlgorithm::FullSort,
-        TopKAlgorithm::Heap,
-        TopKAlgorithm::QuickSelect,
-    ];
-}
 
 /// Selects the `k` elements of `grad` with the largest absolute value.
 ///
-/// Ties at the selection boundary are broken arbitrarily but exactly `min(k, d)`
-/// elements are always returned. `k = 0` returns an empty sparse gradient.
+/// Ties at the selection boundary are broken by ascending index, and exactly
+/// `min(k, d)` elements are always returned. `k = 0` returns an empty sparse
+/// gradient.
 ///
 /// # Example
 ///
 /// ```
-/// use sidco_tensor::topk::{top_k, TopKAlgorithm};
+/// use sidco_tensor::topk::top_k;
 ///
 /// let grad = [0.1f32, -5.0, 0.3, 2.0];
-/// let s = top_k(&grad, 2, TopKAlgorithm::QuickSelect);
+/// let s = top_k(&grad, 2);
 /// let mut idx: Vec<u32> = s.indices().to_vec();
 /// idx.sort();
 /// assert_eq!(idx, vec![1, 3]);
 /// ```
-pub fn top_k(grad: &[f32], k: usize, algorithm: TopKAlgorithm) -> SparseGradient {
+pub fn top_k(grad: &[f32], k: usize) -> SparseGradient {
     let k = k.min(grad.len());
     if k == 0 {
         return SparseGradient::empty(grad.len());
@@ -60,93 +31,6 @@ pub fn top_k(grad: &[f32], k: usize, algorithm: TopKAlgorithm) -> SparseGradient
         let indices: Vec<u32> = (0..grad.len() as u32).collect();
         return SparseGradient::new(indices, grad.to_vec(), grad.len());
     }
-    match algorithm {
-        TopKAlgorithm::FullSort => top_k_full_sort(grad, k),
-        TopKAlgorithm::Heap => top_k_heap(grad, k),
-        TopKAlgorithm::QuickSelect => top_k_quickselect(grad, k),
-    }
-}
-
-/// Returns the magnitude of the k-th largest element (the exact Top-k threshold):
-/// exactly `k` elements have `|g| >= kth_largest_magnitude(g, k)` up to ties.
-///
-/// Returns 0 when `k == 0` or the gradient is empty; if `k >= d` returns the
-/// smallest magnitude.
-pub fn kth_largest_magnitude(grad: &[f32], k: usize) -> f32 {
-    if grad.is_empty() || k == 0 {
-        return 0.0;
-    }
-    let k = k.min(grad.len());
-    let mut mags: Vec<f32> = grad.iter().map(|x| x.abs()).collect();
-    let idx = k - 1;
-    mags.select_nth_unstable_by(idx, |a, b| b.partial_cmp(a).unwrap_or(Ordering::Equal));
-    mags[idx]
-}
-
-fn top_k_full_sort(grad: &[f32], k: usize) -> SparseGradient {
-    let mut order: Vec<u32> = (0..grad.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        grad[b as usize]
-            .abs()
-            .partial_cmp(&grad[a as usize].abs())
-            .unwrap_or(Ordering::Equal)
-    });
-    order.truncate(k);
-    build_sparse(grad, order)
-}
-
-/// Entry of the min-heap used by the heap-based selector. Ordered by magnitude so
-/// the heap root is the smallest of the current best `k`.
-#[derive(PartialEq)]
-struct HeapEntry {
-    magnitude: f32,
-    index: u32,
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want the smallest magnitude
-        // at the root so it can be evicted.
-        other
-            .magnitude
-            .partial_cmp(&self.magnitude)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.index.cmp(&self.index))
-    }
-}
-
-fn top_k_heap(grad: &[f32], k: usize) -> SparseGradient {
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-    for (i, &g) in grad.iter().enumerate() {
-        let magnitude = g.abs();
-        if heap.len() < k {
-            heap.push(HeapEntry {
-                magnitude,
-                index: i as u32,
-            });
-        } else if let Some(min) = heap.peek() {
-            if magnitude > min.magnitude {
-                heap.pop();
-                heap.push(HeapEntry {
-                    magnitude,
-                    index: i as u32,
-                });
-            }
-        }
-    }
-    let order: Vec<u32> = heap.into_iter().map(|e| e.index).collect();
-    build_sparse(grad, order)
-}
-
-fn top_k_quickselect(grad: &[f32], k: usize) -> SparseGradient {
     let threshold = kth_largest_magnitude(grad, k);
     // Collect strictly-above first, then fill with ties at the threshold until we
     // have exactly k elements.
@@ -167,58 +51,68 @@ fn top_k_quickselect(grad: &[f32], k: usize) -> SparseGradient {
         }
     }
     indices.truncate(k);
-    build_sparse(grad, indices)
-}
-
-fn build_sparse(grad: &[f32], indices: Vec<u32>) -> SparseGradient {
     let values: Vec<f32> = indices.iter().map(|&i| grad[i as usize]).collect();
     SparseGradient::new(indices, values, grad.len())
 }
 
+/// Returns the magnitude of the k-th largest element (the exact Top-k threshold):
+/// exactly `k` elements have `|g| >= kth_largest_magnitude(g, k)` up to ties.
+///
+/// Returns 0 when `k == 0` or the gradient is empty; if `k >= d` returns the
+/// smallest magnitude.
+pub fn kth_largest_magnitude(grad: &[f32], k: usize) -> f32 {
+    if grad.is_empty() || k == 0 {
+        return 0.0;
+    }
+    let k = k.min(grad.len());
+    let mut mags: Vec<f32> = grad.iter().map(|x| x.abs()).collect();
+    let idx = k - 1;
+    mags.select_nth_unstable_by(idx, |a, b| b.partial_cmp(a).unwrap_or(Ordering::Equal));
+    mags[idx]
+}
+
+#[cfg(test)]
+#[path = "../../../tests/oracle/topk.rs"]
+pub(crate) mod oracle;
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::top_k_full_sort;
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn magnitude_set(s: &SparseGradient) -> Vec<f32> {
-        let mut mags: Vec<f32> = s.values().iter().map(|v| v.abs()).collect();
-        mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        mags
+    /// Quickselect's indices, ascending, for comparison with the oracle.
+    fn selected(grad: &[f32], k: usize) -> Vec<u32> {
+        let mut indices = top_k(grad, k).indices().to_vec();
+        indices.sort_unstable();
+        indices
     }
 
     #[test]
-    fn all_algorithms_agree_on_magnitudes() {
+    fn quickselect_matches_the_full_sort_oracle() {
         let mut rng = SmallRng::seed_from_u64(101);
         let grad: Vec<f32> = (0..5_000).map(|_| rng.gen_range(-1.0..1.0)).collect();
         for &k in &[1usize, 7, 50, 499, 2_500] {
-            let reference = magnitude_set(&top_k(&grad, k, TopKAlgorithm::FullSort));
-            for alg in [TopKAlgorithm::Heap, TopKAlgorithm::QuickSelect] {
-                let result = top_k(&grad, k, alg);
-                assert_eq!(result.nnz(), k, "{alg:?} returned wrong count for k={k}");
-                let mags = magnitude_set(&result);
-                for (a, b) in reference.iter().zip(mags.iter()) {
-                    assert!((a - b).abs() < 1e-12, "{alg:?} differs at k={k}");
-                }
-            }
+            assert_eq!(selected(&grad, k), top_k_full_sort(&grad, k), "k={k}");
         }
     }
 
     #[test]
     fn edge_cases() {
         let grad = [1.0f32, -2.0, 3.0];
-        for alg in TopKAlgorithm::ALL {
-            assert_eq!(top_k(&grad, 0, alg).nnz(), 0);
-            assert_eq!(top_k(&grad, 3, alg).nnz(), 3);
-            assert_eq!(top_k(&grad, 10, alg).nnz(), 3);
-            assert_eq!(top_k(&[], 5, alg).nnz(), 0);
+        for k in [0, 1, 3, 10] {
+            assert_eq!(selected(&grad, k), top_k_full_sort(&grad, k), "k={k}");
         }
+        assert_eq!(top_k(&grad, 0).nnz(), 0);
+        assert_eq!(top_k(&grad, 10).nnz(), 3);
+        assert_eq!(top_k(&[], 5).nnz(), 0);
     }
 
     #[test]
     fn values_match_original_positions() {
         let grad = [0.5f32, -3.0, 0.1, 2.0, -0.7];
-        let s = top_k(&grad, 2, TopKAlgorithm::QuickSelect);
+        let s = top_k(&grad, 2);
         for (i, v) in s.iter() {
             assert_eq!(grad[i as usize], v);
         }
@@ -243,15 +137,14 @@ mod tests {
 
     #[test]
     fn handles_ties_exactly() {
+        // Exactly k elements on ties, and the lowest tied indices win, as in
+        // the oracle's stable sort.
         let grad = [1.0f32; 10];
-        for alg in TopKAlgorithm::ALL {
-            let s = top_k(&grad, 4, alg);
-            assert_eq!(s.nnz(), 4, "{alg:?} must return exactly k elements on ties");
+        assert_eq!(selected(&grad, 4), top_k_full_sort(&grad, 4));
+        assert_eq!(selected(&grad, 4), vec![0, 1, 2, 3]);
+        let mixed = [0.5f32, -1.0, 0.5, 2.0, -0.5, 0.5];
+        for k in 1..=mixed.len() {
+            assert_eq!(selected(&mixed, k), top_k_full_sort(&mixed, k), "k={k}");
         }
-    }
-
-    #[test]
-    fn default_algorithm_is_quickselect() {
-        assert_eq!(TopKAlgorithm::default(), TopKAlgorithm::QuickSelect);
     }
 }

@@ -48,6 +48,26 @@ fn non_positive_or_nan_ratios_select_nothing_for_every_scheme() {
 }
 
 #[test]
+fn ratios_of_one_or_more_keep_every_element_for_every_scheme() {
+    // The other end of the shared δ policy: a ratio of one or more asks for
+    // the whole gradient, so every scheme keeps every element — an estimated
+    // threshold (DGC's sample, RedSync's bisection) must not drop any.
+    let grad = gradient(GradientProfile::HeavyTail, 4096, 11);
+    for kind in CompressorKind::EVALUATED {
+        for delta in [1.0, 2.0, f64::INFINITY] {
+            let mut compressor = build_compressor(kind, 0).unwrap();
+            let sparse = compressor.compress(&grad, delta).sparse;
+            assert_eq!(
+                sparse.nnz(),
+                grad.len(),
+                "{kind} δ={delta} dropped elements"
+            );
+            assert_eq!(sparse.dense_len(), grad.len(), "{kind} δ={delta}");
+        }
+    }
+}
+
+#[test]
 fn sidco_tracks_target_across_profiles_and_ratios() {
     for profile in [
         GradientProfile::LaplaceLike,

@@ -26,6 +26,7 @@
 
 mod oracle;
 
+use oracle::topk::top_k_full_sort;
 use oracle::ScopedOracle;
 use proptest::prelude::*;
 use sidco::core::engine::{CompressionEngine, RuntimeKind};
@@ -35,9 +36,8 @@ use sidco::stats::moments::MomentNeeds;
 use sidco::tensor::encoding::{delta_varint_encode, delta_varint_encode_on, raw_encode_on};
 use sidco::tensor::parallel::{
     abs_moments_on, count_above_threshold_on, exceedance_moments_on, map_chunks_on,
-    select_above_threshold_on, signed_moments_on, top_k_on_with,
+    select_above_threshold_on, signed_moments_on, top_k_on,
 };
-use sidco::tensor::topk::TopKAlgorithm;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -145,8 +145,7 @@ proptest! {
                         count_above_threshold_on(&grad, threshold, chunk, runtime),
                     )
                 ),
-                top_k_on_with(&grad, k, chunk, runtime, TopKAlgorithm::QuickSelect),
-                top_k_on_with(&grad, k, chunk, runtime, TopKAlgorithm::FullSort),
+                top_k_on(&grad, k, chunk, runtime),
                 raw_encode_on(&sparse, 17, runtime).payload().to_vec(),
                 delta_varint_encode_on(&sparse, 17, runtime).payload().to_vec(),
                 sparse,
@@ -159,6 +158,8 @@ proptest! {
                 "{runtime:?} differs from the inline runtime"
             );
         }
+        // Chunked quickselect keeps the full-sort oracle's selection.
+        prop_assert_eq!(reference.1.indices().to_vec(), top_k_full_sort(&grad, k));
     }
 
     #[test]

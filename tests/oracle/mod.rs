@@ -11,10 +11,13 @@
 //! parallel-primitive layer. `Rescan` is the multi-stage backend that reads
 //! the whole gradient for every stage, which the compressor's
 //! survivor-compacted estimate must match bit-for-bit, and `filter_select`
-//! the filter loop every selection kernel must reproduce.
+//! the filter loop every selection kernel must reproduce. `topk` holds the
+//! full-sort selector every quickselect Top-k must agree with.
 
 // Each suite that includes this module uses only some of the oracles.
 #![allow(dead_code)]
+
+pub mod topk;
 
 use sidco_core::engine::CompressionEngine;
 use sidco_dist::NetworkModel;

@@ -5,7 +5,7 @@ use sidco::prelude::*;
 use sidco_stats::fit::{exponential_threshold, gp_threshold};
 use sidco_stats::pot::stage_schedule;
 use sidco_tensor::threshold::{count_above_threshold, select_above_threshold};
-use sidco_tensor::topk::{top_k, TopKAlgorithm};
+use sidco_tensor::topk::top_k;
 
 /// Strategy: a non-trivial gradient vector with mixed magnitudes.
 fn gradient_strategy() -> impl Strategy<Value = Vec<f32>> {
@@ -25,7 +25,7 @@ proptest! {
     #[test]
     fn topk_selects_exactly_k_largest(grad in gradient_strategy(), k_frac in 0.01f64..1.0) {
         let k = ((grad.len() as f64 * k_frac).ceil() as usize).min(grad.len()).max(1);
-        let sparse = top_k(&grad, k, TopKAlgorithm::QuickSelect);
+        let sparse = top_k(&grad, k);
         prop_assert_eq!(sparse.nnz(), k);
         // No dropped element is strictly larger than a kept element's magnitude.
         let kept_min = sparse.values().iter().map(|v| v.abs()).fold(f32::INFINITY, f32::min);
