@@ -15,6 +15,13 @@
 //!   then splits into a *local phase* (compute + the compression/latency
 //!   front of the schedule, `makespan − Σtransfer`) and a *wire request*
 //!   (the `Σtransfer` of bandwidth-serialised work the link must carry).
+//!   Prices are memoised per job for the length of one
+//!   [`simulate`](FleetScheduler::simulate). A job's layout, scheduler and
+//!   compressor are fixed, so its price is a pure function of the granted
+//!   engine workers, the pool stretch and δ, which repeat across iterations
+//!   because admission only changes at arrivals and departures. Reusing the
+//!   first search's bits for a repeated key is therefore exact; a stretch
+//!   ≤ 1 leaves the costs untouched, so it shares the key of stretch 1.
 //! * **Across jobs the wire is shared.** A small event-driven simulator
 //!   serves each job's wire requests under a pluggable [`SharePolicy`]:
 //!   processor-sharing ([`FairShare`](SharePolicy::FairShare)), strict
@@ -52,6 +59,7 @@ use sidco_core::layerwise::LayerLayout;
 use sidco_models::BenchmarkId;
 use sidco_stats::fit::SidKind;
 use sidco_trace::{Lane, TraceSession, TraceSink, TrackId};
+use std::collections::HashMap;
 
 /// Estimation stages priced into every bucket (the two-stage SIDCo pipeline,
 /// matching the golden overlap tests).
@@ -267,6 +275,19 @@ struct PricedIteration {
     delta: f64,
 }
 
+/// Memo key of one job's iteration price: `(granted, stretch bits, δ bits)`.
+///
+/// A stretch of at most 1.0 is folded to 1.0, because
+/// [`FleetScheduler::price_with`] only scales compression when the pool is
+/// oversubscribed (`stretch > 1.0`); every undersubscribed stretch prices
+/// the same bits.
+type PriceKey = (usize, u64, u64);
+
+fn price_key(granted: usize, stretch: f64, delta: f64) -> PriceKey {
+    let stretch = if stretch > 1.0 { stretch } else { 1.0 };
+    (granted, stretch.to_bits(), delta.to_bits())
+}
+
 /// Where a job currently is in the fleet simulation.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
@@ -298,6 +319,11 @@ struct JobState {
     /// Uncontended per-iteration latency: `compute + best_schedule` makespan
     /// at the requested δ on the full engine.
     dedicated: f64,
+    /// `(makespan, wire)` of every [`PriceKey`] this job has been priced at
+    /// in the current simulate, seeded with the dedicated price. Layout,
+    /// scheduler and compressor are fixed per job, so the key is every input
+    /// [`FleetScheduler::price_with`] reads.
+    prices: HashMap<PriceKey, (f64, f64)>,
     /// The job's charge clock: `arrival + Σ charges so far`. Authoritative
     /// for when its next iteration starts (keeps the single-job sum free of
     /// link-simulator float residue).
@@ -678,11 +704,12 @@ impl FleetScheduler {
         let compute = self
             .cluster
             .iteration_compute_time(bench.per_worker_batch, bench.parameters);
+        let granted = self.cluster.engine_workers.max(1);
         let (dedicated_makespan, dedicated_wire) = self.price_with(
             &layout,
             &scheduler,
             spec.compressor,
-            self.cluster.engine_workers.max(1),
+            granted,
             1.0,
             spec.delta,
         );
@@ -704,6 +731,10 @@ impl FleetScheduler {
             controller,
             compute,
             dedicated: compute + dedicated_makespan,
+            prices: HashMap::from([(
+                price_key(granted, 1.0, spec.delta),
+                (dedicated_makespan, dedicated_wire),
+            )]),
             clock: spec.arrival,
             iteration: 0,
             slowdown: 1.0,
@@ -719,6 +750,10 @@ impl FleetScheduler {
     /// Prices one iteration: `best_schedule` on a `granted`-worker view of
     /// the engine, with compression stretched by the pool oversubscription
     /// factor. Returns `(makespan, wire demand)`.
+    ///
+    /// For one job this is a pure function of `granted`, `stretch` and
+    /// `delta`, and a `stretch ≤ 1.0` leaves the costs untouched — which is
+    /// what lets [`JobState::prices`] memoise it under a [`PriceKey`].
     fn price_with(
         &self,
         layout: &LayerLayout,
@@ -767,14 +802,39 @@ impl FleetScheduler {
             }
             _ => state.spec.delta,
         };
-        let (makespan, wire) = self.price_with(
-            &state.layout,
-            &state.scheduler,
-            state.spec.compressor,
-            granted,
-            stretch,
-            delta,
-        );
+        let search = || {
+            self.price_with(
+                &state.layout,
+                &state.scheduler,
+                state.spec.compressor,
+                granted,
+                stretch,
+                delta,
+            )
+        };
+        let key = price_key(granted, stretch, delta);
+        let (makespan, wire) = match state.prices.get(&key) {
+            Some(&(makespan, wire)) => {
+                // Debug builds re-price every hit and demand the same bits.
+                // A traced fleet skips the recheck, so its search counter
+                // counts only the searches that price.
+                if cfg!(debug_assertions) && !self.config.trace {
+                    let (fresh_makespan, fresh_wire) = search();
+                    debug_assert_eq!(
+                        (makespan.to_bits(), wire.to_bits()),
+                        (fresh_makespan.to_bits(), fresh_wire.to_bits()),
+                        "memoised price of job {:?} drifted from a fresh search",
+                        state.spec.name
+                    );
+                }
+                (makespan, wire)
+            }
+            None => {
+                let price = search();
+                state.prices.insert(key, price);
+                price
+            }
+        };
         let ready_at = state.clock + state.compute + (makespan - wire);
         state.phase = Phase::Local {
             ready_at,
@@ -1144,6 +1204,81 @@ mod tests {
     #[should_panic(expected = "outside (0, 1]")]
     fn invalid_delta_is_rejected() {
         fleet(SharePolicy::Fifo).simulate(&[JobSpec::new("bad", BenchmarkId::LstmPtb, 0.0)]);
+    }
+
+    /// `best_schedule` searches a traced simulate of `jobs` ran. The trace
+    /// registry is process-wide, so a search another test runs while the
+    /// session is open is counted too: every reading is an upper bound on
+    /// the fleet's own count. The first reading `enough` accepts proves the
+    /// bound; until one does, the fleet re-runs (10 ms apart, so a
+    /// concurrent burst of searches can end) and the fewest seen is kept.
+    fn searches(
+        scheduler: &FleetScheduler,
+        jobs: &[JobSpec],
+        enough: impl Fn(usize) -> bool,
+    ) -> usize {
+        let traced = scheduler.clone().with_tenancy(TenancyConfig {
+            trace: true,
+            ..scheduler.config
+        });
+        let mut fewest = usize::MAX;
+        for _ in 0..100 {
+            let report = traced.simulate(jobs);
+            // INVARIANT: the scheduler was built with tracing on.
+            let trace = report.trace().expect("traced fleet");
+            let calls = trace
+                .metrics()
+                .counter("scheduler.best_schedule.calls")
+                .unwrap_or(0.0);
+            fewest = fewest.min(calls as usize);
+            if enough(fewest) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        fewest
+    }
+
+    #[test]
+    fn an_uncontended_job_searches_once_per_simulate() {
+        // The dedicated price `admit` computes is every iteration's price.
+        for policy in SharePolicy::ALL {
+            for iterations in [1, 8, 20] {
+                let jobs = [job("solo", 0.0).with_iterations(iterations)];
+                assert_eq!(
+                    searches(&fleet(policy), &jobs, |n| n <= 1),
+                    1,
+                    "{policy}, {iterations} iterations"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_contended_table1_mix_searches_less_than_half_its_pricing_requests() {
+        // 16 Table-1 jobs in four same-instant waves of four.
+        let jobs: Vec<JobSpec> = (0..16)
+            .map(|j| {
+                let benchmark = BenchmarkId::ALL[j % BenchmarkId::ALL.len()];
+                let delta = [0.001, 0.01, 0.02][j % 3];
+                JobSpec::new(format!("job{j:02}"), benchmark, delta)
+                    .with_arrival(0.5 * (j / 4) as f64)
+                    .with_iterations(20)
+                    .with_buckets(16)
+                    .with_streams(4)
+                    .with_priority_class(j % 4)
+            })
+            .collect();
+        // One price at admission plus one per iteration.
+        let requests = jobs.len() + jobs.iter().map(|job| job.iterations).sum::<usize>();
+        for policy in SharePolicy::ALL {
+            let scheduler = FleetScheduler::new(ClusterConfig::paper_mixed_fleet(), policy);
+            let searched = searches(&scheduler, &jobs, |n| 2 * n < requests);
+            assert!(
+                2 * searched < requests,
+                "{policy}: {searched} searches for {requests} pricing requests"
+            );
+        }
     }
 
     #[test]

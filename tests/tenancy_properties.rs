@@ -16,12 +16,17 @@
 //! 4. **Fair share beats serialization** — the fleet's last completion never
 //!    lands after running the same jobs one at a time, end to end, each with
 //!    the cluster to itself.
+//! 5. **Memoised pricing is bit-stable** — a fleet's per-job price memo lives
+//!    for one `simulate`, so repeating the simulate, on the same scheduler or
+//!    a clone, reproduces every charge, δ and completion bit for bit. In a
+//!    debug build every memo hit is also re-priced by a fresh search and
+//!    must match it bit for bit.
 
 use proptest::prelude::*;
 use sidco::prelude::*;
 use sidco_dist::collective::modeled_bucket_costs;
 use sidco_dist::schedule::pack_layers;
-use sidco_dist::tenancy::{FleetScheduler, JobSpec, SharePolicy};
+use sidco_dist::tenancy::{FleetReport, FleetScheduler, JobSpec, SharePolicy, TenancyConfig};
 use sidco_dist::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 
 const BENCHMARKS: [BenchmarkId; 3] = [
@@ -70,6 +75,20 @@ fn fleet_strategy() -> impl Strategy<Value = (ClusterConfig, Vec<JobSpec>)> {
         cluster_strategy(),
         prop::collection::vec(job_strategy(), 1..4),
     )
+}
+
+/// Every float a fleet report charges, as bits: per job the charges, the δ
+/// series and the completion, then the link accounting.
+fn report_bits(report: &FleetReport) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for job in &report.jobs {
+        bits.extend(job.charges.iter().map(|c| c.to_bits()));
+        bits.extend(job.deltas.iter().map(|d| d.to_bits()));
+        bits.push(job.completion.to_bits());
+    }
+    bits.push(report.link_busy_seconds.to_bits());
+    bits.push(report.total_wire_seconds.to_bits());
+    bits
 }
 
 proptest! {
@@ -161,5 +180,34 @@ proptest! {
             "fleet end {} after serialized end {serialized}",
             report.fleet_end()
         );
+    }
+
+    /// Invariant 5: the per-simulate price memo leaves no state behind —
+    /// repeated and cloned simulates charge bit-identically, with and
+    /// without ratio adaptation, under every policy.
+    #[test]
+    fn memoised_fleet_pricing_is_bit_stable(fleet in fleet_strategy()) {
+        let (cluster, mut jobs) = fleet;
+        // A same-instant twin of the first job, so admission sees two
+        // starters at once and their shared contention repeats price keys.
+        let twin = jobs[0].clone().with_priority_class(jobs[0].priority_class + 1);
+        jobs.push(JobSpec { name: format!("{}-twin", twin.name), ..twin });
+        for adapt_ratio in [true, false] {
+            let tenancy = TenancyConfig {
+                adapt_ratio,
+                ..TenancyConfig::for_cluster(&cluster)
+            };
+            for policy in SharePolicy::ALL {
+                let scheduler =
+                    FleetScheduler::new(cluster.clone(), policy).with_tenancy(tenancy);
+                let first = report_bits(&scheduler.simulate(&jobs));
+                let again = report_bits(&scheduler.simulate(&jobs));
+                let cloned = report_bits(&scheduler.clone().simulate(&jobs));
+                prop_assert!(
+                    first == again && first == cloned,
+                    "{policy} (adapt_ratio {adapt_ratio}): repeated simulates disagree"
+                );
+            }
+        }
     }
 }
