@@ -48,9 +48,11 @@ impl CompressionResult {
 /// All implementations in this crate are `Send` so a per-worker compressor can move
 /// into the worker's thread in the distributed simulator.
 pub trait Compressor: Send {
-    /// Compresses `grad`, targeting the compression ratio `delta = k/d` with
-    /// `0 < delta <= 1`. A `delta` that is zero, negative or NaN selects
-    /// nothing: the result is an empty gradient of `grad`'s length.
+    /// Compresses `grad`, targeting the compression ratio `delta = k/d`.
+    ///
+    /// Every `delta` is defined: `0 < delta < 1` is estimated; `delta >= 1`
+    /// keeps every element; a `delta` that is zero, negative or NaN selects
+    /// nothing, so the result is an empty gradient of `grad`'s length.
     ///
     /// The returned sparse gradient is not guaranteed to contain exactly
     /// `delta * grad.len()` elements — the whole point of the paper's "estimation
@@ -67,10 +69,9 @@ pub trait Compressor: Send {
     fn reset(&mut self) {}
 
     /// The [`CompressorKind`] this implementation realises, so cost models can
-    /// charge the right scheme without being told out-of-band. `None` for
-    /// compressors outside the paper's evaluated taxonomy (composites such as
-    /// the layerwise wrapper, the auto-selector, or a fixed-threshold probe) —
-    /// callers needing a kind for those must require one explicitly.
+    /// charge the right scheme without being told out-of-band. `None` for a
+    /// composite outside the paper's evaluated taxonomy (the layerwise
+    /// wrapper) — callers needing a kind for it must require one explicitly.
     fn kind(&self) -> Option<CompressorKind> {
         None
     }

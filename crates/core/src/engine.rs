@@ -46,7 +46,6 @@ use sidco_tensor::parallel::{
     abs_moments_on, count_above_threshold_on, exceedance_moments_on, select_above_threshold_on,
     signed_moments_on, top_k_on, SurvivorLists, DEFAULT_CHUNK_SIZE,
 };
-use sidco_tensor::threshold::cap_largest;
 use sidco_tensor::SparseGradient;
 use std::sync::{Mutex, OnceLock};
 
@@ -287,17 +286,6 @@ impl CompressionEngine {
     pub fn select_above(&self, grad: &[f32], threshold: f64) -> SparseGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/select_above");
         select_above_threshold_on(grad, threshold, self.chunk_size, self.executor)
-    }
-
-    /// Capped `C_η`: at most `max_elements` survivors, largest magnitudes first,
-    /// ties at the cut broken by ascending index.
-    pub fn select_above_capped(
-        &self,
-        grad: &[f32],
-        threshold: f64,
-        max_elements: usize,
-    ) -> SparseGradient {
-        cap_largest(self.select_above(grad, threshold), max_elements)
     }
 
     /// Exact Top-k via chunked partial selection (each shard nominates its own
@@ -554,10 +542,6 @@ mod tests {
                 reference.select_above(&grad, 0.3)
             );
             assert_eq!(engine.top_k(&grad, 1_234), reference.top_k(&grad, 1_234));
-            assert_eq!(
-                engine.select_above_capped(&grad, 0.1, 500),
-                reference.select_above_capped(&grad, 0.1, 500)
-            );
             assert_eq!(
                 engine.count_above(&grad, 0.3),
                 reference.count_above(&grad, 0.3)

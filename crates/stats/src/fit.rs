@@ -16,8 +16,6 @@
 use crate::error::StatsError;
 use crate::gamma::Gamma;
 use crate::moments::{AbsMoments, SignedMoments};
-use crate::normal::Normal;
-use crate::pareto::GeneralizedPareto;
 use crate::special::{ln_gamma, std_normal_quantile};
 
 /// Which sparsity-inducing distribution to fit to the absolute gradient.
@@ -247,57 +245,12 @@ pub fn gaussian_threshold_from_moments(moments: &SignedMoments, delta: f64) -> f
     moments.mean.abs() + sigma * std_normal_quantile(p)
 }
 
-/// Convenience: fits a [`Normal`] to signed gradients (GaussianKSGD initialisation).
-///
-/// # Errors
-///
-/// Propagates [`Normal::fit_mle`] errors for degenerate inputs.
-pub fn fit_gaussian(grad: &[f32]) -> Result<Normal, StatsError> {
-    let m = SignedMoments::compute(grad);
-    if m.count < 2 {
-        return Err(StatsError::InsufficientData {
-            len: m.count,
-            required: 2,
-        });
-    }
-    Normal::new(m.mean, m.variance.sqrt().max(f64::MIN_POSITIVE))
-}
-
-/// Convenience: builds a [`GeneralizedPareto`] over exceedances of `location`
-/// directly from shifted moments (Lemma 2's `GP(α̂_m, β̂_m, η_{m-1})`).
-///
-/// # Errors
-///
-/// Returns [`StatsError`] variants for degenerate exceedance sets.
-pub fn gp_from_exceedance_moments(
-    moments: &AbsMoments,
-    location: f64,
-) -> Result<GeneralizedPareto, StatsError> {
-    if moments.count < 2 {
-        return Err(StatsError::InsufficientData {
-            len: moments.count,
-            required: 2,
-        });
-    }
-    if !(moments.variance > 0.0 && moments.mean > 0.0) {
-        return Err(StatsError::InvalidParameter {
-            name: "exceedance moments",
-            value: moments.variance,
-            expected: "positive mean and variance of exceedances",
-        });
-    }
-    let ratio = moments.mean * moments.mean / moments.variance;
-    const EPS: f64 = 1e-6;
-    let shape = (0.5 * (1.0 - ratio)).clamp(-0.5 + EPS, 0.5 - EPS);
-    let scale = 0.5 * moments.mean * (ratio + 1.0);
-    GeneralizedPareto::new(shape, scale, location)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distribution::Continuous;
     use crate::laplace::Laplace;
+    use crate::normal::Normal;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -452,22 +405,5 @@ mod tests {
             FittedSid::GeneralizedPareto { shape, .. } => assert_eq!(shape, 0.0),
             other => panic!("unexpected fit {other:?}"),
         }
-    }
-
-    #[test]
-    fn gp_from_exceedance_moments_builds_valid_distribution() {
-        let grad = laplace_gradient(0.01, 100_000, 7);
-        let eta1 = exponential_threshold(&grad, 0.25);
-        let m = AbsMoments::compute_exceedances(&grad, eta1);
-        let gp = gp_from_exceedance_moments(&m, eta1).unwrap();
-        assert_eq!(gp.location(), eta1);
-        assert!(gp.scale() > 0.0);
-        assert!(gp.shape().abs() < 0.5);
-    }
-
-    #[test]
-    fn gp_from_exceedance_moments_rejects_degenerate() {
-        let m = AbsMoments::compute_exceedances(&[0.1f32, 0.2], 10.0);
-        assert!(gp_from_exceedance_moments(&m, 10.0).is_err());
     }
 }

@@ -165,22 +165,6 @@ pub(crate) fn retain_kept(indices: &mut [u32], values: &mut [f32], keep: KeepAbo
     len
 }
 
-/// Selects elements with `|g| >= threshold` but never more than `max_elements`,
-/// preferring the largest magnitudes when the cap binds.
-///
-/// DGC's hierarchical step and the capped variants of the heuristic estimators use
-/// this to guarantee they never exceed the target `k` by an unbounded amount.
-/// When the cap binds, ties at the boundary magnitude are broken by ascending
-/// index, so capped results are reproducible across runs and machines.
-pub fn select_above_threshold_capped(
-    grad: &[f32],
-    threshold: f64,
-    max_elements: usize,
-) -> SparseGradient {
-    let selected = select_above_threshold(grad, threshold);
-    cap_largest(selected, max_elements)
-}
-
 /// Keeps only the `max_elements` largest-magnitude entries of `sparse`
 /// (deterministic: ties at the cut are broken by ascending index), returning the
 /// survivors in ascending index order. A selection already within the cap is
@@ -264,16 +248,16 @@ mod tests {
 
     #[test]
     fn capped_selection_keeps_largest() {
-        let s = select_above_threshold_capped(&GRAD, 0.0, 2);
+        let s = cap_largest(select_above_threshold(&GRAD, 0.0), 2);
         assert_eq!(s.nnz(), 2);
         let mut mags: Vec<f32> = s.values().iter().map(|v| v.abs()).collect();
         mags.sort_by(|a, b| b.partial_cmp(a).unwrap());
         assert_eq!(mags, vec![0.9, 0.5]);
         // Cap not binding: identical to the plain selection.
-        let uncapped = select_above_threshold_capped(&GRAD, 0.31, 10);
+        let uncapped = cap_largest(select_above_threshold(&GRAD, 0.31), 10);
         assert_eq!(uncapped.nnz(), 2);
         // Zero cap: empty selection.
-        assert_eq!(select_above_threshold_capped(&GRAD, 0.0, 0).nnz(), 0);
+        assert_eq!(cap_largest(select_above_threshold(&GRAD, 0.0), 0).nnz(), 0);
     }
 
     #[test]
@@ -281,13 +265,13 @@ mod tests {
         // Eight tied magnitudes, cap at 3: the lowest three indices must win, and
         // the result must be in ascending index order.
         let tied = [0.5f32, -0.5, 0.5, 0.5, -0.5, 0.5, 0.5, -0.5];
-        let s = select_above_threshold_capped(&tied, 0.1, 3);
+        let s = cap_largest(select_above_threshold(&tied, 0.1), 3);
         assert_eq!(s.indices(), &[0, 1, 2]);
         assert_eq!(s.values(), &[0.5, -0.5, 0.5]);
         // Mixed magnitudes with ties at the cut: 0.9 wins outright, then the two
         // lowest-indexed 0.5s.
         let mixed = [0.5f32, 0.9, -0.5, 0.5, 0.5];
-        let s = select_above_threshold_capped(&mixed, 0.0, 3);
+        let s = cap_largest(select_above_threshold(&mixed, 0.0), 3);
         assert_eq!(s.indices(), &[0, 1, 2]);
     }
 

@@ -65,7 +65,6 @@ fn engine_compressors(engine: CompressionEngine) -> Vec<Box<dyn Compressor>> {
         Box::new(RedSyncCompressor::new().with_engine(engine)),
         Box::new(GaussianKSgdCompressor::new().with_engine(engine)),
         Box::new(TopKCompressor::new().with_engine(engine)),
-        Box::new(HardThresholdCompressor::new(0.05).with_engine(engine)),
     ]
 }
 
@@ -87,11 +86,19 @@ proptest! {
     #[test]
     fn every_compressor_is_bit_identical_across_thread_counts(
         grad in gradient_strategy(),
-        delta in 0.005f64..0.5,
+        delta in prop_oneof![
+            6 => 0.005f64..0.5,
+            1 => Just(0.0f64),
+            1 => Just(f64::NAN),
+            1 => Just(1.0f64),
+            1 => Just(1.5f64),
+        ],
     ) {
-        // All 8 engine-routed compressors, the inline runtime (1 thread)
-        // against the pool (2 and 7): the runtime decides only where chunks
-        // execute, never what they contain.
+        // All 7 engine-routed compressors (Random-k draws indices without
+        // the engine), the inline runtime (1 thread) against the pool (2 and
+        // 7): the runtime decides only where chunks execute, never what they
+        // contain. The `Just` ratios drive the δ policy's empty selection
+        // (0, NaN) and keep-everything `select_above(grad, 0.0)` (1, 1.5).
         let reference = compress_all(1, &grad, delta);
         for threads in [2usize, 7] {
             let other = compress_all(threads, &grad, delta);
