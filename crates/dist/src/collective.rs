@@ -50,10 +50,8 @@
 //! non-monotonicity (an extra stream can make a fixed schedule *worse*).
 //! Provision `streams ≥ buckets` (or accept FIFO's slot order) when the
 //! critical bucket's completion time is a hard constraint, and charge costs
-//! through [`CollectiveScheduler::best_schedule`] or
-//! [`CollectiveScheduler::repaired_schedule`], whose list-scheduling repair
-//! guarantees a fixed configuration never exceeds the FIFO pipeline
-//! makespan.
+//! through [`CollectiveScheduler::best_schedule`], whose search over stream
+//! counts guarantees a charge never exceeds the FIFO pipeline makespan.
 
 use crate::cluster::ClusterConfig;
 use crate::SPARSE_WIRE_BYTES;
@@ -436,10 +434,8 @@ impl CollectiveScheduler {
     /// (slot-limited preemption has genuine scheduling anomalies — rarely,
     /// an extra stream lets a high-priority transfer starve the
     /// makespan-critical bucket; with release times even fixed FIFO
-    /// schedules exhibit them). Use
-    /// [`repaired_schedule`](Self::repaired_schedule) when a fixed
-    /// configuration must never lose to the pipeline, and
-    /// [`best_schedule`](Self::best_schedule) when charging a stream budget.
+    /// schedules exhibit them). Use [`best_schedule`](Self::best_schedule)
+    /// when a charge must never lose to the pipeline.
     ///
     /// # Panics
     ///
@@ -647,44 +643,6 @@ impl CollectiveScheduler {
             makespan,
         }
     }
-
-    /// The fixed-configuration schedule with a list-scheduling *repair pass*
-    /// for the slot-limited Graham anomaly: a fixed priority schedule with
-    /// fewer streams than buckets can rarely end up *worse* than plain FIFO
-    /// (a preempted transfer holds its stream, so an extra stream can let a
-    /// high-priority transfer starve the makespan-critical bucket). This
-    /// method simulates the configured schedule and, when the anomaly bites,
-    /// falls back to the same-stream-count FIFO list schedule — and, as a
-    /// belt-and-braces floor, to the single-stream FIFO pipeline — keeping
-    /// the first strictly-cheapest timeline. The result therefore **never
-    /// exceeds the FIFO pipeline makespan at any stream count**, which
-    /// `tests/scheduler_properties.rs` pins as a property (the anomaly is
-    /// repaired, no longer merely documented).
-    ///
-    /// Use [`schedule`](Self::schedule) when you need the faithful
-    /// fixed-configuration simulation, anomalies included;
-    /// [`best_schedule`](Self::best_schedule) when charging a stream
-    /// *budget*.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cost is negative or non-finite.
-    pub fn repaired_schedule(&self, buckets: &[BucketCost]) -> ScheduleTimeline {
-        let mut best = self.schedule(buckets);
-        if self.policy != PriorityPolicy::Fifo {
-            let fifo = Self::new(self.streams, PriorityPolicy::Fifo).schedule(buckets);
-            if fifo.makespan() < best.makespan() {
-                best = fifo;
-            }
-        }
-        if self.streams > 1 {
-            let pipeline = Self::single_stream_fifo().schedule(buckets);
-            if pipeline.makespan() < best.makespan() {
-                best = pipeline;
-            }
-        }
-        best
-    }
 }
 
 /// Projects the sparse wire payload (bytes) of compressing a `size`-element
@@ -794,22 +752,6 @@ pub fn total_wire_seconds(costs: &[BucketCost]) -> f64 {
     costs.iter().map(|cost| cost.transfer).sum()
 }
 
-/// Modelled iteration overhead of communicating `layout` under `scheduler` —
-/// the makespan of [`modeled_bucket_costs`] (compare schedulers on the same
-/// cluster to see what streams and priorities buy).
-pub fn scheduled_iteration_overhead(
-    cluster: &ClusterConfig,
-    kind: CompressorKind,
-    delta: f64,
-    stages: usize,
-    layout: &LayerLayout,
-    scheduler: &CollectiveScheduler,
-) -> f64 {
-    scheduler
-        .best_schedule(&modeled_bucket_costs(cluster, kind, delta, stages, layout))
-        .makespan()
-}
-
 /// Accumulated three-way overhead accounting over a training run: fully
 /// serial vs single-stream pipelined vs the configured (possibly
 /// multi-stream, priority) schedule, plus the last iteration's full timeline
@@ -905,17 +847,6 @@ impl ScheduleAccounting {
     pub fn speedup_vs_serial(&self) -> f64 {
         if self.charged > 0.0 {
             self.serial / self.charged
-        } else {
-            1.0
-        }
-    }
-
-    /// Overhead speed-up of the charged schedule over the single-stream
-    /// pipeline (1.0 when the charged schedule *is* the single-stream
-    /// pipeline).
-    pub fn speedup_vs_pipelined(&self) -> f64 {
-        if self.charged > 0.0 {
-            self.pipelined / self.charged
         } else {
             1.0
         }
@@ -1107,13 +1038,11 @@ mod tests {
         assert_eq!(acc.charged_overhead(), 12.0);
         assert_eq!(acc.multi_stream_saving(), 4.0);
         assert!((acc.speedup_vs_serial() - 20.0 / 12.0).abs() < 1e-12);
-        assert!((acc.speedup_vs_pipelined() - 16.0 / 12.0).abs() < 1e-12);
         assert!(acc.last_timeline().is_none());
         acc.set_timeline(CollectiveScheduler::default().schedule(&costs(&[(1.0, 0.0, 1.0)])));
         assert_eq!(acc.last_timeline().unwrap().entries().len(), 1);
         let empty = ScheduleAccounting::new(1, 1, PriorityPolicy::Fifo);
         assert_eq!(empty.speedup_vs_serial(), 1.0);
-        assert_eq!(empty.speedup_vs_pipelined(), 1.0);
     }
 
     fn costs_with_arrivals(raw: &[(f64, f64, f64, f64)]) -> Vec<BucketCost> {
@@ -1203,11 +1132,11 @@ mod tests {
     }
 
     #[test]
-    fn slot_limited_anomaly_is_real_but_repaired() {
+    fn slot_limited_anomaly_is_real_but_never_charged() {
         // A found instance of the Graham anomaly: under NearestOutputFirst a
         // 4th stream makes the fixed schedule *worse* than 3 streams. The
-        // repair pass must still never lose to the single-stream pipeline —
-        // the property that used to be merely documented.
+        // charged search must still never lose to the single-stream pipeline
+        // at any stream budget.
         let buckets = costs(&[
             (1.0, 1.9, 0.9),
             (0.0, 0.7, 0.0),
@@ -1239,12 +1168,12 @@ mod tests {
                 PriorityPolicy::SmallestFirst,
                 PriorityPolicy::NearestOutputFirst,
             ] {
-                let repaired = CollectiveScheduler::new(streams, policy)
-                    .repaired_schedule(&buckets)
+                let charged = CollectiveScheduler::new(streams, policy)
+                    .best_schedule(&buckets)
                     .makespan();
                 assert!(
-                    repaired <= pipeline + 1e-12,
-                    "{policy} at {streams} streams: repaired {repaired} lost to \
+                    charged <= pipeline + 1e-12,
+                    "{policy} at {streams} streams: charged {charged} lost to \
                      the pipeline {pipeline}"
                 );
             }

@@ -25,17 +25,14 @@
 //!   ([`CollectiveScheduler`](collective::CollectiveScheduler)) that prices
 //!   every bucketed iteration: DDP-style compression↔communication
 //!   pipelining, multi-stream schedules over gradient-arrival release
-//!   times, priority preemption of large transfers (ByteScheduler-style),
-//!   anomaly-repaired fixed
-//!   schedules, per-stream/per-bucket timelines and the analytic lower
-//!   bounds its property tests pin down;
+//!   times, priority preemption of large transfers (ByteScheduler-style), a
+//!   stream-budget search that never charges more than the pipeline,
+//!   per-stream/per-bucket timelines and the analytic lower bounds its
+//!   property tests pin down;
 //! * [`trainer`] — a real data-parallel trainer
 //!   ([`ModelTrainer`](trainer::ModelTrainer)) over the analytic models, with
 //!   per-worker error feedback, momentum, clipping and scheduled bucketed
 //!   overlap of compression and communication;
-//! * [`adaptive`] — the delay-aware ratio controller
-//!   ([`RatioController`](adaptive::RatioController)) that derives δ from a
-//!   communication-time budget;
 //! * [`metrics`] — training reports (schedule and dispatch accounting) and
 //!   the time-to-quality speed-up metric;
 //! * [`schedule`] / [`optimizer`] — learning-rate schedules, the bucket
@@ -45,12 +42,12 @@
 //!   ([`FleetScheduler`](tenancy::FleetScheduler)): concurrent jobs
 //!   arbitrating one shared wire and one shared engine pool under pluggable
 //!   [`SharePolicy`](tenancy::SharePolicy) link arbitration, with per-tenant
-//!   admission control and contention-adaptive δ.
+//!   admission control and contention-adaptive δ: a contended tenant's δ
+//!   shrinks to what its dedicated wire time affords on the stretched wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod cluster;
 pub mod collective;
 pub mod device;

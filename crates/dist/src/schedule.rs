@@ -514,9 +514,7 @@ mod tests {
 
     #[test]
     fn auto_tuned_layout_beats_single_bucket_and_excess_buckets() {
-        use crate::collective::{
-            scheduled_iteration_overhead, CollectiveScheduler, PriorityPolicy,
-        };
+        use crate::collective::{modeled_bucket_costs, CollectiveScheduler, PriorityPolicy};
         use sidco_core::layerwise::LayerLayout;
 
         let cluster = ClusterConfig::paper_dedicated();
@@ -529,23 +527,14 @@ mod tests {
         ];
         let layout = auto_bucket_layout(&layers, &cluster, kind, 0.01, &scheduler);
         assert_eq!(layout.total(), layers.iter().sum::<usize>());
-        let tuned = scheduled_iteration_overhead(&cluster, kind, 0.01, 2, &layout, &scheduler);
-        let single = scheduled_iteration_overhead(
-            &cluster,
-            kind,
-            0.01,
-            2,
-            &LayerLayout::single(layout.total()),
-            &scheduler,
-        );
-        let shredded = scheduled_iteration_overhead(
-            &cluster,
-            kind,
-            0.01,
-            2,
-            &pack_layers(&layers, layout.total() / 512),
-            &scheduler,
-        );
+        let overhead = |layout: &LayerLayout| {
+            scheduler
+                .best_schedule(&modeled_bucket_costs(&cluster, kind, 0.01, 2, layout))
+                .makespan()
+        };
+        let tuned = overhead(&layout);
+        let single = overhead(&LayerLayout::single(layout.total()));
+        let shredded = overhead(&pack_layers(&layers, layout.total() / 512));
         assert!(
             tuned <= single && tuned <= shredded,
             "tuned {tuned} vs single {single} vs 512-way {shredded}"

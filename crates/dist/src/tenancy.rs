@@ -33,11 +33,11 @@
 //!   `min(demand, per-tenant cap, pool / active jobs)` engine workers, and
 //!   once more jobs are active than the pool has workers the compression
 //!   phases stretch proportionally — the backpressure of a bounded pool.
-//! * **Tenants adapt.** Each job carries a [`RatioController`]; when its
-//!   wire requests come back stretched `s`× by contention the controller
-//!   re-derives δ for a `budget/s` effective wire budget
-//!   ([`RatioController::recommend_ratio_under_contention`]), trading
-//!   compression ratio for iteration-time stability.
+//! * **Tenants adapt.** Each job's wire budget is its dedicated wire time;
+//!   when its wire requests come back stretched `s`× by contention, δ is
+//!   re-derived as the ratio whose modelled all-gather fills a `budget/s`
+//!   budget ([`ClusterConfig::allgather_budget_bytes`]), clamped to
+//!   `[δ/20, δ]`, trading compression ratio for iteration-time stability.
 //!
 //! An iteration is charged `makespan + delay`, where `delay` is how far the
 //! shared link pushed the request past its dedicated completion
@@ -47,13 +47,13 @@
 //! `best_schedule` path — the invariant `tests/tenancy_properties.rs` pins
 //! across all three policies.
 
-use crate::adaptive::{RatioController, RatioControllerConfig};
 use crate::cluster::ClusterConfig;
 use crate::collective::{
     modeled_bucket_costs, total_wire_seconds, CollectiveScheduler, PriorityPolicy,
 };
 use crate::metrics::{jain_fairness_index, percentile};
 use crate::schedule::pack_layers;
+use crate::SPARSE_WIRE_BYTES;
 use sidco_core::compressor::CompressorKind;
 use sidco_core::layerwise::LayerLayout;
 use sidco_models::BenchmarkId;
@@ -64,6 +64,9 @@ use std::collections::HashMap;
 /// Estimation stages priced into every bucket (the two-stage SIDCo pipeline,
 /// matching the golden overlap tests).
 const STAGES: usize = 2;
+
+/// Contention never shrinks a job's δ below `δ / MAX_SQUEEZE`.
+const MAX_SQUEEZE: f64 = 20.0;
 
 /// How the shared link divides bandwidth between tenants' pending wire
 /// requests. Every policy is work-conserving — the link serves at full rate
@@ -164,13 +167,6 @@ impl JobSpec {
         self
     }
 
-    /// Sets the compressor.
-    #[must_use]
-    pub fn with_compressor(mut self, compressor: CompressorKind) -> Self {
-        self.compressor = compressor;
-        self
-    }
-
     /// Sets the priority class (lower = more important).
     #[must_use]
     pub fn with_priority_class(mut self, class: usize) -> Self {
@@ -189,13 +185,6 @@ impl JobSpec {
     #[must_use]
     pub fn with_streams(mut self, streams: usize) -> Self {
         self.streams = streams;
-        self
-    }
-
-    /// Sets the bucket-ordering policy of the job's private scheduler.
-    #[must_use]
-    pub fn with_policy(mut self, policy: PriorityPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -313,7 +302,9 @@ struct JobState {
     spec: JobSpec,
     layout: LayerLayout,
     scheduler: CollectiveScheduler,
-    controller: Option<RatioController>,
+    /// Dedicated wire seconds per iteration, the budget contention squeezes
+    /// δ against (`None` when δ is pinned or the job has no wire work).
+    wire_budget: Option<f64>,
     /// Compute seconds per iteration (same constant the trainer charges).
     compute: f64,
     /// Uncontended per-iteration latency: `compute + best_schedule` makespan
@@ -688,7 +679,7 @@ impl FleetScheduler {
     }
 
     /// Admits one job: packs its layers, builds its private stream group,
-    /// prices its dedicated iteration and hangs a ratio controller budgeted
+    /// prices its dedicated iteration and, when δ adapts, budgets its wire
     /// at the dedicated wire time.
     fn admit(&self, spec: &JobSpec) -> JobState {
         spec.validate();
@@ -713,22 +704,12 @@ impl FleetScheduler {
             1.0,
             spec.delta,
         );
-        let controller = (self.config.adapt_ratio && dedicated_wire > 0.0).then(|| {
-            RatioController::for_cluster(
-                RatioControllerConfig {
-                    comm_budget: dedicated_wire,
-                    min_ratio: spec.delta / 20.0,
-                    max_ratio: spec.delta,
-                    feedback: 0.0,
-                },
-                self.cluster.clone(),
-                bench.parameters,
-            )
-        });
+        let wire_budget =
+            (self.config.adapt_ratio && dedicated_wire > 0.0).then_some(dedicated_wire);
         JobState {
             layout,
             scheduler,
-            controller,
+            wire_budget,
             compute,
             dedicated: compute + dedicated_makespan,
             prices: HashMap::from([(
@@ -796,11 +777,15 @@ impl FleetScheduler {
             .max(1);
         let stretch = active as f64 / self.config.pool_workers as f64;
         let state = &mut states[j];
-        let delta = match &state.controller {
-            Some(controller) if state.slowdown > 1.0 => {
-                controller.recommend_ratio_under_contention(state.slowdown)
-            }
-            _ => state.spec.delta,
+        let delta = match state.wire_budget {
+            Some(budget) => squeezed_delta(
+                &self.cluster,
+                budget,
+                state.spec.benchmark.spec().parameters,
+                state.spec.delta,
+                state.slowdown,
+            ),
+            None => state.spec.delta,
         };
         let search = || {
             self.price_with(
@@ -893,7 +878,7 @@ impl FleetScheduler {
         state.clock += charge;
         // `(wire + delay) / wire` rather than measuring elapsed link time:
         // for an uncontended request `delay` is exactly 0.0, so the ratio is
-        // exactly 1.0 and the controller never perturbs δ — subtracting
+        // exactly 1.0 and contention never perturbs δ — subtracting
         // timestamps instead would leak float residue into the collapse.
         state.slowdown = if priced.wire > 0.0 {
             (priced.wire + delay) / priced.wire
@@ -983,6 +968,25 @@ impl FleetScheduler {
             }
         }
     }
+}
+
+/// The δ a job requesting `delta` runs at once its wire requests come back
+/// stretched `slowdown`× on `cluster`: the ratio whose modelled all-gather of
+/// `parameters` elements fills `budget / slowdown` wire seconds, clamped to
+/// `[delta / MAX_SQUEEZE, delta]`. Without contention (`slowdown ≤ 1`) it is
+/// `delta` bit-for-bit, which keeps a fleet of one on the dedicated path.
+fn squeezed_delta(
+    cluster: &ClusterConfig,
+    budget: f64,
+    parameters: usize,
+    delta: f64,
+    slowdown: f64,
+) -> f64 {
+    if slowdown <= 1.0 {
+        return delta;
+    }
+    let affordable = cluster.allgather_budget_bytes(budget / slowdown);
+    (affordable / (parameters as f64 * SPARSE_WIRE_BYTES)).clamp(delta / MAX_SQUEEZE, delta)
 }
 
 #[cfg(test)]
@@ -1095,6 +1099,36 @@ mod tests {
             assert!(outcome.deltas[1] < DELTA);
             assert!(outcome.deltas.iter().all(|&d| d >= DELTA / 20.0));
         }
+    }
+
+    #[test]
+    fn contention_squeezes_delta_within_its_clamp() {
+        const BUDGET: f64 = 0.002;
+        const PARAMETERS: usize = 1_000_000;
+        const REQUESTED: f64 = 0.5;
+        let squeeze = |cluster: &ClusterConfig, slowdown| {
+            squeezed_delta(cluster, BUDGET, PARAMETERS, REQUESTED, slowdown)
+        };
+        let flat = cluster();
+        // No contention is the requested δ bit-for-bit: the collapse guarantee.
+        for slowdown in [0.5, 1.0] {
+            assert_eq!(squeeze(&flat, slowdown).to_bits(), REQUESTED.to_bits());
+        }
+        // A stretched wire shrinks δ, monotonically in the stretch...
+        let doubled = squeeze(&flat, 2.0);
+        assert!(doubled < REQUESTED, "{doubled} should undercut {REQUESTED}");
+        assert!(squeeze(&flat, 4.0) < doubled);
+        // ...but never below the floor.
+        assert_eq!(squeeze(&flat, 1e9), REQUESTED / MAX_SQUEEZE);
+        // A lone worker has no all-gather to squeeze.
+        let lone = ClusterConfig::default().with_topology(
+            HierarchicalTopology::one_worker_per_node(1, NetworkModel::ethernet_25g()),
+        );
+        assert_eq!(squeeze(&lone, 2.0), REQUESTED);
+        // The hierarchy makes the same payload cheaper, so the same squeezed
+        // budget affords a larger δ.
+        let two_tier = squeeze(&ClusterConfig::paper_two_tier(), 2.0);
+        assert!(two_tier > doubled, "two-tier {two_tier} vs flat {doubled}");
     }
 
     #[test]
