@@ -1,16 +1,15 @@
 //! The parallel compression engine: an executor-backed front end that shards a
 //! gradient into deterministic fixed-size chunks and runs every stage of the
-//! fit → threshold → select → encode pipeline concurrently on a
+//! fit → threshold → select pipeline concurrently on a
 //! [`Runtime`](sidco_runtime::Runtime).
 //!
 //! Every compressor in this crate routes its hot loops through a
 //! [`CompressionEngine`] — moments for the statistical fits, threshold
-//! counts/selections, and exact Top-k via chunked partial selection. Sparse
-//! encoding ([`encode`](CompressionEngine::encode) /
-//! [`encode_varint`](CompressionEngine::encode_varint)) is offered as an
-//! engine primitive for integrations that materialise wire payloads (the
-//! simulator itself only *accounts* bytes, so no compressor calls it
-//! internally). Callers opt in to parallelism by constructing a compressor
+//! counts/selections, and exact Top-k via chunked partial selection.
+//! [`encode_varint`](CompressionEngine::encode_varint) materialises the
+//! delta-varint wire payload for integrations that send one; it runs the
+//! serial encoder, and no compressor calls it (the simulator only *accounts*
+//! bytes). Callers opt in to parallelism by constructing a compressor
 //! with [`CompressionEngine::new`]`(threads)`; the default engine is
 //! sequential unless the `SIDCO_THREADS` environment variable requests more
 //! workers.
@@ -39,56 +38,19 @@ use sidco_runtime::Runtime;
 pub use sidco_runtime::{PoolStats, RuntimeKind};
 use sidco_stats::moments::{AbsMoments, MomentNeeds, SignedMoments};
 use sidco_stats::pot::StageMoments;
-use sidco_tensor::encoding::{
-    delta_varint_encode, delta_varint_encode_on, raw_encode_on, EncodedGradient,
-};
+use sidco_tensor::encoding::{delta_varint_encode, EncodedGradient};
 use sidco_tensor::parallel::{
     abs_moments_on, count_above_threshold_on, exceedance_moments_on, select_above_threshold_on,
     signed_moments_on, top_k_on, SurvivorLists, DEFAULT_CHUNK_SIZE,
 };
 use sidco_tensor::SparseGradient;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Environment variable consulted by [`CompressionEngine::from_env`] (and thus
 /// by every compressor constructed without an explicit engine). Set it to the
 /// desired worker count, e.g. `SIDCO_THREADS=4`, to exercise the parallel path
 /// without touching call sites.
 pub const THREADS_ENV_VAR: &str = "SIDCO_THREADS";
-
-/// Number of index/value pairs per encoding shard (32Ki pairs — encoding
-/// operates on the selected survivors, which are far fewer than the dense
-/// elements the [`DEFAULT_CHUNK_SIZE`] is tuned for).
-const ENCODE_PAIRS_PER_CHUNK: usize = 1 << 15;
-
-/// Minimum index/value pairs **per engaged worker** before sharding the
-/// varint encoder pays off. Below this the shard bookkeeping (per-shard
-/// allocations, dispatch, and the concatenating copy) costs more than the
-/// encoding it parallelises: measured on 2.3M pairs, the sharded encoder ran
-/// 2–3× *slower* than serial whenever the engaged workers outnumbered the
-/// hardware threads, and the serial encoder
-/// already moves >100M pairs/s — so a worker needs a six-figure pair count
-/// to amortise its share of the overhead.
-const MIN_ENCODE_PAIRS_PER_WORKER: usize = 1 << 17;
-
-/// How many workers are worth engaging to shard-encode `nnz` pairs on a host
-/// with `host_threads` hardware threads: never more than the hardware can run
-/// concurrently (oversubscribed shards only add contention), and never so
-/// many that a worker's share drops below
-/// [`MIN_ENCODE_PAIRS_PER_WORKER`]. Returns 1 — the serial crossover
-/// fallback — for small payloads and single-core hosts.
-fn encode_worker_budget(host_threads: usize, requested: usize, nnz: usize) -> usize {
-    requested
-        .min(host_threads)
-        .min(nnz / MIN_ENCODE_PAIRS_PER_WORKER)
-        .max(1)
-}
-
-/// The host's hardware thread count, read once per process (the query is a
-/// system call, and `encode_varint` runs once per compressed layer).
-fn host_threads() -> usize {
-    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
-    *HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
 
 /// The process-wide memo behind [`CompressionEngine::from_env`]: the
 /// `SIDCO_THREADS` read is once-per-process *by design* (the executors it
@@ -296,33 +258,12 @@ impl CompressionEngine {
         top_k_on(grad, k, self.chunk_size, self.executor)
     }
 
-    /// Encodes a sparse gradient into the raw wire format, sharding the pair
-    /// stream (in chunks of the engine's configured size) across the engine's
-    /// runtime. Byte-identical to [`sidco_tensor::encoding::raw_encode`].
-    pub fn encode(&self, sparse: &SparseGradient) -> EncodedGradient {
-        let _stage = sidco_trace::global_sink().real_span("engine/encode");
-        raw_encode_on(sparse, self.chunk_size, self.executor)
-    }
-
-    /// Encodes a sparse gradient into the delta-varint wire format, sharding
-    /// the sorted index stream with per-chunk boundary-gap stitching — when
-    /// the payload clears the sharding crossover (at least one hardware
-    /// thread *and* 128Ki pairs per engaged worker). Below it the serial
-    /// encoder runs inline: sharding measured 2–3× slower than serial there,
-    /// and both paths are byte-identical anyway. Above it
-    /// there is one shard per engaged worker (never below the 32Ki-pair
-    /// grain): equal-cost shards need no finer split, and fewer shards mean
-    /// fewer allocations on the assembly path.
-    /// Byte-identical to [`sidco_tensor::encoding::delta_varint_encode`].
+    /// Encodes a sparse gradient into the delta-varint wire format.
+    /// Identical to [`sidco_tensor::encoding::delta_varint_encode`], timed
+    /// under the `engine/encode_varint` span.
     pub fn encode_varint(&self, sparse: &SparseGradient) -> EncodedGradient {
         let _stage = sidco_trace::global_sink().real_span("engine/encode_varint");
-        let workers =
-            encode_worker_budget(host_threads(), self.executor.parallelism(), sparse.nnz());
-        if workers <= 1 {
-            return delta_varint_encode(sparse);
-        }
-        let pairs_per_chunk = sparse.nnz().div_ceil(workers).max(ENCODE_PAIRS_PER_CHUNK);
-        delta_varint_encode_on(sparse, pairs_per_chunk, self.executor)
+        delta_varint_encode(sparse)
     }
 }
 
@@ -392,7 +333,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use sidco_tensor::encoding::raw_encode;
     use sidco_tensor::threshold::{count_above_threshold, select_above_threshold};
 
     fn random_gradient(n: usize, seed: u64) -> Vec<f32> {
@@ -460,56 +400,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_varint_encoding_matches_sequential_bytes() {
+    fn encode_varint_equals_delta_varint_encode() {
         use sidco_tensor::encoding::delta_varint_encode;
-        let grad = random_gradient(400_000, 29);
-        let engine = CompressionEngine::new(4);
-        let sparse = engine.select_above(&grad, 0.7);
-        // Whichever side of the sharding crossover this host lands on (the
-        // adaptive entry may run serial on small hosts), the payload must be
-        // byte-identical to the serial encoder.
-        assert!(sparse.nnz() > (1 << 15), "large enough to span shards");
-        assert_eq!(
-            engine.encode_varint(&sparse).payload(),
-            delta_varint_encode(&sparse).payload()
-        );
-    }
-
-    #[test]
-    fn encode_worker_budget_respects_the_crossover() {
-        const MIN: usize = MIN_ENCODE_PAIRS_PER_WORKER;
-        // Small payloads always fall back to serial, at any thread count.
-        assert_eq!(encode_worker_budget(8, 4, 0), 1);
-        assert_eq!(encode_worker_budget(8, 4, MIN - 1), 1);
-        // The budget grows one worker per MIN pairs...
-        assert_eq!(encode_worker_budget(8, 4, MIN), 1);
-        assert_eq!(encode_worker_budget(8, 4, 2 * MIN), 2);
-        assert_eq!(encode_worker_budget(8, 4, 3 * MIN), 3);
-        // ...capped by the request and by the hardware.
-        assert_eq!(encode_worker_budget(8, 4, 100 * MIN), 4);
-        assert_eq!(encode_worker_budget(2, 4, 100 * MIN), 2);
-        assert_eq!(encode_worker_budget(1, 4, 100 * MIN), 1);
-        // A serial request never shards, whatever the payload.
-        assert_eq!(encode_worker_budget(8, 1, 100 * MIN), 1);
-    }
-
-    #[test]
-    fn encode_varint_is_byte_identical_on_both_sides_of_the_crossover() {
-        // Below the crossover (serial fallback) and above it (sharded on
-        // hosts with the cores; still byte-identical by the stitching
-        // property), the engine's varint entry must agree with the serial
-        // encoder bit-for-bit.
-        use sidco_tensor::encoding::delta_varint_encode;
-        for (d, threshold) in [(10_000usize, 0.95), (4_000_000, 0.85)] {
+        for (d, threshold) in [(10_000usize, 0.95), (400_000, 0.7)] {
             let grad = random_gradient(d, 33);
             let sparse = select_above_threshold(&grad, threshold);
             let reference = delta_varint_encode(&sparse);
             for threads in [1usize, 2, 4] {
                 assert_eq!(
-                    CompressionEngine::new(threads)
-                        .encode_varint(&sparse)
-                        .payload(),
-                    reference.payload(),
+                    CompressionEngine::new(threads).encode_varint(&sparse),
+                    reference,
                     "d={d} threads={threads}"
                 );
             }
@@ -546,15 +446,6 @@ mod tests {
                 engine.count_above(&grad, 0.3),
                 reference.count_above(&grad, 0.3)
             );
-            let sparse = reference.select_above(&grad, 0.5);
-            assert_eq!(
-                engine.encode(&sparse).payload(),
-                reference.encode(&sparse).payload()
-            );
-            assert_eq!(
-                engine.encode_varint(&sparse).payload(),
-                reference.encode_varint(&sparse).payload()
-            );
         }
     }
 
@@ -569,17 +460,6 @@ mod tests {
         assert_eq!(
             engine.select_above(&grad, 0.25),
             select_above_threshold(&grad, 0.25)
-        );
-    }
-
-    #[test]
-    fn encode_matches_sequential_bytes() {
-        let grad = random_gradient(200_000, 13);
-        let engine = CompressionEngine::new(4);
-        let sparse = engine.select_above(&grad, 0.6);
-        assert_eq!(
-            engine.encode(&sparse).payload(),
-            raw_encode(&sparse).payload()
         );
     }
 }

@@ -283,12 +283,6 @@ impl ScheduleTimeline {
     }
 }
 
-/// The transfer (bandwidth) component every schedule must serialise: no
-/// schedule can finish before `Σ transferᵢ`.
-pub fn bandwidth_lower_bound(buckets: &[BucketCost]) -> f64 {
-    buckets.iter().map(|b| b.transfer).sum()
-}
-
 /// The first-come-first-served compression order: bucket indices sorted by
 /// `(ready_at, index)`. This is exactly the order a work-conserving serial
 /// compression processor serves arrivals in (the earliest-arrived waiting
@@ -306,11 +300,12 @@ fn compression_order(buckets: &[BucketCost]) -> Vec<usize> {
     order
 }
 
-/// The tightest analytic lower bound the model admits: the bandwidth bound,
-/// the serial compression bound (arrival-gated), and every bucket's own
+/// The tightest analytic lower bound the model admits: the bandwidth bound
+/// (no schedule finishes before [`total_wire_seconds`]), the serial
+/// compression bound (arrival-gated), and every bucket's own
 /// `compressed + latency + transfer` path.
 pub fn makespan_lower_bound(buckets: &[BucketCost]) -> f64 {
-    let mut bound = bandwidth_lower_bound(buckets);
+    let mut bound = total_wire_seconds(buckets);
     let mut frontier = 0.0f64;
     for &i in &compression_order(buckets) {
         frontier = frontier.max(buckets[i].ready_at) + buckets[i].compression;
@@ -923,7 +918,7 @@ mod tests {
             .schedule(&buckets)
             .makespan();
         assert!(four < one, "4 streams {four} should beat 1 stream {one}");
-        assert!(four >= bandwidth_lower_bound(&buckets));
+        assert!(four >= total_wire_seconds(&buckets));
     }
 
     #[test]
@@ -979,7 +974,7 @@ mod tests {
                     best <= previous + 1e-12,
                     "{policy}: budget {streams} regressed {previous} -> {best}"
                 );
-                assert!(best >= bandwidth_lower_bound(&buckets) - 1e-12);
+                assert!(best >= total_wire_seconds(&buckets) - 1e-12);
                 previous = best;
             }
         }

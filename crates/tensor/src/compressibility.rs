@@ -4,8 +4,8 @@
 //! A vector is *compressible* when its sorted magnitudes decay like a power law
 //! `g̃_j ≤ c · j^{-p}` with `p > 1/2`; the best-k approximation error then decays as
 //! `σ_k ≤ c₂ · k^{1/2 - p}`. This module estimates the decay exponent, produces the
-//! sorted-magnitude and σ_k series plotted in Figure 7, and provides a boolean
-//! compressibility check used by the synthetic gradient generator's self-tests.
+//! sorted-magnitude profile and the σ_k errors plotted in Figure 7, and provides a
+//! boolean compressibility check used by the synthetic gradient generator's self-tests.
 
 /// The sorted-magnitude profile of a gradient together with power-law diagnostics.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,13 +45,6 @@ impl CompressibilityReport {
             .map(|&x| (x as f64) * (x as f64))
             .sum();
         (tail / total).sqrt()
-    }
-
-    /// The σ_k series for a set of `k` values (the Figure 7b curve).
-    pub fn sparsification_error_series(&self, ks: &[usize]) -> Vec<(usize, f64)> {
-        ks.iter()
-            .map(|&k| (k, self.relative_sparsification_error(k)))
-            .collect()
     }
 }
 
@@ -182,11 +175,13 @@ mod tests {
     fn sparsification_error_decreases_with_k() {
         let grad = power_law_vector(10_000, 0.9, 9);
         let report = analyze(&grad, 1.0);
-        let series = report.sparsification_error_series(&[10, 100, 1_000, 9_999]);
+        let series: Vec<f64> = [10, 100, 1_000, 9_999]
+            .map(|k| report.relative_sparsification_error(k))
+            .to_vec();
         for w in series.windows(2) {
-            assert!(w[1].1 <= w[0].1, "σ_k must be non-increasing in k");
+            assert!(w[1] <= w[0], "σ_k must be non-increasing in k");
         }
-        assert!(series.last().unwrap().1 < 0.01);
+        assert!(series[3] < 0.01);
         assert!((report.relative_sparsification_error(0) - 1.0).abs() < 1e-9);
     }
 

@@ -82,11 +82,6 @@ impl GradientVector {
         self.data.iter().map(|&x| x.abs() as f64).sum()
     }
 
-    /// Maximum absolute value (0 for an empty vector).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
     /// Number of exactly-zero elements.
     pub fn count_zeros(&self) -> usize {
         self.data.iter().filter(|&&x| x == 0.0).count()
@@ -239,8 +234,6 @@ mod tests {
         let g = GradientVector::from_vec(vec![3.0, -4.0]);
         assert!((g.l2_norm() - 5.0).abs() < 1e-9);
         assert!((g.l1_norm() - 7.0).abs() < 1e-9);
-        assert_eq!(g.max_abs(), 4.0);
-        assert_eq!(GradientVector::zeros(0).max_abs(), 0.0);
         assert_eq!(
             GradientVector::from_vec(vec![0.0, 1.0, 0.0]).count_zeros(),
             2

@@ -15,8 +15,10 @@
 //! * [`sampling`] — random sub-sampling used by DGC.
 //! * [`compressibility`] — the power-law decay and σ_k analyses behind Definition 1 /
 //!   Figure 7 of the paper.
+//! * [`encoding`] — the delta-varint wire format a compressed gradient is
+//!   sent in, and its lossless decoder.
 //! * [`parallel`] — chunked multi-threaded primitives (moments, counts,
-//!   selection, partial Top-k, encoding) executed on a `sidco_runtime`
+//!   selection, partial Top-k) executed on a `sidco_runtime`
 //!   [`Runtime`](sidco_runtime::Runtime) (the persistent work-stealing pool,
 //!   or inline at one thread) for the large ImageNet-scale vectors,
 //!   bit-identical across runtimes and thread counts by construction.

@@ -4,15 +4,14 @@
 //! * every compressor must produce **bit-identical** `SparseGradient`s at
 //!   `threads = 1, 2, 7` — the inline runtime against the pool
 //!   (property-based, multi-chunk decompositions);
-//! * every parallel primitive (`*_on`, including both sharded encoders) must
-//!   be bit-identical on the inline runtime, the scoped-thread reference
+//! * every parallel primitive (`*_on`) must be bit-identical on the inline runtime, the scoped-thread reference
 //!   executor (`oracle::ScopedOracle`) and a private 4-worker `WorkStealing`
 //!   pool;
 //! * the reference executor itself honours the `Runtime` contract;
 //! * the pool must spawn its OS workers exactly once per engine lifetime —
 //!   repeated `compress` calls reuse them (asserted via pool stats);
-//! * the parallel delta-varint encoder must be byte-identical to the serial
-//!   encoder at 1/2/7 workers;
+//! * the engine's delta-varint payload must round-trip losslessly and be
+//!   byte-identical to the serial encoder at 1/2/7 workers;
 //! * overlapped (bucketed, pipelined) trainer runs must converge identically
 //!   to serial runs and only differ in simulated time.
 //!
@@ -33,7 +32,7 @@ use sidco::core::engine::{CompressionEngine, RuntimeKind};
 use sidco::prelude::*;
 use sidco::runtime::{handle, WorkStealing};
 use sidco::stats::moments::MomentNeeds;
-use sidco::tensor::encoding::{delta_varint_encode, delta_varint_encode_on, raw_encode_on};
+use sidco::tensor::encoding::{delta_varint_decode, delta_varint_encode};
 use sidco::tensor::parallel::{
     abs_moments_on, count_above_threshold_on, exceedance_moments_on, map_chunks_on,
     select_above_threshold_on, signed_moments_on, top_k_on,
@@ -112,18 +111,18 @@ proptest! {
     }
 
     #[test]
-    fn parallel_delta_varint_is_byte_identical_at_every_worker_count(
+    fn engine_varint_roundtrips_at_every_worker_count(
         grad in gradient_strategy(),
         threshold in 0.0f64..0.4,
     ) {
         let sparse = sidco::tensor::threshold::select_above_threshold(&grad, threshold);
         let reference = delta_varint_encode(&sparse);
+        // The selection is index-sorted, so the decode equals it exactly.
+        prop_assert_eq!(delta_varint_decode(&reference), Some(sparse.clone()));
         for workers in [1usize, 2, 7] {
-            // 17-pair shards split the gap stream mid-run on these inputs.
-            let parallel =
-                delta_varint_encode_on(&sparse, 17, handle(RuntimeKind::Pool, workers));
+            let encoded = CompressionEngine::new(workers).encode_varint(&sparse);
             prop_assert!(
-                parallel.payload() == reference.payload(),
+                encoded == reference,
                 "varint stream differs at {workers} workers"
             );
         }
@@ -153,8 +152,6 @@ proptest! {
                     )
                 ),
                 top_k_on(&grad, k, chunk, runtime),
-                raw_encode_on(&sparse, 17, runtime).payload().to_vec(),
-                delta_varint_encode_on(&sparse, 17, runtime).payload().to_vec(),
                 sparse,
             )
         };

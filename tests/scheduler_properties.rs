@@ -66,7 +66,7 @@ use oracle::{pipelined_overhead, StripedTopology};
 use proptest::prelude::*;
 use sidco::prelude::*;
 use sidco_dist::collective::{
-    bandwidth_lower_bound, makespan_lower_bound, modeled_bucket_costs, BucketCost,
+    makespan_lower_bound, modeled_bucket_costs, total_wire_seconds, BucketCost,
     CollectiveScheduler, PriorityPolicy, ScheduleTimeline,
 };
 use sidco_dist::device::ComputeDevice;
@@ -265,9 +265,9 @@ proptest! {
             let makespan = CollectiveScheduler::new(streams, policy).schedule(&buckets).makespan();
             let eps = tol(serial);
             prop_assert!(
-                makespan >= bandwidth_lower_bound(&buckets) - eps,
+                makespan >= total_wire_seconds(&buckets) - eps,
                 "makespan {makespan} under bandwidth bound {}",
-                bandwidth_lower_bound(&buckets)
+                total_wire_seconds(&buckets)
             );
             prop_assert!(
                 makespan >= makespan_lower_bound(&buckets) - eps,
