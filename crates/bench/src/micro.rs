@@ -4,7 +4,7 @@
 //! Two complementary measurements are reported:
 //!
 //! * **modelled** GPU/CPU latencies from the calibrated
-//!   [`DeviceProfile`](sidco_dist::device::DeviceProfile) cost model at the
+//!   [`DeviceProfile`] cost model at the
 //!   benchmark's full parameter count (reproducing the figure's y-axes), and
 //! * **measured** wall-clock CPU time of this crate's real implementations on a
 //!   scaled-down gradient (ground truth for the relative ordering).

@@ -69,12 +69,8 @@ pub trait Compressor: Send {
     fn reset(&mut self) {}
 
     /// The [`CompressorKind`] this implementation realises, so cost models can
-    /// charge the right scheme without being told out-of-band. `None` for a
-    /// composite outside the paper's evaluated taxonomy (the layerwise
-    /// wrapper) — callers needing a kind for it must require one explicitly.
-    fn kind(&self) -> Option<CompressorKind> {
-        None
-    }
+    /// charge the right scheme without being told out-of-band.
+    fn kind(&self) -> CompressorKind;
 }
 
 /// How a requested ratio δ is served (see the

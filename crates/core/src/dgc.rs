@@ -181,8 +181,8 @@ impl Compressor for DgcCompressor {
         "dgc"
     }
 
-    fn kind(&self) -> Option<CompressorKind> {
-        Some(CompressorKind::Dgc)
+    fn kind(&self) -> CompressorKind {
+        CompressorKind::Dgc
     }
 
     fn reset(&mut self) {

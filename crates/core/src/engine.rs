@@ -1,7 +1,7 @@
 //! The parallel compression engine: an executor-backed front end that shards a
 //! gradient into deterministic fixed-size chunks and runs every stage of the
 //! fit → threshold → select pipeline concurrently on a
-//! [`Runtime`](sidco_runtime::Runtime).
+//! [`Runtime`].
 //!
 //! Every compressor in this crate routes its hot loops through a
 //! [`CompressionEngine`] — moments for the statistical fits, threshold

@@ -121,8 +121,8 @@ impl Compressor for GaussianKSgdCompressor {
         "gaussian-ksgd"
     }
 
-    fn kind(&self) -> Option<CompressorKind> {
-        Some(CompressorKind::GaussianKSgd)
+    fn kind(&self) -> CompressorKind {
+        CompressorKind::GaussianKSgd
     }
 }
 

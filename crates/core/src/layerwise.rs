@@ -1,14 +1,10 @@
-//! Per-layer (per-tensor) compression.
+//! Per-layer (per-tensor) bucket layouts.
 //!
 //! Real frameworks compress each layer's gradient tensor separately — that is how
 //! the paper's Horovod integration works and why its micro-benchmarks sweep tensor
-//! sizes from 0.26M to 260M elements. [`LayerwiseCompressor`] wraps any flat-vector
-//! [`Compressor`] and applies it independently to each segment of a
-//! [`LayerLayout`], concatenating the per-layer selections back into one sparse
-//! gradient over the full parameter vector.
-
-use crate::compressor::{CompressionResult, Compressor};
-use sidco_tensor::SparseGradient;
+//! sizes from 0.26M to 260M elements. A [`LayerLayout`] names the consecutive
+//! segments of a flat parameter vector; the data-parallel trainer in `sidco-dist`
+//! keeps one compressor per segment and compresses each one independently.
 
 /// The sizes of the consecutive layers making up a flat parameter vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,105 +74,9 @@ impl LayerLayout {
     }
 }
 
-/// Applies an independent compressor instance to every layer of a flat gradient.
-///
-/// # Example
-///
-/// ```
-/// use sidco_core::layerwise::{LayerLayout, LayerwiseCompressor};
-/// use sidco_core::prelude::*;
-///
-/// let layout = LayerLayout::new(vec![100, 400, 500]);
-/// let mut compressor = LayerwiseCompressor::new(layout, || Box::new(TopKCompressor::new()));
-/// let grad: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) / 1000.0).collect();
-/// let result = compressor.compress(&grad, 0.01);
-/// // Each layer contributes ceil(1% of its size) elements: 1 + 4 + 5.
-/// assert_eq!(result.sparse.nnz(), 10);
-/// ```
-pub struct LayerwiseCompressor {
-    layout: LayerLayout,
-    per_layer: Vec<Box<dyn Compressor>>,
-}
-
-impl LayerwiseCompressor {
-    /// Creates a layer-wise compressor, instantiating one inner compressor per layer
-    /// from the factory (each layer keeps its own adaptive state, exactly as the
-    /// per-tensor hooks of the reference implementation do).
-    pub fn new<F>(layout: LayerLayout, factory: F) -> Self
-    where
-        F: Fn() -> Box<dyn Compressor>,
-    {
-        let per_layer = (0..layout.len()).map(|_| factory()).collect();
-        Self { layout, per_layer }
-    }
-
-    /// The layer layout.
-    pub fn layout(&self) -> &LayerLayout {
-        &self.layout
-    }
-}
-
-impl std::fmt::Debug for LayerwiseCompressor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LayerwiseCompressor")
-            .field("layout", &self.layout)
-            .field("layers", &self.per_layer.len())
-            .finish()
-    }
-}
-
-impl Compressor for LayerwiseCompressor {
-    fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult {
-        assert_eq!(
-            grad.len(),
-            self.layout.total(),
-            "gradient length {} does not match the layout total {}",
-            grad.len(),
-            self.layout.total()
-        );
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        let mut last_threshold = None;
-        let mut max_stages = None;
-        let segments: Vec<(usize, usize)> = self.layout.segments().collect();
-        for ((offset, size), compressor) in segments.into_iter().zip(self.per_layer.iter_mut()) {
-            let segment = &grad[offset..offset + size];
-            let result = compressor.compress(segment, delta);
-            last_threshold = result.threshold.or(last_threshold);
-            max_stages = match (max_stages, result.stages_used) {
-                (Some(a), Some(b)) => Some(std::cmp::max::<usize>(a, b)),
-                (a, b) => b.or(a),
-            };
-            for (i, v) in result.sparse.iter() {
-                indices.push(offset as u32 + i);
-                values.push(v);
-            }
-        }
-        CompressionResult {
-            sparse: SparseGradient::new(indices, values, grad.len()),
-            threshold: last_threshold,
-            stages_used: max_stages,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "layerwise"
-    }
-
-    fn reset(&mut self) {
-        for compressor in &mut self.per_layer {
-            compressor.reset();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sidco::{SidcoCompressor, SidcoConfig};
-    use crate::topk::TopKCompressor;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn layout_construction_and_segments() {
@@ -196,97 +96,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn layout_rejects_empty_layers() {
         LayerLayout::new(vec![3, 0, 2]);
-    }
-
-    #[test]
-    fn per_layer_topk_selects_within_each_layer() {
-        // One layer has tiny magnitudes; per-layer compression still selects from it,
-        // unlike a global Top-k which would starve it.
-        let mut grad = vec![0.0f32; 200];
-        for (i, value) in grad.iter_mut().enumerate() {
-            *value = if i < 100 {
-                1.0 + i as f32
-            } else {
-                0.001 * (i as f32 - 99.0)
-            };
-        }
-        let layout = LayerLayout::new(vec![100, 100]);
-        let mut layerwise = LayerwiseCompressor::new(layout, || Box::new(TopKCompressor::new()));
-        let result = layerwise.compress(&grad, 0.1);
-        assert_eq!(result.sparse.nnz(), 20);
-        let from_second_layer = result
-            .sparse
-            .indices()
-            .iter()
-            .filter(|&&i| i >= 100)
-            .count();
-        assert_eq!(
-            from_second_layer, 10,
-            "each layer contributes its own top-10%"
-        );
-        assert_eq!(layerwise.name(), "layerwise");
-        assert_eq!(layerwise.layout().len(), 2);
-
-        // Global Top-k starves the small-magnitude layer entirely.
-        let mut global = TopKCompressor::new();
-        let global_result = global.compress(&grad, 0.1);
-        let global_from_second = global_result
-            .sparse
-            .indices()
-            .iter()
-            .filter(|&&i| i >= 100)
-            .count();
-        assert_eq!(global_from_second, 0);
-    }
-
-    #[test]
-    fn values_map_back_to_global_positions() {
-        // Laplace-like magnitudes so the statistical estimator has a realistic tail
-        // to fit (uniform data is the worst case for any SID).
-        let mut rng = SmallRng::seed_from_u64(81);
-        let grad: Vec<f32> = (0..5_000)
-            .map(|_| {
-                let u: f32 = rng.gen_range(-1.0f32..1.0);
-                u.signum() * (1.0 - u.abs()).max(1e-6).ln() * -0.01
-            })
-            .collect();
-        let layout = LayerLayout::uniform(grad.len(), 7);
-        let mut layerwise = LayerwiseCompressor::new(layout, || {
-            Box::new(SidcoCompressor::new(SidcoConfig::exponential()))
-        });
-        // Let each layer's stage controller settle, then check the mapping.
-        let mut result = layerwise.compress(&grad, 0.05);
-        for _ in 0..11 {
-            result = layerwise.compress(&grad, 0.05);
-        }
-        assert!(result.sparse.nnz() > 0);
-        for (i, v) in result.sparse.iter() {
-            assert_eq!(grad[i as usize], v);
-        }
-        assert!(result.stages_used.unwrap_or(0) >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn length_mismatch_panics() {
-        let layout = LayerLayout::new(vec![10]);
-        let mut layerwise = LayerwiseCompressor::new(layout, || Box::new(TopKCompressor::new()));
-        layerwise.compress(&[0.0; 5], 0.1);
-    }
-
-    #[test]
-    fn reset_propagates_to_every_layer() {
-        let layout = LayerLayout::uniform(1_000, 4);
-        let mut layerwise = LayerwiseCompressor::new(layout, || {
-            Box::new(SidcoCompressor::new(SidcoConfig::exponential()))
-        });
-        let grad: Vec<f32> = (0..1_000).map(|i| (i as f32).sin()).collect();
-        for _ in 0..6 {
-            layerwise.compress(&grad, 0.01);
-        }
-        layerwise.reset();
-        // After a reset the compressor still works and produces a valid result.
-        let result = layerwise.compress(&grad, 0.01);
-        assert_eq!(result.sparse.dense_len(), 1_000);
     }
 }

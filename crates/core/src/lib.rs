@@ -4,7 +4,7 @@
 //! *sparsifiers* that estimate a Top-k-equivalent threshold from a statistical fit of
 //! the gradient instead of selecting the Top-k elements exactly:
 //!
-//! * [`SidcoCompressor`](sidco::SidcoCompressor) — the multi-stage threshold
+//! * [`SidcoCompressor`] — the multi-stage threshold
 //!   estimator of Algorithm 1, available with three sparsity-inducing distributions
 //!   (double exponential, double gamma → generalized Pareto, double generalized
 //!   Pareto) and an adaptive stage-count controller.
@@ -14,12 +14,10 @@
 //!   [`RandomKCompressor`](randomk::RandomKCompressor). With the three SIDCo
 //!   variants these are the eight schemes the paper evaluates
 //!   ([`CompressorKind::EVALUATED`]).
-//! * [`LayerwiseCompressor`](layerwise::LayerwiseCompressor) — runs any of
-//!   them independently on each layer of a flat parameter vector.
-//! * [`ErrorFeedback`](error_feedback::ErrorFeedback) — the EC memory that adds the
+//! * [`ErrorFeedback`] — the EC memory that adds the
 //!   previous iteration's sparsification residual back into the gradient before
 //!   compression.
-//! * [`CompressionEngine`](engine::CompressionEngine) — the sharded parallel
+//! * [`CompressionEngine`] — the sharded parallel
 //!   executor every compressor routes its hot loops through; opt in with a
 //!   thread count (or `SIDCO_THREADS`), outputs are bit-identical across
 //!   thread counts.
@@ -69,7 +67,7 @@ pub mod prelude {
     pub use crate::engine::CompressionEngine;
     pub use crate::error_feedback::ErrorFeedback;
     pub use crate::gaussian::GaussianKSgdCompressor;
-    pub use crate::layerwise::{LayerLayout, LayerwiseCompressor};
+    pub use crate::layerwise::LayerLayout;
     pub use crate::metrics::EstimationQualityTracker;
     pub use crate::randomk::RandomKCompressor;
     pub use crate::redsync::RedSyncCompressor;

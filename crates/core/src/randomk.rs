@@ -64,8 +64,8 @@ impl Compressor for RandomKCompressor {
         "randomk"
     }
 
-    fn kind(&self) -> Option<CompressorKind> {
-        Some(CompressorKind::RandomK)
+    fn kind(&self) -> CompressorKind {
+        CompressorKind::RandomK
     }
 
     fn reset(&mut self) {

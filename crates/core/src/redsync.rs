@@ -127,8 +127,8 @@ impl Compressor for RedSyncCompressor {
         "redsync"
     }
 
-    fn kind(&self) -> Option<CompressorKind> {
-        Some(CompressorKind::RedSync)
+    fn kind(&self) -> CompressorKind {
+        CompressorKind::RedSync
     }
 }
 

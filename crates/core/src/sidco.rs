@@ -20,16 +20,20 @@ use sidco_tensor::parallel::SurvivorLists;
 use sidco_tensor::SparseGradient;
 use std::cell::Cell;
 
+/// First-stage compression ratio `δ₁` (0.25 in the paper): the first fit's
+/// threshold keeps this share of the gradient, and each later stage refits only
+/// those exceedances. The device cost model reads it too, to price the refits.
+pub const FIRST_STAGE_RATIO: f64 = 0.25;
+
 /// Configuration of the SIDCo compressor.
 ///
-/// The defaults are the paper's evaluation settings: first-stage ratio `δ₁ = 0.25`,
-/// error tolerance `ε = 20%`, adaptation window `Q = 5` iterations.
+/// The defaults are the paper's evaluation settings: error tolerance `ε = 20%` and
+/// adaptation window `Q = 5` iterations (the first-stage ratio is
+/// [`FIRST_STAGE_RATIO`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SidcoConfig {
     /// Which sparsity-inducing distribution to fit.
     pub sid: SidKind,
-    /// First-stage compression ratio `δ₁` (0.25 in the paper).
-    pub first_stage_ratio: f64,
     /// Upper estimation-error tolerance `ε_H`: if the running-average achieved ratio
     /// exceeds `(1 + ε_H) · δ`, a stage is removed.
     pub epsilon_high: f64,
@@ -65,7 +69,6 @@ impl SidcoConfig {
     pub fn for_sid(sid: SidKind) -> Self {
         Self {
             sid,
-            first_stage_ratio: 0.25,
             epsilon_high: 0.2,
             epsilon_low: 0.2,
             adaptation_period: 5,
@@ -83,11 +86,6 @@ impl SidcoConfig {
     /// Validates the configuration, panicking with a descriptive message when a
     /// field is outside its domain. Called by [`SidcoCompressor::new`].
     fn validate(&self) {
-        assert!(
-            self.first_stage_ratio > 0.0 && self.first_stage_ratio < 1.0,
-            "first_stage_ratio must lie in (0,1), got {}",
-            self.first_stage_ratio
-        );
         assert!(
             (0.0..1.0).contains(&self.epsilon_high) && (0.0..1.0).contains(&self.epsilon_low),
             "tolerances must lie in [0,1)"
@@ -238,7 +236,7 @@ impl SidcoCompressor {
             grad,
             self.config.sid,
             delta,
-            self.config.first_stage_ratio,
+            FIRST_STAGE_RATIO,
             self.stages,
             backend,
         )
@@ -358,8 +356,8 @@ impl Compressor for SidcoCompressor {
         self.ratio_samples = 0;
     }
 
-    fn kind(&self) -> Option<CompressorKind> {
-        Some(CompressorKind::Sidco(self.config.sid))
+    fn kind(&self) -> CompressorKind {
+        CompressorKind::Sidco(self.config.sid)
     }
 }
 
@@ -393,10 +391,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "first_stage_ratio")]
+    #[should_panic(expected = "initial_stages must not exceed max_stages")]
     fn invalid_config_panics() {
         SidcoCompressor::new(SidcoConfig {
-            first_stage_ratio: 1.5,
+            initial_stages: 3,
+            max_stages: 2,
             ..SidcoConfig::default()
         });
     }

@@ -60,8 +60,8 @@ impl Compressor for TopKCompressor {
         "topk"
     }
 
-    fn kind(&self) -> Option<CompressorKind> {
-        Some(CompressorKind::TopK)
+    fn kind(&self) -> CompressorKind {
+        CompressorKind::TopK
     }
 }
 

@@ -722,22 +722,6 @@ pub fn with_ready_times(mut costs: Vec<BucketCost>, ready: &[f64]) -> Vec<Bucket
     costs
 }
 
-/// The order in which a compression stream can first touch buckets: bucket
-/// indices sorted by release time, earliest first, ties broken by ascending
-/// index. With zero arrivals (arrival-oblivious charging) this is plain index
-/// order; with [`bucket_ready_times`](crate::schedule::bucket_ready_times)
-/// release times — non-increasing in the bucket index — it is the
-/// output-side-first order the backward pass produces gradients in. The
-/// pool-backed trainer dispatches its per-bucket compression jobs in exactly
-/// this order, so the executed pipeline mirrors the modeled one.
-pub fn release_order(ready: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..ready.len()).collect();
-    // total_cmp: a total order even on NaN release times (which upstream
-    // asserts reject anyway), so no partial-comparison escape hatch needed.
-    order.sort_by(|&a, &b| ready[a].total_cmp(&ready[b]).then(a.cmp(&b)));
-    order
-}
-
 /// Total transfer (bandwidth-serialised) seconds of a cost set — the wire
 /// work one iteration presents to the link. Latency terms are excluded: they
 /// overlap with other streams inside a job's own schedule, but the transfer
@@ -1236,15 +1220,19 @@ mod tests {
     }
 
     #[test]
-    fn release_order_sorts_by_arrival_with_index_ties() {
+    fn compression_order_sorts_by_arrival_with_index_ties() {
+        let order = |ready: &[f64]| {
+            let raw: Vec<_> = ready.iter().map(|&r| (r, 1.0, 0.0, 1.0)).collect();
+            compression_order(&costs_with_arrivals(&raw))
+        };
         // Zero arrivals (arrival-oblivious) degrade to plain index order.
-        assert_eq!(release_order(&[0.0, 0.0, 0.0]), vec![0, 1, 2]);
-        assert_eq!(release_order(&[]), Vec::<usize>::new());
+        assert_eq!(order(&[0.0, 0.0, 0.0]), vec![0, 1, 2]);
+        assert_eq!(order(&[]), Vec::<usize>::new());
         // Output-side-first arrivals (non-increasing in the bucket index)
-        // release the last bucket first.
-        assert_eq!(release_order(&[3.0, 2.0, 0.5]), vec![2, 1, 0]);
+        // serve the last bucket first.
+        assert_eq!(order(&[3.0, 2.0, 0.5]), vec![2, 1, 0]);
         // Ties broken by ascending index, mixed arrivals sorted stably.
-        assert_eq!(release_order(&[1.0, 0.0, 1.0, 0.0]), vec![1, 3, 0, 2]);
+        assert_eq!(order(&[1.0, 0.0, 1.0, 0.0]), vec![1, 3, 0, 2]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! importantly — so every *ratio* between schemes matches the figures.
 
 use sidco_core::compressor::CompressorKind;
+use sidco_core::sidco::FIRST_STAGE_RATIO;
 
 /// Where compression runs (Figure 12 contrasts the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,10 +167,12 @@ impl DeviceProfile {
             // geometrically shrinking exceedance set, then the selection scan.
             CompressorKind::Sidco(_) => {
                 let stages = stages.max(1);
-                // First-stage ratio δ₁ = 0.25 bounds every refit's input.
+                // The first-stage ratio δ₁ bounds every refit's input.
                 // INVARIANT: `s < stages` and stage counts are tiny (≤ 64 by
                 // construction), so the usize→i32 exponent cast cannot wrap.
-                let refit_elements: f64 = (1..stages).map(|s| d * 0.25f64.powi(s as i32)).sum();
+                let refit_elements: f64 = (1..stages)
+                    .map(|s| d * FIRST_STAGE_RATIO.powi(s as i32))
+                    .sum();
                 self.pass_with(dim, w)
                     + self.pass_cost * refit_elements / w as f64
                     + self.pass_with(dim, w)

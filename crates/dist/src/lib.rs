@@ -4,15 +4,15 @@
 //! workloads in `sidco-models`:
 //!
 //! * [`cluster`] — cluster topologies ([`ClusterConfig`](cluster::ClusterConfig)):
-//!   worker count and one [`NodeProfile`](network::NodeProfile) per machine
+//!   worker count and one [`NodeProfile`] per machine
 //!   (NIC, compression device, compute slowdown), including the paper's
 //!   three testbeds;
 //! * [`network`] — the α–β cost model of the collectives
 //!   ([`NetworkModel`]): dense ring all-reduce for the baseline, sparse ring
 //!   all-gather for compressed gradients, and two-tier hierarchical
-//!   collectives ([`HierarchicalTopology`](network::HierarchicalTopology)):
+//!   collectives ([`HierarchicalTopology`]):
 //!   intra-node reduce-scatter feeding an inter-node exchange charged at the
-//!   slowest node's [`NodeProfile`](network::NodeProfile) (NIC model × rails);
+//!   slowest node's [`NodeProfile`] (NIC model × rails);
 //! * [`device`] — calibrated GPU/CPU compression-latency models
 //!   ([`DeviceProfile`](device::DeviceProfile)) behind Figures 1 and 14–17,
 //!   engine-aware so a multi-threaded
@@ -22,7 +22,7 @@
 //!   ([`simulate_benchmark`](simulate::simulate_benchmark)): real compression
 //!   on a measured gradient, analytic costs at full scale;
 //! * [`collective`] — the async collective scheduler
-//!   ([`CollectiveScheduler`](collective::CollectiveScheduler)) that prices
+//!   ([`CollectiveScheduler`]) that prices
 //!   every bucketed iteration: DDP-style compression↔communication
 //!   pipelining, multi-stream schedules over gradient-arrival release
 //!   times, priority preemption of large transfers (ByteScheduler-style), a
@@ -39,9 +39,9 @@
 //!   sizing policy (layer-aligned, α–β-auto-tuned), and the Table-1 local
 //!   optimizers;
 //! * [`tenancy`] — the multi-tenant compression service
-//!   ([`FleetScheduler`](tenancy::FleetScheduler)): concurrent jobs
+//!   ([`FleetScheduler`]): concurrent jobs
 //!   arbitrating one shared wire and one shared engine pool under pluggable
-//!   [`SharePolicy`](tenancy::SharePolicy) link arbitration, with per-tenant
+//!   [`SharePolicy`] link arbitration, with per-tenant
 //!   admission control and contention-adaptive δ: a contended tenant's δ
 //!   shrinks to what its dedicated wire time affords on the stretched wire.
 

@@ -50,12 +50,12 @@ pub struct TrainingSample {
 /// How the trainer *executed* its work, as opposed to how the cost model
 /// charged it: which runtime ran the jobs, how wide it was, and what the
 /// work-stealing pool observed while doing it. Every executed phase of a run
-/// is a fan-out on the same executor — per iteration one forward/backward
+/// is one fan-out on the same executor — per iteration one forward/backward
 /// round (one task per worker) and one compression round (one task per
-/// (worker, bucket) cell), then one final round of two tasks (evaluate and
-/// accuracy). Attached to [`TrainingReport`] by compressed runs so the
-/// modeled schedule ([`crate::collective`]) can be checked against real
-/// concurrent execution.
+/// (worker, bucket) cell, in index order), then one final round of two tasks
+/// (evaluate and accuracy). Bucket ordering is a property of the modeled
+/// schedule ([`crate::collective`]), not of the execution, so this report
+/// carries none. Attached to [`TrainingReport`] by compressed runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchReport {
     /// Executor every round ran on: `"pool"`, or `"inline"` for a
@@ -69,14 +69,6 @@ pub struct DispatchReport {
     /// (`workers × buckets` of the final fleet); the forward/backward and
     /// evaluation tasks are not counted here.
     pub tasks_per_job: usize,
-    /// Bucket order the jobs were released in — the gradient-arrival order
-    /// from [`release_order`](crate::collective::release_order), matching the
-    /// modeled compression stream.
-    pub dispatch_order: Vec<usize>,
-    /// Bucket order in which the last iteration's buckets actually finished
-    /// all their per-worker compressions (steal-order dependent; every bucket
-    /// appears exactly once).
-    pub completion_order: Vec<usize>,
     /// Pool counters accumulated over the run (dispatches, steals, parks),
     /// diffed against the pre-run snapshot when the executor is the shared
     /// process-wide pool. They count every round of the run — the

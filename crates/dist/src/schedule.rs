@@ -257,7 +257,7 @@ fn sweep_bucket_layouts(
 
 /// Aggregates per-layer backward-pass timings into per-bucket gradient
 /// release times for `layout` — the `ready_at` feed of the arrival-aware
-/// [`CollectiveScheduler`](crate::collective::CollectiveScheduler).
+/// [`CollectiveScheduler`].
 ///
 /// The backward pass runs **output-to-input**: with `backward_costs[ℓ]` the
 /// relative backward cost of layer `ℓ` (flat input-first order, e.g.

@@ -7,10 +7,9 @@
 //! device models, so loss-vs-time curves (Figure 10) come out of one run.
 //!
 //! Gradients can be compressed as one flat vector (the default) or split into
-//! DDP-style buckets: near-uniform ([`TrainerConfig::buckets`]), along the
-//! model's real layer boundaries or auto-tuned against the α–β network model
-//! ([`TrainerConfig::bucket_policy`]), or fully explicit
-//! ([`TrainerConfig::bucket_layout`]).
+//! DDP-style buckets: near-uniform ([`TrainerConfig::buckets`]), or along the
+//! model's real layer boundaries, optionally auto-tuned against the α–β
+//! network model ([`TrainerConfig::bucket_policy`]).
 //!
 //! Every compressed iteration is priced on one path through the
 //! [`collective`](crate::collective) scheduler. A single-stream FIFO schedule
@@ -31,21 +30,19 @@
 //! overlapped, multi-stream, arrival-aware and serial runs of the same
 //! bucketing converge bit-identically and differ purely in simulated time.
 //!
-//! Every iteration executes as fan-outs on one executor (the shared pool, or
-//! inline at one thread): phase 1 runs each worker's mini-batch sampling,
-//! forward/backward pass, clipping and error-feedback read as one job over
-//! a gradient buffer that worker keeps across iterations; phase 2 runs each
-//! (worker, bucket) compression as one job; phase 3 merges serially. The
-//! final full-dataset evaluate and accuracy run as two more jobs. Every job
-//! owns its worker's (or cell's) state, and everything crossing workers —
-//! the loss sum, the dense or sparse aggregation, the quality series — is
-//! reduced after the join in worker order, so a run is bit-identical at any
-//! thread count and steal order.
+//! Every iteration executes as fan-outs on one executor (the shared pool,
+//! or inline at one thread): phase 1 runs each worker's mini-batch
+//! sampling, forward/backward pass, clipping and error-feedback read as one
+//! job over a gradient buffer that worker keeps across iterations; phase 2
+//! runs each (worker, bucket) compression as one job, in index order; phase
+//! 3 merges serially. The final full-dataset evaluate and accuracy run as
+//! two more jobs. Every job owns its worker's (or cell's) state, and
+//! everything crossing workers — the loss sum, the dense or sparse
+//! aggregation, the quality series — is reduced after the join in worker
+//! order, so a run is bit-identical at any thread count and steal order.
 
 use crate::cluster::ClusterConfig;
-use crate::collective::{
-    release_order, BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleAccounting,
-};
+use crate::collective::{BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleAccounting};
 use crate::metrics::{DispatchReport, RescaleRecord, TrainingReport, TrainingSample};
 use crate::optimizer::Optimizer;
 use crate::schedule::{
@@ -58,7 +55,7 @@ use sidco_core::layerwise::LayerLayout;
 use sidco_core::metrics::EstimationQualityTracker;
 use sidco_core::{CompressionEngine, CompressionResult, Compressor, CompressorKind, ErrorFeedback};
 use sidco_models::DifferentiableModel;
-use sidco_runtime::{BucketRendezvous, Runtime, RuntimeKind};
+use sidco_runtime::{Runtime, RuntimeKind};
 use sidco_tensor::{GradientVector, SparseGradient};
 use sidco_trace::{Lane, TraceSession, TraceSink, VirtualClock};
 use std::sync::{Arc, Mutex};
@@ -122,21 +119,17 @@ pub struct TrainerConfig {
     /// Which scheme the simulated compression-latency model charges for.
     /// `None` asks the factory passed to [`ModelTrainer::new`] — a probe
     /// compressor's [`Compressor::kind`] — so Top-k factories are charged as
-    /// Top-k without any out-of-band hint; only when the compressor does not
-    /// report a kind does the model fall back to a generic two-pass threshold
-    /// scheme. Set it explicitly to override the factory's self-description
-    /// (e.g. to price a custom compressor as a known scheme).
+    /// Top-k without any out-of-band hint. Set it explicitly to override the
+    /// factory's self-description (e.g. to price one scheme as another).
     pub compressor_kind: Option<CompressorKind>,
     /// Number of near-equal gradient buckets compressed (and communicated)
     /// independently per iteration, DDP-style. 1 compresses the flat gradient
-    /// in one piece. Used by [`BucketPolicy::Uniform`]; ignored when
-    /// [`bucket_layout`](Self::bucket_layout) is set or another policy is
-    /// selected.
+    /// in one piece. Used by [`BucketPolicy::Uniform`]; ignored under
+    /// another policy.
     pub buckets: usize,
-    /// How buckets are derived when no explicit layout is given:
-    /// near-uniform ([`BucketPolicy::Uniform`], the default), one bucket per
-    /// model layer ([`BucketPolicy::PerLayer`]), or layer-aligned buckets
-    /// auto-tuned against the cluster's α–β model
+    /// How buckets are derived: near-uniform ([`BucketPolicy::Uniform`], the
+    /// default), one bucket per model layer ([`BucketPolicy::PerLayer`]), or
+    /// layer-aligned buckets auto-tuned against the cluster's α–β model
     /// ([`BucketPolicy::AutoTuned`]). Auto-tuning always optimises the
     /// *overlapped* schedule under [`streams`](Self::streams) and
     /// [`priority`](Self::priority) — even when [`overlap`](Self::overlap)
@@ -144,11 +137,6 @@ pub struct TrainerConfig {
     /// overlapped run on the same bucketing (serial charging itself would
     /// always prefer one flat bucket).
     pub bucket_policy: BucketPolicy,
-    /// Explicit per-layer bucket sizes (must sum to the model's parameter
-    /// count). Overrides [`buckets`](Self::buckets) and
-    /// [`bucket_policy`](Self::bucket_policy) so callers can bucket along
-    /// arbitrary boundaries.
-    pub bucket_layout: Option<LayerLayout>,
     /// Overlap compression of bucket `i + 1` with communication of bucket `i`
     /// in the cost model. Has no effect on the numerics — only on simulated
     /// time — and no effect at all with a single bucket.
@@ -173,11 +161,10 @@ pub struct TrainerConfig {
     /// [`PriorityPolicy::NearestOutputFirst`] transmitting buckets in their
     /// genuine arrival order. Release times come from
     /// [`DifferentiableModel::layer_backward_costs`] aggregated through
-    /// [`bucket_ready_times`](crate::schedule::bucket_ready_times). Off (the
-    /// default), every bucket is ready at schedule start and charging is
-    /// bit-identical to the arrival-oblivious model. Like
-    /// [`overlap`](Self::overlap) this only moves simulated time, never the
-    /// numerics. Charging reads it only when `overlap` is on; the
+    /// [`bucket_ready_times`]. Off (the default), every bucket is ready at
+    /// schedule start and charging is bit-identical to the arrival-oblivious
+    /// model. Like [`overlap`](Self::overlap) this only moves simulated time,
+    /// never the numerics. Charging reads it only when `overlap` is on; the
     /// [`BucketPolicy::AutoTuned`] layout search reads it either way.
     pub arrival_aware: bool,
     /// Cluster-membership changes applied at iteration boundaries, fired in
@@ -211,7 +198,6 @@ impl Default for TrainerConfig {
             compressor_kind: None,
             buckets: 1,
             bucket_policy: BucketPolicy::Uniform,
-            bucket_layout: None,
             overlap: false,
             streams: 1,
             priority: PriorityPolicy::Fifo,
@@ -236,12 +222,12 @@ const AUTO_TUNE_DELTA: f64 = 0.01;
 
 /// The compressor kind the cost model charges for: the explicit configuration
 /// override when set, otherwise whatever the factory's probe compressor
-/// reports about itself, otherwise the generic SIDCo-style two-pass scheme
-/// (also the dense baseline's placeholder — it has no probe to ask).
+/// reports about itself, otherwise (on the dense baseline, which has no probe
+/// to ask) the SIDCo-E placeholder.
 fn resolve_charged_kind(config: &TrainerConfig, probe: Option<&dyn Compressor>) -> CompressorKind {
     config
         .compressor_kind
-        .or_else(|| probe.and_then(Compressor::kind))
+        .or_else(|| probe.map(Compressor::kind))
         .unwrap_or(CompressorKind::Sidco(
             sidco_stats::fit::SidKind::Exponential,
         ))
@@ -310,8 +296,8 @@ impl ModelTrainer {
     ///
     /// # Panics
     ///
-    /// Panics if the cluster has no workers, `config.buckets` is zero, or an
-    /// explicit `config.bucket_layout` does not cover the model's parameters.
+    /// Panics if the cluster has no workers, `config.buckets` is zero under
+    /// the uniform policy, or the model's layers do not cover its parameters.
     pub fn new<F>(
         model: Arc<dyn DifferentiableModel>,
         cluster: ClusterConfig,
@@ -392,20 +378,15 @@ impl ModelTrainer {
     /// The cluster-derived charging context: modelled compute time per
     /// iteration (gated on the slowest node's
     /// [`compute_factor`](crate::network::NodeProfile::compute_factor) —
-    /// exactly `1.0` unskewed, so homogeneous fleets collapse bit-for-bit
-    /// onto the old charge), the backward share that releases buckets, the
-    /// per-bucket release times, and the dispatch order. With arrival-aware
-    /// scheduling the backward share of the compute releases buckets as
-    /// their gradients materialise (output-side first); the scheduled
-    /// makespan then *includes* the backward pass, so the charged overhead
-    /// is the makespan beyond it. A zero backward duration
-    /// (arrival-oblivious charging) keeps every release at zero.
+    /// exactly `1.0` unskewed, so homogeneous fleets collapse bit-for-bit onto
+    /// the old charge), the backward share that releases buckets, and the
+    /// per-bucket release times. With arrival-aware scheduling the backward
+    /// share of the compute releases buckets as their gradients materialise
+    /// (output-side first); the scheduled makespan then *includes* the backward
+    /// pass, so the charged overhead is the makespan beyond it. A zero backward
+    /// duration (arrival-oblivious charging) keeps every release at zero.
     /// Re-derived whenever a [`ClusterEvent`] rescales the fleet.
-    fn charging_context(
-        &self,
-        cluster: &ClusterConfig,
-        compressed: bool,
-    ) -> (f64, f64, Vec<f64>, Vec<usize>) {
+    fn charging_context(&self, cluster: &ClusterConfig, compressed: bool) -> (f64, f64, Vec<f64>) {
         let compute_time = cluster
             .iteration_compute_time(self.config.batch_per_worker, self.model.num_parameters());
         let backward_time = if compressed && self.config.overlap && self.config.arrival_aware {
@@ -423,8 +404,7 @@ impl ModelTrainer {
         } else {
             vec![0.0; self.layout.len()]
         };
-        let dispatch_order = release_order(&ready);
-        (compute_time, backward_time, ready, dispatch_order)
+        (compute_time, backward_time, ready)
     }
 
     /// Trains for the configured number of iterations, compressing every
@@ -503,16 +483,10 @@ impl ModelTrainer {
         // crate) cannot move any sample timestamp.
         let mut clock = VirtualClock::new(0.0);
 
-        // The executed dispatch mirrors the modeled compression stream: jobs
-        // are released bucket-by-bucket in gradient-arrival order (plain
-        // index order when arrival-oblivious), and the rendezvous observes
-        // the order buckets actually finish under work stealing. All of it is
-        // re-derived whenever a `ClusterEvent` rescales the fleet.
-        let (mut compute_time, mut backward_time, mut ready, mut dispatch_order) =
+        // Re-derived whenever a `ClusterEvent` rescales the fleet.
+        let (mut compute_time, mut backward_time, mut ready) =
             self.charging_context(&cluster, compressed);
-        let mut rendezvous = BucketRendezvous::new(buckets, workers.max(1));
         let pool_before = self.executor.stats();
-        let mut completion_order = Vec::new();
 
         let events = sorted_events(&self.config);
         let mut next_event = 0usize;
@@ -587,10 +561,8 @@ impl ModelTrainer {
                     });
                 }
                 // The slowest node (and with it every modelled charge) may
-                // have changed, and the rendezvous must match the new fleet.
-                (compute_time, backward_time, ready, dispatch_order) =
-                    self.charging_context(&cluster, compressed);
-                rendezvous = BucketRendezvous::new(buckets, workers.max(1));
+                // have changed.
+                (compute_time, backward_time, ready) = self.charging_context(&cluster, compressed);
             }
             let lr = self.config.schedule.lr_at(iteration);
             let mut aggregated = GradientVector::zeros(dim);
@@ -655,16 +627,17 @@ impl ModelTrainer {
 
             if compressed {
                 // Phase 2 (parallel): every (worker, bucket) cell is one
-                // independent job on the executor — real overlapped
-                // execution of the per-bucket compressions the cost model
-                // has always charged as concurrent. Cells are disjoint, so
-                // any steal order computes the same per-cell results.
-                rendezvous.reset();
+                // independent job on the executor, in index order — the
+                // per-bucket compressions the cost model charges as
+                // concurrent. The ordering that is charged lives in the
+                // collective scheduler alone. Cells are disjoint, so any
+                // steal order computes the same per-cell results, and
+                // `run_indexed` returning is the join.
                 let slots: Vec<Mutex<Option<CompressionResult>>> =
                     (0..workers * buckets).map(|_| Mutex::new(None)).collect();
                 let compressors = &self.compressors;
                 self.executor.run_indexed(workers * buckets, &|job| {
-                    let bucket = dispatch_order[job / workers];
+                    let bucket = job / workers;
                     let worker = job % workers;
                     let (offset, size) = segments[bucket];
                     let segment = &corrected[worker].as_slice()[offset..offset + size];
@@ -680,11 +653,7 @@ impl ModelTrainer {
                     *slots[worker * buckets + bucket]
                         .lock()
                         .expect("result slot poisoned") = Some(result);
-                    rendezvous.arrive(bucket);
                 });
-                if iteration + 1 == self.config.iterations {
-                    completion_order = rendezvous.completion_order();
-                }
 
                 // Phase 3 (serial, worker-major order): merge exactly as the
                 // serial trainer did — quality, error feedback and the
@@ -861,8 +830,6 @@ impl ModelTrainer {
                 parallelism: self.executor.parallelism(),
                 jobs: self.config.iterations,
                 tasks_per_job: workers * buckets,
-                dispatch_order,
-                completion_order,
                 pool,
             };
             report
@@ -951,16 +918,14 @@ fn total_ef_mass(feedback: &[ErrorFeedback]) -> f64 {
         .sum()
 }
 
-/// The bucket layout a configuration induces for a model: the explicit
-/// layout when given, otherwise whatever [`BucketPolicy`] derives — a
-/// near-uniform split, the model's real layer boundaries, or the
-/// α–β-auto-tuned packing of those layers.
+/// The bucket layout a configuration induces for a model, as its
+/// [`BucketPolicy`] derives it: a near-uniform split, the model's real layer
+/// boundaries, or the α–β-auto-tuned packing of those layers.
 ///
 /// # Panics
 ///
-/// Panics if `config.buckets` is zero under the uniform policy, or a layout
-/// (explicit or exported by the model) does not total the model's parameter
-/// count.
+/// Panics if `config.buckets` is zero under the uniform policy, or the
+/// model's layers do not total its parameter count.
 fn resolve_layout(
     config: &TrainerConfig,
     model: &dyn DifferentiableModel,
@@ -968,15 +933,6 @@ fn resolve_layout(
     charged_kind: CompressorKind,
 ) -> LayerLayout {
     let dim = model.num_parameters();
-    if let Some(layout) = &config.bucket_layout {
-        assert_eq!(
-            layout.total(),
-            dim,
-            "bucket layout covers {} parameters but the model has {dim}",
-            layout.total()
-        );
-        return layout.clone();
-    }
     match config.bucket_policy {
         BucketPolicy::Uniform => {
             assert!(config.buckets > 0, "at least one bucket is required");
@@ -1236,42 +1192,6 @@ mod tests {
         for entry in timeline.entries() {
             assert!(entry.compress_start >= entry.ready_at);
         }
-        // The executed dispatch releases buckets in the same arrival order
-        // the model schedules them in (earliest release first).
-        let dispatch = aware.dispatch().expect("dispatch report");
-        for pair in dispatch.dispatch_order.windows(2) {
-            assert!(
-                ready[pair[1]] >= ready[pair[0]],
-                "dispatch must follow gradient-arrival order"
-            );
-        }
-    }
-
-    #[test]
-    fn explicit_bucket_layout_follows_layer_boundaries() {
-        let cfg = TrainerConfig {
-            bucket_layout: Some(LayerLayout::new(vec![40, 14, 10])),
-            overlap: true,
-            ..config(20)
-        };
-        let mut trainer = ModelTrainer::new(model(), ClusterConfig::small_test(), cfg, || {
-            Box::new(TopKCompressor::new())
-        });
-        let report = trainer.run(0.2);
-        assert_eq!(report.schedule().unwrap().buckets(), 3);
-        assert!(report.final_evaluation().is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "covers")]
-    fn mismatched_bucket_layout_panics() {
-        let cfg = TrainerConfig {
-            bucket_layout: Some(LayerLayout::new(vec![10, 10])),
-            ..config(5)
-        };
-        ModelTrainer::new(model(), ClusterConfig::small_test(), cfg, || {
-            Box::new(TopKCompressor::new())
-        });
     }
 
     #[test]
@@ -1371,13 +1291,6 @@ mod tests {
         assert_eq!(dispatch.parallelism, 3);
         assert_eq!(dispatch.jobs, 30);
         assert_eq!(dispatch.tasks_per_job, 4 * 3);
-        // Arrival-oblivious runs release buckets in index order.
-        assert_eq!(dispatch.dispatch_order, vec![0, 1, 2]);
-        // Every bucket completed exactly once on the last iteration, in
-        // whatever order stealing produced.
-        let mut completed = dispatch.completion_order.clone();
-        completed.sort_unstable();
-        assert_eq!(completed, vec![0, 1, 2]);
         let pool = dispatch.pool.as_ref().expect("pool runtime keeps counters");
         // Per iteration one forward/backward fan-out (4 workers) and one
         // compression fan-out (4 × 3 cells), then the final evaluate and

@@ -14,7 +14,10 @@
 //!
 //! Callers obtain process-wide shared instances from [`handle`]: a pool per
 //! worker budget, and a stateless inline runtime (named `"inline"`, no
-//! counters) for a budget of one thread.
+//! counters) for a budget of one thread. The data-parallel trainer in
+//! `sidco-dist` dispatches on the same instances: each phase of an iteration
+//! is one [`run_indexed`](Runtime::run_indexed) fan-out, and its return is
+//! the phase's only join. The crate has no other synchronisation primitive.
 //!
 //! # Determinism contract
 //!
@@ -28,12 +31,10 @@
 #![warn(missing_docs)]
 
 pub mod pool;
-pub mod rendezvous;
 pub mod stats;
 pub(crate) mod sync;
 
 pub use pool::WorkStealing;
-pub use rendezvous::BucketRendezvous;
 pub use stats::PoolStats;
 
 use std::collections::HashMap;

@@ -180,41 +180,6 @@ fn deque_steal_and_pop_never_duplicate_or_lose_tasks() {
 }
 
 #[test]
-fn rendezvous_completes_each_bucket_exactly_once_under_every_schedule() {
-    use sidco_runtime::BucketRendezvous;
-    // Two arrivers racing over two buckets in opposite orders — the smallest
-    // shape where bucket completions can interleave every way. Under every
-    // schedule each bucket must complete exactly once, `wait_all` must
-    // return (a lost completion wakeup would deadlock the model), and the
-    // completion order must name both buckets.
-    bounded().check(|| {
-        let rendezvous = Arc::new(BucketRendezvous::new(2, 2));
-        let other = Arc::clone(&rendezvous);
-        let racer = loom::thread::spawn(move || {
-            let mut finished = 0;
-            finished += usize::from(other.arrive(1));
-            finished += usize::from(other.arrive(0));
-            finished
-        });
-        let mut finished = 0;
-        finished += usize::from(rendezvous.arrive(0));
-        finished += usize::from(rendezvous.arrive(1));
-        let order = rendezvous.wait_all();
-        finished += racer.join().expect("racer joins");
-        // 4 arrivals over 2×2: exactly one arrival per bucket was the last.
-        assert_eq!(finished, 2, "each bucket completed by exactly one arrival");
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1], "every bucket appears exactly once");
-        // The rendezvous is reusable once quiescent: the reset must restore
-        // the full arrival budget.
-        rendezvous.reset();
-        assert!(!rendezvous.arrive(0));
-        assert!(rendezvous.arrive(0));
-    });
-}
-
-#[test]
 fn checker_catches_a_seeded_lost_wakeup() {
     // The regression demo required by the verification story: re-introduce
     // the bug the pool's park protocol exists to prevent — checking the

@@ -7,12 +7,12 @@
 //! * [`special`] — special functions (log-gamma, digamma, erf, regularized incomplete
 //!   gamma and its inverse) implemented from scratch so that no external numerics
 //!   dependency is required.
-//! * [`distribution`] — the [`Continuous`](distribution::Continuous) trait plus the
-//!   concrete distributions used by the paper: [`Exponential`](exponential::Exponential),
-//!   [`Laplace`](laplace::Laplace) (double exponential), [`Gamma`](gamma::Gamma) and
-//!   [`DoubleGamma`](gamma::DoubleGamma), [`GeneralizedPareto`](pareto::GeneralizedPareto)
-//!   and [`DoubleGeneralizedPareto`](pareto::DoubleGeneralizedPareto), and
-//!   [`Normal`](normal::Normal).
+//! * [`distribution`] — the [`Continuous`] trait plus the
+//!   concrete distributions used by the paper: [`Exponential`],
+//!   [`Laplace`] (double exponential), [`Gamma`] and
+//!   [`DoubleGamma`], [`GeneralizedPareto`]
+//!   and [`DoubleGeneralizedPareto`], and
+//!   [`Normal`].
 //! * [`fit`] — the closed-form estimators of the paper (Corollary 1.1, 1.2, 1.3 and
 //!   Lemma 2): exponential MLE, gamma via Minka's closed-form approximation (with an
 //!   optional digamma Newton refinement), and generalized-Pareto moment matching.

@@ -4,10 +4,10 @@
 //! `sidco-dist` manipulate gradients exclusively through the types and free
 //! functions defined here:
 //!
-//! * [`dense`] — owned dense gradient vectors ([`GradientVector`](dense::GradientVector))
+//! * [`dense`] — owned dense gradient vectors ([`GradientVector`])
 //!   with the usual BLAS-1 style operations (norms, axpy, scaling).
 //! * [`sparse`] — the wire format of a compressed gradient
-//!   ([`SparseGradient`](sparse::SparseGradient)): index/value pairs plus the original
+//!   ([`SparseGradient`]): index/value pairs plus the original
 //!   length, with scatter/gather back into dense form.
 //! * [`topk`] — exact Top-k selection by quickselect.
 //! * [`threshold`] — linear-time threshold scans (count, select, both) used by every

@@ -28,6 +28,7 @@ use oracle::{filter_select, Rescan};
 use proptest::prelude::*;
 use sidco::core::engine::CompressionEngine;
 use sidco::core::prelude::*;
+use sidco::core::sidco::FIRST_STAGE_RATIO;
 use sidco::models::synthetic::{GradientProfile, SyntheticGradientGenerator};
 use sidco::stats::fit::SidKind;
 use sidco::stats::moments::{AbsMoments, MomentNeeds};
@@ -414,7 +415,7 @@ fn check_compaction(
         grad,
         config.sid,
         delta.max(f64::MIN_POSITIVE),
-        config.first_stage_ratio,
+        FIRST_STAGE_RATIO,
         stages,
         &mut Rescan(engine),
     )
