@@ -52,8 +52,8 @@ pub struct TrainingSample {
 /// work-stealing pool observed while doing it. Every executed phase of a run
 /// is one fan-out on the same executor — per iteration one forward/backward
 /// round (one task per worker) and one compression round (one task per
-/// (worker, bucket) cell, in index order), then one final round of two tasks
-/// (evaluate and accuracy). Bucket ordering is a property of the modeled
+/// (worker, bucket) cell, in index order), then one final round of
+/// fixed-size example ranges (the full-dataset loss and accuracy). Bucket ordering is a property of the modeled
 /// schedule ([`crate::collective`]), not of the execution, so this report
 /// carries none. Attached to [`TrainingReport`] by compressed runs.
 #[derive(Debug, Clone, PartialEq)]

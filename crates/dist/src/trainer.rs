@@ -35,11 +35,13 @@
 //! sampling, forward/backward pass, clipping and error-feedback read as one
 //! job over a gradient buffer that worker keeps across iterations; phase 2
 //! runs each (worker, bucket) compression as one job, in index order; phase
-//! 3 merges serially. The final full-dataset evaluate and accuracy run as
-//! two more jobs. Every job owns its worker's (or cell's) state, and
-//! everything crossing workers — the loss sum, the dense or sparse
-//! aggregation, the quality series — is reduced after the join in worker
-//! order, so a run is bit-identical at any thread count and steal order.
+//! 3 merges serially. The final full-dataset loss and accuracy come from one
+//! forward pass per example, sharded into fixed-size example ranges as one
+//! more fan-out ([`dataset_metrics`]). Every job owns its worker's (or
+//! cell's, or shard's) state, and everything crossing jobs — the loss sum,
+//! the dense or sparse aggregation, the quality series, the final loss
+//! terms — is reduced after the join in worker (or example) order, so a run
+//! is bit-identical at any thread count and steal order.
 
 use crate::cluster::ClusterConfig;
 use crate::collective::{BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleAccounting};
@@ -54,7 +56,7 @@ use rand::{Rng, SeedableRng};
 use sidco_core::layerwise::LayerLayout;
 use sidco_core::metrics::EstimationQualityTracker;
 use sidco_core::{CompressionEngine, CompressionResult, Compressor, CompressorKind, ErrorFeedback};
-use sidco_models::DifferentiableModel;
+use sidco_models::{dataset_metrics, DifferentiableModel};
 use sidco_runtime::{Runtime, RuntimeKind};
 use sidco_tensor::{GradientVector, SparseGradient};
 use sidco_trace::{Lane, TraceSession, TraceSink, VirtualClock};
@@ -67,6 +69,11 @@ use std::sync::{Arc, Mutex};
 /// ([`crate::tenancy`]) share — the single-job fleet must collapse
 /// bit-for-bit onto the trainer's clock.
 pub const COMPUTE_COST_PER_EXAMPLE_ELEMENT: f64 = 2.0e-9;
+
+/// Shards of the final full-dataset metric pass: enough for every pool
+/// thread of a small host to share it, few enough that each shard's forward
+/// passes dwarf its dispatch.
+const EVAL_SHARDS: usize = 8;
 
 /// A cluster-membership change applied at an iteration boundary.
 ///
@@ -103,7 +110,7 @@ impl ClusterEvent {
 pub struct TrainerConfig {
     /// Number of synchronous iterations.
     pub iterations: u64,
-    /// Mini-batch size per worker.
+    /// Mini-batch size per worker (at least 1; the constructors reject 0).
     pub batch_per_worker: usize,
     /// Learning-rate schedule.
     pub schedule: LrSchedule,
@@ -283,7 +290,7 @@ pub struct ModelTrainer {
     charged_kind: CompressorKind,
     /// Executor every phase of an iteration is dispatched on — the
     /// per-worker forward/backward jobs, the per-(worker, bucket)
-    /// compression jobs and the final evaluate/accuracy jobs. By default it
+    /// compression jobs and the final metric shards. By default it
     /// is the same process-wide runtime the [`CompressionEngine`] uses, so
     /// trainer jobs and engine chunks share one pool.
     executor: &'static dyn Runtime,
@@ -296,8 +303,9 @@ impl ModelTrainer {
     ///
     /// # Panics
     ///
-    /// Panics if the cluster has no workers, `config.buckets` is zero under
-    /// the uniform policy, or the model's layers do not cover its parameters.
+    /// Panics if the cluster has no workers, the model has no examples,
+    /// `config.batch_per_worker` is zero, `config.buckets` is zero under the
+    /// uniform policy, or the model's layers do not cover its parameters.
     pub fn new<F>(
         model: Arc<dyn DifferentiableModel>,
         cluster: ClusterConfig,
@@ -307,7 +315,7 @@ impl ModelTrainer {
     where
         F: Fn() -> Box<dyn Compressor>,
     {
-        validate_cluster(&cluster, &config);
+        validate_cluster(model.as_ref(), &cluster, &config);
         // Probe the factory once so the cost model can charge the scheme the
         // workers actually run, not a hard-wired default.
         let probe = factory();
@@ -334,12 +342,16 @@ impl ModelTrainer {
     }
 
     /// The dense synchronous-SGD baseline (no compression).
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
     pub fn uncompressed(
         model: Arc<dyn DifferentiableModel>,
         cluster: ClusterConfig,
         config: TrainerConfig,
     ) -> Self {
-        validate_cluster(&cluster, &config);
+        validate_cluster(model.as_ref(), &cluster, &config);
         let charged_kind = resolve_charged_kind(&config, None);
         let layout = resolve_layout(&config, model.as_ref(), &cluster, charged_kind);
         Self {
@@ -491,6 +503,16 @@ impl ModelTrainer {
         let events = sorted_events(&self.config);
         let mut next_event = 0usize;
         let mut rescales: Vec<RescaleRecord> = Vec::new();
+        // Phase 2's result slots, `worker * buckets + bucket`, sized for the
+        // event timeline's worker-count peak like the compressor matrix;
+        // phase 3 takes every live slot back to `None`.
+        let slots: Vec<Mutex<Option<CompressionResult>>> = (0..self.compressors.len() * buckets)
+            .map(|_| Mutex::new(None))
+            .collect();
+        // Phase 3's combined-gradient buffers, handed to each worker's
+        // `SparseGradient` in turn and taken back, so they keep their
+        // capacity across workers and iterations.
+        let (mut indices, mut values): (Vec<u32>, Vec<f32>) = (Vec::new(), Vec::new());
 
         for iteration in 0..self.config.iterations {
             if next_event < events.len() && events[next_event].step() <= iteration {
@@ -633,9 +655,7 @@ impl ModelTrainer {
                 // collective scheduler alone. Cells are disjoint, so any
                 // steal order computes the same per-cell results, and
                 // `run_indexed` returning is the join.
-                let slots: Vec<Mutex<Option<CompressionResult>>> =
-                    (0..workers * buckets).map(|_| Mutex::new(None)).collect();
-                let compressors = &self.compressors;
+                let (compressors, slots) = (&self.compressors, &slots);
                 self.executor.run_indexed(workers * buckets, &|job| {
                     let bucket = job / workers;
                     let worker = job % workers;
@@ -662,8 +682,8 @@ impl ModelTrainer {
                 // error-feedback update overwrites each worker's memory in
                 // place.
                 for worker in 0..workers {
-                    let mut indices: Vec<u32> = Vec::new();
-                    let mut values: Vec<f32> = Vec::new();
+                    indices.clear();
+                    values.clear();
                     for (bucket, &(offset, size)) in segments.iter().enumerate() {
                         let mut slot = slots[worker * buckets + bucket]
                             .lock()
@@ -691,12 +711,17 @@ impl ModelTrainer {
                             values.push(v);
                         }
                     }
-                    let combined = SparseGradient::new(indices, values, dim);
+                    let combined = SparseGradient::new(
+                        std::mem::take(&mut indices),
+                        std::mem::take(&mut values),
+                        dim,
+                    );
                     quality.record(combined.achieved_ratio());
                     if self.config.error_feedback {
                         feedback[worker].update_sparse(corrected[worker], &combined);
                     }
                     combined.add_into(&mut aggregated);
+                    (indices, values) = combined.into_parts();
                 }
             }
 
@@ -781,23 +806,14 @@ impl ModelTrainer {
             });
         }
 
-        // The final full-dataset metrics are pure functions of the trained
-        // parameters, so they run as two independent jobs.
-        let evaluation = Mutex::new(f64::NAN);
-        let accuracy = Mutex::new(None);
-        self.executor.run_indexed(2, &|job| {
-            // INVARIANT: each slot has exactly one writer, this job.
-            if job == 0 {
-                *evaluation.lock().expect("evaluation slot poisoned") =
-                    model.evaluate(params.as_slice());
-            } else {
-                *accuracy.lock().expect("accuracy slot poisoned") =
-                    model.accuracy(params.as_slice());
-            }
+        // The final full-dataset loss and accuracy are pure functions of the
+        // trained parameters: one forward pass per example, in fixed-size
+        // example ranges fanned out over the executor and summed in example
+        // order after the join — the bits of `evaluate` and `accuracy`.
+        let metrics = dataset_metrics(model, params.as_slice(), EVAL_SHARDS, |shards, job| {
+            self.executor.run_indexed(shards, job);
         });
-        let final_evaluation = evaluation.into_inner().expect("evaluation slot poisoned");
-        let final_accuracy = accuracy.into_inner().expect("accuracy slot poisoned");
-        let report = TrainingReport::new(samples, quality, final_evaluation, final_accuracy)
+        let report = TrainingReport::new(samples, quality, metrics.loss, metrics.accuracy)
             .with_rescales(rescales);
         let report = if compressed {
             // Executor-side accounting: pool counters are diffed against the
@@ -848,16 +864,30 @@ impl ModelTrainer {
     }
 }
 
-/// Sanity checks shared by both constructors. (A topology inconsistent with
-/// the worker count is caught by `ClusterConfig`'s collective dispatch.)
+/// Sanity checks shared by both constructors, so degenerate input fails
+/// when the trainer is built, not mid-run. (A topology inconsistent with the
+/// worker count is caught by `ClusterConfig`'s collective dispatch.)
 ///
 /// # Panics
 ///
-/// Panics if the cluster has no workers, the schedule has no streams, or the
-/// configured [`ClusterEvent`] timeline would shrink the fleet below one
-/// machine at any point.
-fn validate_cluster(cluster: &ClusterConfig, config: &TrainerConfig) {
+/// Panics if the cluster has no workers, the model has no examples to
+/// sample, the per-worker mini-batch is empty, the schedule has no streams,
+/// or the configured [`ClusterEvent`] timeline would shrink the fleet below
+/// one machine at any point.
+fn validate_cluster(
+    model: &dyn DifferentiableModel,
+    cluster: &ClusterConfig,
+    config: &TrainerConfig,
+) {
     assert!(cluster.workers > 0, "cluster must have at least one worker");
+    assert!(
+        model.num_examples() > 0,
+        "the model must have at least one training example"
+    );
+    assert!(
+        config.batch_per_worker > 0,
+        "the per-worker mini-batch must hold at least one example"
+    );
     assert!(config.streams > 0, "the schedule needs at least one stream");
     // Replaying the timeline both validates every Leave up front (fail at
     // construction, not mid-run) and yields the high-water worker count.
@@ -989,7 +1019,8 @@ fn resolve_layout(
 mod tests {
     use super::*;
     use sidco_core::prelude::TopKCompressor;
-    use sidco_models::dataset::RegressionDataset;
+    use sidco_models::dataset::{ClassificationDataset, RegressionDataset};
+    use sidco_models::mlp::Mlp;
     use sidco_models::regression::LinearRegression;
 
     fn model() -> Arc<dyn DifferentiableModel> {
@@ -1201,6 +1232,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one training example")]
+    fn rejects_a_model_without_examples_at_construction() {
+        let empty = Arc::new(Mlp::new(
+            ClassificationDataset::gaussian_blobs(0, 4, 2, 1.0, 1),
+            3,
+        ));
+        ModelTrainer::new(empty, ClusterConfig::small_test(), config(1), || {
+            Box::new(TopKCompressor::new())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "mini-batch must hold at least one example")]
+    fn rejects_an_empty_mini_batch_at_construction() {
+        let cfg = TrainerConfig {
+            batch_per_worker: 0,
+            ..config(1)
+        };
+        ModelTrainer::uncompressed(model(), ClusterConfig::small_test(), cfg);
+    }
+
+    #[test]
     fn charged_kind_is_derived_from_the_factory() {
         // A Top-k factory with no explicit hint must be charged as Top-k
         // (the probe's self-reported kind), not silently as SIDCo.
@@ -1293,14 +1346,15 @@ mod tests {
         assert_eq!(dispatch.tasks_per_job, 4 * 3);
         let pool = dispatch.pool.as_ref().expect("pool runtime keeps counters");
         // Per iteration one forward/backward fan-out (4 workers) and one
-        // compression fan-out (4 × 3 cells), then the final evaluate and
-        // accuracy as one fan-out of 2.
+        // compression fan-out (4 × 3 cells), then the final metric pass as
+        // one fan-out of `EVAL_SHARDS` example ranges (128 examples, 16
+        // each).
         assert!(
             pool.jobs > 2 * 30,
             "two fan-outs per iteration plus the final one, got {}",
             pool.jobs
         );
-        assert!(pool.chunks_executed >= 30 * (4 + 12) + 2);
+        assert!(pool.chunks_executed >= 30 * (4 + 12) + EVAL_SHARDS as u64);
 
         let dispatch = serial.dispatch().expect("dispatch report");
         assert_eq!(dispatch.runtime, "inline");

@@ -36,6 +36,7 @@
 
 pub mod benchmarks;
 pub mod dataset;
+mod kernel;
 pub mod logistic;
 pub mod mlp;
 pub mod model;
@@ -44,5 +45,5 @@ pub mod rnn;
 pub mod synthetic;
 
 pub use benchmarks::{BenchmarkId, BenchmarkSpec};
-pub use model::DifferentiableModel;
+pub use model::{dataset_metrics, DatasetMetrics, DifferentiableModel};
 pub use synthetic::{GradientProfile, SyntheticGradientGenerator};

@@ -2,6 +2,7 @@
 //! image-classification workloads, with a reportable top-1 accuracy.
 
 use crate::dataset::ClassificationDataset;
+use crate::kernel::{argmax, f32_term, row_chains, softmax_in_place, sum_seed};
 use crate::model::DifferentiableModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,53 +47,34 @@ impl SoftmaxClassifier {
         self.data.classes()
     }
 
-    /// Writes the class logits of one example into `logits` (`classes` long).
+    /// Writes the class logits of one example into `logits` (`classes` long):
+    /// `Σ_j (W[c,j]·x_j) as f64 + b_c`, the sum seeded as `Sum for f64` seeds
+    /// it.
     fn logits_into(&self, params: &[f32], example: usize, logits: &mut [f64]) {
-        let dim = self.dim();
-        let x = self.data.features(example);
-        let bias_offset = self.classes() * dim;
-        for (c, logit) in logits.iter_mut().enumerate() {
-            let w = &params[c * dim..(c + 1) * dim];
-            let dot: f64 = w.iter().zip(x).map(|(&wj, &xj)| (wj * xj) as f64).sum();
-            *logit = dot + params[bias_offset + c] as f64;
-        }
-    }
-
-    /// Turns logits into softmax probabilities in place (numerically
-    /// stabilised).
-    fn softmax_in_place(values: &mut [f64]) {
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for v in values.iter_mut() {
-            *v = (*v - max).exp();
-        }
-        let sum: f64 = values.iter().sum();
-        for v in values.iter_mut() {
-            *v /= sum;
+        let weights = self.classes() * self.dim();
+        logits.fill(sum_seed());
+        row_chains(
+            logits,
+            &params[..weights],
+            self.data.features(example),
+            f32_term,
+        );
+        for (logit, &b) in logits.iter_mut().zip(&params[weights..]) {
+            *logit += b as f64;
         }
     }
 
     /// Softmax probabilities of one example, written into `probs`.
     fn probs_into(&self, params: &[f32], example: usize, probs: &mut [f64]) {
         self.logits_into(params, example, probs);
-        Self::softmax_in_place(probs);
+        softmax_in_place(probs);
     }
 
     /// Predicted class of one example.
     pub fn predict(&self, params: &[f32], example: usize) -> usize {
-        self.predict_with(params, example, &mut vec![0.0; self.classes()])
-    }
-
-    /// [`predict`](Self::predict) over a caller-owned logit buffer.
-    fn predict_with(&self, params: &[f32], example: usize, logits: &mut [f64]) -> usize {
-        self.logits_into(params, example, logits);
-        logits
-            .iter()
-            .enumerate()
-            // INVARIANT: logits are dot products of finite weights and
-            // finite features, never NaN.
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(c, _)| c)
-            .unwrap_or(0)
+        let mut logits = vec![0.0; self.classes()];
+        self.logits_into(params, example, &mut logits);
+        argmax(&logits)
     }
 }
 
@@ -151,31 +133,34 @@ impl DifferentiableModel for SoftmaxClassifier {
         loss / m
     }
 
-    fn evaluate(&self, params: &[f32]) -> f64 {
+    fn example_metrics_into(
+        &self,
+        params: &[f32],
+        first: usize,
+        losses: &mut [f64],
+        correct: &mut [bool],
+    ) -> bool {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
-        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
-        let mut probs = vec![0.0f64; self.classes()];
-        let mut loss = 0.0f64;
-        for i in 0..self.data.len() {
-            self.probs_into(params, i, &mut probs);
-            loss -= probs[self.data.label(i)].max(1e-12).ln();
+        assert_eq!(
+            losses.len(),
+            correct.len(),
+            "metric buffers differ in length"
+        );
+        let mut values = vec![0.0f64; self.classes()];
+        for (k, (loss, right)) in losses.iter_mut().zip(correct).enumerate() {
+            let i = first + k;
+            // The prediction is read off the logits, the loss off the
+            // probabilities the same logits turn into.
+            self.logits_into(params, i, &mut values);
+            *right = argmax(&values) == self.data.label(i);
+            softmax_in_place(&mut values);
+            *loss = -values[self.data.label(i)].max(1e-12).ln();
         }
-        loss / self.data.len() as f64
-    }
-
-    fn accuracy(&self, params: &[f32]) -> Option<f64> {
-        if self.data.is_empty() {
-            return Some(0.0);
-        }
-        let mut logits = vec![0.0f64; self.classes()];
-        let correct = (0..self.data.len())
-            .filter(|&i| self.predict_with(params, i, &mut logits) == self.data.label(i))
-            .count();
-        Some(correct as f64 / self.data.len() as f64)
+        true
     }
 
     fn name(&self) -> &'static str {

@@ -2,6 +2,9 @@
 //! non-convex CNN stand-in.
 
 use crate::dataset::ClassificationDataset;
+use crate::kernel::{
+    argmax, f32_term, f64_term, row_chains, row_chains_x2, softmax_in_place, sum_seed,
+};
 use crate::model::DifferentiableModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,72 +69,56 @@ impl Mlp {
         self.w2_offset() + self.classes() * self.hidden
     }
 
-    /// Forward pass for one example: writes the hidden activations into `h`
-    /// (`hidden` long) and the class probabilities into `probs` (`classes`
-    /// long), so a caller looping over examples reuses one pair of buffers.
-    fn forward_into(&self, params: &[f32], example: usize, h: &mut [f64], probs: &mut [f64]) {
-        let dim = self.dim();
+    /// Forward pass for one or two examples (`examples.len()` is 1 or 2):
+    /// writes each example's hidden activations into its `hidden`-long row
+    /// of `h` and its class probabilities into its `classes`-long row of
+    /// `probs`, so a caller looping over examples reuses one pair of
+    /// buffers. Two examples share every `W1` load; each keeps its own
+    /// chains, so both get the bits of a one-example pass.
+    fn forward_into(&self, params: &[f32], examples: &[usize], h: &mut [f64], probs: &mut [f64]) {
         let hidden = self.hidden;
-        let x = self.data.features(example);
+        let classes = self.classes();
         let w1 = &params[self.w1_offset()..self.b1_offset()];
         let b1 = &params[self.b1_offset()..self.w2_offset()];
         let w2 = &params[self.w2_offset()..self.b2_offset()];
         let b2 = &params[self.b2_offset()..];
+        let h = &mut h[..examples.len() * hidden];
+        let probs = &mut probs[..examples.len() * classes];
 
-        for (j, hj) in h.iter_mut().enumerate() {
-            let row = &w1[j * dim..(j + 1) * dim];
-            let pre: f64 = row
-                .iter()
-                .zip(x)
-                .map(|(&w, &xi)| (w * xi) as f64)
-                .sum::<f64>()
-                + b1[j] as f64;
-            *hj = pre.tanh();
+        // Each hidden pre-activation is `Σ_k (W1[j,k]·x_k) as f64 + b1[j]`,
+        // the sum seeded as `Sum for f64` seeds it.
+        h.fill(sum_seed());
+        match *examples {
+            [i] => row_chains(h, w1, self.data.features(i), f32_term),
+            [i0, i1] => {
+                let (h0, h1) = h.split_at_mut(hidden);
+                let x = [self.data.features(i0), self.data.features(i1)];
+                row_chains_x2([h0, h1], w1, x, f32_term);
+            }
+            _ => panic!("a forward pass covers one or two examples"),
         }
-        // `probs` holds the logits, then their shifted exponentials, then
-        // the normalised probabilities.
-        for (c, logit) in probs.iter_mut().enumerate() {
-            let row = &w2[c * hidden..(c + 1) * hidden];
-            *logit = row
-                .iter()
-                .zip(&*h)
-                .map(|(&w, &hj)| w as f64 * hj)
-                .sum::<f64>()
-                + b2[c] as f64;
+        for row in h.chunks_exact_mut(hidden) {
+            for (hj, &b) in row.iter_mut().zip(b1) {
+                *hj = (*hj + b as f64).tanh();
+            }
         }
-        let max = probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for p in probs.iter_mut() {
-            *p = (*p - max).exp();
-        }
-        let sum: f64 = probs.iter().sum();
-        for p in probs.iter_mut() {
-            *p /= sum;
+        // Each `probs` row holds the logits, then their shifted
+        // exponentials, then the normalised probabilities.
+        for (row, p) in h.chunks_exact(hidden).zip(probs.chunks_exact_mut(classes)) {
+            p.fill(sum_seed());
+            row_chains(p, w2, row, f64_term);
+            for (logit, &b) in p.iter_mut().zip(b2) {
+                *logit += b as f64;
+            }
+            softmax_in_place(p);
         }
     }
 
     /// Predicted class of one example.
     pub fn predict(&self, params: &[f32], example: usize) -> usize {
         let (mut h, mut probs) = (vec![0.0; self.hidden], vec![0.0; self.classes()]);
-        self.predict_with(params, example, &mut h, &mut probs)
-    }
-
-    /// [`predict`](Self::predict) over caller-owned forward buffers.
-    fn predict_with(
-        &self,
-        params: &[f32],
-        example: usize,
-        h: &mut [f64],
-        probs: &mut [f64],
-    ) -> usize {
-        self.forward_into(params, example, h, probs);
-        probs
-            .iter()
-            .enumerate()
-            // INVARIANT: softmax outputs are finite by construction
-            // (inputs are shifted by the max logit), never NaN.
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probabilities"))
-            .map(|(c, _)| c)
-            .unwrap_or(0)
+        self.forward_into(params, &[example], &mut h, &mut probs);
+        argmax(&probs)
     }
 }
 
@@ -189,74 +176,88 @@ impl DifferentiableModel for Mlp {
 
         grad.fill(0.0);
         let (mut h, mut probs, mut dlogits) = (
-            vec![0.0f64; hidden],
-            vec![0.0f64; classes],
+            vec![0.0f64; 2 * hidden],
+            vec![0.0f64; 2 * classes],
             vec![0.0f64; classes],
         );
         let mut loss = 0.0f64;
-        for &i in examples {
-            self.forward_into(params, i, &mut h, &mut probs);
-            let label = self.data.label(i);
-            loss -= probs[label].max(1e-12).ln();
-            let x = self.data.features(i);
+        // Two examples share each forward pass; the loss and the backward
+        // pass still run one example at a time, in batch order.
+        for pair in examples.chunks(2) {
+            self.forward_into(params, pair, &mut h, &mut probs);
+            for ((&i, h), probs) in pair
+                .iter()
+                .zip(h.chunks_exact(hidden))
+                .zip(probs.chunks_exact(classes))
+            {
+                let label = self.data.label(i);
+                loss -= probs[label].max(1e-12).ln();
+                let x = self.data.features(i);
 
-            // dL/dlogit_c = p_c - 1{c = label}
-            for (c, d) in dlogits.iter_mut().enumerate() {
-                *d = (probs[c] - if c == label { 1.0 } else { 0.0 }) / m;
-            }
+                // dL/dlogit_c = p_c - 1{c = label}
+                for (c, d) in dlogits.iter_mut().enumerate() {
+                    *d = (probs[c] - if c == label { 1.0 } else { 0.0 }) / m;
+                }
 
-            // Output layer gradients.
-            for c in 0..classes {
-                let base = self.w2_offset() + c * hidden;
+                // Output layer gradients.
+                for (c, &d) in dlogits.iter().enumerate() {
+                    let base = self.w2_offset() + c * hidden;
+                    for (g, &hj) in grad[base..base + hidden].iter_mut().zip(h) {
+                        *g += (d * hj) as f32;
+                    }
+                    grad[self.b2_offset() + c] += d as f32;
+                }
+
+                // Back-propagate into the hidden layer: dL/dh_j = Σ_c dlogit_c · W2[c,j],
+                // then through tanh: dL/dpre_j = dL/dh_j · (1 - h_j²).
                 for j in 0..hidden {
-                    grad[base + j] += (dlogits[c] * h[j]) as f32;
+                    let mut dh = 0.0f64;
+                    for c in 0..classes {
+                        dh += dlogits[c] * w2[c * hidden + j] as f64;
+                    }
+                    let dpre = dh * (1.0 - h[j] * h[j]);
+                    let base = self.w1_offset() + j * dim;
+                    for (g, &xj) in grad[base..base + dim].iter_mut().zip(x) {
+                        *g += (dpre * xj as f64) as f32;
+                    }
+                    grad[self.b1_offset() + j] += dpre as f32;
                 }
-                grad[self.b2_offset() + c] += dlogits[c] as f32;
-            }
-
-            // Back-propagate into the hidden layer: dL/dh_j = Σ_c dlogit_c · W2[c,j],
-            // then through tanh: dL/dpre_j = dL/dh_j · (1 - h_j²).
-            for j in 0..hidden {
-                let mut dh = 0.0f64;
-                for c in 0..classes {
-                    dh += dlogits[c] * w2[c * hidden + j] as f64;
-                }
-                let dpre = dh * (1.0 - h[j] * h[j]);
-                let base = self.w1_offset() + j * dim;
-                for (offset, &xj) in x.iter().enumerate() {
-                    grad[base + offset] += (dpre * xj as f64) as f32;
-                }
-                grad[self.b1_offset() + j] += dpre as f32;
             }
         }
         loss / m
     }
 
-    fn evaluate(&self, params: &[f32]) -> f64 {
+    fn example_metrics_into(
+        &self,
+        params: &[f32],
+        first: usize,
+        losses: &mut [f64],
+        correct: &mut [bool],
+    ) -> bool {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
-        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
-        let (mut h, mut probs) = (vec![0.0f64; self.hidden], vec![0.0f64; self.classes()]);
-        let mut loss = 0.0f64;
-        for i in 0..self.data.len() {
-            self.forward_into(params, i, &mut h, &mut probs);
-            loss -= probs[self.data.label(i)].max(1e-12).ln();
+        assert_eq!(
+            losses.len(),
+            correct.len(),
+            "metric buffers differ in length"
+        );
+        let (hidden, classes) = (self.hidden, self.classes());
+        let (mut h, mut probs) = (vec![0.0f64; 2 * hidden], vec![0.0f64; 2 * classes]);
+        for (pair, (losses, correct)) in losses.chunks_mut(2).zip(correct.chunks_mut(2)).enumerate()
+        {
+            let i = first + 2 * pair;
+            let examples = &[i, i + 1][..losses.len()];
+            self.forward_into(params, examples, &mut h, &mut probs);
+            for (k, probs) in probs.chunks_exact(classes).take(examples.len()).enumerate() {
+                let label = self.data.label(i + k);
+                losses[k] = -probs[label].max(1e-12).ln();
+                correct[k] = argmax(probs) == label;
+            }
         }
-        loss / self.data.len() as f64
-    }
-
-    fn accuracy(&self, params: &[f32]) -> Option<f64> {
-        if self.data.is_empty() {
-            return Some(0.0);
-        }
-        let (mut h, mut probs) = (vec![0.0f64; self.hidden], vec![0.0f64; self.classes()]);
-        let correct = (0..self.data.len())
-            .filter(|&i| self.predict_with(params, i, &mut h, &mut probs) == self.data.label(i))
-            .count();
-        Some(correct as f64 / self.data.len() as f64)
+        true
     }
 
     fn name(&self) -> &'static str {

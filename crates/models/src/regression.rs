@@ -105,19 +105,28 @@ impl DifferentiableModel for LinearRegression {
         loss / m
     }
 
-    fn evaluate(&self, params: &[f32]) -> f64 {
+    fn example_metrics_into(
+        &self,
+        params: &[f32],
+        first: usize,
+        losses: &mut [f64],
+        correct: &mut [bool],
+    ) -> bool {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
-        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
-        let mut loss = 0.0f64;
-        for i in 0..self.data.len() {
-            let residual = self.residual(params, i);
-            loss += 0.5 * residual * residual;
+        assert_eq!(
+            losses.len(),
+            correct.len(),
+            "metric buffers differ in length"
+        );
+        for (k, loss) in losses.iter_mut().enumerate() {
+            let residual = self.residual(params, first + k);
+            *loss = 0.5 * residual * residual;
         }
-        loss / self.data.len() as f64
+        false
     }
 
     fn name(&self) -> &'static str {

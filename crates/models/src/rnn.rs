@@ -2,6 +2,7 @@
 //! workload standing in for the paper's LSTM benchmarks.
 
 use crate::dataset::SequenceDataset;
+use crate::kernel::{f32_term, f64_term, row_chains};
 use crate::model::DifferentiableModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -74,7 +75,6 @@ impl ElmanRnn {
     /// looping over sequences reuses one buffer.
     fn forward_into(&self, params: &[f32], sequence: usize, states: &mut [f64]) -> f64 {
         let hidden = self.hidden;
-        let input = self.input_dim();
         let w_ih = &params[self.wih_offset()..self.whh_offset()];
         let w_hh = &params[self.whh_offset()..self.bh_offset()];
         let b_h = &params[self.bh_offset()..self.wo_offset()];
@@ -86,17 +86,16 @@ impl ElmanRnn {
             let x = self.data.step(sequence, t);
             let (done, rest) = states.split_at_mut((t + 1) * hidden);
             let prev = &done[t * hidden..];
-            for (j, nj) in rest[..hidden].iter_mut().enumerate() {
-                let mut pre = b_h[j] as f64;
-                let row_ih = &w_ih[j * input..(j + 1) * input];
-                for (&w, &xi) in row_ih.iter().zip(x) {
-                    pre += (w * xi) as f64;
-                }
-                let row_hh = &w_hh[j * hidden..(j + 1) * hidden];
-                for (&w, &hp) in row_hh.iter().zip(prev) {
-                    pre += w as f64 * hp;
-                }
-                *nj = pre.tanh();
+            // Each chain starts at `b_h[j]`, adds the input terms, then the
+            // recurrent ones.
+            let next = &mut rest[..hidden];
+            for (nj, &b) in next.iter_mut().zip(b_h) {
+                *nj = b as f64;
+            }
+            row_chains(next, w_ih, x, f32_term);
+            row_chains(next, w_hh, prev, f64_term);
+            for nj in next {
+                *nj = nj.tanh();
             }
         }
         let last = &states[self.data.seq_len() * hidden..];
@@ -222,20 +221,30 @@ impl DifferentiableModel for ElmanRnn {
         loss / m
     }
 
-    fn evaluate(&self, params: &[f32]) -> f64 {
+    fn example_metrics_into(
+        &self,
+        params: &[f32],
+        first: usize,
+        losses: &mut [f64],
+        correct: &mut [bool],
+    ) -> bool {
         assert_eq!(
             params.len(),
             self.num_parameters(),
             "parameter dimension mismatch"
         );
-        assert!(!self.data.is_empty(), "cannot evaluate on an empty dataset");
+        assert_eq!(
+            losses.len(),
+            correct.len(),
+            "metric buffers differ in length"
+        );
         let mut states = vec![0.0f64; self.states_len()];
-        let mut loss = 0.0f64;
-        for i in 0..self.data.len() {
-            let err = self.forward_into(params, i, &mut states) - self.data.target(i) as f64;
-            loss += 0.5 * err * err;
+        for (k, loss) in losses.iter_mut().enumerate() {
+            let err = self.forward_into(params, first + k, &mut states)
+                - self.data.target(first + k) as f64;
+            *loss = 0.5 * err * err;
         }
-        loss / self.data.len() as f64
+        false
     }
 
     fn name(&self) -> &'static str {

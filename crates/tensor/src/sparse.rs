@@ -67,6 +67,12 @@ impl SparseGradient {
         Self::new(indices, values, dense_len)
     }
 
+    /// The index and value buffers, so a caller can refill them without
+    /// reallocating.
+    pub fn into_parts(self) -> (Vec<u32>, Vec<f32>) {
+        (self.indices, self.values)
+    }
+
     /// Number of retained (non-zero) elements.
     pub fn nnz(&self) -> usize {
         self.values.len()
