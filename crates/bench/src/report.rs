@@ -30,12 +30,6 @@ impl Table {
         self
     }
 
-    /// Convenience for rows of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -102,7 +96,7 @@ mod tests {
         let mut t = Table::new("demo", &["scheme", "value"]);
         assert!(t.is_empty());
         t.row(&["topk".to_string(), "1.0".to_string()]);
-        t.row_display(&["sidco", "41.7"]);
+        t.row(&["sidco".to_string(), "41.7".to_string()]);
         assert_eq!(t.len(), 2);
         let rendered = t.render();
         assert!(rendered.contains("## demo"));

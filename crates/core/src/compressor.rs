@@ -143,6 +143,7 @@ pub enum CompressorKind {
 impl CompressorKind {
     /// Every compressed scheme the paper compares (excludes `None`), in the order the
     /// figures list them.
+    // lint: test-only the every-compressor sweeps of the facade suites (tests/compression_pipeline.rs)
     pub const EVALUATED: [CompressorKind; 8] = [
         CompressorKind::TopK,
         CompressorKind::RandomK,
@@ -167,15 +168,6 @@ impl CompressorKind {
             CompressorKind::Sidco(SidKind::Gamma) => "SIDCo-GP",
             CompressorKind::Sidco(SidKind::GeneralizedPareto) => "SIDCo-P",
         }
-    }
-
-    /// Whether this scheme estimates a threshold in linear time (the property the
-    /// paper's Figure 1 groups schemes by).
-    pub fn is_threshold_estimation(&self) -> bool {
-        matches!(
-            self,
-            CompressorKind::RedSync | CompressorKind::GaussianKSgd | CompressorKind::Sidco(_)
-        )
     }
 }
 
@@ -215,13 +207,5 @@ mod tests {
             "SIDCo-GP"
         );
         assert_eq!(CompressorKind::EVALUATED.len(), 8);
-    }
-
-    #[test]
-    fn threshold_estimation_classification() {
-        assert!(!CompressorKind::TopK.is_threshold_estimation());
-        assert!(!CompressorKind::Dgc.is_threshold_estimation());
-        assert!(CompressorKind::RedSync.is_threshold_estimation());
-        assert!(CompressorKind::Sidco(SidKind::Exponential).is_threshold_estimation());
     }
 }

@@ -77,12 +77,6 @@ impl SidcoConfig {
         }
     }
 
-    /// The combined discrepancy tolerance `ε = max(ε_H, ε_L)` used in the paper's
-    /// convergence analysis (equation 12).
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon_high.max(self.epsilon_low)
-    }
-
     /// Validates the configuration, panicking with a descriptive message when a
     /// field is outside its domain. Called by [`SidcoCompressor::new`].
     fn validate(&self) {
@@ -387,7 +381,6 @@ mod tests {
             SidcoConfig::generalized_pareto().sid,
             SidKind::GeneralizedPareto
         );
-        assert!((SidcoConfig::default().epsilon() - 0.2).abs() < 1e-12);
     }
 
     #[test]

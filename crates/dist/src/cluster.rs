@@ -52,6 +52,7 @@ impl ClusterConfig {
     }
 
     /// Small 4-worker cluster for fast tests.
+    // lint: test-only the trainer's unit tests and the facade suites (tests/distributed_training.rs)
     pub fn small_test() -> Self {
         Self::flat(4, NetworkModel::ethernet_25g())
     }
@@ -91,6 +92,7 @@ impl ClusterConfig {
     /// NIC rails, so the inter-node exchange charges every node's NIC
     /// complement in parallel instead of one bottleneck link — hierarchical
     /// all-gathers scale the way rail-optimised fabrics do.
+    // lint: test-only a testbed of the pinned overlap goldens (tests/overlap_golden.rs)
     pub fn paper_rail_optimized() -> Self {
         let two_tier = Self::paper_two_tier();
         let railed = two_tier.topology.clone().with_nics_per_node(4);
@@ -120,6 +122,7 @@ impl ClusterConfig {
     /// The two-tier testbed with one straggler machine at half speed (2×
     /// compute skew on node 1): compression and backward passes on that node
     /// take twice as long, and every synchronous phase gates on it.
+    // lint: test-only a testbed of the pinned goldens (tests/scheduler_goldens.rs)
     pub fn paper_straggler() -> Self {
         Self::paper_two_tier().with_straggler(1, 2.0)
     }

@@ -222,6 +222,7 @@ impl ScheduleTimeline {
     /// Every link-occupancy segment across all buckets, sorted by start time.
     /// In a valid schedule these never overlap — the link is a serial
     /// resource.
+    // lint: test-only the link-exclusivity invariant's view (tests/scheduler_properties.rs)
     pub fn link_segments(&self) -> Vec<TransferSegment> {
         let mut segments: Vec<TransferSegment> = self
             .entries
@@ -304,6 +305,7 @@ fn compression_order(buckets: &[BucketCost]) -> Vec<usize> {
 /// (no schedule finishes before [`total_wire_seconds`]), the serial
 /// compression bound (arrival-gated), and every bucket's own
 /// `compressed + latency + transfer` path.
+// lint: test-only bound oracle (tests/scheduler_properties.rs), kept for a bound-pruned stream search
 pub fn makespan_lower_bound(buckets: &[BucketCost]) -> f64 {
     let mut bound = total_wire_seconds(buckets);
     let mut frontier = 0.0f64;

@@ -181,24 +181,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Modelled multi-thread speed-up of `kind` at `workers` engine threads
-    /// over the single-threaded engine (≥ 1, ≤ `workers`, saturating per
-    /// Amdahl as the serial fixed costs start to dominate).
-    pub fn engine_speedup(
-        &self,
-        kind: CompressorKind,
-        dim: usize,
-        delta: f64,
-        stages: usize,
-        workers: usize,
-    ) -> f64 {
-        let parallel = self.compression_time_with_workers(kind, dim, delta, stages, workers);
-        if parallel <= 0.0 {
-            return 1.0;
-        }
-        self.compression_time(kind, dim, delta, stages) / parallel
-    }
-
     /// Modelled compression speed-up of `kind` over exact Top-k (Figures 1a/b,
     /// 14 and 16). Top-k itself scores 1.
     pub fn speedup_over_topk(
@@ -309,10 +291,6 @@ mod tests {
             DeviceProfile::gpu().compression_time(CompressorKind::None, DIM, 1.0, 1),
             0.0
         );
-        assert_eq!(
-            DeviceProfile::gpu().engine_speedup(CompressorKind::None, DIM, 1.0, 1, 8),
-            1.0
-        );
     }
 
     #[test]
@@ -341,9 +319,12 @@ mod tests {
     fn engine_speedup_is_monotone_bounded_and_saturating() {
         let cpu = DeviceProfile::cpu();
         let kind = CompressorKind::Sidco(SidKind::Exponential);
+        let serial = cpu.compression_time(kind, DIM, 0.001, 2);
+        let engine_speedup =
+            |workers| serial / cpu.compression_time_with_workers(kind, DIM, 0.001, 2, workers);
         let mut previous = 1.0;
         for workers in [1usize, 2, 4, 8, 16] {
-            let speedup = cpu.engine_speedup(kind, DIM, 0.001, 2, workers);
+            let speedup = engine_speedup(workers);
             assert!(
                 speedup >= previous - 1e-12,
                 "speed-up must not drop: {previous} -> {speedup} at {workers}"
@@ -355,9 +336,7 @@ mod tests {
             previous = speedup;
         }
         // Amdahl: the marginal gain of doubling shrinks.
-        let s2 = cpu.engine_speedup(kind, DIM, 0.001, 2, 2);
-        let s4 = cpu.engine_speedup(kind, DIM, 0.001, 2, 4);
-        let s8 = cpu.engine_speedup(kind, DIM, 0.001, 2, 8);
+        let (s2, s4, s8) = (engine_speedup(2), engine_speedup(4), engine_speedup(8));
         assert!(s4 / s2 <= s2 / 1.0 + 1e-12);
         assert!(s8 / s4 <= s4 / s2 + 1e-12);
     }
@@ -367,7 +346,8 @@ mod tests {
         // The GPU's 3ms selection kernel is serial: even at a tiny dimension
         // and many workers the speed-up stays near 1.
         let gpu = DeviceProfile::gpu();
-        let speedup = gpu.engine_speedup(CompressorKind::TopK, 10_000, 0.01, 1, 64);
+        let speedup = gpu.compression_time(CompressorKind::TopK, 10_000, 0.01, 1)
+            / gpu.compression_time_with_workers(CompressorKind::TopK, 10_000, 0.01, 1, 64);
         assert!(
             speedup < 1.2,
             "fixed kernel cost should cap the speed-up, got {speedup}"

@@ -316,24 +316,10 @@ impl HierarchicalTopology {
         &self.profiles
     }
 
-    /// Node `node`'s effective egress into the inter-node fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node >= nodes`.
-    pub fn node_inter_nic(&self, node: usize) -> NetworkModel {
-        assert!(
-            node < self.nodes(),
-            "node {node} outside 0..{}",
-            self.nodes()
-        );
-        self.profiles[node].effective_nic()
-    }
-
     /// Per-node drain times of the inter-node exchange for a per-worker
     /// sparse payload of `bytes` bytes: entry `i` is how long node `i` takes
     /// to drain its `(nodes-1)` per-node-aggregate messages through its own
-    /// effective NIC ([`node_inter_nic`](Self::node_inter_nic)). All zeros
+    /// effective NIC ([`NodeProfile::effective_nic`]). All zeros
     /// for a single node (there is no inter-node stage). The hierarchical
     /// charge gates on the maximum entry — the slowest-node critical path.
     pub fn node_drain_times(&self, bytes: usize) -> Vec<f64> {
@@ -389,12 +375,6 @@ impl HierarchicalTopology {
         let mut shrunk = self.clone();
         shrunk.profiles.pop();
         Some(shrunk)
-    }
-
-    /// A single machine: hierarchical collectives degenerate to flat
-    /// collectives over the intra-node fabric.
-    pub fn single_node(workers: usize, intra: NetworkModel) -> Self {
-        Self::new(1, workers, intra, intra)
     }
 
     /// One worker per machine: hierarchical collectives degenerate to flat
@@ -577,7 +557,7 @@ mod tests {
         let inter = NetworkModel::ethernet_25g();
         let bytes = 3 << 20;
 
-        let single = HierarchicalTopology::single_node(8, intra);
+        let single = HierarchicalTopology::new(1, 8, intra, intra);
         assert_eq!(single.workers(), 8);
         assert!((single.allgather_sparse(bytes) - intra.allgather_sparse(bytes, 8)).abs() < 1e-15);
         assert!((single.allreduce_dense(bytes) - intra.allreduce_dense(bytes, 8)).abs() < 1e-12);
@@ -622,14 +602,20 @@ mod tests {
         let time = two_tier.allgather_sparse(bytes as usize);
         assert!((time - 0.002).abs() < 1e-6, "round trip gave {time}");
         // Degenerate tiers invert through the flat formula.
-        let single = HierarchicalTopology::single_node(8, NetworkModel::infiniband_100g());
+        let ib = NetworkModel::infiniband_100g();
+        let single = HierarchicalTopology::new(1, 8, ib, ib);
         assert_eq!(
             single.allgather_budget_bytes(0.001),
             NetworkModel::infiniband_100g().allgather_budget_bytes(0.001, 8)
         );
         assert_eq!(
-            HierarchicalTopology::single_node(1, NetworkModel::ethernet_10g())
-                .allgather_budget_bytes(0.001),
+            HierarchicalTopology::new(
+                1,
+                1,
+                NetworkModel::ethernet_10g(),
+                NetworkModel::ethernet_10g()
+            )
+            .allgather_budget_bytes(0.001),
             f64::INFINITY
         );
         // A latency floor above the budget affords nothing.

@@ -1,6 +1,6 @@
 //! `sidco-lint`: the workspace's own source lint pass.
 //!
-//! Five rules encode conventions this codebase has converged on and that
+//! Six rules encode conventions this codebase has converged on and that
 //! rustc/clippy cannot enforce (run as `cargo run -p sidco-lint`; CI gates on
 //! a clean pass):
 //!
@@ -27,15 +27,37 @@
 //!    a pure observation).
 //! 5. **`safety-comment`** — every `unsafe` block or function has a
 //!    `// SAFETY: …` comment just above it.
+//! 6. **`dead-pub`** — every `pub fn/struct/enum/trait/const/static/type`
+//!    declared in the non-test code of `src/` and `crates/*/src/` is named
+//!    somewhere else in the workspace's non-test code: the library crates,
+//!    `examples/`, the `src/bin` targets and the `sidco-perf` package.
+//!    Comments, strings, `tests/` and `#[cfg(test)]` regions do not count,
+//!    so an item whose only callers are tests is flagged. A test oracle or
+//!    fixture stays with `// lint: test-only <reason>` on the line just
+//!    above its declaration; a marker without a reason does not count.
+//!    `vendor/` is skipped (its stubs mirror external crates and cannot call
+//!    ours), and so are the `sidco-perf` package's own items, which rustc
+//!    already checks as binary code. This is the one rule that spans files:
+//!    [`scan_sources`] first counts every identifier of that code once, then
+//!    flags each declaration whose name occurs no more often than it is
+//!    declared `pub`. A name that collides with another item's hides both,
+//!    so the rule can miss a dead item, but it flags only names that no
+//!    non-test code spells. A scan rooted at a subtree judges this rule
+//!    against that subtree only.
+//!
+//! Each run also reports the workspace's non-test library lines (the files
+//! rule 6 checks, minus their `#[cfg(test)]` regions), the figure a PR that
+//! deletes code is measured by.
 //!
 //! The scanner is deliberately *textual*, not syntactic: it strips string
 //! literals and comments with a small state machine (so rule patterns inside
 //! strings or docs don't fire), tracks `#[cfg(test)]` regions by brace
 //! depth, and classifies whole files as test code by path (`tests/`,
-//! `benches/`, `examples/`). That keeps it dependency-free and fast — the
-//! cost is that it lints the written convention, not the AST; the few
-//! heuristics are documented on [`strip`].
+//! `benches/`, `examples/`; rule 6 counts `examples/` as callers). That
+//! keeps it dependency-free and fast — the cost is that it lints the written
+//! convention, not the AST; the few heuristics are documented on [`strip`].
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// One line of source split into the three channels the rules care about.
@@ -251,29 +273,45 @@ pub fn test_region_mask(lines: &[StrippedLine]) -> Vec<bool> {
 
 /// What the rules need to know about the file being scanned.
 #[derive(Debug, Clone)]
-pub struct FileContext {
+struct FileContext {
     /// Workspace-relative path, used in diagnostics.
-    pub path: String,
+    path: String,
     /// Whole file is test/bench/example code (by path) — rules 1 and 4 are
     /// about production code and skip such files entirely.
-    pub is_test_file: bool,
+    is_test_file: bool,
     /// File belongs to `crates/dist` (the simulator) — enables rules 2 and 3.
-    pub is_dist: bool,
+    is_dist: bool,
+    /// Non-test library source (`src/`, `crates/*/src/`, minus the
+    /// `sidco-perf` package) — rule 6 checks its `pub` items, and its
+    /// non-test lines are the reported line count.
+    is_library: bool,
+    /// Code whose identifiers count as uses for rule 6: everything outside
+    /// `tests/`, `benches/` and `vendor/`, with `examples/` included.
+    is_caller: bool,
 }
+
+/// The benchmark package: its own `[workspace]`, and binary code, so rustc
+/// reports its dead items itself.
+const PERF_PACKAGE: &str = "crates/bench/src/bin/sidco-perf/";
 
 impl FileContext {
     /// Classifies a workspace-relative path.
-    pub fn classify(path: &str) -> Self {
-        let is_test_file = Path::new(path).components().any(|c| {
-            matches!(
-                c.as_os_str().to_str(),
-                Some("tests" | "benches" | "examples")
-            )
-        });
+    fn classify(path: &str) -> Self {
+        let in_dir = |names: &[&str]| {
+            Path::new(path)
+                .components()
+                .any(|c| c.as_os_str().to_str().is_some_and(|c| names.contains(&c)))
+        };
+        let is_test_file = in_dir(&["tests", "benches", "examples"]);
+        let is_caller = !in_dir(&["tests", "benches"]) && !path.starts_with("vendor/");
+        let in_src = path.starts_with("src/")
+            || (path.starts_with("crates/") && path.split('/').nth(2) == Some("src"));
         Self {
             path: path.to_string(),
             is_test_file,
             is_dist: path.contains("crates/dist/"),
+            is_library: in_src && !is_test_file && !path.starts_with(PERF_PACKAGE),
+            is_caller,
         }
     }
 }
@@ -373,10 +411,9 @@ const INT_CASTS: &[&str] = &[
     "as usize", "as u64", "as u32", "as u16", "as u8", "as isize", "as i64", "as i32",
 ];
 
-/// Runs every rule over one file and returns its violations in line order.
-pub fn scan_file(ctx: &FileContext, source: &str) -> Vec<Violation> {
-    let lines = strip(source);
-    let mask = test_region_mask(&lines);
+/// Runs the per-file rules 1–5 over one stripped file and returns its
+/// violations in line order.
+fn scan_file(ctx: &FileContext, lines: &[StrippedLine], mask: &[bool]) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut violation = |line: usize, rule: &'static str, message: String| {
         out.push(Violation {
@@ -392,7 +429,7 @@ pub fn scan_file(ctx: &FileContext, source: &str) -> Vec<Violation> {
 
         // Rule 1: unwrap/expect in production code.
         if !in_test {
-            let has_invariant = comment_window(&lines, i, INVARIANT_SPAN, INVARIANT_TAG);
+            let has_invariant = comment_window(lines, i, INVARIANT_SPAN, INVARIANT_TAG);
             if code.contains(".unwrap()") && !has_invariant {
                 violation(
                     i,
@@ -425,7 +462,7 @@ pub fn scan_file(ctx: &FileContext, source: &str) -> Vec<Violation> {
             && !in_test
             && INT_CASTS.iter().any(|c| code.contains(c))
             && (FLOAT_MARKERS.iter().any(|m| code.contains(m)) || has_float_literal(code))
-            && !comment_window(&lines, i, INVARIANT_SPAN, INVARIANT_TAG)
+            && !comment_window(lines, i, INVARIANT_SPAN, INVARIANT_TAG)
         {
             violation(
                 i,
@@ -461,7 +498,7 @@ pub fn scan_file(ctx: &FileContext, source: &str) -> Vec<Violation> {
         // Rule 4: atomic ordering choices must be justified.
         if !in_test
             && ATOMIC_ORDERINGS.iter().any(|o| code.contains(o))
-            && !comment_window_any(&lines, i, ORDERING_SPAN, ORDERING_KEYS)
+            && !comment_window_any(lines, i, ORDERING_SPAN, ORDERING_KEYS)
         {
             violation(
                 i,
@@ -475,7 +512,7 @@ pub fn scan_file(ctx: &FileContext, source: &str) -> Vec<Violation> {
 
         // Rule 5: unsafe needs a SAFETY comment (test code included — an
         // unsound test is still unsound).
-        if word_in(code, "unsafe") && !comment_window(&lines, i, SAFETY_SPAN, SAFETY_TAG) {
+        if word_in(code, "unsafe") && !comment_window(lines, i, SAFETY_SPAN, SAFETY_TAG) {
             violation(
                 i,
                 "safety-comment",
@@ -484,6 +521,118 @@ pub fn scan_file(ctx: &FileContext, source: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Item keywords rule 6 checks after `pub`.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// The marker that keeps a `pub` item only tests name; a reason must follow.
+const TEST_ONLY_TAG: &str = "lint: test-only";
+
+/// The identifiers of one line of stripped code, in order.
+fn identifiers(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The `(keyword, name)` of the `pub` item this code line declares, if any.
+/// Qualifiers (`const fn`, `unsafe`, `async`, `extern "C"`, `static mut`)
+/// are skipped; `pub(crate)` items, `pub` fields, modules and re-exports are
+/// not what rule 6 checks.
+fn pub_item(code: &str) -> Option<(&'static str, &str)> {
+    let mut words = identifiers(code)
+        .skip_while(|w| *w != "pub")
+        .skip(1)
+        .peekable();
+    let keyword = loop {
+        match words.next()? {
+            "unsafe" | "async" | "extern" => {}
+            "const" if matches!(words.peek(), Some(&("fn" | "unsafe" | "async" | "extern"))) => {}
+            word => break word,
+        }
+    };
+    let keyword = *ITEM_KEYWORDS.iter().find(|k| **k == keyword)?;
+    let name = match words.next()? {
+        "mut" if keyword == "static" => words.next()?,
+        name => name,
+    };
+    Some((keyword, name))
+}
+
+/// Does this comment carry the test-only marker with a reason after it?
+fn test_only_marker(comment: &str) -> bool {
+    comment
+        .trim()
+        .strip_prefix(TEST_ONLY_TAG)
+        .is_some_and(|reason| reason.starts_with(char::is_whitespace) && !reason.trim().is_empty())
+}
+
+/// What one lint run found.
+#[derive(Debug, Clone)]
+pub struct Scan {
+    /// Every rule's findings, sorted by file then line.
+    pub violations: Vec<Violation>,
+    /// Non-test lines of the library files: `src/` and `crates/*/src/`,
+    /// minus the `sidco-perf` package and test files.
+    pub library_lines: usize,
+}
+
+/// Runs every rule over `(workspace-relative path, source)` pairs. Rules 1–5
+/// judge each file alone; rule 6 judges each library `pub` item against the
+/// identifiers of all the callers' code, counted in one pass.
+pub fn scan_sources(files: &[(String, String)]) -> Scan {
+    let mut violations = Vec::new();
+    let mut library_lines = 0;
+    let mut uses: HashMap<String, usize> = HashMap::new();
+    let mut declared: HashMap<String, usize> = HashMap::new();
+    let mut unmarked = Vec::new();
+    for (path, source) in files {
+        let ctx = FileContext::classify(path);
+        let lines = strip(source);
+        let mask = test_region_mask(&lines);
+        violations.extend(scan_file(&ctx, &lines, &mask));
+        // `strip` yields one empty line past a trailing newline.
+        let real_lines = source.lines().count();
+        for (i, line) in lines.iter().enumerate().take(real_lines) {
+            if mask[i] {
+                continue;
+            }
+            if ctx.is_caller {
+                for word in identifiers(&line.code) {
+                    *uses.entry(word.to_string()).or_default() += 1;
+                }
+            }
+            if !ctx.is_library {
+                continue;
+            }
+            library_lines += 1;
+            if let Some((keyword, name)) = pub_item(&line.code) {
+                *declared.entry(name.to_string()).or_default() += 1;
+                if i == 0 || !test_only_marker(&lines[i - 1].comment) {
+                    unmarked.push((path, i + 1, keyword, name.to_string()));
+                }
+            }
+        }
+    }
+    for (path, line, keyword, name) in unmarked {
+        if uses.get(&name).copied().unwrap_or(0) <= declared[&name] {
+            violations.push(Violation {
+                file: path.clone(),
+                line,
+                rule: "dead-pub",
+                message: format!(
+                    "`pub {keyword} {name}` is named nowhere in non-test code but its \
+                     declaration — delete it, or keep a test oracle or fixture with \
+                     `// {TEST_ONLY_TAG} <reason>` on the line above"
+                ),
+            });
+        }
+    }
+    violations.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
+    Scan {
+        violations,
+        library_lines,
+    }
 }
 
 /// Recursively collects the `.rs` files under `root`, skipping build output
@@ -511,37 +660,34 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Scans every `.rs` file under `root` and returns all violations, sorted by
-/// file then line.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut all = Vec::new();
+/// Scans every `.rs` file under `root` (see [`scan_sources`]).
+pub fn scan_workspace(root: &Path) -> std::io::Result<Scan> {
+    let mut files = Vec::new();
     for path in collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let source = std::fs::read_to_string(&path)?;
-        let ctx = FileContext::classify(&rel);
-        all.extend(scan_file(&ctx, &source));
+        files.push((rel, std::fs::read_to_string(&path)?));
     }
-    all.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-    Ok(all)
+    Ok(scan_sources(&files))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn prod(path: &str) -> FileContext {
-        FileContext::classify(path)
+    fn scan(files: &[(&str, &str)]) -> Vec<Violation> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(path, src)| (path.to_string(), src.to_string()))
+            .collect();
+        scan_sources(&files).violations
     }
 
     fn rules(path: &str, src: &str) -> Vec<&'static str> {
-        scan_file(&prod(path), src)
-            .into_iter()
-            .map(|v| v.rule)
-            .collect()
+        scan(&[(path, src)]).into_iter().map(|v| v.rule).collect()
     }
 
     #[test]
@@ -686,9 +832,144 @@ mod tests {
         assert_eq!(rules("crates/x/tests/a.rs", bad), vec!["safety-comment"]);
     }
 
+    /// The `dead-pub` findings of a scan, as `(file, line)`.
+    fn dead(files: &[(&str, &str)]) -> Vec<(String, usize)> {
+        scan(files)
+            .into_iter()
+            .filter(|v| v.rule == "dead-pub")
+            .map(|v| (v.file, v.line))
+            .collect()
+    }
+
+    const LONE: (&str, &str) = ("crates/a/src/lib.rs", "fn f() {}\npub fn lone() {}\n");
+
+    #[test]
+    fn dead_pub_flags_a_lone_declaration() {
+        assert_eq!(dead(&[LONE]), vec![("crates/a/src/lib.rs".to_string(), 2)]);
+        assert_eq!(rules(LONE.0, LONE.1), vec!["dead-pub"]);
+        // The facade crate's `src/` is library code too.
+        assert_eq!(dead(&[("src/lib.rs", LONE.1)]).len(), 1);
+    }
+
+    #[test]
+    fn dead_pub_is_cleared_by_any_non_test_caller() {
+        for caller in [
+            "crates/b/src/lib.rs",
+            "crates/a/src/other.rs",
+            "crates/bench/src/bin/tool.rs",
+            "examples/demo.rs",
+            "crates/bench/src/bin/sidco-perf/src/main.rs",
+        ] {
+            let uses = (caller, "fn g() { a::lone(); }");
+            assert!(dead(&[LONE, uses]).is_empty(), "{caller}");
+        }
+    }
+
+    #[test]
+    fn dead_pub_ignores_tests_comments_and_strings() {
+        for (path, src) in [
+            ("tests/a.rs", "fn t() { a::lone(); }"),
+            ("crates/b/tests/a.rs", "fn t() { a::lone(); }"),
+            ("crates/b/benches/a.rs", "fn t() { a::lone(); }"),
+            (
+                "crates/b/src/lib.rs",
+                "#[cfg(test)]\nmod tests {\n fn t() { lone(); }\n}",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "// lone() is called from …\n/// [`lone`]\nfn g() {}",
+            ),
+            ("crates/b/src/lib.rs", "fn g() { h(\"lone\"); }"),
+            ("vendor/stub/src/lib.rs", "fn g() { lone(); }"),
+        ] {
+            assert_eq!(dead(&[LONE, (path, src)]).len(), 1, "{path}: {src}");
+        }
+    }
+
+    #[test]
+    fn dead_pub_needs_a_reasoned_test_only_marker() {
+        let marked = "/// Doc.\n// lint: test-only oracle of tests/a.rs\npub fn lone() {}";
+        assert!(dead(&[("crates/a/src/lib.rs", marked)]).is_empty());
+        for unreasoned in [
+            "// lint: test-only\npub fn lone() {}",
+            "// lint: test-only   \npub fn lone() {}",
+            "// lint: test-onlyish reason\npub fn lone() {}",
+            // The marker must sit on the line just above the declaration.
+            "// lint: test-only oracle\n\npub fn lone() {}",
+        ] {
+            assert_eq!(
+                dead(&[("crates/a/src/lib.rs", unreasoned)]).len(),
+                1,
+                "{unreasoned}"
+            );
+        }
+    }
+
+    #[test]
+    fn dead_pub_skips_vendor_and_the_benchmark_package() {
+        assert!(dead(&[("vendor/rand/src/lib.rs", LONE.1)]).is_empty());
+        assert!(dead(&[("crates/bench/src/bin/sidco-perf/src/run.rs", LONE.1)]).is_empty());
+        // Test files and test regions declare nothing the rule checks.
+        assert!(dead(&[("crates/a/tests/util.rs", LONE.1)]).is_empty());
+        assert!(dead(&[("crates/a/src/lib.rs", "#[cfg(test)]\npub fn t() {}")]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_parses_item_kinds_and_qualifiers() {
+        for (src, name) in [
+            ("pub struct Lone;", Some(("struct", "Lone"))),
+            ("pub enum Lone {}", Some(("enum", "Lone"))),
+            ("pub unsafe trait Lone {}", Some(("trait", "Lone"))),
+            ("pub const LONE: u8 = 0;", Some(("const", "LONE"))),
+            ("pub const fn lone() {}", Some(("fn", "lone"))),
+            ("pub async unsafe fn lone() {}", Some(("fn", "lone"))),
+            ("pub extern \"\" fn lone() {}", Some(("fn", "lone"))),
+            ("pub static mut LONE: u8 = 0;", Some(("static", "LONE"))),
+            ("pub type Lone = u8;", Some(("type", "Lone"))),
+            ("    pub fn lone(&self) {}", Some(("fn", "lone"))),
+            ("pub(crate) fn lone() {}", None),
+            ("pub lone: u8,", None),
+            ("pub mod lone;", None),
+            ("pub use a::lone;", None),
+        ] {
+            assert_eq!(pub_item(src), name, "{src}");
+        }
+    }
+
+    #[test]
+    fn dead_pub_flags_same_name_declarations_that_nothing_calls() {
+        let two = "pub fn new() {}\nimpl A { pub fn lone() {} }\nimpl B { pub fn lone() {} }";
+        assert_eq!(dead(&[("crates/a/src/lib.rs", two)]).len(), 3);
+        let called = ("crates/b/src/lib.rs", "fn g() { A::lone(); A::new(); }");
+        assert!(dead(&[("crates/a/src/lib.rs", two), called]).is_empty());
+    }
+
+    #[test]
+    fn library_lines_skip_test_code_and_the_benchmark_package() {
+        let files: Vec<(String, String)> = [
+            (
+                "crates/a/src/lib.rs",
+                "fn a() {}\n\n#[cfg(test)]\nmod tests {\n}\nfn b() {}\n",
+            ),
+            ("src/lib.rs", "fn c() {}"),
+            ("crates/a/tests/t.rs", "fn t() {}\n"),
+            ("examples/e.rs", "fn e() {}\n"),
+            (
+                "crates/bench/src/bin/sidco-perf/src/main.rs",
+                "fn main() {}\n",
+            ),
+            ("vendor/rand/src/lib.rs", "fn r() {}\n"),
+        ]
+        .iter()
+        .map(|(path, src)| (path.to_string(), src.to_string()))
+        .collect();
+        // `fn a`, the blank line and `fn b`, plus `fn c`.
+        assert_eq!(scan_sources(&files).library_lines, 4);
+    }
+
     #[test]
     fn violations_format_as_file_line_rule() {
-        let v = scan_file(&prod("crates/x/src/a.rs"), "fn f() { x.unwrap(); }");
+        let v = scan(&[("crates/x/src/a.rs", "fn f() { x.unwrap(); }")]);
         assert_eq!(v.len(), 1);
         let shown = v[0].to_string();
         assert!(
@@ -705,7 +986,9 @@ mod tests {
             .parent()
             .and_then(Path::parent)
             .expect("workspace root exists");
-        let violations = scan_workspace(root).expect("workspace scan reads all sources");
+        let violations = scan_workspace(root)
+            .expect("workspace scan reads all sources")
+            .violations;
         assert!(
             violations.is_empty(),
             "sidco-lint found {} violation(s):\n{}",

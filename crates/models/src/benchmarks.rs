@@ -254,17 +254,12 @@ impl BenchmarkSpec {
     /// conv/FC/gate blocks these architectures are built from; only the
     /// ratios matter to the arrival-time model. The backward pass runs
     /// output-to-input, so the last tensor's gradient arrives first.
+    // lint: test-only arrival-time input of the pinned overlap goldens (tests/overlap_golden.rs)
     pub fn representative_backward_costs(&self) -> Vec<f64> {
         self.representative_layer_sizes()
             .iter()
             .map(|&s| s as f64)
             .collect()
-    }
-
-    /// Whether this benchmark is communication-bound (overhead above 50%), which is
-    /// where the paper expects compression to pay off.
-    pub fn is_communication_bound(&self) -> bool {
-        self.communication_overhead > 0.5
     }
 }
 
@@ -315,13 +310,6 @@ mod tests {
             BenchmarkId::Vgg19ImageNet.spec().communication_overhead,
             0.83
         );
-    }
-
-    #[test]
-    fn communication_bound_classification() {
-        assert!(BenchmarkId::LstmPtb.spec().is_communication_bound());
-        assert!(!BenchmarkId::ResNet20Cifar10.spec().is_communication_bound());
-        assert!(BenchmarkId::Vgg19ImageNet.spec().is_communication_bound());
     }
 
     #[test]

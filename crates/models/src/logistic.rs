@@ -69,13 +69,6 @@ impl SoftmaxClassifier {
         self.logits_into(params, example, probs);
         softmax_in_place(probs);
     }
-
-    /// Predicted class of one example.
-    pub fn predict(&self, params: &[f32], example: usize) -> usize {
-        let mut logits = vec![0.0; self.classes()];
-        self.logits_into(params, example, &mut logits);
-        argmax(&logits)
-    }
 }
 
 impl DifferentiableModel for SoftmaxClassifier {
@@ -225,15 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn metadata_and_prediction_bounds() {
+    fn metadata() {
         let m = model();
         assert_eq!(m.name(), "softmax-classifier");
         assert_eq!(m.num_parameters(), 4 * 10 + 4);
         assert_eq!(m.layer_sizes(), vec![4 * 10, 4]);
         assert_eq!(m.num_examples(), 240);
-        let params = m.initial_parameters(3);
-        let p = m.predict(params.as_slice(), 0);
-        assert!(p < 4);
         assert_eq!(m.dataset().classes(), 4);
     }
 }

@@ -113,13 +113,6 @@ impl Mlp {
             softmax_in_place(p);
         }
     }
-
-    /// Predicted class of one example.
-    pub fn predict(&self, params: &[f32], example: usize) -> usize {
-        let (mut h, mut probs) = (vec![0.0; self.hidden], vec![0.0; self.classes()]);
-        self.forward_into(params, &[example], &mut h, &mut probs);
-        argmax(&probs)
-    }
 }
 
 impl DifferentiableModel for Mlp {
@@ -341,7 +334,5 @@ mod tests {
         let m = model();
         assert_eq!(m.name(), "mlp");
         assert_eq!(m.num_examples(), 160);
-        let params = m.initial_parameters(4);
-        assert!(m.predict(params.as_slice(), 0) < 3);
     }
 }

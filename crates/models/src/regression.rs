@@ -41,17 +41,6 @@ impl LinearRegression {
         &self.data
     }
 
-    /// Distance of `params` from the data-generating weights, a convergence
-    /// diagnostic only available because the dataset is synthetic.
-    pub fn distance_to_truth(&self, params: &[f32]) -> f64 {
-        params
-            .iter()
-            .zip(self.data.true_weights())
-            .map(|(&p, &w)| ((p - w) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Prediction error `xᵢ·w - yᵢ` of one example.
     fn residual(&self, params: &[f32], example: usize) -> f64 {
         self.data
@@ -180,7 +169,8 @@ mod tests {
             final_loss < initial_loss * 0.05,
             "loss {initial_loss} -> {final_loss}"
         );
-        assert!(m.distance_to_truth(params.as_slice()) < 0.5);
+        params.axpy(-1.0, &m.dataset().true_weights().iter().copied().collect());
+        assert!(params.l2_norm() < 0.5, "distance to the true weights");
     }
 
     #[test]

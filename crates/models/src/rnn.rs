@@ -111,11 +111,6 @@ impl ElmanRnn {
     fn states_len(&self) -> usize {
         (self.data.seq_len() + 1) * self.hidden
     }
-
-    /// Prediction for one sequence.
-    pub fn predict(&self, params: &[f32], sequence: usize) -> f64 {
-        self.forward_into(params, sequence, &mut vec![0.0; self.states_len()])
-    }
 }
 
 impl DifferentiableModel for ElmanRnn {
@@ -324,8 +319,9 @@ mod tests {
         // two different sequences should (generically) yield different predictions.
         let m = model();
         let params = m.initial_parameters(4);
-        let p0 = m.predict(params.as_slice(), 0);
-        let p1 = m.predict(params.as_slice(), 1);
+        let mut states = vec![0.0; m.states_len()];
+        let p0 = m.forward_into(params.as_slice(), 0, &mut states);
+        let p1 = m.forward_into(params.as_slice(), 1, &mut states);
         assert!((p0 - p1).abs() > 1e-9);
     }
 

@@ -17,7 +17,7 @@
 //! surface.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sidco_stats::distribution::Continuous;
 use sidco_stats::{DoubleGamma, DoubleGeneralizedPareto, Laplace, Normal};
 use sidco_tensor::GradientVector;
@@ -79,28 +79,22 @@ pub struct SyntheticGradientGenerator {
     profile: GradientProfile,
     rng: SmallRng,
     seed: u64,
-    base_scale: f64,
 }
+
+/// Gradient scale at iteration 0; matches the magnitude range seen in the
+/// paper's Figure 2 histograms of ℓ2-normalised ResNet-20 gradients.
+const BASE_SCALE: f64 = 0.01;
 
 impl SyntheticGradientGenerator {
     /// Creates a generator for gradients of dimension `dim` with the given profile
-    /// and RNG seed. The base scale (0.01) matches the magnitude range seen in the
-    /// paper's Figure 2 histograms of ℓ2-normalised ResNet-20 gradients.
+    /// and RNG seed.
     pub fn new(dim: usize, profile: GradientProfile, seed: u64) -> Self {
         Self {
             dim,
             profile,
             rng: SmallRng::seed_from_u64(seed),
             seed,
-            base_scale: 0.01,
         }
-    }
-
-    /// Overrides the base scale of the generated gradients.
-    pub fn with_base_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0 && scale.is_finite(), "scale must be positive");
-        self.base_scale = scale;
-        self
     }
 
     /// Gradient dimension.
@@ -122,7 +116,7 @@ impl SyntheticGradientGenerator {
     /// `scale₀ / (1 + i/2000)^0.4` that reproduces the norm shrinkage between the
     /// paper's iteration-100 and iteration-10000 snapshots (roughly 2–3× smaller).
     pub fn scale_at(&self, iteration: u64) -> f64 {
-        self.base_scale / (1.0 + iteration as f64 / 2000.0).powf(0.4)
+        BASE_SCALE / (1.0 + iteration as f64 / 2000.0).powf(0.4)
     }
 
     /// The distribution shape parameter at a given iteration (only meaningful for
@@ -169,13 +163,6 @@ impl SyntheticGradientGenerator {
         GradientVector::from_vec(data)
     }
 
-    /// Generates a batch of per-worker gradients for the same iteration: every
-    /// worker sees the same distribution but different noise, as in data-parallel
-    /// training with i.i.d. shards.
-    pub fn worker_gradients(&mut self, iteration: u64, workers: usize) -> Vec<GradientVector> {
-        (0..workers).map(|_| self.gradient(iteration)).collect()
-    }
-
     /// Generates a gradient composed of `layers` contiguous blocks whose scales are
     /// log-spaced over three orders of magnitude, emulating the per-layer magnitude
     /// disparity of real DNNs (convolution kernels vs biases vs normalisation
@@ -208,26 +195,13 @@ impl SyntheticGradientGenerator {
         }
         g
     }
-
-    /// Generates a gradient with an explicit fraction of exact zeros, emulating
-    /// layers (e.g. embedding tables) whose gradient is structurally sparse.
-    pub fn gradient_with_zeros(&mut self, iteration: u64, zero_fraction: f64) -> GradientVector {
-        assert!((0.0..1.0).contains(&zero_fraction));
-        let mut g = self.gradient(iteration);
-        let slice = g.as_mut_slice();
-        for value in slice.iter_mut() {
-            if self.rng.gen::<f64>() < zero_fraction {
-                *value = 0.0;
-            }
-        }
-        g
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidco_stats::fit::{fit_sid, SidKind};
+    use sidco_stats::fit::{fit_sid_from_moments, SidKind};
+    use sidco_stats::moments::AbsMoments;
     use sidco_tensor::compressibility;
 
     #[test]
@@ -287,7 +261,8 @@ mod tests {
         let mut generator =
             SyntheticGradientGenerator::new(100_000, GradientProfile::LaplaceLike, 6);
         let grad = generator.gradient(500);
-        let (fit, moments) = fit_sid(grad.as_slice(), SidKind::Exponential).unwrap();
+        let moments = AbsMoments::compute(grad.as_slice());
+        let fit = fit_sid_from_moments(&moments, SidKind::Exponential).unwrap();
         // The fitted scale should match the generator's configured scale.
         let expected = generator.scale_at(500);
         match fit {
@@ -297,18 +272,6 @@ mod tests {
             other => panic!("unexpected fit {other:?}"),
         }
         assert_eq!(moments.count, 100_000);
-    }
-
-    #[test]
-    fn worker_gradients_differ_across_workers() {
-        let mut generator = SyntheticGradientGenerator::new(2_000, GradientProfile::LaplaceLike, 7);
-        let grads = generator.worker_gradients(50, 4);
-        assert_eq!(grads.len(), 4);
-        assert_ne!(grads[0].as_slice(), grads[1].as_slice());
-        // Same scale though: norms are comparable.
-        let n0 = grads[0].l2_norm();
-        let n1 = grads[1].l2_norm();
-        assert!((n0 - n1).abs() / n0 < 0.2);
     }
 
     #[test]
@@ -336,15 +299,6 @@ mod tests {
     fn layered_gradient_rejects_zero_layers() {
         let mut generator = SyntheticGradientGenerator::new(100, GradientProfile::LaplaceLike, 1);
         generator.layered_gradient(0, 0);
-    }
-
-    #[test]
-    fn zero_injection_produces_requested_sparsity() {
-        let mut generator =
-            SyntheticGradientGenerator::new(20_000, GradientProfile::LaplaceLike, 8);
-        let g = generator.gradient_with_zeros(10, 0.5);
-        let zero_fraction = g.count_zeros() as f64 / g.len() as f64;
-        assert!((zero_fraction - 0.5).abs() < 0.05);
     }
 
     #[test]

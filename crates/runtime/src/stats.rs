@@ -106,13 +106,6 @@ impl PoolStats {
         self.sibling_steals
     }
 
-    /// Total task acquisitions (local pops, injector takes, and steals).
-    /// Each acquisition hands over a *range* task that may cover several
-    /// chunks, so this is the right denominator for traffic ratios.
-    pub fn acquisitions(&self) -> u64 {
-        self.local_pops + self.injector_pops + self.sibling_steals
-    }
-
     /// Feed this snapshot into a trace metrics sink as gauges named
     /// `{prefix}.{counter}`. Gauges rather than counters because a snapshot
     /// is already cumulative — re-recording overwrites with the latest
@@ -184,7 +177,7 @@ mod tests {
         assert_eq!(stats.jobs, 1);
         assert_eq!(stats.chunks_executed, 2);
         assert_eq!(stats.steals(), 1);
-        assert_eq!(stats.acquisitions(), 2);
+        assert_eq!(stats.injector_pops, 1);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl EmpiricalCdf {
         self.sorted[idx]
     }
 
-    /// The sorted observations.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Kolmogorov–Smirnov distance `sup_x |F_n(x) - F(x)|` against a reference
     /// distribution.
     pub fn ks_distance<D: Continuous>(&self, reference: &D) -> f64 {
@@ -183,12 +178,6 @@ impl Histogram {
             return 0.0;
         }
         self.counts[i] as f64 / (self.total as f64 * self.bin_width())
-    }
-
-    /// Iterator over `(bin_center, density)` pairs — the exact series plotted in the
-    /// paper's PDF-fit figures.
-    pub fn density_series(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        (0..self.counts.len()).map(move |i| (self.bin_center(i), self.density(i)))
     }
 }
 

@@ -46,25 +46,6 @@ impl Exponential {
     pub fn scale(&self) -> f64 {
         self.scale
     }
-
-    /// Maximum-likelihood fit from a sample of non-negative observations:
-    /// `β̂ = mean(x)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InsufficientData`] for an empty sample and
-    /// [`StatsError::InvalidParameter`] if the sample mean is not positive
-    /// (e.g. an all-zero gradient).
-    pub fn fit_mle(sample: &[f64]) -> Result<Self, StatsError> {
-        if sample.is_empty() {
-            return Err(StatsError::InsufficientData {
-                len: 0,
-                required: 1,
-            });
-        }
-        let mean = sample.iter().sum::<f64>() / sample.len() as f64;
-        Self::new(mean)
-    }
 }
 
 impl Continuous for Exponential {
@@ -168,22 +149,15 @@ mod tests {
     }
 
     #[test]
-    fn mle_recovers_scale_from_samples() {
+    fn samples_have_the_scale_as_mean() {
         let d = Exponential::new(2.5).unwrap();
         let mut rng = SmallRng::seed_from_u64(42);
         let xs = d.sample_vec(&mut rng, 50_000);
-        let fitted = Exponential::fit_mle(&xs).unwrap();
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(
-            (fitted.scale() - 2.5).abs() < 0.05,
-            "fitted scale {} too far from 2.5",
-            fitted.scale()
+            (mean - 2.5).abs() < 0.05,
+            "sample mean {mean} too far from 2.5"
         );
-    }
-
-    #[test]
-    fn mle_rejects_empty_and_zero_samples() {
-        assert!(Exponential::fit_mle(&[]).is_err());
-        assert!(Exponential::fit_mle(&[0.0, 0.0, 0.0]).is_err());
     }
 
     #[test]

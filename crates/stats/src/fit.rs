@@ -6,12 +6,15 @@
 //!
 //! * [`exponential_threshold`] — Corollary 1.1 (`SIDCo-E`),
 //! * [`gamma_threshold`] — Corollary 1.2 (first stage of `SIDCo-GP`),
-//! * [`gp_threshold`] — Corollary 1.3 (`SIDCo-P`),
-//! * [`gaussian_threshold`] — the Gaussian fit used by the GaussianKSGD baseline.
+//! * [`FittedSid::threshold`] of a [`SidKind::GeneralizedPareto`] fit —
+//!   Corollary 1.3 (`SIDCo-P`),
+//! * [`gaussian_threshold_from_moments`] — the Gaussian fit used by the
+//!   GaussianKSGD baseline.
 //!
-//! Each has a `*_from_moments` twin that reuses precomputed [`AbsMoments`], which is
-//! what the multi-stage estimator in `sidco-core` calls so that each stage costs a
-//! single additional pass over the (much smaller) exceedance set.
+//! The `*_from_moments` forms reuse precomputed [`AbsMoments`] (or
+//! [`SignedMoments`]), which is what the multi-stage estimator in `sidco-core`
+//! calls so that each stage costs a single additional pass over the (much
+//! smaller) exceedance set.
 
 use crate::error::StatsError;
 use crate::gamma::Gamma;
@@ -97,19 +100,6 @@ impl FittedSid {
             }
         }
     }
-}
-
-/// Fits the requested SID to the absolute values of `grad` and returns both the fit
-/// and the moments it was computed from.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InsufficientData`] for an empty gradient and
-/// [`StatsError::InvalidParameter`] for a gradient whose absolute mean is zero.
-pub fn fit_sid(grad: &[f32], kind: SidKind) -> Result<(FittedSid, AbsMoments), StatsError> {
-    let moments = AbsMoments::compute(grad);
-    let fit = fit_sid_from_moments(&moments, kind)?;
-    Ok((fit, moments))
 }
 
 /// Fits the requested SID from precomputed absolute-value moments.
@@ -213,29 +203,9 @@ pub fn gamma_threshold_exact(grad: &[f32], delta: f64) -> f64 {
     }
 }
 
-/// Corollary 1.3: generalized-Pareto threshold via moment matching,
-/// `η = (β̂/α̂)(e^{-α̂ ln δ} - 1)`.
-pub fn gp_threshold(grad: &[f32], delta: f64) -> f64 {
-    let moments = AbsMoments::compute(grad);
-    gp_threshold_from_moments(&moments, delta)
-}
-
-/// [`gp_threshold`] from precomputed moments.
-pub fn gp_threshold_from_moments(moments: &AbsMoments, delta: f64) -> f64 {
-    match fit_sid_from_moments(moments, SidKind::GeneralizedPareto) {
-        Ok(fit) => fit.threshold(delta).max(0.0),
-        Err(_) => 0.0,
-    }
-}
-
 /// Threshold from a Gaussian fit of the *signed* gradient, as used by the
-/// GaussianKSGD baseline: `η = |μ̂| + σ̂ Φ⁻¹(1 - δ/2)`.
-pub fn gaussian_threshold(grad: &[f32], delta: f64) -> f64 {
-    let m = SignedMoments::compute(grad);
-    gaussian_threshold_from_moments(&m, delta)
-}
-
-/// [`gaussian_threshold`] from precomputed signed moments.
+/// GaussianKSGD baseline: `η = |μ̂| + σ̂ Φ⁻¹(1 - δ/2)`, from precomputed
+/// signed moments.
 pub fn gaussian_threshold_from_moments(moments: &SignedMoments, delta: f64) -> f64 {
     if moments.count == 0 || !(moments.variance > 0.0) {
         return 0.0;
@@ -297,7 +267,8 @@ mod tests {
         let delta = 0.01;
         let eta_e = exponential_threshold(&grad, delta);
         let eta_g = gamma_threshold(&grad, delta);
-        let eta_p = gp_threshold(&grad, delta);
+        let gp = fit_sid_from_moments(&AbsMoments::compute(&grad), SidKind::GeneralizedPareto);
+        let eta_p = gp.unwrap().threshold(delta);
         assert!(
             (eta_g - eta_e).abs() / eta_e < 0.3,
             "gamma {eta_g} vs exp {eta_e}"
@@ -327,7 +298,7 @@ mod tests {
             .map(|&x| x as f32)
             .collect();
         for &delta in &[0.1, 0.01] {
-            let eta = gaussian_threshold(&grad, delta);
+            let eta = gaussian_threshold_from_moments(&SignedMoments::compute(&grad), delta);
             let achieved = achieved_ratio(&grad, eta);
             assert!(
                 (achieved - delta).abs() / delta < 0.3,
@@ -345,7 +316,7 @@ mod tests {
         // close to it.
         let grad = laplace_gradient(0.01, 200_000, 5);
         let delta = 0.001;
-        let eta_gauss = gaussian_threshold(&grad, delta);
+        let eta_gauss = gaussian_threshold_from_moments(&SignedMoments::compute(&grad), delta);
         let achieved = achieved_ratio(&grad, eta_gauss);
         assert!(
             achieved > 3.0 * delta,
@@ -361,7 +332,7 @@ mod tests {
     fn fitted_sid_threshold_is_monotone_in_delta() {
         let grad = laplace_gradient(0.01, 50_000, 6);
         for kind in SidKind::ALL {
-            let (fit, _) = fit_sid(&grad, kind).unwrap();
+            let fit = fit_sid_from_moments(&AbsMoments::compute(&grad), kind).unwrap();
             let mut prev = f64::INFINITY;
             for &delta in &[0.001, 0.01, 0.1, 0.5] {
                 let eta = fit.threshold(delta);
@@ -376,8 +347,10 @@ mod tests {
 
     #[test]
     fn fit_errors_on_empty_and_zero_gradients() {
-        assert!(fit_sid(&[], SidKind::Exponential).is_err());
-        assert!(fit_sid(&[0.0, 0.0, 0.0], SidKind::Gamma).is_err());
+        assert!(fit_sid_from_moments(&AbsMoments::compute(&[]), SidKind::Exponential).is_err());
+        assert!(
+            fit_sid_from_moments(&AbsMoments::compute(&[0.0, 0.0, 0.0]), SidKind::Gamma).is_err()
+        );
     }
 
     #[test]
@@ -385,14 +358,16 @@ mod tests {
         assert_eq!(exponential_threshold(&[], 0.01), 0.0);
         assert_eq!(exponential_threshold(&[0.0, 0.0], 0.01), 0.0);
         assert_eq!(gamma_threshold(&[0.0; 4], 0.01), 0.0);
-        assert_eq!(gp_threshold(&[0.0; 4], 0.01), 0.0);
-        assert_eq!(gaussian_threshold(&[1.0; 4], 0.01), 0.0);
+        assert_eq!(
+            gaussian_threshold_from_moments(&SignedMoments::compute(&[1.0; 4]), 0.01),
+            0.0
+        );
     }
 
     #[test]
     fn constant_magnitude_gradients_use_fallback_fits() {
         let grad = [0.5f32, -0.5, 0.5, -0.5];
-        let (fit, _) = fit_sid(&grad, SidKind::Gamma).unwrap();
+        let fit = fit_sid_from_moments(&AbsMoments::compute(&grad), SidKind::Gamma).unwrap();
         match fit {
             FittedSid::Gamma { shape, scale } => {
                 assert_eq!(shape, 1.0);
@@ -400,7 +375,8 @@ mod tests {
             }
             other => panic!("unexpected fit {other:?}"),
         }
-        let (fit, _) = fit_sid(&grad, SidKind::GeneralizedPareto).unwrap();
+        let fit =
+            fit_sid_from_moments(&AbsMoments::compute(&grad), SidKind::GeneralizedPareto).unwrap();
         match fit {
             FittedSid::GeneralizedPareto { shape, .. } => assert_eq!(shape, 0.0),
             other => panic!("unexpected fit {other:?}"),

@@ -3,7 +3,7 @@
 
 use crate::distribution::Continuous;
 use crate::error::StatsError;
-use crate::special::{digamma, inv_reg_lower_gamma, ln_gamma, reg_lower_gamma};
+use crate::special::{inv_reg_lower_gamma, ln_gamma, reg_lower_gamma};
 
 /// Gamma distribution with shape `α > 0` and scale `β > 0`.
 ///
@@ -82,55 +82,6 @@ impl Gamma {
         let _ = n;
         let shape = (3.0 - s + ((s - 3.0) * (s - 3.0) + 24.0 * s).sqrt()) / (12.0 * s);
         Self::new(shape, mean / shape)
-    }
-
-    /// Full MLE: starts from [`fit_closed_form`](Self::fit_closed_form) and refines
-    /// the shape with Newton iterations on the likelihood equation
-    /// `ln α - ψ(α) = s`.
-    ///
-    /// This is the "exact" variant used by the `ablation_gamma_fit` bench; the paper
-    /// deliberately avoids it at runtime because of the digamma evaluations.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`fit_closed_form`](Self::fit_closed_form).
-    pub fn fit_mle(sample: &[f64]) -> Result<Self, StatsError> {
-        let (mean, mean_ln, _) = positive_log_moments(sample)?;
-        let s = mean.ln() - mean_ln;
-        if !(s.is_finite() && s > 0.0) {
-            return Self::new(1.0, mean);
-        }
-        let init = Self::fit_closed_form(sample)?;
-        let mut alpha = init.shape();
-        for _ in 0..25 {
-            // f(α) = ln α - ψ(α) - s, f'(α) = 1/α - ψ'(α) ≈ 1/α - (1/α + 1/(2α²)) .
-            let f = alpha.ln() - digamma(alpha) - s;
-            // Numerical derivative of ψ via central difference keeps this simple and
-            // accurate enough for a handful of Newton steps.
-            let h = (alpha * 1e-6).max(1e-9);
-            let dpsi = (digamma(alpha + h) - digamma(alpha - h)) / (2.0 * h);
-            let df = 1.0 / alpha - dpsi;
-            if df.abs() < 1e-300 {
-                break;
-            }
-            let next = alpha - f / df;
-            if !(next.is_finite() && next > 0.0) {
-                break;
-            }
-            if (next - alpha).abs() < 1e-12 * alpha {
-                alpha = next;
-                break;
-            }
-            alpha = next;
-        }
-        Self::new(alpha, mean / alpha)
-    }
-
-    /// The paper's closed-form threshold approximation for `P(|G| > η) = δ`
-    /// (equation 15): `η ≈ -β [ln δ + ln Γ(α)]`, valid for `α ≤ 1` and tight when
-    /// `α` is close to one.
-    pub fn approximate_upper_quantile(&self, delta: f64) -> f64 {
-        -self.scale * (delta.ln() + ln_gamma(self.shape))
     }
 }
 
@@ -349,34 +300,6 @@ mod tests {
             fitted.shape()
         );
         assert!((fitted.mean() - d.mean()).abs() / d.mean() < 0.05);
-    }
-
-    #[test]
-    fn mle_fit_is_at_least_as_good_as_closed_form() {
-        let d = Gamma::new(0.6, 1.0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let xs = d.sample_vec(&mut rng, 30_000);
-        let cf = Gamma::fit_closed_form(&xs).unwrap();
-        let mle = Gamma::fit_mle(&xs).unwrap();
-        let err_cf = (cf.shape() - 0.6).abs();
-        let err_mle = (mle.shape() - 0.6).abs();
-        assert!(
-            err_mle <= err_cf + 0.02,
-            "MLE ({}) should not be much worse than closed form ({})",
-            mle.shape(),
-            cf.shape()
-        );
-    }
-
-    #[test]
-    fn approximate_upper_quantile_close_to_exact_near_alpha_one() {
-        let d = Gamma::new(0.95, 0.01).unwrap();
-        for &delta in &[0.01, 0.001] {
-            let exact = d.quantile(1.0 - delta);
-            let approx = d.approximate_upper_quantile(delta);
-            let rel = (exact - approx).abs() / exact;
-            assert!(rel < 0.15, "delta={delta}: exact={exact}, approx={approx}");
-        }
     }
 
     #[test]

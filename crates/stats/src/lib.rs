@@ -4,7 +4,7 @@
 //! from a *sparsity-inducing distribution* (SID) and to invert the fitted CDF into a
 //! sparsification threshold:
 //!
-//! * [`special`] — special functions (log-gamma, digamma, erf, regularized incomplete
+//! * [`special`] — special functions (log-gamma, erfc, regularized incomplete
 //!   gamma and its inverse) implemented from scratch so that no external numerics
 //!   dependency is required.
 //! * [`distribution`] — the [`Continuous`] trait plus the
@@ -14,8 +14,8 @@
 //!   and [`DoubleGeneralizedPareto`], and
 //!   [`Normal`].
 //! * [`fit`] — the closed-form estimators of the paper (Corollary 1.1, 1.2, 1.3 and
-//!   Lemma 2): exponential MLE, gamma via Minka's closed-form approximation (with an
-//!   optional digamma Newton refinement), and generalized-Pareto moment matching.
+//!   Lemma 2): exponential MLE, gamma via Minka's closed-form approximation, and
+//!   generalized-Pareto moment matching.
 //! * [`empirical`] — empirical CDF, quantiles, histograms and Kolmogorov–Smirnov
 //!   distances used to validate Property 1/2 of the paper.
 //! * [`moments`] — Welford running moments and one-pass absolute-value statistics.

@@ -60,35 +60,9 @@ impl RunningMoments {
         }
     }
 
-    /// Sample variance (divides by `n - 1`; 0 when fewer than two observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Merges another estimator into this one (parallel Welford / Chan's method).
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = new_mean;
-        self.count = total;
     }
 }
 
@@ -214,6 +188,7 @@ impl AbsMoments {
     /// Non-finite magnitudes are skipped (like [`compute`](Self::compute)
     /// does) to guard the fit, even though the selection would transmit an
     /// `inf` element.
+    // lint: test-only all-fields oracle for the needs-aware passes (tests/stage_kernels.rs)
     pub fn compute_exceedances(grad: &[f32], threshold: f64) -> Self {
         Self::compute_exceedances_with(grad, threshold, MomentNeeds::ALL)
     }
@@ -490,7 +465,6 @@ mod tests {
         let var = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
         assert!((m.mean() - mean).abs() < 1e-12);
         assert!((m.variance() - var).abs() < 1e-12);
-        assert!((m.sample_variance() - var * n / (n - 1.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -503,27 +477,6 @@ mod tests {
         m.push(3.0);
         assert_eq!(m.variance(), 0.0);
         assert_eq!(m.mean(), 3.0);
-    }
-
-    #[test]
-    fn running_moments_merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 / 7.0).collect();
-        let mut all = RunningMoments::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = RunningMoments::new();
-        let mut b = RunningMoments::new();
-        for &x in &data[..300] {
-            a.push(x);
-        }
-        for &x in &data[300..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
     }
 
     #[test]

@@ -52,25 +52,6 @@ impl Normal {
     pub fn std_dev(&self) -> f64 {
         self.std_dev
     }
-
-    /// Maximum-likelihood fit (sample mean and population standard deviation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InsufficientData`] if the sample has fewer than two
-    /// observations, and [`StatsError::InvalidParameter`] if the sample is constant.
-    pub fn fit_mle(sample: &[f64]) -> Result<Self, StatsError> {
-        if sample.len() < 2 {
-            return Err(StatsError::InsufficientData {
-                len: sample.len(),
-                required: 2,
-            });
-        }
-        let n = sample.len() as f64;
-        let mean = sample.iter().sum::<f64>() / n;
-        let var = sample.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        Self::new(mean, var.sqrt())
-    }
 }
 
 impl Continuous for Normal {
@@ -131,18 +112,14 @@ mod tests {
     }
 
     #[test]
-    fn fit_recovers_parameters() {
+    fn samples_have_the_parameters_as_moments() {
         let d = Normal::new(1.5, 0.3).unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
-        let xs = d.sample_vec(&mut rng, 60_000);
-        let fitted = Normal::fit_mle(&xs).unwrap();
-        assert!((fitted.mean() - 1.5).abs() < 0.01);
-        assert!((fitted.std_dev() - 0.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn fit_rejects_degenerate_samples() {
-        assert!(Normal::fit_mle(&[1.0]).is_err());
-        assert!(Normal::fit_mle(&[2.0, 2.0, 2.0]).is_err());
+        let mut moments = crate::moments::RunningMoments::new();
+        d.sample_vec(&mut rng, 60_000)
+            .into_iter()
+            .for_each(|x| moments.push(x));
+        assert!((moments.mean() - 1.5).abs() < 0.01);
+        assert!((moments.std_dev() - 0.3).abs() < 0.01);
     }
 }

@@ -62,52 +62,6 @@ pub fn gamma(x: f64) -> f64 {
     ln_gamma(x).exp()
 }
 
-/// The digamma function `ψ(x) = d/dx ln Γ(x)` for `x > 0`.
-///
-/// Uses the recurrence `ψ(x) = ψ(x + 1) - 1/x` to push the argument above 6 and
-/// then the asymptotic (Stirling) series.
-///
-/// # Example
-///
-/// ```
-/// use sidco_stats::special::digamma;
-/// // ψ(1) = -γ (Euler–Mascheroni)
-/// assert!((digamma(1.0) + 0.5772156649015329).abs() < 1e-10);
-/// ```
-pub fn digamma(x: f64) -> f64 {
-    debug_assert!(x > 0.0 && x.is_finite(), "digamma requires x > 0, got {x}");
-    let mut x = x;
-    let mut result = 0.0;
-    while x < 6.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    // Asymptotic expansion.
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result + x.ln()
-        - 0.5 * inv
-        - inv2
-            * (1.0 / 12.0
-                - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
-}
-
-/// The error function `erf(x)`.
-///
-/// Computed through the regularized lower incomplete gamma function,
-/// `erf(x) = sign(x) · P(1/2, x²)`, which is accurate to ~1e-13 everywhere.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let p = reg_lower_gamma(0.5, x * x);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
 /// The complementary error function `erfc(x) = 1 - erf(x)`.
 ///
 /// Uses `Q(1/2, x²)` for positive arguments so the far tail keeps full relative
@@ -348,8 +302,6 @@ pub fn inv_reg_lower_gamma(a: f64, p: f64) -> f64 {
 mod tests {
     use super::*;
 
-    const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
-
     #[test]
     fn ln_gamma_matches_factorials() {
         for n in 1u64..15 {
@@ -370,35 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn digamma_known_values() {
-        assert!((digamma(1.0) + EULER_GAMMA).abs() < 1e-10);
-        // ψ(2) = 1 - γ
-        assert!((digamma(2.0) - (1.0 - EULER_GAMMA)).abs() < 1e-10);
-        // ψ(1/2) = -γ - 2 ln 2
-        assert!((digamma(0.5) - (-EULER_GAMMA - 2.0 * 2.0f64.ln())).abs() < 1e-9);
-    }
-
-    #[test]
-    fn digamma_is_derivative_of_ln_gamma() {
-        for &x in &[0.3, 1.0, 2.5, 7.0, 25.0] {
-            let h = 1e-6;
-            let numeric = (ln_gamma(x + h) - ln_gamma(x - h)) / (2.0 * h);
-            assert!(
-                (digamma(x) - numeric).abs() < 1e-5,
-                "digamma({x}) = {} vs numeric {}",
-                digamma(x),
-                numeric
-            );
-        }
-    }
-
-    #[test]
-    fn erf_known_values() {
-        assert!(erf(0.0).abs() < 1e-12);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-6);
-        assert!((erf(3.0) - 0.999_977_9).abs() < 1e-6);
-        assert!((erfc(0.5) - (1.0 - erf(0.5))).abs() < 1e-12);
+    fn erfc_known_values() {
+        assert_eq!(erfc(0.0), 1.0);
+        assert!((erfc(0.5) - 0.479_500_122_186_953_5).abs() < 1e-12);
+        assert!((erfc(1.0) - 0.157_299_207_050_285_1).abs() < 1e-12);
+        assert!((erfc(-1.0) - 1.842_700_792_949_715).abs() < 1e-12);
+        assert!((erfc(3.0) - 2.209_049_699_858_544e-5).abs() < 1e-15);
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl GradientVector {
         self.data.iter().map(|&x| x.abs() as f64).sum()
     }
 
-    /// Number of exactly-zero elements.
-    pub fn count_zeros(&self) -> usize {
-        self.data.iter().filter(|&&x| x == 0.0).count()
-    }
-
     /// Scales every element by `factor`.
     pub fn scale(&mut self, factor: f32) {
         self.data.iter_mut().for_each(|x| *x *= factor);
@@ -119,61 +114,13 @@ impl GradientVector {
         self.axpy(1.0, other);
     }
 
-    /// Element-wise average of several gradients (the aggregation step of
-    /// synchronous SGD).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` is empty or the lengths differ.
-    pub fn mean_of(grads: &[GradientVector]) -> GradientVector {
-        assert!(!grads.is_empty(), "mean_of requires at least one gradient");
-        let len = grads[0].len();
-        let mut out = GradientVector::zeros(len);
-        for g in grads {
-            out.add_assign(g);
-        }
-        out.scale(1.0 / grads.len() as f32);
-        out
-    }
-
-    /// Returns a clipped copy whose L2 norm does not exceed `max_norm`
-    /// (gradient clipping as used by the RNN benchmarks in Table 1).
-    pub fn clipped_by_norm(&self, max_norm: f64) -> GradientVector {
-        let mut out = self.clone();
-        out.clip_to_norm(max_norm);
-        out
-    }
-
-    /// Clips in place so the L2 norm does not exceed `max_norm` — the
-    /// allocation-free form of [`clipped_by_norm`](Self::clipped_by_norm),
-    /// with the same bits.
+    /// Clips in place so the L2 norm does not exceed `max_norm` (gradient
+    /// clipping as used by the RNN benchmarks in Table 1).
     pub fn clip_to_norm(&mut self, max_norm: f64) {
         let norm = self.l2_norm();
         if norm > max_norm && norm > 0.0 {
             self.scale((max_norm / norm) as f32);
         }
-    }
-
-    /// Euclidean distance to another vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn l2_distance(&self, other: &GradientVector) -> f64 {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "l2_distance requires equal lengths"
-        );
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| {
-                let d = (a - b) as f64;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt()
     }
 }
 
@@ -234,10 +181,6 @@ mod tests {
         let g = GradientVector::from_vec(vec![3.0, -4.0]);
         assert!((g.l2_norm() - 5.0).abs() < 1e-9);
         assert!((g.l1_norm() - 7.0).abs() < 1e-9);
-        assert_eq!(
-            GradientVector::from_vec(vec![0.0, 1.0, 0.0]).count_zeros(),
-            2
-        );
     }
 
     #[test]
@@ -263,37 +206,14 @@ mod tests {
     }
 
     #[test]
-    fn mean_of_gradients() {
-        let a = GradientVector::from_vec(vec![1.0, 3.0]);
-        let b = GradientVector::from_vec(vec![3.0, 5.0]);
-        let m = GradientVector::mean_of(&[a, b]);
-        assert_eq!(m.as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one gradient")]
-    fn mean_of_empty_panics() {
-        GradientVector::mean_of(&[]);
-    }
-
-    #[test]
     fn clipping() {
         let g = GradientVector::from_vec(vec![3.0, 4.0]);
-        let clipped = g.clipped_by_norm(1.0);
+        let mut clipped = g.clone();
+        clipped.clip_to_norm(1.0);
         assert!((clipped.l2_norm() - 1.0).abs() < 1e-6);
         // Already inside the ball: unchanged.
-        let clipped = g.clipped_by_norm(10.0);
-        assert_eq!(clipped.as_slice(), g.as_slice());
-        // The in-place form keeps the copy's bits.
-        let mut in_place = g.clone();
-        in_place.clip_to_norm(1.0);
-        assert_eq!(in_place, g.clipped_by_norm(1.0));
-    }
-
-    #[test]
-    fn distance() {
-        let a = GradientVector::from_vec(vec![1.0, 1.0]);
-        let b = GradientVector::from_vec(vec![4.0, 5.0]);
-        assert!((a.l2_distance(&b) - 5.0).abs() < 1e-9);
+        let mut clipped = g.clone();
+        clipped.clip_to_norm(10.0);
+        assert_eq!(clipped, g);
     }
 }

@@ -21,8 +21,8 @@
 //! builds on this to guarantee that compressors produce the same
 //! `SparseGradient` at 1, 2 or 64 threads, whatever runtime runs the chunks.
 //! (Across *machines* the guarantee holds up to platform `libm` rounding in
-//! the passes that still take a per-element `ln` — SIDCo-GP's first stage,
-//! `fit_sid`, and the all-fields absolute moments — whose last bit may
+//! the passes that still take a per-element `ln` — SIDCo-GP's first stage
+//! and the all-fields absolute moments — whose last bit may
 //! differ between libc implementations, which can move a fitted threshold by
 //! one ulp. The mean- and variance-only passes of SIDCo-E, SIDCo-P and
 //! SIDCo-GP's later stages use only IEEE-exact arithmetic.)

@@ -117,6 +117,7 @@ impl SparseGradient {
     }
 
     /// Scatters the sparse values into a fresh dense vector.
+    // lint: test-only doc examples and round-trip tests compare payloads densely
     pub fn to_dense(&self) -> GradientVector {
         let mut dense = GradientVector::zeros(self.dense_len);
         self.scatter_into(&mut dense);
@@ -221,30 +222,6 @@ impl FromIterator<(u32, f32)> for SparseGradient {
     }
 }
 
-/// Aggregates (averages) sparse gradients from `n` workers into one dense gradient,
-/// replicating what an all-gather followed by a local sum does in the real system.
-///
-/// # Panics
-///
-/// Panics if the sparse gradients disagree on the dense length or the slice is empty.
-pub fn aggregate_mean(sparse_grads: &[SparseGradient]) -> GradientVector {
-    assert!(
-        !sparse_grads.is_empty(),
-        "aggregation requires at least one gradient"
-    );
-    let dense_len = sparse_grads[0].dense_len();
-    assert!(
-        sparse_grads.iter().all(|s| s.dense_len() == dense_len),
-        "all sparse gradients must share the same dense length"
-    );
-    let mut acc = GradientVector::zeros(dense_len);
-    for s in sparse_grads {
-        s.add_into(&mut acc);
-    }
-    acc.scale(1.0 / sparse_grads.len() as f32);
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,20 +285,6 @@ mod tests {
         assert_eq!(s.nnz(), 2);
         let empty: SparseGradient = Vec::<(u32, f32)>::new().into_iter().collect();
         assert_eq!(empty.dense_len(), 0);
-    }
-
-    #[test]
-    fn aggregate_mean_of_workers() {
-        let a = SparseGradient::from_pairs(vec![(0, 2.0), (1, 4.0)], 3);
-        let b = SparseGradient::from_pairs(vec![(1, 2.0), (2, 6.0)], 3);
-        let mean = aggregate_mean(&[a, b]);
-        assert_eq!(mean.as_slice(), &[1.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one gradient")]
-    fn aggregate_empty_panics() {
-        aggregate_mean(&[]);
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub fn count_above_threshold(grad: &[f32], threshold: f64) -> usize {
 
 /// Selects all elements with `|g| >= threshold` into a sparse gradient
 /// (the `C_η` operator of the paper).
+// lint: test-only serial oracle for the sharded selects (tests/engine_parallel.rs)
 pub fn select_above_threshold(grad: &[f32], threshold: f64) -> SparseGradient {
     let (mut indices, mut values) = (Vec::new(), Vec::new());
     let keep = KeepAbove::new(threshold);
@@ -195,18 +196,6 @@ pub fn cap_largest(sparse: SparseGradient, max_elements: usize) -> SparseGradien
     SparseGradient::from_pairs(pairs, dense_len)
 }
 
-/// Collects the absolute values of the elements with `|g| >= threshold` (the
-/// exceedance set used by the multi-stage estimator when it needs the raw values
-/// rather than just moments).
-///
-/// Inclusive on purpose: this is exactly the set [`select_above_threshold`]
-/// transmits, so a refit over these values reasons about the same elements the
-/// selection operator keeps (see the module docs on boundary semantics).
-pub fn exceedance_magnitudes(grad: &[f32], threshold: f64) -> Vec<f32> {
-    let t = threshold as f32;
-    grad.iter().map(|g| g.abs()).filter(|&a| a >= t).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,15 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn exceedances_are_inclusive_and_absolute() {
-        let ex = exceedance_magnitudes(&GRAD, 0.25);
-        let mut sorted = ex.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(sorted, vec![0.25, 0.3, 0.5, 0.9]);
-        assert!(exceedance_magnitudes(&GRAD, 1.0).is_empty());
-    }
-
-    #[test]
     fn boundary_semantics_agree_on_exact_ties() {
         // Regression: values tying the threshold exactly must be seen by *all*
         // three operators, so the PoT refit set equals the transmitted set.
@@ -292,10 +272,10 @@ mod tests {
         let t = 0.25;
         let count = count_above_threshold(&grad, t);
         let selected = select_above_threshold(&grad, t);
-        let exceedances = exceedance_magnitudes(&grad, t);
+        let refit = sidco_stats::moments::AbsMoments::compute_exceedances(&grad, t);
         assert_eq!(count, 5);
         assert_eq!(selected.nnz(), count);
-        assert_eq!(exceedances.len(), count);
+        assert_eq!(refit.count, count);
         // The PoT refit input must agree with the selection even when the f64
         // threshold is not representable in f32 (0.35 rounds down, so the
         // 0.35f32 elements tie the rounded threshold and are transmitted).
@@ -304,7 +284,6 @@ mod tests {
         let refit = sidco_stats::moments::AbsMoments::compute_exceedances(&irrational, eta);
         assert_eq!(count_above_threshold(&irrational, eta), 3);
         assert_eq!(select_above_threshold(&irrational, eta).nnz(), 3);
-        assert_eq!(exceedance_magnitudes(&irrational, eta).len(), 3);
         assert_eq!(refit.count, 3);
     }
 
@@ -349,6 +328,5 @@ mod tests {
     fn empty_gradient() {
         assert_eq!(count_above_threshold(&[], 0.1), 0);
         assert_eq!(select_above_threshold(&[], 0.1).nnz(), 0);
-        assert!(exceedance_magnitudes(&[], 0.1).is_empty());
     }
 }

@@ -32,15 +32,6 @@ impl VirtualClock {
             self.now += dt;
         }
     }
-
-    /// Jump forward to absolute model time `t`; earlier times are ignored,
-    /// keeping the clock monotone (DES event loops routinely re-visit the
-    /// current instant).
-    pub fn advance_to(&mut self, t: f64) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
 }
 
 impl Default for VirtualClock {
@@ -60,10 +51,6 @@ mod tests {
         assert_eq!(c.now(), 1.5);
         c.advance_by(-2.0);
         assert_eq!(c.now(), 1.5);
-        c.advance_to(1.0);
-        assert_eq!(c.now(), 1.5);
-        c.advance_to(3.0);
-        assert_eq!(c.now(), 3.0);
     }
 
     #[test]

@@ -152,18 +152,6 @@ impl MetricsFrame {
         self.counters.get(name).copied()
     }
 
-    /// Value of a gauge, if recorded.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if any sample was recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, f64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
@@ -250,9 +238,10 @@ mod tests {
         f.gauge_set("workers", 4.0);
         f.observe("latency", 0.25);
         assert_eq!(f.counter("jobs"), Some(5.0));
-        assert_eq!(f.gauge("workers"), Some(4.0));
-        assert_eq!(f.histogram("latency").map(Histogram::count), Some(1));
-        assert!(f.render().contains("jobs"));
+        assert!(f.gauges().eq([("workers", 4.0)]));
+        let rendered = f.render();
+        assert!(rendered.contains("jobs"));
+        assert!(rendered.contains("latency") && rendered.contains("n=1"));
         f.clear();
         assert!(f.is_empty());
     }

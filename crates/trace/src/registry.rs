@@ -454,7 +454,7 @@ mod tests {
         assert!(report.track_by_label("stream:0").is_some());
         assert!(report.track_by_label("trace-test-worker").is_some());
         assert_eq!(report.metrics().counter("jobs"), Some(3.0));
-        assert_eq!(report.metrics().gauge("workers"), Some(2.0));
+        assert!(report.metrics().gauges().eq([("workers", 2.0)]));
         let worker_track = report.track_by_label("trace-test-worker").expect("track");
         assert_eq!(report.tracks()[worker_track.index()].lane, Lane::Real);
         // Real spans have non-negative duration.

@@ -122,6 +122,7 @@ impl TraceReport {
 
     /// Look up a track by label, if present.
     #[must_use]
+    // lint: test-only span lookups of the trace tests (tests/trace_properties.rs)
     pub fn track_by_label(&self, label: &str) -> Option<TrackId> {
         self.tracks
             .iter()

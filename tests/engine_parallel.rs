@@ -356,8 +356,8 @@ fn overlapped_trainer_converges_identically_to_serial() {
 }
 
 /// Cross-validation of the engine-aware device cost model
-/// (`DeviceProfile::compression_time_with_workers`, through
-/// `engine_speedup`) against the *measured* multi-thread behaviour of the
+/// (`DeviceProfile::compression_time_with_workers` over
+/// `DeviceProfile::compression_time`) against the *measured* multi-thread behaviour of the
 /// real `CompressionEngine` on the pool on this host.
 ///
 /// Wall-clock assertions are kept deliberately loose (CI machines vary, and
@@ -397,7 +397,8 @@ fn modeled_engine_speedup_bounds_the_measured_speedup() {
     let serial = measure(1);
     for threads in [2usize, 4] {
         let measured_speedup = serial / measure(threads);
-        let modeled_speedup = cpu.engine_speedup(kind, DIM, DELTA, 2, threads);
+        let modeled_speedup = cpu.compression_time(kind, DIM, DELTA, 2)
+            / cpu.compression_time_with_workers(kind, DIM, DELTA, 2, threads);
         // The model shards per-element work perfectly, so it is an upper
         // envelope for the measured ratio (3× slack for timer noise, cache
         // effects and loaded CI runners).

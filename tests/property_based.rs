@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use sidco::prelude::*;
-use sidco_stats::fit::{exponential_threshold, gp_threshold};
+use sidco_stats::fit::{exponential_threshold, fit_sid_from_moments, SidKind};
+use sidco_stats::moments::AbsMoments;
 use sidco_stats::pot::stage_schedule;
 use sidco_tensor::threshold::{count_above_threshold, select_above_threshold};
 use sidco_tensor::topk::top_k;
@@ -69,7 +70,8 @@ proptest! {
         let mut prev_p = 0.0f64;
         for &delta in &deltas {
             let eta_e = exponential_threshold(&grad, delta);
-            let eta_p = gp_threshold(&grad, delta);
+            let gp = fit_sid_from_moments(&AbsMoments::compute(&grad), SidKind::GeneralizedPareto);
+            let eta_p = gp.map_or(0.0, |fit| fit.threshold(delta));
             prop_assert!(eta_e >= 0.0 && eta_e.is_finite());
             prop_assert!(eta_p >= 0.0 && eta_p.is_finite());
             // Smaller delta (more aggressive) => larger threshold.

@@ -308,7 +308,10 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
             assert_eq!(trace.dropped(), 0);
             assert!(!trace.events().is_empty());
             assert!(trace.track_by_label("trainer").is_some());
-            assert!(trace.metrics().gauge("trainer.total_time").is_some());
+            assert!(trace
+                .metrics()
+                .gauges()
+                .any(|(name, _)| name == "trainer.total_time"));
         }
     }
 }
