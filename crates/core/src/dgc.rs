@@ -2,9 +2,12 @@
 //! baseline the paper compares against most closely.
 //!
 //! DGC estimates the Top-k threshold from a small random sub-sample of the gradient
-//! (1% by default), selects every element above that threshold, and — if the
-//! selection overshoots the target — runs a second exact Top-k over the selected
-//! subset (the "hierarchical" step described in the paper's footnote 2).
+//! (`SAMPLE_FRACTION` = 1%, at least `MIN_SAMPLE` = 256 elements), selects every
+//! element above that threshold, and — if the selection overshoots the target by
+//! more than `HIERARCHICAL_OVERSHOOT` = 1.3× — runs a second exact Top-k over the
+//! selected subset (the "hierarchical" step described in the paper's footnote 2).
+//! These are the reference settings the paper evaluates DGC at; only the seed of
+//! the sampling RNG is settable ([`DgcCompressor::with_seed`]).
 
 use crate::compressor::{CompressionResult, Compressor, CompressorKind, TargetRatio};
 use crate::engine::CompressionEngine;
@@ -19,35 +22,20 @@ use sidco_tensor::topk::{kth_largest_magnitude, top_k};
 /// DGC's sampled-estimate inaccuracy is part of what the paper evaluates.
 const SEVERE_UNDERSHOOT_FRACTION: f64 = 0.7;
 
-/// Configuration of the DGC compressor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DgcConfig {
-    /// Fraction of the gradient to sample for threshold estimation (paper: 1%).
-    pub sample_fraction: f64,
-    /// Minimum number of sampled elements for very small layers.
-    pub min_sample: usize,
-    /// Overshoot factor above which the hierarchical exact Top-k is applied.
-    /// The reference implementation re-selects whenever the threshold keeps more
-    /// than the target `k`; a factor slightly above 1 avoids re-selecting over a
-    /// handful of extra elements.
-    pub hierarchical_overshoot: f64,
-    /// Seed of the sampling RNG.
-    pub seed: u64,
-}
+/// Fraction of the gradient sampled for the threshold estimate: the 1% the
+/// paper runs DGC at.
+const SAMPLE_FRACTION: f64 = 0.01;
 
-impl Default for DgcConfig {
-    fn default() -> Self {
-        Self {
-            sample_fraction: 0.01,
-            min_sample: 256,
-            // Prune only well past the target so the sampled estimate's modest
-            // overshoot stays visible in the achieved-ratio series; 1.0 would
-            // pin every overshooting call to exactly k.
-            hierarchical_overshoot: 1.3,
-            seed: 0,
-        }
-    }
-}
+/// Fewest sampled elements, so a small layer's estimate still rests on a
+/// few hundred magnitudes rather than a handful.
+const MIN_SAMPLE: usize = 256;
+
+/// Overshoot factor above which the hierarchical exact Top-k re-selects.
+/// The reference implementation re-selects whenever the threshold keeps more
+/// than the target `k`; pruning only well past it keeps the sampled
+/// estimate's modest overshoot visible in the achieved-ratio series, where
+/// 1.0 would pin every overshooting call to exactly `k`.
+const HIERARCHICAL_OVERSHOOT: f64 = 1.3;
 
 /// The DGC compressor.
 ///
@@ -66,24 +54,24 @@ impl Default for DgcConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DgcCompressor {
-    config: DgcConfig,
+    seed: u64,
     engine: CompressionEngine,
     rng: SmallRng,
 }
 
 impl DgcCompressor {
-    /// Creates a DGC compressor with the paper's default configuration
-    /// (1% sampling).
+    /// Creates a DGC compressor whose sampling RNG is seeded with 0.
     pub fn new() -> Self {
-        Self::with_config(DgcConfig::default())
+        Self::with_seed(0)
     }
 
-    /// Creates a DGC compressor with an explicit configuration.
-    pub fn with_config(config: DgcConfig) -> Self {
+    /// Creates a DGC compressor whose sampling RNG is seeded with `seed`;
+    /// [`reset`](Compressor::reset) re-seeds it with the same value.
+    pub fn with_seed(seed: u64) -> Self {
         Self {
-            rng: SmallRng::seed_from_u64(config.seed),
+            seed,
             engine: CompressionEngine::from_env(),
-            config,
+            rng: SmallRng::seed_from_u64(seed),
         }
     }
 
@@ -94,11 +82,6 @@ impl DgcCompressor {
     pub fn with_engine(mut self, engine: CompressionEngine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DgcConfig {
-        &self.config
     }
 }
 
@@ -119,12 +102,7 @@ impl Compressor for DgcCompressor {
         let k = target_k(grad.len(), delta);
 
         // Stage 1: estimate the threshold from a random sub-sample.
-        let sample = sample_fraction(
-            grad,
-            self.config.sample_fraction,
-            self.config.min_sample,
-            &mut self.rng,
-        );
+        let sample = sample_fraction(grad, SAMPLE_FRACTION, MIN_SAMPLE, &mut self.rng);
         let sample_k = target_k(sample.len(), delta);
         let mut threshold = kth_largest_magnitude(&sample, sample_k) as f64;
 
@@ -156,7 +134,7 @@ impl Compressor for DgcCompressor {
 
         // Stage 3 (hierarchical): if the sampled threshold under-shot and too many
         // elements survived, run an exact Top-k over the (much smaller) survivors.
-        let overshoot_cap = ((k as f64) * self.config.hierarchical_overshoot).ceil() as usize;
+        let overshoot_cap = ((k as f64) * HIERARCHICAL_OVERSHOOT).ceil() as usize;
         let sparse = if selected.nnz() > overshoot_cap.max(k) {
             let survivor_values: Vec<f32> = selected.values().to_vec();
             let inner = top_k(&survivor_values, k);
@@ -186,7 +164,7 @@ impl Compressor for DgcCompressor {
     }
 
     fn reset(&mut self) {
-        self.rng = SmallRng::seed_from_u64(self.config.seed);
+        self.rng = SmallRng::seed_from_u64(self.seed);
     }
 }
 
@@ -222,22 +200,19 @@ mod tests {
 
     #[test]
     fn hierarchical_step_caps_overshoot() {
-        // Force a tiny sample so the threshold is noisy, and check the cap holds.
+        // Successive calls draw fresh samples, so the threshold estimate
+        // varies; however far it undershoots, the hierarchical step keeps the
+        // selection within the overshoot cap.
         let grad = laplace_gradient(50_000, 302);
-        let config = DgcConfig {
-            sample_fraction: 0.001,
-            min_sample: 32,
-            hierarchical_overshoot: 1.0,
-            ..DgcConfig::default()
-        };
-        let mut c = DgcCompressor::with_config(config);
+        let mut c = DgcCompressor::new();
         let delta = 0.01;
         let k = target_k(grad.len(), delta);
+        let cap = (k as f64 * HIERARCHICAL_OVERSHOOT).ceil() as usize;
         for _ in 0..10 {
             let result = c.compress(&grad, delta);
             assert!(
-                result.sparse.nnz() <= k,
-                "hierarchical step must cap at k={k}, got {}",
+                result.sparse.nnz() <= cap,
+                "hierarchical step must cap at ceil(1.3·k)={cap}, got {}",
                 result.sparse.nnz()
             );
         }
@@ -262,6 +237,31 @@ mod tests {
         c.reset();
         let b = c.compress(&grad, 0.01);
         assert_eq!(a.sparse.indices(), b.sparse.indices());
+    }
+
+    #[test]
+    fn seed_fixes_the_sample_stream() {
+        let grad = laplace_gradient(20_000, 305);
+        let delta = 0.01;
+        let first = DgcCompressor::with_seed(7).compress(&grad, delta);
+        let mut c = DgcCompressor::with_seed(7);
+        let a = c.compress(&grad, delta);
+        assert_eq!(a.sparse.indices(), first.sparse.indices());
+        assert_eq!(a.sparse.values(), first.sparse.values());
+        assert_eq!(
+            a.threshold.map(f64::to_bits),
+            first.threshold.map(f64::to_bits)
+        );
+        c.compress(&grad, delta);
+        c.reset();
+        let b = c.compress(&grad, delta);
+        assert_eq!(b.sparse.indices(), first.sparse.indices());
+        assert_eq!(
+            b.threshold.map(f64::to_bits),
+            first.threshold.map(f64::to_bits)
+        );
+        let other = DgcCompressor::with_seed(8).compress(&grad, delta);
+        assert_ne!(other.threshold, first.threshold);
     }
 
     #[test]

@@ -7,47 +7,28 @@ use crate::collective::{modeled_bucket_costs, with_ready_times, CollectiveSchedu
 use sidco_core::compressor::CompressorKind;
 use sidco_core::layerwise::LayerLayout;
 
-/// Learning-rate schedule: optional linear warm-up followed by optional
-/// periodic decay.
+/// Learning-rate schedule: an optional linear warm-up, then a constant rate,
+/// as in the paper's warm-up-only recipes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LrSchedule {
-    /// Learning rate after warm-up and before any decay.
+    /// Learning rate after warm-up.
     pub base_lr: f64,
     /// Number of initial iterations that ramp linearly from `base_lr / warmup`
     /// up to `base_lr`. Zero disables warm-up.
     pub warmup_iterations: u64,
-    /// Multiply the learning rate by `decay_factor` every `decay_every`
-    /// post-warm-up iterations. Zero disables decay.
-    pub decay_every: u64,
-    /// Factor applied at each decay step.
-    pub decay_factor: f64,
 }
 
 impl LrSchedule {
     /// A constant learning rate.
     pub fn constant(lr: f64) -> Self {
-        Self {
-            base_lr: lr,
-            warmup_iterations: 0,
-            decay_every: 0,
-            decay_factor: 1.0,
-        }
+        Self::with_warmup(lr, 0)
     }
 
-    /// Linear warm-up over `warmup_iterations`, then `base_lr` decayed by
-    /// `decay_factor` every `decay_every` iterations (`decay_every = 0`
-    /// disables decay, matching the paper's warm-up-only LSTM recipes).
-    pub fn with_warmup(
-        base_lr: f64,
-        warmup_iterations: u64,
-        decay_every: u64,
-        decay_factor: f64,
-    ) -> Self {
+    /// Linear warm-up over `warmup_iterations`, then a constant `base_lr`.
+    pub fn with_warmup(base_lr: f64, warmup_iterations: u64) -> Self {
         Self {
             base_lr,
             warmup_iterations,
-            decay_every,
-            decay_factor,
         }
     }
 
@@ -57,11 +38,7 @@ impl LrSchedule {
             // Ramp 1/w, 2/w, …, 1 so the first step is already non-zero.
             return self.base_lr * (iteration + 1) as f64 / self.warmup_iterations as f64;
         }
-        if self.decay_every == 0 {
-            return self.base_lr;
-        }
-        let decays = (iteration - self.warmup_iterations) / self.decay_every;
-        self.base_lr * self.decay_factor.powi(decays as i32)
+        self.base_lr
     }
 }
 
@@ -342,21 +319,12 @@ mod tests {
 
     #[test]
     fn warmup_ramps_linearly_then_holds() {
-        let s = LrSchedule::with_warmup(0.5, 20, 0, 1.0);
+        let s = LrSchedule::with_warmup(0.5, 20);
         assert!((s.lr_at(0) - 0.025).abs() < 1e-12);
         assert!((s.lr_at(9) - 0.25).abs() < 1e-12);
         assert!((s.lr_at(19) - 0.5).abs() < 1e-12);
         assert_eq!(s.lr_at(20), 0.5);
         assert_eq!(s.lr_at(500), 0.5);
-    }
-
-    #[test]
-    fn decay_applies_after_warmup() {
-        let s = LrSchedule::with_warmup(1.0, 10, 100, 0.1);
-        assert_eq!(s.lr_at(10), 1.0);
-        assert_eq!(s.lr_at(109), 1.0);
-        assert!((s.lr_at(110) - 0.1).abs() < 1e-12);
-        assert!((s.lr_at(310) - 0.001).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::cluster::ClusterConfig;
 use sidco_core::compressor::{Compressor, CompressorKind};
-use sidco_core::dgc::{DgcCompressor, DgcConfig};
+use sidco_core::dgc::DgcCompressor;
 use sidco_core::metrics::{EstimationQualitySummary, EstimationQualityTracker};
 use sidco_core::prelude::{
     GaussianKSgdCompressor, RandomKCompressor, RedSyncCompressor, TopKCompressor,
@@ -28,10 +28,7 @@ pub fn build_compressor(kind: CompressorKind, seed: u64) -> Option<Box<dyn Compr
         CompressorKind::None => None,
         CompressorKind::TopK => Some(Box::new(TopKCompressor::new())),
         CompressorKind::RandomK => Some(Box::new(RandomKCompressor::with_seed(seed))),
-        CompressorKind::Dgc => Some(Box::new(DgcCompressor::with_config(DgcConfig {
-            seed,
-            ..DgcConfig::default()
-        }))),
+        CompressorKind::Dgc => Some(Box::new(DgcCompressor::with_seed(seed))),
         CompressorKind::RedSync => Some(Box::new(RedSyncCompressor::new())),
         CompressorKind::GaussianKSgd => Some(Box::new(GaussianKSgdCompressor::new())),
         CompressorKind::Sidco(sid) => {

@@ -30,7 +30,7 @@
 //!   arrival order ([`Fifo`](SharePolicy::Fifo)). All three are
 //!   work-conserving: the link is never idle while a request is pending.
 //! * **The engine pool is shared too.** Admission control grants each tenant
-//!   `min(demand, per-tenant cap, pool / active jobs)` engine workers, and
+//!   `min(demand, pool / active jobs)` engine workers (at least one), and
 //!   once more jobs are active than the pool has workers the compression
 //!   phases stretch proportionally — the backpressure of a bounded pool.
 //! * **Tenants adapt.** Each job's wire budget is its dedicated wire time;
@@ -221,18 +221,13 @@ impl JobSpec {
     }
 }
 
-/// Knobs of the shared compression-engine pool: how many workers the pool
-/// holds and how many any single tenant may occupy.
+/// Knobs of the shared fleet: how many workers the compression-engine pool
+/// holds, and whether the run is traced. Each tenant is granted at most its
+/// fair share of the pool, and every tenant adapts δ under wire contention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenancyConfig {
     /// Total engine workers in the shared pool.
     pub pool_workers: usize,
-    /// Admission cap: the most pool workers a single tenant's in-flight
-    /// compressions may occupy at once.
-    pub max_inflight_per_tenant: usize,
-    /// Whether tenants adapt δ under observed wire contention (on by
-    /// default; off pins every job to its requested δ).
-    pub adapt_ratio: bool,
     /// Record a [`sidco_trace`] session over the fleet run (off by default).
     /// Strictly observational: a traced run charges bit-identically to an
     /// untraced one, and the report exposes the capture via
@@ -242,14 +237,11 @@ pub struct TenancyConfig {
 
 impl TenancyConfig {
     /// The default pool for `cluster`: as many workers as a dedicated run
-    /// would use, with no per-tenant cap below that. A fleet of one is then
-    /// granted everything a dedicated run gets — the collapse guarantee.
+    /// would use. A fleet of one is then granted everything a dedicated run
+    /// gets — the collapse guarantee.
     pub fn for_cluster(cluster: &ClusterConfig) -> Self {
-        let pool_workers = cluster.engine_workers.max(1);
         Self {
-            pool_workers,
-            max_inflight_per_tenant: pool_workers,
-            adapt_ratio: true,
+            pool_workers: cluster.engine_workers.max(1),
             trace: false,
         }
     }
@@ -303,7 +295,7 @@ struct JobState {
     layout: LayerLayout,
     scheduler: CollectiveScheduler,
     /// Dedicated wire seconds per iteration, the budget contention squeezes
-    /// δ against (`None` when δ is pinned or the job has no wire work).
+    /// δ against (`None` when the job has no wire work).
     wire_budget: Option<f64>,
     /// Compute seconds per iteration (same constant the trainer charges).
     compute: f64,
@@ -464,12 +456,12 @@ impl FleetScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the pool or the per-tenant cap is zero.
+    /// Panics if the pool has no workers.
     #[must_use]
     pub fn with_tenancy(mut self, config: TenancyConfig) -> Self {
         assert!(
-            config.pool_workers >= 1 && config.max_inflight_per_tenant >= 1,
-            "the engine pool and the per-tenant cap both need at least one worker"
+            config.pool_workers >= 1,
+            "the engine pool needs at least one worker"
         );
         self.config = config;
         self
@@ -679,8 +671,8 @@ impl FleetScheduler {
     }
 
     /// Admits one job: packs its layers, builds its private stream group,
-    /// prices its dedicated iteration and, when δ adapts, budgets its wire
-    /// at the dedicated wire time.
+    /// prices its dedicated iteration and, when it has wire work, budgets
+    /// its wire at the dedicated wire time, which δ then adapts against.
     fn admit(&self, spec: &JobSpec) -> JobState {
         spec.validate();
         let bench = spec.benchmark.spec();
@@ -704,8 +696,7 @@ impl FleetScheduler {
             1.0,
             spec.delta,
         );
-        let wire_budget =
-            (self.config.adapt_ratio && dedicated_wire > 0.0).then_some(dedicated_wire);
+        let wire_budget = (dedicated_wire > 0.0).then_some(dedicated_wire);
         JobState {
             layout,
             scheduler,
@@ -769,12 +760,7 @@ impl FleetScheduler {
             .count()
             .max(1);
         let fair_share = (self.config.pool_workers / active).max(1);
-        let granted = self
-            .cluster
-            .engine_workers
-            .min(self.config.max_inflight_per_tenant)
-            .min(fair_share)
-            .max(1);
+        let granted = self.cluster.engine_workers.min(fair_share).max(1);
         let stretch = active as f64 / self.config.pool_workers as f64;
         let state = &mut states[j];
         let delta = match state.wire_budget {
@@ -1199,8 +1185,6 @@ mod tests {
         let tight = FleetScheduler::new(shared, SharePolicy::FairShare)
             .with_tenancy(TenancyConfig {
                 pool_workers: 1,
-                max_inflight_per_tenant: 1,
-                adapt_ratio: true,
                 trace: false,
             })
             .simulate(&jobs);
@@ -1213,19 +1197,6 @@ mod tests {
             total(&tight),
             total(&roomy)
         );
-    }
-
-    #[test]
-    fn pinning_the_ratio_disables_adaptation() {
-        let jobs = [job("a", 0.0), job("b", 0.0)];
-        let mut config = TenancyConfig::for_cluster(&cluster());
-        config.adapt_ratio = false;
-        let report = fleet(SharePolicy::FairShare)
-            .with_tenancy(config)
-            .simulate(&jobs);
-        for outcome in &report.jobs {
-            assert!(outcome.deltas.iter().all(|&d| d == DELTA));
-        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ impl RegressionDataset {
     }
 
     /// The ground-truth weights the targets were generated from.
+    // lint: test-only ground truth the regression unit tests compare against (regression.rs, dataset.rs)
     pub fn true_weights(&self) -> &[f32] {
         &self.true_weights
     }

@@ -20,7 +20,7 @@ fn main() {
     let config = TrainerConfig {
         iterations: 300,
         batch_per_worker: 32,
-        schedule: LrSchedule::with_warmup(0.5, 20, 0, 1.0),
+        schedule: LrSchedule::with_warmup(0.5, 20),
         ..TrainerConfig::default()
     };
     let delta = 0.01;

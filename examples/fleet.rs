@@ -114,8 +114,6 @@ fn main() {
     let cpu = ClusterConfig::paper_cpu_compression().with_engine_workers(4);
     let tight = TenancyConfig {
         pool_workers: 4,
-        max_inflight_per_tenant: 4,
-        adapt_ratio: true,
         trace: false,
     };
     let tenants: Vec<JobSpec> = (0..4)

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use sidco::prelude::*;
 use sidco_dist::collective::modeled_bucket_costs;
 use sidco_dist::schedule::pack_layers;
-use sidco_dist::tenancy::{FleetReport, FleetScheduler, JobSpec, SharePolicy, TenancyConfig};
+use sidco_dist::tenancy::{FleetReport, FleetScheduler, JobSpec, SharePolicy};
 use sidco_dist::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
 
 const BENCHMARKS: [BenchmarkId; 3] = [
@@ -183,8 +183,8 @@ proptest! {
     }
 
     /// Invariant 5: the per-simulate price memo leaves no state behind —
-    /// repeated and cloned simulates charge bit-identically, with and
-    /// without ratio adaptation, under every policy.
+    /// repeated and cloned simulates charge bit-identically under every
+    /// policy.
     #[test]
     fn memoised_fleet_pricing_is_bit_stable(fleet in fleet_strategy()) {
         let (cluster, mut jobs) = fleet;
@@ -192,22 +192,15 @@ proptest! {
         // starters at once and their shared contention repeats price keys.
         let twin = jobs[0].clone().with_priority_class(jobs[0].priority_class + 1);
         jobs.push(JobSpec { name: format!("{}-twin", twin.name), ..twin });
-        for adapt_ratio in [true, false] {
-            let tenancy = TenancyConfig {
-                adapt_ratio,
-                ..TenancyConfig::for_cluster(&cluster)
-            };
-            for policy in SharePolicy::ALL {
-                let scheduler =
-                    FleetScheduler::new(cluster.clone(), policy).with_tenancy(tenancy);
-                let first = report_bits(&scheduler.simulate(&jobs));
-                let again = report_bits(&scheduler.simulate(&jobs));
-                let cloned = report_bits(&scheduler.clone().simulate(&jobs));
-                prop_assert!(
-                    first == again && first == cloned,
-                    "{policy} (adapt_ratio {adapt_ratio}): repeated simulates disagree"
-                );
-            }
+        for policy in SharePolicy::ALL {
+            let scheduler = FleetScheduler::new(cluster.clone(), policy);
+            let first = report_bits(&scheduler.simulate(&jobs));
+            let again = report_bits(&scheduler.simulate(&jobs));
+            let cloned = report_bits(&scheduler.clone().simulate(&jobs));
+            prop_assert!(
+                first == again && first == cloned,
+                "{policy}: repeated simulates disagree"
+            );
         }
     }
 }
