@@ -179,11 +179,13 @@ impl CompressionEngine {
     }
 
     /// The configured worker-thread budget.
+    // lint: test-only the stage-kernel suite labels its cases with it (tests/stage_kernels.rs)
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// The fixed shard size chunking is based on.
+    // lint: test-only the parallel oracle chunks like the engine (tests/oracle/mod.rs)
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
     }

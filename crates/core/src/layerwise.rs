@@ -24,11 +24,6 @@ impl LayerLayout {
         Self { sizes }
     }
 
-    /// A single-layer layout covering the whole vector.
-    pub fn single(total: usize) -> Self {
-        Self::new(vec![total])
-    }
-
     /// A uniform split of `total` parameters into `layers` nearly equal layers.
     ///
     /// # Panics
@@ -86,7 +81,6 @@ mod tests {
         assert_eq!(layout.sizes(), &[3, 5, 2]);
         let segments: Vec<_> = layout.segments().collect();
         assert_eq!(segments, vec![(0, 3), (3, 5), (8, 2)]);
-        assert_eq!(LayerLayout::single(7).len(), 1);
         let uniform = LayerLayout::uniform(10, 3);
         assert_eq!(uniform.sizes(), &[4, 3, 3]);
         assert_eq!(uniform.total(), 10);

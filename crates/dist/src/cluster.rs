@@ -263,9 +263,9 @@ impl ClusterConfig {
     /// iteration over a `parameters`-element model at `batch_per_worker`
     /// examples per worker, gated by the slowest node's
     /// [`slowest_compute_factor`](Self::slowest_compute_factor). The single
-    /// owner of this expression: the trainer's clock, its arrival-aware
-    /// bucket auto-tuner and the fleet simulator all price compute here, so a
-    /// single-job fleet collapses bit-for-bit onto the trainer.
+    /// owner of this expression: the trainer's clock and the fleet simulator
+    /// both price compute here, so a single-job fleet collapses bit-for-bit
+    /// onto the trainer.
     pub fn iteration_compute_time(&self, batch_per_worker: usize, parameters: usize) -> f64 {
         COMPUTE_COST_PER_EXAMPLE_ELEMENT
             * batch_per_worker as f64
@@ -350,15 +350,16 @@ impl ClusterConfig {
     }
 
     /// The topology, checked for consistency with the declared worker count
-    /// (the fields are public, so a hand-built config can disagree — every
-    /// collective dispatch funnels through this so the mismatch is loud
-    /// rather than a silently wrong simulation).
+    /// (the fields are public, so a hand-built config can disagree — the
+    /// trainer and fleet constructors and every collective dispatch funnel
+    /// through this so the mismatch is loud rather than a silently wrong
+    /// simulation).
     ///
     /// # Panics
     ///
     /// Panics if the topology's worker count differs from
     /// [`workers`](Self::workers).
-    fn topology_checked(&self) -> &HierarchicalTopology {
+    pub(crate) fn topology_checked(&self) -> &HierarchicalTopology {
         assert_eq!(
             self.topology.workers(),
             self.workers,

@@ -195,6 +195,7 @@ pub struct ScheduleTimeline {
 
 impl ScheduleTimeline {
     /// Per-bucket schedule entries, in bucket-index order.
+    // lint: test-only the schedule-shape invariants read it (tests/scheduler_properties.rs)
     pub fn entries(&self) -> &[ScheduledBucket] {
         &self.entries
     }
@@ -215,6 +216,7 @@ impl ScheduleTimeline {
     /// # Panics
     ///
     /// Panics if `bucket` is out of range.
+    // lint: test-only the priority invariants and its doc example read it (tests/scheduler_properties.rs)
     pub fn completion(&self, bucket: usize) -> f64 {
         self.entries[bucket].comm_end
     }
@@ -369,11 +371,6 @@ impl CollectiveScheduler {
     /// Number of communication streams.
     pub fn streams(&self) -> usize {
         self.streams
-    }
-
-    /// The priority policy.
-    pub fn policy(&self) -> PriorityPolicy {
-        self.policy
     }
 
     /// The cheapest schedule within this scheduler's *budget*: the
@@ -712,6 +709,7 @@ pub fn modeled_bucket_costs(
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
+// lint: test-only the arrival-aware goldens and properties (tests/overlap_golden.rs)
 pub fn with_ready_times(mut costs: Vec<BucketCost>, ready: &[f64]) -> Vec<BucketCost> {
     assert_eq!(
         costs.len(),
@@ -741,7 +739,6 @@ pub fn total_wire_seconds(costs: &[BucketCost]) -> f64 {
 pub struct ScheduleAccounting {
     buckets: usize,
     streams: usize,
-    policy: PriorityPolicy,
     serial: f64,
     pipelined: f64,
     charged: f64,
@@ -750,13 +747,12 @@ pub struct ScheduleAccounting {
 }
 
 impl ScheduleAccounting {
-    /// Empty accounting for a run over `buckets` buckets scheduled on
-    /// `streams` streams with `policy`.
-    pub fn new(buckets: usize, streams: usize, policy: PriorityPolicy) -> Self {
+    /// Empty accounting for a run over `buckets` buckets scheduled on a
+    /// budget of `streams` streams.
+    pub fn new(buckets: usize, streams: usize) -> Self {
         Self {
             buckets,
             streams,
-            policy,
             serial: 0.0,
             pipelined: 0.0,
             charged: 0.0,
@@ -792,17 +788,6 @@ impl ScheduleAccounting {
         self.streams
     }
 
-    /// The configured priority policy (the charged schedule may have fallen
-    /// back to the plain FIFO pipeline when that was cheaper).
-    pub fn policy(&self) -> PriorityPolicy {
-        self.policy
-    }
-
-    /// Iterations recorded.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
     /// Total overhead had every iteration been fully serialised.
     pub fn serial_overhead(&self) -> f64 {
         self.serial
@@ -834,6 +819,7 @@ impl ScheduleAccounting {
     }
 
     /// The last recorded iteration's full timeline, when one was stored.
+    // lint: test-only the trainer's accounting tests read it (trainer.rs, tests/scheduler_properties.rs)
     pub fn last_timeline(&self) -> Option<&ScheduleTimeline> {
         self.last_timeline.as_ref()
     }
@@ -1008,12 +994,12 @@ mod tests {
 
     #[test]
     fn accounting_tracks_three_way_comparison() {
-        let mut acc = ScheduleAccounting::new(4, 2, PriorityPolicy::SmallestFirst);
+        let mut acc = ScheduleAccounting::new(4, 2);
         acc.record(10.0, 8.0, 6.0);
         acc.record(10.0, 8.0, 6.0);
         assert_eq!(acc.buckets(), 4);
         assert_eq!(acc.streams(), 2);
-        assert_eq!(acc.iterations(), 2);
+        assert_eq!(acc.iterations, 2);
         assert_eq!(acc.serial_overhead(), 20.0);
         assert_eq!(acc.pipelined_overhead(), 16.0);
         assert_eq!(acc.charged_overhead(), 12.0);
@@ -1022,7 +1008,7 @@ mod tests {
         assert!(acc.last_timeline().is_none());
         acc.set_timeline(CollectiveScheduler::default().schedule(&costs(&[(1.0, 0.0, 1.0)])));
         assert_eq!(acc.last_timeline().unwrap().entries().len(), 1);
-        let empty = ScheduleAccounting::new(1, 1, PriorityPolicy::Fifo);
+        let empty = ScheduleAccounting::new(1, 1);
         assert_eq!(empty.speedup_vs_serial(), 1.0);
     }
 

@@ -36,8 +36,8 @@
 //! * [`metrics`] — training reports (schedule and dispatch accounting) and
 //!   the time-to-quality speed-up metric;
 //! * [`schedule`] / [`optimizer`] — learning-rate schedules, the bucket
-//!   sizing policy (layer-aligned, α–β-auto-tuned), and the Table-1 local
-//!   optimizers;
+//!   policy (uniform or per layer), layer packing and bucket release times,
+//!   and the Table-1 local optimizers;
 //! * [`tenancy`] — the multi-tenant compression service
 //!   ([`FleetScheduler`]): concurrent jobs
 //!   arbitrating one shared wire and one shared engine pool under pluggable

@@ -163,6 +163,7 @@ impl TrainingReport {
 
     /// The executor-side dispatch accounting, when the run was compressed
     /// (`None` for the dense baseline, whose gradients are never bucketed).
+    // lint: test-only the pool-dispatch properties read it (tests/scheduler_properties.rs)
     pub fn dispatch(&self) -> Option<&DispatchReport> {
         self.dispatch.as_ref()
     }

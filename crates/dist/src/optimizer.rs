@@ -1,6 +1,5 @@
 //! Local optimizers matching Table 1's "Local Optimizer" column.
 
-use sidco_models::benchmarks::OptimizerKind;
 use sidco_tensor::GradientVector;
 
 /// The optimizer applied to the aggregated gradient each iteration.
@@ -24,18 +23,6 @@ impl Optimizer {
             Optimizer::Sgd
         } else {
             Optimizer::Momentum { momentum, nesterov }
-        }
-    }
-
-    /// The optimizer a Table-1 benchmark trains with (the paper uses μ = 0.9
-    /// wherever momentum is on).
-    pub fn for_benchmark(kind: OptimizerKind) -> Self {
-        match kind {
-            OptimizerKind::Sgd => Optimizer::Sgd,
-            OptimizerKind::NesterovMomentumSgd => Optimizer::Momentum {
-                momentum: 0.9,
-                nesterov: true,
-            },
         }
     }
 
@@ -130,14 +117,6 @@ mod tests {
         assert_eq!(Optimizer::from_hyperparameters(0.0, true), Optimizer::Sgd);
         assert_eq!(
             Optimizer::from_hyperparameters(0.9, true),
-            Optimizer::Momentum {
-                momentum: 0.9,
-                nesterov: true
-            }
-        );
-        assert_eq!(Optimizer::for_benchmark(OptimizerKind::Sgd), Optimizer::Sgd);
-        assert_eq!(
-            Optimizer::for_benchmark(OptimizerKind::NesterovMomentumSgd),
             Optimizer::Momentum {
                 momentum: 0.9,
                 nesterov: true

@@ -1,9 +1,9 @@
-//! Schedules for the trainer: learning-rate schedules and the bucket sizing
-//! policy that lays gradient buckets out along real layer boundaries and
-//! auto-tunes the bucket count against the α–β network model.
+//! Schedules for the trainer: learning-rate schedules, the bucket policy,
+//! the packing of layers into buckets and the release time of each bucket
+//! during the backward pass.
 
 use crate::cluster::ClusterConfig;
-use crate::collective::{modeled_bucket_costs, with_ready_times, CollectiveScheduler};
+use crate::collective::{modeled_bucket_costs, CollectiveScheduler};
 use sidco_core::compressor::CompressorKind;
 use sidco_core::layerwise::LayerLayout;
 
@@ -58,9 +58,6 @@ pub enum BucketPolicy {
     /// One bucket per model layer (the per-tensor hooks of the reference
     /// integration).
     PerLayer,
-    /// Layer-aligned buckets whose count and sizes are auto-tuned against the
-    /// cluster's α–β model via [`auto_bucket_layout`].
-    AutoTuned,
 }
 
 /// Packs consecutive layers into buckets of roughly `target` parameters:
@@ -118,7 +115,7 @@ pub fn pack_layers(layers: &[usize], target: usize) -> LayerLayout {
 /// # Panics
 ///
 /// Panics if `layers` is empty or contains a zero.
-pub fn candidate_bucket_layouts(layers: &[usize]) -> Vec<LayerLayout> {
+fn candidate_bucket_layouts(layers: &[usize]) -> Vec<LayerLayout> {
     let total: usize = layers.iter().sum();
     let mut candidates: Vec<LayerLayout> = Vec::new();
     let push = |candidates: &mut Vec<LayerLayout>, layout: LayerLayout| {
@@ -137,72 +134,26 @@ pub fn candidate_bucket_layouts(layers: &[usize]) -> Vec<LayerLayout> {
 }
 
 /// Derives a bucket layout from a model's real layer shapes, auto-tuned
-/// against the cluster's α–β model: every (distinct) candidate from
-/// [`candidate_bucket_layouts`] has its iteration overhead evaluated through
+/// against the cluster's α–β model: every distinct candidate layout (bucket
+/// counts 1, 2, 4, …, 128 packed along layer boundaries, plus the per-tensor
+/// layout) has its iteration overhead evaluated through
 /// `scheduler` over [`modeled_bucket_costs`], and the cheapest schedule wins
-/// (ties prefer the earlier, coarser candidate). This replaces the
-/// near-uniform default with a layout that balances per-bucket latency floors
-/// against pipeline granularity. The per-tensor layout is always a candidate,
-/// so tuning never loses to not tuning.
+/// (ties prefer the earlier, coarser candidate). This balances per-bucket
+/// latency floors against pipeline granularity, and since the per-tensor
+/// layout is always a candidate, tuning never loses to not tuning. No
+/// trainer policy calls it: the trainer buckets uniformly or per layer.
 ///
 /// # Panics
 ///
 /// Panics if `layers` is empty or contains a zero, or if `delta` is not in
 /// `(0, 1]`.
+// lint: test-only the auto-tuned layout golden (tests/scheduler_goldens.rs) and the tuner properties
 pub fn auto_bucket_layout(
     layers: &[usize],
     cluster: &ClusterConfig,
     kind: CompressorKind,
     delta: f64,
     scheduler: &CollectiveScheduler,
-) -> LayerLayout {
-    sweep_bucket_layouts(layers, cluster, kind, delta, scheduler, None)
-}
-
-/// [`auto_bucket_layout`] with gradient-arrival awareness: every candidate
-/// layout is scored at the release times *it* would induce — its own
-/// [`bucket_ready_times`] aggregation of the per-layer backward costs over
-/// `backward_seconds` — so an arrival-aware trainer optimises the schedule it
-/// will actually be charged. (Scoring at zero arrivals systematically favours
-/// coarse layouts: without release times there is no reward for output-side
-/// buckets that can start compressing mid-backward.) The arrival-aware
-/// makespan includes the backward pass itself, a constant across candidates,
-/// so the comparison is equivalent to comparing charged overheads.
-///
-/// # Panics
-///
-/// As [`auto_bucket_layout`], plus the [`bucket_ready_times`] alignment and
-/// finiteness requirements on `backward_costs` / `backward_seconds`.
-#[allow(clippy::too_many_arguments)]
-pub fn auto_bucket_layout_with_arrivals(
-    layers: &[usize],
-    backward_costs: &[f64],
-    backward_seconds: f64,
-    cluster: &ClusterConfig,
-    kind: CompressorKind,
-    delta: f64,
-    scheduler: &CollectiveScheduler,
-) -> LayerLayout {
-    sweep_bucket_layouts(
-        layers,
-        cluster,
-        kind,
-        delta,
-        scheduler,
-        Some((backward_costs, backward_seconds)),
-    )
-}
-
-/// The shared candidate sweep behind both auto-tuners: strict-improvement
-/// selection with earlier (coarser) candidates winning ties, optionally
-/// stamping each candidate's own release times before scheduling.
-fn sweep_bucket_layouts(
-    layers: &[usize],
-    cluster: &ClusterConfig,
-    kind: CompressorKind,
-    delta: f64,
-    scheduler: &CollectiveScheduler,
-    arrivals: Option<(&[f64], f64)>,
 ) -> LayerLayout {
     assert!(
         delta > 0.0 && delta <= 1.0,
@@ -213,11 +164,7 @@ fn sweep_bucket_layouts(
     let stages = 2;
     let mut best: Option<(f64, LayerLayout)> = None;
     for layout in candidate_bucket_layouts(layers) {
-        let mut costs = modeled_bucket_costs(cluster, kind, delta, stages, &layout);
-        if let Some((backward_costs, backward_seconds)) = arrivals {
-            let ready = bucket_ready_times(layers, backward_costs, backward_seconds, &layout);
-            costs = with_ready_times(costs, &ready);
-        }
+        let costs = modeled_bucket_costs(cluster, kind, delta, stages, &layout);
         let makespan = scheduler.best_schedule(&costs).makespan();
         let better = match &best {
             Some((best_makespan, _)) => makespan < *best_makespan - 1e-15,
@@ -453,7 +400,7 @@ mod tests {
         }
         // A coalesced bucket waits for its lowest-indexed (input-most) layer:
         // one flat bucket is ready only when the whole backward is done.
-        let flat = LayerLayout::single(400);
+        let flat = LayerLayout::new(vec![400]);
         assert_eq!(bucket_ready_times(&layers, &costs, 1.0, &flat), vec![1.0]);
         // Split pieces of one layer all release with the whole layer.
         let split = pack_layers(&[400], 100);
@@ -470,14 +417,14 @@ mod tests {
     #[should_panic(expected = "align")]
     fn ready_times_reject_misaligned_costs() {
         use sidco_core::layerwise::LayerLayout;
-        bucket_ready_times(&[10, 10], &[1.0], 1.0, &LayerLayout::single(20));
+        bucket_ready_times(&[10, 10], &[1.0], 1.0, &LayerLayout::new(vec![20]));
     }
 
     #[test]
     #[should_panic(expected = "covers")]
     fn ready_times_reject_mismatched_layout() {
         use sidco_core::layerwise::LayerLayout;
-        bucket_ready_times(&[10, 10], &[1.0, 1.0], 1.0, &LayerLayout::single(21));
+        bucket_ready_times(&[10, 10], &[1.0, 1.0], 1.0, &LayerLayout::new(vec![21]));
     }
 
     #[test]
@@ -501,7 +448,7 @@ mod tests {
                 .makespan()
         };
         let tuned = overhead(&layout);
-        let single = overhead(&LayerLayout::single(layout.total()));
+        let single = overhead(&LayerLayout::new(vec![layout.total()]));
         let shredded = overhead(&pack_layers(&layers, layout.total() / 512));
         assert!(
             tuned <= single && tuned <= shredded,
@@ -509,50 +456,6 @@ mod tests {
         );
         // The tuner must have actually bucketed the model.
         assert!(layout.len() > 1, "expected a multi-bucket layout");
-    }
-
-    #[test]
-    fn arrival_aware_tuner_scores_candidates_at_their_release_times() {
-        use crate::collective::{
-            modeled_bucket_costs, with_ready_times, CollectiveScheduler, PriorityPolicy,
-        };
-        use sidco_core::layerwise::LayerLayout;
-
-        let cluster = ClusterConfig::paper_dedicated();
-        let kind = CompressorKind::Sidco(sidco_stats::fit::SidKind::Exponential);
-        let scheduler = CollectiveScheduler::new(2, PriorityPolicy::NearestOutputFirst);
-        let layers: Vec<usize> = vec![1_728, 36_864, 294_912, 2_359_296, 4_194_304, 1_048_576];
-        let backward_costs = vec![1.0; layers.len()];
-        let backward_seconds = 0.05;
-
-        let aware = auto_bucket_layout_with_arrivals(
-            &layers,
-            &backward_costs,
-            backward_seconds,
-            &cluster,
-            kind,
-            0.01,
-            &scheduler,
-        );
-        assert_eq!(aware.total(), layers.iter().sum::<usize>());
-
-        // The arrival-aware makespan of a candidate layout: its own release
-        // times stamped onto its own modeled costs, as the sweep scores it.
-        let aware_makespan = |layout: &LayerLayout| {
-            let ready = bucket_ready_times(&layers, &backward_costs, backward_seconds, layout);
-            let costs = with_ready_times(
-                modeled_bucket_costs(&cluster, kind, 0.01, 2, layout),
-                &ready,
-            );
-            scheduler.best_schedule(&costs).makespan()
-        };
-        // Both the oblivious winner and the single flat bucket are candidates
-        // of the same sweep, so the arrival-aware winner must score at least
-        // as well as either at the release times each would induce.
-        let oblivious = auto_bucket_layout(&layers, &cluster, kind, 0.01, &scheduler);
-        assert!(aware_makespan(&aware) <= aware_makespan(&oblivious) + 1e-15);
-        let single = LayerLayout::single(layers.iter().sum());
-        assert!(aware_makespan(&aware) <= aware_makespan(&single) + 1e-15);
     }
 
     #[test]

@@ -443,7 +443,13 @@ pub struct FleetScheduler {
 impl FleetScheduler {
     /// A fleet over `cluster` arbitrated by `policy`, with the default
     /// engine pool ([`TenancyConfig::for_cluster`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster's topology spans a different worker count than
+    /// [`ClusterConfig::workers`].
     pub fn new(cluster: ClusterConfig, policy: SharePolicy) -> Self {
+        cluster.topology_checked();
         let config = TenancyConfig::for_cluster(&cluster);
         Self {
             cluster,
@@ -1197,6 +1203,16 @@ mod tests {
             total(&tight),
             total(&roomy)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "topology spans 8 workers but the cluster declares 4")]
+    fn a_topology_that_disagrees_with_the_worker_count_is_rejected_at_construction() {
+        let cluster = ClusterConfig {
+            workers: 4,
+            ..cluster()
+        };
+        let _ = FleetScheduler::new(cluster, SharePolicy::Fifo);
     }
 
     #[test]

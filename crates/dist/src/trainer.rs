@@ -7,9 +7,9 @@
 //! device models, so loss-vs-time curves (Figure 10) come out of one run.
 //!
 //! Gradients can be compressed as one flat vector (the default) or split into
-//! DDP-style buckets: near-uniform ([`TrainerConfig::buckets`]), or along the
-//! model's real layer boundaries, optionally auto-tuned against the α–β
-//! network model ([`TrainerConfig::bucket_policy`]).
+//! DDP-style buckets: near-uniform ([`TrainerConfig::buckets`]), or one per
+//! model layer ([`TrainerConfig::bucket_policy`]). The layout depends on the
+//! model and the configuration alone, never on the cluster.
 //!
 //! Every compressed iteration is priced on one path through the
 //! [`collective`](crate::collective) scheduler. A single-stream FIFO schedule
@@ -47,10 +47,7 @@ use crate::cluster::ClusterConfig;
 use crate::collective::{BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleAccounting};
 use crate::metrics::{DispatchReport, RescaleRecord, TrainingReport, TrainingSample};
 use crate::optimizer::Optimizer;
-use crate::schedule::{
-    auto_bucket_layout, auto_bucket_layout_with_arrivals, bucket_ready_times, BucketPolicy,
-    LrSchedule,
-};
+use crate::schedule::{bucket_ready_times, BucketPolicy, LrSchedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sidco_core::layerwise::LayerLayout;
@@ -135,14 +132,7 @@ pub struct TrainerConfig {
     /// another policy.
     pub buckets: usize,
     /// How buckets are derived: near-uniform ([`BucketPolicy::Uniform`], the
-    /// default), one bucket per model layer ([`BucketPolicy::PerLayer`]), or
-    /// layer-aligned buckets auto-tuned against the cluster's α–β model
-    /// ([`BucketPolicy::AutoTuned`]). Auto-tuning always optimises the
-    /// *overlapped* schedule under [`streams`](Self::streams) and
-    /// [`priority`](Self::priority) — even when [`overlap`](Self::overlap)
-    /// is off, so a serial run is the apples-to-apples baseline of the
-    /// overlapped run on the same bucketing (serial charging itself would
-    /// always prefer one flat bucket).
+    /// default) or one bucket per model layer ([`BucketPolicy::PerLayer`]).
     pub bucket_policy: BucketPolicy,
     /// Overlap compression of bucket `i + 1` with communication of bucket `i`
     /// in the cost model. Has no effect on the numerics — only on simulated
@@ -150,14 +140,12 @@ pub struct TrainerConfig {
     pub overlap: bool,
     /// Number of communication streams the overlapped cost model schedules
     /// buckets onto (1 reproduces the classic single-FIFO pipeline). Charging
-    /// reads it only when [`overlap`](Self::overlap) is on; the
-    /// [`BucketPolicy::AutoTuned`] layout search reads it either way.
+    /// reads it only when [`overlap`](Self::overlap) is on.
     pub streams: usize,
     /// Order in which buckets contend for streams and the wire; non-FIFO
     /// policies let small buckets preempt large transfers
     /// (ByteScheduler-style). Charging reads it only when
-    /// [`overlap`](Self::overlap) is on; the [`BucketPolicy::AutoTuned`]
-    /// layout search reads it either way.
+    /// [`overlap`](Self::overlap) is on.
     pub priority: PriorityPolicy,
     /// Model gradient-availability **arrival times**: the scheduled cost
     /// model releases each bucket only once the backward pass (charged as
@@ -171,8 +159,7 @@ pub struct TrainerConfig {
     /// [`bucket_ready_times`]. Off (the default), every bucket is ready at
     /// schedule start and charging is bit-identical to the arrival-oblivious
     /// model. Like [`overlap`](Self::overlap) this only moves simulated time,
-    /// never the numerics. Charging reads it only when `overlap` is on; the
-    /// [`BucketPolicy::AutoTuned`] layout search reads it either way.
+    /// never the numerics. Charging reads it only when `overlap` is on.
     pub arrival_aware: bool,
     /// Cluster-membership changes applied at iteration boundaries, fired in
     /// ascending step order (configuration order within a step). Empty (the
@@ -221,11 +208,6 @@ impl Default for TrainerConfig {
 /// arrival-aware cost model overlaps bucket compression and communication
 /// with this portion of the compute.
 pub const BACKWARD_COMPUTE_FRACTION: f64 = 2.0 / 3.0;
-
-/// Compression ratio the auto-tuner evaluates candidate layouts at (the
-/// paper's middle evaluated ratio; the layout must be fixed before
-/// [`ModelTrainer::run`] learns the real `delta`).
-const AUTO_TUNE_DELTA: f64 = 0.01;
 
 /// The compressor kind the cost model charges for: the explicit configuration
 /// override when set, otherwise whatever the factory's probe compressor
@@ -303,9 +285,11 @@ impl ModelTrainer {
     ///
     /// # Panics
     ///
-    /// Panics if the cluster has no workers, the model has no examples,
-    /// `config.batch_per_worker` is zero, `config.buckets` is zero under the
-    /// uniform policy, or the model's layers do not cover its parameters.
+    /// Panics if the cluster has no workers or its topology spans a different
+    /// worker count than [`ClusterConfig::workers`], the model has no
+    /// examples, `config.batch_per_worker` is zero, `config.buckets` is zero
+    /// under the uniform policy, or the model's layers do not cover its
+    /// parameters.
     pub fn new<F>(
         model: Arc<dyn DifferentiableModel>,
         cluster: ClusterConfig,
@@ -321,7 +305,7 @@ impl ModelTrainer {
         let probe = factory();
         let charged_kind = resolve_charged_kind(&config, Some(probe.as_ref()));
         drop(probe);
-        let layout = resolve_layout(&config, model.as_ref(), &cluster, charged_kind);
+        let layout = resolve_layout(&config, model.as_ref());
         let buckets = layout.len();
         // Sized for the event timeline's worker-count peak, not the starting
         // fleet: rows beyond the live worker count sit idle until a
@@ -353,7 +337,7 @@ impl ModelTrainer {
     ) -> Self {
         validate_cluster(model.as_ref(), &cluster, &config);
         let charged_kind = resolve_charged_kind(&config, None);
-        let layout = resolve_layout(&config, model.as_ref(), &cluster, charged_kind);
+        let layout = resolve_layout(&config, model.as_ref());
         Self {
             model,
             cluster,
@@ -378,13 +362,6 @@ impl ModelTrainer {
     pub fn with_runtime(mut self, kind: RuntimeKind, threads: usize) -> Self {
         self.executor = sidco_runtime::handle(kind, threads);
         self
-    }
-
-    /// The scheme the simulated cost model charges compression at (explicit
-    /// [`TrainerConfig::compressor_kind`] override, else derived from the
-    /// factory's probe compressor).
-    pub fn charged_kind(&self) -> CompressorKind {
-        self.charged_kind
     }
 
     /// The cluster-derived charging context: modelled compute time per
@@ -487,8 +464,7 @@ impl ModelTrainer {
         let mut quality = EstimationQualityTracker::new(delta);
         let mut samples = Vec::with_capacity(self.config.iterations as usize);
         let scheduler = CollectiveScheduler::new(self.config.streams, self.config.priority);
-        let mut schedule_accounting =
-            ScheduleAccounting::new(buckets, self.config.streams, self.config.priority);
+        let mut schedule_accounting = ScheduleAccounting::new(buckets, self.config.streams);
         // The run's model-time clock. `advance_by` is the same f64 addition
         // the bare accumulator performed, so routing it through the
         // `VirtualClock` facade (the only clock `sidco-lint` allows in this
@@ -865,13 +841,12 @@ impl ModelTrainer {
 }
 
 /// Sanity checks shared by both constructors, so degenerate input fails
-/// when the trainer is built, not mid-run. (A topology inconsistent with the
-/// worker count is caught by `ClusterConfig`'s collective dispatch.)
+/// when the trainer is built, not mid-run.
 ///
 /// # Panics
 ///
-/// Panics if the cluster has no workers, the model has no examples to
-/// sample, the per-worker mini-batch is empty, the schedule has no streams,
+/// Panics if the cluster has no workers or its topology spans a different
+/// worker count, the model has no examples to sample, the per-worker mini-batch is empty, the schedule has no streams,
 /// or the configured [`ClusterEvent`] timeline would shrink the fleet below
 /// one machine at any point.
 fn validate_cluster(
@@ -880,6 +855,9 @@ fn validate_cluster(
     config: &TrainerConfig,
 ) {
     assert!(cluster.workers > 0, "cluster must have at least one worker");
+    // A `ClusterEvent` rebuilds the cluster from its topology, which would
+    // hide the mismatch instead of failing on it.
+    cluster.topology_checked();
     assert!(
         model.num_examples() > 0,
         "the model must have at least one training example"
@@ -949,19 +927,14 @@ fn total_ef_mass(feedback: &[ErrorFeedback]) -> f64 {
 }
 
 /// The bucket layout a configuration induces for a model, as its
-/// [`BucketPolicy`] derives it: a near-uniform split, the model's real layer
-/// boundaries, or the α–β-auto-tuned packing of those layers.
+/// [`BucketPolicy`] derives it: a near-uniform split or the model's real
+/// layer boundaries.
 ///
 /// # Panics
 ///
 /// Panics if `config.buckets` is zero under the uniform policy, or the
 /// model's layers do not total its parameter count.
-fn resolve_layout(
-    config: &TrainerConfig,
-    model: &dyn DifferentiableModel,
-    cluster: &ClusterConfig,
-    charged_kind: CompressorKind,
-) -> LayerLayout {
+fn resolve_layout(config: &TrainerConfig, model: &dyn DifferentiableModel) -> LayerLayout {
     let dim = model.num_parameters();
     match config.bucket_policy {
         BucketPolicy::Uniform => {
@@ -977,40 +950,6 @@ fn resolve_layout(
                 layout.total()
             );
             layout
-        }
-        BucketPolicy::AutoTuned => {
-            let layers = model.layer_sizes();
-            assert_eq!(
-                layers.iter().sum::<usize>(),
-                dim,
-                "model layers must cover every parameter"
-            );
-            // The tuner always optimises the *overlapped* schedule, even for
-            // a serial (overlap = false) run: the layout must not depend on
-            // how costs are charged, or serial and overlapped runs of the
-            // same config would stop converging bit-identically and serial
-            // baselines would no longer share the overlapped run's bucketing.
-            // Arrival awareness is part of the configuration (not of the
-            // charging), so an arrival-aware trainer tunes at the release
-            // times each candidate would induce — keyed on `arrival_aware`
-            // alone, never on `overlap` — over the same skew-gated backward
-            // duration the run charges.
-            let scheduler = CollectiveScheduler::new(config.streams, config.priority);
-            if config.arrival_aware {
-                let backward_seconds = BACKWARD_COMPUTE_FRACTION
-                    * cluster.iteration_compute_time(config.batch_per_worker, dim);
-                auto_bucket_layout_with_arrivals(
-                    &layers,
-                    &model.layer_backward_costs(),
-                    backward_seconds,
-                    cluster,
-                    charged_kind,
-                    AUTO_TUNE_DELTA,
-                    &scheduler,
-                )
-            } else {
-                auto_bucket_layout(&layers, cluster, charged_kind, AUTO_TUNE_DELTA, &scheduler)
-            }
         }
     }
 }
@@ -1136,39 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_tuned_layout_is_independent_of_cost_charging() {
-        // The AutoTuned layout must not depend on `overlap`/charging, so the
-        // serial run is a bit-identical baseline of the scheduled run.
-        let run = |overlap: bool| {
-            let cfg = TrainerConfig {
-                bucket_policy: BucketPolicy::AutoTuned,
-                overlap,
-                streams: 3,
-                priority: PriorityPolicy::SmallestFirst,
-                ..config(30)
-            };
-            ModelTrainer::new(model(), ClusterConfig::small_test(), cfg, || {
-                Box::new(TopKCompressor::new())
-            })
-            .run(0.1)
-        };
-        let serial = run(false);
-        let scheduled = run(true);
-        assert_eq!(
-            serial.schedule().unwrap().buckets(),
-            scheduled.schedule().unwrap().buckets()
-        );
-        let losses = |r: &TrainingReport| r.samples().iter().map(|s| s.loss).collect::<Vec<_>>();
-        assert_eq!(losses(&serial), losses(&scheduled));
-        assert_eq!(serial.final_evaluation(), scheduled.final_evaluation());
-        assert!(scheduled.total_time() <= serial.total_time());
-        // The scheduled run records its budget and chosen timeline.
-        let acc = scheduled.schedule().expect("accounting");
-        assert_eq!(acc.streams(), 3);
-        assert_eq!(acc.policy(), PriorityPolicy::SmallestFirst);
-    }
-
-    #[test]
     fn arrival_aware_charging_interleaves_with_the_backward_pass() {
         use sidco_models::dataset::ClassificationDataset;
         use sidco_models::mlp::Mlp;
@@ -1254,13 +1160,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "topology spans 4 workers but the cluster declares 8")]
+    fn rejects_a_topology_that_disagrees_with_the_worker_count_at_construction() {
+        // A Join rebuilds the cluster from its topology, so without the
+        // construction check this mismatch would vanish instead of failing.
+        let cluster = ClusterConfig {
+            workers: 8,
+            ..ClusterConfig::small_test()
+        };
+        let cfg = TrainerConfig {
+            cluster_events: vec![ClusterEvent::Join(0)],
+            ..config(1)
+        };
+        ModelTrainer::new(model(), cluster, cfg, || Box::new(TopKCompressor::new()));
+    }
+
+    #[test]
     fn charged_kind_is_derived_from_the_factory() {
         // A Top-k factory with no explicit hint must be charged as Top-k
         // (the probe's self-reported kind), not silently as SIDCo.
         let trainer = ModelTrainer::new(model(), ClusterConfig::small_test(), config(20), || {
             Box::new(TopKCompressor::new())
         });
-        assert_eq!(trainer.charged_kind(), CompressorKind::TopK);
+        assert_eq!(trainer.charged_kind, CompressorKind::TopK);
 
         let run = |kind: Option<CompressorKind>| {
             let cfg = TrainerConfig {
@@ -1293,7 +1215,7 @@ mod tests {
             },
             || Box::new(TopKCompressor::new()),
         );
-        assert_eq!(trainer.charged_kind(), sidco_kind);
+        assert_eq!(trainer.charged_kind, sidco_kind);
     }
 
     #[test]
@@ -1491,50 +1413,5 @@ mod tests {
                 "{streams} streams, {priority}"
             );
         }
-    }
-
-    #[test]
-    fn auto_tuner_scores_layouts_at_the_skewed_backward_time() {
-        use sidco_models::dataset::ClassificationDataset;
-        use sidco_models::mlp::Mlp;
-        // On the 2x-straggler testbed the run charges twice the unskewed
-        // backward pass; this model and batch are chosen so the two
-        // durations tune to different layouts.
-        let mlp = Mlp::new(
-            ClassificationDataset::gaussian_blobs(64, 128, 10, 3.0, 11),
-            128,
-        );
-        let cluster = ClusterConfig::paper_straggler();
-        let cfg = TrainerConfig {
-            batch_per_worker: 512,
-            bucket_policy: BucketPolicy::AutoTuned,
-            arrival_aware: true,
-            streams: 4,
-            priority: PriorityPolicy::NearestOutputFirst,
-            ..config(1)
-        };
-        let tuned_at = |backward_seconds: f64| {
-            auto_bucket_layout_with_arrivals(
-                &mlp.layer_sizes(),
-                &mlp.layer_backward_costs(),
-                backward_seconds,
-                &cluster,
-                CompressorKind::TopK,
-                AUTO_TUNE_DELTA,
-                &CollectiveScheduler::new(cfg.streams, cfg.priority),
-            )
-        };
-        let charged_backward = BACKWARD_COMPUTE_FRACTION
-            * cluster.iteration_compute_time(cfg.batch_per_worker, mlp.num_parameters());
-        let skewed = tuned_at(charged_backward);
-        assert_ne!(
-            skewed,
-            tuned_at(charged_backward / cluster.slowest_compute_factor()),
-            "the skew must matter for this test to pin anything"
-        );
-        let trainer = ModelTrainer::new(Arc::new(mlp), cluster, cfg, || {
-            Box::new(TopKCompressor::new())
-        });
-        assert_eq!(trainer.layout, skewed);
     }
 }

@@ -38,11 +38,16 @@
 //!    `vendor/` is skipped (its stubs mirror external crates and cannot call
 //!    ours), and so are the `sidco-perf` package's own items, which rustc
 //!    already checks as binary code. This is the one rule that spans files:
-//!    [`scan_sources`] first counts every identifier of that code once, then
-//!    flags each declaration whose name occurs no more often than it is
-//!    declared `pub`. A name that collides with another item's hides both,
-//!    so the rule can miss a dead item, but it flags only names that no
-//!    non-test code spells. A scan rooted at a subtree judges this rule
+//!    [`scan_sources`] reads that code once, then judges each declaration.
+//!    A `pub fn` declared in an `impl X` body is a method, and only a call
+//!    (`.name(` or `.name::<`, for any owner) or a path (`X::name`, or
+//!    `Self::name` inside an `impl X`) reaches it; bare words, field
+//!    accesses, `name:` bindings, `name::` module paths and `use` items do
+//!    not, so a field, local or module that shares its name cannot hide it.
+//!    Every other item is flagged when its name occurs no more often than it
+//!    is declared `pub`; a name that collides with another item's hides
+//!    both. The rule can thus miss a dead item, but it flags only items that
+//!    no non-test code reaches. A scan rooted at a subtree judges this rule
 //!    against that subtree only.
 //!
 //! Each run also reports the workspace's non-test library lines (the files
@@ -57,7 +62,7 @@
 //! keeps it dependency-free and fast — the cost is that it lints the written
 //! convention, not the AST; the few heuristics are documented on [`strip`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// One line of source split into the three channels the rules care about.
@@ -559,6 +564,163 @@ fn pub_item(code: &str) -> Option<(&'static str, &str)> {
     Some((keyword, name))
 }
 
+/// Whether this code line opens an `impl` block header.
+fn starts_impl(code: &str) -> bool {
+    let code = code.trim_start();
+    let code = code.strip_prefix("unsafe ").unwrap_or(code).trim_start();
+    code.strip_prefix("impl")
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with(['<', ' ']))
+}
+
+/// The type an `impl` header (its text up to the `{`) adds methods to: the
+/// last identifier of the self type, after a top-level `for` if there is
+/// one, with generics and the `where` clause dropped.
+fn impl_owner(header: &str) -> Option<String> {
+    let mut flat = String::new();
+    let mut angle = 0usize;
+    let mut prev = ' ';
+    for c in header.chars() {
+        match c {
+            '<' => angle += 1,
+            // `->` inside a bound closes nothing.
+            '>' if prev != '-' => angle = angle.saturating_sub(1),
+            _ if angle == 0 => flat.push(c),
+            _ => {}
+        }
+        prev = c;
+    }
+    let words: Vec<&str> = identifiers(&flat)
+        .skip_while(|w| *w != "impl")
+        .skip(1)
+        .take_while(|w| *w != "where")
+        .collect();
+    let self_type = match words.iter().position(|w| *w == "for") {
+        Some(at) => &words[at + 1..],
+        None => &words[..],
+    };
+    self_type.last().map(|w| w.to_string())
+}
+
+/// The `impl` blocks open at a point of one file, followed line by line.
+#[derive(Default)]
+struct ImplBlocks {
+    /// Brace depth of the code read so far.
+    depth: i64,
+    /// Each open `impl` body's owner type and the depth inside its braces.
+    open: Vec<(String, i64)>,
+    /// The text of an `impl` header whose `{` has not been read yet.
+    header: Option<String>,
+}
+
+impl ImplBlocks {
+    /// The owner of the innermost `impl` body open before the current line.
+    fn owner(&self) -> Option<&str> {
+        self.open.last().map(|(owner, _)| owner.as_str())
+    }
+
+    /// Reads one line of stripped code.
+    fn advance(&mut self, code: &str) {
+        if self.header.is_none() && starts_impl(code) {
+            self.header = Some(String::new());
+        }
+        if let Some(header) = self.header.as_mut() {
+            header.push_str(code);
+            header.push(' ');
+            // A header holds no braces, so its `{` opens one level deeper
+            // than the line starts at.
+            if let Some(at) = header.find('{') {
+                let owner = impl_owner(&header[..at]);
+                self.open.extend(owner.map(|owner| (owner, self.depth + 1)));
+                self.header = None;
+            }
+        }
+        for c in code.chars() {
+            match c {
+                '{' => self.depth += 1,
+                '}' => {
+                    self.depth -= 1;
+                    while self.open.last().is_some_and(|(_, d)| *d > self.depth) {
+                        self.open.pop();
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A path prefix without the generic arguments it ends in: `a::B::<T>`
+/// becomes `a::B`.
+fn drop_generics(prefix: &str) -> &str {
+    let mut depth = 0usize;
+    for (at, c) in prefix.char_indices().rev() {
+        match c {
+            '>' => depth += 1,
+            '<' if depth == 1 => return prefix[..at].trim_end_matches(':'),
+            '<' => depth = depth.saturating_sub(1),
+            _ if depth == 0 => return prefix,
+            _ => {}
+        }
+    }
+    prefix
+}
+
+/// How non-test code reaches methods: the names called as `.name(` or
+/// `.name::<`, and the `(owner, name)` pairs named by path as `Owner::name`
+/// or `Self::name`.
+#[derive(Default)]
+struct MethodUses {
+    calls: HashSet<String>,
+    paths: HashSet<(String, String)>,
+}
+
+impl MethodUses {
+    /// Records the method uses of one line of code; `Self` stands for
+    /// `self_owner`. A path followed by `::` (other than a turbofish) names a
+    /// module, not a method.
+    fn record(&mut self, code: &str, self_owner: Option<&str>) {
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        for (start, c) in code.char_indices() {
+            if !(c.is_alphabetic() || c == '_')
+                || code[..start].chars().next_back().is_some_and(is_ident)
+            {
+                continue;
+            }
+            let end = code[start..]
+                .find(|c: char| !is_ident(c))
+                .map_or(code.len(), |n| start + n);
+            let (before, name, after) = (&code[..start], &code[start..end], &code[end..]);
+            let turbofish = after.starts_with("::<");
+            if before.ends_with('.') && !before.ends_with("..") {
+                if after.starts_with('(') || turbofish {
+                    self.calls.insert(name.to_string());
+                }
+            } else if let Some(prefix) = before.strip_suffix("::") {
+                if after.starts_with("::") && !turbofish {
+                    continue;
+                }
+                let owner = drop_generics(prefix)
+                    .rsplit(|c: char| !is_ident(c))
+                    .next()
+                    .unwrap_or("");
+                let owner = if owner == "Self" {
+                    self_owner
+                } else {
+                    Some(owner)
+                };
+                if let Some(owner) = owner.filter(|o| o.starts_with(char::is_alphabetic)) {
+                    self.paths.insert((owner.to_string(), name.to_string()));
+                }
+            }
+        }
+    }
+
+    /// Does non-test code call `owner::name`, or any method `name`?
+    fn reach(&self, owner: &str, name: &str) -> bool {
+        self.calls.contains(name) || self.paths.contains(&(owner.to_string(), name.to_string()))
+    }
+}
+
 /// Does this comment carry the test-only marker with a reason after it?
 fn test_only_marker(comment: &str) -> bool {
     comment
@@ -584,6 +746,7 @@ pub fn scan_sources(files: &[(String, String)]) -> Scan {
     let mut violations = Vec::new();
     let mut library_lines = 0;
     let mut uses: HashMap<String, usize> = HashMap::new();
+    let mut methods = MethodUses::default();
     let mut declared: HashMap<String, usize> = HashMap::new();
     let mut unmarked = Vec::new();
     for (path, source) in files {
@@ -591,9 +754,13 @@ pub fn scan_sources(files: &[(String, String)]) -> Scan {
         let lines = strip(source);
         let mask = test_region_mask(&lines);
         violations.extend(scan_file(&ctx, &lines, &mask));
+        let mut impls = ImplBlocks::default();
+        let mut in_use = false;
         // `strip` yields one empty line past a trailing newline.
         let real_lines = source.lines().count();
         for (i, line) in lines.iter().enumerate().take(real_lines) {
+            let owner = impls.owner().map(str::to_string);
+            impls.advance(&line.code);
             if mask[i] {
                 continue;
             }
@@ -601,6 +768,15 @@ pub fn scan_sources(files: &[(String, String)]) -> Scan {
                 for word in identifiers(&line.code) {
                     *uses.entry(word.to_string()).or_default() += 1;
                 }
+                // A `use` item, which may span lines, reaches no method.
+                let code = line.code.trim_start();
+                in_use |= ["use ", "pub use ", "pub(crate) use "]
+                    .iter()
+                    .any(|u| code.starts_with(u));
+                if !in_use {
+                    methods.record(&line.code, owner.as_deref());
+                }
+                in_use &= !line.code.contains(';');
             }
             if !ctx.is_library {
                 continue;
@@ -609,13 +785,21 @@ pub fn scan_sources(files: &[(String, String)]) -> Scan {
             if let Some((keyword, name)) = pub_item(&line.code) {
                 *declared.entry(name.to_string()).or_default() += 1;
                 if i == 0 || !test_only_marker(&lines[i - 1].comment) {
-                    unmarked.push((path, i + 1, keyword, name.to_string()));
+                    // A `fn` in an `impl` body opened on an earlier line (as
+                    // rustfmt lays every body out) is a method; every other
+                    // item is judged by its name's word count.
+                    let owner = owner.clone().filter(|_| keyword == "fn");
+                    unmarked.push((path, i + 1, keyword, name.to_string(), owner));
                 }
             }
         }
     }
-    for (path, line, keyword, name) in unmarked {
-        if uses.get(&name).copied().unwrap_or(0) <= declared[&name] {
+    for (path, line, keyword, name, owner) in unmarked {
+        let dead = match &owner {
+            Some(owner) => !methods.reach(owner, &name),
+            None => uses.get(&name).copied().unwrap_or(0) <= declared[&name],
+        };
+        if dead {
             violations.push(Violation {
                 file: path.clone(),
                 line,
@@ -942,6 +1126,73 @@ mod tests {
         assert_eq!(dead(&[("crates/a/src/lib.rs", two)]).len(), 3);
         let called = ("crates/b/src/lib.rs", "fn g() { A::lone(); A::new(); }");
         assert!(dead(&[("crates/a/src/lib.rs", two), called]).is_empty());
+    }
+
+    /// Two owners of a method `make`, at lines 4 (`A`) and 10 (`B`).
+    const MAKERS: (&str, &str) = (
+        "crates/a/src/lib.rs",
+        "pub struct A;\npub struct B<T>(T);\nimpl A {\n    pub fn make(&self) {}\n}\nimpl<T: Clone> B<T>\nwhere\n    T: Copy,\n{\n    pub fn make() {}\n}\nfn g(a: A, b: B<u8>) {}\n",
+    );
+
+    /// The `dead-pub` lines of `MAKERS` plus one caller file.
+    fn dead_makers(caller: &str) -> Vec<usize> {
+        dead(&[MAKERS, ("crates/b/src/lib.rs", caller)])
+            .into_iter()
+            .map(|(_, line)| line)
+            .collect()
+    }
+
+    #[test]
+    fn dead_pub_flags_a_method_only_tests_call_even_when_its_name_is_shared() {
+        assert_eq!(dead_makers(""), vec![4, 10]);
+        let shared = "mod make {}\nstruct S {\n    make: u8,\n}\nuse a::A::make;\nfn h(s: S) -> u8 {\n    let make = s.make;\n    make::f();\n    make\n}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        A.make();\n        A::make(&A);\n    }\n}\n";
+        assert_eq!(dead_makers(shared), vec![4, 10]);
+    }
+
+    #[test]
+    fn dead_pub_method_is_cleared_by_a_non_test_call() {
+        assert!(dead_makers("fn h(a: &A) {\n    a.make();\n}").is_empty());
+        assert!(dead_makers("fn h(a: &A) {\n    a.make::<u8>();\n}").is_empty());
+        // A range is not a receiver.
+        assert_eq!(dead_makers("fn h() {\n    0..make(1);\n}"), vec![4, 10]);
+    }
+
+    #[test]
+    fn dead_pub_method_paths_clear_only_their_owner() {
+        assert_eq!(dead_makers("fn h() {\n    A::make(&A);\n}"), vec![10]);
+        assert_eq!(dead_makers("fn h() {\n    a::B::<u8>::make();\n}"), vec![4]);
+        // A method passed as a fn value is reached by its path too.
+        assert_eq!(
+            dead_makers("fn h(v: &[A]) {\n    v.iter().for_each(A::make);\n}"),
+            vec![10]
+        );
+    }
+
+    #[test]
+    fn dead_pub_self_path_clears_its_own_impl() {
+        let own = "pub struct A;\npub struct B;\nimpl A {\n    pub fn make() {}\n    pub fn go() {\n        Self::make();\n    }\n}\nimpl B {\n    pub fn make() {}\n}\nfn g() {\n    A::go();\n    let _ = B;\n}\n";
+        assert_eq!(
+            dead(&[("crates/a/src/lib.rs", own)]),
+            vec![("crates/a/src/lib.rs".to_string(), 10)]
+        );
+    }
+
+    #[test]
+    fn dead_pub_judges_free_functions_by_their_word_count() {
+        assert_eq!(dead(&[LONE]).len(), 1);
+        // Every non-test spelling of a free function's name counts, as it
+        // always has: a binding, a field, a module path and a `use` item.
+        for caller in [
+            "fn h() {\n    let lone = 1;\n}",
+            "fn h(s: S) {\n    s.lone;\n}",
+            "fn h() {\n    lone::f();\n}",
+            "use a::lone;",
+        ] {
+            assert!(
+                dead(&[LONE, ("crates/b/src/lib.rs", caller)]).is_empty(),
+                "{caller}"
+            );
+        }
     }
 
     #[test]

@@ -64,7 +64,6 @@ impl BenchmarkId {
                 communication_overhead: 0.94,
                 optimizer: OptimizerKind::NesterovMomentumSgd,
                 quality_metric: "test perplexity",
-                iterations_per_epoch: 1_327,
             },
             BenchmarkId::LstmAn4 => BenchmarkSpec {
                 id: *self,
@@ -79,7 +78,6 @@ impl BenchmarkId {
                 communication_overhead: 0.80,
                 optimizer: OptimizerKind::NesterovMomentumSgd,
                 quality_metric: "WER & CER",
-                iterations_per_epoch: 6,
             },
             BenchmarkId::ResNet20Cifar10 => BenchmarkSpec {
                 id: *self,
@@ -94,7 +92,6 @@ impl BenchmarkId {
                 communication_overhead: 0.10,
                 optimizer: OptimizerKind::Sgd,
                 quality_metric: "top-1 accuracy",
-                iterations_per_epoch: 13,
             },
             BenchmarkId::Vgg16Cifar10 => BenchmarkSpec {
                 id: *self,
@@ -109,7 +106,6 @@ impl BenchmarkId {
                 communication_overhead: 0.60,
                 optimizer: OptimizerKind::Sgd,
                 quality_metric: "top-1 accuracy",
-                iterations_per_epoch: 13,
             },
             BenchmarkId::ResNet50ImageNet => BenchmarkSpec {
                 id: *self,
@@ -124,7 +120,6 @@ impl BenchmarkId {
                 communication_overhead: 0.72,
                 optimizer: OptimizerKind::NesterovMomentumSgd,
                 quality_metric: "top-1 accuracy",
-                iterations_per_epoch: 1_001,
             },
             BenchmarkId::Vgg19ImageNet => BenchmarkSpec {
                 id: *self,
@@ -139,7 +134,6 @@ impl BenchmarkId {
                 communication_overhead: 0.83,
                 optimizer: OptimizerKind::NesterovMomentumSgd,
                 quality_metric: "top-1 accuracy",
-                iterations_per_epoch: 1_001,
             },
         }
     }
@@ -179,9 +173,6 @@ pub struct BenchmarkSpec {
     pub optimizer: OptimizerKind,
     /// Quality metric the paper reports for this benchmark.
     pub quality_metric: &'static str,
-    /// Approximate number of iterations per epoch on 8 workers (dataset size /
-    /// (workers × per-worker batch)), used to scale the simulated runs.
-    pub iterations_per_epoch: usize,
 }
 
 impl BenchmarkSpec {

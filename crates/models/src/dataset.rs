@@ -18,6 +18,7 @@ pub struct RegressionDataset {
 impl RegressionDataset {
     /// Generates `n` examples of dimension `dim` with Gaussian features, a sparse
     /// ground-truth weight vector and additive noise of standard deviation `noise`.
+    // lint: test-only the data of `LinearRegression`, which only tests train (tests/overlap_golden.rs)
     pub fn generate(n: usize, dim: usize, noise: f64, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         // Sparse ground truth: ~20% non-zero weights, emulating the compressible

@@ -34,11 +34,6 @@ impl SoftmaxClassifier {
         Self { data }
     }
 
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &ClassificationDataset {
-        &self.data
-    }
-
     fn dim(&self) -> usize {
         self.data.dim()
     }
@@ -224,6 +219,6 @@ mod tests {
         assert_eq!(m.num_parameters(), 4 * 10 + 4);
         assert_eq!(m.layer_sizes(), vec![4 * 10, 4]);
         assert_eq!(m.num_examples(), 240);
-        assert_eq!(m.dataset().classes(), 4);
+        assert_eq!(m.data.classes(), 4);
     }
 }

@@ -43,11 +43,6 @@ impl Mlp {
         Self { data, hidden }
     }
 
-    /// Hidden-layer width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     fn dim(&self) -> usize {
         self.data.dim()
     }
@@ -275,7 +270,7 @@ mod tests {
         assert_eq!(m.num_parameters(), 12 * 8 + 12 + 3 * 12 + 3);
         assert_eq!(m.layer_sizes(), vec![12 * 8, 12, 3 * 12, 3]);
         assert_eq!(m.layer_sizes().iter().sum::<usize>(), m.num_parameters());
-        assert_eq!(m.hidden(), 12);
+        assert_eq!(m.hidden, 12);
         let params = m.initial_parameters(1);
         assert_eq!(params.len(), m.num_parameters());
     }

@@ -32,13 +32,9 @@ pub struct LinearRegression {
 
 impl LinearRegression {
     /// Wraps a regression dataset.
+    // lint: test-only the trainer's unit tests and the overlap goldens train it (tests/overlap_golden.rs)
     pub fn new(data: RegressionDataset) -> Self {
         Self { data }
-    }
-
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &RegressionDataset {
-        &self.data
     }
 
     /// Prediction error `xᵢ·w - yᵢ` of one example.
@@ -169,7 +165,7 @@ mod tests {
             final_loss < initial_loss * 0.05,
             "loss {initial_loss} -> {final_loss}"
         );
-        params.axpy(-1.0, &m.dataset().true_weights().iter().copied().collect());
+        params.axpy(-1.0, &m.data.true_weights().iter().copied().collect());
         assert!(params.l2_norm() < 0.5, "distance to the true weights");
     }
 
@@ -201,6 +197,6 @@ mod tests {
         assert_eq!(m.layer_sizes(), vec![16]);
         assert_eq!(m.num_examples(), 200);
         assert!(m.accuracy(&[0.0; 16]).is_none());
-        assert_eq!(m.dataset().dim(), 16);
+        assert_eq!(m.data.dim(), 16);
     }
 }

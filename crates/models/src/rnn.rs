@@ -44,11 +44,6 @@ impl ElmanRnn {
         Self { data, hidden }
     }
 
-    /// Hidden-state width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     fn input_dim(&self) -> usize {
         self.data.input_dim()
     }
@@ -261,7 +256,7 @@ mod tests {
         assert_eq!(m.num_parameters(), 8 * 3 + 8 * 8 + 8 + 8 + 1);
         assert_eq!(m.layer_sizes(), vec![8 * 3, 8 * 8, 8, 8, 1]);
         assert_eq!(m.layer_sizes().iter().sum::<usize>(), m.num_parameters());
-        assert_eq!(m.hidden(), 8);
+        assert_eq!(m.hidden, 8);
         assert_eq!(m.initial_parameters(1).len(), m.num_parameters());
     }
 

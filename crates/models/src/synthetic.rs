@@ -102,11 +102,6 @@ impl SyntheticGradientGenerator {
         self.dim
     }
 
-    /// The configured profile.
-    pub fn profile(&self) -> GradientProfile {
-        self.profile
-    }
-
     /// Resets the RNG stream so the same sequence of gradients can be replayed.
     pub fn reset(&mut self) {
         self.rng = SmallRng::seed_from_u64(self.seed);

@@ -113,11 +113,6 @@ impl WorkStealing {
         }
     }
 
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Whether the worker threads have been spawned yet.
     pub fn is_spawned(&self) -> bool {
         self.shared.get().is_some()

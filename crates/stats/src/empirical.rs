@@ -33,12 +33,6 @@ impl EmpiricalCdf {
         Self { sorted }
     }
 
-    /// Builds an empirical CDF from an `f32` gradient buffer.
-    pub fn from_f32(sample: &[f32]) -> Self {
-        let promoted: Vec<f64> = sample.iter().map(|&x| x as f64).collect();
-        Self::new(&promoted)
-    }
-
     /// Number of retained observations.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -147,11 +141,6 @@ impl Histogram {
         self.total
     }
 
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Width of each bin.
     pub fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
@@ -248,7 +237,7 @@ mod tests {
         assert_eq!(hist.bins(), 4);
         assert_eq!(hist.total(), 7);
         // Values outside [0, 1] are clamped to the edge bins.
-        assert_eq!(hist.counts().iter().sum::<u64>(), 7);
+        assert_eq!(hist.counts.iter().sum::<u64>(), 7);
         // Density integrates to ~1.
         let integral: f64 = (0..hist.bins())
             .map(|i| hist.density(i) * hist.bin_width())

@@ -53,11 +53,6 @@ impl Laplace {
         Ok(Self { location, scale })
     }
 
-    /// The location parameter `μ`.
-    pub fn location(&self) -> f64 {
-        self.location
-    }
-
     /// The scale parameter `β`.
     pub fn scale(&self) -> f64 {
         self.scale
@@ -179,7 +174,7 @@ mod tests {
         let xs = d.sample_vec(&mut rng, 40_000);
         let fitted = Laplace::fit_mle_zero_location(&xs).unwrap();
         assert!((fitted.scale() - 0.004).abs() < 0.0002);
-        assert_eq!(fitted.location(), 0.0);
+        assert_eq!(fitted.location, 0.0);
     }
 
     #[test]

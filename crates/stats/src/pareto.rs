@@ -78,11 +78,6 @@ impl GeneralizedPareto {
         self.scale
     }
 
-    /// The location parameter `a`.
-    pub fn location(&self) -> f64 {
-        self.location
-    }
-
     /// Moment-matching fit (Hosking & Wallis 1987; paper equation 35) for data with
     /// a known location (subtracted before the moments are computed):
     ///
@@ -350,7 +345,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(23);
         let xs = d.sample_vec(&mut rng, 60_000);
         let fitted = GeneralizedPareto::fit_moments(&xs, 5.0).unwrap();
-        assert_eq!(fitted.location(), 5.0);
+        assert_eq!(fitted.location, 5.0);
         assert!((fitted.scale() - 2.0).abs() < 0.2);
     }
 

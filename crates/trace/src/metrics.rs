@@ -152,12 +152,8 @@ impl MetricsFrame {
         self.counters.get(name).copied()
     }
 
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// All gauges in name order.
+    // lint: test-only gauge assertions of the trace tests (tests/trace_properties.rs)
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }

@@ -116,6 +116,7 @@ impl TraceReport {
 
     /// Events discarded because a thread's ring filled up between drains.
     #[must_use]
+    // lint: test-only the trace tests check no event was lost (tests/trace_properties.rs)
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -136,6 +137,7 @@ impl TraceReport {
     /// open, an open left unclosed, or when events were dropped (a full ring
     /// makes pairing unreliable). Use [`TraceReport::spans_lenient`] for
     /// best-effort export.
+    // lint: test-only the strict pairing of the trace tests (tests/trace_properties.rs)
     pub fn spans(&self) -> Result<Vec<CompleteSpan>, String> {
         if self.dropped > 0 {
             return Err(format!(
