@@ -27,19 +27,10 @@ pub struct EstimationQualityTracker {
 /// Summary statistics of the normalised achieved ratio `(k̂/d)/δ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimationQualitySummary {
-    /// Target compression ratio `δ`.
-    pub target_ratio: f64,
     /// Mean of the normalised ratio (1.0 is a perfect estimator).
     pub mean_normalized_ratio: f64,
     /// Standard deviation of the normalised ratio.
     pub std_normalized_ratio: f64,
-    /// Lower edge of the 90% confidence interval of the mean (normal approximation),
-    /// matching the error bars in the paper's figures.
-    pub ci90_low: f64,
-    /// Upper edge of the 90% confidence interval of the mean.
-    pub ci90_high: f64,
-    /// Number of recorded iterations.
-    pub samples: u64,
 }
 
 impl EstimationQualityTracker {
@@ -94,22 +85,9 @@ impl EstimationQualityTracker {
 
     /// Summary statistics of the normalised ratio.
     pub fn summary(&self) -> EstimationQualitySummary {
-        let n = self.normalized.count();
-        let mean = self.normalized.mean();
-        let std = self.normalized.std_dev();
-        // 90% CI of the mean under the normal approximation (z = 1.645).
-        let half_width = if n > 1 {
-            1.645 * std / (n as f64).sqrt()
-        } else {
-            0.0
-        };
         EstimationQualitySummary {
-            target_ratio: self.target,
-            mean_normalized_ratio: mean,
-            std_normalized_ratio: std,
-            ci90_low: mean - half_width,
-            ci90_high: mean + half_width,
-            samples: n,
+            mean_normalized_ratio: self.normalized.mean(),
+            std_normalized_ratio: self.normalized.std_dev(),
         }
     }
 }
@@ -133,8 +111,7 @@ mod tests {
         let s = t.summary();
         assert!((s.mean_normalized_ratio - 1.0).abs() < 1e-12);
         assert!(s.std_normalized_ratio < 1e-12);
-        assert!((s.ci90_low - 1.0).abs() < 1e-9);
-        assert_eq!(s.samples, 100);
+        assert_eq!(t.history().len(), 100);
         assert_eq!(t.target, 0.01);
     }
 
@@ -146,22 +123,6 @@ mod tests {
         }
         let s = t.summary();
         assert!((s.mean_normalized_ratio - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn confidence_interval_narrows_with_samples() {
-        let mut few = EstimationQualityTracker::new(0.01);
-        let mut many = EstimationQualityTracker::new(0.01);
-        let pattern = [0.009, 0.011, 0.0095, 0.0105];
-        for i in 0..8 {
-            few.record(pattern[i % 4]);
-        }
-        for i in 0..800 {
-            many.record(pattern[i % 4]);
-        }
-        let wide = few.summary().ci90_high - few.summary().ci90_low;
-        let narrow = many.summary().ci90_high - many.summary().ci90_low;
-        assert!(narrow < wide);
     }
 
     #[test]
@@ -182,7 +143,7 @@ mod tests {
     fn empty_tracker_summary() {
         let t = EstimationQualityTracker::new(0.1);
         let s = t.summary();
-        assert_eq!(s.samples, 0);
+        assert!(t.history().is_empty());
         assert_eq!(s.mean_normalized_ratio, 0.0);
     }
 }

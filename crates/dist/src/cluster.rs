@@ -206,21 +206,6 @@ impl ClusterConfig {
         self
     }
 
-    /// A clone of this cluster whose compression engine is throttled to
-    /// `granted` workers — the view one tenant gets of a shared engine pool
-    /// after admission control (see [`crate::tenancy`]). Granting the full
-    /// [`engine_workers`](Self::engine_workers) count yields a field-for-field
-    /// identical cluster, so an uncontended tenant prices exactly like a
-    /// dedicated one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `granted` is zero.
-    #[must_use]
-    pub fn engine_share(&self, granted: usize) -> Self {
-        self.clone().with_engine_workers(granted)
-    }
-
     /// Number of machines (a flat cluster has one per worker), each described
     /// by one [`NodeProfile`].
     pub fn nodes(&self) -> usize {

@@ -742,7 +742,7 @@ pub struct ScheduleAccounting {
     serial: f64,
     pipelined: f64,
     charged: f64,
-    iterations: u64,
+    // lint: test-only backs `last_timeline`, which the trainer's accounting tests read
     last_timeline: Option<ScheduleTimeline>,
 }
 
@@ -756,7 +756,6 @@ impl ScheduleAccounting {
             serial: 0.0,
             pipelined: 0.0,
             charged: 0.0,
-            iterations: 0,
             last_timeline: None,
         }
     }
@@ -767,7 +766,6 @@ impl ScheduleAccounting {
         self.serial += serial;
         self.pipelined += pipelined;
         self.charged += charged;
-        self.iterations += 1;
     }
 
     /// Stores the most recent iteration's full timeline.
@@ -999,7 +997,6 @@ mod tests {
         acc.record(10.0, 8.0, 6.0);
         assert_eq!(acc.buckets(), 4);
         assert_eq!(acc.streams(), 2);
-        assert_eq!(acc.iterations, 2);
         assert_eq!(acc.serial_overhead(), 20.0);
         assert_eq!(acc.pipelined_overhead(), 16.0);
         assert_eq!(acc.charged_overhead(), 12.0);

@@ -33,8 +33,8 @@
 //!   ([`ModelTrainer`](trainer::ModelTrainer)) over the analytic models, with
 //!   per-worker error feedback, momentum, clipping and scheduled bucketed
 //!   overlap of compression and communication;
-//! * [`metrics`] — training reports (schedule and dispatch accounting) and
-//!   the time-to-quality speed-up metric;
+//! * [`metrics`] — training reports (schedule accounting and the elastic
+//!   rescale log) and the time-to-quality speed-up metric;
 //! * [`schedule`] / [`optimizer`] — learning-rate schedules, the bucket
 //!   policy (uniform or per layer), layer packing and bucket release times,
 //!   and the Table-1 local optimizers;
@@ -60,7 +60,7 @@ pub mod tenancy;
 pub mod trainer;
 
 pub use collective::{BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleTimeline};
-pub use metrics::{DispatchReport, RescaleRecord, TrainingReport};
+pub use metrics::{RescaleRecord, TrainingReport};
 pub use network::{HierarchicalTopology, NetworkModel, NodeProfile};
 pub use optimizer::Optimizer;
 pub use schedule::{BucketPolicy, LrSchedule};

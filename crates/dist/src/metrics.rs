@@ -3,7 +3,6 @@
 use crate::collective::ScheduleAccounting;
 use crate::trainer::ClusterEvent;
 use sidco_core::metrics::{EstimationQualitySummary, EstimationQualityTracker};
-use sidco_runtime::PoolStats;
 
 /// What one [`ClusterEvent`] did to the fleet, recorded when it fired.
 ///
@@ -43,40 +42,6 @@ pub struct TrainingSample {
     /// Simulated wall-clock time at the *end* of this iteration (seconds,
     /// cumulative from the start of the run).
     pub time: f64,
-    /// Learning rate applied at this iteration.
-    pub lr: f64,
-}
-
-/// How the trainer *executed* its work, as opposed to how the cost model
-/// charged it: which runtime ran the jobs, how wide it was, and what the
-/// work-stealing pool observed while doing it. Every executed phase of a run
-/// is one fan-out on the same executor — per iteration one forward/backward
-/// round (one task per worker) and one compression round (one task per
-/// (worker, bucket) cell, in index order), then one final round of
-/// fixed-size example ranges (the full-dataset loss and accuracy). Bucket ordering is a property of the modeled
-/// schedule ([`crate::collective`]), not of the execution, so this report
-/// carries none. Attached to [`TrainingReport`] by compressed runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DispatchReport {
-    /// Executor every round ran on: `"pool"`, or `"inline"` for a
-    /// one-thread budget (jobs run on the trainer's thread).
-    pub runtime: &'static str,
-    /// Worker threads the executor exposes (1 for the sequential fallback).
-    pub parallelism: usize,
-    /// Number of compression rounds dispatched (one per training iteration).
-    pub jobs: u64,
-    /// Independent compression tasks per compression round
-    /// (`workers × buckets` of the final fleet); the forward/backward and
-    /// evaluation tasks are not counted here.
-    pub tasks_per_job: usize,
-    /// Pool counters accumulated over the run (dispatches, steals, parks),
-    /// diffed against the pre-run snapshot when the executor is the shared
-    /// process-wide pool. They count every round of the run — the
-    /// forward/backward and final-evaluation rounds as well as the
-    /// compression rounds (and any engine chunks the compressors dispatch on
-    /// the same pool). `None` on the inline runtime, which keeps no
-    /// counters.
-    pub pool: Option<PoolStats>,
 }
 
 /// Everything a training run produced: the loss/time trajectory, the final
@@ -88,7 +53,6 @@ pub struct TrainingReport {
     final_evaluation: f64,
     final_accuracy: Option<f64>,
     schedule: Option<ScheduleAccounting>,
-    dispatch: Option<DispatchReport>,
     rescales: Vec<RescaleRecord>,
     trace: Option<sidco_trace::TraceReport>,
 }
@@ -107,7 +71,6 @@ impl TrainingReport {
             final_evaluation,
             final_accuracy,
             schedule: None,
-            dispatch: None,
             rescales: Vec::new(),
             trace: None,
         }
@@ -120,15 +83,6 @@ impl TrainingReport {
     #[must_use]
     pub fn with_schedule(mut self, schedule: ScheduleAccounting) -> Self {
         self.schedule = Some(schedule);
-        self
-    }
-
-    /// Attaches the executor-side dispatch accounting of a pool-backed
-    /// compressed run (which runtime ran the per-bucket jobs and what its
-    /// counters observed).
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchReport) -> Self {
-        self.dispatch = Some(dispatch);
         self
     }
 
@@ -159,13 +113,6 @@ impl TrainingReport {
     /// order (empty for a run with no [`ClusterEvent`]s).
     pub fn rescales(&self) -> &[RescaleRecord] {
         &self.rescales
-    }
-
-    /// The executor-side dispatch accounting, when the run was compressed
-    /// (`None` for the dense baseline, whose gradients are never bucketed).
-    // lint: test-only the pool-dispatch properties read it (tests/scheduler_properties.rs)
-    pub fn dispatch(&self) -> Option<&DispatchReport> {
-        self.dispatch.as_ref()
     }
 
     /// The collective scheduler's accounting, when the run was compressed
@@ -327,7 +274,6 @@ mod tests {
                     iteration: i as u64,
                     loss,
                     time: dt * (i + 1) as f64,
-                    lr: 0.1,
                 }
             })
             .collect();

@@ -271,6 +271,7 @@ impl HierarchicalTopology {
     ///
     /// Panics if `nics_per_node` is zero or does not fit a `u32`.
     #[must_use]
+    // lint: test-only builds the NIC-rail testbed (cluster.rs) and properties (tests/scheduler_properties.rs)
     pub fn with_nics_per_node(mut self, nics_per_node: usize) -> Self {
         assert!(nics_per_node >= 1, "a node needs at least one NIC");
         let nics = u32::try_from(nics_per_node)

@@ -741,7 +741,9 @@ impl FleetScheduler {
         stretch: f64,
         delta: f64,
     ) -> (f64, f64) {
-        let cluster = self.cluster.engine_share(granted);
+        // The tenant's view of the shared engine pool: a full grant is the
+        // cluster itself, field for field.
+        let cluster = self.cluster.clone().with_engine_workers(granted);
         let mut costs = modeled_bucket_costs(&cluster, kind, delta, STAGES, layout);
         if stretch > 1.0 {
             for cost in &mut costs {

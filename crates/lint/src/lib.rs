@@ -1,6 +1,6 @@
 //! `sidco-lint`: the workspace's own source lint pass.
 //!
-//! Six rules encode conventions this codebase has converged on and that
+//! Seven rules encode conventions this codebase has converged on and that
 //! rustc/clippy cannot enforce (run as `cargo run -p sidco-lint`; CI gates on
 //! a clean pass):
 //!
@@ -28,8 +28,8 @@
 //! 5. **`safety-comment`** — every `unsafe` block or function has a
 //!    `// SAFETY: …` comment just above it.
 //! 6. **`dead-pub`** — every `pub fn/struct/enum/trait/const/static/type`
-//!    declared in the non-test code of `src/` and `crates/*/src/` is named
-//!    somewhere else in the workspace's non-test code: the library crates,
+//!    declared in the non-test code of `src/` and `crates/*/src/` is reached
+//!    from the workspace's live non-test code: the library crates,
 //!    `examples/`, the `src/bin` targets and the `sidco-perf` package.
 //!    Comments, strings, `tests/` and `#[cfg(test)]` regions do not count,
 //!    so an item whose only callers are tests is flagged. A test oracle or
@@ -37,32 +37,49 @@
 //!    above its declaration; a marker without a reason does not count.
 //!    `vendor/` is skipped (its stubs mirror external crates and cannot call
 //!    ours), and so are the `sidco-perf` package's own items, which rustc
-//!    already checks as binary code. This is the one rule that spans files:
-//!    [`scan_sources`] reads that code once, then judges each declaration.
-//!    A `pub fn` declared in an `impl X` body is a method, and only a call
-//!    (`.name(` or `.name::<`, for any owner) or a path (`X::name`, or
-//!    `Self::name` inside an `impl X`) reaches it; bare words, field
-//!    accesses, `name:` bindings, `name::` module paths and `use` items do
-//!    not, so a field, local or module that shares its name cannot hide it.
-//!    Every other item is flagged when its name occurs no more often than it
-//!    is declared `pub`; a name that collides with another item's hides
-//!    both. The rule can thus miss a dead item, but it flags only items that
-//!    no non-test code reaches. A scan rooted at a subtree judges this rule
-//!    against that subtree only.
+//!    already checks as binary code. A `pub fn` declared in an `impl X` body
+//!    is a method, and only a call (`.name(` or `.name::<`, for any owner) or
+//!    a path (`X::name`, or `Self::name` inside an `impl X`) reaches it; bare
+//!    words, field accesses, `name:` bindings, `name::` module paths and
+//!    `use` items do not, so a field, local or module that shares its name
+//!    cannot hide it. Every other item is reached by any occurrence of its
+//!    name but its own declaration; a name that collides with another item's
+//!    hides both. The rule is a fixpoint over item bodies: a use inside a
+//!    marked item, or inside an item already judged dead, reaches nothing,
+//!    so an item that only a test oracle or dead code uses is flagged, and
+//!    each round frees the next link of a dead call chain until a round
+//!    finds nothing new.
+//! 7. **`dead-field`** — every named field of a `pub struct` that rule 6
+//!    judges is read by live non-test code (rustc already reports a private
+//!    struct's field that nothing reads): a `.name` that no call,
+//!    turbofish or assignment operator (`=`, `+=`, …) follows, or the name
+//!    inside a struct pattern (`let S { name, .. } = s`, a match arm, a
+//!    `for`, closure or parameter pattern, a `matches!` call). A
+//!    struct-literal initialiser and an assignment write, they do not read;
+//!    nor do derived impls (`Debug`, `PartialEq`). Fields are matched by name
+//!    across all structs, so two fields that share a name hide each other.
+//!    A field takes the same reasoned marker as rule 6, and the fields of a
+//!    marked or dead struct are not judged one by one.
+//!
+//! Rules 6 and 7 may each miss dead code, but they flag only what no live
+//! non-test code reaches; they are the rules that span files:
+//! [`scan_sources`] reads that code once, then judges each declaration. A
+//! scan rooted at a subtree judges them against that subtree only.
 //!
 //! Each run also reports the workspace's non-test library lines (the files
 //! rule 6 checks, minus their `#[cfg(test)]` regions), the figure a PR that
-//! deletes code is measured by.
+//! deletes code is measured by, and the reasoned `lint: test-only` markers
+//! that keep an item or a field.
 //!
 //! The scanner is deliberately *textual*, not syntactic: it strips string
 //! literals and comments with a small state machine (so rule patterns inside
 //! strings or docs don't fire), tracks `#[cfg(test)]` regions by brace
 //! depth, and classifies whole files as test code by path (`tests/`,
-//! `benches/`, `examples/`; rule 6 counts `examples/` as callers). That
+//! `benches/`, `examples/`; rules 6 and 7 count `examples/` as callers). That
 //! keeps it dependency-free and fast — the cost is that it lints the written
 //! convention, not the AST; the few heuristics are documented on [`strip`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// One line of source split into the three channels the rules care about.
@@ -287,11 +304,11 @@ struct FileContext {
     /// File belongs to `crates/dist` (the simulator) — enables rules 2 and 3.
     is_dist: bool,
     /// Non-test library source (`src/`, `crates/*/src/`, minus the
-    /// `sidco-perf` package) — rule 6 checks its `pub` items, and its
-    /// non-test lines are the reported line count.
+    /// `sidco-perf` package) — rules 6 and 7 check its `pub` items and
+    /// struct fields, and its non-test lines are the reported line count.
     is_library: bool,
-    /// Code whose identifiers count as uses for rule 6: everything outside
-    /// `tests/`, `benches/` and `vendor/`, with `examples/` included.
+    /// Code whose identifiers count as uses for rules 6 and 7: everything
+    /// outside `tests/`, `benches/` and `vendor/`, with `examples/` included.
     is_caller: bool,
 }
 
@@ -531,21 +548,18 @@ fn scan_file(ctx: &FileContext, lines: &[StrippedLine], mask: &[bool]) -> Vec<Vi
 /// Item keywords rule 6 checks after `pub`.
 const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
 
-/// The marker that keeps a `pub` item only tests name; a reason must follow.
+/// The marker that keeps a `pub` item only tests name, or a field only tests
+/// read; a reason must follow.
 const TEST_ONLY_TAG: &str = "lint: test-only";
-
-/// The identifiers of one line of stripped code, in order.
-fn identifiers(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
-}
 
 /// The `(keyword, name)` of the `pub` item this code line declares, if any.
 /// Qualifiers (`const fn`, `unsafe`, `async`, `extern "C"`, `static mut`)
 /// are skipped; `pub(crate)` items, `pub` fields, modules and re-exports are
 /// not what rule 6 checks.
 fn pub_item(code: &str) -> Option<(&'static str, &str)> {
-    let mut words = identifiers(code)
+    let mut words = tokens(code)
+        .into_iter()
+        .filter(|token| is_ident(token))
         .skip_while(|w| *w != "pub")
         .skip(1)
         .peekable();
@@ -576,20 +590,20 @@ fn starts_impl(code: &str) -> bool {
 /// last identifier of the self type, after a top-level `for` if there is
 /// one, with generics and the `where` clause dropped.
 fn impl_owner(header: &str) -> Option<String> {
-    let mut flat = String::new();
     let mut angle = 0usize;
-    let mut prev = ' ';
-    for c in header.chars() {
-        match c {
-            '<' => angle += 1,
-            // `->` inside a bound closes nothing.
-            '>' if prev != '-' => angle = angle.saturating_sub(1),
-            _ if angle == 0 => flat.push(c),
-            _ => {}
-        }
-        prev = c;
-    }
-    let words: Vec<&str> = identifiers(&flat)
+    let words: Vec<&str> = tokens(header)
+        .into_iter()
+        .filter(|token| match *token {
+            "<" => {
+                angle += 1;
+                false
+            }
+            ">" => {
+                angle = angle.saturating_sub(1);
+                false
+            }
+            token => angle == 0 && is_ident(token),
+        })
         .skip_while(|w| *w != "impl")
         .skip(1)
         .take_while(|w| *w != "where")
@@ -601,47 +615,160 @@ fn impl_owner(header: &str) -> Option<String> {
     self_type.last().map(|w| w.to_string())
 }
 
-/// The `impl` blocks open at a point of one file, followed line by line.
-#[derive(Default)]
-struct ImplBlocks {
-    /// Brace depth of the code read so far.
-    depth: i64,
-    /// Each open `impl` body's owner type and the depth inside its braces.
-    open: Vec<(String, i64)>,
-    /// The text of an `impl` header whose `{` has not been read yet.
-    header: Option<String>,
+/// Operators of more than one character, longest first, told apart from
+/// their prefixes (`=` from `==` and `=>`, `.` from `..`, `:` from `::`).
+const OPERATORS: &[&str] = &[
+    "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "..", "+=",
+    "-=", "*=", "/=", "%=", "^=", "&=", "|=",
+];
+
+/// The operators after which a field is written, not read.
+const ASSIGNMENTS: &[&str] = &[
+    "=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<=", ">>=",
+];
+
+/// Keywords that start an item or a statement: none of them sits between a
+/// struct pattern and the `=`, `=>`, `|`, `if` or `in` after it.
+const STATEMENT_KEYWORDS: &[&str] = &[
+    "fn", "pub", "impl", "struct", "enum", "const", "static", "mod", "use", "trait", "type", "let",
+    "return", "match", "loop", "while", "#",
+];
+
+/// The tokens of one line of stripped code: identifiers, number literals
+/// (`1.5` is one token, `0..n` three), the [`OPERATORS`] and single
+/// punctuation characters.
+fn tokens(code: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = code.trim_start();
+    while let Some(c) = rest.chars().next() {
+        let len = if c.is_alphanumeric() || c == '_' {
+            let number = c.is_ascii_digit();
+            let mut chars = rest.char_indices().peekable();
+            let mut end = rest.len();
+            while let Some((at, ch)) = chars.next() {
+                let digit_next = chars.peek().is_some_and(|(_, n)| n.is_ascii_digit());
+                if !(ch.is_alphanumeric() || ch == '_' || (number && ch == '.' && digit_next)) {
+                    end = at;
+                    break;
+                }
+            }
+            end
+        } else {
+            OPERATORS
+                .iter()
+                .find(|op| rest.starts_with(*op))
+                .map_or(c.len_utf8(), |op| op.len())
+        };
+        out.push(&rest[..len]);
+        rest = rest[len..].trim_start();
+    }
+    out
 }
 
-impl ImplBlocks {
+/// An identifier token (keywords included).
+fn is_ident(token: &str) -> bool {
+    token.starts_with(|c: char| c.is_alphabetic() || c == '_')
+}
+
+/// A token that can end the path of a struct literal or pattern (`Foo`,
+/// `Self`, an enum variant): an identifier that starts upper-case.
+fn is_type_name(token: &str) -> bool {
+    token.starts_with(char::is_uppercase)
+}
+
+/// The named field this code line of a struct body declares, if any:
+/// `name: Type`, after an optional visibility.
+fn field_decl(code: &str) -> Option<&str> {
+    let toks = tokens(code);
+    let at = match toks.as_slice() {
+        ["pub", "(", ..] => toks.iter().position(|t| *t == ")")? + 1,
+        ["pub", ..] => 1,
+        _ => 0,
+    };
+    let name = *toks.get(at)?;
+    (is_ident(name) && toks.get(at + 1) == Some(&":")).then_some(name)
+}
+
+/// The nesting of one file at a point, followed line by line: the open
+/// `impl` bodies (whose `pub fn`s are methods) and the open judged items
+/// (whose bodies hold the uses they make, and a struct's its fields).
+#[derive(Default)]
+struct Outline {
+    /// Brace depth of the code read so far.
+    depth: i64,
+    /// Parenthesis and bracket depth: a `;` inside them ends no item.
+    parens: i64,
+    /// Each open `impl` body's owner type and the depth inside its braces.
+    impls: Vec<(String, i64)>,
+    /// The text of an `impl` header whose `{` has not been read yet.
+    impl_header: Option<String>,
+    /// Each open judged item, the depth it was declared at, and whether its
+    /// `{` has been read.
+    items: Vec<(usize, i64, bool)>,
+}
+
+impl Outline {
     /// The owner of the innermost `impl` body open before the current line.
     fn owner(&self) -> Option<&str> {
-        self.open.last().map(|(owner, _)| owner.as_str())
+        self.impls.last().map(|(owner, _)| owner.as_str())
+    }
+
+    /// The innermost judged item open at the current line.
+    fn item(&self) -> Option<usize> {
+        self.items.last().map(|&(item, _, _)| item)
+    }
+
+    /// The judged item whose braces hold the current line directly.
+    fn body(&self) -> Option<usize> {
+        self.items
+            .last()
+            .filter(|&&(_, d, entered)| entered && d + 1 == self.depth)
+            .map(|&(item, _, _)| item)
+    }
+
+    /// Opens the judged item the current line declares. It closes with its
+    /// brace block, or at a `;` outside brackets if no block comes first.
+    fn open_item(&mut self, item: usize) {
+        self.items.push((item, self.depth, false));
     }
 
     /// Reads one line of stripped code.
     fn advance(&mut self, code: &str) {
-        if self.header.is_none() && starts_impl(code) {
-            self.header = Some(String::new());
+        if self.impl_header.is_none() && starts_impl(code) {
+            self.impl_header = Some(String::new());
         }
-        if let Some(header) = self.header.as_mut() {
+        if let Some(header) = self.impl_header.as_mut() {
             header.push_str(code);
             header.push(' ');
             // A header holds no braces, so its `{` opens one level deeper
             // than the line starts at.
             if let Some(at) = header.find('{') {
                 let owner = impl_owner(&header[..at]);
-                self.open.extend(owner.map(|owner| (owner, self.depth + 1)));
-                self.header = None;
+                self.impls
+                    .extend(owner.map(|owner| (owner, self.depth + 1)));
+                self.impl_header = None;
             }
         }
         for c in code.chars() {
+            let depth = self.depth;
             match c {
-                '{' => self.depth += 1,
+                '{' => {
+                    self.depth += 1;
+                    if let Some(item) = self.items.last_mut() {
+                        item.2 |= item.1 == depth;
+                    }
+                }
                 '}' => {
                     self.depth -= 1;
-                    while self.open.last().is_some_and(|(_, d)| *d > self.depth) {
-                        self.open.pop();
-                    }
+                    let depth = self.depth;
+                    self.impls.retain(|(_, d)| *d <= depth);
+                    self.items
+                        .retain(|&(_, d, entered)| d < depth || (d == depth && !entered));
+                }
+                '(' | '[' => self.parens += 1,
+                ')' | ']' => self.parens -= 1,
+                ';' if self.parens == 0 => {
+                    self.items.retain(|&(_, d, entered)| entered || d != depth);
                 }
                 _ => {}
             }
@@ -649,76 +776,200 @@ impl ImplBlocks {
     }
 }
 
-/// A path prefix without the generic arguments it ends in: `a::B::<T>`
-/// becomes `a::B`.
-fn drop_generics(prefix: &str) -> &str {
+/// Where non-test code names each key: the judged items whose bodies hold a
+/// use, and `None` for a use outside every judged item.
+type Sites<K> = HashMap<K, Vec<Option<usize>>>;
+
+/// Records a use of `key` inside the judged item `at`.
+fn note<K: std::hash::Hash + Eq>(sites: &mut Sites<K>, key: K, at: Option<usize>) {
+    let at_list = sites.entry(key).or_default();
+    if at_list.last() != Some(&at) {
+        at_list.push(at);
+    }
+}
+
+/// Is one of these uses outside every item that is `out`?
+fn live(sites: Option<&Vec<Option<usize>>>, out: &[bool]) -> bool {
+    sites.is_some_and(|at| at.iter().any(|item| item.is_none_or(|i| !out[i])))
+}
+
+/// A declaration rules 6 and 7 judge: a `pub` item of library code, or a
+/// named field (`keyword` "field") of a `pub struct` among them.
+struct Item {
+    path: String,
+    /// 1-based line of the declaration.
+    line: usize,
+    keyword: &'static str,
+    name: String,
+    /// The `impl` type of a method; `None` for every other item.
+    owner: Option<String>,
+    /// The judged item whose body declares this one: a field's struct.
+    parent: Option<usize>,
+    /// Carries a reasoned `lint: test-only` marker.
+    marked: bool,
+}
+
+/// How non-test code reaches items and fields, by the judged item each use
+/// sits in.
+#[derive(Default)]
+struct Uses {
+    /// Every identifier but a judged declaration's own name: how items
+    /// other than methods are reached.
+    words: Sites<String>,
+    /// Method names called as `.name(` or `.name::<`.
+    calls: Sites<String>,
+    /// `(owner, name)` pairs named by path as `Owner::name` or `Self::name`.
+    paths: Sites<(String, String)>,
+    /// Field names read.
+    reads: Sites<String>,
+}
+
+impl Uses {
+    /// Records the method uses of one line's tokens; `Self` stands for
+    /// `self_owner`. A path followed by `::` (other than a turbofish) names a
+    /// module, not a method.
+    fn record_methods(&mut self, toks: &[&str], self_owner: Option<&str>, at: Option<usize>) {
+        for (i, &name) in toks.iter().enumerate().skip(1) {
+            let after = |k: usize| toks.get(i + k).copied().unwrap_or("");
+            let turbofish = after(1) == "::" && after(2) == "<";
+            if !is_ident(name) {
+                continue;
+            }
+            if toks[i - 1] == "." {
+                if after(1) == "(" || turbofish {
+                    note(&mut self.calls, name.to_string(), at);
+                }
+            } else if toks[i - 1] == "::" && (after(1) != "::" || turbofish) {
+                // The owner is the path segment before the `::`, past the
+                // generic arguments it may end in (`a::B::<T>::name`).
+                let mut end = i - 1;
+                if end > 0 && toks[end - 1] == ">" {
+                    let mut depth = 0i32;
+                    for j in (0..end).rev() {
+                        match toks[j] {
+                            ">" => depth += 1,
+                            "<" => depth -= 1,
+                            _ => {}
+                        }
+                        if depth == 0 {
+                            end = j - usize::from(j > 0 && toks[j - 1] == "::");
+                            break;
+                        }
+                    }
+                }
+                let owner = end.checked_sub(1).map(|k| toks[k]);
+                let owner = if owner == Some("Self") {
+                    self_owner
+                } else {
+                    owner
+                };
+                if let Some(owner) = owner.filter(|o| o.starts_with(char::is_alphabetic)) {
+                    note(&mut self.paths, (owner.to_string(), name.to_string()), at);
+                }
+            }
+        }
+    }
+
+    /// Records the field reads of one file's non-test tokens, each paired
+    /// with the judged item it sits in: a `.name` that no call, turbofish or
+    /// assignment operator follows, and every identifier inside a struct
+    /// pattern or a `matches!` call.
+    fn record_reads(&mut self, toks: &[(&str, Option<usize>)]) {
+        for (i, &(token, _)) in toks.iter().enumerate() {
+            let next = |k: usize| toks.get(i + k).map_or("", |t| t.0);
+            if token == "." && is_ident(next(1)) {
+                let after = next(2);
+                if !(after == "(" || after == "::" || ASSIGNMENTS.contains(&after)) {
+                    note(&mut self.reads, next(1).to_string(), toks[i + 1].1);
+                }
+            }
+            let before = |k: usize| i.checked_sub(k).map_or("", |at| toks[at].0);
+            let group = token == "{" && is_type_name(before(1));
+            let macro_call = token == "(" && before(1) == "!" && before(2) == "matches";
+            if group || macro_call {
+                let close = closing(toks, i);
+                if macro_call || is_pattern(toks, i, close) {
+                    for &(word, at) in &toks[i + 1..close] {
+                        if is_ident(word) {
+                            note(&mut self.reads, word.to_string(), at);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Does a use outside every item that is `out` reach `item`?
+    fn reach(&self, item: &Item, out: &[bool]) -> bool {
+        match (item.keyword, &item.owner) {
+            ("field", _) => live(self.reads.get(&item.name), out),
+            (_, Some(owner)) => {
+                live(self.calls.get(&item.name), out)
+                    || live(self.paths.get(&(owner.clone(), item.name.clone())), out)
+            }
+            _ => live(self.words.get(&item.name), out),
+        }
+    }
+}
+
+/// The index of the bracket that closes the one at `open`, or the end.
+fn closing(toks: &[(&str, Option<usize>)], open: usize) -> usize {
     let mut depth = 0usize;
-    for (at, c) in prefix.char_indices().rev() {
-        match c {
-            '>' => depth += 1,
-            '<' if depth == 1 => return prefix[..at].trim_end_matches(':'),
-            '<' => depth = depth.saturating_sub(1),
-            _ if depth == 0 => return prefix,
+    for (at, &(token, _)) in toks.iter().enumerate().skip(open) {
+        match token {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => {
+                depth -= 1;
+                if depth == 0 {
+                    return at;
+                }
+            }
             _ => {}
         }
     }
-    prefix
+    toks.len()
 }
 
-/// How non-test code reaches methods: the names called as `.name(` or
-/// `.name::<`, and the `(owner, name)` pairs named by path as `Owner::name`
-/// or `Self::name`.
-#[derive(Default)]
-struct MethodUses {
-    calls: HashSet<String>,
-    paths: HashSet<(String, String)>,
-}
-
-impl MethodUses {
-    /// Records the method uses of one line of code; `Self` stands for
-    /// `self_owner`. A path followed by `::` (other than a turbofish) names a
-    /// module, not a method.
-    fn record(&mut self, code: &str, self_owner: Option<&str>) {
-        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-        for (start, c) in code.char_indices() {
-            if !(c.is_alphabetic() || c == '_')
-                || code[..start].chars().next_back().is_some_and(is_ident)
-            {
-                continue;
+/// Is the struct group `Path { … }` at `toks[open..=close]` a pattern rather
+/// than a literal? It is when its fields end in a rest `..`, when a `:`
+/// follows it (a parameter), or when `=`, `=>`, `|`, `if` or `in` follows it
+/// before its statement ends, outside any comma-separated list the group is
+/// one element of (a match arm's `X => Foo { a },` is followed by the next
+/// arm's `=>`, but inside the arm list).
+fn is_pattern(toks: &[(&str, Option<usize>)], open: usize, close: usize) -> bool {
+    let at = |k: usize| toks.get(k).map_or("", |t| t.0);
+    if (close > open + 1 && at(close - 1) == "..") || at(close + 1) == ":" {
+        return true;
+    }
+    let (mut depth, mut nested) = (0i64, 0usize);
+    // The bracket depth of the list the group is an element of.
+    let mut listed: Option<i64> = None;
+    for k in close + 1..toks.len() {
+        let token = at(k);
+        if nested > 0 {
+            match token {
+                "{" => nested += 1,
+                "}" => nested -= 1,
+                _ => {}
             }
-            let end = code[start..]
-                .find(|c: char| !is_ident(c))
-                .map_or(code.len(), |n| start + n);
-            let (before, name, after) = (&code[..start], &code[start..end], &code[end..]);
-            let turbofish = after.starts_with("::<");
-            if before.ends_with('.') && !before.ends_with("..") {
-                if after.starts_with('(') || turbofish {
-                    self.calls.insert(name.to_string());
-                }
-            } else if let Some(prefix) = before.strip_suffix("::") {
-                if after.starts_with("::") && !turbofish {
-                    continue;
-                }
-                let owner = drop_generics(prefix)
-                    .rsplit(|c: char| !is_ident(c))
-                    .next()
-                    .unwrap_or("");
-                let owner = if owner == "Self" {
-                    self_owner
-                } else {
-                    Some(owner)
-                };
-                if let Some(owner) = owner.filter(|o| o.starts_with(char::is_alphabetic)) {
-                    self.paths.insert((owner.to_string(), name.to_string()));
-                }
+            continue;
+        }
+        match token {
+            "{" if is_type_name(at(k - 1)) => nested = 1,
+            "{" | "}" => return false,
+            "(" | "[" => depth += 1,
+            ")" | "]" => {
+                depth -= 1;
+                listed = listed.filter(|l| depth >= *l);
             }
+            ";" if depth <= 0 => return false,
+            "," if depth <= 0 && listed.is_none() => listed = Some(depth),
+            "=" | "=>" | "|" | "if" | "in" if depth <= 0 && listed.is_none() => return true,
+            _ if STATEMENT_KEYWORDS.contains(&token) => return false,
+            _ => {}
         }
     }
-
-    /// Does non-test code call `owner::name`, or any method `name`?
-    fn reach(&self, owner: &str, name: &str) -> bool {
-        self.calls.contains(name) || self.paths.contains(&(owner.to_string(), name.to_string()))
-    }
+    false
 }
 
 /// Does this comment carry the test-only marker with a reason after it?
@@ -737,85 +988,142 @@ pub struct Scan {
     /// Non-test lines of the library files: `src/` and `crates/*/src/`,
     /// minus the `sidco-perf` package and test files.
     pub library_lines: usize,
+    /// Reasoned `lint: test-only` markers that keep a `pub` item or a field.
+    pub test_only_markers: usize,
 }
 
 /// Runs every rule over `(workspace-relative path, source)` pairs. Rules 1–5
-/// judge each file alone; rule 6 judges each library `pub` item against the
-/// identifiers of all the callers' code, counted in one pass.
+/// judge each file alone. Rules 6 and 7 read all the callers' code once,
+/// noting which judged item each use sits in, then judge each library `pub`
+/// item and struct field against the uses that sit in live code.
 pub fn scan_sources(files: &[(String, String)]) -> Scan {
     let mut violations = Vec::new();
     let mut library_lines = 0;
-    let mut uses: HashMap<String, usize> = HashMap::new();
-    let mut methods = MethodUses::default();
-    let mut declared: HashMap<String, usize> = HashMap::new();
-    let mut unmarked = Vec::new();
+    let mut uses = Uses::default();
+    let mut items: Vec<Item> = Vec::new();
     for (path, source) in files {
         let ctx = FileContext::classify(path);
         let lines = strip(source);
         let mask = test_region_mask(&lines);
         violations.extend(scan_file(&ctx, &lines, &mask));
-        let mut impls = ImplBlocks::default();
+        let mut outline = Outline::default();
         let mut in_use = false;
+        // The non-test tokens, each with the judged item it sits in.
+        let mut toks = Vec::new();
         // `strip` yields one empty line past a trailing newline.
         let real_lines = source.lines().count();
         for (i, line) in lines.iter().enumerate().take(real_lines) {
-            let owner = impls.owner().map(str::to_string);
-            impls.advance(&line.code);
+            let code = &line.code;
+            let owner = outline.owner().map(str::to_string);
+            let declared = if !ctx.is_library || mask[i] {
+                None
+            } else if let Some((keyword, name)) = pub_item(code) {
+                // A `fn` in an `impl` body opened on an earlier line (as
+                // rustfmt lays every body out) is a method; every other item
+                // is judged by its name's word count.
+                let method = owner.clone().filter(|_| keyword == "fn");
+                Some((keyword, name, method, outline.item()))
+            } else {
+                let fields = outline.body().filter(|&s| items[s].keyword == "struct");
+                fields.and_then(|s| Some(("field", field_decl(code)?, None, Some(s))))
+            };
+            // A declaration does not name itself.
+            let mut own_name = declared.as_ref().map(|&(_, name, _, _)| name);
+            if let Some((keyword, name, owner, parent)) = declared {
+                items.push(Item {
+                    path: path.clone(),
+                    line: i + 1,
+                    keyword,
+                    name: name.to_string(),
+                    owner,
+                    parent,
+                    marked: i > 0 && test_only_marker(&lines[i - 1].comment),
+                });
+                if keyword != "field" {
+                    outline.open_item(items.len() - 1);
+                }
+            }
+            let at = outline.item();
+            outline.advance(code);
             if mask[i] {
                 continue;
             }
-            if ctx.is_caller {
-                for word in identifiers(&line.code) {
-                    *uses.entry(word.to_string()).or_default() += 1;
-                }
-                // A `use` item, which may span lines, reaches no method.
-                let code = line.code.trim_start();
-                in_use |= ["use ", "pub use ", "pub(crate) use "]
-                    .iter()
-                    .any(|u| code.starts_with(u));
-                if !in_use {
-                    methods.record(&line.code, owner.as_deref());
-                }
-                in_use &= !line.code.contains(';');
-            }
-            if !ctx.is_library {
+            library_lines += usize::from(ctx.is_library);
+            if !ctx.is_caller {
                 continue;
             }
-            library_lines += 1;
-            if let Some((keyword, name)) = pub_item(&line.code) {
-                *declared.entry(name.to_string()).or_default() += 1;
-                if i == 0 || !test_only_marker(&lines[i - 1].comment) {
-                    // A `fn` in an `impl` body opened on an earlier line (as
-                    // rustfmt lays every body out) is a method; every other
-                    // item is judged by its name's word count.
-                    let owner = owner.clone().filter(|_| keyword == "fn");
-                    unmarked.push((path, i + 1, keyword, name.to_string(), owner));
+            let line_toks = tokens(code);
+            for &word in line_toks.iter().filter(|token| is_ident(token)) {
+                if own_name == Some(word) {
+                    own_name = None;
+                } else {
+                    note(&mut uses.words, word.to_string(), at);
                 }
+            }
+            // A `use` item, which may span lines, reaches no method.
+            let trimmed = code.trim_start();
+            in_use |= ["use ", "pub use ", "pub(crate) use "]
+                .iter()
+                .any(|u| trimmed.starts_with(u));
+            if !in_use {
+                uses.record_methods(&line_toks, owner.as_deref(), at);
+            }
+            in_use &= !code.contains(';');
+            toks.extend(line_toks.into_iter().map(|token| (token, at)));
+        }
+        uses.record_reads(&toks);
+    }
+    // Rule 6 to a fixpoint: an item is out when it is marked, judged dead or
+    // declared inside an item that is out, and a use inside an out item
+    // reaches nothing. Each round judges the items still in against the uses
+    // left; it ends when a round finds no new dead item. Rule 7 then judges
+    // the fields of the structs still in.
+    let mut dead = vec![false; items.len()];
+    let mut out = vec![false; items.len()];
+    for fields in [false, true] {
+        loop {
+            for (i, item) in items.iter().enumerate() {
+                out[i] = item.marked || dead[i] || item.parent.is_some_and(|p| out[p]);
+            }
+            let fresh: Vec<usize> = (0..items.len())
+                .filter(|&i| (items[i].keyword == "field") == fields)
+                .filter(|&i| !out[i] && !uses.reach(&items[i], &out))
+                .collect();
+            if fresh.is_empty() {
+                break;
+            }
+            for i in fresh {
+                dead[i] = true;
             }
         }
     }
-    for (path, line, keyword, name, owner) in unmarked {
-        let dead = match &owner {
-            Some(owner) => !methods.reach(owner, &name),
-            None => uses.get(&name).copied().unwrap_or(0) <= declared[&name],
+    for (item, _) in items.iter().zip(&dead).filter(|(_, dead)| **dead) {
+        let (rule, what) = match item.parent.filter(|_| item.keyword == "field") {
+            Some(s) => (
+                "dead-field",
+                format!("`{}::{}` is read", items[s].name, item.name),
+            ),
+            None => (
+                "dead-pub",
+                format!("`pub {} {}` is named", item.keyword, item.name),
+            ),
         };
-        if dead {
-            violations.push(Violation {
-                file: path.clone(),
-                line,
-                rule: "dead-pub",
-                message: format!(
-                    "`pub {keyword} {name}` is named nowhere in non-test code but its \
-                     declaration — delete it, or keep a test oracle or fixture with \
-                     `// {TEST_ONLY_TAG} <reason>` on the line above"
-                ),
-            });
-        }
+        violations.push(Violation {
+            file: item.path.clone(),
+            line: item.line,
+            rule,
+            message: format!(
+                "{what} nowhere in live non-test code but its declaration — delete it, or \
+                 keep a test oracle, fixture or test-only field with `// {TEST_ONLY_TAG} \
+                 <reason>` on the line above"
+            ),
+        });
     }
     violations.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     Scan {
         violations,
         library_lines,
+        test_only_markers: items.iter().filter(|item| item.marked).count(),
     }
 }
 
@@ -1161,6 +1469,9 @@ mod tests {
     fn dead_pub_method_paths_clear_only_their_owner() {
         assert_eq!(dead_makers("fn h() {\n    A::make(&A);\n}"), vec![10]);
         assert_eq!(dead_makers("fn h() {\n    a::B::<u8>::make();\n}"), vec![4]);
+        assert_eq!(dead_makers("fn h() {\n    ::a::A::make(&A);\n}"), vec![10]);
+        // A path from the crate root names no owner.
+        assert_eq!(dead_makers("fn h() {\n    ::make(1);\n}"), vec![4, 10]);
         // A method passed as a fn value is reached by its path too.
         assert_eq!(
             dead_makers("fn h(v: &[A]) {\n    v.iter().for_each(A::make);\n}"),
@@ -1193,6 +1504,201 @@ mod tests {
                 "{caller}"
             );
         }
+    }
+
+    /// The `(rule, line)` of every rule-6 and rule-7 finding of a scan.
+    fn dead_code(files: &[(&str, &str)]) -> Vec<(&'static str, usize)> {
+        scan(files)
+            .into_iter()
+            .filter(|v| v.rule.starts_with("dead-"))
+            .map(|v| (v.rule, v.line))
+            .collect()
+    }
+
+    #[test]
+    fn dead_pub_flags_an_item_only_a_marked_item_uses() {
+        let src = "// lint: test-only oracle of tests/a.rs\npub fn oracle(s: &S) {\n    helper();\n    s.peek();\n}\npub struct S;\nimpl S {\n    pub fn peek(&self) {}\n}\npub fn helper() {}\nfn g(_: S) {}\n";
+        let lib = ("crates/a/src/lib.rs", src);
+        assert_eq!(dead_code(&[lib]), vec![("dead-pub", 8), ("dead-pub", 10)]);
+        let live = (
+            "crates/b/src/lib.rs",
+            "fn h(s: &a::S) {\n    a::helper();\n    s.peek();\n}",
+        );
+        assert!(dead_code(&[lib, live]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_flags_every_link_of_a_dead_chain() {
+        // `a` calls `b`, `b` calls `c` and the method `S::d`; nothing calls
+        // `a`. Each round frees the next link.
+        let src = "pub fn a() {\n    b();\n}\npub fn b() {\n    c();\n    S.d();\n}\npub fn c() {}\npub struct S;\nimpl S {\n    pub fn d(&self) {}\n}\nfn g(_: S) {}\n";
+        assert_eq!(
+            dead_code(&[("crates/a/src/lib.rs", src)]),
+            vec![
+                ("dead-pub", 1),
+                ("dead-pub", 4),
+                ("dead-pub", 8),
+                ("dead-pub", 11)
+            ]
+        );
+        let calls_a = ("examples/e.rs", "fn main() {\n    x::a();\n}");
+        assert!(dead_code(&[("crates/a/src/lib.rs", src), calls_a]).is_empty());
+    }
+
+    #[test]
+    fn dead_pub_item_bodies_end_at_their_brace_or_semicolon() {
+        // The use in `g` sits after each dead item's body has closed, so it
+        // reaches `helper`.
+        for dead_item in [
+            "pub fn gone() {\n}",
+            "pub const GONE: [u8; 2] = [0, 1];\n",
+            "pub struct Gone<T>\nwhere\n    T: Copy,\n{\n    f: T,\n}",
+            "pub type Gone = fn(u8) -> u8;\n",
+        ] {
+            let src = format!("{dead_item}\nfn g() {{\n    helper();\n}}\npub fn helper() {{}}\n");
+            assert_eq!(
+                dead_code(&[("crates/a/src/lib.rs", &src)]),
+                vec![("dead-pub", 1)],
+                "{dead_item}"
+            );
+        }
+    }
+
+    /// A live struct with four fields, at lines 2 to 5.
+    const FIELDS: (&str, &str) = (
+        "crates/a/src/lib.rs",
+        "pub struct S {\n    pub a: u8,\n    pub(crate) b: u8,\n    c: u8,\n    pub d: Vec<u8>,\n}\nfn g(_: S) {}\n",
+    );
+
+    /// The `dead-field` lines of `FIELDS` plus one caller file.
+    fn dead_fields(caller: &str) -> Vec<usize> {
+        dead_code(&[FIELDS, ("crates/b/src/lib.rs", caller)])
+            .into_iter()
+            .map(|(_, line)| line)
+            .collect()
+    }
+
+    #[test]
+    fn dead_field_counts_writes_as_no_reads() {
+        assert_eq!(dead_fields(""), vec![2, 3, 4, 5]);
+        // An initialiser, an assignment and a compound assignment write;
+        // a method called on a field reads it.
+        let writes = "fn make(c: u8) -> S {\n    let mut s = S { a: 1, b: 2, c, d: Vec::new() };\n    s.a = 3;\n    s.b += 1;\n    s.c <<= 1;\n    s.d.push(1);\n    s\n}\n";
+        assert_eq!(dead_fields(writes), vec![2, 3, 4]);
+        // A method that shares a field's name does not read it.
+        assert_eq!(
+            dead_fields("fn f(s: &S) {\n    s.a();\n}"),
+            vec![2, 3, 4, 5]
+        );
+        for literal in [
+            "fn f(x: u8) -> S {\n    S { a: x, b: x, c: x, d: vec![] }\n}",
+            "fn f(k: u8) -> S {\n    match k {\n        0 => S { a, b, c, d },\n        _ => S { a: 1, b: 1, c: 1, d },\n    }\n}",
+            "fn f() {\n    let p = (S { a, b, c, d }, 1);\n    h(S { a, b, c, d }, |x| x, y);\n}",
+            "fn f() -> Vec<S> {\n    vec![S { a, b, c, d }; 2]\n}",
+        ] {
+            assert_eq!(dead_fields(literal), vec![2, 3, 4, 5], "{literal}");
+        }
+    }
+
+    #[test]
+    fn dead_field_is_cleared_by_a_read_or_a_destructuring_pattern() {
+        for read in [
+            "fn f(s: &S) -> u8 {\n    s.a\n}",
+            "fn f(s: &S) -> bool {\n    s.a == 1 && g(&s.a)\n}",
+            "fn f(s: &S) -> u8 {\n    let S { a, .. } = s;\n    *a\n}",
+            "fn f(s: S) -> u8 {\n    match s {\n        S {\n            a,\n            b: 0,\n            c: _,\n            d: _,\n        } => a,\n        _ => 0,\n    }\n}",
+            "fn f(p: (S, u8)) -> u8 {\n    let (S { a, b, c, d }, _) = p;\n    a\n}",
+            "fn f(v: &[S]) {\n    for S { a, b, c, d } in v {}\n}",
+            "fn f(s: &S) -> bool {\n    matches!(s, S { a: 1, b: 2, c: 3, d: _ })\n}",
+            "fn f(S { a, b, c, d }: S) {}",
+            "fn f(v: Vec<S>) {\n    v.into_iter().for_each(|S { a, b, c, d }| drop(a));\n}",
+            "fn f(s: Option<S>) {\n    if let Some(S { a, b, c, d }) = s {}\n}",
+        ] {
+            assert!(!dead_fields(read).contains(&2), "{read}");
+        }
+    }
+
+    #[test]
+    fn dead_field_reads_count_only_in_live_non_test_code() {
+        for (path, src) in [
+            (
+                "crates/b/src/lib.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t(s: &S) -> u8 {\n        s.a\n    }\n}",
+            ),
+            ("tests/t.rs", "fn t(s: &S) -> u8 {\n    s.a\n}"),
+            (
+                "crates/b/src/lib.rs",
+                "// lint: test-only oracle of tests/t.rs\npub fn peek(s: &S) -> u8 {\n    s.a\n}",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "pub fn gone(s: &S) -> u8 {\n    s.a\n}",
+            ),
+        ] {
+            assert!(
+                dead_code(&[FIELDS, (path, src)]).contains(&("dead-field", 2)),
+                "{src}"
+            );
+        }
+        // The benchmark package reads library fields too.
+        let perf = (
+            "crates/bench/src/bin/sidco-perf/src/main.rs",
+            "fn f(s: &S) -> u8 {\n    s.a\n}",
+        );
+        assert!(!dead_code(&[FIELDS, perf]).contains(&("dead-field", 2)));
+    }
+
+    #[test]
+    fn dead_field_needs_a_reasoned_marker_and_a_live_struct() {
+        let marked = "pub struct S {\n    // lint: test-only checked by tests/t.rs\n    pub a: u8,\n    // lint: test-only\n    pub b: u8,\n}\nfn g(_: S) {}\n";
+        assert_eq!(
+            dead_code(&[("crates/a/src/lib.rs", marked)]),
+            vec![("dead-field", 5)]
+        );
+        // A dead or marked struct's fields are not judged one by one; tuple
+        // and unit structs have no named fields, and rustc judges a private
+        // struct's.
+        for src in [
+            "pub struct Gone {\n    pub x: u8,\n}\n",
+            "// lint: test-only fixture of tests/t.rs\npub struct Kept {\n    pub x: u8,\n}\n",
+            "pub struct T(pub u8);\npub struct U;\nstruct P {\n    x: u8,\n}\nfn g(_: T, _: U, _: P) {}\n",
+        ] {
+            assert!(
+                !dead_code(&[("crates/a/src/lib.rs", src)])
+                    .iter()
+                    .any(|(rule, _)| *rule == "dead-field"),
+                "{src}"
+            );
+        }
+        // A `where` clause declares no field.
+        let bounded =
+            "pub struct W<T>\nwhere\n    T: Copy,\n{\n    pub w: T,\n}\nfn g(_: W<u8>) {}\n";
+        assert_eq!(
+            dead_code(&[("crates/a/src/lib.rs", bounded)]),
+            vec![("dead-field", 5)]
+        );
+    }
+
+    #[test]
+    fn markers_that_keep_an_item_or_a_field_are_counted() {
+        let src = "// lint: test-only oracle\npub fn a() {}\npub struct S {\n    // lint: test-only data\n    pub f: u8,\n}\n// lint: test-only but nothing below\n\nfn g(_: S) {}\n";
+        let files = [("crates/a/src/lib.rs".to_string(), src.to_string())];
+        assert_eq!(scan_sources(&files).test_only_markers, 2);
+    }
+
+    #[test]
+    fn tokens_keep_the_operators_the_rules_tell_apart() {
+        assert_eq!(
+            tokens("a.b += 1.5..x::<T>(|y| y) => c == d"),
+            vec![
+                "a", ".", "b", "+=", "1.5", "..", "x", "::", "<", "T", ">", "(", "|", "y", "|",
+                "y", ")", "=>", "c", "==", "d"
+            ]
+        );
+        assert_eq!(
+            tokens("t.0.name <<= 2"),
+            vec!["t", ".", "0", ".", "name", "<<=", "2"]
+        );
     }
 
     #[test]

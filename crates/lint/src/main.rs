@@ -25,6 +25,9 @@ fn main() -> ExitCode {
         println!("sidco-lint: {} violation(s)", scan.violations.len());
         ExitCode::FAILURE
     };
-    println!("sidco-lint: {} non-test library lines", scan.library_lines);
+    println!(
+        "sidco-lint: {} non-test library lines, {} test-only markers",
+        scan.library_lines, scan.test_only_markers
+    );
     verdict
 }

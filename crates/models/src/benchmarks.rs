@@ -52,7 +52,6 @@ impl BenchmarkId {
     pub fn spec(&self) -> BenchmarkSpec {
         match self {
             BenchmarkId::LstmPtb => BenchmarkSpec {
-                id: *self,
                 name: "LSTM-PTB",
                 task: TaskKind::LanguageModeling,
                 model: "2-layer LSTM, 1500 hidden units",
@@ -66,7 +65,6 @@ impl BenchmarkId {
                 quality_metric: "test perplexity",
             },
             BenchmarkId::LstmAn4 => BenchmarkSpec {
-                id: *self,
                 name: "LSTM-AN4",
                 task: TaskKind::SpeechRecognition,
                 model: "5-layer LSTM, 1024 hidden units",
@@ -80,7 +78,6 @@ impl BenchmarkId {
                 quality_metric: "WER & CER",
             },
             BenchmarkId::ResNet20Cifar10 => BenchmarkSpec {
-                id: *self,
                 name: "ResNet20-CIFAR10",
                 task: TaskKind::ImageClassification,
                 model: "ResNet-20",
@@ -94,7 +91,6 @@ impl BenchmarkId {
                 quality_metric: "top-1 accuracy",
             },
             BenchmarkId::Vgg16Cifar10 => BenchmarkSpec {
-                id: *self,
                 name: "VGG16-CIFAR10",
                 task: TaskKind::ImageClassification,
                 model: "VGG16",
@@ -108,7 +104,6 @@ impl BenchmarkId {
                 quality_metric: "top-1 accuracy",
             },
             BenchmarkId::ResNet50ImageNet => BenchmarkSpec {
-                id: *self,
                 name: "ResNet50-ImageNet",
                 task: TaskKind::ImageClassification,
                 model: "ResNet-50",
@@ -122,7 +117,6 @@ impl BenchmarkId {
                 quality_metric: "top-1 accuracy",
             },
             BenchmarkId::Vgg19ImageNet => BenchmarkSpec {
-                id: *self,
                 name: "VGG19-ImageNet",
                 task: TaskKind::ImageClassification,
                 model: "VGG19",
@@ -148,8 +142,6 @@ impl std::fmt::Display for BenchmarkId {
 /// One row of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkSpec {
-    /// Which benchmark this row describes.
-    pub id: BenchmarkId,
     /// Human-readable name (e.g. `"VGG16-CIFAR10"`).
     pub name: &'static str,
     /// Task category.

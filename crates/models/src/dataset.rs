@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 pub struct RegressionDataset {
     features: Vec<f32>,
     targets: Vec<f32>,
+    // lint: test-only backs `true_weights`, the regression unit tests' ground truth
     true_weights: Vec<f32>,
     dim: usize,
 }

@@ -150,10 +150,6 @@ impl DifferentiableModel for SoftmaxClassifier {
         }
         true
     }
-
-    fn name(&self) -> &'static str {
-        "softmax-classifier"
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +211,6 @@ mod tests {
     #[test]
     fn metadata() {
         let m = model();
-        assert_eq!(m.name(), "softmax-classifier");
         assert_eq!(m.num_parameters(), 4 * 10 + 4);
         assert_eq!(m.layer_sizes(), vec![4 * 10, 4]);
         assert_eq!(m.num_examples(), 240);

@@ -247,10 +247,6 @@ impl DifferentiableModel for Mlp {
         }
         true
     }
-
-    fn name(&self) -> &'static str {
-        "mlp"
-    }
 }
 
 #[cfg(test)]
@@ -327,7 +323,6 @@ mod tests {
     #[test]
     fn metadata() {
         let m = model();
-        assert_eq!(m.name(), "mlp");
         assert_eq!(m.num_examples(), 160);
     }
 }

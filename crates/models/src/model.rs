@@ -131,9 +131,6 @@ pub trait DifferentiableModel: Send + Sync {
     fn accuracy(&self, params: &[f32]) -> Option<f64> {
         dataset_metrics(self, params, 1, serial).accuracy
     }
-
-    /// Short name used in reports.
-    fn name(&self) -> &'static str;
 }
 
 /// The full-dataset metrics of one forward pass per example: what
@@ -252,9 +249,6 @@ mod tests {
             losses.fill(params[0] as f64);
             false
         }
-        fn name(&self) -> &'static str {
-            "constant"
-        }
     }
 
     #[test]
@@ -264,7 +258,6 @@ mod tests {
         assert_eq!(model.evaluate(&[3.0]), 3.0);
         assert_eq!(model.layer_sizes(), vec![1]);
         assert_eq!(model.layer_backward_costs(), vec![1.0]);
-        assert_eq!(model.name(), "constant");
         let (loss, grad) = model.loss_and_gradient(&[2.0], &[0]);
         assert_eq!(loss, 2.0);
         assert_eq!(grad.as_slice(), &[1.0]);

@@ -113,10 +113,6 @@ impl DifferentiableModel for LinearRegression {
         }
         false
     }
-
-    fn name(&self) -> &'static str {
-        "linear-regression"
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +187,6 @@ mod tests {
     #[test]
     fn metadata() {
         let m = model();
-        assert_eq!(m.name(), "linear-regression");
         assert_eq!(m.num_parameters(), 16);
         // A single dense weight vector: the default single-layer export.
         assert_eq!(m.layer_sizes(), vec![16]);

@@ -236,10 +236,6 @@ impl DifferentiableModel for ElmanRnn {
         }
         false
     }
-
-    fn name(&self) -> &'static str {
-        "elman-rnn"
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +325,6 @@ mod tests {
     #[test]
     fn metadata() {
         let m = model();
-        assert_eq!(m.name(), "elman-rnn");
         assert_eq!(m.num_examples(), 60);
         assert!(m.accuracy(&vec![0.0; m.num_parameters()]).is_none());
     }

@@ -28,20 +28,33 @@ use sidco_models::regression::LinearRegression;
 use sidco_models::rnn::ElmanRnn;
 use sidco_models::{dataset_metrics, DifferentiableModel};
 
-/// The four trainable models on small datasets drawn from `seed`.
-fn models(seed: u64) -> Vec<Box<dyn DifferentiableModel>> {
+/// The four trainable models on small datasets drawn from `seed`, each with
+/// the label its failures name.
+fn models(seed: u64) -> Vec<(&'static str, Box<dyn DifferentiableModel>)> {
     vec![
-        Box::new(Mlp::new(
-            ClassificationDataset::gaussian_blobs(37, 6, 3, 2.0, seed),
-            5,
-        )),
-        Box::new(SoftmaxClassifier::new(
-            ClassificationDataset::gaussian_blobs(41, 7, 4, 2.0, seed),
-        )),
-        Box::new(LinearRegression::new(RegressionDataset::generate(
-            29, 9, 0.1, seed,
-        ))),
-        Box::new(ElmanRnn::new(SequenceDataset::generate(23, 6, 3, seed), 4)),
+        (
+            "mlp",
+            Box::new(Mlp::new(
+                ClassificationDataset::gaussian_blobs(37, 6, 3, 2.0, seed),
+                5,
+            )),
+        ),
+        (
+            "softmax-classifier",
+            Box::new(SoftmaxClassifier::new(
+                ClassificationDataset::gaussian_blobs(41, 7, 4, 2.0, seed),
+            )),
+        ),
+        (
+            "linear-regression",
+            Box::new(LinearRegression::new(RegressionDataset::generate(
+                29, 9, 0.1, seed,
+            ))),
+        ),
+        (
+            "elman-rnn",
+            Box::new(ElmanRnn::new(SequenceDataset::generate(23, 6, 3, seed), 4)),
+        ),
     ]
 }
 
@@ -70,7 +83,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         scale in 0.0f32..3.0,
     ) {
-        for model in models(seed) {
+        for (label, model) in models(seed) {
             let params = random_params(model.as_ref(), seed, scale);
             let all: Vec<usize> = (0..model.num_examples()).collect();
             let oracle = model.loss_and_gradient(&params, &all).0;
@@ -78,7 +91,7 @@ proptest! {
             prop_assert!(
                 evaluated.to_bits() == oracle.to_bits(),
                 "{}: evaluate {evaluated} vs full-batch loss {oracle}",
-                model.name()
+                label
             );
         }
     }
@@ -91,7 +104,7 @@ proptest! {
         scale in 0.0f32..3.0,
         raw_batch in prop::collection::vec(0usize..1000, 1..24),
     ) {
-        for model in models(seed) {
+        for (label, model) in models(seed) {
             let params = random_params(model.as_ref(), seed, scale);
             let n = model.num_examples();
             let batch: Vec<usize> = raw_batch.iter().map(|&i| i % n).collect();
@@ -106,12 +119,12 @@ proptest! {
                 prop_assert!(
                     into.to_bits() == loss.to_bits(),
                     "{}: loss {into} vs {loss}",
-                    model.name()
+                    label
                 );
                 prop_assert!(
                     bits(&buffer) == bits(grad.as_slice()),
                     "{}: gradient bits diverged on batch {examples:?}",
-                    model.name()
+                    label
                 );
             }
         }
@@ -431,6 +444,7 @@ fn batches(raw: &[usize], n: usize) -> [Vec<usize>; 3] {
 /// Asserts that `model` has the oracle's bits for every batch, `evaluate`
 /// and `accuracy`.
 fn assert_matches_oracle(
+    label: &str,
     model: &dyn DifferentiableModel,
     params: &[f32],
     raw_batch: &[usize],
@@ -444,25 +458,25 @@ fn assert_matches_oracle(
         prop_assert!(
             loss.to_bits() == want_loss.to_bits(),
             "{}: loss {loss} vs serial {want_loss} on {examples:?}",
-            model.name()
+            label
         );
         prop_assert!(
             bits(grad.as_slice()) == bits(&want_grad),
             "{}: gradient bits diverged on {examples:?}",
-            model.name()
+            label
         );
     }
     let evaluated = model.evaluate(params);
     prop_assert!(
         evaluated.to_bits() == oracle_evaluate.to_bits(),
         "{}: evaluate {evaluated} vs serial {oracle_evaluate}",
-        model.name()
+        label
     );
     let accuracy = model.accuracy(params);
     prop_assert!(
         accuracy.map(f64::to_bits) == oracle_accuracy.map(f64::to_bits),
         "{}: accuracy {accuracy:?} vs serial {oracle_accuracy:?}",
-        model.name()
+        label
     );
     Ok(())
 }
@@ -487,6 +501,7 @@ proptest! {
         let params = random_params(&model, seed, scale);
         let oracle = oracle::Mlp { data: &data, hidden };
         assert_matches_oracle(
+            "mlp",
             &model,
             &params,
             &raw_batch,
@@ -512,6 +527,7 @@ proptest! {
         let params = random_params(&model, seed, scale);
         let oracle = oracle::Softmax { data: &data };
         assert_matches_oracle(
+            "softmax-classifier",
             &model,
             &params,
             &raw_batch,
@@ -538,6 +554,7 @@ proptest! {
         let params = random_params(&model, seed, scale);
         let oracle = oracle::Rnn { data: &data, hidden };
         assert_matches_oracle(
+            "elman-rnn",
             &model,
             &params,
             &raw_batch,
@@ -554,7 +571,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         scale in 0.0f32..3.0,
     ) {
-        for model in models(seed) {
+        for (label, model) in models(seed) {
             let params = random_params(model.as_ref(), seed, scale);
             let (loss, accuracy) = (model.evaluate(&params), model.accuracy(&params));
             for shards in [1, 2, 3, 7] {
@@ -564,13 +581,13 @@ proptest! {
                 prop_assert!(
                     metrics.loss.to_bits() == loss.to_bits(),
                     "{}: {shards} shards give loss {} vs serial {loss}",
-                    model.name(),
+                    label,
                     metrics.loss
                 );
                 prop_assert!(
                     metrics.accuracy.map(f64::to_bits) == accuracy.map(f64::to_bits),
                     "{}: {shards} shards give accuracy {:?} vs serial {accuracy:?}",
-                    model.name(),
+                    label,
                     metrics.accuracy
                 );
             }

@@ -173,10 +173,6 @@ impl Drop for WorkStealing {
 }
 
 impl Runtime for WorkStealing {
-    fn name(&self) -> &'static str {
-        "pool"
-    }
-
     fn parallelism(&self) -> usize {
         self.threads
     }

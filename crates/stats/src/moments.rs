@@ -16,7 +16,6 @@
 /// for x in [1.0, 2.0, 3.0, 4.0] {
 ///     m.push(x);
 /// }
-/// assert_eq!(m.count(), 4);
 /// assert!((m.mean() - 2.5).abs() < 1e-12);
 /// assert!((m.variance() - 1.25).abs() < 1e-12);
 /// ```
@@ -39,11 +38,6 @@ impl RunningMoments {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations seen so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Sample mean (0 when empty).
@@ -470,7 +464,7 @@ mod tests {
     #[test]
     fn running_moments_empty_and_single() {
         let m = RunningMoments::new();
-        assert_eq!(m.count(), 0);
+        assert_eq!(m.count, 0);
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.variance(), 0.0);
         let mut m = RunningMoments::new();

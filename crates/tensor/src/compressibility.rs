@@ -14,8 +14,6 @@ pub struct CompressibilityReport {
     pub sorted_magnitudes: Vec<f32>,
     /// Estimated power-law decay exponent `p` from a log–log least-squares fit.
     pub decay_exponent: f64,
-    /// Coefficient `c₁` of the fitted power law (value at index 1).
-    pub decay_coefficient: f64,
     /// R² of the log–log fit (1 means a perfect power law).
     pub fit_r2: f64,
 }
@@ -93,7 +91,6 @@ pub fn analyze(grad: &[f32], fit_fraction: f64) -> CompressibilityReport {
         return CompressibilityReport {
             sorted_magnitudes: sorted,
             decay_exponent: 0.0,
-            decay_coefficient: 0.0,
             fit_r2: 0.0,
         };
     }
@@ -115,7 +112,6 @@ pub fn analyze(grad: &[f32], fit_fraction: f64) -> CompressibilityReport {
     CompressibilityReport {
         sorted_magnitudes: sorted,
         decay_exponent: -slope,
-        decay_coefficient: intercept.exp(),
         fit_r2: r2,
     }
 }

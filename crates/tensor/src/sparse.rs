@@ -120,7 +120,10 @@ impl SparseGradient {
     // lint: test-only doc examples and round-trip tests compare payloads densely
     pub fn to_dense(&self) -> GradientVector {
         let mut dense = GradientVector::zeros(self.dense_len);
-        self.scatter_into(&mut dense);
+        let slice = dense.as_mut_slice();
+        for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
+            slice[i as usize] = v;
+        }
         dense
     }
 
@@ -139,24 +142,6 @@ impl SparseGradient {
         let slice = acc.as_mut_slice();
         for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
             slice[i as usize] += v;
-        }
-    }
-
-    /// Writes the sparse values into an existing dense vector, overwriting only the
-    /// retained positions (other positions are left untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target length differs from [`dense_len`](Self::dense_len).
-    pub fn scatter_into(&self, target: &mut GradientVector) {
-        assert_eq!(
-            target.len(),
-            self.dense_len,
-            "target length must match the dense length"
-        );
-        let slice = target.as_mut_slice();
-        for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
-            slice[i as usize] = v;
         }
     }
 

@@ -1,9 +1,9 @@
 //! Counters, gauges and fixed-bucket histograms.
 //!
-//! This is the quantitative half of the trace registry: the four pre-existing
-//! report structs (`PoolStats`, `TrainingReport`, `DispatchReport`,
-//! `FleetReport`) feed their headline numbers here when a session is active,
-//! so one [`MetricsFrame`] summarises a run across all layers.
+//! This is the quantitative half of the trace registry: the three report
+//! structs (`PoolStats`, `TrainingReport`, `FleetReport`) feed their headline
+//! numbers here when a session is active, so one [`MetricsFrame`] summarises
+//! a run across all layers.
 
 use std::collections::BTreeMap;
 

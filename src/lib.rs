@@ -64,9 +64,9 @@ pub mod prelude {
     pub use sidco_dist::simulate::{simulate_benchmark, SimulationConfig};
     pub use sidco_dist::trainer::{ModelTrainer, TrainerConfig};
     pub use sidco_dist::{
-        BucketPolicy, ClusterEvent, CollectiveScheduler, DispatchReport, FleetReport,
-        FleetScheduler, HierarchicalTopology, JobSpec, LrSchedule, NetworkModel, NodeProfile,
-        Optimizer, PriorityPolicy, RescaleRecord, SharePolicy, TenancyConfig,
+        BucketPolicy, ClusterEvent, CollectiveScheduler, FleetReport, FleetScheduler,
+        HierarchicalTopology, JobSpec, LrSchedule, NetworkModel, NodeProfile, Optimizer,
+        PriorityPolicy, RescaleRecord, SharePolicy, TenancyConfig,
     };
     pub use sidco_models::benchmarks::BenchmarkId;
     pub use sidco_models::synthetic::{GradientProfile, SyntheticGradientGenerator};

@@ -171,10 +171,6 @@ pub struct ScopedOracle {
 }
 
 impl Runtime for ScopedOracle {
-    fn name(&self) -> &'static str {
-        "scoped-oracle"
-    }
-
     fn parallelism(&self) -> usize {
         self.threads
     }
