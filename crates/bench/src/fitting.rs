@@ -1,4 +1,9 @@
 //! Distribution-fitting and compressibility experiments (Figures 2, 7 and 8).
+//!
+//! Figures 2 and 8 report the fit SIDCo itself computes:
+//! [`fit_sid_from_moments`] over the gradient's [`AbsMoments`], the same
+//! estimator every compression stage runs, turned into the signed
+//! distribution only to evaluate its density and the KS distance of |g|.
 
 use crate::report::{fmt, Table};
 use crate::Scale;
@@ -6,7 +11,9 @@ use sidco_core::error_feedback::ErrorFeedback;
 use sidco_core::topk::TopKCompressor;
 use sidco_models::synthetic::{GradientProfile, SyntheticGradientGenerator};
 use sidco_stats::empirical::{pdf_fit_error, EmpiricalCdf, Histogram};
-use sidco_stats::{DoubleGamma, DoubleGeneralizedPareto, Laplace};
+use sidco_stats::fit::{fit_sid_from_moments, FittedSid, SidKind};
+use sidco_stats::moments::AbsMoments;
+use sidco_stats::{Continuous, DoubleGamma, DoubleGeneralizedPareto, Laplace};
 use sidco_tensor::compressibility;
 use sidco_tensor::GradientVector;
 
@@ -33,8 +40,10 @@ fn resnet20_like_gradient(iteration: u64, with_ec: bool, scale: Scale) -> Vec<f3
     corrected.into_vec()
 }
 
-/// Fits the three SIDs to a gradient and reports per-fit diagnostics: PDF error
-/// against the empirical histogram and the Kolmogorov–Smirnov distance of |g|.
+/// Fits the three SIDs to a gradient exactly as SIDCo does
+/// ([`fit_sid_from_moments`] over the gradient's [`AbsMoments`]) and reports
+/// per-fit diagnostics: PDF error against the empirical histogram and the
+/// Kolmogorov–Smirnov distance of |g|.
 fn fit_table(title: &str, grad: &[f32]) -> Table {
     let mut table = Table::new(
         title,
@@ -45,41 +54,55 @@ fn fit_table(title: &str, grad: &[f32]) -> Table {
             "KS distance of |g|",
         ],
     );
-    let lo = -5.0 * sidco_stats::moments::AbsMoments::compute(grad).mean;
+    let moments = AbsMoments::compute(grad);
+    let lo = -5.0 * moments.mean;
     let hi = -lo;
     let hist = Histogram::from_f32(grad, lo, hi, 200);
     let abs: Vec<f64> = grad.iter().map(|&x| x.abs() as f64).collect();
     let abs_ecdf = EmpiricalCdf::new(&abs);
-    let grad64: Vec<f64> = grad.iter().map(|&x| x as f64).collect();
-
-    // Double exponential.
-    if let Ok(fit) = Laplace::fit_mle_zero_location(&grad64) {
-        table.row(&[
-            "double exponential".to_string(),
-            format!("β̂={:.2e}", fit.scale()),
-            fmt(pdf_fit_error(&hist, &fit)),
-            fmt(abs_ecdf.ks_distance(&fit.abs_distribution())),
-        ]);
-    }
-    // Double gamma.
-    if let Ok(fit) = DoubleGamma::fit_closed_form(&grad64) {
-        table.row(&[
-            "double gamma".to_string(),
-            format!("α̂={:.3}, β̂={:.2e}", fit.shape(), fit.scale()),
-            fmt(pdf_fit_error(&hist, &fit)),
-            fmt(abs_ecdf.ks_distance(&fit.abs_distribution())),
-        ]);
-    }
-    // Double generalized Pareto.
-    if let Ok(fit) = DoubleGeneralizedPareto::fit_moments(&grad64) {
-        table.row(&[
-            "double GP".to_string(),
-            format!("α̂={:.3}, β̂={:.2e}", fit.shape(), fit.scale()),
-            fmt(pdf_fit_error(&hist, &fit)),
-            fmt(abs_ecdf.ks_distance(&fit.abs_distribution())),
-        ]);
+    for kind in SidKind::ALL {
+        let Ok(fit) = fit_sid_from_moments(&moments, kind) else {
+            continue;
+        };
+        let (name, parameters, diagnostics) = match fit {
+            FittedSid::Exponential { scale } => (
+                "double exponential",
+                format!("β̂={scale:.2e}"),
+                Laplace::new(0.0, scale)
+                    .map(|d| scores(&hist, &abs_ecdf, &d, &d.abs_distribution())),
+            ),
+            FittedSid::Gamma { shape, scale } => (
+                "double gamma",
+                format!("α̂={shape:.3}, β̂={scale:.2e}"),
+                DoubleGamma::new(shape, scale)
+                    .map(|d| scores(&hist, &abs_ecdf, &d, &d.abs_distribution())),
+            ),
+            FittedSid::GeneralizedPareto { shape, scale } => (
+                "double GP",
+                format!("α̂={shape:.3}, β̂={scale:.2e}"),
+                DoubleGeneralizedPareto::new(shape, scale)
+                    .map(|d| scores(&hist, &abs_ecdf, &d, &d.abs_distribution())),
+            ),
+        };
+        if let Ok([pdf_err, ks]) = diagnostics {
+            table.row(&[name.to_string(), parameters, pdf_err, ks]);
+        }
     }
     table
+}
+
+/// The PDF error of a signed fit against `hist` and the KS distance of its
+/// |g| law `abs` from `abs_ecdf`, formatted.
+fn scores<S: Continuous, A: Continuous>(
+    hist: &Histogram,
+    abs_ecdf: &EmpiricalCdf,
+    signed: &S,
+    abs: &A,
+) -> [String; 2] {
+    [
+        fmt(pdf_fit_error(hist, signed)),
+        fmt(abs_ecdf.ks_distance(abs)),
+    ]
 }
 
 /// Figure 2: SID fits of the ResNet-20-like gradient at an early (100) and late

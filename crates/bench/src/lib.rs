@@ -24,6 +24,11 @@
 //! | Figure 18 (all SIDs end-to-end) | [`end_to_end::fig18`] |
 //! | Design-choice ablations (DESIGN.md §5) | [`ablation`] |
 //!
+//! Figures 2 and 8 report the fit SIDCo itself computes:
+//! [`fit_sid_from_moments`](sidco_stats::fit::fit_sid_from_moments) over the
+//! gradient's absolute-value moments, the same estimator every compression
+//! stage runs.
+//!
 //! Each function prints a self-describing text report (the "rows/series" of the
 //! corresponding figure) and returns it as a `String` so integration tests can
 //! assert on the content. Pass `Scale::Quick` for CI-sized runs and `Scale::Full`

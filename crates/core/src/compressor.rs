@@ -59,9 +59,6 @@ pub trait Compressor: Send {
     /// quality" metric is how close each scheme gets.
     fn compress(&mut self, grad: &[f32], delta: f64) -> CompressionResult;
 
-    /// Short identifier used in reports and figures (e.g. `"topk"`, `"sidco-e"`).
-    fn name(&self) -> &'static str;
-
     /// Resets any internal adaptive state (e.g. between training runs).
     ///
     /// The default implementation does nothing, which is correct for the stateless

@@ -155,10 +155,6 @@ impl Compressor for DgcCompressor {
         CompressionResult::with_threshold(sparse, threshold)
     }
 
-    fn name(&self) -> &'static str {
-        "dgc"
-    }
-
     fn kind(&self) -> CompressorKind {
         CompressorKind::Dgc
     }
@@ -195,7 +191,7 @@ mod tests {
                 "delta={delta}: achieved {achieved}"
             );
         }
-        assert_eq!(c.name(), "dgc");
+        assert_eq!(c.kind(), CompressorKind::Dgc);
     }
 
     #[test]

@@ -97,10 +97,6 @@ impl Compressor for GaussianKSgdCompressor {
         CompressionResult::with_threshold(sparse, threshold)
     }
 
-    fn name(&self) -> &'static str {
-        "gaussian-ksgd"
-    }
-
     fn kind(&self) -> CompressorKind {
         CompressorKind::GaussianKSgd
     }
@@ -136,7 +132,7 @@ mod tests {
                 "delta={delta}: achieved {achieved}"
             );
         }
-        assert_eq!(c.name(), "gaussian-ksgd");
+        assert_eq!(c.kind(), CompressorKind::GaussianKSgd);
     }
 
     /// The ratio the bare Gaussian fit selects on `grad`, before any

@@ -60,10 +60,6 @@ impl Compressor for RandomKCompressor {
         CompressionResult::from_sparse(SparseGradient::new(indices, values, grad.len()))
     }
 
-    fn name(&self) -> &'static str {
-        "randomk"
-    }
-
     fn kind(&self) -> CompressorKind {
         CompressorKind::RandomK
     }
@@ -86,7 +82,7 @@ mod tests {
         let unique: std::collections::HashSet<_> = result.sparse.indices().iter().collect();
         assert_eq!(unique.len(), 50);
         assert_eq!(result.threshold, None);
-        assert_eq!(c.name(), "randomk");
+        assert_eq!(c.kind(), CompressorKind::RandomK);
     }
 
     #[test]

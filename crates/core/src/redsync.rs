@@ -99,10 +99,6 @@ impl Compressor for RedSyncCompressor {
         CompressionResult::with_threshold(sparse, threshold)
     }
 
-    fn name(&self) -> &'static str {
-        "redsync"
-    }
-
     fn kind(&self) -> CompressorKind {
         CompressorKind::RedSync
     }
@@ -137,7 +133,7 @@ mod tests {
             nnz >= k / 4 && nnz <= 4 * k,
             "RedSync at δ=0.1 should be within a small factor of k={k}, got {nnz}"
         );
-        assert_eq!(c.name(), "redsync");
+        assert_eq!(c.kind(), CompressorKind::RedSync);
     }
 
     #[test]

@@ -332,14 +332,6 @@ impl Compressor for SidcoCompressor {
         }
     }
 
-    fn name(&self) -> &'static str {
-        match self.config.sid {
-            SidKind::Exponential => "sidco-e",
-            SidKind::Gamma => "sidco-gp",
-            SidKind::GeneralizedPareto => "sidco-p",
-        }
-    }
-
     fn reset(&mut self) {
         self.stages = self.config.initial_stages;
         self.iteration = 0;
@@ -391,19 +383,20 @@ mod tests {
     }
 
     #[test]
-    fn names_follow_sid() {
-        assert_eq!(
-            SidcoCompressor::new(SidcoConfig::exponential()).name(),
-            "sidco-e"
-        );
-        assert_eq!(
-            SidcoCompressor::new(SidcoConfig::gamma_pareto()).name(),
-            "sidco-gp"
-        );
-        assert_eq!(
-            SidcoCompressor::new(SidcoConfig::generalized_pareto()).name(),
-            "sidco-p"
-        );
+    fn kinds_follow_sid() {
+        for (config, sid) in [
+            (SidcoConfig::exponential(), SidKind::Exponential),
+            (SidcoConfig::gamma_pareto(), SidKind::Gamma),
+            (
+                SidcoConfig::generalized_pareto(),
+                SidKind::GeneralizedPareto,
+            ),
+        ] {
+            assert_eq!(
+                SidcoCompressor::new(config).kind(),
+                CompressorKind::Sidco(sid)
+            );
+        }
     }
 
     #[test]
@@ -424,7 +417,7 @@ mod tests {
                 assert!(
                     (achieved - delta).abs() / delta < 0.6,
                     "{}: delta={delta}, achieved={achieved}",
-                    c.name()
+                    c.kind()
                 );
             }
         }

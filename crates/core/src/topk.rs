@@ -56,10 +56,6 @@ impl Compressor for TopKCompressor {
         CompressionResult::with_threshold(sparse, threshold)
     }
 
-    fn name(&self) -> &'static str {
-        "topk"
-    }
-
     fn kind(&self) -> CompressorKind {
         CompressorKind::TopK
     }
@@ -109,7 +105,7 @@ mod tests {
             let threshold = result.threshold.unwrap() as f32;
             assert!(min_kept >= threshold - 1e-12);
         }
-        assert_eq!(c.name(), "topk");
+        assert_eq!(c.kind(), CompressorKind::TopK);
     }
 
     #[test]

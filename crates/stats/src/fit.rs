@@ -1,20 +1,24 @@
-//! Closed-form threshold estimators from the paper, operating directly on `f32`
-//! gradient buffers.
+//! The SID estimators of the paper, and the threshold each fit implies.
 //!
-//! These functions are the single-stage estimators of Section 2.3 / Algorithm 1's
-//! `Thresh_Estimation`:
+//! [`fit_sid_from_moments`] and [`FittedSid::threshold`] are the one
+//! implementation of Corollaries 1.1–1.3 (the exponential MLE, Minka's
+//! closed-form gamma fit and the generalized-Pareto moment match) and, fed the
+//! moments of shifted exceedances, of the peaks-over-threshold refits of
+//! Lemma 2 and Corollary 2.1. The multi-stage estimator
+//! ([`crate::pot::stage_threshold`]), the compressor in `sidco-core` and the
+//! Figure 2/8 harness all fit through them; the distribution types
+//! ([`Laplace`](crate::Laplace), [`Gamma`], the generalized Paretos) only
+//! sample and evaluate densities.
+//!
+//! The single-stage entry points on `f32` gradient buffers
+//! (Section 2.3 / Algorithm 1's `Thresh_Estimation`):
 //!
 //! * [`exponential_threshold`] — Corollary 1.1 (`SIDCo-E`),
 //! * [`gamma_threshold`] — Corollary 1.2 (first stage of `SIDCo-GP`),
 //! * [`FittedSid::threshold`] of a [`SidKind::GeneralizedPareto`] fit —
 //!   Corollary 1.3 (`SIDCo-P`),
 //! * [`gaussian_threshold_from_moments`] — the Gaussian fit used by the
-//!   GaussianKSGD baseline.
-//!
-//! The `*_from_moments` forms reuse precomputed [`AbsMoments`] (or
-//! [`SignedMoments`]), which is what the multi-stage estimator in `sidco-core`
-//! calls so that each stage costs a single additional pass over the (much
-//! smaller) exceedance set.
+//!   GaussianKSGD baseline, from precomputed [`SignedMoments`].
 
 use crate::error::StatsError;
 use crate::gamma::Gamma;
@@ -104,6 +108,17 @@ impl FittedSid {
 
 /// Fits the requested SID from precomputed absolute-value moments.
 ///
+/// * Exponential (Corollary 1.1): the MLE `β̂ = mean`.
+/// * Gamma (Corollary 1.2): Minka's (2002) closed-form approximate MLE,
+///   `s = ln(mean) - mean_ln`, `α̂ = (3 - s + sqrt((s - 3)² + 24 s)) / (12 s)`,
+///   `β̂ = mean / α̂`; data with `s ≤ 0` (constant magnitudes) falls back to
+///   `α̂ = 1`.
+/// * Generalized Pareto (Corollary 1.3, and Lemma 2 on shifted exceedances):
+///   Hosking & Wallis's moment match, `α̂ = ½ (1 - mean²/variance)`,
+///   `β̂ = ½ mean (mean²/variance + 1)`, with `α̂` clamped into
+///   `(-1/2 + ε, 1/2 - ε)` so badly-behaved gradients hit the clamp rather
+///   than fail; zero variance falls back to the exponential limit `α̂ = 0`.
+///
 /// # Errors
 ///
 /// Returns [`StatsError::InsufficientData`] when `moments.count == 0` and
@@ -163,25 +178,17 @@ pub fn fit_sid_from_moments(moments: &AbsMoments, kind: SidKind) -> Result<Fitte
 /// Returns 0 for an empty or all-zero gradient (every element then trivially
 /// exceeds the threshold, which the caller treats as "send everything").
 pub fn exponential_threshold(grad: &[f32], delta: f64) -> f64 {
-    let moments = AbsMoments::compute(grad);
-    exponential_threshold_from_moments(&moments, delta)
-}
-
-/// [`exponential_threshold`] from precomputed moments.
-pub fn exponential_threshold_from_moments(moments: &AbsMoments, delta: f64) -> f64 {
-    moments.mean * (1.0 / delta).ln()
+    match fit_sid_from_moments(&AbsMoments::compute(grad), SidKind::Exponential) {
+        Ok(fit) => fit.threshold(delta),
+        Err(_) => 0.0,
+    }
 }
 
 /// Corollary 1.2: gamma-fit threshold with the paper's closed-form approximation
-/// `η ≈ -β̂ [ln δ + ln Γ(α̂)]`.
+/// `η ≈ -β̂ [ln δ + ln Γ(α̂)]`, floored at 0 (0 also for an empty or all-zero
+/// gradient).
 pub fn gamma_threshold(grad: &[f32], delta: f64) -> f64 {
-    let moments = AbsMoments::compute(grad);
-    gamma_threshold_from_moments(&moments, delta)
-}
-
-/// [`gamma_threshold`] from precomputed moments.
-pub fn gamma_threshold_from_moments(moments: &AbsMoments, delta: f64) -> f64 {
-    match fit_sid_from_moments(moments, SidKind::Gamma) {
+    match fit_sid_from_moments(&AbsMoments::compute(grad), SidKind::Gamma) {
         Ok(fit) => fit.threshold(delta).max(0.0),
         Err(_) => 0.0,
     }

@@ -1,5 +1,6 @@
 //! Gamma and double-gamma distributions — the SID behind SIDCo-GP's first stage
-//! (Corollary 1.2 of the paper).
+//! (Corollary 1.2 of the paper). They sample and evaluate densities; the fit
+//! SIDCo runs is [`fit_sid_from_moments`](crate::fit::fit_sid_from_moments).
 
 use crate::distribution::Continuous;
 use crate::error::StatsError;
@@ -49,39 +50,6 @@ impl Gamma {
             });
         }
         Ok(Self { shape, scale })
-    }
-
-    /// The shape parameter `α`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// The scale parameter `β`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Closed-form approximate MLE due to Minka (2002), as used by the paper
-    /// (equation 27 / Algorithm 1, `Thresh_Estimation` for the gamma case):
-    ///
-    /// `s = ln(mean) - mean(ln x)`,
-    /// `α̂ = (3 - s + sqrt((s - 3)² + 24 s)) / (12 s)`,
-    /// `β̂ = mean / α̂`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InsufficientData`] for an empty sample and
-    /// [`StatsError::InvalidParameter`] if the sample contains no positive values.
-    pub fn fit_closed_form(sample: &[f64]) -> Result<Self, StatsError> {
-        let (mean, mean_ln, n) = positive_log_moments(sample)?;
-        let s = mean.ln() - mean_ln;
-        if !(s.is_finite() && s > 0.0) {
-            // A constant sample yields s = 0; treat as exponential-like (α = 1).
-            return Self::new(1.0, mean);
-        }
-        let _ = n;
-        let shape = (3.0 - s + ((s - 3.0) * (s - 3.0) + 24.0 * s).sqrt()) / (12.0 * s);
-        Self::new(shape, mean / shape)
     }
 }
 
@@ -158,32 +126,9 @@ impl DoubleGamma {
         })
     }
 
-    /// The shape parameter `α`.
-    pub fn shape(&self) -> f64 {
-        self.abs.shape()
-    }
-
-    /// The scale parameter `β`.
-    pub fn scale(&self) -> f64 {
-        self.abs.scale()
-    }
-
     /// Distribution of the absolute value.
     pub fn abs_distribution(&self) -> Gamma {
         self.abs
-    }
-
-    /// Fits a double-gamma distribution to signed observations by fitting a gamma
-    /// to their absolute values with the closed-form estimator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Gamma::fit_closed_form`].
-    pub fn fit_closed_form(sample: &[f64]) -> Result<Self, StatsError> {
-        let abs: Vec<f64> = sample.iter().map(|x| x.abs()).collect();
-        Ok(Self {
-            abs: Gamma::fit_closed_form(&abs)?,
-        })
     }
 }
 
@@ -215,42 +160,17 @@ impl Continuous for DoubleGamma {
 
     fn variance(&self) -> f64 {
         // E[X²] = E[|X|²] = Var(|X|) + E[|X|]² = αβ² + (αβ)² = αβ²(1 + α).
-        let a = self.abs.shape();
-        let b = self.abs.scale();
+        let a = self.abs.shape;
+        let b = self.abs.scale;
         a * b * b * (1.0 + a)
     }
-}
-
-fn positive_log_moments(sample: &[f64]) -> Result<(f64, f64, usize), StatsError> {
-    if sample.is_empty() {
-        return Err(StatsError::InsufficientData {
-            len: 0,
-            required: 1,
-        });
-    }
-    let mut sum = 0.0;
-    let mut sum_ln = 0.0;
-    let mut n = 0usize;
-    for &x in sample {
-        if x > 0.0 && x.is_finite() {
-            sum += x;
-            sum_ln += x.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        return Err(StatsError::InvalidParameter {
-            name: "sample",
-            value: 0.0,
-            expected: "at least one strictly positive observation",
-        });
-    }
-    Ok((sum / n as f64, sum_ln / n as f64, n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::{fit_sid_from_moments, FittedSid, SidKind};
+    use crate::moments::AbsMoments;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -288,28 +208,33 @@ mod tests {
         }
     }
 
+    /// The gamma fit SIDCo runs (Corollary 1.2) of `sample` cast to `f32`,
+    /// as `(α̂, β̂)`.
+    fn fit_gamma(sample: &[f64]) -> Result<(f64, f64), StatsError> {
+        let grad: Vec<f32> = sample.iter().map(|&x| x as f32).collect();
+        match fit_sid_from_moments(&AbsMoments::compute(&grad), SidKind::Gamma)? {
+            FittedSid::Gamma { shape, scale } => Ok((shape, scale)),
+            other => panic!("unexpected fit {other:?}"),
+        }
+    }
+
     #[test]
     fn closed_form_fit_recovers_parameters() {
+        // α within 0.08 of 0.8, the mean αβ within 5 %.
         let d = Gamma::new(0.8, 0.005).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         let xs = d.sample_vec(&mut rng, 30_000);
-        let fitted = Gamma::fit_closed_form(&xs).unwrap();
-        assert!(
-            (fitted.shape() - 0.8).abs() < 0.08,
-            "shape {} too far from 0.8",
-            fitted.shape()
-        );
-        assert!((fitted.mean() - d.mean()).abs() / d.mean() < 0.05);
+        let (shape, scale) = fit_gamma(&xs).unwrap();
+        assert!((shape - 0.8).abs() < 0.08, "shape {shape} too far from 0.8");
+        assert!((shape * scale - d.mean()).abs() / d.mean() < 0.05);
     }
 
     #[test]
     fn fit_handles_degenerate_samples() {
-        assert!(Gamma::fit_closed_form(&[]).is_err());
-        assert!(Gamma::fit_closed_form(&[0.0, 0.0]).is_err());
+        assert!(fit_gamma(&[]).is_err());
+        assert!(fit_gamma(&[0.0, 0.0]).is_err());
         // Constant positive sample falls back to α = 1.
-        let fitted = Gamma::fit_closed_form(&[2.0, 2.0, 2.0]).unwrap();
-        assert_eq!(fitted.shape(), 1.0);
-        assert_eq!(fitted.scale(), 2.0);
+        assert_eq!(fit_gamma(&[2.0, 2.0, 2.0]).unwrap(), (1.0, 2.0));
     }
 
     #[test]
@@ -330,7 +255,8 @@ mod tests {
         let d = DoubleGamma::new(0.9, 0.02).unwrap();
         let mut rng = SmallRng::seed_from_u64(21);
         let xs = d.sample_vec(&mut rng, 30_000);
-        let fitted = DoubleGamma::fit_closed_form(&xs).unwrap();
-        assert!((fitted.shape() - 0.9).abs() < 0.1);
+        // The fit reads |x|: α within 0.1 of 0.9.
+        let (shape, _) = fit_gamma(&xs).unwrap();
+        assert!((shape - 0.9).abs() < 0.1, "shape {shape}");
     }
 }

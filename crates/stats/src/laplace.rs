@@ -1,5 +1,6 @@
 //! Laplace (double exponential) distribution — the signed-gradient model behind
-//! SIDCo-E.
+//! SIDCo-E. It samples and evaluates densities; the fit SIDCo runs is
+//! [`fit_sid_from_moments`](crate::fit::fit_sid_from_moments).
 
 use crate::distribution::Continuous;
 use crate::error::StatsError;
@@ -53,29 +54,6 @@ impl Laplace {
         Ok(Self { location, scale })
     }
 
-    /// The scale parameter `β`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Maximum-likelihood fit with the location pinned to zero (the gradient model
-    /// of Property 2): `β̂ = mean(|x|)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InsufficientData`] for an empty sample and
-    /// [`StatsError::InvalidParameter`] if all observations are zero.
-    pub fn fit_mle_zero_location(sample: &[f64]) -> Result<Self, StatsError> {
-        if sample.is_empty() {
-            return Err(StatsError::InsufficientData {
-                len: 0,
-                required: 1,
-            });
-        }
-        let mean_abs = sample.iter().map(|x| x.abs()).sum::<f64>() / sample.len() as f64;
-        Self::new(0.0, mean_abs)
-    }
-
     /// The distribution of `|X - μ|`, an [`Exponential`] with the same scale.
     pub fn abs_distribution(&self) -> Exponential {
         // INVARIANT: `scale` was validated at construction, so this
@@ -123,6 +101,8 @@ impl Continuous for Laplace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::{fit_sid_from_moments, FittedSid, SidKind};
+    use crate::moments::AbsMoments;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -172,9 +152,14 @@ mod tests {
         let d = Laplace::new(0.0, 0.004).unwrap();
         let mut rng = SmallRng::seed_from_u64(11);
         let xs = d.sample_vec(&mut rng, 40_000);
-        let fitted = Laplace::fit_mle_zero_location(&xs).unwrap();
-        assert!((fitted.scale() - 0.004).abs() < 0.0002);
-        assert_eq!(fitted.location, 0.0);
+        // The exponential fit SIDCo runs (Corollary 1.1) of |x| cast to
+        // `f32`: β within 0.0002 of 0.004.
+        let grad: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
+        let fit = fit_sid_from_moments(&AbsMoments::compute(&grad), SidKind::Exponential);
+        match fit.unwrap() {
+            FittedSid::Exponential { scale } => assert!((scale - 0.004).abs() < 0.0002),
+            other => panic!("unexpected fit {other:?}"),
+        }
     }
 
     #[test]

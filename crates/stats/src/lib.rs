@@ -12,10 +12,13 @@
 //!   [`Laplace`] (double exponential), [`Gamma`] and
 //!   [`DoubleGamma`], [`GeneralizedPareto`]
 //!   and [`DoubleGeneralizedPareto`], and
-//!   [`Normal`].
-//! * [`fit`] — the closed-form estimators of the paper (Corollary 1.1, 1.2, 1.3 and
-//!   Lemma 2): exponential MLE, gamma via Minka's closed-form approximation, and
-//!   generalized-Pareto moment matching.
+//!   [`Normal`]. They only sample and evaluate densities and quantiles; none
+//!   of them fits itself.
+//! * [`fit`] — the one home of the paper's closed-form estimators
+//!   (Corollaries 1.1–1.3 and Lemma 2): exponential MLE, gamma via Minka's
+//!   closed-form approximation, and generalized-Pareto moment matching.
+//!   SIDCo's multi-stage estimator and the Figure 2/8 harness both fit
+//!   through [`fit::fit_sid_from_moments`].
 //! * [`empirical`] — empirical CDF, quantiles, histograms and Kolmogorov–Smirnov
 //!   distances used to validate Property 1/2 of the paper.
 //! * [`moments`] — Welford running moments and one-pass absolute-value statistics.

@@ -1,5 +1,7 @@
 //! Generalized Pareto (GP) and double-GP distributions — the SID used by SIDCo-P and
-//! by every multi-stage peaks-over-threshold refit (Lemma 2 of the paper).
+//! by every multi-stage peaks-over-threshold refit (Lemma 2 of the paper). They
+//! sample and evaluate densities; the fit SIDCo runs is
+//! [`fit_sid_from_moments`](crate::fit::fit_sid_from_moments).
 
 use crate::distribution::Continuous;
 use crate::error::StatsError;
@@ -67,80 +69,6 @@ impl GeneralizedPareto {
             location,
         })
     }
-
-    /// The shape parameter `α`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// The scale parameter `β`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Moment-matching fit (Hosking & Wallis 1987; paper equation 35) for data with
-    /// a known location (subtracted before the moments are computed):
-    ///
-    /// `α̂ = ½ (1 - μ̂²/σ̂²)`, `β̂ = ½ μ̂ (μ̂²/σ̂² + 1)`.
-    ///
-    /// The estimated shape is clamped into `(-1/2 + ε, 1/2 - ε)` so the returned
-    /// distribution is always valid; extremely heavy- or light-tailed samples hit the
-    /// clamp rather than erroring, mirroring how the compression algorithm must stay
-    /// robust to badly-behaved gradients.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InsufficientData`] if fewer than two observations
-    /// exceed the location, and [`StatsError::InvalidParameter`] if the exceedances
-    /// have zero variance or a non-positive mean.
-    pub fn fit_moments(sample: &[f64], location: f64) -> Result<Self, StatsError> {
-        let shifted: Vec<f64> = sample
-            .iter()
-            .filter(|&&x| x >= location && x.is_finite())
-            .map(|&x| x - location)
-            .collect();
-        if shifted.len() < 2 {
-            return Err(StatsError::InsufficientData {
-                len: shifted.len(),
-                required: 2,
-            });
-        }
-        let n = shifted.len() as f64;
-        let mean = shifted.iter().sum::<f64>() / n;
-        let var = shifted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        if !(mean > 0.0) {
-            return Err(StatsError::InvalidParameter {
-                name: "sample mean",
-                value: mean,
-                expected: "a positive mean of exceedances",
-            });
-        }
-        if !(var > 0.0) {
-            return Err(StatsError::InvalidParameter {
-                name: "sample variance",
-                value: var,
-                expected: "a positive variance of exceedances",
-            });
-        }
-        let ratio = mean * mean / var;
-        const EPS: f64 = 1e-6;
-        let shape = (0.5 * (1.0 - ratio)).clamp(-0.5 + EPS, 0.5 - EPS);
-        let scale = (0.5 * mean * (ratio + 1.0)).max(f64::MIN_POSITIVE);
-        Self::new(shape, scale, location)
-    }
-
-    /// The threshold that leaves a fraction `delta` of the mass above it, expressed
-    /// with the paper's closed form (equation 28 / Lemma 2):
-    /// `η = (β/α)(e^{-α ln δ} - 1) + a`.
-    pub fn upper_quantile(&self, delta: f64) -> f64 {
-        debug_assert!(delta > 0.0 && delta < 1.0);
-        if self.shape.abs() < 1e-12 {
-            // α → 0 limit: exponential tail.
-            self.location + self.scale * (1.0 / delta).ln()
-        } else {
-            self.location + self.scale / self.shape * ((-self.shape * delta.ln()).exp() - 1.0)
-        }
-    }
 }
 
 impl Continuous for GeneralizedPareto {
@@ -177,7 +105,15 @@ impl Continuous for GeneralizedPareto {
             (0.0..1.0).contains(&p),
             "quantile requires p in [0,1), got {p}"
         );
-        self.upper_quantile(1.0 - p)
+        // The paper's closed form (equation 28 / Lemma 2) for the upper-tail
+        // mass δ = 1 - p: `η = (β/α)(e^{-α ln δ} - 1) + a`.
+        let delta = 1.0 - p;
+        if self.shape.abs() < 1e-12 {
+            // α → 0 limit: exponential tail.
+            self.location + self.scale * (1.0 / delta).ln()
+        } else {
+            self.location + self.scale / self.shape * ((-self.shape * delta.ln()).exp() - 1.0)
+        }
     }
 
     fn mean(&self) -> f64 {
@@ -212,32 +148,9 @@ impl DoubleGeneralizedPareto {
         })
     }
 
-    /// The shape parameter `α`.
-    pub fn shape(&self) -> f64 {
-        self.abs.shape()
-    }
-
-    /// The scale parameter `β`.
-    pub fn scale(&self) -> f64 {
-        self.abs.scale()
-    }
-
     /// Distribution of the absolute value.
     pub fn abs_distribution(&self) -> GeneralizedPareto {
         self.abs
-    }
-
-    /// Fits a double-GP distribution from signed observations via moment matching on
-    /// their absolute values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`GeneralizedPareto::fit_moments`].
-    pub fn fit_moments(sample: &[f64]) -> Result<Self, StatsError> {
-        let abs: Vec<f64> = sample.iter().map(|x| x.abs()).collect();
-        Ok(Self {
-            abs: GeneralizedPareto::fit_moments(&abs, 0.0)?,
-        })
     }
 }
 
@@ -277,6 +190,8 @@ impl Continuous for DoubleGeneralizedPareto {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::{fit_sid_from_moments, FittedSid, SidKind};
+    use crate::moments::AbsMoments;
     use crate::Exponential;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -317,48 +232,57 @@ mod tests {
     }
 
     #[test]
-    fn upper_quantile_matches_cdf() {
+    fn upper_tail_quantile_matches_survival() {
         let d = GeneralizedPareto::new(0.3, 1.5, 0.2).unwrap();
         for &delta in &[0.1, 0.01, 0.001] {
-            let eta = d.upper_quantile(delta);
+            let eta = d.quantile(1.0 - delta);
             assert!((d.survival(eta) - delta).abs() < 1e-9);
         }
     }
 
+    /// The GP fit SIDCo runs (Corollary 1.3) to `moments`, as `(α̂, β̂)`.
+    fn fit_gp(moments: &AbsMoments) -> (f64, f64) {
+        match fit_sid_from_moments(moments, SidKind::GeneralizedPareto).unwrap() {
+            FittedSid::GeneralizedPareto { shape, scale } => (shape, scale),
+            other => panic!("unexpected fit {other:?}"),
+        }
+    }
+
+    fn as_f32(sample: &[f64]) -> Vec<f32> {
+        sample.iter().map(|&x| x as f32).collect()
+    }
+
     #[test]
     fn moment_fit_recovers_parameters() {
+        // α within 0.06 of 0.25, β within 15 %.
         let d = GeneralizedPareto::new(0.25, 0.01, 0.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(17);
         let xs = d.sample_vec(&mut rng, 60_000);
-        let fitted = GeneralizedPareto::fit_moments(&xs, 0.0).unwrap();
-        assert!(
-            (fitted.shape() - 0.25).abs() < 0.06,
-            "fitted shape {}",
-            fitted.shape()
-        );
-        assert!((fitted.scale() - 0.01).abs() / 0.01 < 0.15);
+        let (shape, scale) = fit_gp(&AbsMoments::compute(&as_f32(&xs)));
+        assert!((shape - 0.25).abs() < 0.06, "fitted shape {shape}");
+        assert!((scale - 0.01).abs() / 0.01 < 0.15, "fitted scale {scale}");
     }
 
     #[test]
-    fn moment_fit_with_nonzero_location() {
+    fn moment_fit_of_exceedances_recovers_the_scale_above_the_location() {
+        // Lemma 2's refit: the moments of the exceedances shifted by the
+        // location 5 recover β = 2 within 0.2.
         let d = GeneralizedPareto::new(0.1, 2.0, 5.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(23);
         let xs = d.sample_vec(&mut rng, 60_000);
-        let fitted = GeneralizedPareto::fit_moments(&xs, 5.0).unwrap();
-        assert_eq!(fitted.location, 5.0);
-        assert!((fitted.scale() - 2.0).abs() < 0.2);
+        let (_, scale) = fit_gp(&AbsMoments::compute_exceedances(&as_f32(&xs), 5.0));
+        assert!((scale - 2.0).abs() < 0.2, "fitted scale {scale}");
     }
 
     #[test]
-    fn moment_fit_degenerate_samples() {
-        assert!(GeneralizedPareto::fit_moments(&[1.0], 0.0).is_err());
-        assert!(GeneralizedPareto::fit_moments(&[2.0, 2.0, 2.0], 0.0).is_err());
-        // Exponential-looking data clamps the shape inside the valid range.
+    fn moment_fit_of_exponential_data_has_near_zero_shape() {
+        // Exponential-looking data clamps the shape inside the valid range,
+        // within 0.1 of the α → 0 limit.
         let exp = Exponential::new(1.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(31);
         let xs = exp.sample_vec(&mut rng, 20_000);
-        let fitted = GeneralizedPareto::fit_moments(&xs, 0.0).unwrap();
-        assert!(fitted.shape().abs() < 0.1);
+        let (shape, _) = fit_gp(&AbsMoments::compute(&as_f32(&xs)));
+        assert!(shape.abs() < 0.1, "fitted shape {shape}");
     }
 
     #[test]
@@ -378,7 +302,8 @@ mod tests {
         let d = DoubleGeneralizedPareto::new(0.3, 0.05).unwrap();
         let mut rng = SmallRng::seed_from_u64(41);
         let xs = d.sample_vec(&mut rng, 50_000);
-        let fitted = DoubleGeneralizedPareto::fit_moments(&xs).unwrap();
-        assert!((fitted.shape() - 0.3).abs() < 0.08);
+        // The fit reads |x|: α within 0.08 of 0.3.
+        let (shape, _) = fit_gp(&AbsMoments::compute(&as_f32(&xs)));
+        assert!((shape - 0.3).abs() < 0.08, "fitted shape {shape}");
     }
 }

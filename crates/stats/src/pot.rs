@@ -8,11 +8,16 @@
 //! original distribution (and remain exponential if the original tail was
 //! exponential), so each stage refits only the exceedances of the previous stage's
 //! threshold and pushes the threshold further into the tail.
+//!
+//! This module holds the schedule, the stage loop and the moment backends,
+//! but no estimator: every stage update ([`stage_threshold`]) fits the
+//! stage's SID with [`fit_sid_from_moments`], the one implementation of
+//! Corollaries 1.1–1.3 and of the Lemma 2 / Corollary 2.1 refits, and inverts
+//! the fit with [`FittedSid::threshold`](crate::fit::FittedSid::threshold).
 
 use crate::error::StatsError;
-use crate::fit::SidKind;
+use crate::fit::{fit_sid_from_moments, SidKind};
 use crate::moments::{AbsMoments, MomentNeeds};
-use crate::special::ln_gamma;
 
 /// Per-stage compression-ratio schedule for an `M`-stage estimator.
 ///
@@ -74,73 +79,27 @@ pub fn stage_schedule(delta: f64, delta1: f64, stages: usize) -> Vec<f64> {
     schedule
 }
 
-/// Corollary 2.1: exponential PoT threshold update.
-///
-/// Given the moments of the *shifted* exceedances (`|g| - η_{m-1}` for
-/// `|g| > η_{m-1}`), the new threshold is `η_m = β̂_m ln(1/δ_m) + η_{m-1}` with
-/// `β̂_m` the mean of the shifted exceedances.
-pub fn exponential_pot_threshold(
-    exceedance_moments: &AbsMoments,
-    prev_threshold: f64,
-    stage_delta: f64,
-) -> f64 {
-    debug_assert!(stage_delta > 0.0 && stage_delta < 1.0);
-    prev_threshold + exceedance_moments.mean * (1.0 / stage_delta).ln()
+/// The SID that stage `stage_index` fits: SIDCo-GP fits a gamma to the whole
+/// gradient and refits every later stage's exceedances as a generalized
+/// Pareto (Algorithm 1); SIDCo-E and SIDCo-P keep their SID throughout.
+fn stage_sid(kind: SidKind, stage_index: usize) -> SidKind {
+    match (kind, stage_index) {
+        (SidKind::Gamma, 1..) => SidKind::GeneralizedPareto,
+        _ => kind,
+    }
 }
 
-/// Lemma 2: generalized-Pareto PoT threshold update via moment matching of the
-/// shifted exceedances:
-///
-/// `α̂ = ½(1 - μ̄²/σ̄²)`, `β̂ = ½ μ̄ (μ̄²/σ̄² + 1)`,
-/// `η_m = (β̂/α̂)(e^{-α̂ ln δ_m} - 1) + η_{m-1}`.
-///
-/// Falls back to the exponential update when the exceedance variance is degenerate
-/// (the α → 0 limit).
-pub fn gp_pot_threshold(
-    exceedance_moments: &AbsMoments,
-    prev_threshold: f64,
-    stage_delta: f64,
-) -> f64 {
-    debug_assert!(stage_delta > 0.0 && stage_delta < 1.0);
-    let mean = exceedance_moments.mean;
-    let var = exceedance_moments.variance;
-    if !(var > 0.0 && mean > 0.0) {
-        return exponential_pot_threshold(exceedance_moments, prev_threshold, stage_delta);
-    }
-    let ratio = mean * mean / var;
-    const EPS: f64 = 1e-6;
-    let shape = (0.5 * (1.0 - ratio)).clamp(-0.5 + EPS, 0.5 - EPS);
-    let scale = 0.5 * mean * (ratio + 1.0);
-    if shape.abs() < 1e-12 {
-        return prev_threshold + scale * (1.0 / stage_delta).ln();
-    }
-    prev_threshold + scale / shape * ((-shape * stage_delta.ln()).exp() - 1.0)
-}
-
-/// Gamma first-stage threshold (paper equation 15) expressed as an update from
-/// moments, for symmetry with the other stage estimators. The location is zero in
-/// the first stage, so `prev_threshold` is normally 0.
-pub fn gamma_stage_threshold(moments: &AbsMoments, prev_threshold: f64, stage_delta: f64) -> f64 {
-    debug_assert!(stage_delta > 0.0 && stage_delta < 1.0);
-    if !(moments.mean > 0.0) {
-        return prev_threshold;
-    }
-    let s = moments.mean.ln() - moments.mean_ln;
-    let (shape, scale) = if s.is_finite() && s > 0.0 {
-        let shape = (3.0 - s + ((s - 3.0) * (s - 3.0) + 24.0 * s).sqrt()) / (12.0 * s);
-        (shape, moments.mean / shape)
-    } else {
-        (1.0, moments.mean)
-    };
-    prev_threshold + (-scale * (stage_delta.ln() + ln_gamma(shape))).max(0.0)
-}
-
-/// Computes one stage's threshold update for the given SID.
+/// Computes one stage's threshold update for the given SID:
+/// `η_m = η_{m-1} + max(0, F̂⁻¹(1 - δ_m))`, with `F̂` the stage SID fitted to
+/// `moments` by [`fit_sid_from_moments`].
 ///
 /// The convention mirrors Algorithm 1: the **first** stage (`stage_index == 0`) fits
 /// the full absolute-gradient moments with the chosen SID; later stages fit the
-/// shifted exceedances. For [`SidKind::Gamma`] the later stages switch to the GP
-/// refit exactly as the paper's gamma-GP (SIDCo-GP) variant prescribes.
+/// shifted exceedances (Corollary 2.1 for the exponential, Lemma 2 for the GP).
+/// For [`SidKind::Gamma`] the later stages switch to the GP refit exactly as the
+/// paper's gamma-GP (SIDCo-GP) variant prescribes. Moments that admit no fit
+/// (none counted, or a mean that is not positive) leave `prev_threshold`
+/// unchanged.
 pub fn stage_threshold(
     kind: SidKind,
     stage_index: usize,
@@ -148,13 +107,9 @@ pub fn stage_threshold(
     prev_threshold: f64,
     stage_delta: f64,
 ) -> f64 {
-    match (kind, stage_index) {
-        (SidKind::Exponential, _) => {
-            exponential_pot_threshold(moments, prev_threshold, stage_delta)
-        }
-        (SidKind::Gamma, 0) => gamma_stage_threshold(moments, prev_threshold, stage_delta),
-        (SidKind::Gamma, _) => gp_pot_threshold(moments, prev_threshold, stage_delta),
-        (SidKind::GeneralizedPareto, _) => gp_pot_threshold(moments, prev_threshold, stage_delta),
+    match fit_sid_from_moments(moments, stage_sid(kind, stage_index)) {
+        Ok(fit) => prev_threshold + fit.threshold(stage_delta).max(0.0),
+        Err(_) => prev_threshold,
     }
 }
 
@@ -166,10 +121,10 @@ pub fn stage_threshold(
 /// first stage reads the log-moment, which is the one accumulator that takes
 /// a per-element `ln`.
 pub fn stage_needs(kind: SidKind, stage_index: usize) -> MomentNeeds {
-    match (kind, stage_index) {
-        (SidKind::Exponential, _) => MomentNeeds::MEAN,
-        (SidKind::Gamma, 0) => MomentNeeds::MEAN.with_mean_ln(),
-        (SidKind::Gamma, _) | (SidKind::GeneralizedPareto, _) => MomentNeeds::MEAN.with_variance(),
+    match stage_sid(kind, stage_index) {
+        SidKind::Exponential => MomentNeeds::MEAN,
+        SidKind::Gamma => MomentNeeds::MEAN.with_mean_ln(),
+        SidKind::GeneralizedPareto => MomentNeeds::MEAN.with_variance(),
     }
 }
 

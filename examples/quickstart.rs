@@ -44,7 +44,7 @@ fn main() {
         }
         println!(
             "{:<14} {:>10} {:>14.6} {:>14.6}",
-            compressor.name(),
+            compressor.kind().label(),
             result.sparse.nnz(),
             result.sparse.achieved_ratio(),
             result.threshold.unwrap_or(f64::NAN),

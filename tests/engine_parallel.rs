@@ -74,7 +74,7 @@ fn compress_all(threads: usize, grad: &[f32], delta: f64) -> Vec<(String, Sparse
         .into_iter()
         .map(|mut c| {
             let result = c.compress(grad, delta);
-            (c.name().to_string(), result.sparse)
+            (c.kind().label().to_string(), result.sparse)
         })
         .collect()
 }

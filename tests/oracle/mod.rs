@@ -11,8 +11,12 @@
 //! parallel-primitive layer. `Rescan` is the multi-stage backend that reads
 //! the whole gradient for every stage, which the compressor's
 //! survivor-compacted estimate must match bit-for-bit, and `filter_select`
-//! the filter loop every selection kernel must reproduce. `topk` holds the
-//! full-sort selector every quickselect Top-k must agree with.
+//! the filter loop every selection kernel must reproduce. `pot_estimate` is
+//! the multi-stage estimate driven by the closed-form peaks-over-threshold
+//! updates (`exponential_pot_threshold`, `gp_pot_threshold`,
+//! `gamma_stage_threshold`), which the estimator's fit-based stage updates
+//! must reproduce bit for bit. `topk` holds the full-sort selector every
+//! quickselect Top-k must agree with.
 
 // Each suite that includes this module uses only some of the oracles.
 #![allow(dead_code)]
@@ -22,8 +26,10 @@ pub mod topk;
 use sidco_core::engine::CompressionEngine;
 use sidco_dist::NetworkModel;
 use sidco_runtime::Runtime;
+use sidco_stats::fit::SidKind;
 use sidco_stats::moments::{AbsMoments, MomentNeeds};
-use sidco_stats::pot::StageMoments;
+use sidco_stats::pot::{stage_schedule, StageMoments};
+use sidco_stats::special::ln_gamma;
 use sidco_tensor::parallel::{abs_moments_on, exceedance_moments_on};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -239,4 +245,120 @@ pub fn filter_select(grad: &[f32], threshold: f64) -> Vec<(u32, f32)> {
         .filter(|&(_, g)| g.abs() >= t)
         .map(|(i, &g)| (i, g))
         .collect()
+}
+
+/// Corollary 2.1: exponential PoT threshold update.
+///
+/// Given the moments of the *shifted* exceedances (`|g| - η_{m-1}` for
+/// `|g| > η_{m-1}`), the new threshold is `η_m = β̂_m ln(1/δ_m) + η_{m-1}` with
+/// `β̂_m` the mean of the shifted exceedances.
+pub fn exponential_pot_threshold(
+    exceedance_moments: &AbsMoments,
+    prev_threshold: f64,
+    stage_delta: f64,
+) -> f64 {
+    debug_assert!(stage_delta > 0.0 && stage_delta < 1.0);
+    prev_threshold + exceedance_moments.mean * (1.0 / stage_delta).ln()
+}
+
+/// Lemma 2: generalized-Pareto PoT threshold update via moment matching of the
+/// shifted exceedances:
+///
+/// `α̂ = ½(1 - μ̄²/σ̄²)`, `β̂ = ½ μ̄ (μ̄²/σ̄² + 1)`,
+/// `η_m = (β̂/α̂)(e^{-α̂ ln δ_m} - 1) + η_{m-1}`.
+///
+/// Falls back to the exponential update when the exceedance variance is degenerate
+/// (the α → 0 limit).
+pub fn gp_pot_threshold(
+    exceedance_moments: &AbsMoments,
+    prev_threshold: f64,
+    stage_delta: f64,
+) -> f64 {
+    debug_assert!(stage_delta > 0.0 && stage_delta < 1.0);
+    let mean = exceedance_moments.mean;
+    let var = exceedance_moments.variance;
+    if !(var > 0.0 && mean > 0.0) {
+        return exponential_pot_threshold(exceedance_moments, prev_threshold, stage_delta);
+    }
+    let ratio = mean * mean / var;
+    const EPS: f64 = 1e-6;
+    let shape = (0.5 * (1.0 - ratio)).clamp(-0.5 + EPS, 0.5 - EPS);
+    let scale = 0.5 * mean * (ratio + 1.0);
+    if shape.abs() < 1e-12 {
+        return prev_threshold + scale * (1.0 / stage_delta).ln();
+    }
+    prev_threshold + scale / shape * ((-shape * stage_delta.ln()).exp() - 1.0)
+}
+
+/// Gamma first-stage threshold (paper equation 15) expressed as an update from
+/// moments, for symmetry with the other stage estimators. The location is zero in
+/// the first stage, so `prev_threshold` is normally 0.
+pub fn gamma_stage_threshold(moments: &AbsMoments, prev_threshold: f64, stage_delta: f64) -> f64 {
+    debug_assert!(stage_delta > 0.0 && stage_delta < 1.0);
+    if !(moments.mean > 0.0) {
+        return prev_threshold;
+    }
+    let s = moments.mean.ln() - moments.mean_ln;
+    let (shape, scale) = if s.is_finite() && s > 0.0 {
+        let shape = (3.0 - s + ((s - 3.0) * (s - 3.0) + 24.0 * s).sqrt()) / (12.0 * s);
+        (shape, moments.mean / shape)
+    } else {
+        (1.0, moments.mean)
+    };
+    prev_threshold + (-scale * (stage_delta.ln() + ln_gamma(shape))).max(0.0)
+}
+
+/// The closed-form update of stage `stage_index` for `kind`: SIDCo-GP's
+/// gamma first stage, then GP refits; SIDCo-E and SIDCo-P keep their SID.
+pub fn pot_stage_threshold(
+    kind: SidKind,
+    stage_index: usize,
+    moments: &AbsMoments,
+    prev_threshold: f64,
+    stage_delta: f64,
+) -> f64 {
+    match (kind, stage_index) {
+        (SidKind::Exponential, _) => {
+            exponential_pot_threshold(moments, prev_threshold, stage_delta)
+        }
+        (SidKind::Gamma, 0) => gamma_stage_threshold(moments, prev_threshold, stage_delta),
+        (SidKind::Gamma, _) => gp_pot_threshold(moments, prev_threshold, stage_delta),
+        (SidKind::GeneralizedPareto, _) => gp_pot_threshold(moments, prev_threshold, stage_delta),
+    }
+}
+
+/// The multi-stage estimate of Section 2.4 driven by [`pot_stage_threshold`]
+/// over all-fields moment passes, as `(thresholds, survivors)`; `None` where
+/// the first stage finds nothing to fit (an empty, all-zero or all-non-finite
+/// gradient). A later stage with no exceedances keeps the previous
+/// threshold, and no stage lowers it.
+pub fn pot_estimate(
+    grad: &[f32],
+    kind: SidKind,
+    delta: f64,
+    delta1: f64,
+    stages: usize,
+) -> Option<(Vec<f64>, Vec<usize>)> {
+    let mut thresholds = Vec::new();
+    let mut survivors = Vec::new();
+    let mut prev = 0.0f64;
+    for (m, &stage_delta) in stage_schedule(delta, delta1, stages).iter().enumerate() {
+        let moments = if m == 0 {
+            AbsMoments::compute(grad)
+        } else {
+            AbsMoments::compute_exceedances(grad, prev)
+        };
+        if moments.count == 0 || !(moments.mean > 0.0) {
+            if m == 0 {
+                return None;
+            }
+            thresholds.push(prev);
+            survivors.push(0);
+            continue;
+        }
+        prev = pot_stage_threshold(kind, m, &moments, prev, stage_delta).max(prev);
+        thresholds.push(prev);
+        survivors.push(moments.count);
+    }
+    Some((thresholds, survivors))
 }

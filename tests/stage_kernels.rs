@@ -21,10 +21,18 @@
 //! survivor buffer across calls must change nothing. The branch-free
 //! selection kernel, over a gradient or over survivor lists, must
 //! reproduce the `C_η` filter loop.
+//!
+//! Every stage update fits its SID with `fit_sid_from_moments`. The
+//! multi-stage estimate built on those fits must equal, thresholds and
+//! survivor counts bit for bit, the estimate driven by the closed-form
+//! peaks-over-threshold updates of the paper (`oracle::pot_estimate`), for
+//! every SID, 1 to 4 stages and δ in (1e-4, 0.2), over heavy-tailed and
+//! degenerate gradients; and each stage update must equal the closed-form
+//! one on moments at the fits' fallback edges.
 
 mod oracle;
 
-use oracle::{filter_select, Rescan};
+use oracle::{filter_select, pot_estimate, pot_stage_threshold, Rescan};
 use proptest::prelude::*;
 use sidco::core::engine::CompressionEngine;
 use sidco::core::prelude::*;
@@ -32,7 +40,10 @@ use sidco::core::sidco::FIRST_STAGE_RATIO;
 use sidco::models::synthetic::{GradientProfile, SyntheticGradientGenerator};
 use sidco::stats::fit::SidKind;
 use sidco::stats::moments::{AbsMoments, MomentNeeds};
-use sidco::stats::pot::{multi_stage_threshold_with, MultiStageEstimate, StageMoments};
+use sidco::stats::pot::{
+    multi_stage_threshold, multi_stage_threshold_with, stage_threshold, MultiStageEstimate,
+    StageMoments,
+};
 use sidco::tensor::parallel::{exceedance_moments_on, select_above_threshold_on, SurvivorLists};
 use sidco::tensor::threshold::select_above_threshold;
 use sidco::tensor::SparseGradient;
@@ -625,6 +636,150 @@ fn compaction_is_exact_at_release_size() {
                 check_compaction(&mut c, grad, delta)
                     .unwrap_or_else(|why| panic!("{kind}, δ {delta}, {threads} threads: {why}"));
             }
+        }
+    }
+}
+
+// ------------------------------------------- the closed-form PoT oracle
+
+/// A signed heavy-tailed gradient: generalized-Pareto draws
+/// `β (u^-ξ - 1) / ξ` with tail index ξ ∈ [0.05, 1.2) and scale β = 2^e,
+/// e ∈ [-30, 4).
+fn heavy_tailed() -> impl Strategy<Value = Vec<f32>> {
+    (
+        prop::collection::vec((1u32..=u32::MAX, 0u32..2), 1..3000),
+        0.05f64..1.2,
+        -30i32..4,
+    )
+        .prop_map(|(draws, tail, exponent)| {
+            let scale = 2f64.powi(exponent);
+            draws
+                .into_iter()
+                .map(|(u, sign)| {
+                    let x = scale * ((f64::from(u) / 4_294_967_296.0).powf(-tail) - 1.0) / tail;
+                    (if sign == 0 { x } else { -x }) as f32
+                })
+                .collect()
+        })
+}
+
+/// A gradient for the PoT oracle: heavy-tailed, heavy-tailed with NaN and
+/// ±Inf elements, constant magnitudes (normal or subnormal), a single
+/// non-zero, or subnormals only.
+fn pot_gradient() -> impl Strategy<Value = Vec<f32>> {
+    let subnormal =
+        (1u32..0x0080_0000, 0u32..2).prop_map(|(bits, sign)| f32::from_bits(bits | (sign << 31)));
+    let non_finite = prop_oneof![Just(f32::NAN), Just(f32::INFINITY), Just(f32::NEG_INFINITY)];
+    prop_oneof![
+        4 => heavy_tailed(),
+        2 => (heavy_tailed(), prop::collection::vec((0usize..3000, non_finite), 1..8)).prop_map(
+            |(mut grad, hits)| {
+                let len = grad.len();
+                for (at, value) in hits {
+                    grad[at % len] = value;
+                }
+                grad
+            }
+        ),
+        1 => (
+            prop::collection::vec(0u32..2, 1..2000),
+            prop_oneof![1e-6f32..10.0, (1u32..0x0080_0000).prop_map(f32::from_bits)],
+        )
+            .prop_map(|(signs, c)| signs
+                .into_iter()
+                .map(|s| if s == 0 { c } else { -c })
+                .collect()),
+        1 => (1usize..2000, 0usize..2000, -10.0f32..10.0).prop_map(|(len, at, value)| {
+            let mut grad = vec![0.0f32; len];
+            grad[at % len] = value;
+            grad
+        }),
+        1 => prop::collection::vec(subnormal, 1..2000),
+    ]
+}
+
+/// Moments a pass can return, with the fields the fits branch on at their
+/// edges: zero and subnormal means, variance zero, subnormal or NaN, and a
+/// log-moment that makes Minka's `s = ln(mean) - mean_ln` positive, zero,
+/// negative or NaN; or the empty moments.
+fn edge_moments() -> impl Strategy<Value = AbsMoments> {
+    let mean = prop_oneof![
+        4 => 1e-6f64..10.0,
+        1 => Just(0.0f64),
+        1 => Just(f64::MIN_POSITIVE),
+        1 => (1u64..1 << 52).prop_map(f64::from_bits),
+    ];
+    let variance = prop_oneof![
+        3 => 0.0f64..100.0,
+        1 => Just(0.0f64),
+        1 => (1u64..1 << 52).prop_map(f64::from_bits),
+        1 => Just(f64::NAN),
+    ];
+    // `mean_ln = ln(mean) + excess`, so `s = -excess` up to rounding.
+    let excess = prop_oneof![
+        3 => -8.0f64..0.0,
+        1 => Just(0.0f64),
+        1 => 0.0f64..4.0,
+        1 => Just(f64::NAN),
+    ];
+    prop_oneof![
+        8 => (1usize..100_000, mean, variance, excess).prop_map(
+            |(count, mean, variance, excess)| AbsMoments {
+                count,
+                positive_count: count,
+                mean,
+                variance,
+                mean_ln: mean.ln() + excess,
+                max: f64::NAN,
+            }
+        ),
+        1 => Just(AbsMoments::empty(MomentNeeds::ALL)),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn fit_based_estimates_equal_the_closed_form_pot_oracle_bit_for_bit(
+        grad in pot_gradient(),
+        delta in 0.0001f64..0.2,
+        stages in 1usize..=4,
+    ) {
+        for kind in SidKind::ALL {
+            let estimate = multi_stage_threshold(&grad, kind, delta, FIRST_STAGE_RATIO, stages)
+                .ok()
+                .map(|e| (e.thresholds, e.survivors));
+            let oracle = pot_estimate(&grad, kind, delta, FIRST_STAGE_RATIO, stages);
+            let bits = |e: &Option<(Vec<f64>, Vec<usize>)>| {
+                e.as_ref().map(|(t, s)| {
+                    (t.iter().map(|t| t.to_bits()).collect::<Vec<_>>(), s.clone())
+                })
+            };
+            prop_assert!(
+                bits(&estimate) == bits(&oracle),
+                "{kind}, {stages} stages, δ {delta:e}, len {}: {estimate:?} vs oracle {oracle:?}",
+                grad.len()
+            );
+        }
+    }
+
+    #[test]
+    fn stage_updates_equal_the_closed_form_updates_at_the_fit_edges(
+        moments in edge_moments(),
+        prev in prop_oneof![Just(0.0f64), 0.0f64..5.0],
+        stage_delta in 0.0001f64..0.999,
+        stage_index in 0usize..4,
+    ) {
+        for kind in SidKind::ALL {
+            let ours = stage_threshold(kind, stage_index, &moments, prev, stage_delta);
+            let oracle = pot_stage_threshold(kind, stage_index, &moments, prev, stage_delta);
+            // A NaN update is what the estimator's `max(prev)` turns into
+            // `prev`; the fit-based update yields `prev` directly.
+            let expected = if oracle.is_nan() { prev } else { oracle };
+            prop_assert!(
+                ours.to_bits() == expected.to_bits(),
+                "{kind} stage {stage_index}, δ_m {stage_delta:e}, prev {prev:e}, {moments:?}: \
+                 {ours:e} vs oracle {oracle:e}"
+            );
         }
     }
 }
