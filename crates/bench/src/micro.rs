@@ -154,8 +154,8 @@ pub fn fig14_15(_scale: Scale) -> String {
 }
 
 /// Figures 16 and 17: synthetic tensors of 0.26M–260M elements — modelled speed-up
-/// and latency per device, plus measured CPU wall-clock on the sizes that fit a
-/// quick run.
+/// and latency per device (stdout), plus measured CPU wall-clock on the sizes
+/// that fit a quick run (stderr, so stdout depends on no host property).
 pub fn fig16_17(scale: Scale) -> String {
     let sizes: &[usize] = &[260_000, 2_600_000, 26_000_000, 260_000_000];
     let measured_cap = scale.pick(500_000, 5_000_000);
@@ -234,8 +234,10 @@ pub fn fig16_17(scale: Scale) -> String {
             }
         }
     }
-    out.push_str(&table.render());
     println!("{out}");
+    let measured = table.render();
+    eprintln!("{measured}");
+    out.push_str(&measured);
     out
 }
 

@@ -18,7 +18,7 @@
 //!
 //! The engine itself holds no threads — it dispatches to the process-wide
 //! [`Runtime`] that [`sidco_runtime::handle`] returns for its thread budget:
-//! the **persistent work-stealing pool**, which spawns its OS
+//! the **persistent worker pool**, which spawns its OS
 //! workers once (on the first parallel call) and reuses them for every
 //! subsequent `compress`, or the inline runtime for a one-thread engine.
 //! Engines with the same thread count share one executor. Pool behaviour is
@@ -27,7 +27,7 @@
 //! # Determinism
 //!
 //! The chunk decomposition is fixed by [`chunk_size`](CompressionEngine::chunk_size)
-//! alone — never by the thread count or steal order — and per-chunk partials
+//! alone — never by the thread count or claim order — and per-chunk partials
 //! are merged in chunk order, so **every compressor produces bit-identical
 //! [`SparseGradient`]s regardless of the configured thread count** (see
 //! `sidco_tensor::parallel` for the underlying contract). Changing the chunk
@@ -126,7 +126,7 @@ impl std::hash::Hash for CompressionEngine {
 
 impl CompressionEngine {
     /// An engine running on up to `threads` worker threads: the shared
-    /// work-stealing pool of that size, or the inline runtime at one thread.
+    /// worker pool of that size, or the inline runtime at one thread.
     ///
     /// # Panics
     ///
@@ -198,7 +198,7 @@ impl CompressionEngine {
         self.executor
     }
 
-    /// Counters of the shared work-stealing pool behind this engine (`None`
+    /// Counters of the shared worker pool behind this engine (`None`
     /// for single-threaded engines, which dispatch inline and keep no state).
     /// The pool's `threads_spawned` equals [`threads`](Self::threads) after
     /// the first parallel call and never grows — repeated `compress` calls

@@ -41,7 +41,7 @@
 //! cell's, or shard's) state, and everything crossing jobs — the loss sum,
 //! the dense or sparse aggregation, the quality series, the final loss
 //! terms — is reduced after the join in worker (or example) order, so a run
-//! is bit-identical at any thread count and steal order.
+//! is bit-identical at any thread count and claim order.
 
 use crate::cluster::ClusterConfig;
 use crate::collective::{BucketCost, CollectiveScheduler, PriorityPolicy, ScheduleAccounting};
@@ -572,7 +572,7 @@ impl ModelTrainer {
             // forward/backward pass, clipping and error-feedback read is one
             // independent job on the executor. A job touches only its own
             // `WorkerState` (RNG, index and gradient buffers) and reads only
-            // its own error-feedback memory, so any steal order computes the
+            // its own error-feedback memory, so any claim order computes the
             // same per-worker bits. Clipping happens before error feedback
             // reads the gradient on both the dense and the compressed path,
             // so their trajectories differ only in what compression drops.
@@ -629,7 +629,7 @@ impl ModelTrainer {
                 // per-bucket compressions the cost model charges as
                 // concurrent. The ordering that is charged lives in the
                 // collective scheduler alone. Cells are disjoint, so any
-                // steal order computes the same per-cell results, and
+                // claim order computes the same per-cell results, and
                 // `run_indexed` returning is the join.
                 let (compressors, slots) = (&self.compressors, &slots);
                 self.executor.run_indexed(workers * buckets, &|job| {

@@ -43,12 +43,13 @@
 //!    words, field accesses, `name:` bindings, `name::` module paths and
 //!    `use` items do not, so a field, local or module that shares its name
 //!    cannot hide it. Every other item is reached by any occurrence of its
-//!    name but its own declaration; a name that collides with another item's
-//!    hides both. The rule is a fixpoint over item bodies: a use inside a
-//!    marked item, or inside an item already judged dead, reaches nothing,
-//!    so an item that only a test oracle or dead code uses is flagged, and
-//!    each round frees the next link of a dead call chain until a round
-//!    finds nothing new.
+//!    name but its own declaration and the self type of an `impl X` or
+//!    `impl T for X` header, so a type that only its own impls name is
+//!    flagged; a name that collides with another item's hides both. The
+//!    rule is a fixpoint over item bodies: a use inside a marked item, or
+//!    inside an item already judged dead, reaches nothing, so an item that
+//!    only a test oracle or dead code uses is flagged, and each round frees
+//!    the next link of a dead call chain until a round finds nothing new.
 //! 7. **`dead-field`** — every named field of a `pub struct` that rule 6
 //!    judges is read by live non-test code (rustc already reports a private
 //!    struct's field that nothing reads): a `.name` that no call,
@@ -732,8 +733,15 @@ impl Outline {
         self.items.push((item, self.depth, false));
     }
 
-    /// Reads one line of stripped code.
-    fn advance(&mut self, code: &str) {
+    /// Whether the current line is part of an `impl` header.
+    fn in_impl_header(&self, code: &str) -> bool {
+        self.impl_header.is_some() || starts_impl(code)
+    }
+
+    /// Reads one line of stripped code, and returns the self type of the
+    /// `impl` header whose `{` it holds, if any.
+    fn advance(&mut self, code: &str) -> Option<String> {
+        let mut header_owner = None;
         if self.impl_header.is_none() && starts_impl(code) {
             self.impl_header = Some(String::new());
         }
@@ -743,9 +751,9 @@ impl Outline {
             // A header holds no braces, so its `{` opens one level deeper
             // than the line starts at.
             if let Some(at) = header.find('{') {
-                let owner = impl_owner(&header[..at]);
+                header_owner = impl_owner(&header[..at]);
                 self.impls
-                    .extend(owner.map(|owner| (owner, self.depth + 1)));
+                    .extend(header_owner.clone().map(|owner| (owner, self.depth + 1)));
                 self.impl_header = None;
             }
         }
@@ -773,6 +781,7 @@ impl Outline {
                 _ => {}
             }
         }
+        header_owner
     }
 }
 
@@ -1008,6 +1017,10 @@ pub fn scan_sources(files: &[(String, String)]) -> Scan {
         violations.extend(scan_file(&ctx, &lines, &mask));
         let mut outline = Outline::default();
         let mut in_use = false;
+        // The words of an `impl` header read so far. The header's self type
+        // is no use of that type, and is known only at the header's `{`, so
+        // its words wait until then.
+        let mut header_words = Vec::new();
         // The non-test tokens, each with the judged item it sits in.
         let mut toks = Vec::new();
         // `strip` yields one empty line past a trailing newline.
@@ -1044,7 +1057,8 @@ pub fn scan_sources(files: &[(String, String)]) -> Scan {
                 }
             }
             let at = outline.item();
-            outline.advance(code);
+            let in_header = outline.in_impl_header(code);
+            let header_owner = outline.advance(code);
             if mask[i] {
                 continue;
             }
@@ -1053,7 +1067,26 @@ pub fn scan_sources(files: &[(String, String)]) -> Scan {
                 continue;
             }
             let line_toks = tokens(code);
-            for &word in line_toks.iter().filter(|token| is_ident(token)) {
+            let mut body_from = 0;
+            if in_header {
+                let open = line_toks.iter().position(|token| *token == "{");
+                body_from = open.map_or(line_toks.len(), |open| open + 1);
+                let head = line_toks[..body_from]
+                    .iter()
+                    .filter(|token| is_ident(token));
+                header_words.extend(head.map(|&word| (word, at)));
+                if open.is_some() {
+                    for (word, at) in header_words.drain(..) {
+                        if header_owner.as_deref() != Some(word) {
+                            note(&mut uses.words, word.to_string(), at);
+                        }
+                    }
+                }
+            }
+            for &word in line_toks[body_from..]
+                .iter()
+                .filter(|token| is_ident(token))
+            {
                 if own_name == Some(word) {
                     own_name = None;
                 } else {
@@ -1501,6 +1534,23 @@ mod tests {
         ] {
             assert!(
                 dead(&[LONE, ("crates/b/src/lib.rs", caller)]).is_empty(),
+                "{caller}"
+            );
+        }
+    }
+
+    #[test]
+    fn dead_pub_impl_headers_do_not_name_their_self_type() {
+        // `Lone` is named only as the self type of its own `impl` headers,
+        // one of them spread over several lines, so it is dead. The trait it
+        // implements and the type in a header's generic arguments are named.
+        let src = "pub struct Lone;\npub trait Shown {}\npub struct Arg;\nimpl Lone {\n    fn f(&self) {}\n}\nimpl Shown for Lone {}\nimpl From<Arg> for Lone\nwhere\n    Arg: Copy,\n{\n    fn from(_: Arg) -> Self {\n        Self\n    }\n}\n";
+        let lib = ("crates/a/src/lib.rs", src);
+        assert_eq!(dead(&[lib]), vec![("crates/a/src/lib.rs".to_string(), 1)]);
+        // Any use outside a header still reaches it.
+        for caller in ["fn g(_: Lone) {}", "impl Shown for Vec<Lone> {}"] {
+            assert!(
+                dead(&[lib, ("crates/b/src/lib.rs", caller)]).is_empty(),
                 "{caller}"
             );
         }

@@ -26,6 +26,7 @@ use sidco_tensor::GradientVector;
 /// assert_eq!(grad.len(), 8);
 /// ```
 #[derive(Debug, Clone)]
+// lint: test-only the convex workload only tests train (tests/convergence.rs, tests/overlap_golden.rs)
 pub struct LinearRegression {
     data: RegressionDataset,
 }

@@ -8,9 +8,10 @@
 //! * [`Runtime`] — the executor abstraction: run `n` index-addressed chunk
 //!   tasks, each exactly once. Callers own the chunk decomposition and the
 //!   output slots, so *any* correct `Runtime` yields bit-identical results.
-//! * [`WorkStealing`] — the one multi-threaded executor: a persistent pool
-//!   with lazy one-time spawn, per-worker Chase–Lev deques fed by one shared
-//!   injector, parked idle workers, and observable [`PoolStats`].
+//! * [`WorkerPool`] — the one multi-threaded executor: a persistent pool
+//!   with lazy one-time spawn, one job per `run_indexed` call whose indices
+//!   the workers and the caller claim from a shared counter, parked idle
+//!   workers, and observable [`PoolStats`].
 //!
 //! Callers obtain process-wide shared instances from [`handle`]: a pool per
 //! worker budget, and a stateless inline runtime (no counters) for a budget
@@ -25,7 +26,7 @@
 //! thread, in some order, and returns only after all of them ran. It never
 //! chooses chunk boundaries and never merges results — callers do both as a
 //! pure function of input length. Consequently outputs are **bit-identical
-//! across runtimes, worker counts, and steal orders**; the only observable
+//! across runtimes, worker counts, and claim orders**; the only observable
 //! differences are wall-clock time and [`PoolStats`].
 
 #![warn(missing_docs)]
@@ -34,7 +35,7 @@ pub mod pool;
 pub mod stats;
 pub(crate) mod sync;
 
-pub use pool::WorkStealing;
+pub use pool::WorkerPool;
 pub use stats::PoolStats;
 
 use std::collections::HashMap;
@@ -101,23 +102,25 @@ impl Runtime for Inline {
     }
 }
 
-/// The executor family [`handle`] draws from. The persistent pool is the only
-/// one, so the value selects nothing; it stays in the signatures of
+/// The executor family [`handle`] draws from. The persistent worker pool is
+/// the only one, so the value selects nothing; it stays in the signatures of
 /// [`handle`] and of the engine and trainer `with_runtime` builders that
 /// existing callers name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RuntimeKind {
-    /// The persistent work-stealing pool ([`WorkStealing`]).
+    /// The persistent worker pool ([`WorkerPool`]).
     #[default]
     Pool,
 }
 
 /// Returns the process-wide shared runtime for a budget of `threads` workers.
 /// `threads == 1` returns the stateless inline runtime: there is nothing for
-/// a pool to do. Larger budgets return a [`WorkStealing`] pool, created on
-/// first request and kept for the process, so every caller asking for the
-/// same budget shares one pool — and its workers are spawned exactly once,
-/// on its first parallel job. `kind` selects nothing (see [`RuntimeKind`]).
+/// a pool to do. Larger budgets return a [`WorkerPool`], created on first
+/// request and kept for the process, so every caller asking for the same
+/// budget shares one pool — and its workers are spawned exactly once, on its
+/// first parallel job. Concurrent callers' jobs share the workers, but each
+/// caller runs chunks of its own job only. `kind` selects nothing (see
+/// [`RuntimeKind`]).
 ///
 /// # Panics
 ///
@@ -128,11 +131,11 @@ pub fn handle(kind: RuntimeKind, threads: usize) -> &'static dyn Runtime {
     if threads == 1 {
         return &Inline;
     }
-    static REGISTRY: OnceLock<Mutex<HashMap<usize, &'static WorkStealing>>> = OnceLock::new();
+    static REGISTRY: OnceLock<Mutex<HashMap<usize, &'static WorkerPool>>> = OnceLock::new();
     let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = registry.lock().expect("runtime registry poisoned");
     *map.entry(threads)
-        .or_insert_with(|| Box::leak(Box::new(WorkStealing::new(threads))))
+        .or_insert_with(|| Box::leak(Box::new(WorkerPool::new(threads))))
 }
 
 #[cfg(test)]

@@ -1,53 +1,52 @@
-//! The persistent work-stealing pool.
+//! The persistent worker pool.
 //!
 //! # Architecture
 //!
 //! * **Lazy one-time spawn** — the pool is constructed empty; the first
 //!   parallel job spawns its OS worker threads, and no later call ever spawns
 //!   again ([`PoolStats::threads_spawned`] pins this down in tests).
-//! * **Chase–Lev deques** — each worker owns a [`crossbeam::deque::Worker`]
-//!   it pushes split-off subranges onto (owner-LIFO, thief-FIFO); every other
-//!   worker holds a [`crossbeam::deque::Stealer`] onto it.
-//! * **One injector** — a job's chunk index space is submitted to a single
-//!   shared [`Injector`], pre-split into one contiguous piece per worker so
-//!   every worker can start without stealing. Workers look for work in the
-//!   order own deque → injector → the other workers' deques; a helping
-//!   caller, which has no deque, starts at the injector.
-//! * **Parked idle workers** — out-of-work workers sleep on a condvar after
-//!   re-checking every queue under the sleep lock (no lost wakeups);
-//!   submission and task splitting wake them.
+//! * **One claim counter per job** — `run_indexed` pushes one job onto the
+//!   pool's list of open jobs. Every participant claims the job's next index
+//!   with one `fetch_add` on its `next` counter until none is left, so the
+//!   index space is never split, queued or moved between threads.
+//! * **The caller helps only its own job** — the submitting thread claims
+//!   indices of its job alone, takes the job off the list once nothing is
+//!   left to claim, and blocks until the indices still in flight on workers
+//!   finish. A nested `run_indexed` (a chunk body that dispatches to the same
+//!   pool) therefore never runs another job's chunk inside its own.
+//! * **One lock** — the open-job list and the shutdown flag share one mutex.
+//!   Submitting, parking and waking all decide under it, so a worker that
+//!   finds no claimable index under the lock and waits on the condvar cannot
+//!   miss a later submission's notify.
 //!
 //! # Determinism
 //!
 //! The pool never decides *what* the chunks are — callers fix the chunk
 //! decomposition as a function of input length alone and give every chunk its
 //! own output slot. The pool only decides *where and when* each chunk runs,
-//! so results are bit-identical across worker counts and steal orders. (See
+//! so results are bit-identical across worker counts and claim orders. (See
 //! `sidco_tensor::parallel` for the full argument.)
 
 use crate::stats::{PoolStats, StatCells};
-use crate::sync::atomic::{fence, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use crate::Runtime;
-use crossbeam::deque::{Injector, Stealer, Worker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-/// A unit of pool work: a contiguous range of chunk indices of one job.
-struct Task {
-    job: Arc<JobShared>,
-    start: usize,
-    end: usize,
-}
-
 /// Shared state of one `run_indexed` call.
-struct JobShared {
-    /// The caller's chunk body with its lifetime erased. Safety: `run_indexed`
-    /// blocks until `remaining == 0`, and every task dereferences the body
-    /// *before* decrementing `remaining`, so the reference is never used after
-    /// the borrow it was created from ends.
+struct Job {
+    /// The caller's chunk body with its lifetime erased. Safety: an index is
+    /// claimed at most once, a claimed index's body call finishes before its
+    /// `remaining` decrement, and `run_indexed` blocks until `remaining == 0`
+    /// — so the reference is never used after the borrow it was created from
+    /// ends. A failed claim never touches the body.
     body: &'static (dyn Fn(usize) + Sync),
-    /// Chunks not yet executed; the job is complete at zero.
+    /// The job's index space is `0..tasks`.
+    tasks: usize,
+    /// The next index to claim; a claim at or past `tasks` finds nothing.
+    next: AtomicUsize,
+    /// Indices not yet executed; the job is complete at zero.
     remaining: AtomicUsize,
     /// Completion flag + condvar the submitting caller blocks on.
     done: Mutex<bool>,
@@ -56,50 +55,89 @@ struct JobShared {
     panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
 }
 
-/// State shared by the workers, the stealers and the submitting callers.
+impl Job {
+    /// Whether an index is left to claim.
+    fn claimable(&self) -> bool {
+        // Relaxed: a stale read only sends a worker to a job with nothing
+        // left (its claim fails) or past one a later lock scan finds again;
+        // exactly-once rests on the `fetch_add` in `run`, not on this load.
+        self.next.load(Ordering::Relaxed) < self.tasks
+    }
+
+    /// Claims and runs indices until none is left to claim.
+    fn run(&self, stats: &StatCells, by_worker: bool) {
+        loop {
+            // Relaxed: the atomicity of `fetch_add` alone hands every index
+            // to exactly one claimant; the chunk's writes are published by
+            // the AcqRel `remaining` decrement below, not by the claim.
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.tasks {
+                return;
+            }
+            let outcome = {
+                // Spans the chunk body on the executing thread's track.
+                let _chunk_span = trace_sink().real_span("chunk");
+                catch_unwind(AssertUnwindSafe(|| (self.body)(index)))
+            };
+            StatCells::bump(&stats.chunks);
+            if by_worker {
+                StatCells::bump(&stats.worker_chunks);
+            }
+            if let Err(payload) = outcome {
+                let mut slot = self.panic.lock().expect("panic lock poisoned");
+                if slot.is_none() {
+                    *slot = Some(payload);
+                }
+            }
+            // AcqRel: the release publishes this chunk's writes to whoever
+            // takes the completion edge; the acquire makes the last
+            // decrementer see them all.
+            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                *self.done.lock().expect("job lock poisoned") = true;
+                self.done_cv.notify_all();
+            }
+        }
+    }
+}
+
+/// What the pool's one lock guards.
+struct Open {
+    /// Submitted jobs whose caller has not yet taken them off, oldest first.
+    jobs: Vec<Arc<Job>>,
+    /// Set by `Drop`: a worker with nothing to claim exits instead of parking.
+    shutdown: bool,
+}
+
+/// State shared by the workers and the submitting callers.
 struct PoolShared {
-    /// The submission queue every job's pieces (and every split-off range of
-    /// a helping caller) enter through.
-    injector: Injector<Task>,
-    /// One stealer per worker deque.
-    stealers: Vec<Stealer<Task>>,
-    /// Sleep lock: guards the shutdown flag and serialises the park/wake
-    /// protocol (workers re-check all queues under this lock before waiting,
-    /// so a wake posted after a push can never be lost).
-    sleep: Mutex<bool>,
+    /// The open jobs and the shutdown flag. Every park, wake and submit
+    /// decision is made under this lock.
+    open: Mutex<Open>,
     wake: Condvar,
-    /// Number of workers currently blocked in `wake.wait` (wake hint).
-    sleepers: AtomicUsize,
     stats: StatCells,
 }
 
-/// Who is executing: a pool worker (with its own deque) or a helping caller.
-enum Executor<'a> {
-    Worker { id: usize, deque: &'a Worker<Task> },
-    Caller,
-}
-
-/// The persistent work-stealing runtime.
+/// The persistent worker pool.
 ///
 /// Cheap to create; worker threads are spawned lazily by the first parallel
 /// job and reused for every job thereafter. Dropping the pool asks the
 /// workers to exit at their next wake-up (the process-global pools returned
 /// by [`crate::handle`] are never dropped).
-pub struct WorkStealing {
+pub struct WorkerPool {
     threads: usize,
     shared: OnceLock<Arc<PoolShared>>,
 }
 
-impl std::fmt::Debug for WorkStealing {
+impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkStealing")
+        f.debug_struct("WorkerPool")
             .field("threads", &self.threads)
             .field("spawned", &self.is_spawned())
             .finish()
     }
 }
 
-impl WorkStealing {
+impl WorkerPool {
     /// A pool of `threads` workers, spawned on its first parallel job.
     ///
     /// # Panics
@@ -121,14 +159,14 @@ impl WorkStealing {
     /// A snapshot of the pool's lifetime counters (all zero before the lazy
     /// spawn).
     ///
-    /// The snapshot is taken under the sleep lock — the same lock every
+    /// The snapshot is taken under the pool's lock — the same lock every
     /// park/unpark transition holds — so it is internally consistent:
     /// `parks - unparks == currently_parked` holds in every snapshot, even
     /// while workers are going to sleep or waking up concurrently.
     pub fn stats(&self) -> PoolStats {
         match self.shared.get() {
             Some(shared) => {
-                let _guard = shared.sleep.lock().expect("sleep lock poisoned");
+                let _guard = shared.open.lock().expect("pool lock poisoned");
                 shared.stats.snapshot()
             }
             None => PoolStats::default(),
@@ -138,22 +176,20 @@ impl WorkStealing {
     /// Spawns the workers exactly once and returns the shared state.
     fn shared(&self) -> &Arc<PoolShared> {
         self.shared.get_or_init(|| {
-            let deques: Vec<Worker<Task>> = (0..self.threads).map(|_| Worker::new_lifo()).collect();
-            let stealers = deques.iter().map(Worker::stealer).collect();
             let shared = Arc::new(PoolShared {
-                injector: Injector::new(),
-                stealers,
-                sleep: Mutex::new(false),
+                open: Mutex::new(Open {
+                    jobs: Vec::new(),
+                    shutdown: false,
+                }),
                 wake: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
                 stats: StatCells::new(),
             });
-            for (id, deque) in deques.into_iter().enumerate() {
+            for id in 0..self.threads {
                 let shared = Arc::clone(&shared);
                 StatCells::bump(&shared.stats.threads_spawned);
                 thread::Builder::new()
                     .name(format!("sidco-pool-{id}"))
-                    .spawn(move || worker_loop(&shared, id, &deque))
+                    .spawn(move || worker_loop(&shared))
                     // INVARIANT: spawn only fails on OS resource exhaustion;
                     // a pool that cannot start its workers cannot run at all.
                     .expect("failed to spawn pool worker");
@@ -163,16 +199,16 @@ impl WorkStealing {
     }
 }
 
-impl Drop for WorkStealing {
+impl Drop for WorkerPool {
     fn drop(&mut self) {
         if let Some(shared) = self.shared.get() {
-            *shared.sleep.lock().expect("sleep lock poisoned") = true;
+            shared.open.lock().expect("pool lock poisoned").shutdown = true;
             shared.wake.notify_all();
         }
     }
 }
 
-impl Runtime for WorkStealing {
+impl Runtime for WorkerPool {
     fn parallelism(&self) -> usize {
         self.threads
     }
@@ -198,57 +234,43 @@ impl Runtime for WorkStealing {
         StatCells::bump(&shared.stats.jobs);
         // Spans the whole dispatch→completion window on the caller's track.
         let _job_span = trace_sink().real_span("pool/job");
-        // SAFETY: the erased reference is only dereferenced by tasks of this
-        // job, every task dereferences it before decrementing `remaining`,
-        // and this function blocks until `remaining == 0` — so no use can
-        // outlive the `body` borrow.
+        // SAFETY: the erased reference is only dereferenced by a successful
+        // claim of this job, every claimed index is run before `remaining`
+        // is decremented for it, and this function blocks until
+        // `remaining == 0` — so no use can outlive the `body` borrow.
         let body_static: &'static (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
         };
-        let job = Arc::new(JobShared {
+        let job = Arc::new(Job {
             body: body_static,
+            tasks,
+            next: AtomicUsize::new(0),
             remaining: AtomicUsize::new(tasks),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
         });
-
-        // Submit the chunk range to the injector, pre-split into one
-        // contiguous piece per worker so every worker can start without
-        // stealing; stealing rebalances from there.
-        let per = tasks.div_ceil(self.threads.min(tasks));
-        for start in (0..tasks).step_by(per) {
-            shared.injector.push(Task {
-                job: Arc::clone(&job),
-                start,
-                end: (start + per).min(tasks),
-            });
-        }
-        // Wake every parked worker (under the sleep lock, after the pushes,
-        // so the park-side re-check cannot miss the new work).
         {
-            let _guard = shared.sleep.lock().expect("sleep lock poisoned");
+            let mut open = shared.open.lock().expect("pool lock poisoned");
+            open.jobs.push(Arc::clone(&job));
             shared.wake.notify_all();
         }
 
-        // Help until the job completes: the caller steals like a worker
-        // (without a deque of its own), then blocks on the completion condvar
-        // once the queues run dry — remaining chunks are in flight on workers.
-        loop {
-            if *job.done.lock().expect("job lock poisoned") {
-                break;
-            }
-            match find_task(shared, &Executor::Caller) {
-                Some(task) => execute(shared, &Executor::Caller, task),
-                None => {
-                    let mut done = job.done.lock().expect("job lock poisoned");
-                    while !*done {
-                        done = job.done_cv.wait(done).expect("job lock poisoned");
-                    }
-                    break;
-                }
+        // Help with this job only, then take it off the list: nothing is left
+        // to claim, so no worker needs to find it again.
+        job.run(&shared.stats, false);
+        {
+            let mut open = shared.open.lock().expect("pool lock poisoned");
+            if let Some(at) = open.jobs.iter().position(|other| Arc::ptr_eq(other, &job)) {
+                open.jobs.remove(at);
             }
         }
+        // Wait for the indices still in flight on workers.
+        let mut done = job.done.lock().expect("job lock poisoned");
+        while !*done {
+            done = job.done_cv.wait(done).expect("job lock poisoned");
+        }
+        drop(done);
         let payload = job.panic.lock().expect("panic lock poisoned").take();
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
@@ -275,8 +297,8 @@ fn trace_sink() -> sidco_trace::TraceSink {
     sidco_trace::TraceSink::noop()
 }
 
-/// Record an instantaneous lifecycle event (steal, park, unpark) on the
-/// calling thread's real-time track.
+/// Record an instantaneous lifecycle event (park, unpark) on the calling
+/// thread's real-time track.
 fn trace_instant(name: &'static str) {
     let sink = trace_sink();
     if sink.enabled() {
@@ -285,167 +307,54 @@ fn trace_instant(name: &'static str) {
     }
 }
 
-/// The worker main loop: find a task or park.
-fn worker_loop(shared: &Arc<PoolShared>, id: usize, deque: &Worker<Task>) {
-    let me = Executor::Worker { id, deque };
+/// The worker main loop: claim from the newest open job with an index left,
+/// or park. Newest first, so a nested job's inner indices — which the
+/// outer chunk that submitted them waits on — are drained before more outer
+/// chunks start.
+fn worker_loop(shared: &PoolShared) {
+    let mut open = shared.open.lock().expect("pool lock poisoned");
     loop {
-        match find_task(shared, &me) {
-            Some(task) => execute(shared, &me, task),
-            None => {
-                let mut shutdown = shared.sleep.lock().expect("sleep lock poisoned");
-                if *shutdown {
-                    return;
-                }
-                // Eventcount protocol: register as a sleeper *before* the
-                // queue re-check. An exposer pushes, fences, then reads
-                // `sleepers`; reading 0 there means our registration had not
-                // happened yet, which orders our re-check after its push —
-                // so we see the work here. Reading >0 makes it take the
-                // sleep lock and notify, which covers the waiting branch.
-                shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                if has_work(shared) {
-                    shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                // Park accounting transitions under the sleep lock (held
-                // here and re-acquired by the condvar wait), paired with the
-                // `currently_parked` gauge so lock-consistent snapshots
-                // always balance: parks - unparks == currently_parked.
-                StatCells::bump(&shared.stats.parks);
-                shared
-                    .stats
-                    .currently_parked
-                    .fetch_add(1, Ordering::Relaxed);
-                trace_instant("park");
-                shutdown = shared.wake.wait(shutdown).expect("sleep lock poisoned");
-                trace_instant("unpark");
-                // SeqCst: pairs with the SeqCst fence + sleepers load on the
-                // submit side, closing the park/submit race (eventcount).
-                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-                // Relaxed: gauge updated under the sleep lock; readers also
-                // hold it (see `WorkStealing::stats`).
-                shared
-                    .stats
-                    .currently_parked
-                    .fetch_sub(1, Ordering::Relaxed);
-                StatCells::bump(&shared.stats.unparks);
-                if *shutdown {
-                    return;
-                }
-            }
+        let claimable = open.jobs.iter().rev().find(|job| job.claimable()).cloned();
+        if let Some(job) = claimable {
+            drop(open);
+            job.run(&shared.stats, true);
+            open = shared.open.lock().expect("pool lock poisoned");
+        } else if open.shutdown {
+            return;
+        } else {
+            // Park accounting transitions under the pool lock (held here and
+            // re-acquired by the condvar wait), paired with the
+            // `currently_parked` gauge so lock-consistent snapshots always
+            // balance: parks - unparks == currently_parked.
+            StatCells::bump(&shared.stats.parks);
+            shared
+                .stats
+                .currently_parked
+                .fetch_add(1, Ordering::Relaxed);
+            trace_instant("park");
+            open = shared.wake.wait(open).expect("pool lock poisoned");
+            trace_instant("unpark");
+            // Relaxed: gauge updated under the pool lock; readers also hold
+            // it (see `WorkerPool::stats`).
+            shared
+                .stats
+                .currently_parked
+                .fetch_sub(1, Ordering::Relaxed);
+            StatCells::bump(&shared.stats.unparks);
         }
-    }
-}
-
-/// Any queue non-empty?
-fn has_work(shared: &PoolShared) -> bool {
-    !shared.injector.is_empty() || shared.stealers.iter().any(|s| !s.is_empty())
-}
-
-/// Looks for a task: a worker tries its own deque, then the injector, then
-/// the other workers' deques in worker order; a helping caller skips the
-/// first step.
-fn find_task(shared: &PoolShared, who: &Executor<'_>) -> Option<Task> {
-    let id = match who {
-        Executor::Worker { id, deque } => {
-            if let Some(task) = deque.pop() {
-                StatCells::bump(&shared.stats.local_pops);
-                return Some(task);
-            }
-            Some(*id)
-        }
-        Executor::Caller => None,
-    };
-    if let Some(task) = shared.injector.steal().success() {
-        StatCells::bump(&shared.stats.injector_pops);
-        return Some(task);
-    }
-    for (victim, stealer) in shared.stealers.iter().enumerate() {
-        if Some(victim) == id {
-            continue;
-        }
-        if let Some(task) = stealer.steal().success() {
-            trace_instant("steal");
-            StatCells::bump(&shared.stats.sibling_steals);
-            return Some(task);
-        }
-    }
-    None
-}
-
-/// Executes a range task: split off the back half (repeatedly) for thieves,
-/// run the front chunk, then loop back to the owner's deque.
-fn execute(shared: &PoolShared, who: &Executor<'_>, task: Task) {
-    let Task {
-        job,
-        start,
-        mut end,
-    } = task;
-    while end - start > 1 {
-        let mid = start + (end - start) / 2;
-        expose(
-            shared,
-            who,
-            Task {
-                job: Arc::clone(&job),
-                start: mid,
-                end,
-            },
-        );
-        end = mid;
-    }
-    let index = start;
-    let outcome = {
-        // Spans the chunk body on the executing thread's track.
-        let _chunk_span = trace_sink().real_span("chunk");
-        catch_unwind(AssertUnwindSafe(|| (job.body)(index)))
-    };
-    StatCells::bump(&shared.stats.chunks);
-    if let Err(payload) = outcome {
-        let mut slot = job.panic.lock().expect("panic lock poisoned");
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    }
-    // AcqRel: the release publishes this task's writes to whoever takes the
-    // completion edge; the acquire makes the last decrementer see them all.
-    if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        *job.done.lock().expect("job lock poisoned") = true;
-        job.done_cv.notify_all();
-    }
-}
-
-/// Makes a split-off task stealable: workers push onto their own deque (the
-/// Chase–Lev fast path), a helping caller onto the injector. Wakes a sleeper
-/// if any.
-fn expose(shared: &PoolShared, who: &Executor<'_>, task: Task) {
-    match who {
-        Executor::Worker { deque, .. } => deque.push(task),
-        Executor::Caller => shared.injector.push(task),
-    }
-    // Eventcount fast path: parkers register in `sleepers` *before* their
-    // locked queue re-check (see `worker_loop`), so an unlocked SeqCst read
-    // of 0 here proves no parker could miss the push above — any later
-    // registrant re-checks the queues after its registration, which the
-    // SeqCst fence pair orders after our push. Only when a sleeper might be
-    // waiting do we take the (pool-global) sleep lock to notify; this keeps
-    // the per-split hot path lock-free while the pool is busy.
-    fence(Ordering::SeqCst);
-    if shared.sleepers.load(Ordering::SeqCst) > 0 {
-        let _guard = shared.sleep.lock().expect("sleep lock poisoned");
-        shared.wake.notify_one();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
 
     #[test]
     fn pool_runs_every_index_exactly_once() {
-        let pool = WorkStealing::new(4);
+        let pool = WorkerPool::new(4);
         for n in [1usize, 2, 3, 7, 64, 500] {
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             pool.run_indexed(n, &|i| {
@@ -459,7 +368,7 @@ mod tests {
 
     #[test]
     fn pool_spawns_lazily_and_exactly_once() {
-        let pool = WorkStealing::new(3);
+        let pool = WorkerPool::new(3);
         assert!(!pool.is_spawned());
         assert_eq!(pool.stats().threads_spawned, 0);
         // A single task runs inline and must not spawn anything.
@@ -473,6 +382,8 @@ mod tests {
         assert_eq!(stats.threads_spawned, 3);
         assert_eq!(stats.jobs, 5);
         assert_eq!(stats.chunks_executed, 5 * 32);
+        assert!(stats.worker_chunks <= stats.chunks_executed);
+        assert_eq!(stats.steals(), stats.worker_chunks);
     }
 
     #[test]
@@ -484,7 +395,7 @@ mod tests {
         const OUTER: usize = 8;
         const INNER: usize = 64;
         for threads in [2usize, 4] {
-            let pool = WorkStealing::new(threads);
+            let pool = WorkerPool::new(threads);
             let hits: Vec<AtomicU64> = (0..OUTER * INNER).map(|_| AtomicU64::new(0)).collect();
             let before = pool.stats();
             pool.run_indexed(OUTER, &|outer| {
@@ -508,8 +419,80 @@ mod tests {
     }
 
     #[test]
+    fn nested_fan_outs_never_run_an_outer_chunk_inside_another() {
+        // A thread inside an outer chunk waits for its inner job; if it
+        // helped with any queued chunk, it could start a second outer chunk
+        // on its own stack, and so on, one inside another.
+        const OUTER: usize = 16;
+        const INNER: usize = 8;
+        thread_local! {
+            static OUTER_DEPTH: Cell<usize> = const { Cell::new(0) };
+        }
+        let pool = WorkerPool::new(2);
+        let deepest = AtomicU64::new(0);
+        for _ in 0..20 {
+            pool.run_indexed(OUTER, &|_| {
+                let depth = OUTER_DEPTH.with(|d| {
+                    d.set(d.get() + 1);
+                    d.get()
+                });
+                deepest.fetch_max(depth as u64, Ordering::Relaxed);
+                pool.run_indexed(INNER, &|inner| {
+                    std::hint::black_box(inner);
+                });
+                OUTER_DEPTH.with(|d| d.set(d.get() - 1));
+            });
+        }
+        assert_eq!(deepest.load(Ordering::Relaxed), 1, "outer chunks nested");
+    }
+
+    #[test]
+    fn no_caller_thread_runs_another_callers_chunk() {
+        const CALLERS: usize = 4;
+        const JOBS: usize = 20;
+        const CHUNKS: usize = 32;
+        let pool = WorkerPool::new(3);
+        // Every caller submits its next job at the same moment.
+        let start = std::sync::Barrier::new(CALLERS);
+        // (caller, thread that ran the chunk) for every chunk of every job.
+        let ran = std::sync::Mutex::new(Vec::<(usize, ThreadId)>::new());
+        let callers: Vec<ThreadId> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|caller| {
+                    let (pool, start, ran) = (&pool, &start, &ran);
+                    s.spawn(move || {
+                        for _ in 0..JOBS {
+                            start.wait();
+                            pool.run_indexed(CHUNKS, &|_| {
+                                // A little work per chunk keeps the callers'
+                                // jobs open together.
+                                (0..2000u64).for_each(|k| {
+                                    std::hint::black_box(k);
+                                });
+                                let me = std::thread::current().id();
+                                ran.lock().expect("probe lock poisoned").push((caller, me));
+                            });
+                        }
+                    })
+                })
+                .collect();
+            handles.iter().map(|h| h.thread().id()).collect()
+        });
+        let ran = ran.into_inner().expect("probe lock poisoned");
+        assert_eq!(ran.len(), CALLERS * JOBS * CHUNKS);
+        for (caller, on) in ran {
+            if let Some(other) = callers.iter().position(|id| *id == on) {
+                assert_eq!(
+                    other, caller,
+                    "caller {other} ran a chunk of caller {caller}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn pool_results_are_written_to_caller_slots() {
-        let pool = WorkStealing::new(2);
+        let pool = WorkerPool::new(2);
         let slots: Vec<Mutex<Option<u64>>> = (0..200).map(|_| Mutex::new(None)).collect();
         pool.run_indexed(200, &|i| {
             *slots[i].lock().expect("slot lock poisoned") = Some((i as u64) * 3);
@@ -524,13 +507,11 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_from_many_callers_all_complete() {
-        let pool = Arc::new(WorkStealing::new(3));
-        let total = Arc::new(AtomicU64::new(0));
-        crossbeam::thread::scope(|s| {
+        let pool = WorkerPool::new(3);
+        let total = AtomicU64::new(0);
+        std::thread::scope(|s| {
             for _ in 0..4 {
-                let pool = Arc::clone(&pool);
-                let total = Arc::clone(&total);
-                s.spawn(move |_| {
+                s.spawn(|| {
                     for _ in 0..10 {
                         pool.run_indexed(50, &|_| {
                             total.fetch_add(1, Ordering::Relaxed);
@@ -538,20 +519,24 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(total.load(Ordering::Relaxed), 4 * 10 * 50);
     }
 
     #[test]
     fn panics_in_chunk_bodies_propagate_to_the_caller() {
-        let pool = WorkStealing::new(2);
+        let pool = WorkerPool::new(2);
+        let hits: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.run_indexed(64, &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
                 assert!(i != 17, "chunk 17 exploded");
             });
         }));
         assert!(result.is_err(), "the chunk panic must reach the caller");
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::Relaxed), 1, "index {i}");
+        }
         // The pool survives and keeps executing later jobs.
         let count = AtomicU64::new(0);
         pool.run_indexed(64, &|_| {
@@ -561,8 +546,54 @@ mod tests {
     }
 
     #[test]
+    fn nested_panics_reach_the_outer_caller_after_every_index_ran() {
+        const OUTER: usize = 6;
+        const INNER: usize = 5;
+        let pool = WorkerPool::new(2);
+        let hits: Vec<AtomicU64> = (0..OUTER * INNER).map(|_| AtomicU64::new(0)).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_indexed(OUTER, &|outer| {
+                pool.run_indexed(INNER, &|inner| {
+                    hits[outer * INNER + inner].fetch_add(1, Ordering::Relaxed);
+                    assert!((outer, inner) != (3, 2), "inner chunk (3, 2) exploded");
+                });
+            });
+        }));
+        assert!(
+            result.is_err(),
+            "the inner panic must reach the outer caller"
+        );
+        for (pair, hit) in hits.iter().enumerate() {
+            assert_eq!(hit.load(Ordering::Relaxed), 1, "pair {pair}");
+        }
+    }
+
+    #[test]
+    fn callers_take_their_jobs_off_the_open_list() {
+        // A job left on the list after its call returned would be scanned by
+        // every worker that looks for work, for the rest of the process.
+        let pool = WorkerPool::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for _ in 0..10 {
+                        pool.run_indexed(4, &|_| pool.run_indexed(3, &|_| {}));
+                    }
+                });
+            }
+        });
+        let shared = pool.shared.get().expect("the pool spawned");
+        assert!(shared
+            .open
+            .lock()
+            .expect("pool lock poisoned")
+            .jobs
+            .is_empty());
+    }
+
+    #[test]
     fn park_accounting_balances_in_every_snapshot() {
-        let pool = WorkStealing::new(4);
+        let pool = WorkerPool::new(4);
         for _ in 0..20 {
             pool.run_indexed(64, &|_| {});
             let stats = pool.stats();
@@ -587,6 +618,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
-        WorkStealing::new(0);
+        WorkerPool::new(0);
     }
 }

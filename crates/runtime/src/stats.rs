@@ -1,5 +1,5 @@
-//! Observable counters of the work-stealing pool, for the bench harness and
-//! the lifecycle tests (spawn-once, steal traffic, park/unpark churn).
+//! Observable counters of the worker pool, for the bench harness and the
+//! lifecycle tests (spawn-once, chunks run off the caller, park/unpark churn).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -11,13 +11,11 @@ pub(crate) struct StatCells {
     pub(crate) threads_spawned: AtomicU64,
     pub(crate) jobs: AtomicU64,
     pub(crate) chunks: AtomicU64,
-    pub(crate) local_pops: AtomicU64,
-    pub(crate) injector_pops: AtomicU64,
-    pub(crate) sibling_steals: AtomicU64,
+    pub(crate) worker_chunks: AtomicU64,
     pub(crate) parks: AtomicU64,
     pub(crate) unparks: AtomicU64,
     /// Gauge (not monotone): workers currently blocked in the condvar wait.
-    /// Every transition happens under the pool's sleep lock, paired with the
+    /// Every transition happens under the pool's lock, paired with the
     /// matching `parks`/`unparks` bump, so a snapshot taken under that lock
     /// satisfies `parks - unparks == currently_parked` exactly.
     pub(crate) currently_parked: AtomicU64,
@@ -29,9 +27,7 @@ impl StatCells {
             threads_spawned: AtomicU64::new(0),
             jobs: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
-            local_pops: AtomicU64::new(0),
-            injector_pops: AtomicU64::new(0),
-            sibling_steals: AtomicU64::new(0),
+            worker_chunks: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             unparks: AtomicU64::new(0),
             currently_parked: AtomicU64::new(0),
@@ -45,17 +41,15 @@ impl StatCells {
     }
 
     pub(crate) fn snapshot(&self) -> PoolStats {
-        // Relaxed: cross-counter consistency comes from the pool's sleep
-        // lock (held by the caller, see `WorkStealing::stats`), not from the
+        // Relaxed: cross-counter consistency comes from the pool's lock
+        // (held by the caller, see `WorkerPool::stats`), not from the
         // loads themselves.
         let read = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         PoolStats {
             threads_spawned: read(&self.threads_spawned),
             jobs: read(&self.jobs),
             chunks_executed: read(&self.chunks),
-            local_pops: read(&self.local_pops),
-            injector_pops: read(&self.injector_pops),
-            sibling_steals: read(&self.sibling_steals),
+            worker_chunks: read(&self.worker_chunks),
             parks: read(&self.parks),
             unparks: read(&self.unparks),
             currently_parked: read(&self.currently_parked),
@@ -79,14 +73,9 @@ pub struct PoolStats {
     pub jobs: u64,
     /// Chunk tasks executed across all jobs (by workers and helping callers).
     pub chunks_executed: u64,
-    /// Tasks a worker popped from its own deque (cache-hot LIFO path).
-    pub local_pops: u64,
-    /// Tasks taken from the pool's submission injector (by workers and
-    /// helping callers).
-    pub injector_pops: u64,
-    /// Tasks stolen from another worker's deque (by workers and helping
-    /// callers).
-    pub sibling_steals: u64,
+    /// Chunk tasks executed by pool workers rather than by the submitting
+    /// caller.
+    pub worker_chunks: u64,
     /// Times a worker went to sleep for lack of work.
     pub parks: u64,
     /// Times a sleeping worker was woken by new work.
@@ -94,16 +83,16 @@ pub struct PoolStats {
     /// Workers blocked in the condvar wait at snapshot time — the gauge that
     /// balances the two monotone counters: every snapshot satisfies
     /// `parks - unparks == currently_parked` exactly, because park/unpark
-    /// transitions and the snapshot itself all happen under the pool's sleep
-    /// lock. (Historical snapshots read the counters without the lock and
+    /// transitions and the snapshot itself all happen under the pool's lock. (Historical snapshots read the counters without the lock and
     /// reported an unexplained "drift" of exactly the sleeping workers.)
     pub currently_parked: u64,
 }
 
 impl PoolStats {
-    /// Total steal traffic: tasks taken from another worker's deque.
+    /// Work that left the submitting thread: the chunks pool workers ran
+    /// ([`worker_chunks`](Self::worker_chunks)).
     pub fn steals(&self) -> u64 {
-        self.sibling_steals
+        self.worker_chunks
     }
 
     /// Feed this snapshot into a trace metrics sink as gauges named
@@ -114,13 +103,11 @@ impl PoolStats {
         if !sink.enabled() {
             return;
         }
-        let pairs: [(&str, u64); 8] = [
+        let pairs: [(&str, u64); 6] = [
             ("threads_spawned", self.threads_spawned),
             ("jobs", self.jobs),
             ("chunks_executed", self.chunks_executed),
-            ("local_pops", self.local_pops),
-            ("injector_pops", self.injector_pops),
-            ("sibling_steals", self.sibling_steals),
+            ("worker_chunks", self.worker_chunks),
             ("parks", self.parks),
             ("unparks", self.unparks),
         ];
@@ -148,9 +135,7 @@ impl PoolStats {
             chunks_executed: self
                 .chunks_executed
                 .saturating_sub(baseline.chunks_executed),
-            local_pops: self.local_pops.saturating_sub(baseline.local_pops),
-            injector_pops: self.injector_pops.saturating_sub(baseline.injector_pops),
-            sibling_steals: self.sibling_steals.saturating_sub(baseline.sibling_steals),
+            worker_chunks: self.worker_chunks.saturating_sub(baseline.worker_chunks),
             parks: self.parks.saturating_sub(baseline.parks),
             unparks: self.unparks.saturating_sub(baseline.unparks),
             currently_parked: self.currently_parked,
@@ -168,8 +153,7 @@ mod tests {
         StatCells::bump(&cells.jobs);
         StatCells::bump(&cells.chunks);
         StatCells::bump(&cells.chunks);
-        StatCells::bump(&cells.sibling_steals);
-        StatCells::bump(&cells.injector_pops);
+        StatCells::bump(&cells.worker_chunks);
         StatCells::bump(&cells.parks);
         StatCells::bump(&cells.currently_parked);
         let stats = cells.snapshot();
@@ -177,7 +161,7 @@ mod tests {
         assert_eq!(stats.jobs, 1);
         assert_eq!(stats.chunks_executed, 2);
         assert_eq!(stats.steals(), 1);
-        assert_eq!(stats.injector_pops, 1);
+        assert_eq!(stats.worker_chunks, 1);
     }
 
     #[test]

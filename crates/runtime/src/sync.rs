@@ -1,7 +1,7 @@
 //! Synchronisation facade of the runtime crate.
 //!
 //! Everything in `pool.rs` and `stats.rs` that synchronises threads — mutexes,
-//! condvars, atomics, fences, thread spawns — imports from here instead of
+//! condvars, atomics, thread spawns — imports from here instead of
 //! `std::sync` directly. A normal build re-exports `std`; building with
 //! `RUSTFLAGS="--cfg sidco_loom"` swaps in the vendored `loom` model-checker
 //! shims, whose primitives behave exactly like `std` outside a model run and

@@ -1,13 +1,13 @@
-//! Model-checked concurrency properties of the work-stealing pool.
+//! Model-checked concurrency properties of the worker pool.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg sidco_loom"`, which reroutes every
-//! mutex, condvar, atomic and thread spawn in `sidco-runtime` and the
-//! vendored `crossbeam` deque through the vendored `loom` checker (see
-//! `crates/runtime/src/sync.rs`). Each `model` closure then runs under a
-//! deterministic scheduler that enumerates thread interleavings — bounded
-//! exhaustive DFS with a preemption bound, plus seeded random walks when the
-//! space is too deep (`SIDCO_LOOM_MAX_BRANCHES` caps the budget; see the
-//! README's Verification section).
+//! mutex, condvar, atomic and thread spawn in `sidco-runtime` through the
+//! vendored `loom` checker (see `crates/runtime/src/sync.rs`). Each `model`
+//! closure then runs under a deterministic scheduler that enumerates thread
+//! interleavings — bounded exhaustive DFS with a preemption bound, plus
+//! seeded random walks when the space is too deep
+//! (`SIDCO_LOOM_MAX_BRANCHES` caps the budget; see the README's Verification
+//! section).
 //!
 //! What a *pass* means here: under every explored schedule the closure ran to
 //! completion with all assertions holding and **no deadlock** — a parked
@@ -15,18 +15,18 @@
 //! the checker reports as a failed execution. Lost-wakeup freedom is
 //! therefore checked implicitly by every test that parks workers, and
 //! `checker_catches_a_seeded_lost_wakeup` proves the detector actually fires
-//! by re-introducing the bug the pool's park protocol is built to prevent.
+//! by re-introducing the bug the pool's park loop is built to prevent.
 //!
 //! A pool-level repro of the detector firing, reproducible by hand: delete
-//! the `shared.wake.notify_all()` from `impl Drop for WorkStealing` in
-//! pool.rs and rerun this suite — `pool_shutdown_quiesces_workers_parked_
-//! between_jobs` fails within ~50 executions with
-//! `deadlock: … [1 sidco-pool-0: blocked on condvar wait] …`. (Deleting the
-//! eventcount re-check in `worker_loop` is *not* caught by the completion
-//! tests, and that is correct: a helping caller executes queued tasks
-//! itself, so job liveness never depends on worker wakeups — the eventcount
-//! is a latency optimisation, and only the shutdown/quiescence paths truly
-//! depend on notifies.)
+//! the `shared.wake.notify_all()` from `impl Drop for WorkerPool` in pool.rs
+//! and rerun this suite — `pool_shutdown_quiesces_workers_parked_
+//! between_jobs` fails with `deadlock: … blocked on condvar wait …`: a
+//! worker parked under the pool lock never sees the shutdown flag. (Deleting
+//! the `notify_all` after a submission's push is *not* caught by the
+//! completion tests, and that is correct: the caller claims every index of
+//! its own job that no worker claims, so job liveness never depends on a
+//! worker waking — the submit-side notify buys parallelism, and only the
+//! shutdown path truly depends on a notify.)
 //!
 //! Run with:
 //!
@@ -38,15 +38,16 @@
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
-use sidco_runtime::pool::WorkStealing;
+use sidco_runtime::pool::WorkerPool;
 use sidco_runtime::Runtime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Exploration limits for the pool models. The full pool has a deep schedule
-/// space (every deque lock is a schedule point), so by default these suites
-/// run a few hundred DFS executions plus random walks — enough to cover the
-/// interesting park/wake races within seconds. CI and soak runs raise the
-/// budget through `SIDCO_LOOM_MAX_BRANCHES` without touching the tests.
+/// space (every lock and condvar step is a schedule point), so by default
+/// these suites run a few hundred DFS executions plus random walks — enough
+/// to cover the interesting park/wake races within seconds. CI and soak runs
+/// raise the budget through `SIDCO_LOOM_MAX_BRANCHES` without touching the
+/// tests.
 fn bounded() -> loom::Builder {
     let mut b = loom::Builder::from_env();
     if std::env::var(loom::MAX_BRANCHES_ENV).is_err() {
@@ -59,9 +60,9 @@ fn bounded() -> loom::Builder {
 }
 
 /// A two-worker pool — the smallest configuration that exercises parking,
-/// waking, stealing and helping.
-fn small_pool() -> WorkStealing {
-    WorkStealing::new(2)
+/// waking, concurrent claims and a helping caller.
+fn small_pool() -> WorkerPool {
+    WorkerPool::new(2)
 }
 
 #[test]
@@ -125,7 +126,7 @@ fn park_ledger_balances_under_every_schedule() {
         let pool = Arc::new(small_pool());
         let observer_pool = Arc::clone(&pool);
         // An observer snapshots the stats *while* workers are parking and
-        // waking. Snapshots are taken under the sleep lock, so the ledger
+        // waking. Snapshots are taken under the pool lock, so the ledger
         // invariant must hold in every one, at every point of every
         // schedule.
         let observer = loom::thread::spawn(move || {
@@ -147,45 +148,49 @@ fn park_ledger_balances_under_every_schedule() {
 }
 
 #[test]
-fn deque_steal_and_pop_never_duplicate_or_lose_tasks() {
-    // Small enough to check *exhaustively*: one owner popping, one thief
-    // stealing, three tasks. Every task must be taken exactly once across
-    // the two ends, under every single schedule.
-    let report = loom::Builder::from_env().check(|| {
-        let worker = Arc::new(crossbeam::deque::Worker::<usize>::new_lifo());
-        let stealer = worker.stealer();
-        for task in 0..3 {
-            worker.push(task);
-        }
-        let thief = loom::thread::spawn(move || {
-            let mut got = Vec::new();
-            got.extend(stealer.steal().success());
-            got.extend(stealer.steal().success());
-            got
+fn claims_never_run_an_index_twice_or_lose_one() {
+    use std::sync::atomic::{AtomicU64, AtomicUsize as Hits, Ordering::Relaxed};
+    // Two workers and the caller race on one 3-index job's claim counter.
+    // The claims are `Relaxed`, so they become schedule points only when the
+    // checker interleaves through relaxed operations. Small enough to check
+    // *exhaustively*: every index runs exactly once under every schedule.
+    // The hit counters are plain `std` atomics, so they add no schedule
+    // points of their own.
+    static WITH_WORKER_CLAIMS: AtomicU64 = AtomicU64::new(0);
+    let report = loom::Builder::from_env()
+        .relaxed_schedule_points(true)
+        .check(|| {
+            let pool = small_pool();
+            let hits: Vec<Hits> = (0..3).map(|_| Hits::new(0)).collect();
+            pool.run_indexed(3, &|i| {
+                hits[i].fetch_add(1, Relaxed);
+            });
+            let hits: Vec<usize> = hits.iter().map(|h| h.load(Relaxed)).collect();
+            assert_eq!(hits, vec![1, 1, 1], "each index runs exactly once");
+            if pool.stats().worker_chunks > 0 {
+                WITH_WORKER_CLAIMS.fetch_add(1, Relaxed);
+            }
+            drop(pool);
         });
-        let mut got = Vec::new();
-        got.extend(worker.pop());
-        got.extend(worker.pop());
-        let mut all = thief.join().expect("thief joins");
-        all.extend(got);
-        all.sort_unstable();
-        // 4 takes from a 3-task deque: exactly one comes up empty, and the
-        // three successes are distinct — no loss, no duplication.
-        assert_eq!(all, vec![0, 1, 2], "each task taken exactly once");
-    });
     assert!(
         report.complete,
-        "the deque model must be exhausted, got {report:?}"
+        "the claim model must be exhausted, got {report:?}"
+    );
+    assert!(
+        WITH_WORKER_CLAIMS.load(Relaxed) > 0,
+        "some schedule must let a worker claim an index"
     );
 }
 
 #[test]
 fn checker_catches_a_seeded_lost_wakeup() {
     // The regression demo required by the verification story: re-introduce
-    // the bug the pool's park protocol exists to prevent — checking the
-    // queue *before* taking the sleep lock and parking without re-checking
-    // under it (the pool instead registers in `sleepers` and re-checks every
-    // queue after a SeqCst fence; see `worker_loop` in pool.rs). The checker
+    // the bug the pool's park loop exists to prevent — checking for work
+    // *before* taking the lock the producer notifies under, and parking
+    // without re-checking under it (the pool's workers instead look for a
+    // claimable job and wait on the condvar under one hold of the pool lock,
+    // the lock a submission pushes and notifies under; see `worker_loop` in
+    // pool.rs). The checker
     // must find the schedule where the producer's notify lands between the
     // consumer's unlocked emptiness check and its wait, and report the
     // parked-forever consumer as a deadlock.

@@ -7,18 +7,16 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sidco_runtime::{PoolStats, Runtime, WorkStealing};
+use sidco_runtime::{PoolStats, Runtime, WorkerPool};
 
 /// Monotone counters of a snapshot, in a fixed order (the
 /// `currently_parked` gauge is excluded: it legitimately goes both ways).
-fn monotone(stats: &PoolStats) -> [(&'static str, u64); 8] {
+fn monotone(stats: &PoolStats) -> [(&'static str, u64); 6] {
     [
         ("threads_spawned", stats.threads_spawned),
         ("jobs", stats.jobs),
         ("chunks_executed", stats.chunks_executed),
-        ("local_pops", stats.local_pops),
-        ("injector_pops", stats.injector_pops),
-        ("sibling_steals", stats.sibling_steals),
+        ("worker_chunks", stats.worker_chunks),
         ("parks", stats.parks),
         ("unparks", stats.unparks),
     ]
@@ -26,7 +24,7 @@ fn monotone(stats: &PoolStats) -> [(&'static str, u64); 8] {
 
 #[test]
 fn concurrent_snapshots_never_need_a_saturated_delta() {
-    let pool = Arc::new(WorkStealing::new(4));
+    let pool = Arc::new(WorkerPool::new(4));
     let stop = Arc::new(AtomicBool::new(false));
 
     let worker = {
@@ -59,7 +57,7 @@ fn concurrent_snapshots_never_need_a_saturated_delta() {
             next.chunks_executed - prev.chunks_executed
         );
         assert_eq!(delta.parks, next.parks - prev.parks);
-        // Snapshots are taken under the sleep lock, so the park ledger
+        // Snapshots are taken under the pool lock, so the park ledger
         // balances even mid-transition.
         assert_eq!(next.parks - next.unparks, next.currently_parked);
         prev = next;

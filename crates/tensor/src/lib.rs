@@ -19,8 +19,8 @@
 //!   sent in, and its lossless decoder.
 //! * [`parallel`] — chunked multi-threaded primitives (moments, counts,
 //!   selection, partial Top-k) executed on a `sidco_runtime`
-//!   [`Runtime`](sidco_runtime::Runtime) (the persistent work-stealing pool,
-//!   or inline at one thread) for the large ImageNet-scale vectors,
+//!   [`Runtime`](sidco_runtime::Runtime) (the persistent worker pool, or
+//!   inline at one thread) for the large ImageNet-scale vectors,
 //!   bit-identical across runtimes and thread counts by construction.
 //!
 //! # Example

@@ -3,8 +3,9 @@
 //! The ImageNet-scale benchmarks in the paper compress vectors with up to 144M
 //! elements; a single pass is memory-bandwidth bound, so these helpers split the
 //! buffer into contiguous chunks and execute them on an explicit [`Runtime`]
-//! — in production the persistent work-stealing pool
-//! ([`WorkStealing`](sidco_runtime::WorkStealing)) or, at one thread, the
+//! — in production the persistent worker pool
+//! ([`WorkerPool`](sidco_runtime::WorkerPool)), whose workers and caller
+//! claim chunk indices from one shared counter, or, at one thread, the
 //! inline runtime, both obtained from [`sidco_runtime::handle`]. Each
 //! primitive has exactly one form, `*_on`, taking the runtime as its last
 //! argument (before any algorithm choice).
@@ -17,7 +18,7 @@
 //! result into its own slot, and slots are always merged in chunk order. The
 //! runtime therefore only decides *where and when* the (identical) chunk list
 //! executes, so every reduction and selection below is **bit-identical across
-//! runtimes, thread counts, and steal orders**. The engine in `sidco-core`
+//! runtimes, thread counts, and claim orders**. The engine in `sidco-core`
 //! builds on this to guarantee that compressors produce the same
 //! `SparseGradient` at 1, 2 or 64 threads, whatever runtime runs the chunks.
 //! (Across *machines* the guarantee holds up to platform `libm` rounding in
@@ -44,7 +45,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 1 << 16;
 ///
 /// The chunk decomposition depends only on `chunk_size`, and every chunk
 /// writes its result into its own pre-allocated slot, so the result vector is
-/// identical for every runtime, worker count, and steal order.
+/// identical for every runtime, worker count, and claim order.
 ///
 /// `f` receives the chunk index and the chunk slice; the element offset of chunk
 /// `c` is `c * chunk_size`.

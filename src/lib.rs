@@ -6,8 +6,9 @@
 //! on a single crate:
 //!
 //! * [`stats`] — sparsity-inducing distributions, estimators, special functions;
-//! * [`runtime`] — the execution substrate: a persistent work-stealing pool
-//!   (inline at one thread) under the compression engine;
+//! * [`runtime`] — the execution substrate: a persistent worker pool whose
+//!   workers claim chunk indices from one counter per job (inline at one
+//!   thread) under the compression engine;
 //! * [`tensor`] — dense/sparse gradients, Top-k selection, threshold scans;
 //! * [`core`] — the SIDCo compressor and every baseline (Top-k, DGC, RedSync,
 //!   GaussianKSGD, Random-k) plus error feedback;

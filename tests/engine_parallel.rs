@@ -5,7 +5,7 @@
 //!   `threads = 1, 2, 7` — the inline runtime against the pool
 //!   (property-based, multi-chunk decompositions);
 //! * every parallel primitive (`*_on`) must be bit-identical on the inline runtime, the scoped-thread reference
-//!   executor (`oracle::ScopedOracle`) and a private 4-worker `WorkStealing`
+//!   executor (`oracle::ScopedOracle`) and a private 4-worker `WorkerPool`
 //!   pool;
 //! * the reference executor itself honours the `Runtime` contract;
 //! * the pool must spawn its OS workers exactly once per engine lifetime —
@@ -30,7 +30,7 @@ use oracle::ScopedOracle;
 use proptest::prelude::*;
 use sidco::core::engine::{CompressionEngine, RuntimeKind};
 use sidco::prelude::*;
-use sidco::runtime::{handle, WorkStealing};
+use sidco::runtime::{handle, WorkerPool};
 use sidco::stats::moments::MomentNeeds;
 use sidco::tensor::encoding::{delta_varint_decode, delta_varint_encode};
 use sidco::tensor::parallel::{
@@ -184,13 +184,13 @@ proptest! {
 
 /// The runtimes every primitive must agree on: the inline runtime first (the
 /// reference), the scoped-thread oracle at 2 and 7 threads, and a private
-/// 4-worker pool — a worker count neither oracle uses, so its pre-split and
-/// steal order differ from both.
+/// 4-worker pool — a worker count neither oracle uses, so its claim order
+/// differs from both.
 fn reference_runtimes() -> [&'static dyn Runtime; 4] {
     static ORACLE_2: ScopedOracle = ScopedOracle { threads: 2 };
     static ORACLE_7: ScopedOracle = ScopedOracle { threads: 7 };
-    static POOL: OnceLock<WorkStealing> = OnceLock::new();
-    let pool = POOL.get_or_init(|| WorkStealing::new(4));
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    let pool = POOL.get_or_init(|| WorkerPool::new(4));
     [handle(RuntimeKind::Pool, 1), &ORACLE_2, &ORACLE_7, pool]
 }
 
@@ -265,11 +265,11 @@ fn repeated_compress_calls_never_spawn_new_os_threads() {
         after_many.jobs > after_first.jobs,
         "later calls must have dispatched to the same pool"
     );
-    // The lifecycle counters stay coherent: everything popped or stolen was
-    // executed, and parked workers were woken at least as often as new work
-    // arrived while they slept. Snapshots are taken under the pool's sleep
-    // lock, so the park/unpark ledger balances exactly against the gauge of
-    // workers asleep at snapshot time — no drift.
+    // The lifecycle counters stay coherent: parked workers were woken at
+    // least as often as new work arrived while they slept. Snapshots are
+    // taken under the pool's lock, so the park/unpark ledger balances
+    // exactly against the gauge of workers asleep at snapshot time — no
+    // drift.
     assert!(after_many.chunks_executed > after_first.chunks_executed);
     for stats in [&after_first, &after_many] {
         assert_eq!(
