@@ -303,13 +303,18 @@ fn compression_order(buckets: &[BucketCost]) -> Vec<usize> {
     order
 }
 
-/// The tightest analytic lower bound the model admits: the bandwidth bound
-/// (no schedule finishes before [`total_wire_seconds`]), the serial
-/// compression bound (arrival-gated), and every bucket's own
-/// `compressed + latency + transfer` path.
-// lint: test-only bound oracle (tests/scheduler_properties.rs), kept for a bound-pruned stream search
+/// A lower bound on every schedule's makespan, built from the sums the
+/// simulator itself forms: the serial compression frontier (arrival-gated)
+/// and every bucket's own `compressed + latency + transfer` path. An
+/// unobstructed bucket completes at exactly its path's value, and a delay
+/// only adds to it. The bandwidth bound [`total_wire_seconds`] holds too but
+/// is left out: the simulator adds the link's transfers in service order,
+/// which can land an ulp below the index-order sum (a random run first hit
+/// that at about its 55,000th search), and
+/// [`CollectiveScheduler::best_schedule`] stops on this bound, so no later
+/// candidate may undercut it.
 pub fn makespan_lower_bound(buckets: &[BucketCost]) -> f64 {
-    let mut bound = total_wire_seconds(buckets);
+    let mut bound = 0.0f64;
     let mut frontier = 0.0f64;
     for &i in &compression_order(buckets) {
         frontier = frontier.max(buckets[i].ready_at) + buckets[i].compression;
@@ -375,13 +380,21 @@ impl CollectiveScheduler {
 
     /// The cheapest schedule within this scheduler's *budget*: the
     /// single-stream FIFO pipeline and the configured policy at every stream
-    /// count up to [`streams`](Self::streams) are all evaluated, and the
-    /// first strictly-cheapest timeline wins (so a larger budget or a
-    /// priority policy never charges more than the plain pipeline). This is
-    /// what the trainer and the bucket auto-tuner charge; it is monotone in
-    /// the stream budget by construction, which sidesteps the Graham-style
-    /// anomalies a *fixed* priority schedule exhibits when buckets outnumber
-    /// streams (see [`schedule`](Self::schedule)).
+    /// count up to [`streams`](Self::streams) are candidates, and the first
+    /// strictly-cheapest timeline wins (so a larger budget or a priority
+    /// policy never charges more than the plain pipeline). This is what the
+    /// trainer and the fleet charge; it is monotone in the stream budget by
+    /// construction, which sidesteps the Graham-style anomalies a *fixed*
+    /// priority schedule exhibits when buckets outnumber streams (see
+    /// [`schedule`](Self::schedule)).
+    ///
+    /// The search is branch-and-bound: it stops as soon as the incumbent's
+    /// makespan meets [`makespan_lower_bound`]. No schedule finishes before
+    /// that bound, and a later candidate replaces the incumbent only when it
+    /// is strictly cheaper, so the cut cannot change the result; it only
+    /// skips simulations that could not win. Debug builds re-run the search
+    /// without the cut and assert the same makespan bits and stream count,
+    /// the guard against a candidate that undercuts the bound by rounding.
     ///
     /// # Panics
     ///
@@ -399,9 +412,46 @@ impl CollectiveScheduler {
         buckets: &[BucketCost],
         baseline: ScheduleTimeline,
     ) -> ScheduleTimeline {
+        let (best, evaluated) = self.search(buckets, baseline, makespan_lower_bound(buckets));
+        if cfg!(debug_assertions) {
+            let (full, _) = self.search(
+                buckets,
+                Self::single_stream_fifo().schedule(buckets),
+                f64::NEG_INFINITY,
+            );
+            debug_assert_eq!(
+                (best.makespan().to_bits(), best.streams()),
+                (full.makespan().to_bits(), full.streams()),
+                "the bound-pruned search chose another schedule than the exhaustive one"
+            );
+        }
+        let sink = sidco_trace::global_sink();
+        if sink.enabled() {
+            sink.counter_add("scheduler.best_schedule.calls", 1.0);
+            sink.counter_add("scheduler.candidates_evaluated", f64::from(evaluated));
+            sink.observe("scheduler.chosen_streams", best.streams() as f64);
+        }
+        best
+    }
+
+    /// The search behind [`best_schedule_from`](Self::best_schedule_from),
+    /// free of trace side effects: starting from `baseline`, it simulates the
+    /// policy at 1..=`streams` streams (skipping the one that would repeat
+    /// the baseline) until the incumbent's makespan is at most `cut`.
+    /// Returns the winner and how many schedules ran, the baseline included.
+    /// A `cut` of `f64::NEG_INFINITY` never fires: the exhaustive search.
+    fn search(
+        &self,
+        buckets: &[BucketCost],
+        baseline: ScheduleTimeline,
+        cut: f64,
+    ) -> (ScheduleTimeline, u32) {
         let mut best = baseline;
-        let mut evaluated = 1u32; // the FIFO baseline itself
+        let mut evaluated = 1u32;
         for streams in 1..=self.streams {
+            if best.makespan() <= cut {
+                break;
+            }
             if streams == 1 && self.policy == PriorityPolicy::Fifo {
                 continue;
             }
@@ -411,13 +461,7 @@ impl CollectiveScheduler {
                 best = candidate;
             }
         }
-        let sink = sidco_trace::global_sink();
-        if sink.enabled() {
-            sink.counter_add("scheduler.best_schedule.calls", 1.0);
-            sink.counter_add("scheduler.candidates_evaluated", f64::from(evaluated));
-            sink.observe("scheduler.chosen_streams", best.streams() as f64);
-        }
-        best
+        (best, evaluated)
     }
 
     /// Builds the schedule for `buckets` with exactly
@@ -952,6 +996,98 @@ mod tests {
         let base = CollectiveScheduler::single_stream_fifo().best_schedule(&buckets);
         assert_eq!(base.makespan(), pipeline);
         assert_eq!(base.streams(), 1);
+    }
+
+    /// Runs the bound-pruned and the exhaustive search on `buckets`, checks
+    /// they choose the same timeline, and returns how many schedules the
+    /// pruned one ran.
+    fn pruned_candidates(scheduler: CollectiveScheduler, buckets: &[BucketCost]) -> u32 {
+        let fifo = || CollectiveScheduler::single_stream_fifo().schedule(buckets);
+        let (pruned, evaluated) = scheduler.search(buckets, fifo(), makespan_lower_bound(buckets));
+        let (full, _) = scheduler.search(buckets, fifo(), f64::NEG_INFINITY);
+        assert_eq!(pruned, full);
+        evaluated
+    }
+
+    #[test]
+    fn a_single_bucket_search_stops_at_the_baseline() {
+        // One bucket's pipeline is its own path, which is the bound.
+        let buckets = costs(&[(1.0, 0.5, 2.0)]);
+        let scheduler = CollectiveScheduler::new(4, PriorityPolicy::SmallestFirst);
+        assert_eq!(pruned_candidates(scheduler, &buckets), 1);
+    }
+
+    #[test]
+    fn the_search_stops_right_after_the_candidate_that_meets_the_bound() {
+        // The pipeline pays bucket 1's latency after bucket 0's transfer
+        // (3.0); two streams overlap it and finish at bucket 1's path bound
+        // 1.0 + 1.0 + 0.25. The 1-stream priority schedule (equal buckets, so
+        // the pipeline again) ran before it; 3 and 4 streams never run.
+        let buckets = costs(&[(0.5, 1.0, 0.25), (0.5, 1.0, 0.25)]);
+        assert_eq!(makespan_lower_bound(&buckets), 2.25);
+        let scheduler = CollectiveScheduler::new(4, PriorityPolicy::SmallestFirst);
+        assert_eq!(pruned_candidates(scheduler, &buckets), 3);
+        let fifo = CollectiveScheduler::single_stream_fifo().schedule(&buckets);
+        let (best, exhaustive) = scheduler.search(&buckets, fifo, f64::NEG_INFINITY);
+        assert_eq!((best.makespan(), best.streams(), exhaustive), (2.25, 2, 5));
+        // A FIFO budget skips the 1-stream repeat of the baseline.
+        let fifo_budget = CollectiveScheduler::new(4, PriorityPolicy::Fifo);
+        assert_eq!(pruned_candidates(fifo_budget, &buckets), 2);
+    }
+
+    #[test]
+    fn every_candidate_runs_when_none_meets_the_bound() {
+        // Bucket 1's transfer waits for the link until 3.0 under any stream
+        // count, so every schedule ends at 5.0 above the bound 4.0.
+        let buckets = costs(&[(1.0, 0.0, 2.0), (1.0, 0.0, 2.0)]);
+        assert_eq!(makespan_lower_bound(&buckets), 4.0);
+        for (policy, candidates) in [
+            (PriorityPolicy::Fifo, 3),
+            (PriorityPolicy::SmallestFirst, 4),
+            (PriorityPolicy::NearestOutputFirst, 4),
+        ] {
+            let scheduler = CollectiveScheduler::new(3, policy);
+            assert_eq!(
+                pruned_candidates(scheduler, &buckets),
+                candidates,
+                "{policy}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_cut_ignores_the_bandwidth_bound_a_schedule_can_undercut() {
+        // A bandwidth-bound instance from a random run: the 3-stream
+        // schedule sums the link's transfers in service order and lands an
+        // ulp below their index-order sum, and below the 2-stream schedule.
+        // A cut on `Σ transfer` stopped at 2 streams and chose another
+        // schedule than the exhaustive search.
+        let buckets = costs(&[
+            (0.0, 0.0, 3.1443439679087843),
+            (0.0, 0.07591035099724791, 2.0000405821826828),
+            (0.5748409548423115, 0.155243203393922, 3.569330229666657),
+            (0.0, 0.20100345643958095, 3.7452382079852695),
+            (0.0, 0.2805057556025973, 2.098417420453322),
+            (0.19356980590741613, 0.0, 0.8288266669025096),
+            (0.8476824336976492, 0.02775849941831382, 0.0),
+            (1.6682351681501588, 0.3793423629188184, 0.0),
+            (0.696326523987077, 0.4523569706381976, 0.0),
+            (0.7187539137607023, 0.167479602674466, 1.230169868377307),
+            (1.24413721115034, 0.056610003445558, 3.3079807848548937),
+            (0.27490308025049903, 0.4178305005969614, 0.8013703596117328),
+            (2.92153276372024, 0.0, 3.3345464919342813),
+            (0.0, 0.4700561581517288, 0.6983830765136134),
+        ]);
+        let policy = PriorityPolicy::NearestOutputFirst;
+        let makespan = |streams| {
+            CollectiveScheduler::new(streams, policy)
+                .schedule(&buckets)
+                .makespan()
+        };
+        assert!(makespan(3) < makespan(2));
+        assert!(makespan(3) < total_wire_seconds(&buckets));
+        assert!(makespan_lower_bound(&buckets) < makespan(3));
+        pruned_candidates(CollectiveScheduler::new(3, policy), &buckets);
     }
 
     #[test]

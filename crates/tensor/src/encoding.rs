@@ -24,6 +24,20 @@ pub struct EncodedGradient {
 }
 
 impl EncodedGradient {
+    /// A received payload of a `dense_len`-element gradient, as it came off
+    /// the wire. Nothing is checked here: [`nnz`](Self::nnz) reports the
+    /// count the header claims (0 when it has none), and only
+    /// [`delta_varint_decode`] validates the bytes.
+    // lint: test-only the decoder's forged-payload property (tests/property_based.rs) builds payloads the encoder never writes
+    pub fn from_wire(bytes: Vec<u8>, dense_len: usize) -> Self {
+        let nnz = read_varint(&bytes, &mut 0).map_or(0, |n| n as usize);
+        Self {
+            bytes,
+            dense_len,
+            nnz,
+        }
+    }
+
     /// Total wire size in bytes.
     pub fn wire_bytes(&self) -> usize {
         self.bytes.len()
@@ -57,20 +71,23 @@ fn push_varint(out: &mut Vec<u8>, mut value: u32) {
     }
 }
 
+/// Reads one LEB128 `u32`. A 5th byte carries only the top 4 bits, so one
+/// above `0x0f` (high bits that would be shifted out, or a 6th byte) is
+/// rejected rather than decoded to a different value.
 fn read_varint(bytes: &[u8], cursor: &mut usize) -> Option<u32> {
     let mut value = 0u32;
     let mut shift = 0u32;
     loop {
         let byte = *bytes.get(*cursor)?;
         *cursor += 1;
+        if shift == 28 && byte > 0x0f {
+            return None;
+        }
         value |= ((byte & 0x7f) as u32) << shift;
         if byte & 0x80 == 0 {
             return Some(value);
         }
         shift += 7;
-        if shift > 28 {
-            return None;
-        }
     }
 }
 
@@ -104,6 +121,12 @@ pub fn delta_varint_decode(encoded: &EncodedGradient) -> Option<SparseGradient> 
     let bytes = &encoded.bytes;
     let mut cursor = 0usize;
     let nnz = read_varint(bytes, &mut cursor)? as usize;
+    // Every element takes at least one gap byte and four value bytes, so a
+    // count the rest of the payload cannot hold is rejected before anything
+    // is reserved for it.
+    if nnz > (bytes.len() - cursor) / 5 {
+        return None;
+    }
     let mut indices = Vec::with_capacity(nnz);
     let mut current = 0u32;
     for j in 0..nnz {
@@ -146,13 +169,9 @@ mod tests {
         SparseGradient::from_pairs(pairs, dense_len)
     }
 
-    /// A payload the encoder never produces, for the decoder's rejections.
-    fn forged(bytes: Vec<u8>, dense_len: usize) -> EncodedGradient {
-        EncodedGradient {
-            bytes,
-            dense_len,
-            nnz: 0,
-        }
+    /// Decodes a payload the encoder never wrote.
+    fn decode_wire(bytes: Vec<u8>, dense_len: usize) -> Option<SparseGradient> {
+        delta_varint_decode(&EncodedGradient::from_wire(bytes, dense_len))
     }
 
     #[test]
@@ -226,13 +245,42 @@ mod tests {
         assert!(delta_varint_decode(&encoded).is_none());
         // A six-byte varint.
         let six = vec![1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0];
-        assert!(delta_varint_decode(&forged(six, 10)).is_none());
+        assert!(decode_wire(six, 10).is_none());
         // Gaps summing past u32::MAX.
         let mut overflow = vec![2, 0xff, 0xff, 0xff, 0xff, 0x0f, 1];
         overflow.extend([0; 8]);
-        assert!(delta_varint_decode(&forged(overflow, usize::MAX)).is_none());
+        assert!(decode_wire(overflow, usize::MAX).is_none());
         // An index at dense_len.
-        assert!(delta_varint_decode(&forged(vec![1, 10, 0, 0, 0, 0], 10)).is_none());
-        assert!(delta_varint_decode(&forged(vec![1, 9, 0, 0, 0, 0], 10)).is_some());
+        assert!(decode_wire(vec![1, 10, 0, 0, 0, 0], 10).is_none());
+        assert!(decode_wire(vec![1, 9, 0, 0, 0, 0], 10).is_some());
+    }
+
+    #[test]
+    fn decode_rejects_counts_the_payload_cannot_hold() {
+        // A header claiming u32::MAX elements in a 6-byte payload: rejected
+        // before the decoder reserves anything for them.
+        assert!(decode_wire(vec![0xff, 0xff, 0xff, 0xff, 0x0f, 0x01], 10).is_none());
+        // One element more than the bytes can carry, and exactly as many.
+        assert!(decode_wire(vec![2, 9, 0, 0, 0, 0], 10).is_none());
+        assert!(decode_wire(vec![1, 9, 0, 0, 0, 0], 10).is_some());
+    }
+
+    #[test]
+    fn decode_rejects_a_fifth_varint_byte_above_four_bits() {
+        // 0x0f is the largest canonical 5th byte (u32::MAX) …
+        let decoded = decode_wire(
+            vec![1, 0xfe, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0],
+            usize::MAX,
+        )
+        .expect("canonical u32::MAX - 1 gap");
+        assert_eq!(decoded.indices(), &[u32::MAX - 1]);
+        // … and 0x1f would decode to the same index with bit 32 dropped.
+        assert!(decode_wire(
+            vec![1, 0xfe, 0xff, 0xff, 0xff, 0x1f, 0, 0, 0, 0],
+            usize::MAX
+        )
+        .is_none());
+        // The same holds for the element count in the header.
+        assert!(decode_wire(vec![0x81, 0x80, 0x80, 0x80, 0x10, 9, 0, 0, 0, 0], 10).is_none());
     }
 }

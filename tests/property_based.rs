@@ -5,6 +5,7 @@ use sidco::prelude::*;
 use sidco_stats::fit::{exponential_threshold, fit_sid_from_moments, SidKind};
 use sidco_stats::moments::AbsMoments;
 use sidco_stats::pot::stage_schedule;
+use sidco_tensor::encoding::{delta_varint_decode, EncodedGradient};
 use sidco_tensor::threshold::{count_above_threshold, select_above_threshold};
 use sidco_tensor::topk::top_k;
 
@@ -129,6 +130,60 @@ proptest! {
             prop_assert_eq!(result.sparse.dense_len(), grad.len());
             for &i in result.sparse.indices() {
                 prop_assert!((i as usize) < grad.len());
+            }
+        }
+    }
+}
+
+/// Appends `value` as an LEB128 varint, the way the encoder writes a header.
+fn push_varint(out: &mut Vec<u8>, mut value: u32) {
+    while value >= 0x80 {
+        out.push((value as u8) | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Strategy: 0–64 arbitrary bytes.
+fn wire_bytes_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(0u32..256, 0..65)
+        .prop_map(|bytes| bytes.into_iter().map(|b| b as u8).collect())
+}
+
+/// Strategy: payloads the encoder never writes — arbitrary bytes, and
+/// arbitrary bytes behind a forged element count of up to `u32::MAX`.
+fn forged_payload_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        1 => wire_bytes_strategy(),
+        1 => (
+            prop_oneof![1 => 0u32..16, 1 => 0u32..=u32::MAX],
+            wire_bytes_strategy(),
+        )
+            .prop_map(|(nnz, tail)| {
+                let mut payload = Vec::with_capacity(5 + tail.len());
+                push_varint(&mut payload, nnz);
+                payload.extend(tail);
+                payload
+            }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// The decoder of wire bytes never panics or aborts on a forged payload,
+    /// and whatever it accepts is a well-formed sparse gradient.
+    #[test]
+    fn varint_decoder_survives_forged_payloads(
+        payload in forged_payload_strategy(),
+        dense_len in prop_oneof![1 => 0usize..64, 1 => 0usize..=u32::MAX as usize],
+    ) {
+        let encoded = EncodedGradient::from_wire(payload, dense_len);
+        if let Some(sparse) = delta_varint_decode(&encoded) {
+            prop_assert_eq!(sparse.indices().len(), sparse.values().len());
+            prop_assert_eq!(sparse.dense_len(), dense_len);
+            for &i in sparse.indices() {
+                prop_assert!((i as usize) < dense_len, "index {i} of {dense_len}");
             }
         }
     }

@@ -135,6 +135,85 @@ fn bucket_costs_with_arrivals_strategy() -> impl Strategy<Value = Vec<BucketCost
         })
 }
 
+/// Strategy: 1–24 buckets, with release times or without, and half of them
+/// on a 0.25 grid, where sums are exact and equal makespans (the search's
+/// earliest-candidate tie rule) are common.
+fn search_inputs_strategy() -> impl Strategy<Value = Vec<BucketCost>> {
+    (
+        prop::collection::vec(
+            (
+                prop_oneof![4 => 0.0f64..3.0, 1 => Just(0.0f64)],
+                prop_oneof![3 => 0.0f64..0.5, 1 => Just(0.0f64)],
+                prop_oneof![4 => 0.0f64..5.0, 1 => Just(0.0f64)],
+                0.0f64..4.0,
+            ),
+            1..25,
+        ),
+        0u32..4,
+    )
+        .prop_map(|(raw, shape)| {
+            let on_grid = shape & 1 == 1;
+            let released = shape & 2 == 2;
+            let snap = |x: f64| if on_grid { (x * 4.0).round() / 4.0 } else { x };
+            raw.into_iter()
+                .map(|(compression, latency, transfer, ready_at)| BucketCost {
+                    ready_at: if released { snap(ready_at) } else { 0.0 },
+                    compression: snap(compression),
+                    latency: snap(latency),
+                    transfer: snap(transfer),
+                })
+                .collect()
+        })
+}
+
+/// The search `best_schedule` prunes, run to the end: the single-stream
+/// FIFO pipeline, then `policy` at every stream count up to `streams`, and
+/// the first strictly-cheapest timeline wins.
+fn exhaustive_best_schedule(
+    streams: usize,
+    policy: PriorityPolicy,
+    buckets: &[BucketCost],
+) -> ScheduleTimeline {
+    let mut best = CollectiveScheduler::single_stream_fifo().schedule(buckets);
+    for count in 1..=streams {
+        if count == 1 && policy == PriorityPolicy::Fifo {
+            continue;
+        }
+        let candidate = CollectiveScheduler::new(count, policy).schedule(buckets);
+        if candidate.makespan() < best.makespan() {
+            best = candidate;
+        }
+    }
+    best
+}
+
+/// Every field of a timeline as exact bits: `(makespan, streams)` and, per
+/// entry, its bucket, stream, five event times and link segments.
+type TimelineBits = (u64, usize, Vec<(usize, usize, [u64; 5], Vec<(u64, u64)>)>);
+
+fn timeline_bits(timeline: &ScheduleTimeline) -> TimelineBits {
+    let entries = timeline
+        .entries()
+        .iter()
+        .map(|e| {
+            let times = [
+                e.ready_at,
+                e.compress_start,
+                e.compress_end,
+                e.comm_start,
+                e.comm_end,
+            ];
+            let segments = e
+                .segments
+                .iter()
+                .map(|s| (s.start.to_bits(), s.end.to_bits()))
+                .collect();
+            (e.bucket, e.stream, times.map(f64::to_bits), segments)
+        })
+        .collect();
+    (timeline.makespan().to_bits(), timeline.streams(), entries)
+}
+
 /// Relative tolerance for event-time comparisons (the simulator accumulates
 /// sums of ≤ ~50 doubles; 1e-9 relative is far above its rounding error).
 fn tol(scale: f64) -> f64 {
@@ -255,7 +334,7 @@ proptest! {
         }
     }
 
-    /// Invariant 4: bandwidth lower bound (and the tighter compression/path
+    /// Invariant 4: bandwidth lower bound (and the compression/path
     /// bound), plus the fully-serial upper bound.
     #[test]
     fn makespan_respects_bandwidth_bounds(raw in bucket_costs_strategy(), streams in 1usize..6) {
@@ -538,6 +617,28 @@ proptest! {
                 prop_assert!(makespan <= previous + tol(previous));
                 prop_assert!(makespan <= pipeline + tol(pipeline));
                 previous = makespan;
+            }
+        }
+    }
+
+    /// The bound-pruned search `best_schedule` runs chooses exactly the
+    /// timeline of the exhaustive search, bit for bit, at every budget and
+    /// policy: the cut only skips candidates that cannot undercut the bound.
+    #[test]
+    fn pruned_search_equals_exhaustive_search(buckets in search_inputs_strategy()) {
+        for policy in POLICIES {
+            for streams in 1usize..=8 {
+                let pruned = CollectiveScheduler::new(streams, policy).best_schedule(&buckets);
+                let full = exhaustive_best_schedule(streams, policy, &buckets);
+                prop_assert!(
+                    timeline_bits(&pruned) == timeline_bits(&full),
+                    "{policy} at {streams} streams: pruned {} on {} streams, exhaustive {} on {} \
+                     streams, buckets {buckets:?}",
+                    pruned.makespan(),
+                    pruned.streams(),
+                    full.makespan(),
+                    full.streams()
+                );
             }
         }
     }
