@@ -309,10 +309,8 @@ fn compression_order(buckets: &[BucketCost]) -> Vec<usize> {
 /// unobstructed bucket completes at exactly its path's value, and a delay
 /// only adds to it. The bandwidth bound [`total_wire_seconds`] holds too but
 /// is left out: the simulator adds the link's transfers in service order,
-/// which can land an ulp below the index-order sum (a random run first hit
-/// that at about its 55,000th search), and
-/// [`CollectiveScheduler::best_schedule`] stops on this bound, so no later
-/// candidate may undercut it.
+/// which can land an ulp below the index-order sum, and
+/// [`CollectiveScheduler::best_schedule`] stops on this bound.
 pub fn makespan_lower_bound(buckets: &[BucketCost]) -> f64 {
     let mut bound = 0.0f64;
     let mut frontier = 0.0f64;
@@ -389,12 +387,15 @@ impl CollectiveScheduler {
     /// [`schedule`](Self::schedule)).
     ///
     /// The search is branch-and-bound: it stops as soon as the incumbent's
-    /// makespan meets [`makespan_lower_bound`]. No schedule finishes before
-    /// that bound, and a later candidate replaces the incumbent only when it
-    /// is strictly cheaper, so the cut cannot change the result; it only
-    /// skips simulations that could not win. Debug builds re-run the search
-    /// without the cut and assert the same makespan bits and stream count,
-    /// the guard against a candidate that undercuts the bound by rounding.
+    /// makespan meets [`makespan_lower_bound`]. In exact arithmetic no
+    /// schedule finishes before that bound, and a later candidate replaces
+    /// the incumbent only when it is strictly cheaper, so the cut skips only
+    /// simulations that could not win. In floating point a candidate could
+    /// still undercut the bound by an ulp (the simulator ends a transfer
+    /// whose remaining work rounds to zero at the event time, which can lie
+    /// below the sum the bound adds up); debug builds therefore re-run the
+    /// search without the cut and assert the same makespan bits and stream
+    /// count. Release builds run the pruned search unchecked.
     ///
     /// # Panics
     ///

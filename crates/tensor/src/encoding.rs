@@ -25,16 +25,15 @@ pub struct EncodedGradient {
 
 impl EncodedGradient {
     /// A received payload of a `dense_len`-element gradient, as it came off
-    /// the wire. Nothing is checked here: [`nnz`](Self::nnz) reports the
-    /// count the header claims (0 when it has none), and only
-    /// [`delta_varint_decode`] validates the bytes.
+    /// the wire. Nothing is checked or parsed here: [`nnz`](Self::nnz) reads
+    /// 0 (unknown until decoded), and only [`delta_varint_decode`] validates
+    /// the bytes.
     // lint: test-only the decoder's forged-payload property (tests/property_based.rs) builds payloads the encoder never writes
     pub fn from_wire(bytes: Vec<u8>, dense_len: usize) -> Self {
-        let nnz = read_varint(&bytes, &mut 0).map_or(0, |n| n as usize);
         Self {
             bytes,
             dense_len,
-            nnz,
+            nnz: 0,
         }
     }
 

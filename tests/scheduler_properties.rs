@@ -549,9 +549,11 @@ proptest! {
                     );
                 }
             }
-            // Bounds still hold: the arrival-gated path bound from below,
-            // the wait-for-everything-then-serialise schedule from above.
+            // Bounds still hold: the bandwidth and arrival-gated path bounds
+            // from below, the wait-for-everything-then-serialise schedule
+            // from above.
             let makespan = timeline.makespan();
+            prop_assert!(makespan >= total_wire_seconds(&buckets) - eps);
             prop_assert!(makespan >= makespan_lower_bound(&buckets) - eps);
             let last_arrival = buckets.iter().fold(0.0f64, |a, b| a.max(b.ready_at));
             let serial: f64 = buckets.iter().map(|b| b.compression + b.communication()).sum();
