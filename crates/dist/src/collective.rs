@@ -311,10 +311,16 @@ fn compression_order(buckets: &[BucketCost]) -> Vec<usize> {
 /// is left out: the simulator adds the link's transfers in service order,
 /// which can land an ulp below the index-order sum, and
 /// [`CollectiveScheduler::best_schedule`] stops on this bound.
+// lint: test-only the oracle of the scheduler property suites; the search calls `lower_bound_in`
 pub fn makespan_lower_bound(buckets: &[BucketCost]) -> f64 {
+    lower_bound_in(buckets, &compression_order(buckets))
+}
+
+/// [`makespan_lower_bound`] given the buckets' [`compression_order`].
+fn lower_bound_in(buckets: &[BucketCost], order: &[usize]) -> f64 {
     let mut bound = 0.0f64;
     let mut frontier = 0.0f64;
-    for &i in &compression_order(buckets) {
+    for &i in order {
         frontier = frontier.max(buckets[i].ready_at) + buckets[i].compression;
         bound = bound.max(frontier + buckets[i].latency + buckets[i].transfer);
     }
@@ -413,13 +419,10 @@ impl CollectiveScheduler {
         buckets: &[BucketCost],
         baseline: ScheduleTimeline,
     ) -> ScheduleTimeline {
-        let (best, evaluated) = self.search(buckets, baseline, makespan_lower_bound(buckets));
+        let (best, evaluated) = self.search(buckets, baseline, true);
         if cfg!(debug_assertions) {
-            let (full, _) = self.search(
-                buckets,
-                Self::single_stream_fifo().schedule(buckets),
-                f64::NEG_INFINITY,
-            );
+            let (full, _) =
+                self.search(buckets, Self::single_stream_fifo().schedule(buckets), false);
             debug_assert_eq!(
                 (best.makespan().to_bits(), best.streams()),
                 (full.makespan().to_bits(), full.streams()),
@@ -438,25 +441,28 @@ impl CollectiveScheduler {
     /// The search behind [`best_schedule_from`](Self::best_schedule_from),
     /// free of trace side effects: starting from `baseline`, it simulates the
     /// policy at 1..=`streams` streams (skipping the one that would repeat
-    /// the baseline) until the incumbent's makespan is at most `cut`.
+    /// the baseline), sharing one compression order and one set of ranks,
+    /// until, if `prune` is set, the incumbent meets [`makespan_lower_bound`].
     /// Returns the winner and how many schedules ran, the baseline included.
-    /// A `cut` of `f64::NEG_INFINITY` never fires: the exhaustive search.
     fn search(
         &self,
         buckets: &[BucketCost],
         baseline: ScheduleTimeline,
-        cut: f64,
+        prune: bool,
     ) -> (ScheduleTimeline, u32) {
+        let order = compression_order(buckets);
+        let bound = lower_bound_in(buckets, &order);
+        let rank = self.policy.ranks(buckets);
         let mut best = baseline;
         let mut evaluated = 1u32;
         for streams in 1..=self.streams {
-            if best.makespan() <= cut {
+            if prune && best.makespan() <= bound {
                 break;
             }
             if streams == 1 && self.policy == PriorityPolicy::Fifo {
                 continue;
             }
-            let candidate = Self::new(streams, self.policy).schedule(buckets);
+            let candidate = Self::new(streams, self.policy).simulate(buckets, &order, &rank);
             evaluated += 1;
             if candidate.makespan() < best.makespan() {
                 best = candidate;
@@ -493,8 +499,14 @@ impl CollectiveScheduler {
                 "bucket {i} has invalid costs {b:?}"
             );
         }
-        let n = buckets.len();
         let rank = self.policy.ranks(buckets);
+        self.simulate(buckets, &compression_order(buckets), &rank)
+    }
+
+    /// The simulator behind [`schedule`](Self::schedule), given the buckets'
+    /// [`compression_order`] and this policy's [`PriorityPolicy::ranks`].
+    fn simulate(self, buckets: &[BucketCost], order: &[usize], rank: &[usize]) -> ScheduleTimeline {
+        let n = buckets.len();
 
         // Compression is serial and first-come-first-served in arrival order:
         // the processor serves the earliest-arrived waiting bucket (ties by
@@ -517,7 +529,7 @@ impl CollectiveScheduler {
             })
             .collect();
         let mut clock = 0.0f64;
-        for &i in &compression_order(buckets) {
+        for &i in order {
             let start = clock.max(buckets[i].ready_at);
             clock = start + buckets[i].compression;
             entries[i].compress_start = start;
@@ -1004,8 +1016,8 @@ mod tests {
     /// pruned one ran.
     fn pruned_candidates(scheduler: CollectiveScheduler, buckets: &[BucketCost]) -> u32 {
         let fifo = || CollectiveScheduler::single_stream_fifo().schedule(buckets);
-        let (pruned, evaluated) = scheduler.search(buckets, fifo(), makespan_lower_bound(buckets));
-        let (full, _) = scheduler.search(buckets, fifo(), f64::NEG_INFINITY);
+        let (pruned, evaluated) = scheduler.search(buckets, fifo(), true);
+        let (full, _) = scheduler.search(buckets, fifo(), false);
         assert_eq!(pruned, full);
         evaluated
     }
@@ -1029,7 +1041,7 @@ mod tests {
         let scheduler = CollectiveScheduler::new(4, PriorityPolicy::SmallestFirst);
         assert_eq!(pruned_candidates(scheduler, &buckets), 3);
         let fifo = CollectiveScheduler::single_stream_fifo().schedule(&buckets);
-        let (best, exhaustive) = scheduler.search(&buckets, fifo, f64::NEG_INFINITY);
+        let (best, exhaustive) = scheduler.search(&buckets, fifo, false);
         assert_eq!((best.makespan(), best.streams(), exhaustive), (2.25, 2, 5));
         // A FIFO budget skips the 1-stream repeat of the baseline.
         let fifo_budget = CollectiveScheduler::new(4, PriorityPolicy::Fifo);

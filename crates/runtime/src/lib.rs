@@ -30,6 +30,9 @@
 //! differences are wall-clock time and [`PoolStats`].
 
 #![warn(missing_docs)]
+// `deny`, not `forbid`: lending a borrowed chunk body to persistent workers
+// has no safe form, so that one statement in `run_indexed` is `allow`ed.
+#![deny(unsafe_code)]
 
 pub mod pool;
 pub mod stats;

@@ -238,6 +238,7 @@ impl Runtime for WorkerPool {
         // claim of this job, every claimed index is run before `remaining`
         // is decremented for it, and this function blocks until
         // `remaining == 0` — so no use can outlive the `body` borrow.
+        #[allow(unsafe_code)]
         let body_static: &'static (dyn Fn(usize) + Sync) = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
         };

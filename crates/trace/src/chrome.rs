@@ -52,42 +52,29 @@ impl ChromeTrace {
     /// Add every track of `report` under processes labelled from `label`
     /// (suffixed with the lane when both lanes are present).
     pub fn add(&mut self, label: &str, report: &TraceReport) {
-        let mut pid_for_lane: BTreeMap<&'static str, u32> = BTreeMap::new();
-        let lanes_present: Vec<Lane> = {
-            let mut lanes = Vec::new();
-            for t in report.tracks() {
-                if !lanes.contains(&t.lane) {
-                    lanes.push(t.lane);
-                }
+        // Each lane present gets the next pid, in order of first appearance.
+        let mut lanes: Vec<Lane> = Vec::new();
+        for t in report.tracks() {
+            if !lanes.contains(&t.lane) {
+                lanes.push(t.lane);
             }
-            lanes
-        };
-        for lane in &lanes_present {
-            let key = match lane {
-                Lane::Virtual => "virtual",
-                Lane::Real => "real",
-            };
-            let pid = self.next_pid;
-            self.next_pid += 1;
-            pid_for_lane.insert(key, pid);
-            let name = if lanes_present.len() > 1 {
+        }
+        let first_pid = self.next_pid;
+        self.next_pid += lanes.len() as u32;
+        let pid_of = |lane| first_pid + lanes.iter().position(|&l| l == lane).unwrap_or(0) as u32;
+        for &lane in &lanes {
+            let name = if lanes.len() > 1 {
                 format!("{label} ({lane})")
             } else {
                 label.to_string()
             };
             self.rows.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
                  \"args\":{{\"name\":\"{}\"}}}}",
+                pid_of(lane),
                 escape(&name)
             ));
         }
-        let pid_of = |lane: Lane| -> u32 {
-            let key = match lane {
-                Lane::Virtual => "virtual",
-                Lane::Real => "real",
-            };
-            pid_for_lane.get(key).copied().unwrap_or(0)
-        };
         for (tid, info) in report.tracks().iter().enumerate() {
             self.rows.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
@@ -487,15 +474,9 @@ mod tests {
             events: vec![
                 RawEvent {
                     track: TrackId(0),
-                    kind: EventKind::Open,
+                    kind: EventKind::Span { end: 1.25 },
                     name: Cow::Borrowed("bucket 0"),
                     ts: 0.5,
-                },
-                RawEvent {
-                    track: TrackId(0),
-                    kind: EventKind::Close,
-                    name: Cow::Borrowed(""),
-                    ts: 1.25,
                 },
                 RawEvent {
                     track: TrackId(0),
@@ -505,15 +486,9 @@ mod tests {
                 },
                 RawEvent {
                     track: TrackId(1),
-                    kind: EventKind::Open,
+                    kind: EventKind::Span { end: 0.002 },
                     name: Cow::Borrowed("chunk"),
                     ts: 0.001,
-                },
-                RawEvent {
-                    track: TrackId(1),
-                    kind: EventKind::Close,
-                    name: Cow::Borrowed(""),
-                    ts: 0.002,
                 },
             ],
             metrics: Default::default(),

@@ -1,7 +1,7 @@
 //! `sidco-trace`: a structured span/event recorder for the SIDCo workspace.
 //!
-//! The crate provides one process-wide [`TraceRegistry`] fed by per-thread
-//! lock-free ring buffers, a **dual clock** model, a small metrics registry
+//! The crate provides one process-wide [`TraceRegistry`] fed by bounded
+//! per-thread event buffers, a **dual clock** model, a small metrics registry
 //! (counters / gauges / fixed-bucket histograms), and two exporters: Chrome
 //! trace-event JSON (loadable in Perfetto or `chrome://tracing`) and a compact
 //! text flamegraph-style summary.
@@ -32,19 +32,22 @@
 //!
 //! # Recording model
 //!
-//! Producers push [`RawEvent`]s (open / close / instant) into a bounded
-//! single-producer single-consumer ring owned by their thread; the registry
-//! drains all rings when the session finishes. Per-track event order is
-//! meaningful because each track is only ever written by one thread (virtual
-//! tracks by the simulating thread, real-lane thread tracks by their owner),
-//! so open/close pairing is a simple per-track stack ([`TraceReport::spans`]).
+//! Producers push [`RawEvent`]s — a whole span when it ends, or an instant —
+//! into a bounded buffer owned by their thread (a mutex only the registry's
+//! drain ever contends); the registry drains all buffers when the session
+//! finishes. Per-track event order is meaningful because each track is only
+//! ever written by one thread (virtual tracks by the simulating thread,
+//! real-lane thread tracks by their owner), so [`TraceReport::spans`] is the
+//! span events in recording order: a nested span ends, and is recorded,
+//! before the span around it.
+
+#![forbid(unsafe_code)]
 
 mod chrome;
 mod clock;
 mod metrics;
 mod registry;
 mod report;
-mod ring;
 
 pub use chrome::{parse_chrome_trace, ChromeTrace, ParsedChromeTrace};
 pub use clock::VirtualClock;

@@ -2,24 +2,34 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::report::{EventKind, Lane, RawEvent, TraceReport, TrackId, TrackInfo};
-use crate::ring::EventRing;
 use crate::MetricsFrame;
+
+/// Events each thread can buffer between drains. Sessions drain only when
+/// they finish, so this bounds a whole run; overflow increments a drop
+/// counter instead of blocking.
+const BUFFER_CAPACITY: usize = 1 << 15;
+
+/// One thread's recorded events. Only its owning thread pushes; the registry
+/// locks it to drain or clear it, so the lock is uncontended while recording.
+#[derive(Default)]
+struct Buffer {
+    events: Vec<RawEvent>,
+    dropped: u64,
+}
 
 /// Mutable registry state; all of it lives behind one mutex because it is
 /// touched only on cold paths (track interning, thread registration, metric
 /// updates, session begin/finish) — event recording itself goes through the
-/// per-thread rings and never takes this lock.
+/// per-thread buffers and never takes this lock.
 #[derive(Default)]
 struct RegistryState {
     tracks: Vec<TrackInfo>,
-    by_label: HashMap<String, TrackId>,
-    rings: Vec<Arc<EventRing>>,
+    buffers: Vec<Arc<Mutex<Buffer>>>,
     metrics: MetricsFrame,
 }
 
@@ -29,7 +39,8 @@ struct RegistryState {
 /// [`global_sink`]; start/stop recording with [`TraceSession`].
 pub struct TraceRegistry {
     enabled: AtomicBool,
-    /// Bumped every session so thread-local track caches self-invalidate.
+    /// Bumped every session so thread-local track caches self-invalidate and
+    /// span guards can tell whether their session is still recording.
     epoch: AtomicU64,
     /// Session start, as seconds since process anchor (f64 bits).
     session_start: AtomicU64,
@@ -67,7 +78,7 @@ pub fn global_sink() -> TraceSink {
     let reg = global();
     // Relaxed: purely an observation — a stale read only means a borderline
     // event lands in (or misses) the session edge, never a data race, because
-    // event storage goes through the SPSC rings.
+    // event storage goes through the per-thread buffer locks.
     if reg.enabled.load(Ordering::Relaxed) {
         TraceSink {
             registry: Some(reg),
@@ -78,44 +89,54 @@ pub fn global_sink() -> TraceSink {
 }
 
 thread_local! {
-    /// This thread's ring (created on first event) plus a cached
+    /// This thread's buffer (created on first event) plus a cached
     /// (epoch, default real-lane track) pair.
     static TLS: ThreadSlot = const { ThreadSlot {
-        ring: OnceLock::new(),
+        buffer: OnceLock::new(),
         thread_track: Cell::new(None),
     } };
 }
 
 struct ThreadSlot {
-    ring: OnceLock<Arc<EventRing>>,
+    buffer: OnceLock<Arc<Mutex<Buffer>>>,
     thread_track: Cell<Option<(u64, TrackId)>>,
 }
 
 impl TraceRegistry {
-    fn push(&'static self, ev: RawEvent) {
+    /// Appends `ev` to this thread's buffer; with `epoch` set, only while
+    /// that session is still recording. The check runs under the buffer lock,
+    /// and `reset` bumps the epoch before it empties the buffers, so an event
+    /// from a finished session lands in no later one.
+    fn push(&'static self, epoch: Option<u64>, ev: RawEvent) {
         TLS.with(|slot| {
-            let ring = slot.ring.get_or_init(|| {
-                let ring = Arc::new(EventRing::new());
+            let buffer = slot.buffer.get_or_init(|| {
+                let buffer = Arc::new(Mutex::new(Buffer::default()));
                 let mut state = self.state.lock().expect("trace registry poisoned");
-                state.rings.push(Arc::clone(&ring));
-                ring
+                state.buffers.push(Arc::clone(&buffer));
+                buffer
             });
-            ring.push(ev);
+            let mut buffer = buffer.lock().expect("trace buffer poisoned");
+            // Relaxed: the buffer lock orders these loads after the epoch
+            // bump of any `reset` that already emptied this buffer.
+            let stale = epoch.is_some_and(|epoch| {
+                !self.enabled.load(Ordering::Relaxed) || self.epoch.load(Ordering::Relaxed) != epoch
+            });
+            match (stale, buffer.events.len() < BUFFER_CAPACITY) {
+                (true, _) => {}
+                (false, true) => buffer.events.push(ev),
+                (false, false) => buffer.dropped += 1,
+            }
         });
     }
 
     fn intern(&'static self, label: &str, lane: Lane) -> TrackId {
         let mut state = self.state.lock().expect("trace registry poisoned");
-        if let Some(id) = state.by_label.get(label) {
-            return *id;
+        if let Some(at) = state.tracks.iter().position(|t| t.label == label) {
+            return TrackId(at as u32);
         }
-        let id = TrackId(state.tracks.len() as u32);
-        state.tracks.push(TrackInfo {
-            label: label.to_string(),
-            lane,
-        });
-        state.by_label.insert(label.to_string(), id);
-        id
+        let label = label.to_string();
+        state.tracks.push(TrackInfo { label, lane });
+        TrackId(state.tracks.len() as u32 - 1)
     }
 
     /// Seconds of real time since the active session began.
@@ -151,20 +172,19 @@ impl TraceRegistry {
     /// Reset for a fresh session. Caller holds the session mutex.
     fn reset(&self) {
         let mut state = self.state.lock().expect("trace registry poisoned");
-        for ring in &state.rings {
-            ring.clear();
-            ring.take_dropped();
-        }
         state.tracks.clear();
-        state.by_label.clear();
         state.metrics.clear();
         // Relaxed: both writes happen before `enabled` flips on below the
         // session mutex; recorders treat stale reads benignly (see above).
+        // The epoch moves before the buffers empty (see `push`).
         self.session_start.store(
             process_anchor().elapsed().as_secs_f64().to_bits(),
             Ordering::Relaxed,
         );
         self.epoch.fetch_add(1, Ordering::Relaxed);
+        for buffer in &state.buffers {
+            *buffer.lock().expect("trace buffer poisoned") = Buffer::default();
+        }
     }
 
     /// Drain everything into a report. Caller holds the session mutex and has
@@ -173,9 +193,10 @@ impl TraceRegistry {
         let state = self.state.lock().expect("trace registry poisoned");
         let mut events = Vec::new();
         let mut dropped = 0;
-        for ring in &state.rings {
-            ring.drain_into(&mut events);
-            dropped += ring.take_dropped();
+        for buffer in &state.buffers {
+            let mut buffer = buffer.lock().expect("trace buffer poisoned");
+            events.append(&mut buffer.events);
+            dropped += std::mem::take(&mut buffer.dropped);
         }
         TraceReport {
             tracks: state.tracks.clone(),
@@ -237,69 +258,49 @@ impl TraceSink {
         }
     }
 
-    /// Record a span-open at `ts` on `track`.
-    #[inline]
-    pub fn open(&self, track: TrackId, name: impl Into<Cow<'static, str>>, ts: f64) {
-        if let Some(reg) = self.registry {
-            reg.push(RawEvent {
-                track,
-                kind: EventKind::Open,
-                name: name.into(),
-                ts,
-            });
-        }
-    }
-
-    /// Record a span-close at `ts` on `track` (pairs with the most recent
-    /// unmatched open).
-    #[inline]
-    pub fn close(&self, track: TrackId, ts: f64) {
-        if let Some(reg) = self.registry {
-            reg.push(RawEvent {
-                track,
-                kind: EventKind::Close,
-                name: Cow::Borrowed(""),
-                ts,
-            });
-        }
-    }
-
-    /// Record a complete `[start, end]` span in one call.
+    /// Record a complete `[start, end]` span.
     #[inline]
     pub fn span(&self, track: TrackId, name: impl Into<Cow<'static, str>>, start: f64, end: f64) {
-        if self.registry.is_some() {
-            self.open(track, name, start);
-            self.close(track, end);
-        }
+        self.record(track, EventKind::Span { end }, name, start);
     }
 
     /// Record an instantaneous event.
     #[inline]
     pub fn instant(&self, track: TrackId, name: impl Into<Cow<'static, str>>, ts: f64) {
+        self.record(track, EventKind::Instant, name, ts);
+    }
+
+    #[inline]
+    fn record(&self, track: TrackId, kind: EventKind, name: impl Into<Cow<'static, str>>, ts: f64) {
         if let Some(reg) = self.registry {
-            reg.push(RawEvent {
+            let ev = RawEvent {
                 track,
-                kind: EventKind::Instant,
+                kind,
                 name: name.into(),
                 ts,
-            });
+            };
+            reg.push(None, ev);
         }
     }
 
-    /// Open a real-clock span on this thread's track, closed when the guard
-    /// drops. When disabled this neither reads the clock nor allocates.
+    /// Start a real-clock span on this thread's track, recorded when the
+    /// guard drops. When disabled this neither reads the clock nor allocates.
     #[inline]
     pub fn real_span(&self, name: &'static str) -> RealSpanGuard {
-        match self.registry {
-            Some(_) => {
-                let track = self.thread_track();
-                self.open(track, name, self.real_now());
-                RealSpanGuard { sink: *self, track }
-            }
-            None => RealSpanGuard {
-                sink: TraceSink::noop(),
-                track: TrackId(u32::MAX),
-            },
+        RealSpanGuard {
+            open: self.registry.map(|reg| {
+                // Relaxed: a stale epoch only drops this span (see `push`).
+                let epoch = reg.epoch.load(Ordering::Relaxed);
+                let track = reg.thread_track();
+                let start = reg.real_now();
+                let span = RawEvent {
+                    track,
+                    kind: EventKind::Span { end: start },
+                    name: Cow::Borrowed(name),
+                    ts: start,
+                };
+                (epoch, span)
+            }),
         }
     }
 
@@ -336,17 +337,21 @@ impl std::fmt::Debug for TraceSink {
     }
 }
 
-/// RAII guard from [`TraceSink::real_span`]; closes the span on drop.
-#[must_use = "dropping the guard closes the span"]
+/// RAII guard from [`TraceSink::real_span`]; records the span on drop, into
+/// the session it started in, and nowhere if that session has finished.
+#[must_use = "dropping the guard ends the span"]
 pub struct RealSpanGuard {
-    sink: TraceSink,
-    track: TrackId,
+    /// The span's session epoch and its event, whose end is set on drop;
+    /// `None` when tracing was off at the start.
+    open: Option<(u64, RawEvent)>,
 }
 
 impl Drop for RealSpanGuard {
     fn drop(&mut self) {
-        if self.sink.enabled() {
-            self.sink.close(self.track, self.sink.real_now());
+        if let Some((epoch, mut span)) = self.open.take() {
+            let end = global().real_now();
+            span.kind = EventKind::Span { end };
+            global().push(Some(epoch), span);
         }
     }
 }
@@ -379,7 +384,7 @@ impl TraceSession {
         Self { guard: Some(guard) }
     }
 
-    /// Stop recording and drain all rings into a report.
+    /// Stop recording and drain all buffers into a report.
     pub fn finish(mut self) -> TraceReport {
         let reg = global();
         // SeqCst: pairs with the enable edge; after this store, newly-read
@@ -462,6 +467,56 @@ mod tests {
             assert!(s.end >= s.start, "span {s:?} runs backwards");
         }
         assert!(report.flame_summary().contains("stream:0"));
+    }
+
+    #[test]
+    fn overflow_counts_drops_and_keeps_the_first_events() {
+        let session = TraceSession::begin();
+        let sink = global_sink();
+        let t = sink.track("flood", Lane::Virtual);
+        for i in 0..BUFFER_CAPACITY + 7 {
+            sink.instant(t, "e", i as f64);
+        }
+        let report = session.finish();
+        assert_eq!(report.dropped(), 7);
+        assert_eq!(report.events().len(), BUFFER_CAPACITY);
+        assert_eq!(
+            report.events()[BUFFER_CAPACITY - 1].ts,
+            (BUFFER_CAPACITY - 1) as f64
+        );
+        assert!(report.spans().is_err());
+    }
+
+    #[test]
+    fn nested_guards_record_the_inner_span_first_inside_the_outer() {
+        let session = TraceSession::begin();
+        let sink = global_sink();
+        {
+            let _outer = sink.real_span("outer");
+            let _inner = sink.real_span("inner");
+        }
+        let spans = session.finish().spans().expect("nothing dropped");
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["inner", "outer"]);
+        let (inner, outer) = (&spans[0], &spans[1]);
+        assert_eq!(inner.track, outer.track);
+        assert!(outer.start <= inner.start && inner.start <= inner.end && inner.end <= outer.end);
+    }
+
+    #[test]
+    fn a_guard_that_outlives_its_session_lands_in_no_report() {
+        let session = TraceSession::begin();
+        let sink = global_sink();
+        let after_finish = sink.real_span("stale");
+        let in_next_session = sink.real_span("stale");
+        let first = session.finish();
+        drop(after_finish);
+        let next = TraceSession::begin();
+        drop(in_next_session);
+        let second = next.finish();
+        for report in [first, second] {
+            assert!(report.events().is_empty(), "{:?}", report.events());
+        }
     }
 
     #[test]

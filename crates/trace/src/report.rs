@@ -38,27 +38,27 @@ impl TrackId {
 }
 
 /// What a [`RawEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// Span start; must be matched by a later [`EventKind::Close`] on the
-    /// same track.
-    Open,
-    /// Span end, closing the most recent unmatched open on the track.
-    Close,
+    /// A whole span from the event's `ts` to `end`, recorded when it ends.
+    Span {
+        /// End time in seconds on the track's lane.
+        end: f64,
+    },
     /// A point event with no duration.
     Instant,
 }
 
-/// One recorded event, as stored in the per-thread rings.
+/// One recorded event, as stored in the per-thread buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawEvent {
     /// Track the event belongs to.
     pub track: TrackId,
-    /// Open / close / instant.
+    /// Span or instant.
     pub kind: EventKind,
-    /// Event label. Close events may leave it empty; pairing is positional.
+    /// Event label.
     pub name: Cow<'static, str>,
-    /// Timestamp in seconds on the track's lane.
+    /// Timestamp in seconds on the track's lane (a span's start).
     pub ts: f64,
 }
 
@@ -71,12 +71,12 @@ pub struct TrackInfo {
     pub lane: Lane,
 }
 
-/// A paired open/close interval reconstructed from the raw event stream.
+/// One recorded span, as returned by [`TraceReport::spans`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompleteSpan {
     /// Track the span lives on.
     pub track: TrackId,
-    /// Label taken from the open event.
+    /// Span label.
     pub name: String,
     /// Start time in seconds.
     pub start: f64,
@@ -114,7 +114,7 @@ impl TraceReport {
         &self.metrics
     }
 
-    /// Events discarded because a thread's ring filled up between drains.
+    /// Events discarded because a thread's buffer filled up between drains.
     #[must_use]
     // lint: test-only the trace tests check no event was lost (tests/trace_properties.rs)
     pub fn dropped(&self) -> u64 {
@@ -131,86 +131,35 @@ impl TraceReport {
             .map(|i| TrackId(i as u32))
     }
 
-    /// Strictly pair open/close events into [`CompleteSpan`]s.
+    /// Every recorded span, in recording order.
     ///
-    /// Returns `Err` when the stream is malformed: a close with no matching
-    /// open, an open left unclosed, or when events were dropped (a full ring
-    /// makes pairing unreliable). Use [`TraceReport::spans_lenient`] for
-    /// best-effort export.
-    // lint: test-only the strict pairing of the trace tests (tests/trace_properties.rs)
+    /// Returns `Err` when events were dropped (a full buffer makes the span
+    /// list incomplete). Use [`TraceReport::spans_lenient`] for best-effort
+    /// export.
+    // lint: test-only the complete span list of the trace tests (tests/trace_properties.rs)
     pub fn spans(&self) -> Result<Vec<CompleteSpan>, String> {
         if self.dropped > 0 {
-            return Err(format!(
-                "{} events dropped; span pairing would be unreliable",
-                self.dropped
-            ));
+            return Err(format!("{} events dropped", self.dropped));
         }
-        let (spans, errors) = self.pair(true);
-        if let Some(e) = errors.into_iter().next() {
-            return Err(e);
-        }
-        Ok(spans)
+        Ok(self.spans_lenient())
     }
 
-    /// Best-effort pairing: unmatched closes are skipped, unclosed opens are
-    /// terminated at the latest timestamp seen on their track.
+    /// The recorded spans, in recording order, whether or not events were
+    /// dropped.
     #[must_use]
     pub fn spans_lenient(&self) -> Vec<CompleteSpan> {
-        self.pair(false).0
-    }
-
-    fn pair(&self, strict: bool) -> (Vec<CompleteSpan>, Vec<String>) {
-        let mut stacks: BTreeMap<TrackId, Vec<(String, f64)>> = BTreeMap::new();
-        let mut last_ts: BTreeMap<TrackId, f64> = BTreeMap::new();
-        let mut spans = Vec::new();
-        let mut errors = Vec::new();
-        for ev in &self.events {
-            let latest = last_ts.entry(ev.track).or_insert(ev.ts);
-            if ev.ts > *latest {
-                *latest = ev.ts;
-            }
-            match ev.kind {
-                EventKind::Open => {
-                    stacks
-                        .entry(ev.track)
-                        .or_default()
-                        .push((ev.name.clone().into_owned(), ev.ts));
-                }
-                EventKind::Close => match stacks.entry(ev.track).or_default().pop() {
-                    Some((name, start)) => spans.push(CompleteSpan {
-                        track: ev.track,
-                        name,
-                        start,
-                        end: ev.ts,
-                    }),
-                    None => {
-                        if strict {
-                            errors.push(format!(
-                                "close '{}' at t={} on track {:?} with no open",
-                                ev.name, ev.ts, ev.track
-                            ));
-                        }
-                    }
-                },
-                EventKind::Instant => {}
-            }
-        }
-        for (track, stack) in stacks {
-            for (name, start) in stack {
-                if strict {
-                    errors.push(format!("open '{name}' on track {track:?} never closed"));
-                } else {
-                    let end = last_ts.get(&track).copied().unwrap_or(start).max(start);
-                    spans.push(CompleteSpan {
-                        track,
-                        name,
-                        start,
-                        end,
-                    });
-                }
-            }
-        }
-        (spans, errors)
+        self.events
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::Span { end } => Some(CompleteSpan {
+                    track: ev.track,
+                    name: ev.name.clone().into_owned(),
+                    start: ev.ts,
+                    end,
+                }),
+                EventKind::Instant => None,
+            })
+            .collect()
     }
 
     /// Compact text flamegraph-style summary: per track, total busy time per
@@ -261,7 +210,10 @@ impl TraceReport {
             }
         }
         if self.dropped > 0 {
-            out.push_str(&format!("!! {} events dropped (ring full)\n", self.dropped));
+            out.push_str(&format!(
+                "!! {} events dropped (buffer full)\n",
+                self.dropped
+            ));
         }
         out.push_str(&self.metrics.render());
         out

@@ -1,4 +1,4 @@
-//! Property-test harness for the `sidco-trace` subsystem: span pairing,
+//! Property-test harness for the `sidco-trace` subsystem: span recording,
 //! virtual-resource exclusivity re-checked *through the trace*, Chrome
 //! trace-event JSON round-tripping, and the subsystem's core guarantee that
 //! tracing is strictly observational (traced runs are bit-identical to
@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// and a concurrently running *untraced* trainer in a sibling test would
 /// record its pool workers' real-time spans into whichever session happens
 /// to be open — harmless for production traces (extra tracks), but noise
-/// this harness must keep out of its strict pairing assertions.
+/// this harness must keep out of its exact span-list assertions.
 fn test_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
@@ -62,13 +62,15 @@ fn bucket_costs_strategy() -> impl Strategy<Value = Vec<BucketCost>> {
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
-    /// Drives a random balanced open/close sequence over a handful of tracks
-    /// and checks the recorder's stack pairing reconstructs exactly the spans
-    /// a reference stack predicts: every close matches the *most recent*
-    /// unmatched open on its track, strictly.
+    /// Records a random mix of spans and instants over three tracks and
+    /// checks `spans()` returns exactly the recorded spans, in recording
+    /// order, and leaves the instants out.
     #[test]
-    fn span_closes_pair_with_the_most_recent_open_per_track(
-        ops in prop::collection::vec((0usize..3, 0usize..2, 0.0f64..100.0), 1..64),
+    fn spans_come_back_exactly_in_recording_order(
+        ops in prop::collection::vec(
+            (0usize..3, 0usize..2, 0.0f64..100.0, 0.0f64..10.0),
+            1..64,
+        ),
     ) {
         let _serial = test_lock();
         let session = TraceSession::begin();
@@ -77,44 +79,27 @@ proptest! {
             .map(|t| sink.track(&format!("prop-track-{t}"), Lane::Virtual))
             .collect();
 
-        // Reference interpreter: per-track stacks of (name, open time).
-        let mut stacks: Vec<Vec<(String, f64)>> = vec![Vec::new(); 3];
         let mut expected: Vec<(usize, String, f64, f64)> = Vec::new();
-        for (seq, &(track, close, ts)) in ops.iter().enumerate() {
-            if close == 1 && !stacks[track].is_empty() {
-                // INVARIANT: emptiness was checked on the line above.
-                let (name, start) = stacks[track].pop().expect("non-empty stack");
-                sink.close(tracks[track], ts);
-                expected.push((track, name, start, ts));
+        for (seq, &(track, instant, start, length)) in ops.iter().enumerate() {
+            let name = format!("event-{seq}");
+            if instant == 1 {
+                sink.instant(tracks[track], name, start);
             } else {
-                let name = format!("span-{seq}");
-                sink.open(tracks[track], name.clone(), ts);
-                stacks[track].push((name, ts));
-            }
-        }
-        // Balance the books so the strict pairing has no unclosed opens.
-        for (track, stack) in stacks.iter_mut().enumerate() {
-            while let Some((name, start)) = stack.pop() {
-                sink.close(tracks[track], 1000.0);
-                expected.push((track, name, start, 1000.0));
+                sink.span(tracks[track], name.clone(), start, start + length);
+                expected.push((tracks[track].index(), name, start, start + length));
             }
         }
 
         let report = session.finish();
         prop_assert_eq!(report.dropped(), 0);
-        let spans = report.spans().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(spans.len(), expected.len());
-        let mut got: Vec<(usize, String, f64, f64)> = spans
-            .iter()
-            .map(|s| (s.track.index(), s.name.to_string(), s.start, s.end))
+        prop_assert_eq!(report.events().len(), ops.len());
+        let got: Vec<(usize, String, f64, f64)> = report
+            .spans()
+            .map_err(TestCaseError::fail)?
+            .into_iter()
+            .map(|s| (s.track.index(), s.name, s.start, s.end))
             .collect();
-        got.sort_by(|a, b| a.1.cmp(&b.1));
-        let mut want: Vec<(usize, String, f64, f64)> = expected
-            .iter()
-            .map(|(t, n, s, e)| (tracks[*t].index(), n.clone(), *s, *e))
-            .collect();
-        want.sort_by(|a, b| a.1.cmp(&b.1));
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, expected);
     }
 
     /// The scheduler's stream/link exclusivity invariant, re-verified through
