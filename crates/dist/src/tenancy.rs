@@ -15,13 +15,15 @@
 //!   then splits into a *local phase* (compute + the compression/latency
 //!   front of the schedule, `makespan − Σtransfer`) and a *wire request*
 //!   (the `Σtransfer` of bandwidth-serialised work the link must carry).
-//!   Prices are memoised per job for the length of one
-//!   [`simulate`](FleetScheduler::simulate). A job's layout, scheduler and
-//!   compressor are fixed, so its price is a pure function of the granted
-//!   engine workers, the pool stretch and δ, which repeat across iterations
-//!   because admission only changes at arrivals and departures. Reusing the
-//!   first search's bits for a repeated key is therefore exact; a stretch
-//!   ≤ 1 leaves the costs untouched, so it shares the key of stretch 1.
+//!   Prices are memoised per job shape (benchmark, bucket count, stream
+//!   count, compressor and bucket policy) for the length of one
+//!   [`simulate`](FleetScheduler::simulate). With the cluster fixed, a price
+//!   is a pure function of the shape, the granted engine workers, the pool
+//!   stretch and δ: jobs of one shape share it, and the last three repeat
+//!   across iterations because admission only changes at arrivals and
+//!   departures. Reusing the first search's bits for a repeated key is
+//!   therefore exact; a stretch ≤ 1 leaves the costs untouched, so it
+//!   shares the key of stretch 1.
 //! * **Across jobs the wire is shared.** A small event-driven simulator
 //!   serves each job's wire requests under a pluggable [`SharePolicy`]:
 //!   processor-sharing ([`FairShare`](SharePolicy::FairShare)), strict
@@ -256,10 +258,10 @@ struct PricedIteration {
     delta: f64,
 }
 
-/// Memo key of one job's iteration price: `(granted, stretch bits, δ bits)`.
+/// Memo key of one shape's iteration price: `(granted, stretch bits, δ bits)`.
 ///
 /// A stretch of at most 1.0 is folded to 1.0, because
-/// [`FleetScheduler::price_with`] only scales compression when the pool is
+/// [`FleetScheduler::price`] only scales compression when the pool is
 /// oversubscribed (`stretch > 1.0`); every undersubscribed stretch prices
 /// the same bits.
 type PriceKey = (usize, u64, u64);
@@ -268,6 +270,16 @@ fn price_key(granted: usize, stretch: f64, delta: f64) -> PriceKey {
     let stretch = if stretch > 1.0 { stretch } else { 1.0 };
     (granted, stretch.to_bits(), delta.to_bits())
 }
+
+/// A job's shape, `(benchmark, buckets, streams, compressor, policy)`: every
+/// [`JobSpec`] field [`FleetScheduler::price`] prices from. Within one call
+/// the cluster is fixed, so jobs of one shape share every price.
+type Shape = (BenchmarkId, usize, usize, CompressorKind, PriorityPolicy);
+
+/// The prices of one [`FleetScheduler::simulate`] or
+/// [`FleetScheduler::serialized_end`] call: per shape, its packed layers and
+/// the `(makespan, wire)` of every [`PriceKey`] it has been priced at.
+type PriceMemo = HashMap<Shape, (LayerLayout, HashMap<PriceKey, (f64, f64)>)>;
 
 /// Where a job currently is in the fleet simulation.
 #[derive(Debug, Clone, Copy)]
@@ -292,8 +304,6 @@ enum Phase {
 /// One tenant's live state while the fleet runs.
 struct JobState {
     spec: JobSpec,
-    layout: LayerLayout,
-    scheduler: CollectiveScheduler,
     /// Dedicated wire seconds per iteration, the budget contention squeezes
     /// δ against (`None` when the job has no wire work).
     wire_budget: Option<f64>,
@@ -302,11 +312,6 @@ struct JobState {
     /// Uncontended per-iteration latency: `compute + best_schedule` makespan
     /// at the requested δ on the full engine.
     dedicated: f64,
-    /// `(makespan, wire)` of every [`PriceKey`] this job has been priced at
-    /// in the current simulate, seeded with the dedicated price. Layout,
-    /// scheduler and compressor are fixed per job, so the key is every input
-    /// [`FleetScheduler::price_with`] reads.
-    prices: HashMap<PriceKey, (f64, f64)>,
     /// The job's charge clock: `arrival + Σ charges so far`. Authoritative
     /// for when its next iteration starts (keeps the single-job sum free of
     /// link-simulator float residue).
@@ -492,7 +497,11 @@ impl FleetScheduler {
         } else {
             TraceSink::noop()
         };
-        let mut states: Vec<JobState> = jobs.iter().map(|spec| self.admit(spec)).collect();
+        let mut memo = PriceMemo::new();
+        let mut states: Vec<JobState> = jobs
+            .iter()
+            .map(|spec| self.admit(spec, &mut memo))
+            .collect();
         let link_track = sink.track("link", Lane::Virtual);
         let job_tracks: Vec<TrackId> = states
             .iter()
@@ -555,7 +564,7 @@ impl FleetScheduler {
                     states[j].clock = states[j].spec.arrival;
                 }
                 for &j in &arriving {
-                    self.begin_iteration(j, &mut states);
+                    self.begin_iteration(j, &mut states, &mut memo);
                 }
                 continue;
             }
@@ -577,14 +586,16 @@ impl FleetScheduler {
                     if priced.wire <= 0.0 {
                         // Degenerate workload with no transfer: nothing for
                         // the link to arbitrate.
-                        self.finish_iteration(
+                        if self.finish_iteration(
                             j,
                             &mut states,
                             ready_at,
                             ready_at,
                             0.0,
                             (&sink, &job_tracks),
-                        );
+                        ) {
+                            self.begin_iteration(j, &mut states, &mut memo);
+                        }
                     } else {
                         wire_total += priced.wire;
                         pending.push(Pending {
@@ -604,14 +615,16 @@ impl FleetScheduler {
             let (wire_t, idx) = wire_candidate.expect("progress requires a wire completion");
             debug_assert!(wire_t <= now);
             let done = pending.remove(idx);
-            self.finish_iteration(
+            if self.finish_iteration(
                 done.job,
                 &mut states,
                 now,
                 done.ready_at,
                 done.demand,
                 (&sink, &job_tracks),
-            );
+            ) {
+                self.begin_iteration(done.job, &mut states, &mut memo);
+            }
         }
 
         debug_assert!(pending.is_empty());
@@ -667,26 +680,22 @@ impl FleetScheduler {
                 .expect("NaN arrival")
                 .then(a.cmp(&b))
         });
+        let mut memo = PriceMemo::new();
         let mut end = f64::NEG_INFINITY;
         for j in order {
-            let state = self.admit(&jobs[j]);
+            let state = self.admit(&jobs[j], &mut memo);
             let start = end.max(state.spec.arrival);
             end = start + state.dedicated * state.spec.iterations as f64;
         }
         end
     }
 
-    /// Admits one job: packs its layers, builds its private stream group,
-    /// prices its dedicated iteration and, when it has wire work, budgets
-    /// its wire at the dedicated wire time, which δ then adapts against.
-    fn admit(&self, spec: &JobSpec) -> JobState {
+    /// Admits one job: prices its dedicated iteration through `memo` and,
+    /// when it has wire work, budgets its wire at the dedicated wire time,
+    /// which δ then adapts against.
+    fn admit(&self, spec: &JobSpec, memo: &mut PriceMemo) -> JobState {
         spec.validate();
         let bench = spec.benchmark.spec();
-        let layout = pack_layers(
-            &bench.representative_layer_sizes(),
-            bench.parameters.div_ceil(spec.buckets),
-        );
-        let scheduler = CollectiveScheduler::new(spec.streams, spec.policy);
         // The trainer's own compute expression, so a single-job fleet on any
         // cluster — skewed or not — still collapses bit-for-bit onto the
         // trainer.
@@ -694,25 +703,12 @@ impl FleetScheduler {
             .cluster
             .iteration_compute_time(bench.per_worker_batch, bench.parameters);
         let granted = self.cluster.engine_workers.max(1);
-        let (dedicated_makespan, dedicated_wire) = self.price_with(
-            &layout,
-            &scheduler,
-            spec.compressor,
-            granted,
-            1.0,
-            spec.delta,
-        );
+        let (dedicated_makespan, dedicated_wire) = self.price(memo, spec, granted, 1.0, spec.delta);
         let wire_budget = (dedicated_wire > 0.0).then_some(dedicated_wire);
         JobState {
-            layout,
-            scheduler,
             wire_budget,
             compute,
             dedicated: compute + dedicated_makespan,
-            prices: HashMap::from([(
-                price_key(granted, 1.0, spec.delta),
-                (dedicated_makespan, dedicated_wire),
-            )]),
             clock: spec.arrival,
             iteration: 0,
             slowdown: 1.0,
@@ -725,38 +721,74 @@ impl FleetScheduler {
         }
     }
 
-    /// Prices one iteration: `best_schedule` on a `granted`-worker view of
-    /// the engine, with compression stretched by the pool oversubscription
-    /// factor. Returns `(makespan, wire demand)`.
-    ///
-    /// For one job this is a pure function of `granted`, `stretch` and
-    /// `delta`, and a `stretch ≤ 1.0` leaves the costs untouched — which is
-    /// what lets [`JobState::prices`] memoise it under a [`PriceKey`].
-    fn price_with(
+    /// Prices one iteration of a job of `spec`'s [`Shape`], searching each
+    /// [`PriceKey`] once in the call `memo` belongs to: `best_schedule` on a
+    /// `granted`-worker view of the engine, with compression stretched by the
+    /// pool oversubscription factor (a `stretch ≤ 1.0` leaves the costs
+    /// untouched). Returns `(makespan, wire demand)`.
+    fn price(
         &self,
-        layout: &LayerLayout,
-        scheduler: &CollectiveScheduler,
-        kind: CompressorKind,
+        memo: &mut PriceMemo,
+        spec: &JobSpec,
         granted: usize,
         stretch: f64,
         delta: f64,
     ) -> (f64, f64) {
-        // The tenant's view of the shared engine pool: a full grant is the
-        // cluster itself, field for field.
-        let cluster = self.cluster.clone().with_engine_workers(granted);
-        let mut costs = modeled_bucket_costs(&cluster, kind, delta, STAGES, layout);
-        if stretch > 1.0 {
-            for cost in &mut costs {
-                cost.compression *= stretch;
+        let &JobSpec {
+            benchmark,
+            buckets,
+            streams,
+            compressor,
+            policy,
+            ..
+        } = spec;
+        let (layout, prices) = memo
+            .entry((benchmark, buckets, streams, compressor, policy))
+            .or_insert_with(|| {
+                let bench = benchmark.spec();
+                let target = bench.parameters.div_ceil(buckets);
+                (
+                    pack_layers(&bench.representative_layer_sizes(), target),
+                    HashMap::new(),
+                )
+            });
+        let search = || {
+            // The tenant's view of the shared engine pool: a full grant is
+            // the cluster itself, field for field.
+            let cluster = self.cluster.clone().with_engine_workers(granted);
+            let mut costs = modeled_bucket_costs(&cluster, compressor, delta, STAGES, layout);
+            if stretch > 1.0 {
+                for cost in &mut costs {
+                    cost.compression *= stretch;
+                }
             }
+            let timeline = CollectiveScheduler::new(streams, policy).best_schedule(&costs);
+            (timeline.makespan(), total_wire_seconds(&costs))
+        };
+        let key = price_key(granted, stretch, delta);
+        if let Some(&(makespan, wire)) = prices.get(&key) {
+            // Debug builds re-price every hit and demand the same bits. A
+            // traced fleet skips the recheck, so its search counter counts
+            // only the searches that price.
+            if cfg!(debug_assertions) && !self.config.trace {
+                let (fresh_makespan, fresh_wire) = search();
+                debug_assert_eq!(
+                    (makespan.to_bits(), wire.to_bits()),
+                    (fresh_makespan.to_bits(), fresh_wire.to_bits()),
+                    "memoised price of job {:?} drifted from a fresh search",
+                    spec.name
+                );
+            }
+            return (makespan, wire);
         }
-        let timeline = scheduler.best_schedule(&costs);
-        (timeline.makespan(), total_wire_seconds(&costs))
+        let price = search();
+        prices.insert(key, price);
+        price
     }
 
     /// Prices job `j`'s next iteration under the current contention and
     /// starts its local phase.
-    fn begin_iteration(&self, j: usize, states: &mut [JobState]) {
+    fn begin_iteration(&self, j: usize, states: &mut [JobState], memo: &mut PriceMemo) {
         let active = states
             .iter()
             .filter(|state| {
@@ -781,39 +813,7 @@ impl FleetScheduler {
             ),
             None => state.spec.delta,
         };
-        let search = || {
-            self.price_with(
-                &state.layout,
-                &state.scheduler,
-                state.spec.compressor,
-                granted,
-                stretch,
-                delta,
-            )
-        };
-        let key = price_key(granted, stretch, delta);
-        let (makespan, wire) = match state.prices.get(&key) {
-            Some(&(makespan, wire)) => {
-                // Debug builds re-price every hit and demand the same bits.
-                // A traced fleet skips the recheck, so its search counter
-                // counts only the searches that price.
-                if cfg!(debug_assertions) && !self.config.trace {
-                    let (fresh_makespan, fresh_wire) = search();
-                    debug_assert_eq!(
-                        (makespan.to_bits(), wire.to_bits()),
-                        (fresh_makespan.to_bits(), fresh_wire.to_bits()),
-                        "memoised price of job {:?} drifted from a fresh search",
-                        state.spec.name
-                    );
-                }
-                (makespan, wire)
-            }
-            None => {
-                let price = search();
-                state.prices.insert(key, price);
-                price
-            }
-        };
+        let (makespan, wire) = self.price(memo, &state.spec, granted, stretch, delta);
         let ready_at = state.clock + state.compute + (makespan - wire);
         state.phase = Phase::Local {
             ready_at,
@@ -827,7 +827,8 @@ impl FleetScheduler {
 
     /// Charges job `j` for the iteration whose wire request just completed
     /// (at `now`, having entered at `ready_at` with `demand` seconds of
-    /// work) and starts the next iteration or retires the job.
+    /// work) and retires the job or leaves it [`Phase::Starting`]; returns
+    /// whether it has an iteration left to begin.
     fn finish_iteration(
         &self,
         j: usize,
@@ -836,7 +837,7 @@ impl FleetScheduler {
         ready_at: f64,
         demand: f64,
         trace: (&TraceSink, &[TrackId]),
-    ) {
+    ) -> bool {
         let state = &mut states[j];
         let Phase::Wire { priced } = state.phase else {
             unreachable!("finishing a job that is not on the wire")
@@ -880,12 +881,9 @@ impl FleetScheduler {
             1.0
         };
         state.iteration += 1;
-        if state.iteration >= state.spec.iterations {
-            state.phase = Phase::Done;
-        } else {
-            state.phase = Phase::Starting;
-            self.begin_iteration(j, states);
-        }
+        let more = state.iteration < state.spec.iterations;
+        state.phase = if more { Phase::Starting } else { Phase::Done };
+        more
     }
 
     /// The request the link is currently dedicating rate to under a
@@ -1274,6 +1272,20 @@ mod tests {
                     "{policy}, {iterations} iterations"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn jobs_of_one_shape_search_once() {
+        // Four copies of one shape, spaced so that each runs alone: every
+        // admission and every iteration prices the same key.
+        let solo = fleet(SharePolicy::Fifo).simulate(&[job("solo", 0.0)]);
+        let gap = 2.0 * solo.jobs[0].makespan();
+        let jobs: Vec<JobSpec> = (0..4)
+            .map(|j| job(&format!("copy{j}"), gap * j as f64).with_priority_class(j))
+            .collect();
+        for policy in SharePolicy::ALL {
+            assert_eq!(searches(&fleet(policy), &jobs, |n| n <= 1), 1, "{policy}");
         }
     }
 

@@ -16,15 +16,20 @@
 //! 4. **Fair share beats serialization** — the fleet's last completion never
 //!    lands after running the same jobs one at a time, end to end, each with
 //!    the cluster to itself.
-//! 5. **Memoised pricing is bit-stable** — a fleet's per-job price memo lives
-//!    for one `simulate`, so repeating the simulate, on the same scheduler or
-//!    a clone, reproduces every charge, δ and completion bit for bit. In a
-//!    debug build every memo hit is also re-priced by a fresh search and
-//!    must match it bit for bit.
+//! 5. **Memoised pricing is bit-stable** — a fleet's per-shape price memo
+//!    lives for one `simulate`, so repeating the simulate, on the same
+//!    scheduler or a clone, reproduces every charge, δ and completion bit for
+//!    bit. In a debug build every memo hit is also re-priced by a fresh
+//!    search and must match it bit for bit.
+//! 6. **The memo key is complete** — jobs share prices only when they agree
+//!    on every field a price reads: a job that differs from another in just
+//!    its benchmark, bucket count, stream count, compressor, bucket policy
+//!    or δ still gets its own dedicated iteration, bit for bit that of its
+//!    solo fleet.
 
 use proptest::prelude::*;
 use sidco::prelude::*;
-use sidco_dist::collective::modeled_bucket_costs;
+use sidco_dist::collective::{modeled_bucket_costs, PriorityPolicy};
 use sidco_dist::schedule::pack_layers;
 use sidco_dist::tenancy::{FleetReport, FleetScheduler, JobSpec, SharePolicy};
 use sidco_dist::trainer::COMPUTE_COST_PER_EXAMPLE_ELEMENT;
@@ -201,6 +206,56 @@ proptest! {
                 first == again && first == cloned,
                 "{policy}: repeated simulates disagree"
             );
+        }
+    }
+
+    /// Invariant 6: a base job and one variant per shape field, plus a δ
+    /// variant, arrive together; each is admitted at its own solo price.
+    #[test]
+    fn price_memo_key_covers_every_field_a_price_reads(
+        solo in (cluster_strategy(), job_strategy())
+    ) {
+        let (cluster, base) = solo;
+        let base = base.with_arrival(0.0);
+        let other_benchmark = if base.benchmark == BENCHMARKS[0] {
+            BENCHMARKS[1]
+        } else {
+            BENCHMARKS[0]
+        };
+        let jobs: Vec<JobSpec> = [
+            base.clone(),
+            JobSpec { benchmark: other_benchmark, ..base.clone() },
+            base.clone().with_buckets(base.buckets + 1),
+            base.clone().with_streams(base.streams % 3 + 1),
+            JobSpec { compressor: CompressorKind::TopK, ..base.clone() },
+            JobSpec { policy: PriorityPolicy::Fifo, ..base.clone() },
+            JobSpec { delta: base.delta / 2.0, ..base.clone() },
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, job)| JobSpec { name: format!("{}-{i}", job.name), ..job })
+        .collect();
+        let solo_bits: Vec<u64> = jobs
+            .iter()
+            .map(|job| {
+                FleetScheduler::new(cluster.clone(), SharePolicy::FairShare)
+                    .simulate(std::slice::from_ref(job))
+                    .jobs[0]
+                    .dedicated_iteration
+                    .to_bits()
+            })
+            .collect();
+        for policy in SharePolicy::ALL {
+            let report = FleetScheduler::new(cluster.clone(), policy).simulate(&jobs);
+            for (outcome, &bits) in report.jobs.iter().zip(&solo_bits) {
+                prop_assert!(
+                    outcome.dedicated_iteration.to_bits() == bits,
+                    "{policy}: {} admitted at {} but its solo fleet at {}",
+                    outcome.name,
+                    outcome.dedicated_iteration,
+                    f64::from_bits(bits)
+                );
+            }
         }
     }
 }
